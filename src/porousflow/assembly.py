@@ -171,10 +171,6 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
     return _vector_mass(ctx, wgt)
 
 
-def assemble_mass(ctx: FormContext) -> sparse.csr_matrix:
-    return ctx.mass_matrix()
-
-
 # -- right-hand sides --------------------------------------------------------------
 
 def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:

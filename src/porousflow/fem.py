@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from porousflow.mesh import Mesh, PointLocation, locate_many
+from porousflow.mesh import Mesh, PointLocation
 
 P2_VECTOR = "p2-vector"
 P1_SCALAR = "p1-scalar"
@@ -259,30 +259,26 @@ def eval_field(field_: FeField, loc: PointLocation, gradient: bool = False):
     return res[0]
 
 
-def eval_at_points(field_: FeField, pts, hints=None, gradient: bool = False):
-    """Locate-and-evaluate helper; points must lie in the closed domain."""
-    tri, bary, inside = locate_many(field_.space.mesh, pts, hints)
-    if not inside.all():
-        raise ValueError("points outside the domain cannot be evaluated")
-    return eval_field_many(field_, tri, bary, gradient)
-
-
 # -- norms ----------------------------------------------------------------------
 
-def _quad_tables(mesh: Mesh, space: SpaceDescriptor, rule: QuadratureRule):
+def _quad_tables(mesh: Mesh, space: SpaceDescriptor, rule: QuadratureRule,
+                 gradient: bool):
+    """Basis values, physical basis gradients (``None`` unless ``gradient``),
+    weights times areas and physical points at the quadrature points."""
     vals, dlam = eval_basis(space.kind, rule.points)
-    gl = mesh.grad_lambda                                   # (nt, 3, 2)
-    gphys = np.einsum("qnj,tjd->tqnd", dlam, gl)            # (nt, nq, nb, 2)
+    gphys = None
+    if gradient:                                            # (nt, nq, nb, 2)
+        gphys = np.einsum("qnj,tjd->tqnd", dlam, mesh.grad_lambda)
     wxa = rule.weights[None, :] * mesh.areas[:, None]       # (nt, nq)
     qp = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
     return vals, gphys, wxa, qp
 
 
-def _field_at_quad(field_: FeField, vals, gphys, gradient: bool):
+def _field_at_quad(field_: FeField, vals, gphys):
     sp = field_.space
     coef = field_.node_values()[sp.cell_nodes]              # (nt, nb, c)
     u = np.einsum("qn,tnc->tqc", vals, coef)
-    if not gradient:
+    if gphys is None:
         return u, None
     g = np.einsum("tqnd,tnc->tqcd", gphys, coef)
     return u, g
@@ -294,8 +290,8 @@ def norm(field_: FeField, kind: str = "L2", rule: QuadratureRule | None = None) 
         raise ValueError(f"unknown norm kind: {kind!r}")
     sp = field_.space
     rule = rule or tri_quadrature(5)
-    vals, gphys, wxa, _ = _quad_tables(sp.mesh, sp, rule)
-    u, g = _field_at_quad(field_, vals, gphys, kind != "L2")
+    vals, gphys, wxa, _ = _quad_tables(sp.mesh, sp, rule, kind != "L2")
+    u, g = _field_at_quad(field_, vals, gphys)
     total = 0.0
     if kind in ("L2", "H1"):
         total += float(np.einsum("tq,tqc->", wxa, u ** 2))
@@ -329,8 +325,8 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
         raise ValueError("H1 error norm requires exact_grad")
     sp = field_.space
     rule = rule or tri_quadrature(5)
-    vals, gphys, wxa, qp = _quad_tables(sp.mesh, sp, rule)
-    u, g = _field_at_quad(field_, vals, gphys, kind == "H1")
+    vals, gphys, wxa, qp = _quad_tables(sp.mesh, sp, rule, kind == "H1")
+    u, g = _field_at_quad(field_, vals, gphys)
     nt, nq = wxa.shape
     flat = qp.reshape(nt * nq, 2)
     ue = _call(exact, flat, t).reshape(nt, nq, -1)
@@ -350,8 +346,8 @@ def field_mean(field_: FeField) -> float:
     """Integral mean of a scalar field."""
     sp = field_.space
     rule = tri_quadrature(5)
-    vals, gphys, wxa, _ = _quad_tables(sp.mesh, sp, rule)
-    u, _ = _field_at_quad(field_, vals, gphys, False)
+    vals, _, wxa, _ = _quad_tables(sp.mesh, sp, rule, False)
+    u, _ = _field_at_quad(field_, vals, None)
     return float(np.einsum("tq,tqc->", wxa, u)) / float(sp.mesh.areas.sum())
 
 

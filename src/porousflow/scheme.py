@@ -27,7 +27,7 @@ from porousflow.assembly import (
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate, norm
 from porousflow.mesh import BoundaryTag
-from porousflow.saddle import SaddleSystem, SolveReport
+from porousflow.saddle import SaddleSystem, SolveReport, StepSolver
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -109,7 +109,8 @@ def _bound_dirichlet(setup: ProblemSetup, t: float):
     return lambda pts: setup.dirichlet(pts, t)
 
 
-def _solve_step(setup: ProblemSetup, a_total, rhs_v, t: float) -> StepResult:
+def _solve_step(setup: ProblemSetup, a_total, rhs_v, t: float, kind: str,
+                solver: StepSolver | None) -> StepResult:
     _, _, b = setup.constant_blocks()
     system = SaddleSystem(setup.ctx, a_total, b, rhs_v)
     if setup.dirichlet is not None:
@@ -117,14 +118,19 @@ def _solve_step(setup: ProblemSetup, a_total, rhs_v, t: float) -> StepResult:
     system.apply_slip()
     if setup.gauge:
         system.apply_gauge()
-    u, p, report = system.solve()
+    u, p, report = system.solve(solver, kind)
     u.time_label = t
     p.time_label = t
     return StepResult(u, p, report)
 
 
-def initial_step(setup: ProblemSetup, u0_field: FeField) -> StepResult:
-    """First-order start-up step producing the fields at t = tau."""
+def initial_step(setup: ProblemSetup, u0_field: FeField,
+                 solver: StepSolver | None = None) -> StepResult:
+    """First-order start-up step producing the fields at t = tau.
+
+    ``solver`` is the run's :class:`StepSolver`; without one the step system
+    is factorized on its own.
+    """
     if setup.n_steps < 1:
         raise ValueError("tau exceeds the final time; no steps to take")
     ctx, tau = setup.ctx, setup.tau
@@ -143,13 +149,18 @@ def initial_step(setup: ProblemSetup, u0_field: FeField) -> StepResult:
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, tau)
     a_total = mass_scaled + a0 + c0 + assemble_c1(u0_field, ctx)
-    result = _solve_step(setup, a_total, rhs, tau)
+    result = _solve_step(setup, a_total, rhs, tau, "initial", solver)
     result.report.n_clamped_feet = clamp_counter[0]
     return result
 
 
-def general_step(setup: ProblemSetup, state: SchemeState) -> StepResult:
-    """Second-order step k >= 2 from the two stored history fields."""
+def general_step(setup: ProblemSetup, state: SchemeState,
+                 solver: StepSolver | None = None) -> StepResult:
+    """Second-order step k >= 2 from the two stored history fields.
+
+    ``solver`` is the run's :class:`StepSolver`; without one the step system
+    is factorized on its own.
+    """
     if state.k < 2:
         raise ValueError("general steps start at k = 2")
     ctx, tau = setup.ctx, setup.tau
@@ -174,7 +185,7 @@ def general_step(setup: ProblemSetup, state: SchemeState) -> StepResult:
     theta = FeField(ctx.vspace,
                     2.0 * state.u_prev.coefficients - state.u_prev2.coefficients)
     a_total = mass_scaled + a0 + c0 + assemble_c1(theta, ctx)
-    result = _solve_step(setup, a_total, rhs, t_k)
+    result = _solve_step(setup, a_total, rhs, t_k, "general", solver)
     result.report.n_clamped_feet = clamp_counter[0]
     return result
 
@@ -197,13 +208,15 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     """Execute the start-up step and all general steps up to the final time.
 
     Observers are called after every accepted step with ``(k, t, velocity,
-    pressure, diagnostics)``.  A failed step raises
+    pressure, diagnostics)``.  All steps share one :class:`StepSolver`, so a
+    factorization is reused across the general steps.  A failed step raises
     :class:`SchemeDivergenceError` with the partial summary attached.
     """
     n_steps = setup.n_steps
     if n_steps < 1:
         raise ValueError("tau exceeds the final time; no steps to take")
     t0 = time.perf_counter()
+    solver = StepSolver(setup.ctx)
     u0_field = interpolate(setup.ctx.vspace, setup.u_initial, None)
     u0_field.time_label = 0.0
     records: list[dict] = []
@@ -214,9 +227,9 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     for k in range(1, n_steps + 1):
         try:
             if k == 1:
-                result = initial_step(setup, u0_field)
+                result = initial_step(setup, u0_field, solver)
             else:
-                result = general_step(setup, state)
+                result = general_step(setup, state, solver)
         except Exception as exc:
             summary.wall_time = time.perf_counter() - t0
             raise SchemeDivergenceError(k, str(exc), summary) from exc
@@ -230,6 +243,8 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
                 result.report.incompressibility_residual,
             "algebraic_residual": result.report.algebraic_residual,
             "clamped_feet": result.report.n_clamped_feet,
+            "krylov_iterations": result.report.krylov_iterations,
+            "factorized": result.report.factorized,
         }
         records.append(diag)
         for obs in observers:

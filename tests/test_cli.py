@@ -83,6 +83,8 @@ def test_simulate_writes_outputs(tmp_path, capsys):
             for line in (out / "diagnostics.jsonl").read_text().splitlines()]
     assert [d["step"] for d in diag] == [1, 2]
     assert all(d["incompressibility_residual"] <= 1e-10 for d in diag)
+    assert all(isinstance(d["krylov_iterations"], int) for d in diag)
+    assert all(isinstance(d["factorized"], bool) for d in diag)
 
 
 def test_snapshot_magnitude_consistent(tmp_path):

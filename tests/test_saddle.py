@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from porousflow import saddle
 from porousflow.assembly import (
     assemble_a0,
     assemble_b,
@@ -18,6 +19,7 @@ from porousflow.saddle import (
     SaddleSystem,
     SingularSystemError,
     SolverError,
+    StepSolver,
     UnsupportedBoundaryError,
 )
 from porousflow.verification import steady_stokes_solve
@@ -219,3 +221,63 @@ def test_nan_rhs_rejected(unit_ctx):
                           assemble_b(unit_ctx), rhs)
     with pytest.raises(SolverError):
         system.solve()
+
+
+def _drag_system(ctx, drag, rhs):
+    a0 = assemble_a0(ctx)
+    system = SaddleSystem(ctx, a0 + drag * sp.identity(a0.shape[0]),
+                          assemble_b(ctx), rhs)
+    system.apply_dirichlet(quad_velocity)
+    system.apply_gauge()
+    return system
+
+
+def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = StepSolver(unit_ctx)
+    _, _, first = _drag_system(unit_ctx, 1.0, rhs).solve(solver, "general")
+    u, p, rep = _drag_system(unit_ctx, 1.3, rhs).solve(solver, "general")
+    u_ref, p_ref, ref = _drag_system(unit_ctx, 1.3, rhs).solve()
+    assert first.factorized and first.krylov_iterations == 0
+    assert not rep.factorized and rep.krylov_iterations > 0
+    assert ref.factorized and ref.krylov_iterations == 0
+    assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
+    assert np.abs(u.coefficients - u_ref.coefficients).max() \
+        <= 1e-12 * np.abs(u_ref.coefficients).max()
+    assert np.abs(p.coefficients - p_ref.coefficients).max() \
+        <= 1e-12 * np.abs(p_ref.coefficients).max()
+    # another key never uses the held factorization
+    _, _, other = _drag_system(unit_ctx, 1.3, rhs).solve(solver, "initial")
+    assert other.factorized and other.krylov_iterations == 0
+
+
+def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
+                                                    monkeypatch):
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = StepSolver(unit_ctx)
+    _drag_system(unit_ctx, 1.0, rhs).solve(solver, "general")
+    held = solver._lu
+    held_at_factorization = []
+    splu = saddle.splu
+
+    def recording_splu(*args, **kwargs):
+        held_at_factorization.append(solver._lu)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(saddle, "splu", recording_splu)
+    monkeypatch.setattr(saddle, "KRYLOV_MAX_ITERATIONS", 1)
+    u, p, rep = _drag_system(unit_ctx, 3.0, rhs).solve(solver, "general")
+    assert rep.factorized and rep.krylov_iterations == 1
+    assert held_at_factorization == [None]   # the old factor was dropped
+    assert solver._lu is not None and solver._lu is not held
+    assert rep.algebraic_residual <= 1e-12
+
+
+def test_step_solver_bound_to_its_context(unit_ctx, pi_mesh, params):
+    other = make_context(pi_mesh, builtin_porosity("constant", value=1.0),
+                         params)
+    system = SaddleSystem(unit_ctx, assemble_a0(unit_ctx),
+                          assemble_b(unit_ctx),
+                          np.zeros(unit_ctx.vspace.dof_count))
+    with pytest.raises(ValueError):
+        system.solve(StepSolver(other))

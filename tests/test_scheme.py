@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from porousflow import saddle
 from porousflow.assembly import make_context
+from porousflow.cases import build_setup, get_case
 from porousflow.fem import interpolate
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
@@ -157,3 +159,78 @@ def test_decaying_flow_is_stable(params, mms_case):
     norms = [rec["velocity_l2"] for rec in summary.steps]
     assert max(norms) <= 2.0 * n0
     assert norms[-1] < n0
+
+
+def _mms_setup(mms_case):
+    n = 8
+    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), n)
+    ctx = make_context(mesh, mms_case.porosity, mms_case.params)
+    tau = math.pi / n
+    return ProblemSetup(ctx=ctx, u_initial=lambda p: mms_case.u(p, 0.0),
+                        dirichlet=mms_case.u, forcing=mms_case.f, tau=tau,
+                        t_final=6.5 * tau, gauge=True)
+
+
+def _two_layer_setup(mms_case):
+    case = get_case("two-layer")
+    tau = case.nominal_h(12)
+    _, _, setup = build_setup(case, 12, tau=tau, t_final=6.5 * tau)
+    assert not setup.gauge   # stress-free outlet
+    return setup
+
+
+def _fresh_steps(setup):
+    """Every step through the public step functions without a solver, so
+    each step system is factorized on its own."""
+    u0 = interpolate(setup.ctx.vspace, setup.u_initial)
+    results = [initial_step(setup, u0)]
+    state = SchemeState(u_prev=results[0].u, p_prev=results[0].p, k=2,
+                        tau=setup.tau, t_final=setup.t_final, u_prev2=u0)
+    for k in range(2, setup.n_steps + 1):
+        results.append(general_step(setup, state))
+        state = SchemeState(u_prev=results[-1].u, p_prev=results[-1].p,
+                            k=k + 1, tau=setup.tau, t_final=setup.t_final,
+                            u_prev2=state.u_prev)
+    return results
+
+
+def _run_steps(setup):
+    steps = []
+    run(setup, observers=[lambda k, t, u, p, d: steps.append((u, p, d))])
+    return steps
+
+
+def _assert_same_fields(steps, fresh):
+    assert len(steps) == len(fresh)
+    for (u, p, _), ref in zip(steps, fresh):
+        for got, want in ((u, ref.u), (p, ref.p)):
+            scale = np.abs(want.coefficients).max()
+            assert np.abs(got.coefficients - want.coefficients).max() \
+                <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup],
+                         ids=["mms-gauged", "two-layer-stress-free"])
+def test_run_reuses_factorization_and_matches_fresh_solves(mms_case, make):
+    setup = make(mms_case)
+    fresh = _fresh_steps(setup)
+    assert all(r.report.factorized for r in fresh)
+    steps = _run_steps(setup)
+    _assert_same_fields(steps, fresh)
+    diags = [d for _, _, d in steps]
+    # start-up step and first general step factorize; the rest reuse
+    assert [d["factorized"] for d in diags] == [True, True] \
+        + [False] * (len(diags) - 2)
+    assert all(d["krylov_iterations"] > 0 for d in diags[2:])
+
+
+def test_run_replaces_lu_that_misses_target(mms_case, monkeypatch):
+    setup = _two_layer_setup(mms_case)
+    fresh = _fresh_steps(setup)
+    monkeypatch.setattr(saddle, "KRYLOV_MAX_ITERATIONS", 1)
+    steps = _run_steps(setup)
+    _assert_same_fields(steps, fresh)
+    diags = [d for _, _, d in steps]
+    assert all(d["factorized"] for d in diags)
+    assert [d["krylov_iterations"] for d in diags] == [0, 0] \
+        + [1] * (len(diags) - 2)
