@@ -23,7 +23,7 @@ from porousflow.fem import (
     edge_quadrature,
     error_norm,
     eval_basis,
-    eval_field,
+    eval_field_many,
     interpolate,
     norm,
     pressure_space,
@@ -60,7 +60,7 @@ __all__ = [
     "edge_quadrature",
     "error_norm",
     "eval_basis",
-    "eval_field",
+    "eval_field_many",
     "forchheimer_coeff",
     "generate_rect_mesh",
     "interpolate",

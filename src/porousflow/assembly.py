@@ -22,6 +22,7 @@ from porousflow.fem import (
     FeField,
     QuadratureRule,
     SpaceDescriptor,
+    _quad_tables,
     boundary_nodes,
     eval_basis,
     pressure_space,
@@ -60,13 +61,9 @@ class FormContext:
     _mass: sparse.csr_matrix | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        mesh, rule = self.mesh, self.quad
-        self.p1_vals, _ = eval_basis("p1", rule.points)
-        self.p2_vals, dlam = eval_basis("p2", rule.points)
-        self.p2_grad = np.einsum("qnj,tjd->tqnd", dlam, mesh.grad_lambda)
-        self.wxarea = rule.weights[None, :] * mesh.areas[:, None]
-        self.qpoints = np.einsum("qi,tid->tqd", rule.points,
-                                 mesh.vertices[mesh.triangles])
+        self.p1_vals, _ = eval_basis("p1", self.quad.points)
+        self.p2_vals, self.p2_grad, self.wxarea, self.qpoints = _quad_tables(
+            self.mesh, "p2", self.quad, True)
         nt, nq = self.wxarea.shape
         self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
         self.qhints_flat = np.repeat(np.arange(nt, dtype=np.int64), nq)

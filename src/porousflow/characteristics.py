@@ -1,10 +1,12 @@
-"""Upwind-point maps and the composed transport terms of the time stepper.
+"""Composed transport terms of the time stepper along the characteristics.
 
 The integrator follows the characteristics of the average velocity ``w =
 u/phi``.  At a quadrature point ``x`` the upwind foot is ``x - w*(x) tau``
 for the extrapolated advecting velocity ``w*``; previous velocity fields are
 evaluated there by finite element interpolation, dividing by the analytic
-porosity at the evaluation point.
+porosity at the evaluation point.  All feet of a batch of points are handled
+together: one point location, one boundary-exit call, one field evaluation
+and one porosity evaluation.
 
 Feet that leave the domain are clamped to the first boundary intersection of
 the backtracking segment.  When that crossing is through a Dirichlet edge the
@@ -14,54 +16,11 @@ is evaluated at the clamped point itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from porousflow.fem import FeField, eval_field_many
 from porousflow.mesh import BoundaryTag, boundary_exit_point, locate_many
 from porousflow.porous import PorosityField
-
-
-@dataclass
-class UpwindEvaluation:
-    """Field value at an upwind foot, with the clamping outcome."""
-
-    value: np.ndarray
-    status: str                    # "inside" | "clamped"
-    tag: BoundaryTag | None = None
-    point: np.ndarray | None = None  # where the field was actually evaluated
-
-
-def upwind_point(x, v, tau: float):
-    """First-order upwind foot ``x - v tau``."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    return np.asarray(x, dtype=float) - tau * np.asarray(v, dtype=float)
-
-
-def eval_at_upwind(field: FeField, x, advect_v, tau: float,
-                   g=None) -> UpwindEvaluation:
-    """Evaluate a velocity field at the upwind foot of ``x``.
-
-    ``advect_v`` is the advecting velocity already evaluated at ``x``; ``g``,
-    when given, is the Dirichlet boundary velocity bound to the field's time
-    level, used for feet clamped to a Dirichlet crossing.
-    """
-    x = np.asarray(x, dtype=float)
-    foot = upwind_point(x, advect_v, tau)
-    tri, bary, inside = locate_many(field.space.mesh, foot[None, :])
-    if inside[0]:
-        val = eval_field_many(field, tri[:1], bary[:1])[0]
-        return UpwindEvaluation(val, "inside", None, foot)
-    hit = boundary_exit_point(field.space.mesh, x, foot)
-    if hit.tag is BoundaryTag.DIRICHLET and g is not None:
-        val = np.asarray(g(hit.point[None, :]), dtype=float)[0]
-    else:
-        owner = int(field.space.mesh.boundary_edge_tri[hit.edge])
-        bb = field.space.mesh.barycentric(np.array([owner]), hit.point[None, :])
-        val = eval_field_many(field, np.array([owner]), bb)[0]
-    return UpwindEvaluation(val, "clamped", hit.tag, hit.point)
 
 
 def _composed_average_velocity(points, hints, field: FeField,
@@ -72,22 +31,19 @@ def _composed_average_velocity(points, hints, field: FeField,
     mesh = field.space.mesh
     feet = points - tau * advect
     tri, bary, inside = locate_many(mesh, feet, hints)
-    vals = np.empty_like(feet)
-    if inside.any():
-        idx = np.flatnonzero(inside)
-        uv = eval_field_many(field, tri[idx], bary[idx])
-        vals[idx] = uv / np.asarray(porosity.value(feet[idx]))[:, None]
     outside = np.flatnonzero(~inside)
-    for i in outside:
-        hit = boundary_exit_point(mesh, points[i], feet[i])
-        if hit.tag is BoundaryTag.DIRICHLET and g is not None:
-            uv = np.asarray(g(hit.point[None, :]), dtype=float)[0]
-        else:
-            owner = int(mesh.boundary_edge_tri[hit.edge])
-            bb = mesh.barycentric(np.array([owner]), hit.point[None, :])
-            uv = eval_field_many(field, np.array([owner]), bb)[0]
-        vals[i] = uv / float(porosity.value(hit.point[None, :])[0])
-    return vals, len(outside)
+    on_dirichlet = outside[:0]
+    if outside.size:
+        hit = boundary_exit_point(mesh, points[outside], feet[outside])
+        feet[outside] = hit.points
+        tri[outside] = mesh.boundary_edge_tri[hit.edges]
+        bary[outside] = mesh.barycentric(tri[outside], hit.points)
+        if g is not None:
+            on_dirichlet = outside[hit.tags == BoundaryTag.DIRICHLET]
+    vals = eval_field_many(field, tri, bary)
+    if on_dirichlet.size:
+        vals[on_dirichlet] = g(feet[on_dirichlet])
+    return vals / np.asarray(porosity.value(feet))[:, None], len(outside)
 
 
 def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
@@ -120,16 +76,6 @@ def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
     return phi_x[:, None] * (4.0 * w1 - w2), c1 + c2
 
 
-def ab2_material_term(u_prev: FeField, u_prev2: FeField,
-                      porosity: PorosityField, tau: float, x,
-                      g_prev=None, g_prev2=None) -> np.ndarray:
-    """Single-point version of :func:`ab2_material_terms`."""
-    val, _ = ab2_material_terms(u_prev, u_prev2, porosity, tau,
-                                np.asarray(x, dtype=float)[None, :],
-                                g_prev=g_prev, g_prev2=g_prev2)
-    return val[0]
-
-
 def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
                        points, hints=None, u0_at=None, g0=None):
     """First-order composed term ``phi(x) * (w0 o X1(w0, tau))(x)`` at many
@@ -147,11 +93,3 @@ def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
     w, clamped = _composed_average_velocity(points, hints, u0, porosity,
                                             w0, tau, g0)
     return phi_x[:, None] * w, clamped
-
-
-def lg1_material_term(u0: FeField, porosity: PorosityField, tau: float, x,
-                      g0=None) -> np.ndarray:
-    """Single-point version of :func:`lg1_material_terms`."""
-    val, _ = lg1_material_terms(u0, porosity, tau,
-                                np.asarray(x, dtype=float)[None, :], g0=g0)
-    return val[0]

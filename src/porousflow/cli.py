@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from porousflow import cases as case_lib
 from porousflow.porous import validate_porosity_admissibility
 from porousflow.verification import run_eoc, write_eoc_csv
@@ -45,8 +43,10 @@ class RunConfig:
     def __post_init__(self):
         for name in ("n", "tau", "t_final", "mu", "rho", "d_p", "a", "b",
                      "snapshot_every"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ValueError(f"config field {name} must be positive")
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"config field {name} must be positive and "
+                                 f"finite, got {value}")
 
     def to_text(self, extra: dict | None = None) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)!r}"
@@ -215,13 +215,15 @@ def _cmd_validate_porosity(args) -> int:
 def _cmd_check(args) -> int:
     """Quick invariant suite over the numerical kernels."""
     import porousflow.fem as fem
-    from porousflow.porous import (PhysicalParams, forchheimer_coeff,
-                                   linear_drag_coeff)
+    from porousflow.assembly import make_context
+    from porousflow.mesh import generate_rect_mesh
+    from porousflow.porous import PhysicalParams, builtin_porosity
     from porousflow.verification import (ab2_consistency_check,
                                          build_mms_case,
                                          default_consistency_field,
-                                         transport_identity_check,
-                                         steady_stokes_solve)
+                                         drag_equivalence_check,
+                                         polynomial_exactness_check,
+                                         transport_identity_check)
 
     failures = 0
 
@@ -246,16 +248,10 @@ def _cmd_check(args) -> int:
               f"worst {worst:.1e}")
 
     params = PhysicalParams()
-    rng = np.random.default_rng(7)
-    phi = rng.uniform(0.01, 0.999, 1000)
-    k_perm = params.d_p ** 2 * phi ** 3 / (params.a * (1.0 - phi) ** 2)
-    f_forch = params.b / np.sqrt(params.a * phi ** 3)
-    rel1 = np.abs(linear_drag_coeff(phi, params) - phi / k_perm) / (phi / k_perm)
-    rel2 = np.abs(forchheimer_coeff(phi, params)
-                  - f_forch * phi / np.sqrt(k_perm)) / (f_forch * phi / np.sqrt(k_perm))
+    rel_lin, rel_quad = drag_equivalence_check(params, seed=7)
     check("drag coefficients match compositional forms",
-          rel1.max() < 1e-12 and rel2.max() < 1e-12,
-          f"worst {max(rel1.max(), rel2.max()):.1e}")
+          rel_lin < 1e-12 and rel_quad < 1e-12,
+          f"worst {max(rel_lin, rel_quad):.1e}")
 
     case = build_mms_case()
     rep = transport_identity_check(case.velocity_field(0.0), case.porosity,
@@ -268,23 +264,9 @@ def _cmd_check(args) -> int:
     check("two-step material derivative order",
           1.8 <= ab2.observed_order <= 2.2, f"order {ab2.observed_order:.2f}")
 
-    from porousflow.assembly import make_context
-    from porousflow.mesh import generate_rect_mesh
-    from porousflow.porous import builtin_porosity
     mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
-
-    def u_exact(pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return np.column_stack([x ** 2 - 3 * y ** 2, -3 * x ** 2 - 2 * x * y])
-
-    def forcing(pts, t=None):
-        n = len(pts)
-        return np.column_stack([np.full(n, 4 * params.mu + 2.0),
-                                np.full(n, 6 * params.mu - 3.0)])
-
-    u, p, _ = steady_stokes_solve(ctx, forcing, u_exact)
-    err = np.abs(u.node_values() - u_exact(ctx.vspace.node_coords)).max()
+    err, _ = polynomial_exactness_check(ctx)
     check("mixed-element polynomial exactness", err < 1e-10, f"max {err:.1e}")
 
     two_layer = case_lib.get_case("two-layer")

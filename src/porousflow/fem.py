@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from porousflow.mesh import Mesh, PointLocation
+from porousflow.mesh import Mesh
 
 P2_VECTOR = "p2-vector"
 P1_SCALAR = "p1-scalar"
@@ -250,22 +250,14 @@ def eval_field_many(field_: FeField, tris, bary, gradient: bool = False):
     return value, grad
 
 
-def eval_field(field_: FeField, loc: PointLocation, gradient: bool = False):
-    """Evaluate a field at a single located point."""
-    res = eval_field_many(field_, np.array([loc.triangle]),
-                          np.asarray(loc.bary)[None, :], gradient)
-    if gradient:
-        return res[0][0], res[1][0]
-    return res[0]
+# -- quadrature tables and norms ------------------------------------------------
 
-
-# -- norms ----------------------------------------------------------------------
-
-def _quad_tables(mesh: Mesh, space: SpaceDescriptor, rule: QuadratureRule,
+def _quad_tables(mesh: Mesh, basis: str, rule: QuadratureRule,
                  gradient: bool):
-    """Basis values, physical basis gradients (``None`` unless ``gradient``),
-    weights times areas and physical points at the quadrature points."""
-    vals, dlam = eval_basis(space.kind, rule.points)
+    """Values and physical gradients (``None`` unless ``gradient``) of the
+    ``basis`` functions (a kind of :func:`eval_basis`), weights times areas,
+    and physical points at the quadrature points of every triangle."""
+    vals, dlam = eval_basis(basis, rule.points)
     gphys = None
     if gradient:                                            # (nt, nq, nb, 2)
         gphys = np.einsum("qnj,tjd->tqnd", dlam, mesh.grad_lambda)
@@ -290,7 +282,7 @@ def norm(field_: FeField, kind: str = "L2", rule: QuadratureRule | None = None) 
         raise ValueError(f"unknown norm kind: {kind!r}")
     sp = field_.space
     rule = rule or tri_quadrature(5)
-    vals, gphys, wxa, _ = _quad_tables(sp.mesh, sp, rule, kind != "L2")
+    vals, gphys, wxa, _ = _quad_tables(sp.mesh, sp.kind, rule, kind != "L2")
     u, g = _field_at_quad(field_, vals, gphys)
     total = 0.0
     if kind in ("L2", "H1"):
@@ -325,7 +317,7 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
         raise ValueError("H1 error norm requires exact_grad")
     sp = field_.space
     rule = rule or tri_quadrature(5)
-    vals, gphys, wxa, qp = _quad_tables(sp.mesh, sp, rule, kind == "H1")
+    vals, gphys, wxa, qp = _quad_tables(sp.mesh, sp.kind, rule, kind == "H1")
     u, g = _field_at_quad(field_, vals, gphys)
     nt, nq = wxa.shape
     flat = qp.reshape(nt * nq, 2)
@@ -346,7 +338,7 @@ def field_mean(field_: FeField) -> float:
     """Integral mean of a scalar field."""
     sp = field_.space
     rule = tri_quadrature(5)
-    vals, _, wxa, _ = _quad_tables(sp.mesh, sp, rule, False)
+    vals, _, wxa, _ = _quad_tables(sp.mesh, sp.kind, rule, False)
     u, _ = _field_at_quad(field_, vals, None)
     return float(np.einsum("tq,tqc->", wxa, u)) / float(sp.mesh.areas.sum())
 

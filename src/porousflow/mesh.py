@@ -8,7 +8,9 @@ fully deterministic, which keeps convergence runs reproducible.  An optional
 
 Point location uses a walking search through the triangle adjacency with an
 exhaustive scan as fallback; on the convex domains built here, a walk that
-crosses a boundary edge proves the query point lies outside.
+crosses a boundary edge proves the query point lies outside.  Segments that
+leave the domain are cut at their first boundary crossing, all of them at
+once, from one table of segment/boundary-edge intersections.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import numpy as np
 
 #: Barycentric slack used to decide containment.
 INSIDE_TOL = 1e-12
+
+#: Parametric slack of a segment/boundary-edge crossing.
+EXIT_TOL = 1e-12
 
 
 class BoundaryTag(Enum):
@@ -42,11 +47,11 @@ class PointLocation(NamedTuple):
 
 
 class BoundaryHit(NamedTuple):
-    """First intersection of a segment with the boundary."""
+    """First intersections of ``m`` segments with the boundary."""
 
-    point: np.ndarray
-    tag: BoundaryTag
-    edge: int
+    points: np.ndarray  # (m, 2), each on its crossed edge
+    edges: np.ndarray   # (m,) crossed boundary edge indices
+    tags: np.ndarray    # (m,) object array, the BoundaryTag of each edge
 
 
 @dataclass(frozen=True)
@@ -366,37 +371,46 @@ def locate_point(mesh: Mesh, x, hint: int | None = None) -> PointLocation | None
     return PointLocation(t, b)
 
 
-def boundary_exit_point(mesh: Mesh, start, end) -> BoundaryHit:
-    """First intersection of the segment [start, end] with the boundary.
+def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
+    """First intersections of the segments ``[starts[i], ends[i]]`` with the
+    boundary; ``starts`` and ``ends`` are ``(m, 2)`` arrays.
 
-    ``start`` must lie inside the closed domain and ``end`` outside.  A
-    numerically tangent crossing is resolved by nudging the segment parameter
-    by 1e-12 toward ``start``; the returned point is snapped onto the crossed
-    edge so it always lies in the closed domain.
+    Every start must lie inside the closed domain and every end outside.
+    Each segment is intersected with every boundary edge (within a
+    parametric slack of ``EXIT_TOL``) and the first crossing along it wins.
+    A numerically tangent crossing is resolved by nudging the segment
+    parameter by ``EXIT_TOL`` toward the start; the returned points are
+    snapped onto the crossed edges so they always lie in the closed domain.
     """
-    a = np.asarray(start, dtype=float)
-    b = np.asarray(end, dtype=float)
-    s = b - a
-    if not np.any(s != 0.0):
+    a = np.atleast_2d(np.asarray(starts, dtype=float))
+    s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
+    if np.any((s == 0.0).all(axis=1)):
         raise ValueError("degenerate segment: start equals end")
     p = mesh.vertices[mesh.boundary_edges[:, 0]]
     r = mesh.vertices[mesh.boundary_edges[:, 1]] - p
-    denom = s[0] * r[:, 1] - s[1] * r[:, 0]
-    ap = p - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_par = (ap[:, 0] * r[:, 1] - ap[:, 1] * r[:, 0]) / denom
-        u_par = (ap[:, 0] * s[1] - ap[:, 1] * s[0]) / denom
-    valid = (np.abs(denom) > 0.0) & (u_par >= -1e-12) & (u_par <= 1.0 + 1e-12) \
-        & (t_par >= -1e-12) & (t_par <= 1.0 + 1e-12)
-    if not valid.any():
+    # intersection table: one row per segment, one column per boundary edge
+    s0, s1 = s[:, :1], s[:, 1:]
+    ap0 = p[:, 0] - a[:, :1]
+    ap1 = p[:, 1] - a[:, 1:]
+    denom = s0 * r[:, 1] - s1 * r[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_par = (ap0 * r[:, 1] - ap1 * r[:, 0]) / denom
+        u_par = (ap0 * s1 - ap1 * s0) / denom
+    valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
+        & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
+        & (t_par <= 1.0 + EXIT_TOL)
+    if not valid.any(axis=1).all():
         raise ValueError("segment does not cross the boundary; is the end "
                          "point outside the domain?")
     t_all = np.where(valid, t_par, np.inf)
-    e = int(np.argmin(t_all))
-    t_star = max(float(t_all[e]) - 1e-12, 0.0)
-    point = a + t_star * s
+    edge = np.argmin(t_all, axis=1)
+    t_star = np.maximum(t_all[np.arange(len(edge)), edge] - EXIT_TOL, 0.0)
+    points = a + t_star[:, None] * s
     # snap onto the edge
-    rr = float(r[e] @ r[e])
-    u = min(max(float((point - p[e]) @ r[e]) / rr, 0.0), 1.0)
-    point = p[e] + u * r[e]
-    return BoundaryHit(point, mesh.boundary_tags[e], e)
+    pe, re = p[edge], r[edge]
+    d = points - pe
+    u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
+        / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
+    points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
+    tags = np.array(mesh.boundary_tags, dtype=object)[edge]
+    return BoundaryHit(points, edge, tags)

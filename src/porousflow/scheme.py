@@ -9,6 +9,7 @@ no step requires a nonlinear iteration.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -59,8 +60,11 @@ class ProblemSetup:
     _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.tau <= 0.0 or self.t_final <= 0.0:
-            raise ValueError("tau and t_final must be positive")
+        for name in ("tau", "t_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
         tags = set(self.ctx.mesh.boundary_tags)
         if self.gauge is None:
             self.gauge = tags == {BoundaryTag.DIRICHLET}

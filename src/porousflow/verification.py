@@ -20,6 +20,7 @@ from porousflow.assembly import FormContext, assemble_a0, assemble_b, assemble_l
 from porousflow.fem import (
     AnalyticVectorField,
     FeField,
+    _quad_tables,
     edge_quadrature,
     error_norm,
     field_mean,
@@ -28,7 +29,14 @@ from porousflow.fem import (
     tri_quadrature,
 )
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
-from porousflow.porous import PhysicalParams, PorosityField, alpha_constant, builtin_porosity
+from porousflow.porous import (
+    PhysicalParams,
+    PorosityField,
+    alpha_constant,
+    builtin_porosity,
+    forchheimer_coeff,
+    linear_drag_coeff,
+)
 from porousflow.saddle import SaddleSystem
 from porousflow.scheme import ProblemSetup, run
 
@@ -403,12 +411,9 @@ def transport_identity_check(u: AnalyticVectorField, porosity: PorosityField,
     Both sides are evaluated independently by quadrature of the given degree.
     """
     mesh = generate_rect_mesh(extents[0], extents[1], n_divisions)
-    rule = tri_quadrature(degree)
-    pts = np.einsum("qi,tid->tqd", rule.points,
-                    mesh.vertices[mesh.triangles])
-    nt, nq = len(mesh.triangles), len(rule.weights)
+    _, _, wxa, pts = _quad_tables(mesh, "p1", tri_quadrature(degree), False)
+    nt, nq = wxa.shape
     flat = pts.reshape(nt * nq, 2)
-    wxa = rule.weights[None, :] * mesh.areas[:, None]
 
     uv = np.asarray(u.value(flat), dtype=float)
     gu = np.asarray(u.grad(flat), dtype=float)
@@ -512,7 +517,7 @@ def ab2_consistency_check(w: Callable, material: Callable,
     return Ab2Report(list(taus), errors, order)
 
 
-# -- steady exactness helper -------------------------------------------------------------
+# -- steady exactness check ---------------------------------------------------------------
 
 def steady_stokes_solve(ctx: FormContext, forcing, dirichlet,
                         gauge: bool | None = None):
@@ -533,3 +538,47 @@ def steady_stokes_solve(ctx: FormContext, forcing, dirichlet,
     if gauge:
         system.apply_gauge()
     return system.solve()
+
+
+def polynomial_exactness_check(ctx: FormContext) -> tuple[float, float]:
+    """Worst nodal errors of a steady solve whose exact solution the P2/P1
+    pair reproduces: the divergence-free quadratic velocity ``(x^2 - 3y^2,
+    -3x^2 - 2xy)`` and the linear pressure ``2x - 3y + 1``, the latter
+    compared as its zero-mean representative.  Returns ``(velocity error,
+    pressure error)``."""
+    mu = ctx.params.mu
+
+    def velocity(p):
+        x, y = p[:, 0], p[:, 1]
+        return np.column_stack([x ** 2 - 3 * y ** 2, -3 * x ** 2 - 2 * x * y])
+
+    def forcing(p, t=None):
+        n = len(p)
+        return np.column_stack([np.full(n, 4 * mu + 2.0),
+                                np.full(n, 6 * mu - 3.0)])
+
+    u, p_field, _ = steady_stokes_solve(ctx, forcing, velocity)
+    u_err = np.abs(u.node_values() - velocity(ctx.vspace.node_coords)).max()
+    p_exact = interpolate(ctx.pspace,
+                          lambda p: 2 * p[:, 0] - 3 * p[:, 1] + 1.0)
+    p_err = np.abs(p_field.coefficients
+                   - (p_exact.coefficients - field_mean(p_exact))).max()
+    return float(u_err), float(p_err)
+
+
+# -- drag coefficients -----------------------------------------------------------------
+
+def drag_equivalence_check(params: PhysicalParams,
+                           seed: int) -> tuple[float, float]:
+    """Worst relative errors of the closed-form linear and quadratic drag
+    coefficients against their compositional forms ``phi/K`` and ``F phi /
+    sqrt(K)`` (packed-bed permeability ``K``, Forchheimer factor ``F``) at
+    1000 porosities drawn uniformly from [0.01, 0.999]."""
+    phi = np.random.default_rng(seed).uniform(0.01, 0.999, 1000)
+    k_perm = params.d_p ** 2 * phi ** 3 / (params.a * (1.0 - phi) ** 2)
+    f_forch = params.b / np.sqrt(params.a * phi ** 3)
+    linear = phi / k_perm
+    quadratic = f_forch * phi / np.sqrt(k_perm)
+    rel_lin = np.abs(linear_drag_coeff(phi, params) - linear) / linear
+    rel_quad = np.abs(forchheimer_coeff(phi, params) - quadratic) / quadratic
+    return float(rel_lin.max()), float(rel_quad.max())

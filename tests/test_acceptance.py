@@ -29,9 +29,10 @@ from porousflow.verification import (
     ab2_consistency_check,
     build_mms_case,
     default_consistency_field,
+    drag_equivalence_check,
+    polynomial_exactness_check,
     transport_identity_check,
     run_eoc,
-    steady_stokes_solve,
 )
 from porousflow import cases as case_lib
 
@@ -120,24 +121,8 @@ def test_criterion_1_optional_n128(capsys):
     assert ok, f"Er1(128)={r128.er1:.3e} exceeds 5.6e-4"
 
 
-def test_criterion_2_polynomial_exactness(unit_ctx, params, capsys):
-    def velocity(p):
-        x, y = p[:, 0], p[:, 1]
-        return np.column_stack([x ** 2 - 3 * y ** 2, -3 * x ** 2 - 2 * x * y])
-
-    def forcing(p, t=None):
-        n = len(p)
-        return np.column_stack([np.full(n, 4 * params.mu + 2.0),
-                                np.full(n, 6 * params.mu - 3.0)])
-
-    u, p_field, rep = steady_stokes_solve(unit_ctx, forcing, velocity)
-    u_err = np.abs(u.node_values()
-                   - velocity(unit_ctx.vspace.node_coords)).max()
-    p_exact = interpolate(unit_ctx.pspace,
-                          lambda p: 2 * p[:, 0] - 3 * p[:, 1] + 1.0)
-    from porousflow.fem import field_mean
-    p_err = np.abs(p_field.coefficients
-                   - (p_exact.coefficients - field_mean(p_exact))).max()
+def test_criterion_2_polynomial_exactness(unit_ctx, capsys):
+    u_err, p_err = polynomial_exactness_check(unit_ctx)
     ok = u_err <= 1e-10 and p_err <= 1e-10
     report(capsys, 2, "mixed-element polynomial exactness", ok,
            f"nodal errors u={u_err:.2e}, p={p_err:.2e}")
@@ -146,21 +131,15 @@ def test_criterion_2_polynomial_exactness(unit_ctx, params, capsys):
 
 
 def test_criterion_3_drag_equivalence(params, capsys):
-    rng = np.random.default_rng(3)
-    phi = rng.uniform(0.01, 0.999, 1000)
-    k = params.d_p ** 2 * phi ** 3 / (params.a * (1.0 - phi) ** 2)
-    f = params.b / np.sqrt(params.a * phi ** 3)
-    rel_lin = np.abs(linear_drag_coeff(phi, params) - phi / k) / (phi / k)
-    comp = f * phi / np.sqrt(k)
-    rel_quad = np.abs(forchheimer_coeff(phi, params) - comp) / comp
+    rel_lin, rel_quad = drag_equivalence_check(params, seed=3)
     exact_zero = (linear_drag_coeff(1.0, params) == 0.0
                   and forchheimer_coeff(1.0, params) == 0.0)
-    ok = rel_lin.max() < 1e-12 and rel_quad.max() < 1e-12 and exact_zero
+    ok = rel_lin < 1e-12 and rel_quad < 1e-12 and exact_zero
     report(capsys, 3, "drag coefficient equivalence", ok,
-           f"worst relative {max(rel_lin.max(), rel_quad.max()):.2e}, "
+           f"worst relative {max(rel_lin, rel_quad):.2e}, "
            f"phi=1 exactly zero: {exact_zero}")
-    assert rel_lin.max() < 1e-12
-    assert rel_quad.max() < 1e-12
+    assert rel_lin < 1e-12
+    assert rel_quad < 1e-12
     assert exact_zero
 
 

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from porousflow.characteristics import (
-    ab2_material_term,
-    ab2_material_terms,
-    eval_at_upwind,
-    lg1_material_term,
-    lg1_material_terms,
-    upwind_point,
+from porousflow.characteristics import ab2_material_terms, lg1_material_terms
+from porousflow.fem import eval_field_many, interpolate, velocity_space
+from porousflow.mesh import (
+    BoundaryTag,
+    boundary_exit_point,
+    generate_rect_mesh,
+    locate_many,
 )
-from porousflow.fem import interpolate, velocity_space
-from porousflow.mesh import BoundaryTag, generate_rect_mesh, locate_point
 from porousflow.porous import builtin_porosity
 
 
@@ -19,56 +17,112 @@ def constant_field(space, c):
     return interpolate(space, lambda p: np.broadcast_to(c, (len(p), 2)).copy())
 
 
-def test_upwind_point_identity():
+def scaled(f, factor):
+    out = f.copy()
+    out.coefficients *= factor
+    return out
+
+
+def field_at(f, pts):
+    """Field values at points inside the domain."""
+    tri, bary, inside = locate_many(f.space.mesh, pts)
+    assert inside.all()
+    return eval_field_many(f, tri, bary)
+
+
+def lg1_at(u0, phi, tau, x, g0=None):
+    """Start-up term and clamped-feet count at the single point ``x``."""
+    val, clamped = lg1_material_terms(u0, phi, tau,
+                                      np.asarray(x, dtype=float)[None, :],
+                                      g0=g0)
+    return val[0], clamped
+
+
+def ab2_at(u_prev, u_prev2, phi, tau, x, g_prev=None, g_prev2=None):
+    """Two-step bracket and clamped-feet count at the single point ``x``."""
+    val, clamped = ab2_material_terms(u_prev, u_prev2, phi, tau,
+                                      np.asarray(x, dtype=float)[None, :],
+                                      g_prev=g_prev, g_prev2=g_prev2)
+    return val[0], clamped
+
+
+UNIT_POROSITY = builtin_porosity("constant", value=1.0)
+FOOT_PROBE = np.array([[0.5, 0.1], [-0.2, 0.4]])
+
+
+def upwind_foot(mesh, x, v, tau):
+    """Upwind foot of ``x`` under the advecting velocity ``v``, read back
+    from the start-up term of ``u0(p) = v + B (p - x)`` with unit porosity:
+    that term is ``u0(foot)``, and ``B`` is invertible."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    u0 = interpolate(velocity_space(mesh),
+                     lambda p: v + (p - x) @ FOOT_PROBE.T)
+    val, clamped = lg1_at(u0, UNIT_POROSITY, tau, x)
+    assert clamped == 0
+    return x + np.linalg.solve(FOOT_PROBE, val - v)
+
+
+def test_upwind_point_identity(unit_mesh):
     x = np.array([0.3, 0.4])
-    assert upwind_point(x, np.zeros(2), 0.5) == pytest.approx(x)
+    assert upwind_foot(unit_mesh, x, np.zeros(2), 0.5) == pytest.approx(x)
 
 
-def test_upwind_point_formula():
-    got = upwind_point(np.array([1.0, 1.0]), np.array([2.0, 0.0]), 0.1)
+def test_upwind_point_formula(unit_mesh):
+    got = upwind_foot(unit_mesh, np.array([1.0, 1.0]), np.array([2.0, 0.0]),
+                      0.1)
     assert got == pytest.approx([0.8, 1.0])
 
 
-def test_upwind_point_linear_in_tau():
-    x = np.array([1.0, 1.0])
+def test_upwind_point_linear_in_tau(unit_mesh):
+    x = np.array([0.5, 0.5])
     v = np.array([0.4, -0.2])
-    d1 = x - upwind_point(x, v, 0.05)
-    d2 = x - upwind_point(x, v, 0.1)
+    d1 = x - upwind_foot(unit_mesh, x, v, 0.05)
+    d2 = x - upwind_foot(unit_mesh, x, v, 0.1)
     assert d2 == pytest.approx(2.0 * d1)
 
 
-def test_upwind_point_requires_positive_tau():
+def test_upwind_point_requires_positive_tau(unit_mesh):
+    u = constant_field(velocity_space(unit_mesh), (1.0, 1.0))
     with pytest.raises(ValueError):
-        upwind_point(np.zeros(2), np.ones(2), 0.0)
+        lg1_material_terms(u, UNIT_POROSITY, 0.0, np.array([[0.5, 0.5]]))
+    with pytest.raises(ValueError):
+        ab2_material_terms(u, u, UNIT_POROSITY, 0.0, np.array([[0.5, 0.5]]))
 
 
 def test_eval_at_upwind_zero_advection(unit_mesh):
+    # u_prev2 = 2 u_prev cancels the extrapolated velocity, so both feet
+    # sit at x and the bracket is 4 f(x) - 2 f(x)
     space = velocity_space(unit_mesh)
     f = interpolate(space, lambda p: np.column_stack(
         [p[:, 0] + p[:, 1], p[:, 0] - p[:, 1]]))
     x = np.array([0.3, 0.6])
-    res = eval_at_upwind(f, x, np.zeros(2), 0.1)
-    assert res.status == "inside"
-    assert res.value == pytest.approx([0.9, -0.3], abs=1e-13)
+    bracket, clamped = ab2_at(f, scaled(f, 2.0), UNIT_POROSITY, 0.1, x)
+    assert clamped == 0
+    assert bracket / 2.0 == pytest.approx([0.9, -0.3], abs=1e-13)
 
 
 def test_eval_at_upwind_uniform_field(unit_mesh):
     space = velocity_space(unit_mesh)
     f = constant_field(space, (1.5, -0.5))
-    res = eval_at_upwind(f, np.array([0.5, 0.5]), np.array([0.8, 0.3]), 0.2)
-    assert res.value == pytest.approx([1.5, -0.5], abs=1e-13)
+    val, clamped = lg1_at(f, UNIT_POROSITY, 0.2, np.array([0.5, 0.5]))
+    assert clamped == 0
+    assert val == pytest.approx([1.5, -0.5], abs=1e-13)
 
 
 def test_eval_at_upwind_clamps_to_dirichlet_data(unit_mesh):
+    # the foot (-0.15, 0.5) leaves through the left (Dirichlet) edge, where
+    # the data g = 0 replaces the field value (1, 0)
     space = velocity_space(unit_mesh)
-    f = constant_field(space, (1.0, 1.0))
+    f = constant_field(space, (1.0, 0.0))
     g = lambda pts: np.zeros((len(pts), 2))
-    res = eval_at_upwind(f, np.array([0.05, 0.5]), np.array([1.0, 0.0]), 0.2,
-                         g=g)
-    assert res.status == "clamped"
-    assert res.tag is BoundaryTag.DIRICHLET
-    assert res.value == pytest.approx([0.0, 0.0], abs=0.0)
-    assert res.point[0] == pytest.approx(0.0, abs=1e-12)
+    x = np.array([0.05, 0.5])
+    val, clamped = lg1_at(f, UNIT_POROSITY, 0.2, x, g0=g)
+    assert clamped == 1
+    assert val == pytest.approx([0.0, 0.0], abs=0.0)
+    foot = x[None] - 0.2 * field_at(f, x[None])
+    hit = boundary_exit_point(unit_mesh, x[None], foot)
+    assert hit.tags[0] is BoundaryTag.DIRICHLET
+    assert hit.points[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_at_upwind_clamps_to_field_on_outflow():
@@ -78,23 +132,47 @@ def test_eval_at_upwind_clamps_to_field_on_outflow():
         else BoundaryTag.DIRICHLET)
     space = velocity_space(mesh)
     f = interpolate(space, lambda p: np.column_stack(
-        [p[:, 0], np.zeros(len(p))]))
-    # a foot that backtracks out through the right (outflow) edge
-    res = eval_at_upwind(f, np.array([0.95, 0.5]), np.array([-1.0, 0.0]), 0.2,
-                         g=lambda pts: np.full((len(pts), 2), 9.0))
-    assert res.status == "clamped"
-    assert res.tag is BoundaryTag.STRESS_FREE
-    assert res.value == pytest.approx([1.0, 0.0], abs=1e-12)
+        [p[:, 0] - 2.0, np.zeros(len(p))]))
+    # a foot that backtracks out through the right (outflow) edge: the field
+    # at the clamped point (1, 0.5) is kept and the data g = 9 is not used
+    x = np.array([0.95, 0.5])
+    val, clamped = lg1_at(f, UNIT_POROSITY, 0.2, x,
+                          g0=lambda pts: np.full((len(pts), 2), 9.0))
+    assert clamped == 1
+    assert val == pytest.approx([-1.0, 0.0], abs=1e-12)
+    foot = x[None] - 0.2 * field_at(f, x[None])
+    hit = boundary_exit_point(mesh, x[None], foot)
+    assert hit.tags[0] is BoundaryTag.STRESS_FREE
+    assert hit.points[0] == pytest.approx([1.0, 0.5], abs=1e-12)
+
+
+def test_clamped_feet_are_evaluated_at_the_clamped_point():
+    # both the porosity and the Dirichlet data are taken where the foot is
+    # clamped on the boundary, not at the foot outside the domain
+    mesh = generate_rect_mesh(
+        (0.0, 1.0), (0.0, 1.0), 4,
+        tag_rule=lambda mid: BoundaryTag.STRESS_FREE if mid[0] >= 1 - 1e-9
+        else BoundaryTag.DIRICHLET)
+    phi = builtin_porosity("sinusoidal")
+    u0 = interpolate(velocity_space(mesh), lambda p: np.column_stack(
+        [4.0 * (0.5 - p[:, 0]), np.zeros(len(p))]))
+    x = np.array([[0.05, 0.5], [0.95, 0.3]])
+    val, clamped = lg1_material_terms(u0, phi, 0.2, x,
+                                      g0=lambda pts: pts + 1.0)
+    assert clamped == 2
+    clamp = np.array([[0.0, 0.5], [1.0, 0.3]])
+    at_clamp = np.array([clamp[0] + 1.0, [-2.0, 0.0]])  # g, then the field
+    expected = (phi.value(x) / phi.value(clamp))[:, None] * at_clamp
+    assert val == pytest.approx(expected, abs=1e-10)
 
 
 def test_clamped_points_stay_in_domain(unit_mesh, rng):
-    space = velocity_space(unit_mesh)
-    f = constant_field(space, (0.0, 0.0))
-    for _ in range(30):
-        x = rng.uniform(0.05, 0.95, 2)
-        v = rng.normal(0, 1, 2) * 20.0
-        res = eval_at_upwind(f, x, v, 0.5, g=lambda pts: np.zeros((len(pts), 2)))
-        assert locate_point(unit_mesh, res.point) is not None
+    x = rng.uniform(0.05, 0.95, (30, 2))
+    feet = x - 0.5 * rng.normal(0, 1, (30, 2)) * 20.0
+    _, _, inside = locate_many(unit_mesh, feet)
+    assert not inside.all()
+    hit = boundary_exit_point(unit_mesh, x[~inside], feet[~inside])
+    assert locate_many(unit_mesh, hit.points)[2].all()
 
 
 def test_ab2_constant_history_fixed_point(unit_mesh):
@@ -104,7 +182,7 @@ def test_ab2_constant_history_fixed_point(unit_mesh):
     c = np.array([0.4, -0.1])
     u = constant_field(space, phi_bar * c)  # the average velocity is c
     x = np.array([0.43, 0.57])
-    val = ab2_material_term(u, u, phi, 0.1, x)
+    val, _ = ab2_at(u, u, phi, 0.1, x)
     assert val == pytest.approx(3.0 * phi_bar * c, abs=1e-12)
     # the full bracket (3 u - val) vanishes at the uniform steady state
     assert 3.0 * phi_bar * c - val == pytest.approx([0, 0], abs=1e-12)
@@ -117,7 +195,7 @@ def test_ab2_equal_history_advects_with_itself(unit_mesh):
     f = interpolate(space, lambda p: np.column_stack(
         [0.1 + 0.2 * p[:, 1], np.zeros(len(p))]))
     x = np.array([0.5, 0.5])
-    val = ab2_material_term(f, f, phi, 0.05, x)
+    val, _ = ab2_at(f, f, phi, 0.05, x)
     w_here = np.array([0.1 + 0.2 * 0.5, 0.0])
     foot1 = x - 0.05 * w_here
     foot2 = x - 0.10 * w_here
@@ -135,31 +213,56 @@ def test_ab2_linear_in_time_exact(unit_mesh):
     u_prev = constant_field(space, (k - 1) * tau * c)
     u_prev2 = constant_field(space, (k - 2) * tau * c)
     x = np.array([0.61, 0.37])
-    bracket = ab2_material_term(u_prev, u_prev2, phi, tau, x)
+    bracket, _ = ab2_at(u_prev, u_prev2, phi, tau, x)
     u_now = k * tau * c
     derivative = (3.0 * u_now - bracket) / (2.0 * tau)
     assert derivative == pytest.approx(c, abs=1e-12)
 
 
-def test_ab2_batched_matches_scalar(unit_mesh, rng):
+def test_ab2_batched_matches_scalar(rng):
+    # flow toward the left (Dirichlet) edge and the right (stress-free)
+    # edge, with points close enough to both that their feet leave there
+    mesh = generate_rect_mesh(
+        (0.0, 1.0), (0.0, 1.0), 4,
+        tag_rule=lambda mid: BoundaryTag.STRESS_FREE if mid[0] >= 1 - 1e-9
+        else BoundaryTag.DIRICHLET)
     phi = builtin_porosity("constant", value=0.8)
-    space = velocity_space(unit_mesh)
+    space = velocity_space(mesh)
     u1 = interpolate(space, lambda p: np.column_stack(
-        [np.sin(p[:, 1]), np.cos(p[:, 0])]) * 0.3)
+        [0.5 - p[:, 0] + 0.1 * np.sin(3 * p[:, 1]), 0.3 * np.cos(2 * p[:, 0])]))
     u2 = interpolate(space, lambda p: np.column_stack(
-        [np.cos(p[:, 1]), np.sin(p[:, 0])]) * 0.3)
-    pts = rng.uniform(0.2, 0.8, (20, 2))
-    batched, _ = ab2_material_terms(u1, u2, phi, 0.05, pts)
+        [0.8 * (0.5 - p[:, 0]), 0.2 * np.sin(2 * p[:, 1])]))
+    g1 = lambda pts: np.column_stack([pts[:, 1], -pts[:, 0]]) + 5.0
+    g2 = lambda pts: np.column_stack([-pts[:, 1], pts[:, 0]]) - 5.0
+    pts = np.vstack([
+        rng.uniform(0.2, 0.8, (20, 2)),
+        np.column_stack([rng.uniform(0.005, 0.03, 10),
+                         rng.uniform(0.1, 0.9, 10)]),
+        np.column_stack([rng.uniform(0.97, 0.995, 10),
+                         rng.uniform(0.1, 0.9, 10)]),
+    ])
+    batched, clamped = ab2_material_terms(u1, u2, phi, 0.05, pts,
+                                          g_prev=g1, g_prev2=g2)
+    total = 0
     for i in range(len(pts)):
-        single = ab2_material_term(u1, u2, phi, 0.05, pts[i])
-        assert batched[i] == pytest.approx(single, abs=1e-14)
+        single, count = ab2_material_terms(u1, u2, phi, 0.05, pts[i:i + 1],
+                                           g_prev=g1, g_prev2=g2)
+        assert batched[i] == pytest.approx(single[0], abs=1e-14)
+        total += count
+    assert clamped == total
+    # the first feet leave through both kinds of edge
+    w_star = (2.0 * field_at(u1, pts) - field_at(u2, pts)) / 0.8
+    feet = pts - 0.05 * w_star
+    outside = ~locate_many(mesh, feet)[2]
+    hit = boundary_exit_point(mesh, pts[outside], feet[outside])
+    assert {BoundaryTag.DIRICHLET, BoundaryTag.STRESS_FREE} <= set(hit.tags)
 
 
 def test_lg1_zero_field(unit_mesh):
     phi = builtin_porosity("constant", value=0.6)
     space = velocity_space(unit_mesh)
     u0 = constant_field(space, (0.0, 0.0))
-    val = lg1_material_term(u0, phi, 0.1, np.array([0.5, 0.5]))
+    val, _ = lg1_at(u0, phi, 0.1, np.array([0.5, 0.5]))
     assert val == pytest.approx([0, 0], abs=0.0)
 
 
@@ -169,9 +272,9 @@ def test_lg1_uniform_field(unit_mesh):
     space = velocity_space(unit_mesh)
     c = np.array([0.2, 0.1])
     u0 = constant_field(space, phi_bar * c)
-    val = lg1_material_term(u0, phi, 0.1, np.array([0.5, 0.5]),
-                            g0=lambda pts: np.broadcast_to(
-                                phi_bar * c, (len(pts), 2)).copy())
+    val, _ = lg1_at(u0, phi, 0.1, np.array([0.5, 0.5]),
+                    g0=lambda pts: np.broadcast_to(
+                        phi_bar * c, (len(pts), 2)).copy())
     assert val == pytest.approx(phi_bar * c, abs=1e-13)
 
 
@@ -181,7 +284,7 @@ def test_lg1_small_tau_limit(unit_mesh):
     u0 = interpolate(space, lambda p: np.column_stack(
         [p[:, 1] ** 2, p[:, 0]]) * 0.2)
     x = np.array([0.4, 0.6])
-    val = lg1_material_term(u0, phi, 1e-9, x)
+    val, _ = lg1_at(u0, phi, 1e-9, x)
     phi_x = phi.value(x[None])[0]
     w0_x = np.array([0.2 * 0.36, 0.2 * 0.4]) / phi_x
     assert val == pytest.approx(phi_x * w0_x, abs=1e-8)
@@ -211,7 +314,7 @@ def test_ab2_exact_for_space_linear_time_linear_field(unit_mesh):
     u_prev = interpolate(space, lambda p: w_at(p, (k - 1) * tau))
     u_prev2 = interpolate(space, lambda p: w_at(p, (k - 2) * tau))
     for x in (np.array([0.31, 0.57]), np.array([0.72, 0.44])):
-        bracket = ab2_material_term(u_prev, u_prev2, phi, tau, x)
+        bracket, _ = ab2_at(u_prev, u_prev2, phi, tau, x)
         t_k = k * tau
         deriv = (3.0 * w_at(x[None], t_k)[0] - bracket) / (2.0 * tau)
         exact = (c + b_mat @ x) + t_k ** 2 * (b_mat @ (c + b_mat @ x))

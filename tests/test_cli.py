@@ -148,3 +148,16 @@ def test_validate_porosity_sinusoidal_passes(capsys):
     assert run_cli("validate-porosity", "sinusoidal",
                    "--resolution", "128") == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--t-final", "inf"),
+                                         ("--tau", "nan")])
+def test_simulate_rejects_non_finite_times(tmp_path, capsys, flag, value):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--n", "8", flag, value,
+                   "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert f"config field {flag[2:].replace('-', '_')} must be" \
+        in captured.err
+    assert captured.out == ""
+    assert not out.exists()

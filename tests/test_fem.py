@@ -8,7 +8,6 @@ from porousflow.fem import (
     diff_norm,
     error_norm,
     eval_basis,
-    eval_field,
     eval_field_many,
     field_mean,
     interpolate,
@@ -70,13 +69,16 @@ def test_basis_gradients_match_finite_differences(unit_mesh, rng):
         [np.sin(p[:, 0]) * p[:, 1], np.cos(p[:, 1])]))
     x = np.array([0.4321, 0.6789])
     loc = locate_point(unit_mesh, x)
-    _, grad = eval_field(f, loc, gradient=True)
+    _, grad = eval_field_many(f, [loc.triangle], [loc.bary], gradient=True)
+    grad = grad[0]
     h = 1e-6
     for d in range(2):
         e = np.zeros(2)
         e[d] = h
-        vp = eval_field(f, locate_point(unit_mesh, x + e))
-        vm = eval_field(f, locate_point(unit_mesh, x - e))
+        lp = locate_point(unit_mesh, x + e)
+        lm = locate_point(unit_mesh, x - e)
+        vp = eval_field_many(f, [lp.triangle], [lp.bary])[0]
+        vm = eval_field_many(f, [lm.triangle], [lm.bary])[0]
         assert grad[:, d] == pytest.approx((vp - vm) / (2 * h), abs=1e-6)
 
 
@@ -126,7 +128,8 @@ def test_eval_linear_field(unit_mesh):
     f = interpolate(space, lambda p: np.column_stack(
         [p[:, 0], np.zeros(len(p))]))
     loc = locate_point(unit_mesh, (0.3, 0.7))
-    assert eval_field(f, loc)[0] == pytest.approx(0.3, abs=1e-13)
+    value = eval_field_many(f, [loc.triangle], [loc.bary])[0]
+    assert value[0] == pytest.approx(0.3, abs=1e-13)
 
 
 def test_gradient_of_quadratic(unit_mesh):
@@ -134,14 +137,15 @@ def test_gradient_of_quadratic(unit_mesh):
     f = interpolate(space, lambda p: np.column_stack(
         [p[:, 0] ** 2, np.zeros(len(p))]))
     loc = locate_point(unit_mesh, (0.5, 0.2))
-    _, grad = eval_field(f, loc, gradient=True)
-    assert grad[0] == pytest.approx([1.0, 0.0], abs=1e-12)
+    _, grad = eval_field_many(f, [loc.triangle], [loc.bary], gradient=True)
+    assert grad[0, 0] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 def test_zero_field_evaluates_zero(unit_mesh):
     f = zero_field(velocity_space(unit_mesh))
     loc = locate_point(unit_mesh, (0.25, 0.75))
-    assert eval_field(f, loc) == pytest.approx([0.0, 0.0], abs=0.0)
+    value = eval_field_many(f, [loc.triangle], [loc.bary])[0]
+    assert value == pytest.approx([0.0, 0.0], abs=0.0)
 
 
 def test_c0_conformity_across_edges(unit_mesh, rng):

@@ -133,30 +133,36 @@ def test_boundary_edges_count_and_tags():
 def test_boundary_exit_left_edge():
     mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6,
                               tag_rule=lambda mid: BoundaryTag.DIRICHLET)
-    hit = boundary_exit_point(mesh, (0.05, 0.5), (-0.05, 0.5))
-    assert hit.point == pytest.approx([0.0, 0.5], abs=1e-12)
-    assert hit.tag is BoundaryTag.DIRICHLET
+    hit = boundary_exit_point(mesh, [(0.05, 0.5)], [(-0.05, 0.5)])
+    assert hit.points[0] == pytest.approx([0.0, 0.5], abs=1e-12)
+    assert hit.tags[0] is BoundaryTag.DIRICHLET
 
 
 def test_boundary_exit_top_edge():
     mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
-    hit = boundary_exit_point(mesh, (0.5, 0.5), (0.5, 1.5))
-    assert hit.point == pytest.approx([0.5, 1.0], abs=1e-12)
+    hit = boundary_exit_point(mesh, [(0.5, 0.5)], [(0.5, 1.5)])
+    assert hit.points[0] == pytest.approx([0.5, 1.0], abs=1e-12)
 
 
 def test_boundary_exit_degenerate_segment(unit_mesh):
-    with pytest.raises(ValueError):
-        boundary_exit_point(unit_mesh, (0.5, 0.5), (0.5, 0.5))
+    with pytest.raises(ValueError, match="degenerate"):
+        boundary_exit_point(unit_mesh, [(0.2, 0.2), (0.5, 0.5)],
+                            [(-1.0, 0.2), (0.5, 0.5)])
+
+
+def test_boundary_exit_needs_a_crossing(unit_mesh):
+    with pytest.raises(ValueError, match="does not cross"):
+        boundary_exit_point(unit_mesh, [(0.2, 0.2), (0.5, 0.5)],
+                            [(-1.0, 0.2), (0.6, 0.5)])
 
 
 def test_boundary_exit_point_stays_in_domain(unit_mesh, rng):
-    for _ in range(50):
-        inside = rng.uniform(0.05, 0.95, 2)
-        outside = inside + rng.normal(0, 2.0, 2)
-        if locate_point(unit_mesh, outside) is not None:
-            continue
-        hit = boundary_exit_point(unit_mesh, inside, outside)
-        assert locate_point(unit_mesh, hit.point) is not None
+    inside = rng.uniform(0.05, 0.95, (50, 2))
+    outside = inside + rng.normal(0, 2.0, (50, 2))
+    out = ~locate_many(unit_mesh, outside)[2]
+    hit = boundary_exit_point(unit_mesh, inside[out], outside[out])
+    assert len(hit.points) == out.sum() > 0
+    assert locate_many(unit_mesh, hit.points)[2].all()
 
 
 def test_mesh_vtk_export(unit_mesh, tmp_path):

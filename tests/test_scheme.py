@@ -55,6 +55,15 @@ def test_tau_exceeding_final_time_rejected(params):
         run(setup)
 
 
+@pytest.mark.parametrize("name, value", [("tau", math.nan),
+                                         ("t_final", math.inf),
+                                         ("tau", -math.inf)])
+def test_non_finite_times_rejected(params, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and "
+                                         "finite"):
+        make_setup(params, **{name: value})
+
+
 def test_step_count_and_observer_order(params):
     setup = make_setup(params, tau=0.25, t_final=1.0)
     seen = []
