@@ -18,6 +18,8 @@ general step.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +44,12 @@ KRYLOV_RTOL = 1e-14
 KRYLOV_MAX_ITERATIONS = 20
 # A solve whose relative residual exceeds this is rejected as singular.
 RESIDUAL_BOUND = 1e-6
+# glibc raises its mmap threshold to each freed mapped block (up to 32 MiB),
+# so later factors are carved from the heap among the step temporaries and a
+# run's peak RSS follows how that heap fragments (two-layer n=60: 134-144 MB
+# over four hash seeds, 129-132 MB with the threshold fixed).  Fixed, blocks
+# of MMAP_THRESHOLD bytes or more get mappings of their own, freed at once.
+MMAP_THRESHOLD = 4 << 20
 
 
 class SolverError(RuntimeError):
@@ -77,6 +85,18 @@ class SolveReport:
     n_clamped_feet: int = 0
 
 
+def _fix_malloc_thresholds() -> None:
+    """Fix glibc's mmap threshold (see ``MMAP_THRESHOLD``) and the trim
+    threshold glibc pairs with it; a no-op on other C libraries."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            libc = ctypes.CDLL(None)
+            libc.mallopt(-3, MMAP_THRESHOLD)       # M_MMAP_THRESHOLD
+            libc.mallopt(-1, 2 * MMAP_THRESHOLD)   # M_TRIM_THRESHOLD
+    except (AttributeError, ValueError, OSError):
+        pass
+
+
 class StepSolver:
     """Solves the constrained systems of one run, holding at most one LU.
 
@@ -86,10 +106,11 @@ class StepSolver:
     GMRES on its own matrix, preconditioned by the held LU and started from
     the LU's solution.  When GMRES misses ``KRYLOV_RTOL`` within one restart
     cycle, or the key differs, the held LU is dropped before the new matrix is
-    factorized, so two factors never coexist.
+    factorized, so two factors never coexist and freed ones leave the process.
     """
 
     def __init__(self, ctx: FormContext):
+        _fix_malloc_thresholds()
         self.ctx = ctx
         self._lu = None
         self._key = None

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -281,3 +286,34 @@ def test_step_solver_bound_to_its_context(unit_ctx, pi_mesh, params):
                           np.zeros(unit_ctx.vspace.dof_count))
     with pytest.raises(ValueError):
         system.solve(StepSolver(other))
+
+
+_FREED_BLOCK_SCRIPT = textwrap.dedent("""
+    import os
+    import numpy as np
+    from porousflow.saddle import StepSolver
+
+    def rss():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    big = np.ones(3 << 20)   # 24 MiB freed: glibc's threshold rises to it
+    del big
+    StepSolver(None)
+    block = np.ones(2 << 20)   # 16 MiB
+    pin = np.ones(100)         # allocated above the block in the heap
+    before = rss()
+    del block
+    print(before - rss())
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or os.confstr("CS_GNU_LIBC_VERSION") is None,
+                    reason="malloc thresholds are set on glibc only")
+def test_step_solver_returns_freed_blocks_to_the_system():
+    src = os.path.dirname(os.path.dirname(saddle.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _FREED_BLOCK_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) >= 12 << 20
