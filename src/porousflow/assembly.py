@@ -59,6 +59,7 @@ class FormContext:
     p2_grad: np.ndarray = field(init=False, repr=False)    # (nt, nq, 6, 2)
     phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
     _mass: sparse.csr_matrix | None = field(init=False, default=None, repr=False)
+    _volume: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.p1_vals, _ = eval_basis("p1", self.quad.points)
@@ -75,11 +76,28 @@ class FormContext:
         coef = f.node_values()[self.vspace.cell_nodes]
         return np.einsum("qn,tnc->tqc", self.p2_vals, coef)
 
+    def l2_norm(self, f: FeField) -> float:
+        """L2 norm of a velocity or pressure field on the context's rule,
+        from the cached tables (``fem.norm(f, "L2", rule=self.quad)``)."""
+        if f.space.mesh is not self.mesh:
+            raise ValueError("the field lives on another mesh")
+        vals = self.p2_vals if f.space.kind == self.vspace.kind \
+            else self.p1_vals
+        u = np.einsum("qn,tnc->tqc", vals, f.node_values()[f.space.cell_nodes])
+        return float(np.sqrt(np.einsum("tq,tqc->", self.wxarea, u ** 2)))
+
     def mass_matrix(self) -> sparse.csr_matrix:
         """Unweighted velocity mass matrix (cached)."""
         if self._mass is None:
             self._mass = _vector_mass(self, np.ones_like(self.wxarea))
         return self._mass
+
+    def volume_vector(self) -> np.ndarray:
+        """Pressure basis integrals (cached, see
+        :func:`pressure_volume_vector`)."""
+        if self._volume is None:
+            self._volume = pressure_volume_vector(self)
+        return self._volume
 
 
 def make_context(mesh: Mesh, porosity: PorosityField, params: PhysicalParams,
@@ -146,10 +164,26 @@ def assemble_b(ctx: FormContext) -> sparse.csr_matrix:
                            (ctx.pspace.dof_count, ctx.vspace.dof_count))
 
 
+def linear_drag_weight(ctx: FormContext) -> np.ndarray:
+    """Quadrature-point weight mu*phi/K(phi) of the linear drag form."""
+    return ctx.params.mu * linear_drag_coeff(ctx.phi_q, ctx.params)
+
+
+def quadratic_drag_weight(theta_field: FeField,
+                          ctx: FormContext) -> np.ndarray:
+    """Quadrature-point weight rho*F phi/sqrt(K) |theta| of the linearized
+    quadratic drag form."""
+    if theta_field.space is not ctx.vspace:
+        if theta_field.space.dof_count != ctx.vspace.dof_count:
+            raise ValueError("theta_field must live on the velocity space")
+    theta = ctx.velocity_at_quad(theta_field)
+    speed = np.sqrt((theta ** 2).sum(axis=2))
+    return ctx.params.rho * forchheimer_coeff(ctx.phi_q, ctx.params) * speed
+
+
 def assemble_c0(ctx: FormContext) -> sparse.csr_matrix:
     """Linear drag form mu*(phi/K(phi) u, v)."""
-    wgt = ctx.params.mu * linear_drag_coeff(ctx.phi_q, ctx.params)
-    return _vector_mass(ctx, wgt)
+    return _vector_mass(ctx, linear_drag_weight(ctx))
 
 
 def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
@@ -159,13 +193,7 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
     the form (the extrapolated velocity in the general step, the initial
     velocity in the start-up step).
     """
-    if theta_field.space is not ctx.vspace:
-        if theta_field.space.dof_count != ctx.vspace.dof_count:
-            raise ValueError("theta_field must live on the velocity space")
-    theta = ctx.velocity_at_quad(theta_field)
-    speed = np.sqrt((theta ** 2).sum(axis=2))
-    wgt = ctx.params.rho * forchheimer_coeff(ctx.phi_q, ctx.params) * speed
-    return _vector_mass(ctx, wgt)
+    return _vector_mass(ctx, quadratic_drag_weight(theta_field, ctx))
 
 
 # -- right-hand sides --------------------------------------------------------------
@@ -189,9 +217,10 @@ def assemble_mass_phi_rhs(material_fn: Callable, ctx: FormContext, tau: float,
 
     ``material_fn(points, hints)`` must return the composed transport bracket
     (already multiplied by the porosity at the points).  Returns ``(rhs,
-    scaled_mass)`` where the mass matrix carries ``rho/tau`` at the start-up
-    step and ``3 rho/(2 tau)`` at general steps, and the right-hand side
-    carries the matching ``rho/tau`` or ``rho/(2 tau)`` factor.
+    mass_scale)``: the velocity mass matrix enters the step system times
+    ``mass_scale``, ``rho/tau`` at the start-up step and ``3 rho/(2 tau)`` at
+    general steps, and the right-hand side carries the matching ``rho/tau``
+    or ``rho/(2 tau)`` factor.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -209,7 +238,7 @@ def assemble_mass_phi_rhs(material_fn: Callable, ctx: FormContext, tau: float,
     rhs = r_scale * _scatter_vector(ctx.vspace.cell_dofs,
                                     local.reshape(nt, 12),
                                     ctx.vspace.dof_count)
-    return rhs, m_scale * ctx.mass_matrix()
+    return rhs, m_scale
 
 
 # -- diagnostics --------------------------------------------------------------------

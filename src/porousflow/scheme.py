@@ -24,9 +24,14 @@ from porousflow.assembly import (
     assemble_c1,
     assemble_load,
     assemble_mass_phi_rhs,
+    linear_drag_weight,
+    quadratic_drag_weight,
 )
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
-from porousflow.fem import FeField, interpolate, norm
+from porousflow.fem import FeField, interpolate
+# the run diagnostics use FormContext.l2_norm; fem.norm stays importable here
+# because perfbench/tracer.py hooks porousflow.scheme.norm
+from porousflow.fem import norm  # noqa: F401
 from porousflow.mesh import BoundaryTag
 from porousflow.saddle import SaddleSystem, SolveReport, StepSolver
 
@@ -113,10 +118,23 @@ def _bound_dirichlet(setup: ProblemSetup, t: float):
     return lambda pts: setup.dirichlet(pts, t)
 
 
-def _solve_step(setup: ProblemSetup, a_total, rhs_v, t: float, kind: str,
-                solver: StepSolver | None) -> StepResult:
-    _, _, b = setup.constant_blocks()
-    system = SaddleSystem(setup.ctx, a_total, b, rhs_v)
+def _solve_step(setup: ProblemSetup, m_scale: float, theta: FeField, rhs_v,
+                t: float, kind: str, solver: StepSolver | None) -> StepResult:
+    """Solve the step system with the mass matrix scaled by ``m_scale`` and
+    the quadratic drag linearized around ``theta``.  With the run's
+    ``solver`` the velocity mass-type block goes to its step operator as one
+    quadrature-point weight; without one the velocity block is assembled
+    from its sparse parts."""
+    ctx = setup.ctx
+    a0, c0, b = setup.constant_blocks()
+    if solver is None:
+        a_total = m_scale * ctx.mass_matrix() + a0 + c0 \
+            + assemble_c1(theta, ctx)
+        system = SaddleSystem(ctx, a_total, b, rhs_v)
+    else:
+        weight = m_scale + linear_drag_weight(ctx) \
+            + quadratic_drag_weight(theta, ctx)
+        system = SaddleSystem(ctx, a0, b, rhs_v, mass_weight=weight)
     if setup.dirichlet is not None:
         system.apply_dirichlet(setup.dirichlet, t)
     system.apply_slip()
@@ -133,12 +151,11 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
     """First-order start-up step producing the fields at t = tau.
 
     ``solver`` is the run's :class:`StepSolver`; without one the step system
-    is factorized on its own.
+    is built and factorized on its own.
     """
     if setup.n_steps < 1:
         raise ValueError("tau exceeds the final time; no steps to take")
     ctx, tau = setup.ctx, setup.tau
-    a0, c0, _ = setup.constant_blocks()
     u0_at = ctx.velocity_at_quad(u0_field).reshape(-1, 2)
     clamp_counter = [0]
 
@@ -149,11 +166,11 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
         clamp_counter[0] += clamped
         return val
 
-    rhs, mass_scaled = assemble_mass_phi_rhs(bracket, ctx, tau, "initial")
+    rhs, m_scale = assemble_mass_phi_rhs(bracket, ctx, tau, "initial")
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, tau)
-    a_total = mass_scaled + a0 + c0 + assemble_c1(u0_field, ctx)
-    result = _solve_step(setup, a_total, rhs, tau, "initial", solver)
+    result = _solve_step(setup, m_scale, u0_field, rhs, tau, "initial",
+                         solver)
     result.report.n_clamped_feet = clamp_counter[0]
     return result
 
@@ -163,13 +180,12 @@ def general_step(setup: ProblemSetup, state: SchemeState,
     """Second-order step k >= 2 from the two stored history fields.
 
     ``solver`` is the run's :class:`StepSolver`; without one the step system
-    is factorized on its own.
+    is built and factorized on its own.
     """
     if state.k < 2:
         raise ValueError("general steps start at k = 2")
     ctx, tau = setup.ctx, setup.tau
     t_k = state.k * tau
-    a0, c0, _ = setup.constant_blocks()
     u1_at = ctx.velocity_at_quad(state.u_prev).reshape(-1, 2)
     u2_at = ctx.velocity_at_quad(state.u_prev2).reshape(-1, 2)
     clamp_counter = [0]
@@ -183,13 +199,12 @@ def general_step(setup: ProblemSetup, state: SchemeState,
         clamp_counter[0] += clamped
         return val
 
-    rhs, mass_scaled = assemble_mass_phi_rhs(bracket, ctx, tau, "general")
+    rhs, m_scale = assemble_mass_phi_rhs(bracket, ctx, tau, "general")
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, t_k)
     theta = FeField(ctx.vspace,
                     2.0 * state.u_prev.coefficients - state.u_prev2.coefficients)
-    a_total = mass_scaled + a0 + c0 + assemble_c1(theta, ctx)
-    result = _solve_step(setup, a_total, rhs, t_k, "general", solver)
+    result = _solve_step(setup, m_scale, theta, rhs, t_k, "general", solver)
     result.report.n_clamped_feet = clamp_counter[0]
     return result
 
@@ -212,8 +227,9 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     """Execute the start-up step and all general steps up to the final time.
 
     Observers are called after every accepted step with ``(k, t, velocity,
-    pressure, diagnostics)``.  All steps share one :class:`StepSolver`, so a
-    factorization is reused across the general steps.  A failed step raises
+    pressure, diagnostics)``.  All steps share one :class:`StepSolver`, so
+    the step operator is built once and a factorization is reused across the
+    general steps.  A failed step raises
     :class:`SchemeDivergenceError` with the partial summary attached.
     """
     n_steps = setup.n_steps
@@ -241,8 +257,8 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
         diag = {
             "step": k,
             "t": t_k,
-            "velocity_l2": norm(result.u, "L2"),
-            "pressure_l2": norm(result.p, "L2"),
+            "velocity_l2": setup.ctx.l2_norm(result.u),
+            "pressure_l2": setup.ctx.l2_norm(result.p),
             "incompressibility_residual":
                 result.report.incompressibility_residual,
             "algebraic_residual": result.report.algebraic_residual,

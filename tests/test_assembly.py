@@ -187,17 +187,19 @@ def test_trilinear_value(unit_ctx, params):
 
 
 def test_mass_phi_rhs_zero_history(unit_ctx):
-    rhs, m_scaled = assemble_mass_phi_rhs(
+    rhs, m_scale = assemble_mass_phi_rhs(
         lambda pts, hints: np.zeros((len(pts), 2)), unit_ctx, 0.1, "initial")
     assert np.abs(rhs).max() == 0.0
-    assert m_scaled.shape == (unit_ctx.vspace.dof_count,) * 2
+    assert rhs.shape == (unit_ctx.vspace.dof_count,)
+    assert m_scale == pytest.approx(unit_ctx.params.rho / 0.1, rel=1e-15)
 
 
 def test_mass_scaling_ratio(unit_ctx):
     zero = lambda pts, hints: np.zeros((len(pts), 2))
-    _, m_init = assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "initial")
-    _, m_gen = assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "general")
-    ratio = m_gen.diagonal() / m_init.diagonal()
+    _, s_init = assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "initial")
+    _, s_gen = assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "general")
+    m = unit_ctx.mass_matrix()
+    ratio = (s_gen * m).diagonal() / (s_init * m).diagonal()
     assert ratio == pytest.approx(np.full_like(ratio, 1.5), rel=1e-14)
     with pytest.raises(ValueError):
         assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "euler")
@@ -220,8 +222,8 @@ def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params):
             g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())
         return val
 
-    rhs, m_scaled = assemble_mass_phi_rhs(bracket, ctx, 0.1, "general")
-    residual = m_scaled @ u.coefficients - rhs
+    rhs, m_scale = assemble_mass_phi_rhs(bracket, ctx, 0.1, "general")
+    residual = m_scale * (ctx.mass_matrix() @ u.coefficients) - rhs
     assert np.abs(residual).max() < 1e-10
 
 

@@ -161,3 +161,22 @@ def test_simulate_rejects_non_finite_times(tmp_path, capsys, flag, value):
         in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n-list", "8", "--t-final", "inf"),
+     "error: t_final must be positive and finite, got inf"),
+    (("--n-list", "8", "--t-final", "-1"),
+     "error: t_final must be positive and finite, got -1.0"),
+    (("--n-list", "16,8"), "error: resolutions must be ascending"),
+    (("--n-list", "0,8"), "error: resolutions must be positive"),
+    (("--n-list", "4", "--t-final", "0.5"), "error: tau = pi/4 exceeds"),
+])
+def test_eoc_rejects_bad_inputs_before_writing(tmp_path, capsys, argv,
+                                               message):
+    out = tmp_path / "eoc"
+    assert run_cli("eoc", *argv, "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""   # no "running N=..." line
+    assert not out.exists()

@@ -278,6 +278,30 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
     assert rep.algebraic_residual <= 1e-12
 
 
+class _CountingLU:
+    """Stands in for a held factorization and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.calls = 0
+
+    def solve(self, rhs):
+        self.calls += 1
+        return self.lu.solve(rhs)
+
+
+def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = StepSolver(unit_ctx)
+    _drag_system(unit_ctx, 1.0, rhs).solve(solver, "general")
+    solver._lu = counting = _CountingLU(solver._lu)
+    _, _, rep = _drag_system(unit_ctx, 1.3, rhs).solve(solver, "general")
+    assert not rep.factorized and rep.krylov_iterations > 0
+    # the start from LU^{-1} rhs, then one preconditioned direction each
+    assert counting.calls == rep.krylov_iterations + 1
+    assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
+
+
 def test_step_solver_bound_to_its_context(unit_ctx, pi_mesh, params):
     other = make_context(pi_mesh, builtin_porosity("constant", value=1.0),
                          params)

@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from porousflow import saddle
-from porousflow.assembly import make_context
+from porousflow.assembly import (
+    assemble_c1,
+    linear_drag_weight,
+    make_context,
+    quadratic_drag_weight,
+)
 from porousflow.cases import build_setup, get_case
-from porousflow.fem import interpolate
+from porousflow.fem import FeField, interpolate, norm
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
+from porousflow.saddle import SaddleSystem, StepSolver
 from porousflow.scheme import (
     ProblemSetup,
     SchemeDivergenceError,
@@ -243,3 +249,109 @@ def test_run_replaces_lu_that_misses_target(mms_case, monkeypatch):
     assert all(d["factorized"] for d in diags)
     assert [d["krylov_iterations"] for d in diags] == [0, 0] \
         + [1] * (len(diags) - 2)
+
+
+def _slip_channel_setup(mms_case):
+    """The two-layer channel at n=12 with slip walls, a stress-free outlet
+    and an inflow that grows in time."""
+    case = get_case("two-layer")
+
+    def tags(mid):
+        if mid[0] >= 3.0 - 1e-9:
+            return BoundaryTag.STRESS_FREE
+        if mid[1] <= 1e-9 or mid[1] >= 1.0 - 1e-9:
+            return BoundaryTag.SLIP
+        return BoundaryTag.DIRICHLET
+
+    mesh = generate_rect_mesh(case.x_extent, case.y_extent, 12,
+                              grading=case.grading, tag_rule=tags)
+    ctx = make_context(mesh, case.porosity, case.params)
+    tau = case.nominal_h(12)
+    return ProblemSetup(ctx=ctx, u_initial=case.u_initial,
+                        dirichlet=lambda p, t: (1.0 + t) * case.u_initial(p),
+                        tau=tau, t_final=6.5 * tau)
+
+
+def _step_systems(setup, kind, t, theta, rhs):
+    """The step system of ``kind`` at time ``t`` twice: with the velocity
+    block assembled from its sparse parts (the reference) and with the
+    mass-type part as one quadrature-point weight."""
+    ctx = setup.ctx
+    a0, c0, b = setup.constant_blocks()
+    rho_tau = ctx.params.rho / setup.tau
+    m_scale = rho_tau if kind == "initial" else 1.5 * rho_tau
+    reference = SaddleSystem(ctx, m_scale * ctx.mass_matrix() + a0 + c0
+                             + assemble_c1(theta, ctx), b, rhs)
+    weight = m_scale + linear_drag_weight(ctx) \
+        + quadratic_drag_weight(theta, ctx)
+    weighted = SaddleSystem(ctx, a0, b, rhs, mass_weight=weight)
+    for system in (reference, weighted):
+        system.apply_dirichlet(setup.dirichlet, t)
+        system.apply_slip()
+        if setup.gauge:
+            system.apply_gauge()
+    return reference, weighted
+
+
+@pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup,
+                                  _slip_channel_setup],
+                         ids=["mms-gauged", "two-layer-stress-free",
+                              "channel-slip-stress-free"])
+def test_step_operator_matches_reference_elimination(mms_case, make, rng):
+    setup = make(mms_case)
+    ctx, tau = setup.ctx, setup.tau
+    u0 = interpolate(ctx.vspace, setup.u_initial)
+    theta = FeField(ctx.vspace, u0.coefficients
+                    + 0.1 * rng.normal(size=u0.coefficients.size))
+    rhs = rng.normal(size=ctx.vspace.dof_count)
+    solver = StepSolver(ctx)
+    operators, fixed_values = [], []
+    # both step kinds, at two times of the time-dependent Dirichlet data
+    for kind, t, field in (("initial", tau, u0), ("general", 3 * tau, theta)):
+        reference, weighted = _step_systems(setup, kind, t, field, rhs)
+        k_ref, rhs_ref, fixed_ref, values_ref = reference.constrained()
+        k, rhs_k, fixed, values = weighted.constrained(solver)
+        operators.append(solver._operator)
+        assert np.array_equal(fixed, fixed_ref) and fixed.size
+        assert np.array_equal(values, values_ref)
+        fixed_values.append(values)
+        scale = abs(k_ref).max()
+        assert abs(k - k_ref).max() <= 1e-14 * scale
+        assert np.abs(rhs_k - rhs_ref).max() \
+            <= 1e-14 * np.abs(rhs_ref).max()
+        # same pattern: the operator holds every reference entry, and the
+        # entries the reference leaves out are round-off that its sparse
+        # sums cancelled to exact zeros (P2 mass entries between a vertex
+        # and an adjacent midpoint vanish in exact arithmetic)
+        ref_nonzero = abs(k_ref) > 0
+        assert ref_nonzero.multiply(abs(k) > 0).nnz == ref_nonzero.nnz
+        big = k.copy()
+        big.data[np.abs(big.data) <= 1e-14 * scale] = 0.0
+        big.eliminate_zeros()
+        assert (abs(big) > 0).multiply(abs(k_ref) > 0).nnz == big.nnz
+    assert operators[0] is operators[1]   # built once for both kinds
+    if make is not _two_layer_setup:   # its inflow is steady
+        assert not np.array_equal(*fixed_values)
+
+
+@pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup],
+                         ids=["mms", "two-layer"])
+def test_run_diagnostic_norms_match_fem_norm(mms_case, make):
+    setup = make(mms_case)
+    rule = setup.ctx.quad
+    checked = []
+
+    def observe(k, t, u, p, d):
+        for key, f in (("velocity_l2", u), ("pressure_l2", p)):
+            want = norm(f, "L2", rule=rule)
+            assert want > 0.0
+            assert abs(d[key] - want) <= 1e-13 * want
+        checked.append(k)
+
+    run(setup, observers=[observe])
+    assert checked == list(range(1, setup.n_steps + 1))
+    for f in (interpolate(setup.ctx.vspace, setup.u_initial),
+              interpolate(setup.ctx.pspace, lambda p: np.sin(p[:, 0])
+                          + p[:, 1] ** 2)):
+        want = norm(f, "L2", rule=rule)
+        assert abs(setup.ctx.l2_norm(f) - want) <= 1e-13 * want
