@@ -17,7 +17,7 @@ from pathlib import Path
 
 from porousflow import cases as case_lib
 from porousflow.porous import validate_porosity_admissibility
-from porousflow.verification import check_eoc_inputs, run_eoc, write_eoc_csv
+from porousflow.verification import run_eoc, write_eoc_csv
 from porousflow.vtkio import SeriesWriter, write_snapshot
 
 SLOPE_BAND = (1.7, 2.6)   # expected range for refinement pairs with N >= 16
@@ -101,11 +101,10 @@ def resolve_run_config(args) -> RunConfig:
 
 def _cmd_eoc(args) -> int:
     n_list = [int(v) for v in args.n_list.split(",") if v]
-    check_eoc_inputs(n_list, args.t_final)
-    out_dir = Path(args.out_dir or "out/eoc")
-    out_dir.mkdir(parents=True, exist_ok=True)
     records = run_eoc(n_list, t_final=args.t_final,
                       progress=lambda msg: print(msg, flush=True))
+    out_dir = Path(args.out_dir or "out/eoc")
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "eoc.csv"
     write_eoc_csv(records, csv_path)
     print(f"{'N':>5} {'h':>12} {'Er1':>12} {'slope':>7} {'Er2':>12} {'slope':>7}")

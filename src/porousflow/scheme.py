@@ -20,17 +20,17 @@ from porousflow.assembly import (
     FormContext,
     assemble_a0,
     assemble_b,
-    assemble_c0,
-    assemble_c1,
     assemble_load,
     assemble_mass_phi_rhs,
     linear_drag_weight,
     quadratic_drag_weight,
 )
+# the steps fold the drag into the step operator's weight and the run
+# diagnostics use FormContext.l2_norm; assemble_c1 and fem.norm stay
+# importable here because perfbench/tracer.py hooks porousflow.scheme's names
+from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate
-# the run diagnostics use FormContext.l2_norm; fem.norm stays importable here
-# because perfbench/tracer.py hooks porousflow.scheme.norm
 from porousflow.fem import norm  # noqa: F401
 from porousflow.mesh import BoundaryTag
 from porousflow.saddle import SaddleSystem, SolveReport, StepSolver
@@ -83,11 +83,11 @@ class ProblemSetup:
         return int(np.floor(self.t_final / self.tau + 1e-9))
 
     def constant_blocks(self):
+        """The viscous block ``a0`` and the divergence block ``b``."""
         if not self._blocks:
             self._blocks["a0"] = assemble_a0(self.ctx)
-            self._blocks["c0"] = assemble_c0(self.ctx)
             self._blocks["b"] = assemble_b(self.ctx)
-        return self._blocks["a0"], self._blocks["c0"], self._blocks["b"]
+        return self._blocks["a0"], self._blocks["b"]
 
 
 @dataclass
@@ -121,20 +121,13 @@ def _bound_dirichlet(setup: ProblemSetup, t: float):
 def _solve_step(setup: ProblemSetup, m_scale: float, theta: FeField, rhs_v,
                 t: float, kind: str, solver: StepSolver | None) -> StepResult:
     """Solve the step system with the mass matrix scaled by ``m_scale`` and
-    the quadratic drag linearized around ``theta``.  With the run's
-    ``solver`` the velocity mass-type block goes to its step operator as one
-    quadrature-point weight; without one the velocity block is assembled
-    from its sparse parts."""
+    the quadratic drag linearized around ``theta``.  The scaled mass and both
+    drag forms enter the velocity block as one quadrature-point weight."""
     ctx = setup.ctx
-    a0, c0, b = setup.constant_blocks()
-    if solver is None:
-        a_total = m_scale * ctx.mass_matrix() + a0 + c0 \
-            + assemble_c1(theta, ctx)
-        system = SaddleSystem(ctx, a_total, b, rhs_v)
-    else:
-        weight = m_scale + linear_drag_weight(ctx) \
-            + quadratic_drag_weight(theta, ctx)
-        system = SaddleSystem(ctx, a0, b, rhs_v, mass_weight=weight)
+    a0, b = setup.constant_blocks()
+    weight = m_scale + linear_drag_weight(ctx) \
+        + quadratic_drag_weight(theta, ctx)
+    system = SaddleSystem(ctx, a0, b, rhs_v, mass_weight=weight)
     if setup.dirichlet is not None:
         system.apply_dirichlet(setup.dirichlet, t)
     system.apply_slip()
@@ -151,7 +144,7 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
     """First-order start-up step producing the fields at t = tau.
 
     ``solver`` is the run's :class:`StepSolver`; without one the step system
-    is built and factorized on its own.
+    is built from scratch and factorized on its own.
     """
     if setup.n_steps < 1:
         raise ValueError("tau exceeds the final time; no steps to take")
@@ -180,7 +173,7 @@ def general_step(setup: ProblemSetup, state: SchemeState,
     """Second-order step k >= 2 from the two stored history fields.
 
     ``solver`` is the run's :class:`StepSolver`; without one the step system
-    is built and factorized on its own.
+    is built from scratch and factorized on its own.
     """
     if state.k < 2:
         raise ValueError("general steps start at k = 2")

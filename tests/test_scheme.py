@@ -5,6 +5,7 @@ import pytest
 
 from porousflow import saddle
 from porousflow.assembly import (
+    assemble_c0,
     assemble_c1,
     linear_drag_weight,
     make_context,
@@ -277,10 +278,11 @@ def _step_systems(setup, kind, t, theta, rhs):
     block assembled from its sparse parts (the reference) and with the
     mass-type part as one quadrature-point weight."""
     ctx = setup.ctx
-    a0, c0, b = setup.constant_blocks()
+    a0, b = setup.constant_blocks()
     rho_tau = ctx.params.rho / setup.tau
     m_scale = rho_tau if kind == "initial" else 1.5 * rho_tau
-    reference = SaddleSystem(ctx, m_scale * ctx.mass_matrix() + a0 + c0
+    reference = SaddleSystem(ctx, m_scale * ctx.mass_matrix() + a0
+                             + assemble_c0(ctx)
                              + assemble_c1(theta, ctx), b, rhs)
     weight = m_scale + linear_drag_weight(ctx) \
         + quadratic_drag_weight(theta, ctx)
