@@ -23,13 +23,12 @@ from porousflow.fem import (
     QuadratureRule,
     SpaceDescriptor,
     _quad_tables,
-    boundary_nodes,
     eval_basis,
     pressure_space,
     tri_quadrature,
     velocity_space,
 )
-from porousflow.mesh import BoundaryTag, Mesh
+from porousflow.mesh import Mesh
 from porousflow.porous import (
     PhysicalParams,
     PorosityField,
@@ -260,20 +259,19 @@ def trilinear_a1_quadrature(u: AnalyticVectorField, w: AnalyticVectorField,
     return ctx.params.rho * float(np.einsum("tq,tq->", ctx.wxarea, integrand))
 
 
-def korn_constant_estimate(ctx: FormContext,
-                           tags=(BoundaryTag.DIRICHLET,)) -> float:
+def korn_constant_estimate(ctx: FormContext) -> float:
     """Lower bound on ||D(u)|| / ||u||_H1 over the constrained velocity space.
 
     Computed as the square root of the smallest generalized eigenvalue of the
     strain-rate Gram matrix against the H1 Gram matrix, after removing the
-    degrees of freedom fixed by the given boundary tags.
+    Dirichlet unknowns of the boundary's constraint table.
     """
+    from porousflow.saddle import Constraints   # saddle imports this module
     strain = assemble_a0(ctx) / (2.0 * ctx.params.mu)
     grad_gram = _vector_gradient_gram(ctx)
     h1 = ctx.mass_matrix() + grad_gram
-    fixed_nodes = boundary_nodes(ctx.vspace, set(tags))
-    fixed = np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1]) \
-        if len(fixed_nodes) else np.array([], dtype=np.int64)
+    table = Constraints.build(ctx, gauge=False)
+    fixed = table.fixed[table.slots].ravel()
     if fixed.size == 0:
         raise ValueError("the constrained space needs at least one fixed node")
     free = np.setdiff1d(np.arange(ctx.vspace.dof_count), fixed)
@@ -302,8 +300,3 @@ def pressure_volume_vector(ctx: FormContext) -> np.ndarray:
     local = np.einsum("tq,qi->ti", ctx.wxarea, ctx.p1_vals)
     return _scatter_vector(ctx.pspace.cell_dofs, local, ctx.pspace.dof_count)
 
-
-def dump_matrix(mat: sparse.spmatrix, path) -> None:
-    """Write a sparse matrix in MatrixMarket coordinate format."""
-    from scipy.io import mmwrite
-    mmwrite(str(path), sparse.coo_matrix(mat))

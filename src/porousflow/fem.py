@@ -134,7 +134,8 @@ class SpaceDescriptor:
     n_nodes: int
     node_coords: np.ndarray          # (n_nodes, 2)
     cell_nodes: np.ndarray           # (nt, 3|6) scalar node ids per cell
-    edge_nodes: dict = field(default_factory=dict, repr=False)
+    # (nbe,) midpoint node of each boundary edge (P2 only)
+    boundary_midpoints: np.ndarray | None = field(default=None, repr=False)
     cell_dofs: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -155,27 +156,25 @@ class SpaceDescriptor:
 
 
 def velocity_space(mesh: Mesh) -> SpaceDescriptor:
-    """Vector P2 space: nodes at vertices plus unique edge midpoints."""
-    nv = mesh.n_vertices
-    edge_nodes: dict[tuple[int, int], int] = {}
-    nt = mesh.n_triangles
-    cell_nodes = np.empty((nt, 6), dtype=np.int64)
-    cell_nodes[:, :3] = mesh.triangles
-    next_id = nv
-    for t in range(nt):
-        v = mesh.triangles[t]
-        for k in range(3):
-            key = tuple(sorted((int(v[(k + 1) % 3]), int(v[(k + 2) % 3]))))
-            if key not in edge_nodes:
-                edge_nodes[key] = next_id
-                next_id += 1
-            cell_nodes[t, 3 + k] = edge_nodes[key]
-    coords = np.empty((next_id, 2))
+    """Vector P2 space: nodes at vertices plus unique edge midpoints, the
+    midpoints numbered in the order their edges first appear in the
+    triangles."""
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    # edge k of a triangle lies opposite its vertex k
+    ends = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+    keys, first, inverse = np.unique(ends[..., 0] * nv + ends[..., 1],
+                                     return_index=True, return_inverse=True)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(nv, nv + len(keys))
+    cell_nodes = np.column_stack([mesh.triangles,
+                                  rank[inverse].reshape(nt, 3)])
+    coords = np.empty((nv + len(keys), 2))
     coords[:nv] = mesh.vertices
-    for (a, b), nid in edge_nodes.items():
-        coords[nid] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-    return SpaceDescriptor(mesh, P2_VECTOR, 2, next_id, coords, cell_nodes,
-                           edge_nodes)
+    coords[rank] = 0.5 * (mesh.vertices[keys // nv] + mesh.vertices[keys % nv])
+    bends = np.sort(mesh.boundary_edges, axis=1)
+    midpoints = rank[np.searchsorted(keys, bends[:, 0] * nv + bends[:, 1])]
+    return SpaceDescriptor(mesh, P2_VECTOR, 2, len(coords), coords,
+                           cell_nodes, midpoints)
 
 
 def pressure_space(mesh: Mesh) -> SpaceDescriptor:
@@ -292,13 +291,6 @@ def norm(field_: FeField, kind: str = "L2", rule: QuadratureRule | None = None) 
     return float(np.sqrt(total))
 
 
-def diff_norm(f1: FeField, f2: FeField, kind: str = "L2") -> float:
-    """Norm of the difference of two fields on the same space."""
-    if f1.space is not f2.space and f1.space.dof_count != f2.space.dof_count:
-        raise ValueError("fields must share a space")
-    return norm(FeField(f1.space, f1.coefficients - f2.coefficients), kind)
-
-
 def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
                t: float | None = None, exact_grad: Callable | None = None,
                zero_mean: bool = False,
@@ -356,14 +348,8 @@ class AnalyticVectorField:
 def boundary_nodes(space: SpaceDescriptor, tags) -> np.ndarray:
     """Sorted scalar node ids lying on boundary edges with the given tags."""
     mesh = space.mesh
-    wanted = set(tags)
-    nodes: set[int] = set()
-    for e, tag in enumerate(mesh.boundary_tags):
-        if tag not in wanted:
-            continue
-        a, b = (int(v) for v in mesh.boundary_edges[e])
-        nodes.add(a)
-        nodes.add(b)
-        if space.edge_nodes:
-            nodes.add(space.edge_nodes[tuple(sorted((a, b)))])
-    return np.array(sorted(nodes), dtype=np.int64)
+    nodes = mesh.boundary_edges
+    if space.boundary_midpoints is not None:
+        nodes = np.column_stack([nodes, space.boundary_midpoints])
+    tagged = np.isin(np.array(mesh.boundary_tags, dtype=object), list(tags))
+    return np.unique(nodes[tagged])

@@ -152,9 +152,6 @@ class Mesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    def total_area(self) -> float:
-        return float(self.areas.sum())
-
     def vertex_triangles(self, v: int) -> np.ndarray:
         """Indices of the triangles incident to vertex ``v``."""
         return self._vertex_tris[v]

@@ -1,23 +1,24 @@
 """Constrained saddle-point systems for one time step.
 
 A system couples the velocity block (mass + viscous + drag contributions)
-with the divergence constraint.  Dirichlet values are imposed by symmetric
-row/column elimination with right-hand-side lifting, slip walls constrain the
-normal velocity component on axis-aligned edges, and the pressure level on a
-fully Dirichlet boundary is fixed through a single zero-mean Lagrange
-multiplier.
+with the divergence constraint.  One :class:`Constraints` table per run fixes
+both velocity components on Dirichlet edges and the normal component on
+axis-aligned slip edges, and says whether the pressure level on a fully
+Dirichlet boundary is fixed through a single zero-mean Lagrange multiplier;
+per system only the values change.  Fixed unknowns are imposed by symmetric
+row/column elimination with right-hand-side lifting.
 
 A :class:`SaddleSystem` on its own builds its constrained matrix from
 scratch: the blocks are stacked and the fixed unknowns eliminated with
 diagonal masks.  That path is the reference for everything below.
 
 Within a run a :class:`StepSolver` owns the constrained step operator
-(:class:`StepOperator`).  Between steps only the velocity mass-type block
-changes: the scaled mass, the linear drag and the linearized quadratic drag
-fold into one weight per quadrature point.  The operator eliminates the
-constant blocks once, in a CSR pattern that also holds every element's
-mass-type entries, and each step scatters its element matrices into a copy
-of the constant data by precomputed positions.
+(:class:`StepOperator`), built once from the run's table.  Between steps
+only the velocity mass-type block changes: the scaled mass, the linear drag
+and the linearized quadratic drag fold into one weight per quadrature point.
+The operator eliminates the constant blocks once, in a CSR pattern that also
+holds every element's mass-type entries, and each step scatters its element
+matrices into a copy of the constant data by precomputed positions.
 
 The solver holds at most one sparse LU factorization.  A system of the same
 kind as the factorized one is solved by right-preconditioned GMRES with that
@@ -89,11 +90,72 @@ class SolveReport:
 
     algebraic_residual: float
     incompressibility_residual: float
-    n_constrained: int
     krylov_iterations: int
     factorized: bool
-    gauge_multiplier: float | None = None
     n_clamped_feet: int = 0
+
+
+@dataclass(frozen=True)
+class Constraints:
+    """The fixed velocity unknowns of one boundary configuration: sorted,
+    both components of every Dirichlet node and the normal component of
+    every slip node.  ``points`` are the Dirichlet nodes' coordinates and
+    ``slots`` (nd, 2) and ``slip`` the positions in ``fixed`` of their
+    unknowns and of the slip unknowns."""
+
+    fixed: np.ndarray
+    points: np.ndarray
+    slots: np.ndarray
+    slip: np.ndarray
+    gauge: bool
+
+    @classmethod
+    def build(cls, ctx: FormContext, gauge: bool) -> "Constraints":
+        """The table of ``ctx``'s tagged boundary; raises
+        :class:`UnsupportedBoundaryError` for a slip edge that is not
+        axis-aligned and :class:`GaugeError` for a gauge next to a
+        stress-free edge, which already fixes the pressure level."""
+        mesh, space = ctx.mesh, ctx.vspace
+        tags = np.array(mesh.boundary_tags, dtype=object)
+        if gauge and (tags == BoundaryTag.STRESS_FREE).any():
+            raise GaugeError("pressure gauge conflicts with a stress-free "
+                             "boundary, which already fixes the level")
+        slip = tags == BoundaryTag.SLIP
+        a, b = mesh.boundary_edges[slip].T
+        d = np.abs(mesh.vertices[b] - mesh.vertices[a])
+        horizontal = d[:, 1] <= 1e-12 * np.maximum(1.0, d[:, 0])
+        vertical = d[:, 0] <= 1e-12 * np.maximum(1.0, d[:, 1])
+        if not (horizontal | vertical).all():
+            raise UnsupportedBoundaryError(
+                "slip boundaries must be axis-aligned")
+        # the normal component: y on horizontal edges, x on vertical ones
+        ends = np.column_stack([a, b, space.boundary_midpoints[slip]])
+        slip_dofs = 2 * ends + horizontal[:, None]
+        nodes = boundary_nodes(space, {BoundaryTag.DIRICHLET})
+        dirichlet_dofs = 2 * nodes[:, None] + np.arange(2)
+        fixed = np.union1d(dirichlet_dofs, slip_dofs)
+        return cls(fixed, space.node_coords[nodes],
+                   np.searchsorted(fixed, dirichlet_dofs),
+                   np.searchsorted(fixed, np.unique(slip_dofs)), bool(gauge))
+
+    def values(self, g=None, t: float | None = None) -> np.ndarray:
+        """Values of the ``fixed`` unknowns: the Dirichlet data from one
+        ``g(points [, t])`` call, needed only when there are Dirichlet
+        nodes, and zeros on the slip unknowns.  Raises
+        :class:`ConstraintConflictError` where a Dirichlet value differs from
+        the slip zero on the same unknown."""
+        values = np.zeros(self.fixed.size)
+        if len(self.points):
+            values[self.slots] = g(self.points) if t is None \
+                else g(self.points, t)
+        shared = np.abs(values[self.slip])
+        clash = self.slip[shared > 1e-12 * np.maximum(1.0, shared)]
+        if clash.size:
+            raise ConstraintConflictError(
+                f"velocity dof {self.fixed[clash[0]]} constrained to both "
+                f"{float(values[clash[0]])!r} and 0.0")
+        values[self.slip] = 0.0
+        return values
 
 
 def _fix_malloc_thresholds() -> None:
@@ -165,8 +227,7 @@ def _step_pattern(k, cell_dofs, free):
 
 class StepOperator:
     """Constrained matrix of ``[[A + M(w), B^T], [B, 0]]`` (gauge-bordered
-    when gauged) for one set of fixed velocity unknowns, in a fixed CSR
-    pattern.
+    when gauged) for one constraint table, in a fixed CSR pattern.
 
     ``M(w)`` is the velocity mass matrix weighted by ``w`` at the quadrature
     points.  The constant blocks are eliminated once, into a pattern that
@@ -177,12 +238,13 @@ class StepOperator:
     """
 
     def __init__(self, ctx: FormContext, a_block, b_block,
-                 gauge_vector: np.ndarray | None, fixed: np.ndarray):
+                 constraints: Constraints):
         self.ctx = ctx
         self.a_block, self.b_block = a_block, b_block
-        self.gauge = gauge_vector is not None
-        self.fixed = fixed
-        k = _stack(a_block, b_block, gauge_vector)
+        self.constraints = constraints
+        self.fixed = fixed = constraints.fixed
+        k = _stack(a_block, b_block,
+                   ctx.volume_vector() if constraints.gauge else None)
         n = k.shape[0]
         self._fixed_columns = k[:, fixed]
         free = np.ones(n, dtype=bool)
@@ -202,10 +264,6 @@ class StepOperator:
         touched = ~free[:nv][ctx.vspace.cell_dofs].all(axis=1)
         self._lift_elems = np.flatnonzero(touched)
         self._lift_dofs = ctx.vspace.cell_dofs[self._lift_elems]
-
-    def matches(self, a_block, b_block, gauge: bool, fixed) -> bool:
-        return (a_block is self.a_block and b_block is self.b_block
-                and gauge == self.gauge and np.array_equal(fixed, self.fixed))
 
     def assemble(self, weight: np.ndarray, rhs: np.ndarray,
                  values: np.ndarray):
@@ -244,7 +302,7 @@ class StepSolver:
     restart cycle, or the key differs, the held LU is dropped before the new
     matrix is factorized, so two factors never coexist and freed ones leave
     the process.  The solver also holds the run's :class:`StepOperator`,
-    shared by both keys.
+    built once and shared by both keys.
     """
 
     def __init__(self, ctx: FormContext):
@@ -254,16 +312,19 @@ class StepSolver:
         self._key = None
         self._operator: StepOperator | None = None
 
-    def operator(self, a_block, b_block, gauge: bool,
-                 fixed: np.ndarray) -> StepOperator:
-        """The step operator of these constant blocks and fixed unknowns,
-        built on first use and rebuilt only when they change."""
+    def operator(self, a_block, b_block,
+                 constraints: Constraints) -> StepOperator:
+        """The run's step operator, built on first use from these constant
+        blocks and constraint table; other blocks or another table are
+        rejected with ``ValueError``."""
         op = self._operator
-        if op is None or not op.matches(a_block, b_block, gauge, fixed):
-            self._operator = None
-            volume = self.ctx.volume_vector() if gauge else None
-            op = StepOperator(self.ctx, a_block, b_block, volume, fixed)
-            self._operator = op
+        if op is None:
+            op = self._operator = StepOperator(self.ctx, a_block, b_block,
+                                               constraints)
+        elif not (op.constraints is constraints and op.a_block is a_block
+                  and op.b_block is b_block):
+            raise ValueError("the step operator was built for other "
+                             "constant blocks or another constraint table")
         return op
 
     def solve(self, k: sparse.csr_matrix, rhs: np.ndarray, key=None):
@@ -359,16 +420,20 @@ class StepSolver:
 
 
 class SaddleSystem:
-    """One velocity/pressure system with constraint bookkeeping.
+    """One velocity/pressure system and the values of its fixed unknowns.
 
     The velocity block is ``a_block``, plus the velocity mass matrix weighted
     by ``mass_weight`` (nt, nq) at the quadrature points when one is given.
+    Nothing is fixed until the ``constraints`` table (made on first use when
+    none is given) is imposed by :meth:`apply_dirichlet` or
+    :meth:`apply_slip`.
     """
 
     def __init__(self, ctx: FormContext, a_block: sparse.spmatrix,
                  b_block: sparse.spmatrix, rhs_velocity: np.ndarray,
                  rhs_pressure: np.ndarray | None = None,
-                 mass_weight: np.ndarray | None = None):
+                 mass_weight: np.ndarray | None = None,
+                 constraints: Constraints | None = None):
         self.ctx = ctx
         self.A = a_block.tocsr()
         self.B = b_block.tocsr()
@@ -383,58 +448,39 @@ class SaddleSystem:
         self.rhs_v = np.asarray(rhs_velocity, dtype=float).copy()
         self.rhs_p = (np.zeros(nq) if rhs_pressure is None
                       else np.asarray(rhs_pressure, dtype=float).copy())
-        self.dirichlet_map: dict[int, float] = {}
-        self.gauge = False
+        self.constraints = constraints
+        self.values: np.ndarray | None = None   # of constraints.fixed
     # -- constraints ------------------------------------------------------------
 
-    def _constrain(self, dof: int, value: float) -> None:
-        old = self.dirichlet_map.get(dof)
-        if old is not None and abs(old - value) > 1e-12 * max(1.0, abs(old)):
-            raise ConstraintConflictError(
-                f"velocity dof {dof} constrained to both {old!r} and {value!r}")
-        self.dirichlet_map[dof] = value
+    @property
+    def gauge(self) -> bool:
+        return self.constraints is not None and self.constraints.gauge
 
-    def apply_dirichlet(self, g, t: float | None = None,
-                        tags=(BoundaryTag.DIRICHLET,)) -> "SaddleSystem":
-        """Prescribe both velocity components on the tagged boundary nodes.
+    def _table(self, gauge: bool = False) -> Constraints:
+        """The constraint table, built on first use or to add the gauge."""
+        if self.constraints is None or (gauge and not self.gauge):
+            self.constraints = Constraints.build(self.ctx, gauge)
+        return self.constraints
 
-        ``g(points [, t])`` returns ``(n, 2)`` nodal values at the vertices
-        and edge midpoints of the tagged edges.
-        """
-        nodes = boundary_nodes(self.ctx.vspace, set(tags))
-        if nodes.size == 0:
-            return self
-        pts = self.ctx.vspace.node_coords[nodes]
-        vals = np.asarray(g(pts) if t is None else g(pts, t), dtype=float)
-        for node, val in zip(nodes, vals):
-            self._constrain(2 * int(node), float(val[0]))
-            self._constrain(2 * int(node) + 1, float(val[1]))
+    def apply_dirichlet(self, g, t: float | None = None) -> "SaddleSystem":
+        """Impose the constraint table: both velocity components on the
+        Dirichlet nodes, from ``g(points [, t])`` returning ``(n, 2)``
+        values, and zero normal velocity on the slip edges.  ``g`` may be
+        ``None`` when no edge is Dirichlet."""
+        self.values = self._table().values(g, t)
         return self
 
     def apply_slip(self) -> "SaddleSystem":
-        """Zero the normal velocity component on axis-aligned slip edges."""
-        mesh = self.ctx.mesh
-        for e in mesh.boundary_edges_by_tag(BoundaryTag.SLIP):
-            a, b = mesh.boundary_edges[e]
-            d = mesh.vertices[b] - mesh.vertices[a]
-            if abs(d[1]) <= 1e-12 * max(1.0, abs(d[0])):
-                comp = 1   # horizontal edge, normal along y
-            elif abs(d[0]) <= 1e-12 * max(1.0, abs(d[1])):
-                comp = 0   # vertical edge, normal along x
-            else:
-                raise UnsupportedBoundaryError(
-                    "slip boundaries must be axis-aligned")
-            key = tuple(sorted((int(a), int(b))))
-            for node in (int(a), int(b), self.ctx.vspace.edge_nodes[key]):
-                self._constrain(2 * node + comp, 0.0)
+        """Impose the constraint table of a boundary without Dirichlet
+        edges: zero normal velocity on the slip edges.  A no-op after
+        :meth:`apply_dirichlet`, which imposes them too."""
+        if self.values is None:
+            self.values = self._table().values()
         return self
 
     def apply_gauge(self) -> "SaddleSystem":
         """Constrain the pressure to zero mean via one Lagrange multiplier."""
-        if len(self.ctx.mesh.boundary_edges_by_tag(BoundaryTag.STRESS_FREE)):
-            raise GaugeError("pressure gauge conflicts with a stress-free "
-                             "boundary, which already fixes the level")
-        self.gauge = True
+        self._table(gauge=True)
         return self
 
     # -- solve --------------------------------------------------------------------
@@ -452,17 +498,17 @@ class SaddleSystem:
                              else [self.rhs_v, self.rhs_p])
         if not np.all(np.isfinite(rhs)):
             raise SolverError("right-hand side contains NaN or Inf")
-        fixed = np.fromiter(self.dirichlet_map.keys(), dtype=np.int64,
-                            count=len(self.dirichlet_map))
-        values = np.fromiter(self.dirichlet_map.values(), dtype=float,
-                             count=len(self.dirichlet_map))
-        order = np.argsort(fixed)
-        fixed, values = fixed[order], values[order]
         if solver is not None and self.mass_weight is not None:
-            op = solver.operator(self.A, self.B, self.gauge, fixed)
-            k, rhs = op.assemble(self.mass_weight, rhs, values)
-            return k, rhs, fixed, values
+            if self.values is None:
+                raise ValueError("the step operator needs the constraints "
+                                 "imposed")
+            op = solver.operator(self.A, self.B, self.constraints)
+            k, rhs = op.assemble(self.mass_weight, rhs, self.values)
+            return k, rhs, op.fixed, self.values
 
+        fixed, values = np.empty(0, dtype=np.int64), np.empty(0)
+        if self.values is not None:
+            fixed, values = self.constraints.fixed, self.values
         a = self.A
         if self.mass_weight is not None:
             a = a + _vector_mass(self.ctx, self.mass_weight)
@@ -496,17 +542,14 @@ class SaddleSystem:
         nq = self.ctx.pspace.dof_count
         u = x[:nv]
         p = x[nv:nv + nq]
-        lam = float(x[-1]) if self.gauge else None
         if self.gauge:
             c = self.ctx.volume_vector()
             p = p - (c @ p) / float(self.ctx.mesh.areas.sum())
         div_res = float(np.abs(self.B @ u).max()) if nq else 0.0
         report = SolveReport(algebraic_residual=resid,
                              incompressibility_residual=div_res,
-                             n_constrained=int(fixed.size),
                              krylov_iterations=iterations,
-                             factorized=factorized,
-                             gauge_multiplier=lam)
+                             factorized=factorized)
         u_field = FeField(self.ctx.vspace, u)
         p_field = FeField(self.ctx.pspace, p)
         return u_field, p_field, report

@@ -33,7 +33,8 @@ from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate
 from porousflow.fem import norm  # noqa: F401
 from porousflow.mesh import BoundaryTag
-from porousflow.saddle import SaddleSystem, SolveReport, StepSolver
+from porousflow.saddle import (Constraints, SaddleSystem, SolveReport,
+                               StepSolver)
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -52,7 +53,8 @@ class ProblemSetup:
     ``u_initial(points)`` gives the initial velocity; ``dirichlet(points, t)``
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
     force (or ``None``).  With ``gauge=None`` the zero-mean pressure gauge is
-    enabled exactly when the whole boundary is Dirichlet.
+    enabled exactly when the whole boundary is Dirichlet.  The run's
+    :class:`Constraints` table is built here, so a bad boundary fails early.
     """
 
     ctx: FormContext
@@ -62,6 +64,7 @@ class ProblemSetup:
     t_final: float
     forcing: Callable | None = None
     gauge: bool | None = None
+    constraints: Constraints = field(init=False, repr=False)
     _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -77,6 +80,7 @@ class ProblemSetup:
             raise ValueError("a Dirichlet part of the boundary is required")
         if BoundaryTag.DIRICHLET in tags and self.dirichlet is None:
             raise ValueError("dirichlet data is required on tagged edges")
+        self.constraints = Constraints.build(self.ctx, self.gauge)
 
     @property
     def n_steps(self) -> int:
@@ -127,12 +131,9 @@ def _solve_step(setup: ProblemSetup, m_scale: float, theta: FeField, rhs_v,
     a0, b = setup.constant_blocks()
     weight = m_scale + linear_drag_weight(ctx) \
         + quadratic_drag_weight(theta, ctx)
-    system = SaddleSystem(ctx, a0, b, rhs_v, mass_weight=weight)
-    if setup.dirichlet is not None:
-        system.apply_dirichlet(setup.dirichlet, t)
-    system.apply_slip()
-    if setup.gauge:
-        system.apply_gauge()
+    system = SaddleSystem(ctx, a0, b, rhs_v, mass_weight=weight,
+                          constraints=setup.constraints)
+    system.apply_dirichlet(setup.dirichlet, t)
     u, p, report = system.solve(solver, kind)
     u.time_label = t
     p.time_label = t

@@ -37,7 +37,7 @@ from porousflow.porous import (
     forchheimer_coeff,
     linear_drag_coeff,
 )
-from porousflow.saddle import SaddleSystem
+from porousflow.saddle import Constraints, SaddleSystem
 from porousflow.scheme import ProblemSetup, run
 
 
@@ -126,12 +126,6 @@ def build_mms_case(params: PhysicalParams | None = None,
     )
     _MMS_CACHE[key] = case
     return case
-
-
-def mms_forcing(points, t: float, params: PhysicalParams | None = None,
-                porosity: PorosityField | None = None) -> np.ndarray:
-    """Forcing of the manufactured flow at the given points and time."""
-    return build_mms_case(params, porosity).f(points, t)
 
 
 # -- convergence study --------------------------------------------------------------
@@ -534,17 +528,12 @@ def steady_stokes_solve(ctx: FormContext, forcing, dirichlet,
     linear pressure data the mixed pair reproduces the fields to solver
     precision.
     """
-    a0 = assemble_a0(ctx)
-    b = assemble_b(ctx)
-    rhs = assemble_load(forcing, ctx, None)
-    system = SaddleSystem(ctx, a0, b, rhs)
-    system.apply_dirichlet(dirichlet, None)
-    system.apply_slip()
     if gauge is None:
         gauge = set(ctx.mesh.boundary_tags) == {BoundaryTag.DIRICHLET}
-    if gauge:
-        system.apply_gauge()
-    return system.solve()
+    system = SaddleSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
+                          assemble_load(forcing, ctx, None),
+                          constraints=Constraints.build(ctx, gauge))
+    return system.apply_dirichlet(dirichlet).solve()
 
 
 def polynomial_exactness_check(ctx: FormContext) -> tuple[float, float]:

@@ -35,18 +35,6 @@ def _write_header(fh, title: str, mesh: Mesh) -> None:
     fh.writelines("5\n" for _ in range(mesh.n_triangles))
 
 
-def write_mesh(mesh: Mesh, path) -> Path:
-    """Mesh-only export for inspection."""
-    path = Path(path)
-    with open(path, "w") as fh:
-        _write_header(fh, "triangulation", mesh)
-        fh.write(f"CELL_DATA {mesh.n_triangles}\n")
-        fh.write("SCALARS area double 1\nLOOKUP_TABLE default\n")
-        for a in mesh.areas:
-            fh.write(f"{_FMT.format(a)}\n")
-    return path
-
-
 def write_snapshot(u_field: FeField, p_field: FeField,
                    porosity: PorosityField, mesh: Mesh, t: float,
                    path) -> Path:

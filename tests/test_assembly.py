@@ -11,7 +11,6 @@ from porousflow.assembly import (
     assemble_c1,
     assemble_load,
     assemble_mass_phi_rhs,
-    dump_matrix,
     korn_constant_estimate,
     make_context,
     pressure_volume_vector,
@@ -267,11 +266,3 @@ def test_pressure_volume_vector(unit_ctx):
     c = pressure_volume_vector(unit_ctx)
     assert c.sum() == pytest.approx(1.0, rel=1e-12)  # total area
 
-
-def test_matrix_market_roundtrip(unit_ctx, tmp_path):
-    from scipy.io import mmread
-    b = assemble_b(unit_ctx)
-    path = tmp_path / "b.mtx"
-    dump_matrix(b, path)
-    back = mmread(path).tocsr()
-    assert abs(b - back).max() < 1e-15

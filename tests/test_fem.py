@@ -5,7 +5,7 @@ import pytest
 
 from porousflow.fem import (
     FeField,
-    diff_norm,
+    boundary_nodes,
     error_norm,
     eval_basis,
     eval_field_many,
@@ -17,7 +17,13 @@ from porousflow.fem import (
     velocity_space,
     zero_field,
 )
-from porousflow.mesh import generate_rect_mesh, locate_point
+from porousflow.mesh import (
+    BoundaryTag,
+    LayerGrading,
+    Mesh,
+    generate_rect_mesh,
+    locate_point,
+)
 
 
 def _monomial_exact(a, b):
@@ -176,10 +182,62 @@ def test_l2_norm_of_constant(pi_mesh):
     assert norm(f, "L2") == pytest.approx(math.pi, abs=1e-10)
 
 
-def test_diff_norm_self_is_zero(pi_mesh, rng):
-    space = velocity_space(pi_mesh)
-    f = FeField(space, rng.normal(size=space.dof_count))
-    assert diff_norm(f, f, "H1") == 0.0
+def test_velocity_space_on_two_triangles():
+    # the unit square cut along its diagonal 1-2; boundary edges in the
+    # order the mesh lists them
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    edges = np.array([[0, 1], [3, 2], [2, 0], [1, 3]])
+    mesh = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]), edges,
+                [BoundaryTag.DIRICHLET, BoundaryTag.SLIP,
+                 BoundaryTag.DIRICHLET, BoundaryTag.STRESS_FREE],
+                np.array([0, 1, 0, 1]))
+    space = velocity_space(mesh)
+    # midpoints numbered as their edges first appear: edge k of a triangle
+    # lies opposite its vertex k, and the diagonal is shared
+    assert np.array_equal(space.cell_nodes, [[0, 1, 2, 4, 5, 6],
+                                             [1, 3, 2, 7, 4, 8]])
+    assert space.n_nodes == 9 and space.dof_count == 18
+    assert np.array_equal(space.node_coords[4], [0.5, 0.5])
+    mids = space.node_coords[space.boundary_midpoints]
+    assert np.array_equal(mids, 0.5 * (verts[edges[:, 0]]
+                                       + verts[edges[:, 1]]))
+    assert np.array_equal(space.boundary_midpoints, [6, 7, 5, 8])
+    assert np.array_equal(boundary_nodes(space, {BoundaryTag.DIRICHLET}),
+                          [0, 1, 2, 5, 6])
+    assert np.array_equal(boundary_nodes(space, {BoundaryTag.SLIP,
+                                                 BoundaryTag.STRESS_FREE}),
+                          [1, 2, 3, 7, 8])
+    assert boundary_nodes(pressure_space(mesh), {BoundaryTag.SLIP}).tolist() \
+        == [2, 3]
+
+
+def _velocity_nodes_by_loop(mesh):
+    """Midpoint numbering of a per-triangle loop over a dict of edge keys,
+    the reference for the vectorized numbering."""
+    ids = {}
+    cell_nodes = np.empty((mesh.n_triangles, 6), dtype=np.int64)
+    cell_nodes[:, :3] = mesh.triangles
+    for t, v in enumerate(mesh.triangles.tolist()):
+        for k in range(3):
+            key = tuple(sorted((v[(k + 1) % 3], v[(k + 2) % 3])))
+            ids.setdefault(key, mesh.n_vertices + len(ids))
+            cell_nodes[t, 3 + k] = ids[key]
+    coords = np.empty((mesh.n_vertices + len(ids), 2))
+    coords[:mesh.n_vertices] = mesh.vertices
+    for (a, b), node in ids.items():
+        coords[node] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+    midpoints = [ids[tuple(sorted(e))] for e in mesh.boundary_edges.tolist()]
+    return cell_nodes, coords, np.array(midpoints)
+
+
+def test_velocity_space_matches_per_triangle_numbering():
+    mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 15,
+                              grading=LayerGrading(0.5, 0.01))
+    space = velocity_space(mesh)
+    cell_nodes, coords, midpoints = _velocity_nodes_by_loop(mesh)
+    assert np.array_equal(space.cell_nodes, cell_nodes)
+    assert np.array_equal(space.node_coords, coords)
+    assert np.array_equal(space.boundary_midpoints, midpoints)
 
 
 def test_l2_norm_of_sine_product():

@@ -21,14 +21,14 @@ def test_structured_counts_and_hmax():
 
 def test_area_tiling_unit_square():
     m = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 2)
-    assert m.total_area() == pytest.approx(1.0, abs=1e-12)
+    assert m.areas.sum() == pytest.approx(1.0, abs=1e-12)
     assert (m.areas > 0.0).all()
 
 
 def test_rectangle_aspect_gives_square_cells():
     m = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 120)
     assert m.n_triangles == 2 * 120 * 40
-    assert m.total_area() == pytest.approx(3.0, rel=1e-12)
+    assert m.areas.sum() == pytest.approx(3.0, rel=1e-12)
 
 
 def test_graded_layer_reaches_target_size():
@@ -46,8 +46,8 @@ def test_graded_and_uniform_share_total_area():
     graded = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 24,
                                 grading=LayerGrading(0.5, 1.0 / 720.0))
     uniform = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 24)
-    assert graded.total_area() == pytest.approx(uniform.total_area(),
-                                                rel=1e-12)
+    assert graded.areas.sum() == pytest.approx(uniform.areas.sum(),
+                                               rel=1e-12)
 
 
 def test_degenerate_extent_rejected():
@@ -166,8 +166,13 @@ def test_boundary_exit_point_stays_in_domain(unit_mesh, rng):
 
 
 def test_mesh_vtk_export(unit_mesh, tmp_path):
-    from porousflow.vtkio import write_mesh
-    path = write_mesh(unit_mesh, tmp_path / "mesh.vtk")
+    from porousflow.fem import pressure_space, velocity_space, zero_field
+    from porousflow.porous import builtin_porosity
+    from porousflow.vtkio import write_snapshot
+    path = write_snapshot(zero_field(velocity_space(unit_mesh)),
+                          zero_field(pressure_space(unit_mesh)),
+                          builtin_porosity("constant", value=1.0), unit_mesh,
+                          0.0, tmp_path / "mesh.vtk")
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile")
     assert f"POINTS {unit_mesh.n_vertices} double" in text

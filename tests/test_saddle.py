@@ -15,11 +15,12 @@ from porousflow.assembly import (
     make_context,
     pressure_volume_vector,
 )
-from porousflow.fem import interpolate
+from porousflow.fem import boundary_nodes, interpolate
 from porousflow.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
     ConstraintConflictError,
+    Constraints,
     GaugeError,
     SaddleSystem,
     SingularSystemError,
@@ -65,7 +66,6 @@ def test_patch_test_polynomial_exactness(unit_ctx, params):
 def test_zero_dirichlet_gives_exact_zeros(unit_ctx):
     zero = lambda p: np.zeros((len(p), 2))
     u, p, rep = steady_stokes_solve(unit_ctx, zero, zero)
-    from porousflow.fem import boundary_nodes
     nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
     vals = u.node_values()[nodes]
     assert (vals == 0.0).all()
@@ -90,47 +90,71 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
     system.apply_dirichlet(g)
     system.apply_gauge()
     u, p, rep = system.solve()
-    from porousflow.fem import boundary_nodes
     nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
     expected = g(unit_ctx.vspace.node_coords[nodes])
     got = u.node_values()[nodes]
     assert (got == expected).all()  # exactly the prescribed values
 
 
-def test_conflicting_constraints_rejected(unit_ctx):
-    a0 = assemble_a0(unit_ctx)
-    b = assemble_b(unit_ctx)
-    system = SaddleSystem(unit_ctx, a0, b, np.zeros(a0.shape[0]))
-    system.apply_dirichlet(lambda p: np.ones((len(p), 2)))
-    with pytest.raises(ConstraintConflictError):
-        system.apply_dirichlet(lambda p: 2.0 * np.ones((len(p), 2)))
-
-
-def test_matching_corner_constraints_allowed(unit_ctx):
-    a0 = assemble_a0(unit_ctx)
-    b = assemble_b(unit_ctx)
-    system = SaddleSystem(unit_ctx, a0, b, np.zeros(a0.shape[0]))
-    system.apply_dirichlet(lambda p: np.ones((len(p), 2)))
-    system.apply_dirichlet(lambda p: np.ones((len(p), 2)))  # same values
-    assert len(system.dirichlet_map) > 0
-
-
-def test_slip_empty_is_noop(unit_ctx):
-    a0 = assemble_a0(unit_ctx)
-    b = assemble_b(unit_ctx)
-    system = SaddleSystem(unit_ctx, a0, b, np.zeros(a0.shape[0]))
-    system.apply_slip()
-    assert system.dirichlet_map == {}
-
-
-def test_slip_bottom_edge_zeroes_normal_component(params):
+def _slip_bottom_ctx(params):
+    """The unit square with a slip bottom edge, Dirichlet elsewhere."""
     def tags(mid):
         if mid[1] <= 1e-9:
             return BoundaryTag.SLIP
         return BoundaryTag.DIRICHLET
 
     mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=tags)
-    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
+    return make_context(mesh, builtin_porosity("constant", value=1.0), params)
+
+
+def test_conflicting_constraints_rejected(params):
+    # the bottom corners are Dirichlet nodes and slip nodes: g's y-component
+    # there clashes with the slip zero
+    table = Constraints.build(_slip_bottom_ctx(params), gauge=False)
+    with pytest.raises(ConstraintConflictError):
+        table.values(lambda p: np.ones((len(p), 2)))
+
+
+def test_matching_corner_constraints_allowed(params):
+    ctx = _slip_bottom_ctx(params)
+    table = Constraints.build(ctx, gauge=False)
+    g = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
+    values = table.values(g)
+    assert table.slip.size > 0 and table.points.size > 0
+    assert (values[table.slots] == g(table.points)).all()
+    assert (values[table.slip] == 0.0).all()
+    corners = np.flatnonzero(
+        (np.abs(table.points[:, 1]) < 1e-12)
+        & (np.abs(table.points[:, 0] - 0.5) > 0.49))
+    assert len(corners) == 2
+    assert np.isin(table.slots[corners, 1], table.slip).all()
+
+
+def test_slip_empty_is_noop(unit_ctx):
+    table = Constraints.build(unit_ctx, gauge=False)
+    assert table.slip.size == 0
+    assert table.fixed.size == table.slots.size == 2 * len(table.points)
+
+
+def test_constraint_table_matches_the_tagged_nodes(params):
+    ctx = _slip_bottom_ctx(params)
+    table = Constraints.build(ctx, gauge=False)
+    coords = ctx.vspace.node_coords
+    dirichlet = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
+    slip = boundary_nodes(ctx.vspace, {BoundaryTag.SLIP})
+    assert np.array_equal(np.flatnonzero(np.abs(coords[:, 1]) < 1e-12), slip)
+    want = np.union1d(np.concatenate([2 * dirichlet, 2 * dirichlet + 1]),
+                      2 * slip + 1)   # the bottom's normal is y
+    assert np.array_equal(table.fixed, want)
+    assert np.array_equal(table.points, coords[dirichlet])
+    assert np.array_equal(table.fixed[table.slots],
+                          2 * dirichlet[:, None] + [0, 1])
+    assert np.array_equal(table.fixed[table.slip], 2 * slip + 1)
+    assert not table.gauge and Constraints.build(ctx, gauge=True).gauge
+
+
+def test_slip_bottom_edge_zeroes_normal_component(params):
+    ctx = _slip_bottom_ctx(params)
     a0 = assemble_a0(ctx)
     b = assemble_b(ctx)
     rhs = assemble_load(lambda p: np.column_stack(
@@ -310,6 +334,26 @@ def test_step_solver_bound_to_its_context(unit_ctx, pi_mesh, params):
                           np.zeros(unit_ctx.vspace.dof_count))
     with pytest.raises(ValueError):
         system.solve(StepSolver(other))
+
+
+def test_step_solver_rejects_another_constraint_table(unit_ctx, params):
+    a0, b = assemble_a0(unit_ctx), assemble_b(unit_ctx)
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    weight = np.ones_like(unit_ctx.wxarea)
+    solver = StepSolver(unit_ctx)
+    tables = [Constraints.build(unit_ctx, gauge=True) for _ in range(2)]
+
+    def weighted(table):
+        return SaddleSystem(unit_ctx, a0, b, rhs, mass_weight=weight,
+                            constraints=table).apply_dirichlet(quad_velocity)
+
+    weighted(tables[0]).solve(solver, "general")
+    op = solver._operator
+    weighted(tables[0]).solve(solver, "general")
+    assert solver._operator is op
+    with pytest.raises(ValueError):
+        weighted(tables[1]).solve(solver, "general")   # an equal table
+    assert solver._operator is op
 
 
 _FREED_BLOCK_SCRIPT = textwrap.dedent("""

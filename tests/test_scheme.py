@@ -13,9 +13,15 @@ from porousflow.assembly import (
 )
 from porousflow.cases import build_setup, get_case
 from porousflow.fem import FeField, interpolate, norm
-from porousflow.mesh import BoundaryTag, generate_rect_mesh
+from porousflow.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from porousflow.porous import builtin_porosity
-from porousflow.saddle import SaddleSystem, StepSolver
+from porousflow.saddle import (
+    Constraints,
+    GaugeError,
+    SaddleSystem,
+    StepSolver,
+    UnsupportedBoundaryError,
+)
 from porousflow.scheme import (
     ProblemSetup,
     SchemeDivergenceError,
@@ -51,6 +57,51 @@ def test_zero_data_gives_zero_solution(params):
     assert len(summary.steps) == 4
     assert np.abs(summary.u_final.coefficients).max() == 0.0
     assert np.abs(summary.p_final.coefficients).max() < 1e-14
+
+
+def test_setup_rejects_diagonal_slip_edge(params):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(verts, np.array([[0, 1, 2]]),
+                np.array([[0, 1], [1, 2], [2, 0]]),
+                [BoundaryTag.DIRICHLET, BoundaryTag.SLIP,
+                 BoundaryTag.DIRICHLET], np.zeros(3, dtype=int))
+    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
+    with pytest.raises(UnsupportedBoundaryError):
+        ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
+                     tau=0.25, t_final=1.0)
+
+
+def test_setup_rejects_gauge_with_stress_free_edge(params):
+    def tags(mid):
+        if mid[0] >= 1 - 1e-9:
+            return BoundaryTag.STRESS_FREE
+        return BoundaryTag.DIRICHLET
+
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=tags)
+    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
+    with pytest.raises(GaugeError):
+        ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
+                     tau=0.25, t_final=1.0, gauge=True)
+
+
+def test_run_builds_constraint_table_once(params, monkeypatch):
+    calls = {"build": 0, "boundary_nodes": 0}
+    build, nodes = Constraints.build.__func__, saddle.boundary_nodes
+
+    def counting_build(cls, *args, **kwargs):
+        calls["build"] += 1
+        return build(cls, *args, **kwargs)
+
+    def counting_nodes(*args, **kwargs):
+        calls["boundary_nodes"] += 1
+        return nodes(*args, **kwargs)
+
+    monkeypatch.setattr(Constraints, "build", classmethod(counting_build))
+    monkeypatch.setattr(saddle, "boundary_nodes", counting_nodes)
+    summary = run(make_setup(params, g=lambda p, t: np.column_stack(
+        [np.full(len(p), t), np.zeros(len(p))])))
+    assert len(summary.steps) == 4
+    assert calls == {"build": 1, "boundary_nodes": 1}
 
 
 def test_tau_exceeding_final_time_rejected(params):
@@ -286,7 +337,8 @@ def _step_systems(setup, kind, t, theta, rhs):
                              + assemble_c1(theta, ctx), b, rhs)
     weight = m_scale + linear_drag_weight(ctx) \
         + quadratic_drag_weight(theta, ctx)
-    weighted = SaddleSystem(ctx, a0, b, rhs, mass_weight=weight)
+    weighted = SaddleSystem(ctx, a0, b, rhs, mass_weight=weight,
+                            constraints=setup.constraints)
     for system in (reference, weighted):
         system.apply_dirichlet(setup.dirichlet, t)
         system.apply_slip()

@@ -20,7 +20,6 @@ from porousflow.verification import (
     build_mms_case,
     default_consistency_field,
     transport_identity_check,
-    mms_forcing,
     run_eoc,
     write_eoc_csv,
 )
@@ -111,11 +110,6 @@ def test_manufactured_point_values(mms_case):
     assert u[0] == pytest.approx(-1.06066, rel=1e-5)
     assert u[1] == pytest.approx(0.0, abs=1e-12)
     assert mms_case.p(pt, 0.0)[0] == pytest.approx(0.70711, rel=1e-5)
-
-
-def test_mms_forcing_helper_matches_case(mms_case, rng):
-    pts = rng.uniform(0.3, 2.8, (10, 2))
-    assert mms_forcing(pts, 0.2) == pytest.approx(mms_case.f(pts, 0.2))
 
 
 def test_mms_rejects_porosity_without_closed_form():
