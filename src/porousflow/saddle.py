@@ -95,7 +95,7 @@ class SolveReport:
     n_clamped_feet: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraints:
     """The fixed velocity unknowns of one boundary configuration: sorted,
     both components of every Dirichlet node and the normal component of
