@@ -15,10 +15,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import eigsh
 
 from porousflow.fem import (
-    AnalyticVectorField,
     FeField,
     QuadratureRule,
     SpaceDescriptor,
@@ -238,61 +236,6 @@ def assemble_mass_phi_rhs(material_fn: Callable, ctx: FormContext, tau: float,
                                     local.reshape(nt, 12),
                                     ctx.vspace.dof_count)
     return rhs, m_scale
-
-
-# -- diagnostics --------------------------------------------------------------------
-
-def trilinear_a1_quadrature(u: AnalyticVectorField, w: AnalyticVectorField,
-                            v: AnalyticVectorField, ctx: FormContext) -> float:
-    """Quadrature value of the convective form rho*((u . grad) w, v).
-
-    Diagnostic only: the time stepper replaces this form with the composed
-    transport term, so it never enters a system matrix.
-    """
-    pts = ctx.qpoints_flat
-    uv = np.asarray(u.value(pts), dtype=float)
-    gw = np.asarray(w.grad(pts), dtype=float)          # (n, 2, 2): gw[i, c, d] = d_d w_c
-    vv = np.asarray(v.value(pts), dtype=float)
-    conv = np.einsum("nd,ncd->nc", uv, gw)
-    nt, nq = ctx.wxarea.shape
-    integrand = (conv * vv).sum(axis=1).reshape(nt, nq)
-    return ctx.params.rho * float(np.einsum("tq,tq->", ctx.wxarea, integrand))
-
-
-def korn_constant_estimate(ctx: FormContext) -> float:
-    """Lower bound on ||D(u)|| / ||u||_H1 over the constrained velocity space.
-
-    Computed as the square root of the smallest generalized eigenvalue of the
-    strain-rate Gram matrix against the H1 Gram matrix, after removing the
-    Dirichlet unknowns of the boundary's constraint table.
-    """
-    from porousflow.saddle import Constraints   # saddle imports this module
-    strain = assemble_a0(ctx) / (2.0 * ctx.params.mu)
-    grad_gram = _vector_gradient_gram(ctx)
-    h1 = ctx.mass_matrix() + grad_gram
-    table = Constraints.build(ctx, gauge=False)
-    fixed = table.fixed[table.slots].ravel()
-    if fixed.size == 0:
-        raise ValueError("the constrained space needs at least one fixed node")
-    free = np.setdiff1d(np.arange(ctx.vspace.dof_count), fixed)
-    k_ff = strain[np.ix_(free, free)].tocsc()
-    h_ff = h1[np.ix_(free, free)].tocsc()
-    lam = eigsh(k_ff, k=1, M=h_ff, sigma=0, which="LM",
-                return_eigenvectors=False)
-    lam_min = float(lam[0])
-    if lam_min <= 0.0:
-        raise RuntimeError("strain-rate Gram matrix is not positive definite "
-                           "on the constrained space")
-    return float(np.sqrt(lam_min))
-
-
-def _vector_gradient_gram(ctx: FormContext) -> sparse.csr_matrix:
-    g = ctx.p2_grad
-    s = np.einsum("tq,tqnd,tqmd->tnm", ctx.wxarea, g, g)
-    local = _vectorize_scalar_local(s)
-    dofs = ctx.vspace.cell_dofs
-    n = ctx.vspace.dof_count
-    return _scatter_matrix(dofs, dofs, local, (n, n))
 
 
 def pressure_volume_vector(ctx: FormContext) -> np.ndarray:

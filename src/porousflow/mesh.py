@@ -123,24 +123,26 @@ class Mesh:
 
     def _build_adjacency(self):
         nt = self.n_triangles
-        owner: dict[tuple[int, int], tuple[int, int]] = {}
-        neighbors = np.full((nt, 3), -1, dtype=np.int64)
-        for t in range(nt):
-            v = self.triangles[t]
-            for k in range(3):
-                key = tuple(sorted((int(v[(k + 1) % 3]), int(v[(k + 2) % 3]))))
-                if key in owner:
-                    s, j = owner.pop(key)
-                    neighbors[t, k] = s
-                    neighbors[s, j] = t
-                else:
-                    owner[key] = (t, k)
-        self.triangle_neighbors = neighbors
-        vertex_tris: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for t in range(nt):
-            for v in self.triangles[t]:
-                vertex_tris[int(v)].append(t)
-        self._vertex_tris = [np.array(lst, dtype=np.int64) for lst in vertex_tris]
+        # edge k of a triangle lies opposite its vertex k; the two triangles
+        # of an interior edge meet as neighbours in the sorted edge keys
+        ends = np.sort(self.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+        ends = ends.reshape(-1, 2)
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        ends = ends[order]
+        same = (ends[1:] == ends[:-1]).all(axis=1)
+        if (same[1:] & same[:-1]).any():
+            raise ValueError("an edge is shared by more than two triangles")
+        first = np.flatnonzero(same)
+        a, b = order[first], order[first + 1]
+        neighbors = np.full(3 * nt, -1, dtype=np.int64)
+        neighbors[a] = b // 3
+        neighbors[b] = a // 3
+        self.triangle_neighbors = neighbors.reshape(nt, 3)
+        # vertex -> triangle incidence as CSR, ascending triangles per vertex
+        corners = self.triangles.ravel()
+        self._vertex_tris = np.argsort(corners, kind="stable") // 3
+        self._vertex_tris_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(corners, minlength=self.n_vertices))])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -153,8 +155,9 @@ class Mesh:
         return len(self.triangles)
 
     def vertex_triangles(self, v: int) -> np.ndarray:
-        """Indices of the triangles incident to vertex ``v``."""
-        return self._vertex_tris[v]
+        """Indices of the triangles incident to vertex ``v``, ascending."""
+        ptr = self._vertex_tris_ptr
+        return self._vertex_tris[ptr[v]:ptr[v + 1]]
 
     def boundary_edges_by_tag(self, tag: BoundaryTag) -> np.ndarray:
         return np.array([i for i, t in enumerate(self.boundary_tags) if t is tag],

@@ -20,11 +20,15 @@ The operator eliminates the constant blocks once, in a CSR pattern that also
 holds every element's mass-type entries, and each step scatters its element
 matrices into a copy of the constant data by precomputed positions.
 
-The solver holds at most one sparse LU factorization.  A system of the same
-kind as the factorized one is solved by right-preconditioned GMRES with that
-LU, one triangular solve per iteration; a system of another kind, or one on
-which GMRES misses its tolerance within one restart cycle, is factorized
-afresh and solved directly, so one factorization serves every general step.
+The solver holds at most one sparse LU factorization.  Every matrix is
+factorized in one fill-reducing order of its unknowns, computed once per
+constraint table by :func:`nested_dissection` from the mesh geometry.  A
+system of the same kind as the factorized one is solved by
+right-preconditioned GMRES with that LU, one triangular solve per iteration,
+down to the accuracy the factorizing direct solve itself reached; a system
+of another kind, or one on which GMRES misses that stop within one restart
+cycle, is factorized afresh and solved directly, so one factorization serves
+every general step.
 """
 
 from __future__ import annotations
@@ -43,19 +47,32 @@ from porousflow.fem import FeField, boundary_nodes
 from porousflow.mesh import BoundaryTag
 
 # SuperLU settings.  The constrained step matrices are structurally
-# symmetric: symmetric mode with a minimum-degree ordering of A + A^T cuts the
-# fill of the default COLAMD column ordering (MMS N=32: 4.7M entries -> 2.3M
-# at the start-up step, 3.4M at general steps), and with it the memory a held
-# factor occupies next to the following step's assembly.
-PERMC_SPEC = "MMD_AT_PLUS_A"
+# symmetric, and SuperLU factors them in symmetric mode, in the order of
+# their unknowns: a geometric nested dissection of the mesh (see
+# nested_dissection) with leaves of about DISSECTION_LEAF unknowns.  Against
+# SuperLU's minimum-degree ordering of A + A^T, on general step matrices (one
+# core), it cuts the factor of two-layer n=60 from 2.05M entries (L+U) and
+# 0.28 s to 1.43M and 0.10 s, of MMS N=32 from 2.77M to 1.33M entries, and of
+# sinusoidal n=150 from 30.9M entries and 9.0 s to 12.2M and 0.96 s, with
+# its triangular solve 62 -> 31 ms.
 DIAG_PIVOT_THRESH = 0.01
+DISSECTION_LEAF = 32
 # GMRES with a held factor as preconditioner must reach this relative
 # residual (of the unpreconditioned system) within one restart cycle of
-# KRYLOV_MAX_ITERATIONS iterations; otherwise the factor is replaced.
+# KRYLOV_MAX_ITERATIONS iterations; otherwise the factor is replaced.  The
+# stop is raised to DIRECT_RESIDUAL_MARGIN times the relative residual of the
+# direct solve that built the factor: GMRES in working precision stalls near
+# the accuracy of a direct solve (sinusoidal n=40: direct 5.8e-14, GMRES
+# 6.5e-14), so a stricter stop would only discard a good factor.  A margin of
+# 10 leaves a system whose direct solve reaches 4e-16 at KRYLOV_RTOL, which
+# one more iteration reaches, where 100 would stop it at 2e-14.
 KRYLOV_RTOL = 1e-14
+DIRECT_RESIDUAL_MARGIN = 10.0
 KRYLOV_MAX_ITERATIONS = 20
 # A solve whose relative residual exceeds this is rejected as singular.
 RESIDUAL_BOUND = 1e-6
+# the fixed unknowns of a system without constraints
+NO_FIXED = np.empty(0, dtype=np.int64)
 # glibc raises its mmap threshold to each freed mapped block (up to 32 MiB),
 # so later factors are carved from the heap among the step temporaries and a
 # run's peak RSS follows how that heap fragments (two-layer n=60: 134-144 MB
@@ -225,6 +242,95 @@ def _step_pattern(k, cell_dofs, free):
     return united, pos
 
 
+def _place(pos, unknowns, groups, first):
+    """Give the ``unknowns`` of each group consecutive positions from
+    ``first[group]`` on, in index order."""
+    order = np.argsort(groups, kind="stable")
+    unknowns, groups = unknowns[order], groups[order]
+    rank = np.arange(len(groups)) - np.searchsorted(groups, groups)
+    pos[unknowns] = first[groups] + rank
+
+
+def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
+    """Nested-dissection order of the unknowns of a step system of ``ctx``
+    (velocity, pressure, then the gauge multiplier when ``gauge``).
+
+    The ``fixed`` unknowns, decoupled by elimination, come first and the
+    gauge multiplier, coupled to every pressure, last.  The triangles are
+    split level by level: each part at the median centroid along its longer
+    extent.  The part's unplaced unknowns used by triangles on both sides
+    form its separator, ordered after the left and the right part; a part of
+    at most ``DISSECTION_LEAF`` unknowns is a leaf, in index order.  Element
+    matrices couple only unknowns of one triangle, so no entry of the step
+    matrix joins a left part to its right part.
+
+    Returns ``(perm, splits)``: ``k[perm][:, perm]`` is ``k`` in this order,
+    and each row ``(start, middle, separator)`` of ``splits`` says that one
+    split put its left part at positions ``start:middle``, its right part at
+    ``middle:separator`` and its separator after them.
+    """
+    nv = ctx.vspace.dof_count
+    n = nv + ctx.pspace.dof_count + int(gauge)
+    cell_dofs = np.hstack([ctx.vspace.cell_dofs, nv + ctx.pspace.cell_dofs])
+    centroids = ctx.mesh.vertices[ctx.mesh.triangles].mean(axis=1)
+    pos = np.full(n, -1)
+    pos[fixed] = np.arange(fixed.size)
+    if gauge:
+        pos[-1] = n - 1
+    part = np.where(pos < 0, 0, -1)       # of each unknown; -1 once placed
+    tri_part = np.zeros(len(centroids), dtype=np.int64)   # -1 in a leaf
+    start = np.array([fixed.size])        # first position of each part
+    splits = []
+    while True:
+        live = np.flatnonzero(part >= 0)
+        size = np.bincount(part[live], minlength=len(start))
+        big = size > DISSECTION_LEAF
+        leaf = live[~big[part[live]]]
+        _place(pos, leaf, part[leaf], start)
+        # split the big parts, renumbered 0, 1, ...
+        tris = np.flatnonzero(tri_part >= 0)
+        tris = tris[big[tri_part[tris]]]
+        if not tris.size:
+            break
+        renumber = np.cumsum(big) - 1
+        tp = renumber[tri_part[tris]]
+        live = live[big[part[live]]]
+        up = renumber[part[live]]
+        start = start[big]
+        parts = len(start)
+        c = centroids[tris]
+        low = np.full((parts, 2), np.inf)
+        high = np.full((parts, 2), -np.inf)
+        np.minimum.at(low, tp, c)
+        np.maximum.at(high, tp, c)
+        axis = np.argmax(high - low, axis=1)
+        order = np.lexsort((c[np.arange(len(tris)), axis[tp]], tp))
+        sorted_tp = tp[order]
+        rank = np.empty(len(tris), dtype=np.int64)
+        rank[order] = np.arange(len(tris)) - np.searchsorted(sorted_tp,
+                                                            sorted_tp)
+        side = (rank >= np.bincount(tp, minlength=parts)[tp] // 2) * 1
+        used = np.zeros((2, n), dtype=bool)
+        used[np.repeat(side, cell_dofs.shape[1]),
+             cell_dofs[tris].ravel()] = True
+        on_left, on_right = used[:, live]
+        sep = on_left & on_right
+        child = 2 * up + on_right
+        sizes = np.bincount(child[~sep], minlength=2 * parts)
+        middle = start + sizes[0::2]
+        separator = middle + sizes[1::2]
+        _place(pos, live[sep], up[sep], separator)
+        splits.append(np.column_stack([start, middle, separator]))
+        part[:] = -1
+        part[live[~sep]] = child[~sep]
+        tri_part[:] = -1
+        tri_part[tris] = 2 * tp + side
+        start = np.column_stack([start, middle]).ravel()
+    perm = np.empty(n, dtype=np.int64)
+    perm[pos] = np.arange(n)
+    return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])
+
+
 class StepOperator:
     """Constrained matrix of ``[[A + M(w), B^T], [B, 0]]`` (gauge-bordered
     when gauged) for one constraint table, in a fixed CSR pattern.
@@ -294,15 +400,19 @@ class StepOperator:
 class StepSolver:
     """Solves the constrained systems of one run, holding at most one LU.
 
-    The held factorization is keyed by the ``key`` of the solve that built
-    it; start-up and general steps pass different keys because their mass
-    blocks carry rho/tau and 3 rho/(2 tau).  A solve with the held key runs
-    GMRES on its own matrix, right-preconditioned by the held LU and started
-    from the LU's solution.  When GMRES misses ``KRYLOV_RTOL`` within one
-    restart cycle, or the key differs, the held LU is dropped before the new
-    matrix is factorized, so two factors never coexist and freed ones leave
-    the process.  The solver also holds the run's :class:`StepOperator`,
-    built once and shared by both keys.
+    Every matrix is factorized in the :func:`nested_dissection` order of its
+    unknowns, computed once per constraint table, and the held LU keeps the
+    permutation it was built in.  The held factorization is keyed by the
+    ``key`` of the solve that built it; start-up and general steps pass
+    different keys because their mass blocks carry rho/tau and
+    3 rho/(2 tau).  A solve with the held key runs GMRES on its own matrix,
+    right-preconditioned by the held LU and started from the LU's solution,
+    down to ``KRYLOV_RTOL`` or ``DIRECT_RESIDUAL_MARGIN`` times the relative
+    residual the LU's own direct solve reached, whichever is larger.  When
+    GMRES misses that stop within one restart cycle, or the key differs, the
+    held LU is dropped before the new matrix is factorized, so two factors
+    never coexist and freed ones leave the process.  The solver also holds
+    the run's :class:`StepOperator`, built once and shared by both keys.
     """
 
     def __init__(self, ctx: FormContext):
@@ -310,6 +420,9 @@ class StepSolver:
         self.ctx = ctx
         self._lu = None
         self._key = None
+        self._perm = None              # the held LU's order of the unknowns
+        self._direct_residual = 0.0    # the held LU's own relative residual
+        self._ordering = None          # (fixed, gauge, permutation)
         self._operator: StepOperator | None = None
 
     def operator(self, a_block, b_block,
@@ -327,8 +440,11 @@ class StepSolver:
                              "constant blocks or another constraint table")
         return op
 
-    def solve(self, k: sparse.csr_matrix, rhs: np.ndarray, key=None):
-        """Solve ``k x = rhs``.
+    def solve(self, k: sparse.csr_matrix, rhs: np.ndarray, key=None,
+              fixed: np.ndarray = NO_FIXED):
+        """Solve ``k x = rhs``, whose ``fixed`` unknowns (a constraint
+        table's array) are eliminated; an unknown past the pressures is the
+        gauge multiplier.
 
         Returns ``(x, residual, krylov_iterations, factorized)`` with the
         relative residual of ``x``; raises :class:`SingularSystemError` when
@@ -341,14 +457,21 @@ class StepSolver:
         factorized = x is None
         if factorized:
             self._lu = None
+            gauge = k.shape[0] > self.ctx.vspace.dof_count \
+                + self.ctx.pspace.dof_count
+            held = self._ordering   # computed once per constraint table
+            if held is None or held[0] is not fixed or held[1] != gauge:
+                held = self._ordering = (
+                    fixed, gauge, nested_dissection(self.ctx, fixed, gauge)[0])
+            perm = held[2]
             try:
-                lu = splu(k.tocsc(), permc_spec=PERMC_SPEC,
+                lu = splu(k[perm][:, perm].tocsc(), permc_spec="NATURAL",
                           diag_pivot_thresh=DIAG_PIVOT_THRESH,
                           options={"SymmetricMode": True})
-                x = lu.solve(rhs)
             except RuntimeError as exc:
                 raise SingularSystemError(str(exc)) from exc
-            self._lu, self._key = lu, key
+            self._lu, self._perm, self._key = lu, perm, key
+            x = self._lu_solve(rhs)
             r_norm = float(np.linalg.norm(k @ x - rhs))
             path = "direct LU solve"
         else:
@@ -358,7 +481,15 @@ class StepSolver:
             self._lu = None
             raise SingularSystemError(
                 f"{path} left a relative residual of {resid:.3e}")
+        if factorized:
+            self._direct_residual = resid
         return x, resid, iterations, factorized
+
+    def _lu_solve(self, b):
+        """``x`` with ``k x = b`` by the held LU of ``k`` permuted."""
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
+        return x
 
     def _krylov(self, k, rhs, rhs_norm):
         """GMRES right-preconditioned by the held LU, started from its
@@ -367,15 +498,16 @@ class StepSolver:
         The preconditioned directions ``Z = LU^{-1} V`` are stored, so each
         iteration solves with the LU once, and the least-squares residual of
         the Hessenberg system is the residual of ``k x = rhs`` itself.  The
-        iterate is formed once that residual reaches ``KRYLOV_RTOL`` and is
-        accepted when its true residual does too.
+        iterate is formed once that residual reaches the stop (see
+        :class:`StepSolver`) and is accepted when its true residual does too.
 
         Returns ``(x, iterations, residual norm)``, with ``x = None`` when
-        the tolerance was missed.
+        the stop was missed.
         """
-        solve = self._lu.solve
+        solve = self._lu_solve
         m = KRYLOV_MAX_ITERATIONS
-        target = KRYLOV_RTOL * rhs_norm
+        target = max(KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN
+                     * self._direct_residual) * rhs_norm
         x0 = solve(rhs)
         r = rhs - k @ x0
         beta = float(np.linalg.norm(r))
@@ -506,7 +638,7 @@ class SaddleSystem:
             k, rhs = op.assemble(self.mass_weight, rhs, self.values)
             return k, rhs, op.fixed, self.values
 
-        fixed, values = np.empty(0, dtype=np.int64), np.empty(0)
+        fixed, values = NO_FIXED, np.empty(0)
         if self.values is not None:
             fixed, values = self.constraints.fixed, self.values
         a = self.A
@@ -534,7 +666,7 @@ class SaddleSystem:
             raise ValueError("the solver belongs to another form context")
         k, rhs, fixed, values = self.constrained(solver)
         solver = solver or StepSolver(self.ctx)
-        x, resid, iterations, factorized = solver.solve(k, rhs, key)
+        x, resid, iterations, factorized = solver.solve(k, rhs, key, fixed)
         if fixed.size:
             x[fixed] = values  # prescribed values, exactly
 

@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from diagnostic_forms import (
+    korn_constant_estimate,
+    trilinear_a1_quadrature,
+    vector_gradient_gram,
+)
 from porousflow.assembly import (
     assemble_a0,
     assemble_b,
@@ -11,10 +16,8 @@ from porousflow.assembly import (
     assemble_c1,
     assemble_load,
     assemble_mass_phi_rhs,
-    korn_constant_estimate,
     make_context,
     pressure_volume_vector,
-    trilinear_a1_quadrature,
 )
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
@@ -230,8 +233,7 @@ def test_korn_estimate_positive_and_bounds(unit_ctx, params, rng):
     beta0 = korn_constant_estimate(unit_ctx)
     assert beta0 > 0.0
     a0 = assemble_a0(unit_ctx)
-    from porousflow.assembly import _vector_gradient_gram
-    h1 = unit_ctx.mass_matrix() + _vector_gradient_gram(unit_ctx)
+    h1 = unit_ctx.mass_matrix() + vector_gradient_gram(unit_ctx)
     from porousflow.fem import boundary_nodes
     from porousflow.mesh import BoundaryTag
     fixed_nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})

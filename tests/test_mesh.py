@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from porousflow.cases import build_case_mesh, get_case
 from porousflow.mesh import (
     BoundaryTag,
     LayerGrading,
+    Mesh,
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
@@ -115,6 +117,51 @@ def test_neighbor_symmetry(unit_mesh):
         for s in nb[t]:
             if s >= 0:
                 assert t in nb[s]
+
+
+def _loop_adjacency(mesh):
+    """Triangle neighbours and vertex incidence by the per-triangle loops
+    the vectorized construction replaced."""
+    owner = {}
+    neighbors = np.full((mesh.n_triangles, 3), -1, dtype=np.int64)
+    for t, v in enumerate(mesh.triangles):
+        for k in range(3):
+            key = tuple(sorted((int(v[(k + 1) % 3]), int(v[(k + 2) % 3]))))
+            if key in owner:
+                s, j = owner.pop(key)
+                neighbors[t, k] = s
+                neighbors[s, j] = t
+            else:
+                owner[key] = (t, k)
+    vertex_tris = [[] for _ in range(mesh.n_vertices)]
+    for t, v in enumerate(mesh.triangles):
+        for w in v:
+            vertex_tris[int(w)].append(t)
+    return neighbors, vertex_tris
+
+
+@pytest.mark.parametrize("mesh", [
+    build_case_mesh(get_case("two-layer"), 12),
+    generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 8),
+    build_case_mesh(get_case("sinusoidal"), 10),
+], ids=["two-layer-graded-12", "mms-uniform-8", "sinusoidal-10"])
+def test_adjacency_matches_per_triangle_loops(mesh):
+    neighbors, vertex_tris = _loop_adjacency(mesh)
+    assert np.array_equal(mesh.triangle_neighbors, neighbors)
+    for v, tris in enumerate(vertex_tris):
+        got = mesh.vertex_triangles(v)
+        assert got.dtype == np.int64 and got.tolist() == tris
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    # three triangles fanned around the edge (0, 1)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.5, 2.0]])
+    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    edges = np.array([[1, 2], [2, 0], [0, 3], [3, 1]])
+    with pytest.raises(ValueError, match="more than two triangles"):
+        Mesh(verts, tris, edges, [BoundaryTag.DIRICHLET] * 4,
+             np.zeros(4, dtype=int))
 
 
 def test_boundary_edges_count_and_tags():

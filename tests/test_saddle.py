@@ -6,6 +6,9 @@ import textwrap
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 from porousflow import saddle
 from porousflow.assembly import (
@@ -15,6 +18,7 @@ from porousflow.assembly import (
     make_context,
     pressure_volume_vector,
 )
+from porousflow.cases import build_case_mesh, get_case
 from porousflow.fem import boundary_nodes, interpolate
 from porousflow.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from porousflow.porous import builtin_porosity
@@ -27,6 +31,7 @@ from porousflow.saddle import (
     SolverError,
     StepSolver,
     UnsupportedBoundaryError,
+    nested_dissection,
 )
 from porousflow.verification import steady_stokes_solve
 
@@ -354,6 +359,83 @@ def test_step_solver_rejects_another_constraint_table(unit_ctx, params):
     with pytest.raises(ValueError):
         weighted(tables[1]).solve(solver, "general")   # an equal table
     assert solver._operator is op
+
+
+def _outlet_tags(mid):
+    return BoundaryTag.STRESS_FREE if mid[0] >= 1.0 - 1e-9 \
+        else BoundaryTag.DIRICHLET
+
+
+# (mesh of resolution n, gauge): a stress-free outlet fixes the pressure
+# level, a fully Dirichlet boundary needs the gauge
+ORDERING_MESHES = {
+    "graded-two-layer": (lambda n: build_case_mesh(get_case("two-layer"), n),
+                         False),
+    "uniform-gauged": (lambda n: generate_rect_mesh((0.0, 1.0), (0.0, 1.0),
+                                                    n), True),
+    "uniform-outlet": (lambda n: generate_rect_mesh(
+        (0.0, 1.0), (0.0, 1.0), n, tag_rule=_outlet_tags), False),
+}
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(ORDERING_MESHES)), n=st.integers(4, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nested_dissection_separates_and_solves(kind, n, seed):
+    make_mesh, gauge = ORDERING_MESHES[kind]
+    mesh = make_mesh(n)
+    params = get_case("two-layer").params
+    ctx = make_context(mesh, builtin_porosity("constant", value=0.6), params)
+    rng = np.random.default_rng(seed)
+    table = Constraints.build(ctx, gauge)
+    system = SaddleSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
+                          rng.normal(size=ctx.vspace.dof_count),
+                          mass_weight=rng.uniform(1.0, 3.0,
+                                                  ctx.wxarea.shape),
+                          constraints=table)
+    k, rhs, fixed, _ = system.apply_dirichlet(
+        lambda p: rng.normal(size=(len(p), 2))).constrained()
+    size = k.shape[0]
+    perm, splits = nested_dissection(ctx, table.fixed, gauge)
+    assert np.array_equal(np.sort(perm), np.arange(size))
+    assert np.array_equal(np.sort(perm[:fixed.size]), fixed)
+    if gauge:
+        assert perm[-1] == size - 1
+    ordered = k[perm][:, perm].tocsr()
+    assert len(splits)
+    for start, middle, separator in splits:
+        assert start <= middle <= separator <= size
+        left_right = ordered[start:middle, middle:separator]
+        assert np.count_nonzero(left_right.data) == 0
+        assert np.count_nonzero(ordered[middle:separator,
+                                        start:middle].data) == 0
+    x, resid, _, factorized = StepSolver(ctx).solve(k, rhs, None, fixed)
+    reference = splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=saddle.DIAG_PIVOT_THRESH,
+                     options={"SymmetricMode": True}).solve(rhs)
+    assert factorized and resid <= 1e-12
+    assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return nested_dissection(*args)
+
+    monkeypatch.setattr(saddle, "nested_dissection", counting)
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    weight = np.ones_like(unit_ctx.wxarea)
+    a0, b = assemble_a0(unit_ctx), assemble_b(unit_ctx)
+    table = Constraints.build(unit_ctx, gauge=True)
+    solver = StepSolver(unit_ctx)
+    for kind in ("initial", "general", "initial"):
+        _, _, rep = SaddleSystem(unit_ctx, a0, b, rhs, mass_weight=weight,
+                                 constraints=table) \
+            .apply_dirichlet(quad_velocity).solve(solver, kind)
+        assert rep.factorized
+    assert len(calls) == 1 and calls[0] is table.fixed
 
 
 _FREED_BLOCK_SCRIPT = textwrap.dedent("""

@@ -246,6 +246,13 @@ def _two_layer_setup(mms_case):
     return setup
 
 
+def _sinusoidal_setup(mms_case):
+    case = get_case("sinusoidal")
+    tau = case.nominal_h(40)
+    _, _, setup = build_setup(case, 40, tau=tau, t_final=6.5 * tau)
+    return setup
+
+
 def _fresh_steps(setup):
     """Every step through the public step functions without a solver, so
     each step system is factorized on its own."""
@@ -276,8 +283,10 @@ def _assert_same_fields(steps, fresh):
                 <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup],
-                         ids=["mms-gauged", "two-layer-stress-free"])
+@pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup,
+                                  _sinusoidal_setup],
+                         ids=["mms-gauged", "two-layer-stress-free",
+                              "sinusoidal-40"])
 def test_run_reuses_factorization_and_matches_fresh_solves(mms_case, make):
     setup = make(mms_case)
     fresh = _fresh_steps(setup)
@@ -289,6 +298,22 @@ def test_run_reuses_factorization_and_matches_fresh_solves(mms_case, make):
     assert [d["factorized"] for d in diags] == [True, True] \
         + [False] * (len(diags) - 2)
     assert all(d["krylov_iterations"] > 0 for d in diags[2:])
+
+
+def test_sinusoidal_general_steps_reuse_the_lu(mms_case):
+    # the direct solves of this case reach only about 6e-14, so GMRES with
+    # the held LU cannot reach KRYLOV_RTOL; it stops near the direct solve's
+    # own accuracy instead of refactorizing every step
+    setup = _sinusoidal_setup(mms_case)
+    diags = [d for _, _, d in _run_steps(setup)]
+    assert [d["factorized"] for d in diags] == [True, True] \
+        + [False] * (len(diags) - 2)
+    direct = diags[1]["algebraic_residual"]
+    assert direct > saddle.KRYLOV_RTOL
+    for d in diags[2:]:
+        assert 0 < d["krylov_iterations"] < saddle.KRYLOV_MAX_ITERATIONS
+        assert d["algebraic_residual"] \
+            <= saddle.DIRECT_RESIDUAL_MARGIN * direct
 
 
 def test_run_replaces_lu_that_misses_target(mms_case, monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from porousflow.assembly import korn_constant_estimate, make_context
+from diagnostic_forms import korn_constant_estimate, trilinear_a1_quadrature
+from porousflow.assembly import make_context
 from porousflow.fem import AnalyticVectorField, interpolate, norm
 from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import (
@@ -290,7 +291,6 @@ def test_korn_estimate_stable_across_resolutions(params):
 def test_trilinear_form_matches_identity_lhs(mms_case, params):
     # the convective-form diagnostic and the identity check compute the same
     # integral through independent code paths
-    from porousflow.assembly import trilinear_a1_quadrature
     u = mms_case.velocity_field(0.0)
     phi = mms_case.porosity
 
