@@ -19,10 +19,11 @@ import scipy.sparse as sparse
 from porousflow.fem import (
     FeField,
     QuadratureRule,
+    QuadTables,
     SpaceDescriptor,
-    _quad_tables,
-    eval_basis,
+    norm,
     pressure_space,
+    quad_tables,
     tri_quadrature,
     velocity_space,
 )
@@ -37,7 +38,8 @@ from porousflow.porous import (
 
 @dataclass
 class FormContext:
-    """Mesh, spaces, porosity, constants, and cached quadrature tables."""
+    """Mesh, spaces, porosity, constants, and the mesh's quadrature tables
+    of the context's rule (see :func:`porousflow.fem.quad_tables`)."""
 
     mesh: Mesh
     vspace: SpaceDescriptor
@@ -46,42 +48,43 @@ class FormContext:
     params: PhysicalParams
     quad: QuadratureRule
 
-    # cached tables, built on construction
+    # tables of the rule, shared with the mesh's norms and error norms
+    tables: QuadTables = field(init=False, repr=False)
     wxarea: np.ndarray = field(init=False, repr=False)     # (nt, nq)
     qpoints: np.ndarray = field(init=False, repr=False)    # (nt, nq, 2)
     qpoints_flat: np.ndarray = field(init=False, repr=False)
     qhints_flat: np.ndarray = field(init=False, repr=False)
     p1_vals: np.ndarray = field(init=False, repr=False)    # (nq, 3)
     p2_vals: np.ndarray = field(init=False, repr=False)    # (nq, 6)
-    p2_grad: np.ndarray = field(init=False, repr=False)    # (nt, nq, 6, 2)
     phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
     _mass: sparse.csr_matrix | None = field(init=False, default=None, repr=False)
     _volume: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.p1_vals, _ = eval_basis("p1", self.quad.points)
-        self.p2_vals, self.p2_grad, self.wxarea, self.qpoints = _quad_tables(
-            self.mesh, "p2", self.quad, True)
+        self.tables = quad_tables(self.mesh, self.quad)
+        self.wxarea, self.qpoints = self.tables.wxarea, self.tables.qpoints
+        self.p1_vals, self.p2_vals = self.tables.p1_vals, self.tables.p2_vals
         nt, nq = self.wxarea.shape
         self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
         self.qhints_flat = np.repeat(np.arange(nt, dtype=np.int64), nq)
         self.phi_q = np.asarray(self.porosity.value(self.qpoints_flat),
                                 dtype=float).reshape(nt, nq)
 
+    @property
+    def p2_grad(self) -> np.ndarray:
+        """Physical P2 basis gradients, (nt, nq, 6, 2)."""
+        return self.tables.p2_grad
+
     def velocity_at_quad(self, f: FeField) -> np.ndarray:
         """Values of a velocity field at all quadrature points, (nt, nq, 2)."""
-        coef = f.node_values()[self.vspace.cell_nodes]
-        return np.einsum("qn,tnc->tqc", self.p2_vals, coef)
+        return self.tables.at_quad(f)
 
     def l2_norm(self, f: FeField) -> float:
-        """L2 norm of a velocity or pressure field on the context's rule,
-        from the cached tables (``fem.norm(f, "L2", rule=self.quad)``)."""
+        """L2 norm of a velocity or pressure field of the context's mesh on
+        the context's rule."""
         if f.space.mesh is not self.mesh:
             raise ValueError("the field lives on another mesh")
-        vals = self.p2_vals if f.space.kind == self.vspace.kind \
-            else self.p1_vals
-        u = np.einsum("qn,tnc->tqc", vals, f.node_values()[f.space.cell_nodes])
-        return float(np.sqrt(np.einsum("tq,tqc->", self.wxarea, u ** 2)))
+        return norm(f, "L2", self.quad)
 
     def mass_matrix(self) -> sparse.csr_matrix:
         """Unweighted velocity mass matrix (cached)."""
@@ -112,9 +115,15 @@ def _scatter_matrix(rows_dofs, cols_dofs, local, shape) -> sparse.csr_matrix:
 
 
 def _scatter_vector(dofs, local, size) -> np.ndarray:
-    out = np.zeros(size)
-    np.add.at(out, dofs.ravel(), local.ravel())
-    return out
+    return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=size)
+
+
+def _velocity_load(ctx: FormContext, values: np.ndarray) -> np.ndarray:
+    """Load vector (v, .) of velocity-valued quadrature-point values
+    (nt, nq, 2): one product with the transposed P2 value table."""
+    local = (ctx.wxarea[:, :, None] * values).reshape(len(values), -1) \
+        @ ctx.tables.p2_table.T                               # (nt, 12)
+    return _scatter_vector(ctx.vspace.cell_dofs, local, ctx.vspace.dof_count)
 
 
 def _vectorize_scalar_local(s_local: np.ndarray) -> np.ndarray:
@@ -203,9 +212,7 @@ def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:
     else:
         fv = f(ctx.qpoints_flat) if t is None else f(ctx.qpoints_flat, t)
         fv = np.asarray(fv, dtype=float).reshape(nt, nq, 2)
-    local = np.einsum("tq,tqc,qn->tnc", ctx.wxarea, fv, ctx.p2_vals)
-    return _scatter_vector(ctx.vspace.cell_dofs, local.reshape(nt, 12),
-                           ctx.vspace.dof_count)
+    return _velocity_load(ctx, fv)
 
 
 def assemble_mass_phi_rhs(material_fn: Callable, ctx: FormContext, tau: float,
@@ -231,11 +238,7 @@ def assemble_mass_phi_rhs(material_fn: Callable, ctx: FormContext, tau: float,
     nt, nq = ctx.wxarea.shape
     bracket = np.asarray(material_fn(ctx.qpoints_flat, ctx.qhints_flat),
                          dtype=float).reshape(nt, nq, 2)
-    local = np.einsum("tq,tqc,qn->tnc", ctx.wxarea, bracket, ctx.p2_vals)
-    rhs = r_scale * _scatter_vector(ctx.vspace.cell_dofs,
-                                    local.reshape(nt, 12),
-                                    ctx.vspace.dof_count)
-    return rhs, m_scale
+    return r_scale * _velocity_load(ctx, bracket), m_scale
 
 
 def pressure_volume_vector(ctx: FormContext) -> np.ndarray:

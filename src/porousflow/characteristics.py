@@ -6,7 +6,10 @@ for the extrapolated advecting velocity ``w*``; previous velocity fields are
 evaluated there by finite element interpolation, dividing by the analytic
 porosity at the evaluation point.  All feet of a batch of points are handled
 together: one point location, one boundary-exit call, one field evaluation
-and one porosity evaluation.
+and one porosity evaluation per composed field.  The two-step bracket locates
+its feet with two walks, the ``tau`` feet from the points' own triangles and
+the ``2 tau`` feet, which lie twice as far along the same direction, from the
+triangles where the ``tau`` feet were found.
 
 Feet that leave the domain are clamped to the first boundary intersection of
 the backtracking segment.  When that crossing is through a Dirichlet edge the
@@ -26,8 +29,9 @@ from porousflow.porous import PorosityField
 def _composed_average_velocity(points, hints, field: FeField,
                                porosity: PorosityField, advect, tau: float,
                                g=None):
-    """(field/phi) at the upwind feet of many points; returns values and the
-    number of clamped feet."""
+    """(field/phi) at the upwind feet of many points, walking from the
+    ``hints`` triangles; returns the values, the number of clamped feet and
+    the triangle of every (clamped) foot."""
     mesh = field.space.mesh
     feet = points - tau * advect
     tri, bary, inside = locate_many(mesh, feet, hints)
@@ -43,7 +47,8 @@ def _composed_average_velocity(points, hints, field: FeField,
     vals = eval_field_many(field, tri, bary)
     if on_dirichlet.size:
         vals[on_dirichlet] = g(feet[on_dirichlet])
-    return vals / np.asarray(porosity.value(feet))[:, None], len(outside)
+    return (vals / np.asarray(porosity.value(feet))[:, None], len(outside),
+            tri)
 
 
 def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
@@ -69,10 +74,10 @@ def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
         u_prev2_at = eval_field_many(u_prev2, tri, bary)
     phi_x = np.asarray(porosity.value(points), dtype=float)
     w_star = (2.0 * u_prev_at - u_prev2_at) / phi_x[:, None]
-    w1, c1 = _composed_average_velocity(points, hints, u_prev, porosity,
-                                        w_star, tau, g_prev)
-    w2, c2 = _composed_average_velocity(points, hints, u_prev2, porosity,
-                                        w_star, 2.0 * tau, g_prev2)
+    w1, c1, tri1 = _composed_average_velocity(points, hints, u_prev,
+                                              porosity, w_star, tau, g_prev)
+    w2, c2, _ = _composed_average_velocity(points, tri1, u_prev2, porosity,
+                                           w_star, 2.0 * tau, g_prev2)
     return phi_x[:, None] * (4.0 * w1 - w2), c1 + c2
 
 
@@ -90,6 +95,6 @@ def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
         u0_at = eval_field_many(u0, tri, bary)
     phi_x = np.asarray(porosity.value(points), dtype=float)
     w0 = u0_at / phi_x[:, None]
-    w, clamped = _composed_average_velocity(points, hints, u0, porosity,
-                                            w0, tau, g0)
+    w, clamped, _ = _composed_average_velocity(points, hints, u0, porosity,
+                                               w0, tau, g0)
     return phi_x[:, None] * w, clamped

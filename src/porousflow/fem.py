@@ -11,11 +11,14 @@ Triangle quadrature comes in two flavors: the classical 7-point rule, exact
 to degree 5 and used as the default everywhere, and conical-product rules of
 arbitrary degree assembled from Gauss-Jacobi/Gauss-Legendre points for the
 high-accuracy diagnostics.  Weights are normalized to sum to one; integrals
-are ``area * sum(w_i * f_i)`` per element.
+are ``area * sum(w_i * f_i)`` per element.  The tables of a rule on a mesh
+are built once and kept on the mesh (:func:`quad_tables`), so the norms, the
+error norms and the form context of one mesh share them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -94,6 +97,17 @@ def edge_quadrature(n: int = 5):
 
 # -- reference bases -----------------------------------------------------------
 
+def _p2_values(b: np.ndarray) -> np.ndarray:
+    """P2 nodal basis values at barycentric points ``b`` (m, 3), (m, 6)."""
+    vals = np.empty((len(b), 6))
+    for i in range(3):
+        vals[:, i] = b[:, i] * (2.0 * b[:, i] - 1.0)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        vals[:, 3 + k] = 4.0 * b[:, i] * b[:, j]
+    return vals
+
+
 def eval_basis(kind: str, bary):
     """Nodal basis values and barycentric derivatives at ``bary`` points.
 
@@ -108,17 +122,14 @@ def eval_basis(kind: str, bary):
         grads = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
         return vals, grads
     if kind in (P2_VECTOR, "p2"):
-        vals = np.empty((m, 6))
         grads = np.zeros((m, 6, 3))
         for i in range(3):
-            vals[:, i] = b[:, i] * (2.0 * b[:, i] - 1.0)
             grads[:, i, i] = 4.0 * b[:, i] - 1.0
         for k in range(3):
             i, j = (k + 1) % 3, (k + 2) % 3
-            vals[:, 3 + k] = 4.0 * b[:, i] * b[:, j]
             grads[:, 3 + k, i] = 4.0 * b[:, j]
             grads[:, 3 + k, j] = 4.0 * b[:, i]
-        return vals, grads
+        return _p2_values(b), grads
     raise ValueError(f"unknown basis kind: {kind!r}")
 
 
@@ -233,61 +244,113 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
 def eval_field_many(field_: FeField, tris, bary, gradient: bool = False):
     """Evaluate a field (and optionally its gradient) at located points."""
     sp = field_.space
-    vals, dlam = eval_basis(sp.kind, bary)
-    nodes = sp.cell_nodes[np.asarray(tris, dtype=np.int64)]
-    coef = field_.node_values()[nodes]                   # (m, nb, comps)
+    tris = np.asarray(tris, dtype=np.int64)
+    b = np.atleast_2d(np.asarray(bary, dtype=float))
+    c = sp.components
+    coef = np.take(field_.coefficients[sp.cell_dofs], tris, axis=0)
+    coef = coef.reshape(len(tris), -1, c)                # (m, nb, comps)
+    if gradient:
+        vals, dlam = eval_basis(sp.kind, b)
+    else:
+        vals = _p2_values(b) if sp.kind == P2_VECTOR else b
     value = np.einsum("mn,mnc->mc", vals, coef)
-    if sp.components == 1:
+    if c == 1:
         value = value[:, 0]
     if not gradient:
         return value
-    gl = sp.mesh.grad_lambda[np.asarray(tris, dtype=np.int64)]  # (m, 3, 2)
+    gl = sp.mesh.grad_lambda[tris]                       # (m, 3, 2)
     gphys = np.einsum("mnj,mjd->mnd", dlam, gl)
     grad = np.einsum("mnd,mnc->mcd", gphys, coef)
-    if sp.components == 1:
+    if c == 1:
         grad = grad[:, 0, :]
     return value, grad
 
 
 # -- quadrature tables and norms ------------------------------------------------
 
-def _quad_tables(mesh: Mesh, basis: str, rule: QuadratureRule,
-                 gradient: bool):
-    """Values and physical gradients (``None`` unless ``gradient``) of the
-    ``basis`` functions (a kind of :func:`eval_basis`), weights times areas,
-    and physical points at the quadrature points of every triangle."""
-    vals, dlam = eval_basis(basis, rule.points)
-    gphys = None
-    if gradient:                                            # (nt, nq, nb, 2)
-        gphys = np.einsum("qnj,tjd->tqnd", dlam, mesh.grad_lambda)
-    wxa = rule.weights[None, :] * mesh.areas[:, None]       # (nt, nq)
-    qp = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
-    return vals, gphys, wxa, qp
+class QuadTables:
+    """One quadrature rule tabulated on one mesh.
+
+    Holds the weights times areas ``wxarea`` (nt, nq), the physical points
+    ``qpoints`` (nt, nq, 2), the reference basis values ``p1_vals`` (nq, 3)
+    and ``p2_vals`` (nq, 6), and the tables that turn a field's per-cell
+    coefficients ``coefficients[cell_dofs]`` (nt, nb*c) into its values and
+    gradients at all quadrature points with one matrix product each.  Built
+    by :func:`quad_tables`, once per mesh and rule.
+    """
+
+    def __init__(self, mesh: Mesh, rule: QuadratureRule):
+        # no reference to the mesh itself: the mesh keeps the tables, and a
+        # cycle would hold both until the garbage collector runs
+        self._grad_lambda = mesh.grad_lambda
+        self.p1_vals, p1_dlam = eval_basis(P1_SCALAR, rule.points)
+        self.p2_vals, self._p2_dlam = eval_basis(P2_VECTOR, rule.points)
+        self.wxarea = rule.weights[None, :] * mesh.areas[:, None]
+        self.qpoints = np.einsum("qi,tid->tqd", rule.points,
+                                 mesh.vertices[mesh.triangles])
+        nq = len(rule.weights)
+        # value table (nb*c, nq*c): entry (n*c + c', q*c + c'') is vals[q, n]
+        # where c' == c'' and 0 elsewhere; the gradient table holds the
+        # derivatives by the three barycentric coordinates j in column blocks
+        # (j*nq + q)*c + c''
+        self._tables = {}
+        for kind, c, vals, dlam in ((P1_SCALAR, 1, self.p1_vals, p1_dlam),
+                                    (P2_VECTOR, 2, self.p2_vals,
+                                     self._p2_dlam)):
+            eye = np.eye(c)
+            d = dlam.transpose(1, 2, 0).reshape(vals.shape[1], 3 * nq)
+            self._tables[kind] = (np.kron(vals.T, eye), np.kron(d, eye))
+        self.p2_table = self._tables[P2_VECTOR][0]
+
+    @functools.cached_property
+    def p2_grad(self) -> np.ndarray:
+        """Physical gradients of the P2 basis, (nt, nq, 6, 2)."""
+        return np.einsum("qnj,tjd->tqnd", self._p2_dlam,
+                         self._grad_lambda)
+
+    def at_quad(self, field_: FeField) -> np.ndarray:
+        """Field values at all quadrature points, (nt, nq, components)."""
+        coef = field_.coefficients[field_.space.cell_dofs]
+        nt, nq = self.wxarea.shape
+        return (coef @ self._tables[field_.space.kind][0]).reshape(nt, nq, -1)
+
+    def grad_at_quad(self, field_: FeField) -> np.ndarray:
+        """Physical field gradients at all quadrature points,
+        (nt, nq, components, 2)."""
+        coef = field_.coefficients[field_.space.cell_dofs]
+        nt, nq = self.wxarea.shape
+        d = coef @ self._tables[field_.space.kind][1]
+        d = d.reshape(nt, 3, nq, -1, 1)
+        gl = self._grad_lambda[:, :, None, None, :]        # (nt, 3, 1, 1, 2)
+        return d[:, 0] * gl[:, 0] + d[:, 1] * gl[:, 1] + d[:, 2] * gl[:, 2]
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Integrals of quadrature-point values (nt, nq, ...) over the mesh,
+        one per trailing index."""
+        return self.wxarea.reshape(-1) @ values.reshape(self.wxarea.size, -1)
 
 
-def _field_at_quad(field_: FeField, vals, gphys):
-    sp = field_.space
-    coef = field_.node_values()[sp.cell_nodes]              # (nt, nb, c)
-    u = np.einsum("qn,tnc->tqc", vals, coef)
-    if gphys is None:
-        return u, None
-    g = np.einsum("tqnd,tnc->tqcd", gphys, coef)
-    return u, g
+def quad_tables(mesh: Mesh, rule: QuadratureRule | None = None) -> QuadTables:
+    """The :class:`QuadTables` of ``rule`` (default: degree 5) on ``mesh``,
+    built on first use and kept on the mesh."""
+    rule = rule or tri_quadrature(5)
+    key = (rule.points.tobytes(), rule.weights.tobytes())
+    tables = mesh.quad_cache.get(key)
+    if tables is None:
+        tables = mesh.quad_cache[key] = QuadTables(mesh, rule)
+    return tables
 
 
 def norm(field_: FeField, kind: str = "L2", rule: QuadratureRule | None = None) -> float:
     """Quadrature approximation of the L2, H1, or H1-seminorm of a field."""
     if kind not in ("L2", "H1", "H1semi"):
         raise ValueError(f"unknown norm kind: {kind!r}")
-    sp = field_.space
-    rule = rule or tri_quadrature(5)
-    vals, gphys, wxa, _ = _quad_tables(sp.mesh, sp.kind, rule, kind != "L2")
-    u, g = _field_at_quad(field_, vals, gphys)
+    tables = quad_tables(field_.space.mesh, rule)
     total = 0.0
     if kind in ("L2", "H1"):
-        total += float(np.einsum("tq,tqc->", wxa, u ** 2))
+        total += float(tables.integrate(tables.at_quad(field_) ** 2).sum())
     if kind in ("H1", "H1semi"):
-        total += float(np.einsum("tq,tqcd->", wxa, g ** 2))
+        total += float(tables.integrate(tables.grad_at_quad(field_) ** 2).sum())
     return float(np.sqrt(total))
 
 
@@ -308,31 +371,25 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
     if kind == "H1" and exact_grad is None:
         raise ValueError("H1 error norm requires exact_grad")
     sp = field_.space
-    rule = rule or tri_quadrature(5)
-    vals, gphys, wxa, qp = _quad_tables(sp.mesh, sp.kind, rule, kind == "H1")
-    u, g = _field_at_quad(field_, vals, gphys)
-    nt, nq = wxa.shape
-    flat = qp.reshape(nt * nq, 2)
-    ue = _call(exact, flat, t).reshape(nt, nq, -1)
-    diff = u - ue
+    tables = quad_tables(sp.mesh, rule)
+    nt, nq = tables.wxarea.shape
+    flat = tables.qpoints.reshape(nt * nq, 2)
+    diff = tables.at_quad(field_) - _call(exact, flat, t).reshape(nt, nq, -1)
     if zero_mean:
-        area = float(sp.mesh.areas.sum())
-        shift = np.einsum("tq,tqc->c", wxa, diff) / area
-        diff = diff - shift
-    total = float(np.einsum("tq,tqc->", wxa, diff ** 2))
+        diff = diff - tables.integrate(diff) / float(sp.mesh.areas.sum())
+    total = float(tables.integrate(diff ** 2).sum())
     if kind == "H1":
         ge = _call(exact_grad, flat, t).reshape(nt, nq, sp.components, 2)
-        total += float(np.einsum("tq,tqcd->", wxa, (g - ge) ** 2))
+        total += float(tables.integrate(
+            (tables.grad_at_quad(field_) - ge) ** 2).sum())
     return float(np.sqrt(total))
 
 
 def field_mean(field_: FeField) -> float:
     """Integral mean of a scalar field."""
-    sp = field_.space
-    rule = tri_quadrature(5)
-    vals, _, wxa, _ = _quad_tables(sp.mesh, sp.kind, rule, False)
-    u, _ = _field_at_quad(field_, vals, None)
-    return float(np.einsum("tq,tqc->", wxa, u)) / float(sp.mesh.areas.sum())
+    tables = quad_tables(field_.space.mesh)
+    return float(tables.integrate(tables.at_quad(field_))[0]) \
+        / float(field_.space.mesh.areas.sum())
 
 
 # -- analytic vector fields ------------------------------------------------------

@@ -92,6 +92,8 @@ class Mesh:
             raise ValueError("one tag per boundary edge required")
         self._build_geometry()
         self._build_adjacency()
+        # quadrature tables of this mesh by rule, filled by fem.quad_tables
+        self.quad_cache: dict = {}
 
     # -- construction helpers -------------------------------------------------
 
@@ -110,8 +112,9 @@ class Mesh:
         inv[:, 1, 0] = -d1[:, 1]
         inv[:, 1, 1] = d1[:, 0]
         inv /= det[:, None, None]
-        # (lam1, lam2) = _inv_b @ (x - p0)
-        self._inv_b = inv
+        # (lam1, lam2) = inv @ (x - p0), inv flattened row by row
+        self._p0 = np.ascontiguousarray(p[:, 0])
+        self._inv_flat = inv.reshape(-1, 4)
         # gradients of the three barycentric coordinates, (nt, 3, 2)
         grads = np.empty((len(det), 3, 2))
         grads[:, 1] = inv[:, 0]
@@ -166,10 +169,11 @@ class Mesh:
     def barycentric(self, tris, pts) -> np.ndarray:
         """Barycentric coordinates of ``pts`` (m, 2) in triangles ``tris`` (m,)."""
         tris = np.asarray(tris, dtype=np.int64)
-        pts = np.asarray(pts, dtype=float)
-        p0 = self.vertices[self.triangles[tris, 0]]
-        lam = np.einsum("mij,mj->mi", self._inv_b[tris], pts - p0)
-        return np.column_stack([1.0 - lam[:, 0] - lam[:, 1], lam])
+        d = np.asarray(pts, dtype=float) - self._p0[tris]
+        inv = self._inv_flat[tris]
+        lam1 = inv[:, 0] * d[:, 0] + inv[:, 1] * d[:, 1]
+        lam2 = inv[:, 2] * d[:, 0] + inv[:, 3] * d[:, 1]
+        return np.column_stack([1.0 - lam1 - lam2, lam1, lam2])
 
 
 def _graded_interval(length: float, n: int, first: float) -> np.ndarray:
@@ -236,42 +240,31 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
     xv, yv = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (nx + 1) + i
+    # cell (i, j) has corners a, b, c, d counterclockwise from its lower
+    # left; the diagonal alternates with the parity of i + j
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    a = j * (nx + 1) + i
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    even = (i + j) % 2 == 0
+    tris = np.empty((nx * ny, 2, 3), dtype=np.int64)
+    tris[:, 0] = np.where(even[:, None], np.column_stack([a, b, c]),
+                          np.column_stack([a, b, d]))
+    tris[:, 1] = np.where(even[:, None], np.column_stack([a, c, d]),
+                          np.column_stack([b, c, d]))
+    tris = tris.reshape(-1, 3)
 
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            if (i + j) % 2 == 0:
-                tris[k] = (a, b, c)
-                tris[k + 1] = (a, c, d)
-            else:
-                tris[k] = (a, b, d)
-                tris[k + 1] = (b, c, d)
-            k += 2
-
-    # boundary edges, oriented counterclockwise around the rectangle in the
-    # order they appear in their owning triangle
-    edge_owner: dict[tuple[int, int], int] = {}
-    for t in range(len(tris)):
-        v = tris[t]
-        for kk in range(3):
-            key = tuple(sorted((int(v[(kk + 1) % 3]), int(v[(kk + 2) % 3]))))
-            edge_owner[key] = t if key not in edge_owner else -1
-    b_edges = []
-    b_tris = []
-    for t in range(len(tris)):
-        v = tris[t]
-        for kk in range(3):
-            a, b = int(v[(kk + 1) % 3]), int(v[(kk + 2) % 3])
-            if edge_owner[tuple(sorted((a, b)))] == t:
-                b_edges.append((a, b))
-                b_tris.append(t)
-    b_edges = np.array(b_edges, dtype=np.int64)
-    b_tris = np.array(b_tris, dtype=np.int64)
+    # boundary edges (those of one triangle only), oriented counterclockwise
+    # around the rectangle as they appear in their owning triangle, in
+    # (triangle, local edge) order
+    ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    keys = ends.min(axis=1) * len(vertices) + ends.max(axis=1)
+    order = np.argsort(keys, kind="stable")
+    differs = np.diff(keys[order]) != 0
+    single = np.concatenate([[True], differs]) \
+        & np.concatenate([differs, [True]])
+    owned = np.sort(order[single])
+    b_edges = ends[owned]
+    b_tris = owned // 3
 
     rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
     mids = 0.5 * (vertices[b_edges[:, 0]] + vertices[b_edges[:, 1]])

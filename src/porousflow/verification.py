@@ -20,12 +20,12 @@ from porousflow.assembly import FormContext, assemble_a0, assemble_b, assemble_l
 from porousflow.fem import (
     AnalyticVectorField,
     FeField,
-    _quad_tables,
     edge_quadrature,
     error_norm,
     field_mean,
     interpolate,
     norm,
+    quad_tables,
     tri_quadrature,
 )
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
@@ -63,14 +63,16 @@ _MMS_CACHE: dict = {}
 
 
 def _lambdify_stack(args, exprs, shape):
+    """One numpy function of ``(points, t)`` for the stacked ``exprs``, with
+    their common subexpressions computed once."""
     import sympy as sp
-    fns = [sp.lambdify(args, e, modules="numpy") for e in exprs]
+    fn = sp.lambdify(args, list(exprs), modules="numpy", cse=True)
 
     def call(pts, t):
         pts = np.asarray(pts, dtype=float)
         x, y = pts[:, 0], pts[:, 1]
-        cols = [np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
-                for f in fns]
+        cols = [np.broadcast_to(np.asarray(v, dtype=float), x.shape)
+                for v in fn(x, y, t)]
         out = np.stack(cols, axis=-1)
         return out.reshape((len(pts),) + shape)
 
@@ -412,7 +414,8 @@ def transport_identity_check(u: AnalyticVectorField, porosity: PorosityField,
     Both sides are evaluated independently by quadrature of the given degree.
     """
     mesh = generate_rect_mesh(extents[0], extents[1], n_divisions)
-    _, _, wxa, pts = _quad_tables(mesh, "p1", tri_quadrature(degree), False)
+    tables = quad_tables(mesh, tri_quadrature(degree))
+    wxa, pts = tables.wxarea, tables.qpoints
     nt, nq = wxa.shape
     flat = pts.reshape(nt * nq, 2)
 

@@ -1,0 +1,343 @@
+"""The batched evaluation kernels against the formulations they replaced.
+
+Each reference below is the earlier implementation, kept verbatim in
+substance: ``einsum`` contractions over gathered node values, ``np.add.at``
+scatters, per-expression ``lambdify`` and the loop-built mesh.  Kernels whose
+arithmetic is unchanged must agree bit for bit; those that sum in another
+order agree within a tolerance fixed from double precision.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import porousflow.characteristics as characteristics
+from porousflow.assembly import assemble_load, assemble_mass_phi_rhs
+from porousflow.cases import build_case_mesh, build_setup, get_case
+from porousflow.fem import (
+    FeField,
+    error_norm,
+    eval_basis,
+    eval_field_many,
+    interpolate,
+    norm,
+    pressure_space,
+    tri_quadrature,
+    velocity_space,
+)
+from porousflow.mesh import (
+    LayerGrading,
+    generate_rect_mesh,
+    locate_many,
+)
+from porousflow.scheme import run
+
+MESHES = {
+    "graded-two-layer": build_case_mesh(get_case("two-layer"), n=12),
+    "uniform-crossed": generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 5),
+}
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+interior_points = st.lists(st.tuples(fraction, fraction), min_size=1,
+                           max_size=40)
+REL = 1e-14
+
+
+# -- references ------------------------------------------------------------------
+
+def barycentric_reference(mesh, tris, pts):
+    inv = mesh._inv_flat.reshape(-1, 2, 2)
+    p0 = mesh.vertices[mesh.triangles[tris, 0]]
+    lam = np.einsum("mij,mj->mi", inv[tris], pts - p0)
+    return np.column_stack([1.0 - lam[:, 0] - lam[:, 1], lam])
+
+
+def eval_field_many_reference(field_, tris, bary, gradient=False):
+    sp = field_.space
+    vals, dlam = eval_basis(sp.kind, bary)
+    coef = field_.node_values()[sp.cell_nodes[tris]]
+    value = np.einsum("mn,mnc->mc", vals, coef)
+    if sp.components == 1:
+        value = value[:, 0]
+    if not gradient:
+        return value
+    gl = sp.mesh.grad_lambda[tris]
+    gphys = np.einsum("mnj,mjd->mnd", dlam, gl)
+    grad = np.einsum("mnd,mnc->mcd", gphys, coef)
+    if sp.components == 1:
+        grad = grad[:, 0, :]
+    return value, grad
+
+
+def quad_tables_reference(mesh, basis, rule):
+    vals, dlam = eval_basis(basis, rule.points)
+    gphys = np.einsum("qnj,tjd->tqnd", dlam, mesh.grad_lambda)
+    wxa = rule.weights[None, :] * mesh.areas[:, None]
+    qp = np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
+    return vals, gphys, wxa, qp
+
+
+def at_quad_reference(field_, rule):
+    sp = field_.space
+    vals, gphys, wxa, qp = quad_tables_reference(sp.mesh, sp.kind, rule)
+    coef = field_.node_values()[sp.cell_nodes]
+    u = np.einsum("qn,tnc->tqc", vals, coef)
+    g = np.einsum("tqnd,tnc->tqcd", gphys, coef)
+    return u, g, wxa, qp
+
+
+def error_norm_reference(field_, exact, kind, t, exact_grad=None,
+                         zero_mean=False):
+    sp = field_.space
+    u, g, wxa, qp = at_quad_reference(field_, tri_quadrature(5))
+    nt, nq = wxa.shape
+    flat = qp.reshape(nt * nq, 2)
+    diff = u - np.asarray(exact(flat, t)).reshape(nt, nq, -1)
+    if zero_mean:
+        diff = diff - np.einsum("tq,tqc->c", wxa, diff) / sp.mesh.areas.sum()
+    total = float(np.einsum("tq,tqc->", wxa, diff ** 2))
+    if kind == "H1":
+        ge = np.asarray(exact_grad(flat, t)).reshape(nt, nq, sp.components, 2)
+        total += float(np.einsum("tq,tqcd->", wxa, (g - ge) ** 2))
+    return math.sqrt(total)
+
+
+def load_reference(ctx, values):
+    nt = len(ctx.wxarea)
+    local = np.einsum("tq,tqc,qn->tnc", ctx.wxarea, values, ctx.p2_vals)
+    out = np.zeros(ctx.vspace.dof_count)
+    np.add.at(out, ctx.vspace.cell_dofs.ravel(), local.reshape(nt, 12).ravel())
+    return out
+
+
+def rect_mesh_reference(x_extent, y_extent, n_divisions):
+    """Triangles and boundary edges of the crossed grid from Python loops."""
+    nx = n_divisions
+    ny = max(2, round(nx * (y_extent[1] - y_extent[0])
+                      / (x_extent[1] - x_extent[0])))
+
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    k = 0
+    for j in range(ny):
+        for i in range(nx):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            if (i + j) % 2 == 0:
+                tris[k], tris[k + 1] = (a, b, c), (a, c, d)
+            else:
+                tris[k], tris[k + 1] = (a, b, d), (b, c, d)
+            k += 2
+    owner = {}
+    for t in range(len(tris)):
+        v = tris[t]
+        for kk in range(3):
+            key = tuple(sorted((int(v[(kk + 1) % 3]), int(v[(kk + 2) % 3]))))
+            owner[key] = t if key not in owner else -1
+    b_edges, b_tris = [], []
+    for t in range(len(tris)):
+        v = tris[t]
+        for kk in range(3):
+            a, b = int(v[(kk + 1) % 3]), int(v[(kk + 2) % 3])
+            if owner[tuple(sorted((a, b)))] == t:
+                b_edges.append((a, b))
+                b_tris.append(t)
+    return tris, np.array(b_edges), np.array(b_tris)
+
+
+def lambdify_reference(args, exprs, shape):
+    import sympy as sp
+    fns = [sp.lambdify(args, e, modules="numpy") for e in exprs]
+
+    def call(pts, t):
+        x, y = pts[:, 0], pts[:, 1]
+        cols = [np.broadcast_to(np.asarray(f(x, y, t), dtype=float), x.shape)
+                for f in fns]
+        return np.stack(cols, axis=-1).reshape((len(pts),) + shape)
+
+    return call
+
+
+def assert_rel(value, reference, rel):
+    scale = np.abs(reference).max()
+    assert np.abs(np.asarray(value) - reference).max() <= rel * scale
+
+
+# -- bitwise kernels ----------------------------------------------------------------
+
+def located(mesh, rows):
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    pts = lo + np.array(rows, dtype=float) * (hi - lo)
+    tri, bary, inside = locate_many(mesh, pts)
+    assert inside.all()
+    return pts, tri, bary
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(rows=interior_points)
+def test_barycentric_is_bitwise_the_einsum_form(name, rows):
+    mesh = MESHES[name]
+    pts, tri, _ = located(mesh, rows)
+    # the containing triangle and a neighbour (the point lies outside it)
+    nb = mesh.triangle_neighbors[tri, 0]
+    nb = np.where(nb >= 0, nb, tri)
+    for tris in (tri, nb):
+        assert np.array_equal(mesh.barycentric(tris, pts),
+                              barycentric_reference(mesh, tris, pts))
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(rows=interior_points, seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_field_many_is_bitwise_the_einsum_form(name, rows, seed):
+    mesh = MESHES[name]
+    _, tri, bary = located(mesh, rows)
+    rng = np.random.default_rng(seed)
+    for space in (velocity_space(mesh), pressure_space(mesh)):
+        f = FeField(space, rng.normal(size=space.dof_count))
+        assert np.array_equal(eval_field_many(f, tri, bary),
+                              eval_field_many_reference(f, tri, bary))
+        value, grad = eval_field_many(f, tri, bary, gradient=True)
+        ref_value, ref_grad = eval_field_many_reference(f, tri, bary, True)
+        assert np.array_equal(value, ref_value)
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("x_extent, y_extent, n, grading", [
+    ((0.0, 3.0), (0.0, 1.0), 60, LayerGrading(0.5, 1.0 / 720.0)),
+    ((0.0, 3.0), (0.0, 1.0), 7, None),
+    ((0.0, math.pi), (0.0, math.pi), 32, None),
+    ((0.0, 3.0 * math.pi), (0.0, math.pi), 80, None),
+])
+def test_rect_mesh_matches_the_loop_construction(x_extent, y_extent, n,
+                                                 grading):
+    m = generate_rect_mesh(x_extent, y_extent, n, grading)
+    tris, b_edges, b_tris = rect_mesh_reference(x_extent, y_extent, n)
+    assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.boundary_edges, b_edges)
+    assert np.array_equal(m.boundary_edge_tri, b_tris)
+
+
+# -- reordered sums ---------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def two_layer():
+    case = get_case("two-layer")
+    _, ctx, _ = build_setup(case, 12)
+    rng = np.random.default_rng(11)
+    u = FeField(ctx.vspace, rng.normal(size=ctx.vspace.dof_count))
+    p = FeField(ctx.pspace, rng.normal(size=ctx.pspace.dof_count))
+    return ctx, u, p
+
+
+def test_quadrature_point_fields_match_the_einsum_forms(two_layer):
+    ctx, u, p = two_layer
+    for f in (u, p):
+        ref, _, wxa, _ = at_quad_reference(f, ctx.quad)
+        if f is u:
+            assert_rel(ctx.velocity_at_quad(f), ref, REL)
+        ref_l2 = math.sqrt(float(np.einsum("tq,tqc->", wxa, ref ** 2)))
+        assert ctx.l2_norm(f) == pytest.approx(ref_l2, rel=REL)
+
+
+def test_right_hand_sides_match_the_einsum_forms(two_layer):
+    ctx, u, _ = two_layer
+    nt, nq = ctx.wxarea.shape
+    bracket = np.sin(3.0 * ctx.qpoints) + 0.5
+
+    rhs, m_scale = assemble_mass_phi_rhs(
+        lambda pts, hints: bracket.reshape(-1, 2), ctx, 0.1, "general")
+    assert m_scale == pytest.approx(1.5 * ctx.params.rho / 0.1)
+    assert_rel(rhs, 0.5 * ctx.params.rho / 0.1 * load_reference(ctx, bracket),
+               REL)
+
+    def force(pts, t):
+        return np.column_stack([np.cos(pts[:, 0] * t), pts[:, 1] ** 2])
+
+    ref = load_reference(ctx, force(ctx.qpoints_flat, 0.7).reshape(nt, nq, 2))
+    assert_rel(assemble_load(force, ctx, 0.7), ref, REL)
+    assert_rel(assemble_load(u, ctx), load_reference(
+        ctx, at_quad_reference(u, ctx.quad)[0]), REL)
+
+
+def test_error_norms_match_the_rebuilt_tables(mms_case):
+    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 8)
+    rng = np.random.default_rng(5)
+    u = interpolate(velocity_space(mesh), mms_case.u, 0.3)
+    u.coefficients += 1e-3 * rng.normal(size=u.coefficients.shape)
+    p = interpolate(pressure_space(mesh), mms_case.p, 0.3)
+    p.coefficients += 1e-3 * rng.normal(size=p.coefficients.shape)
+    t = 0.31
+    assert error_norm(u, mms_case.u, "H1", t, exact_grad=mms_case.grad_u) \
+        == pytest.approx(error_norm_reference(
+            u, mms_case.u, "H1", t, mms_case.grad_u), rel=1e-13)
+    assert error_norm(u, mms_case.u, "L2", t) == pytest.approx(
+        error_norm_reference(u, mms_case.u, "L2", t), rel=1e-13)
+    assert error_norm(p, mms_case.p, "L2", t, zero_mean=True) \
+        == pytest.approx(error_norm_reference(
+            p, mms_case.p, "L2", t, zero_mean=True), rel=1e-13)
+    for f in (u, p):
+        ref_u, ref_g, wxa, _ = at_quad_reference(f, tri_quadrature(5))
+        semi = float(np.einsum("tq,tqcd->", wxa, ref_g ** 2))
+        l2 = float(np.einsum("tq,tqc->", wxa, ref_u ** 2))
+        assert norm(f, "H1semi") == pytest.approx(math.sqrt(semi), rel=1e-13)
+        assert norm(f, "H1") == pytest.approx(math.sqrt(semi + l2), rel=1e-13)
+
+
+def test_mms_stacks_match_per_expression_lambdify(monkeypatch):
+    import sympy as sp
+
+    from porousflow import verification
+    captured = []
+    original = verification._lambdify_stack
+
+    def capture(args, exprs, shape):
+        captured.append((args, list(exprs), shape))
+        return original(args, exprs, shape)
+
+    # derive the case afresh, without touching the cached one
+    monkeypatch.setattr(verification, "_MMS_CACHE", {})
+    monkeypatch.setattr(verification, "_lambdify_stack", capture)
+    case = verification.build_mms_case()
+    assert [c[2] for c in captured] == [(2,), (2, 2), (), (2,)]
+    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 6)
+    pts = mesh.vertices[mesh.triangles].mean(axis=1)
+    for (args, exprs, shape), fn in zip(
+            captured, (case.u, case.grad_u, case.p, case.f)):
+        assert all(isinstance(a, sp.Symbol) for a in args)
+        ref = lambdify_reference(args, exprs, shape)
+        for t in (0.0, 0.45):
+            value = fn(pts, t)
+            assert value.shape == (len(pts),) + shape
+            assert_rel(value, ref(pts, t), 1e-13)
+
+
+# -- walk start ---------------------------------------------------------------------
+
+def test_tau_foot_walk_start_clamps_the_same_feet(monkeypatch):
+    """The 2 tau walk starts at the tau foot's triangle; the clamped feet of
+    every step equal those of walks started at the points' own triangles."""
+    case = get_case("sinusoidal")
+    _, ctx, setup = build_setup(case, 40, t_final=8.5 * case.nominal_h(40))
+
+    def clamped(setup):
+        counts = []
+        run(setup, [lambda k, t, u, p, d: counts.append(d["clamped_feet"])])
+        return counts
+
+    counts = clamped(setup)
+    own = ctx.qhints_flat
+    original = characteristics.locate_many
+
+    def own_start(mesh, pts, hints=None):
+        return original(mesh, pts, own if len(pts) == len(own) else hints)
+
+    monkeypatch.setattr(characteristics, "locate_many", own_start)
+    assert counts == clamped(setup)
+    assert len(counts) == 8 and sum(counts) > 0
