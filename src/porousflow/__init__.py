@@ -11,10 +11,8 @@ from porousflow.mesh import (
     BoundaryTag,
     LayerGrading,
     Mesh,
-    PointLocation,
     boundary_exit_point,
     generate_rect_mesh,
-    locate_point,
 )
 from porousflow.fem import (
     AnalyticVectorField,
@@ -50,7 +48,6 @@ __all__ = [
     "LayerGrading",
     "Mesh",
     "PhysicalParams",
-    "PointLocation",
     "PorosityField",
     "QuadratureRule",
     "alpha_constant",
@@ -65,7 +62,6 @@ __all__ = [
     "generate_rect_mesh",
     "interpolate",
     "linear_drag_coeff",
-    "locate_point",
     "norm",
     "pressure_space",
     "tri_quadrature",

@@ -129,21 +129,21 @@ def case_names() -> list[str]:
     return sorted(_CASES)
 
 
-def build_case_mesh(case: CaseDefinition, n: int | None = None,
-                    graded: bool = True) -> Mesh:
-    n = n or case.default_n
-    grading = case.grading if graded else None
-    return generate_rect_mesh(case.x_extent, case.y_extent, n,
-                              grading=grading, tag_rule=case.tag_rule)
+def build_case_mesh(case: CaseDefinition, n: int | None = None) -> Mesh:
+    """The case's mesh at ``n`` cells along x, graded when the case has a
+    layer grading."""
+    return generate_rect_mesh(case.x_extent, case.y_extent,
+                              n or case.default_n, grading=case.grading,
+                              tag_rule=case.tag_rule)
 
 
 def build_setup(case: CaseDefinition, n: int | None = None,
-                tau: float | None = None, t_final: float | None = None,
-                quad_degree: int = 5, graded: bool = True):
-    """Mesh + context + problem setup for a case at the given resolution."""
+                tau: float | None = None, t_final: float | None = None):
+    """Mesh + context (degree-5 quadrature) + problem setup for a case at
+    the given resolution."""
     n = n or case.default_n
-    mesh = build_case_mesh(case, n, graded)
-    ctx = make_context(mesh, case.porosity, case.params, quad_degree)
+    mesh = build_case_mesh(case, n)
+    ctx = make_context(mesh, case.porosity, case.params)
     setup = ProblemSetup(
         ctx=ctx,
         u_initial=case.u_initial,

@@ -58,10 +58,9 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` text; ``#`` starts a comment."""
+def _parse_config_text(text: str) -> dict:
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -72,11 +71,23 @@ def parse_config_file(path) -> dict:
     return out
 
 
+def parse_config_file(path) -> dict:
+    """Flat ``key = value`` text; ``#`` starts a comment."""
+    return _parse_config_text(Path(path).read_text())
+
+
 def resolve_run_config(args) -> RunConfig:
+    """The run's settings: flags over ``--config`` file values over the
+    case's defaults.  A file may hold only the keys ``config.txt`` records;
+    one that the file cannot set (the case, its extents and constants) must
+    carry the value this run records, as text, so a written ``config.txt``
+    can be fed back.  Anything else raises ``ValueError``."""
     case = case_lib.get_case(args.case)
     file_cfg = parse_config_file(args.config) if args.config else {}
+    settable = set()
 
     def pick(flag_value, key, default, cast):
+        settable.add(key)
         if flag_value is not None:
             return cast(flag_value)
         if key in file_cfg:
@@ -84,7 +95,7 @@ def resolve_run_config(args) -> RunConfig:
         return default
 
     n = pick(args.n, "n", case.default_n, int)
-    return RunConfig(
+    cfg = RunConfig(
         case=case.name,
         n=n,
         tau=pick(args.tau, "tau", case.nominal_h(n), float),
@@ -97,6 +108,14 @@ def resolve_run_config(args) -> RunConfig:
         out_dir=pick(args.out_dir, "out_dir", f"out/{case.name}", str),
         snapshot_every=pick(args.snapshot_every, "snapshot_every", 10, int),
     )
+    recorded = _parse_config_text(cfg.to_text(_case_extras(case)))
+    for key, value in file_cfg.items():
+        if key not in recorded:
+            raise ValueError(f"unknown config key {key!r}")
+        if key not in settable and value != recorded[key]:
+            raise ValueError(f"config key {key!r} = {value!r} cannot be "
+                             f"set; this run records {recorded[key]!r}")
+    return cfg
 
 
 def _cmd_eoc(args) -> int:

@@ -241,29 +241,19 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
     return FeField(space, coeff, t)
 
 
-def eval_field_many(field_: FeField, tris, bary, gradient: bool = False):
-    """Evaluate a field (and optionally its gradient) at located points."""
+def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:
+    """Values of a field at points located in triangles ``tris`` (m,) with
+    barycentric coordinates ``bary`` (m, 3): (m, components), or (m,) for a
+    scalar field."""
     sp = field_.space
     tris = np.asarray(tris, dtype=np.int64)
     b = np.atleast_2d(np.asarray(bary, dtype=float))
     c = sp.components
     coef = np.take(field_.coefficients[sp.cell_dofs], tris, axis=0)
     coef = coef.reshape(len(tris), -1, c)                # (m, nb, comps)
-    if gradient:
-        vals, dlam = eval_basis(sp.kind, b)
-    else:
-        vals = _p2_values(b) if sp.kind == P2_VECTOR else b
+    vals = _p2_values(b) if sp.kind == P2_VECTOR else b
     value = np.einsum("mn,mnc->mc", vals, coef)
-    if c == 1:
-        value = value[:, 0]
-    if not gradient:
-        return value
-    gl = sp.mesh.grad_lambda[tris]                       # (m, 3, 2)
-    gphys = np.einsum("mnj,mjd->mnd", dlam, gl)
-    grad = np.einsum("mnd,mnc->mcd", gphys, coef)
-    if c == 1:
-        grad = grad[:, 0, :]
-    return value, grad
+    return value[:, 0] if c == 1 else value
 
 
 # -- quadrature tables and norms ------------------------------------------------

@@ -39,13 +39,6 @@ class BoundaryTag(Enum):
 TagRule = Callable[[np.ndarray], BoundaryTag]
 
 
-class PointLocation(NamedTuple):
-    """A triangle index together with barycentric coordinates in it."""
-
-    triangle: int
-    bary: np.ndarray
-
-
 class BoundaryHit(NamedTuple):
     """First intersections of ``m`` segments with the boundary."""
 
@@ -141,11 +134,6 @@ class Mesh:
         neighbors[a] = b // 3
         neighbors[b] = a // 3
         self.triangle_neighbors = neighbors.reshape(nt, 3)
-        # vertex -> triangle incidence as CSR, ascending triangles per vertex
-        corners = self.triangles.ravel()
-        self._vertex_tris = np.argsort(corners, kind="stable") // 3
-        self._vertex_tris_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(corners, minlength=self.n_vertices))])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -156,11 +144,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def vertex_triangles(self, v: int) -> np.ndarray:
-        """Indices of the triangles incident to vertex ``v``, ascending."""
-        ptr = self._vertex_tris_ptr
-        return self._vertex_tris[ptr[v]:ptr[v + 1]]
 
     def boundary_edges_by_tag(self, tag: BoundaryTag) -> np.ndarray:
         return np.array([i for i, t in enumerate(self.boundary_tags) if t is tag],
@@ -332,36 +315,6 @@ def _locate_exhaustive(mesh: Mesh, x: np.ndarray):
     if ok.size == 0:
         return None
     return int(ok[0]), b[ok[0]]
-
-
-def locate_point(mesh: Mesh, x, hint: int | None = None) -> PointLocation | None:
-    """Containing triangle and barycentric coordinates of ``x``.
-
-    Returns ``None`` when ``x`` lies outside the closed domain.  Points on a
-    shared edge or vertex resolve to the lowest incident triangle index.
-    """
-    x = np.asarray(x, dtype=float)
-    hints = None if hint is None else np.array([hint], dtype=np.int64)
-    tri, bary, inside = locate_many(mesh, x[None, :], hints)
-    if not inside[0]:
-        return None
-    t, b = int(tri[0]), bary[0]
-    on = b <= INSIDE_TOL
-    if not on.any():
-        return PointLocation(t, b)
-    candidates = {t}
-    if on.sum() >= 2:  # at a vertex: check every incident triangle
-        v = int(mesh.triangles[t, int(np.argmax(b))])
-        candidates.update(int(c) for c in mesh.vertex_triangles(v))
-    else:  # on an edge: the neighbor across it is the only other candidate
-        nb = int(mesh.triangle_neighbors[t, int(np.flatnonzero(on)[0])])
-        if nb >= 0:
-            candidates.add(nb)
-    for c in sorted(candidates):
-        bb = mesh.barycentric(np.array([c]), x[None, :])[0]
-        if bb.min() >= -INSIDE_TOL:
-            return PointLocation(c, bb)
-    return PointLocation(t, b)
 
 
 def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:

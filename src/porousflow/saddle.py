@@ -8,27 +8,26 @@ Dirichlet boundary is fixed through a single zero-mean Lagrange multiplier;
 per system only the values change.  Fixed unknowns are imposed by symmetric
 row/column elimination with right-hand-side lifting.
 
-A :class:`SaddleSystem` on its own builds its constrained matrix from
-scratch: the blocks are stacked and the fixed unknowns eliminated with
-diagonal masks.  That path is the reference for everything below.
+A :class:`SaddleSystem` on its own is the from-scratch reference: the blocks
+are stacked, the fixed unknowns eliminated with diagonal masks, and the
+result solved by :func:`direct_solve`.
 
-Within a run a :class:`StepSolver` owns the constrained step operator
-(:class:`StepOperator`), built once from the run's table.  Between steps
-only the velocity mass-type block changes: the scaled mass, the linear drag
-and the linearized quadratic drag fold into one weight per quadrature point.
-The operator eliminates the constant blocks once, in a CSR pattern that also
-holds every element's mass-type entries, and each step scatters its element
-matrices into a copy of the constant data by precomputed positions.
+A run builds one :class:`StepSolver` from its constant blocks and its table.
+Between steps only the velocity mass-type block changes: the scaled mass,
+the linear drag and the linearized quadratic drag fold into one weight per
+quadrature point.  The solver eliminates the constant blocks once, in a CSR
+pattern that also holds every element's mass-type entries, and each step
+scatters its element matrices into a copy of the constant data by
+precomputed positions.
 
-The solver holds at most one sparse LU factorization.  Every matrix is
-factorized in one fill-reducing order of its unknowns, computed once per
-constraint table by :func:`nested_dissection` from the mesh geometry.  A
-system of the same kind as the factorized one is solved by
-right-preconditioned GMRES with that LU, one triangular solve per iteration,
-down to the accuracy the factorizing direct solve itself reached; a system
-of another kind, or one on which GMRES misses that stop within one restart
-cycle, is factorized afresh and solved directly, so one factorization serves
-every general step.
+Every matrix is factorized by :func:`direct_solve` in one fill-reducing order
+of its unknowns, :func:`nested_dissection` of the mesh geometry, computed
+once per solver.  The solver holds at most one LU.  A system of the same
+kind as the factorized one is solved by right-preconditioned GMRES with that
+LU, one triangular solve per iteration, down to the accuracy the factorizing
+direct solve itself reached; a system of another kind, or one on which GMRES
+misses that stop within one restart cycle, is factorized afresh, so one
+factorization serves every general step.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ DIRECT_RESIDUAL_MARGIN = 10.0
 KRYLOV_MAX_ITERATIONS = 20
 # A solve whose relative residual exceeds this is rejected as singular.
 RESIDUAL_BOUND = 1e-6
-# the fixed unknowns of a system without constraints
-NO_FIXED = np.empty(0, dtype=np.int64)
 # glibc raises its mmap threshold to each freed mapped block (up to 32 MiB),
 # so later factors are carved from the heap among the step temporaries and a
 # run's peak RSS follows how that heap fragments (two-layer n=60: 134-144 MB
@@ -331,24 +328,70 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
-class StepOperator:
-    """Constrained matrix of ``[[A + M(w), B^T], [B, 0]]`` (gauge-bordered
-    when gauged) for one constraint table, in a fixed CSR pattern.
+def _lu_solve(lu, perm, b):
+    """``x`` with ``k x = b`` by the LU of ``k[perm][:, perm]``."""
+    x = np.empty_like(b)
+    x[perm] = lu.solve(b[perm])
+    return x
+
+
+def direct_solve(k: sparse.csr_matrix, rhs: np.ndarray, perm: np.ndarray):
+    """Solve ``k x = rhs`` by a sparse LU of ``k`` in the order ``perm`` of
+    its unknowns (a :func:`nested_dissection` order).
+
+    Returns ``(x, residual, lu)`` with the relative residual of ``x`` and the
+    LU of ``k[perm][:, perm]``; raises :class:`SingularSystemError` when the
+    factorization fails or that residual exceeds ``RESIDUAL_BOUND``.
+    """
+    try:
+        lu = splu(k[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    x = _lu_solve(lu, perm, rhs)
+    resid = float(np.linalg.norm(k @ x - rhs)) \
+        / max(float(np.linalg.norm(rhs)), 1e-30)
+    if not resid <= RESIDUAL_BOUND:   # also rejects NaN
+        raise SingularSystemError(
+            f"direct LU solve left a relative residual of {resid:.3e}")
+    return x, resid, lu
+
+
+class StepSolver:
+    """Solves the step systems of one run, ``[[A + M(w), B^T], [B, 0]]``
+    (gauge-bordered when gauged) under one constraint table, holding at most
+    one LU.
 
     ``M(w)`` is the velocity mass matrix weighted by ``w`` at the quadrature
-    points.  The constant blocks are eliminated once, into a pattern that
-    also holds every element's mass-type entries on free rows and columns,
-    whose positions in the data array are recorded.  :meth:`assemble`
-    scatters the element matrices of ``M(w)`` into a copy of the constant
-    data and lifts the right-hand side by the fixed values.
+    points, the only part that changes between steps.  At construction the
+    constant blocks are eliminated once, into a CSR pattern that also holds
+    every element's mass-type entries on free rows and columns, whose
+    positions in the data array are recorded, and the
+    :func:`nested_dissection` order of the unknowns is computed.
+    :meth:`assemble` scatters the element matrices of ``M(w)`` into a copy of
+    the constant data and lifts the right-hand side by the fixed values.
+
+    The held factorization is keyed by the ``key`` of the solve that built
+    it; start-up and general steps pass different keys because their mass
+    weights carry rho/tau and 3 rho/(2 tau).  A solve with the held key runs
+    GMRES on its own matrix, right-preconditioned by the held LU and started
+    from the LU's solution, down to ``KRYLOV_RTOL`` or
+    ``DIRECT_RESIDUAL_MARGIN`` times the relative residual the LU's own
+    direct solve reached, whichever is larger, and never above
+    ``RESIDUAL_BOUND``.  When GMRES misses that stop within one restart
+    cycle, or the key differs, the held LU is dropped before the new matrix
+    is factorized by :func:`direct_solve`, so two factors never coexist and
+    freed ones leave the process.
     """
 
     def __init__(self, ctx: FormContext, a_block, b_block,
                  constraints: Constraints):
+        _fix_malloc_thresholds()
         self.ctx = ctx
         self.a_block, self.b_block = a_block, b_block
         self.constraints = constraints
-        self.fixed = fixed = constraints.fixed
+        fixed = constraints.fixed
         k = _stack(a_block, b_block,
                    ctx.volume_vector() if constraints.gauge else None)
         n = k.shape[0]
@@ -370,6 +413,10 @@ class StepOperator:
         touched = ~free[:nv][ctx.vspace.cell_dofs].all(axis=1)
         self._lift_elems = np.flatnonzero(touched)
         self._lift_dofs = ctx.vspace.cell_dofs[self._lift_elems]
+        self._perm = nested_dissection(ctx, fixed, constraints.gauge)[0]
+        self._lu = None
+        self._key = None
+        self._direct_residual = 0.0    # the held LU's own relative residual
 
     def assemble(self, weight: np.ndarray, rhs: np.ndarray,
                  values: np.ndarray):
@@ -383,113 +430,40 @@ class StepOperator:
         data += const.data
         k = sparse.csr_matrix((data, const.indices, const.indptr),
                               shape=const.shape)
-        if self.fixed.size:
+        fixed = self.constraints.fixed
+        if fixed.size:
             nv = self.ctx.vspace.dof_count
             lift = np.zeros(nv)
-            lift[self.fixed] = values
+            lift[fixed] = values
             dofs = self._lift_dofs
             weighted = local[self._lift_elems].reshape(-1, 6, 6) \
                 @ lift[dofs].reshape(-1, 6, 2)
             rhs = rhs - self._fixed_columns @ values
             rhs[:nv] -= np.bincount(dofs.ravel(), weighted.ravel(),
                                     minlength=nv)
-            rhs[self.fixed] = values
+            rhs[fixed] = values
         return k, rhs
 
-
-class StepSolver:
-    """Solves the constrained systems of one run, holding at most one LU.
-
-    Every matrix is factorized in the :func:`nested_dissection` order of its
-    unknowns, computed once per constraint table, and the held LU keeps the
-    permutation it was built in.  The held factorization is keyed by the
-    ``key`` of the solve that built it; start-up and general steps pass
-    different keys because their mass blocks carry rho/tau and
-    3 rho/(2 tau).  A solve with the held key runs GMRES on its own matrix,
-    right-preconditioned by the held LU and started from the LU's solution,
-    down to ``KRYLOV_RTOL`` or ``DIRECT_RESIDUAL_MARGIN`` times the relative
-    residual the LU's own direct solve reached, whichever is larger.  When
-    GMRES misses that stop within one restart cycle, or the key differs, the
-    held LU is dropped before the new matrix is factorized, so two factors
-    never coexist and freed ones leave the process.  The solver also holds
-    the run's :class:`StepOperator`, built once and shared by both keys.
-    """
-
-    def __init__(self, ctx: FormContext):
-        _fix_malloc_thresholds()
-        self.ctx = ctx
-        self._lu = None
-        self._key = None
-        self._perm = None              # the held LU's order of the unknowns
-        self._direct_residual = 0.0    # the held LU's own relative residual
-        self._ordering = None          # (fixed, gauge, permutation)
-        self._operator: StepOperator | None = None
-
-    def operator(self, a_block, b_block,
-                 constraints: Constraints) -> StepOperator:
-        """The run's step operator, built on first use from these constant
-        blocks and constraint table; other blocks or another table are
-        rejected with ``ValueError``."""
-        op = self._operator
-        if op is None:
-            op = self._operator = StepOperator(self.ctx, a_block, b_block,
-                                               constraints)
-        elif not (op.constraints is constraints and op.a_block is a_block
-                  and op.b_block is b_block):
-            raise ValueError("the step operator was built for other "
-                             "constant blocks or another constraint table")
-        return op
-
-    def solve(self, k: sparse.csr_matrix, rhs: np.ndarray, key=None,
-              fixed: np.ndarray = NO_FIXED):
-        """Solve ``k x = rhs``, whose ``fixed`` unknowns (a constraint
-        table's array) are eliminated; an unknown past the pressures is the
-        gauge multiplier.
+    def solve(self, weight: np.ndarray, rhs: np.ndarray, values: np.ndarray,
+              key=None):
+        """Solve the constrained system of the mass-type weight ``weight``,
+        the unconstrained ``rhs`` and the ``values`` of the fixed unknowns.
 
         Returns ``(x, residual, krylov_iterations, factorized)`` with the
-        relative residual of ``x``; raises :class:`SingularSystemError` when
-        that residual exceeds ``RESIDUAL_BOUND``.
+        relative residual of ``x``; raises :class:`SingularSystemError` as
+        :func:`direct_solve` does.
         """
-        x, iterations = None, 0
-        rhs_norm = max(float(np.linalg.norm(rhs)), 1e-30)
+        k, rhs = self.assemble(weight, rhs, values)
+        iterations = 0
         if self._lu is not None and self._key == key:
+            rhs_norm = max(float(np.linalg.norm(rhs)), 1e-30)
             x, iterations, r_norm = self._krylov(k, rhs, rhs_norm)
-        factorized = x is None
-        if factorized:
-            self._lu = None
-            gauge = k.shape[0] > self.ctx.vspace.dof_count \
-                + self.ctx.pspace.dof_count
-            held = self._ordering   # computed once per constraint table
-            if held is None or held[0] is not fixed or held[1] != gauge:
-                held = self._ordering = (
-                    fixed, gauge, nested_dissection(self.ctx, fixed, gauge)[0])
-            perm = held[2]
-            try:
-                lu = splu(k[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                          diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                          options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise SingularSystemError(str(exc)) from exc
-            self._lu, self._perm, self._key = lu, perm, key
-            x = self._lu_solve(rhs)
-            r_norm = float(np.linalg.norm(k @ x - rhs))
-            path = "direct LU solve"
-        else:
-            path = f"GMRES with a reused LU ({iterations} iterations)"
-        resid = r_norm / rhs_norm
-        if not resid <= RESIDUAL_BOUND:   # also rejects NaN
-            self._lu = None
-            raise SingularSystemError(
-                f"{path} left a relative residual of {resid:.3e}")
-        if factorized:
-            self._direct_residual = resid
-        return x, resid, iterations, factorized
-
-    def _lu_solve(self, b):
-        """``x`` with ``k x = b`` by the held LU of ``k`` permuted."""
-        x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm])
-        return x
+            if x is not None:
+                return x, r_norm / rhs_norm, iterations, False
+        self._lu = None
+        x, resid, self._lu = direct_solve(k, rhs, self._perm)
+        self._key, self._direct_residual = key, resid
+        return x, resid, iterations, True
 
     def _krylov(self, k, rhs, rhs_norm):
         """GMRES right-preconditioned by the held LU, started from its
@@ -504,11 +478,12 @@ class StepSolver:
         Returns ``(x, iterations, residual norm)``, with ``x = None`` when
         the stop was missed.
         """
-        solve = self._lu_solve
+        lu, perm = self._lu, self._perm
         m = KRYLOV_MAX_ITERATIONS
-        target = max(KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN
-                     * self._direct_residual) * rhs_norm
-        x0 = solve(rhs)
+        target = min(RESIDUAL_BOUND, max(
+            KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._direct_residual)) \
+            * rhs_norm
+        x0 = _lu_solve(lu, perm, rhs)
         r = rhs - k @ x0
         beta = float(np.linalg.norm(r))
         if beta <= target:
@@ -521,7 +496,7 @@ class StepSolver:
         v[0] = r / beta
         g[0] = beta
         for j in range(m):
-            z[j] = solve(v[j])
+            z[j] = _lu_solve(lu, perm, v[j])
             w = k @ z[j]
             for _ in range(2):   # classical Gram-Schmidt, reorthogonalized
                 c = v[:j + 1] @ w
@@ -617,28 +592,23 @@ class SaddleSystem:
 
     # -- solve --------------------------------------------------------------------
 
-    def constrained(self, solver: StepSolver | None = None):
-        """Constrained matrix and right-hand side, with the fixed unknowns
-        and their values: ``(k, rhs, fixed, values)``.
-
-        With a run's ``solver`` and a mass weight they come from the
-        solver's :class:`StepOperator`.  Otherwise they are built from
-        scratch: the blocks are stacked and the fixed unknowns eliminated by
-        diagonal masks after lifting the right-hand side.
-        """
+    def _rhs(self) -> np.ndarray:
+        """The unconstrained right-hand side, a zero gauge row appended."""
         rhs = np.concatenate([self.rhs_v, self.rhs_p, [0.0]] if self.gauge
                              else [self.rhs_v, self.rhs_p])
         if not np.all(np.isfinite(rhs)):
             raise SolverError("right-hand side contains NaN or Inf")
-        if solver is not None and self.mass_weight is not None:
-            if self.values is None:
-                raise ValueError("the step operator needs the constraints "
-                                 "imposed")
-            op = solver.operator(self.A, self.B, self.constraints)
-            k, rhs = op.assemble(self.mass_weight, rhs, self.values)
-            return k, rhs, op.fixed, self.values
+        return rhs
 
-        fixed, values = NO_FIXED, np.empty(0)
+    def constrained(self):
+        """Constrained matrix and right-hand side, with the fixed unknowns
+        and their values, built from scratch: ``(k, rhs, fixed, values)``.
+
+        The blocks are stacked and the fixed unknowns eliminated by diagonal
+        masks after lifting the right-hand side.
+        """
+        rhs = self._rhs()
+        fixed, values = np.empty(0, dtype=np.int64), np.empty(0)
         if self.values is not None:
             fixed, values = self.constraints.fixed, self.values
         a = self.A
@@ -657,16 +627,33 @@ class SaddleSystem:
         """Solve the constrained system; returns velocity field, pressure
         field, report.
 
-        ``solver`` carries the step operator and the factorization of
-        earlier systems of the same run, and ``key`` names the kind of
-        system (see :class:`StepSolver`); without a solver this system is
-        built from scratch and factorized on its own.
+        Without a ``solver`` this system is built from scratch
+        (:meth:`constrained`) and factorized on its own by
+        :func:`direct_solve`.  A run's ``solver`` must have been built for
+        this system's context, constant blocks and constraint table, else
+        ``ValueError``; it assembles the system from the mass weight, the
+        right-hand side and the imposed values, and may reuse the
+        factorization of an earlier system of the same ``key`` (see
+        :class:`StepSolver`).
         """
-        if solver is not None and solver.ctx is not self.ctx:
-            raise ValueError("the solver belongs to another form context")
-        k, rhs, fixed, values = self.constrained(solver)
-        solver = solver or StepSolver(self.ctx)
-        x, resid, iterations, factorized = solver.solve(k, rhs, key, fixed)
+        if solver is None:
+            k, rhs, fixed, values = self.constrained()
+            perm = nested_dissection(self.ctx, fixed, self.gauge)[0]
+            x, resid, _ = direct_solve(k, rhs, perm)
+            iterations, factorized = 0, True
+        else:
+            if not (solver.ctx is self.ctx and solver.a_block is self.A
+                    and solver.b_block is self.B
+                    and solver.constraints is self.constraints):
+                raise ValueError("the solver was built for another form "
+                                 "context, other constant blocks or another "
+                                 "constraint table")
+            if self.mass_weight is None or self.values is None:
+                raise ValueError("a run's solver needs a mass weight and the "
+                                 "constraints imposed")
+            fixed, values = self.constraints.fixed, self.values
+            x, resid, iterations, factorized = solver.solve(
+                self.mass_weight, self._rhs(), values, key)
         if fixed.size:
             x[fixed] = values  # prescribed values, exactly
 

@@ -25,7 +25,7 @@ from porousflow.assembly import (
     linear_drag_weight,
     quadratic_drag_weight,
 )
-# the steps fold the drag into the step operator's weight and the run
+# the steps fold the drag into the step solver's weight and the run
 # diagnostics use FormContext.l2_norm; assemble_c1 and fem.norm stay
 # importable here because perfbench/tracer.py hooks porousflow.scheme's names
 from porousflow.assembly import assemble_c1  # noqa: F401
@@ -101,8 +101,6 @@ class SchemeState:
     u_prev: FeField
     p_prev: FeField | None
     k: int
-    tau: float
-    t_final: float
     u_prev2: FeField | None = None
 
     def __post_init__(self):
@@ -221,23 +219,23 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     """Execute the start-up step and all general steps up to the final time.
 
     Observers are called after every accepted step with ``(k, t, velocity,
-    pressure, diagnostics)``.  All steps share one :class:`StepSolver`, so
-    the step operator is built once and a factorization is reused across the
-    general steps.  A failed step raises
+    pressure, diagnostics)``.  All steps share one :class:`StepSolver`, built
+    here from the constant blocks and the constraint table, so a
+    factorization is reused across the general steps.  A failed step raises
     :class:`SchemeDivergenceError` with the partial summary attached.
     """
     n_steps = setup.n_steps
     if n_steps < 1:
         raise ValueError("tau exceeds the final time; no steps to take")
     t0 = time.perf_counter()
-    solver = StepSolver(setup.ctx)
+    solver = StepSolver(setup.ctx, *setup.constant_blocks(),
+                        setup.constraints)
     u0_field = interpolate(setup.ctx.vspace, setup.u_initial, None)
     u0_field.time_label = 0.0
     records: list[dict] = []
     summary = RunSummary(records, n_steps, 0.0)
 
-    state = SchemeState(u_prev=u0_field, p_prev=None, k=1,
-                        tau=setup.tau, t_final=setup.t_final)
+    state = SchemeState(u_prev=u0_field, p_prev=None, k=1)
     for k in range(1, n_steps + 1):
         try:
             if k == 1:
@@ -264,7 +262,6 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
         for obs in observers:
             obs(k, t_k, result.u, result.p, diag)
         state = SchemeState(u_prev=result.u, p_prev=result.p, k=k + 1,
-                            tau=setup.tau, t_final=setup.t_final,
                             u_prev2=state.u_prev)
     summary.wall_time = time.perf_counter() - t0
     summary.u_final = state.u_prev

@@ -153,13 +153,14 @@ class EocRecord:
     final_rel2: float | None = None
 
 
-def run_eoc(n_list: Sequence[int], params: PhysicalParams | None = None,
-            t_final: float = 1.0, quad_degree: int = 5,
+def run_eoc(n_list: Sequence[int], t_final: float = 1.0,
             progress: Callable[[str], None] | None = None) -> list[EocRecord]:
-    """Solve the manufactured problem on ``(0, pi)^2`` for each resolution.
+    """Solve the manufactured problem on ``(0, pi)^2`` for each resolution,
+    strictly ascending.
 
     For each ``N``: ``h = tau = pi/N``, Dirichlet data from the exact
-    velocity on the whole boundary, zero-mean pressure gauge.  Errors are the
+    velocity on the whole boundary, zero-mean pressure gauge, the default
+    physical parameters and degree-5 quadrature.  Errors are the
     maxima over all time levels (including the interpolated initial data) of
     the H1 velocity error and the L2 pressure error measured against the
     zero-mean representative of the exact pressure.
@@ -168,13 +169,14 @@ def run_eoc(n_list: Sequence[int], params: PhysicalParams | None = None,
         raise ValueError("at least one resolution is required")
     if min(n_list) < 1:
         raise ValueError(f"resolutions must be positive, got {list(n_list)}")
-    if list(n_list) != sorted(n_list):
-        raise ValueError("resolutions must be ascending")
-    case = build_mms_case(params)
+    if any(fine <= coarse for coarse, fine in zip(n_list, n_list[1:])):
+        raise ValueError(f"resolutions must be ascending without repeats, "
+                         f"got {list(n_list)}")
+    case = build_mms_case()
     records: list[EocRecord] = []
     for n_div in n_list:
         mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), n_div)
-        ctx = make_context(mesh, case.porosity, case.params, quad_degree)
+        ctx = make_context(mesh, case.porosity, case.params)
         tau = math.pi / n_div
         setup = ProblemSetup(
             ctx=ctx,

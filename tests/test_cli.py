@@ -57,6 +57,33 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert "n = 12" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t_finl = 2\ntau = 0.1\n", "error: unknown config key 't_finl'"),
+    ("case = 'sinusoidal'\n", "error: config key 'case' = 'sinusoidal'"),
+    ("eps = 0.01\n", "error: config key 'eps' = '0.01'"),
+])
+def test_config_file_rejects_keys_it_cannot_set(tmp_path, capsys, text,
+                                                message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    assert run_cli("simulate", "two-layer", "--config", str(cfg_file),
+                   "--show-config") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == ""
+
+
+def test_written_config_feeds_back(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--n", "8", "--t-final", "0.4",
+                   "--out-dir", str(out)) == 0
+    capsys.readouterr()
+    written = (out / "config.txt").read_text()
+    assert run_cli("simulate", "two-layer", "--config",
+                   str(out / "config.txt"), "--show-config") == 0
+    assert capsys.readouterr().out == written
+
+
 def test_parse_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")
@@ -171,6 +198,7 @@ def test_simulate_rejects_non_finite_times(tmp_path, capsys, flag, value):
     (("--n-list", "16,8"), "error: resolutions must be ascending"),
     (("--n-list", "0,8"), "error: resolutions must be positive"),
     (("--n-list", "4", "--t-final", "0.5"), "error: tau = pi/4 exceeds"),
+    (("--n-list", "4,4"), "error: resolutions must be ascending"),
 ])
 def test_eoc_rejects_bad_inputs_before_writing(tmp_path, capsys, argv,
                                                message):

@@ -13,6 +13,7 @@ from porousflow.fem import (
     interpolate,
     norm,
     pressure_space,
+    quad_tables,
     tri_quadrature,
     velocity_space,
     zero_field,
@@ -22,7 +23,7 @@ from porousflow.mesh import (
     LayerGrading,
     Mesh,
     generate_rect_mesh,
-    locate_point,
+    locate_many,
 )
 
 
@@ -73,19 +74,22 @@ def test_basis_gradients_match_finite_differences(unit_mesh, rng):
     space = velocity_space(unit_mesh)
     f = interpolate(space, lambda p: np.column_stack(
         [np.sin(p[:, 0]) * p[:, 1], np.cos(p[:, 1])]))
-    x = np.array([0.4321, 0.6789])
-    loc = locate_point(unit_mesh, x)
-    _, grad = eval_field_many(f, [loc.triangle], [loc.bary], gradient=True)
-    grad = grad[0]
+    tables = quad_tables(unit_mesh)
+    grad = tables.grad_at_quad(f).reshape(-1, 2, 2)
+    x = tables.qpoints.reshape(-1, 2)
+    home = np.repeat(np.arange(unit_mesh.n_triangles), tables.wxarea.shape[1])
     h = 1e-6
+
+    def values(pts):
+        tri, bary, inside = locate_many(unit_mesh, pts, home)
+        assert inside.all()
+        return eval_field_many(f, tri, bary)
+
     for d in range(2):
         e = np.zeros(2)
         e[d] = h
-        lp = locate_point(unit_mesh, x + e)
-        lm = locate_point(unit_mesh, x - e)
-        vp = eval_field_many(f, [lp.triangle], [lp.bary])[0]
-        vm = eval_field_many(f, [lm.triangle], [lm.bary])[0]
-        assert grad[:, d] == pytest.approx((vp - vm) / (2 * h), abs=1e-6)
+        fd = (values(x + e) - values(x - e)) / (2 * h)
+        assert grad[:, :, d] == pytest.approx(fd, abs=1e-6)
 
 
 def test_interpolate_constant(unit_mesh):
@@ -133,8 +137,8 @@ def test_eval_linear_field(unit_mesh):
     space = velocity_space(unit_mesh)
     f = interpolate(space, lambda p: np.column_stack(
         [p[:, 0], np.zeros(len(p))]))
-    loc = locate_point(unit_mesh, (0.3, 0.7))
-    value = eval_field_many(f, [loc.triangle], [loc.bary])[0]
+    tri, bary, _ = locate_many(unit_mesh, np.array([[0.3, 0.7]]))
+    value = eval_field_many(f, tri, bary)[0]
     assert value[0] == pytest.approx(0.3, abs=1e-13)
 
 
@@ -142,15 +146,18 @@ def test_gradient_of_quadratic(unit_mesh):
     space = velocity_space(unit_mesh)
     f = interpolate(space, lambda p: np.column_stack(
         [p[:, 0] ** 2, np.zeros(len(p))]))
-    loc = locate_point(unit_mesh, (0.5, 0.2))
-    _, grad = eval_field_many(f, [loc.triangle], [loc.bary], gradient=True)
-    assert grad[0, 0] == pytest.approx([1.0, 0.0], abs=1e-12)
+    tables = quad_tables(unit_mesh)
+    grad = tables.grad_at_quad(f).reshape(-1, 2, 2)
+    x = tables.qpoints.reshape(-1, 2)
+    want = np.column_stack([2.0 * x[:, 0], np.zeros(len(x))])
+    assert grad[:, 0] == pytest.approx(want, abs=1e-12)
+    assert grad[:, 1] == pytest.approx(np.zeros_like(want), abs=1e-12)
 
 
 def test_zero_field_evaluates_zero(unit_mesh):
     f = zero_field(velocity_space(unit_mesh))
-    loc = locate_point(unit_mesh, (0.25, 0.75))
-    value = eval_field_many(f, [loc.triangle], [loc.bary])[0]
+    tri, bary, _ = locate_many(unit_mesh, np.array([[0.25, 0.75]]))
+    value = eval_field_many(f, tri, bary)[0]
     assert value == pytest.approx([0.0, 0.0], abs=0.0)
 
 

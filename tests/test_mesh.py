@@ -11,7 +11,6 @@ from porousflow.mesh import (
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
-    locate_point,
 )
 
 
@@ -61,23 +60,15 @@ def test_degenerate_extent_rejected():
 
 def test_locate_centroid(unit_mesh):
     centroid = unit_mesh.vertices[unit_mesh.triangles[0]].mean(axis=0)
-    loc = locate_point(unit_mesh, centroid)
-    assert loc.triangle == 0
-    assert loc.bary == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
-
-
-def test_locate_vertex_lowest_incident(unit_mesh):
-    # an interior vertex shared by several triangles
-    counts = np.bincount(unit_mesh.triangles.ravel())
-    v = int(np.argmax(counts))
-    loc = locate_point(unit_mesh, unit_mesh.vertices[v],
-                       hint=unit_mesh.n_triangles - 1)
-    assert loc.triangle == int(unit_mesh.vertex_triangles(v).min())
+    tri, bary, inside = locate_many(unit_mesh, centroid[None])
+    assert inside[0] and tri[0] == 0
+    assert bary[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-12)
 
 
 def test_locate_outside_returns_none(unit_mesh):
-    assert locate_point(unit_mesh, (-0.1, 0.5)) is None
-    assert locate_point(unit_mesh, (0.5, 1.5)) is None
+    for x in ((-0.1, 0.5), (0.5, 1.5)):
+        tri, _, inside = locate_many(unit_mesh, np.array([x]))
+        assert not inside[0] and tri[0] == -1
 
 
 def test_locate_hint_agrees_with_exhaustive(rng):
@@ -120,8 +111,8 @@ def test_neighbor_symmetry(unit_mesh):
 
 
 def _loop_adjacency(mesh):
-    """Triangle neighbours and vertex incidence by the per-triangle loops
-    the vectorized construction replaced."""
+    """Triangle neighbours by the per-triangle loop the vectorized
+    construction replaced."""
     owner = {}
     neighbors = np.full((mesh.n_triangles, 3), -1, dtype=np.int64)
     for t, v in enumerate(mesh.triangles):
@@ -133,11 +124,7 @@ def _loop_adjacency(mesh):
                 neighbors[s, j] = t
             else:
                 owner[key] = (t, k)
-    vertex_tris = [[] for _ in range(mesh.n_vertices)]
-    for t, v in enumerate(mesh.triangles):
-        for w in v:
-            vertex_tris[int(w)].append(t)
-    return neighbors, vertex_tris
+    return neighbors
 
 
 @pytest.mark.parametrize("mesh", [
@@ -146,11 +133,7 @@ def _loop_adjacency(mesh):
     build_case_mesh(get_case("sinusoidal"), 10),
 ], ids=["two-layer-graded-12", "mms-uniform-8", "sinusoidal-10"])
 def test_adjacency_matches_per_triangle_loops(mesh):
-    neighbors, vertex_tris = _loop_adjacency(mesh)
-    assert np.array_equal(mesh.triangle_neighbors, neighbors)
-    for v, tris in enumerate(vertex_tris):
-        got = mesh.vertex_triangles(v)
-        assert got.dtype == np.int64 and got.tolist() == tris
+    assert np.array_equal(mesh.triangle_neighbors, _loop_adjacency(mesh))
 
 
 def test_edge_shared_by_three_triangles_rejected():

@@ -257,21 +257,27 @@ def test_nan_rhs_rejected(unit_ctx):
         system.solve()
 
 
-def _drag_system(ctx, drag, rhs):
-    a0 = assemble_a0(ctx)
-    system = SaddleSystem(ctx, a0 + drag * sp.identity(a0.shape[0]),
-                          assemble_b(ctx), rhs)
-    system.apply_dirichlet(quad_velocity)
-    system.apply_gauge()
-    return system
+def _drag_solver(ctx):
+    """A run's solver for the viscous block under the gauged table."""
+    return StepSolver(ctx, assemble_a0(ctx), assemble_b(ctx),
+                      Constraints.build(ctx, gauge=True))
+
+
+def _drag_system(solver, drag, rhs):
+    """The viscous block plus the mass matrix weighted by ``drag``."""
+    ctx = solver.ctx
+    system = SaddleSystem(ctx, solver.a_block, solver.b_block, rhs,
+                          mass_weight=np.full(ctx.wxarea.shape, drag),
+                          constraints=solver.constraints)
+    return system.apply_dirichlet(quad_velocity)
 
 
 def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
-    solver = StepSolver(unit_ctx)
-    _, _, first = _drag_system(unit_ctx, 1.0, rhs).solve(solver, "general")
-    u, p, rep = _drag_system(unit_ctx, 1.3, rhs).solve(solver, "general")
-    u_ref, p_ref, ref = _drag_system(unit_ctx, 1.3, rhs).solve()
+    solver = _drag_solver(unit_ctx)
+    _, _, first = _drag_system(solver, 1.0, rhs).solve(solver, "general")
+    u, p, rep = _drag_system(solver, 1.3, rhs).solve(solver, "general")
+    u_ref, p_ref, ref = _drag_system(solver, 1.3, rhs).solve()
     assert first.factorized and first.krylov_iterations == 0
     assert not rep.factorized and rep.krylov_iterations > 0
     assert ref.factorized and ref.krylov_iterations == 0
@@ -281,15 +287,15 @@ def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     assert np.abs(p.coefficients - p_ref.coefficients).max() \
         <= 1e-12 * np.abs(p_ref.coefficients).max()
     # another key never uses the held factorization
-    _, _, other = _drag_system(unit_ctx, 1.3, rhs).solve(solver, "initial")
+    _, _, other = _drag_system(solver, 1.3, rhs).solve(solver, "initial")
     assert other.factorized and other.krylov_iterations == 0
 
 
 def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
                                                     monkeypatch):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
-    solver = StepSolver(unit_ctx)
-    _drag_system(unit_ctx, 1.0, rhs).solve(solver, "general")
+    solver = _drag_solver(unit_ctx)
+    _drag_system(solver, 1.0, rhs).solve(solver, "general")
     held = solver._lu
     held_at_factorization = []
     splu = saddle.splu
@@ -300,7 +306,7 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
 
     monkeypatch.setattr(saddle, "splu", recording_splu)
     monkeypatch.setattr(saddle, "KRYLOV_MAX_ITERATIONS", 1)
-    u, p, rep = _drag_system(unit_ctx, 3.0, rhs).solve(solver, "general")
+    u, p, rep = _drag_system(solver, 3.0, rhs).solve(solver, "general")
     assert rep.factorized and rep.krylov_iterations == 1
     assert held_at_factorization == [None]   # the old factor was dropped
     assert solver._lu is not None and solver._lu is not held
@@ -321,10 +327,10 @@ class _CountingLU:
 
 def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
-    solver = StepSolver(unit_ctx)
-    _drag_system(unit_ctx, 1.0, rhs).solve(solver, "general")
+    solver = _drag_solver(unit_ctx)
+    _drag_system(solver, 1.0, rhs).solve(solver, "general")
     solver._lu = counting = _CountingLU(solver._lu)
-    _, _, rep = _drag_system(unit_ctx, 1.3, rhs).solve(solver, "general")
+    _, _, rep = _drag_system(solver, 1.3, rhs).solve(solver, "general")
     assert not rep.factorized and rep.krylov_iterations > 0
     # the start from LU^{-1} rhs, then one preconditioned direction each
     assert counting.calls == rep.krylov_iterations + 1
@@ -334,31 +340,34 @@ def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
 def test_step_solver_bound_to_its_context(unit_ctx, pi_mesh, params):
     other = make_context(pi_mesh, builtin_porosity("constant", value=1.0),
                          params)
-    system = SaddleSystem(unit_ctx, assemble_a0(unit_ctx),
-                          assemble_b(unit_ctx),
+    system = _drag_system(_drag_solver(unit_ctx), 1.0,
                           np.zeros(unit_ctx.vspace.dof_count))
     with pytest.raises(ValueError):
-        system.solve(StepSolver(other))
+        system.solve(_drag_solver(other))
 
 
 def test_step_solver_rejects_another_constraint_table(unit_ctx, params):
     a0, b = assemble_a0(unit_ctx), assemble_b(unit_ctx)
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     weight = np.ones_like(unit_ctx.wxarea)
-    solver = StepSolver(unit_ctx)
     tables = [Constraints.build(unit_ctx, gauge=True) for _ in range(2)]
+    solver = StepSolver(unit_ctx, a0, b, tables[0])
 
     def weighted(table):
         return SaddleSystem(unit_ctx, a0, b, rhs, mass_weight=weight,
                             constraints=table).apply_dirichlet(quad_velocity)
 
+    pattern = solver._constant
     weighted(tables[0]).solve(solver, "general")
-    op = solver._operator
     weighted(tables[0]).solve(solver, "general")
-    assert solver._operator is op
+    assert solver._constant is pattern
     with pytest.raises(ValueError):
         weighted(tables[1]).solve(solver, "general")   # an equal table
-    assert solver._operator is op
+    with pytest.raises(ValueError):   # other constant blocks
+        SaddleSystem(unit_ctx, a0.copy(), b, rhs, mass_weight=weight,
+                     constraints=tables[0]).apply_dirichlet(
+            quad_velocity).solve(solver, "general")
+    assert solver._constant is pattern
 
 
 def _outlet_tags(mid):
@@ -409,11 +418,11 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
         assert np.count_nonzero(left_right.data) == 0
         assert np.count_nonzero(ordered[middle:separator,
                                         start:middle].data) == 0
-    x, resid, _, factorized = StepSolver(ctx).solve(k, rhs, None, fixed)
+    x, resid, _ = saddle.direct_solve(k, rhs, perm)
     reference = splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=saddle.DIAG_PIVOT_THRESH,
                      options={"SymmetricMode": True}).solve(rhs)
-    assert factorized and resid <= 1e-12
+    assert resid <= 1e-12
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
@@ -429,7 +438,7 @@ def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
     weight = np.ones_like(unit_ctx.wxarea)
     a0, b = assemble_a0(unit_ctx), assemble_b(unit_ctx)
     table = Constraints.build(unit_ctx, gauge=True)
-    solver = StepSolver(unit_ctx)
+    solver = StepSolver(unit_ctx, a0, b, table)
     for kind in ("initial", "general", "initial"):
         _, _, rep = SaddleSystem(unit_ctx, a0, b, rhs, mass_weight=weight,
                                  constraints=table) \
@@ -441,15 +450,23 @@ def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
 _FREED_BLOCK_SCRIPT = textwrap.dedent("""
     import os
     import numpy as np
-    from porousflow.saddle import StepSolver
+    from porousflow.assembly import assemble_a0, assemble_b, make_context
+    from porousflow.mesh import generate_rect_mesh
+    from porousflow.porous import PhysicalParams, builtin_porosity
+    from porousflow.saddle import Constraints, StepSolver
 
     def rss():
         with open("/proc/self/statm") as fh:
             return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
+    ctx = make_context(mesh, builtin_porosity("constant", value=1.0),
+                       PhysicalParams())
+    a0, b = assemble_a0(ctx), assemble_b(ctx)
+    table = Constraints.build(ctx, gauge=True)
     big = np.ones(3 << 20)   # 24 MiB freed: glibc's threshold rises to it
     del big
-    StepSolver(None)
+    StepSolver(ctx, a0, b, table)
     block = np.ones(2 << 20)   # 16 MiB
     pin = np.ones(100)         # allocated above the block in the heap
     before = rss()

@@ -189,8 +189,8 @@ def test_general_step_needs_full_history(params):
     setup = make_setup(params)
     u0 = interpolate(setup.ctx.vspace, setup.u_initial)
     with pytest.raises(ValueError):
-        SchemeState(u_prev=u0, p_prev=None, k=2, tau=0.25, t_final=1.0)
-    state = SchemeState(u_prev=u0, p_prev=None, k=1, tau=0.25, t_final=1.0)
+        SchemeState(u_prev=u0, p_prev=None, k=2)
+    state = SchemeState(u_prev=u0, p_prev=None, k=1)
     with pytest.raises(ValueError):
         general_step(setup, state)
 
@@ -259,12 +259,11 @@ def _fresh_steps(setup):
     u0 = interpolate(setup.ctx.vspace, setup.u_initial)
     results = [initial_step(setup, u0)]
     state = SchemeState(u_prev=results[0].u, p_prev=results[0].p, k=2,
-                        tau=setup.tau, t_final=setup.t_final, u_prev2=u0)
+                        u_prev2=u0)
     for k in range(2, setup.n_steps + 1):
         results.append(general_step(setup, state))
         state = SchemeState(u_prev=results[-1].u, p_prev=results[-1].p,
-                            k=k + 1, tau=setup.tau, t_final=setup.t_final,
-                            u_prev2=state.u_prev)
+                            k=k + 1, u_prev2=state.u_prev)
     return results
 
 
@@ -383,15 +382,17 @@ def test_step_operator_matches_reference_elimination(mms_case, make, rng):
     theta = FeField(ctx.vspace, u0.coefficients
                     + 0.1 * rng.normal(size=u0.coefficients.size))
     rhs = rng.normal(size=ctx.vspace.dof_count)
-    solver = StepSolver(ctx)
-    operators, fixed_values = [], []
+    solver = StepSolver(ctx, *setup.constant_blocks(), setup.constraints)
+    pattern, fixed_values = solver._constant, []
     # both step kinds, at two times of the time-dependent Dirichlet data
     for kind, t, field in (("initial", tau, u0), ("general", 3 * tau, theta)):
         reference, weighted = _step_systems(setup, kind, t, field, rhs)
         k_ref, rhs_ref, fixed_ref, values_ref = reference.constrained()
-        k, rhs_k, fixed, values = weighted.constrained(solver)
-        operators.append(solver._operator)
-        assert np.array_equal(fixed, fixed_ref) and fixed.size
+        values = weighted.values
+        k, rhs_k = solver.assemble(weighted.mass_weight, weighted._rhs(),
+                                   values)
+        assert np.array_equal(setup.constraints.fixed, fixed_ref) \
+            and fixed_ref.size
         assert np.array_equal(values, values_ref)
         fixed_values.append(values)
         scale = abs(k_ref).max()
@@ -408,7 +409,7 @@ def test_step_operator_matches_reference_elimination(mms_case, make, rng):
         big.data[np.abs(big.data) <= 1e-14 * scale] = 0.0
         big.eliminate_zeros()
         assert (abs(big) > 0).multiply(abs(k_ref) > 0).nnz == big.nnz
-    assert operators[0] is operators[1]   # built once for both kinds
+    assert solver._constant is pattern   # built once for both kinds
     if make is not _two_layer_setup:   # its inflow is steady
         assert not np.array_equal(*fixed_values)
 

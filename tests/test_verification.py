@@ -142,6 +142,13 @@ def test_run_eoc_requires_ascending_list():
         run_eoc([16, 8])
 
 
+def test_run_eoc_rejects_a_repeated_resolution_before_any_level():
+    levels = []
+    with pytest.raises(ValueError, match="ascending without repeats"):
+        run_eoc([8, 8], progress=levels.append)
+    assert levels == []
+
+
 # -- transport identity -------------------------------------------------------------
 
 def zero_vec_field():
