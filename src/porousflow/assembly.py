@@ -11,7 +11,6 @@ quadrature itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sparse
@@ -21,7 +20,6 @@ from porousflow.fem import (
     QuadratureRule,
     QuadTables,
     SpaceDescriptor,
-    norm,
     pressure_space,
     quad_tables,
     tri_quadrature,
@@ -78,13 +76,6 @@ class FormContext:
     def velocity_at_quad(self, f: FeField) -> np.ndarray:
         """Values of a velocity field at all quadrature points, (nt, nq, 2)."""
         return self.tables.at_quad(f)
-
-    def l2_norm(self, f: FeField) -> float:
-        """L2 norm of a velocity or pressure field of the context's mesh on
-        the context's rule."""
-        if f.space.mesh is not self.mesh:
-            raise ValueError("the field lives on another mesh")
-        return norm(f, "L2", self.quad)
 
     def mass_matrix(self) -> sparse.csr_matrix:
         """Unweighted velocity mass matrix (cached)."""
@@ -215,30 +206,13 @@ def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:
     return _velocity_load(ctx, fv)
 
 
-def assemble_mass_phi_rhs(material_fn: Callable, ctx: FormContext, tau: float,
-                          step_kind: str):
-    """Time-derivative contributions of one step.
-
-    ``material_fn(points, hints)`` must return the composed transport bracket
-    (already multiplied by the porosity at the points).  Returns ``(rhs,
-    mass_scale)``: the velocity mass matrix enters the step system times
-    ``mass_scale``, ``rho/tau`` at the start-up step and ``3 rho/(2 tau)`` at
-    general steps, and the right-hand side carries the matching ``rho/tau``
-    or ``rho/(2 tau)`` factor.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    rho = ctx.params.rho
-    if step_kind == "initial":
-        m_scale, r_scale = rho / tau, rho / tau
-    elif step_kind == "general":
-        m_scale, r_scale = 1.5 * rho / tau, 0.5 * rho / tau
-    else:
-        raise ValueError(f"unknown step kind: {step_kind!r}")
+def assemble_mass_phi_rhs(bracket: np.ndarray, ctx: FormContext,
+                          scale: float) -> np.ndarray:
+    """Time-derivative load of one step: ``scale`` times the load of the
+    composed transport ``bracket``, its values (already multiplied by the
+    porosity) at the context's flattened quadrature points."""
     nt, nq = ctx.wxarea.shape
-    bracket = np.asarray(material_fn(ctx.qpoints_flat, ctx.qhints_flat),
-                         dtype=float).reshape(nt, nq, 2)
-    return r_scale * _velocity_load(ctx, bracket), m_scale
+    return scale * _velocity_load(ctx, bracket.reshape(nt, nq, 2))
 
 
 def pressure_volume_vector(ctx: FormContext) -> np.ndarray:

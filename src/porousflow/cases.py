@@ -17,7 +17,8 @@ import numpy as np
 
 from porousflow.assembly import make_context
 from porousflow.mesh import BoundaryTag, LayerGrading, Mesh, generate_rect_mesh
-from porousflow.porous import PhysicalParams, PorosityField, builtin_porosity
+from porousflow.porous import (SINUSOIDAL_GAMMA, TWO_LAYER_EPS, PhysicalParams,
+                               PorosityField, builtin_porosity)
 from porousflow.scheme import ProblemSetup
 
 
@@ -59,7 +60,7 @@ def _channel_tag_rule(x_right: float):
     return rule
 
 
-def case_two_layer(eps: float = 1.0 / 360.0, d_p: float = 5e-2) -> CaseDefinition:
+def case_two_layer() -> CaseDefinition:
     """Channel (0,3)x(0,1) with porosity 0.4 below mid-height, 0.8 above."""
 
     def u0(pts):
@@ -73,21 +74,20 @@ def case_two_layer(eps: float = 1.0 / 360.0, d_p: float = 5e-2) -> CaseDefinitio
         x_extent=(0.0, 3.0),
         y_extent=(0.0, 1.0),
         tag_rule=_channel_tag_rule(3.0),
-        porosity=builtin_porosity("two-layer", eps=eps),
+        porosity=builtin_porosity("two-layer"),
         u_initial=u0,
         dirichlet=lambda pts, t: u0(pts),
         forcing=None,
         t_final=5.0,
         default_n=120,
-        params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=d_p),
+        params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
         grading=LayerGrading(line=0.5, size=1.0 / 720.0),
-        constants={"eps": eps},
+        constants={"eps": TWO_LAYER_EPS},
         notes=("d_p defaulted to 5e-2 cm (not stated for this case)",),
     )
 
 
-def case_sinusoidal(gamma0: float = 0.15, gamma1: float = 0.65,
-                    d_p: float = 5e-2) -> CaseDefinition:
+def case_sinusoidal() -> CaseDefinition:
     """Channel (0,3pi)x(0,pi) with porosity oscillating in both directions."""
 
     def u0(pts):
@@ -101,14 +101,15 @@ def case_sinusoidal(gamma0: float = 0.15, gamma1: float = 0.65,
         x_extent=(0.0, 3.0 * math.pi),
         y_extent=(0.0, math.pi),
         tag_rule=_channel_tag_rule(3.0 * math.pi),
-        porosity=builtin_porosity("sinusoidal", gamma0=gamma0, gamma1=gamma1),
+        porosity=builtin_porosity("sinusoidal"),
         u_initial=u0,
         dirichlet=lambda pts, t: u0(pts),
         forcing=None,
         t_final=5.0,
         default_n=300,
-        params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=d_p),
-        constants={"gamma0": gamma0, "gamma1": gamma1},
+        params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
+        constants={"gamma0": SINUSOIDAL_GAMMA[0],
+                   "gamma1": SINUSOIDAL_GAMMA[1]},
         notes=("d_p and the boundary decomposition are defaults: stress-free "
                "outlet at the right edge, Dirichlet elsewhere",),
     )

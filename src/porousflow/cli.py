@@ -167,6 +167,8 @@ def _cmd_simulate(args) -> int:
     if args.show_config:
         sys.stdout.write(cfg.to_text(_case_extras(case)))
         return 0
+    # a set-up that cannot run (no steps) fails before anything is written
+    mesh, ctx, setup = case_lib.build_setup(case, cfg.n, cfg.tau, cfg.t_final)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text(_case_extras(case)))
@@ -178,8 +180,6 @@ def _cmd_simulate(args) -> int:
     if not report.passed:
         print("note: the admissibility hypothesis fails for this porosity; "
               "the stability theory does not cover this run")
-
-    mesh, ctx, setup = case_lib.build_setup(case, cfg.n, cfg.tau, cfg.t_final)
     print(f"case {cfg.case}: N={cfg.n}, tau={cfg.tau:g}, T={cfg.t_final:g}, "
           f"{mesh.n_triangles} triangles, {setup.n_steps} steps")
 

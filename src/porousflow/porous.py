@@ -194,16 +194,21 @@ def _smooth_step_deriv(s, eps):
     return np.where(np.abs(s) < eps, inner, 0.0)
 
 
-def builtin_porosity(name: str, eps: float = 1.0 / 360.0, gamma0: float = 0.15,
-                     gamma1: float = 0.65, value: float = 0.5) -> PorosityField:
+TWO_LAYER_EPS = 1.0 / 360.0        # half-width of the two-layer transition
+SINUSOIDAL_GAMMA = (0.15, 0.65)    # range (g0, g1) of the sinusoidal field
+
+
+def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
     """Named analytic porosity fields used by the bundled experiments.
 
     ``mms-sine``
         ``(2 + sin(2y/5)) / 3``, the smooth profile of the convergence study.
     ``two-layer``
-        ``0.4 + 0.4 H_eps(y - 1/2)`` with a regularized Heaviside ``H_eps``.
+        ``0.4 + 0.4 H_eps(y - 1/2)`` with a regularized Heaviside ``H_eps``,
+        ``eps = TWO_LAYER_EPS``.
     ``sinusoidal``
-        ``(g1-g0)/2 sin(2y) cos(2x) + (g1+g0)/2``.
+        ``(g1-g0)/2 sin(2y) cos(2x) + (g1+g0)/2``, ``(g0, g1) =
+        SINUSOIDAL_GAMMA``.
     ``constant``
         uniform porosity ``value``.
     """
@@ -226,6 +231,8 @@ def builtin_porosity(name: str, eps: float = 1.0 / 360.0, gamma0: float = 0.15,
         return PorosityField("mms-sine", val, grad, 2.0 / 3.0, phi1, expr)
 
     if name == "two-layer":
+        eps = TWO_LAYER_EPS
+
         def val(pts):
             return 0.4 + 0.4 * _smooth_step(np.asarray(pts)[:, 1] - 0.5, eps)
 
@@ -238,6 +245,7 @@ def builtin_porosity(name: str, eps: float = 1.0 / 360.0, gamma0: float = 0.15,
         return PorosityField(f"two-layer(eps={eps:g})", val, grad, 0.4, 0.8)
 
     if name == "sinusoidal":
+        gamma0, gamma1 = SINUSOIDAL_GAMMA
         amp = 0.5 * (gamma1 - gamma0)
         mid = 0.5 * (gamma1 + gamma0)
 

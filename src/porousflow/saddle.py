@@ -100,13 +100,16 @@ class GaugeError(ValueError):
 
 @dataclass
 class SolveReport:
-    """Algebraic quality measures of one solve."""
+    """Algebraic quality measures of one solve: the relative residual of
+    the constrained system, the largest entry of ``B u``, the GMRES
+    iterations taken (0 for a plain LU solve) and whether the solve built a
+    new factorization.  The clamped feet of a step are counted by the
+    scheme, in ``StepResult.clamped``."""
 
     algebraic_residual: float
     incompressibility_residual: float
     krylov_iterations: int
     factorized: bool
-    n_clamped_feet: int = 0
 
 
 @dataclass(frozen=True, eq=False)

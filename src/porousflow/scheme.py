@@ -25,13 +25,11 @@ from porousflow.assembly import (
     linear_drag_weight,
     quadratic_drag_weight,
 )
-# the steps fold the drag into the step solver's weight and the run
-# diagnostics use FormContext.l2_norm; assemble_c1 and fem.norm stay
+# the steps fold the drag into the step solver's weight; assemble_c1 stays
 # importable here because perfbench/tracer.py hooks porousflow.scheme's names
 from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
-from porousflow.fem import FeField, interpolate
-from porousflow.fem import norm  # noqa: F401
+from porousflow.fem import FeField, interpolate, norm
 from porousflow.mesh import BoundaryTag
 from porousflow.saddle import (Constraints, SaddleSystem, SolveReport,
                                StepSolver)
@@ -73,6 +71,8 @@ class ProblemSetup:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value}")
+        if self.n_steps < 1:
+            raise ValueError("tau exceeds the final time; no steps to take")
         tags = set(self.ctx.mesh.boundary_tags)
         if self.gauge is None:
             self.gauge = tags == {BoundaryTag.DIRICHLET}
@@ -112,6 +112,7 @@ class StepResult(NamedTuple):
     u: FeField
     p: FeField
     report: SolveReport
+    clamped: int   # feet clamped to the boundary by the step's bracket
 
 
 def _bound_dirichlet(setup: ProblemSetup, t: float):
@@ -120,85 +121,72 @@ def _bound_dirichlet(setup: ProblemSetup, t: float):
     return lambda pts: setup.dirichlet(pts, t)
 
 
-def _solve_step(setup: ProblemSetup, m_scale: float, theta: FeField, rhs_v,
-                t: float, kind: str, solver: StepSolver | None) -> StepResult:
-    """Solve the step system with the mass matrix scaled by ``m_scale`` and
-    the quadratic drag linearized around ``theta``.  The scaled mass and both
-    drag forms enter the velocity block as one quadrature-point weight."""
+def _advance(setup: ProblemSetup, k: int, bracket: np.ndarray, clamped: int,
+             theta: FeField, m_scale: float, r_scale: float,
+             solver: StepSolver | None) -> StepResult:
+    """Solve step ``k``: the mass matrix enters times ``m_scale``, the
+    transport ``bracket`` (values at the context's quadrature points) the
+    right-hand side times ``r_scale`` beside the forcing at ``k tau``, and
+    the quadratic drag is linearized around ``theta``; the scaled mass and
+    both drag forms enter the velocity block as one quadrature-point weight.
+    """
     ctx = setup.ctx
+    t = k * setup.tau
+    rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
+    if setup.forcing is not None:
+        rhs = rhs + assemble_load(setup.forcing, ctx, t)
     a0, b = setup.constant_blocks()
     weight = m_scale + linear_drag_weight(ctx) \
         + quadratic_drag_weight(theta, ctx)
-    system = SaddleSystem(ctx, a0, b, rhs_v, mass_weight=weight,
+    system = SaddleSystem(ctx, a0, b, rhs, mass_weight=weight,
                           constraints=setup.constraints)
     system.apply_dirichlet(setup.dirichlet, t)
-    u, p, report = system.solve(solver, kind)
+    u, p, report = system.solve(solver, "initial" if k == 1 else "general")
     u.time_label = t
     p.time_label = t
-    return StepResult(u, p, report)
+    return StepResult(u, p, report, clamped)
 
 
 def initial_step(setup: ProblemSetup, u0_field: FeField,
                  solver: StepSolver | None = None) -> StepResult:
-    """First-order start-up step producing the fields at t = tau.
+    """First-order start-up step producing the fields at t = tau: mass and
+    right-hand-side scales ``rho/tau``.
 
     ``solver`` is the run's :class:`StepSolver`; without one the step system
     is built from scratch and factorized on its own.
     """
-    if setup.n_steps < 1:
-        raise ValueError("tau exceeds the final time; no steps to take")
-    ctx, tau = setup.ctx, setup.tau
-    u0_at = ctx.velocity_at_quad(u0_field).reshape(-1, 2)
-    clamp_counter = [0]
-
-    def bracket(points, hints):
-        val, clamped = lg1_material_terms(u0_field, ctx.porosity, tau, points,
-                                          hints, u0_at=u0_at,
-                                          g0=_bound_dirichlet(setup, 0.0))
-        clamp_counter[0] += clamped
-        return val
-
-    rhs, m_scale = assemble_mass_phi_rhs(bracket, ctx, tau, "initial")
-    if setup.forcing is not None:
-        rhs = rhs + assemble_load(setup.forcing, ctx, tau)
-    result = _solve_step(setup, m_scale, u0_field, rhs, tau, "initial",
-                         solver)
-    result.report.n_clamped_feet = clamp_counter[0]
-    return result
+    ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
+    bracket, clamped = lg1_material_terms(
+        u0_field, ctx.porosity, tau, ctx.qpoints_flat, ctx.qhints_flat,
+        u0_at=ctx.velocity_at_quad(u0_field).reshape(-1, 2),
+        g0=_bound_dirichlet(setup, 0.0))
+    return _advance(setup, 1, bracket, clamped, u0_field, rho / tau,
+                    rho / tau, solver)
 
 
 def general_step(setup: ProblemSetup, state: SchemeState,
                  solver: StepSolver | None = None) -> StepResult:
-    """Second-order step k >= 2 from the two stored history fields.
+    """Second-order step k >= 2 from the two stored history fields: mass
+    scale ``3 rho/(2 tau)``, right-hand-side scale ``rho/(2 tau)``.
 
     ``solver`` is the run's :class:`StepSolver`; without one the step system
     is built from scratch and factorized on its own.
     """
     if state.k < 2:
         raise ValueError("general steps start at k = 2")
-    ctx, tau = setup.ctx, setup.tau
+    ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
     t_k = state.k * tau
-    u1_at = ctx.velocity_at_quad(state.u_prev).reshape(-1, 2)
-    u2_at = ctx.velocity_at_quad(state.u_prev2).reshape(-1, 2)
-    clamp_counter = [0]
-
-    def bracket(points, hints):
-        val, clamped = ab2_material_terms(
-            state.u_prev, state.u_prev2, ctx.porosity, tau, points, hints,
-            u_prev_at=u1_at, u_prev2_at=u2_at,
-            g_prev=_bound_dirichlet(setup, t_k - tau),
-            g_prev2=_bound_dirichlet(setup, t_k - 2.0 * tau))
-        clamp_counter[0] += clamped
-        return val
-
-    rhs, m_scale = assemble_mass_phi_rhs(bracket, ctx, tau, "general")
-    if setup.forcing is not None:
-        rhs = rhs + assemble_load(setup.forcing, ctx, t_k)
+    bracket, clamped = ab2_material_terms(
+        state.u_prev, state.u_prev2, ctx.porosity, tau, ctx.qpoints_flat,
+        ctx.qhints_flat,
+        u_prev_at=ctx.velocity_at_quad(state.u_prev).reshape(-1, 2),
+        u_prev2_at=ctx.velocity_at_quad(state.u_prev2).reshape(-1, 2),
+        g_prev=_bound_dirichlet(setup, t_k - tau),
+        g_prev2=_bound_dirichlet(setup, t_k - 2.0 * tau))
     theta = FeField(ctx.vspace,
                     2.0 * state.u_prev.coefficients - state.u_prev2.coefficients)
-    result = _solve_step(setup, m_scale, theta, rhs, t_k, "general", solver)
-    result.report.n_clamped_feet = clamp_counter[0]
-    return result
+    return _advance(setup, state.k, bracket, clamped, theta, 1.5 * rho / tau,
+                    0.5 * rho / tau, solver)
 
 
 @dataclass
@@ -225,8 +213,6 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     :class:`SchemeDivergenceError` with the partial summary attached.
     """
     n_steps = setup.n_steps
-    if n_steps < 1:
-        raise ValueError("tau exceeds the final time; no steps to take")
     t0 = time.perf_counter()
     solver = StepSolver(setup.ctx, *setup.constant_blocks(),
                         setup.constraints)
@@ -249,12 +235,12 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
         diag = {
             "step": k,
             "t": t_k,
-            "velocity_l2": setup.ctx.l2_norm(result.u),
-            "pressure_l2": setup.ctx.l2_norm(result.p),
+            "velocity_l2": norm(result.u, "L2", setup.ctx.quad),
+            "pressure_l2": norm(result.p, "L2", setup.ctx.quad),
             "incompressibility_residual":
                 result.report.incompressibility_residual,
             "algebraic_residual": result.report.algebraic_residual,
-            "clamped_feet": result.report.n_clamped_feet,
+            "clamped_feet": result.clamped,
             "krylov_iterations": result.report.krylov_iterations,
             "factorized": result.report.factorized,
         }

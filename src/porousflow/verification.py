@@ -172,6 +172,11 @@ def run_eoc(n_list: Sequence[int], t_final: float = 1.0,
     if any(fine <= coarse for coarse, fine in zip(n_list, n_list[1:])):
         raise ValueError(f"resolutions must be ascending without repeats, "
                          f"got {list(n_list)}")
+    # the coarsest level takes the longest step (ProblemSetup.n_steps); a
+    # t_final that is not positive and finite is left to ProblemSetup
+    if t_final > 0.0 and t_final / (math.pi / n_list[0]) + 1e-9 < 1.0:
+        raise ValueError(f"tau = pi/{n_list[0]} exceeds t_final = {t_final}; "
+                         "no steps to take")
     case = build_mms_case()
     records: list[EocRecord] = []
     for n_div in n_list:
@@ -187,9 +192,6 @@ def run_eoc(n_list: Sequence[int], t_final: float = 1.0,
             t_final=t_final,
             gauge=True,
         )
-        if setup.n_steps < 1:
-            raise ValueError(f"tau = pi/{n_div} exceeds t_final = {t_final}; "
-                             "no steps to take")
         if progress:
             progress(f"running N={n_div}")
         er1 = [error_norm(interpolate(ctx.vspace, case.u, 0.0), case.u, "H1",

@@ -9,6 +9,7 @@ from diagnostic_forms import (
     trilinear_a1_quadrature,
     vector_gradient_gram,
 )
+from porousflow import scheme
 from porousflow.assembly import (
     assemble_a0,
     assemble_b,
@@ -188,43 +189,59 @@ def test_trilinear_value(unit_ctx, params):
     assert val == pytest.approx(params.rho * 0.5, rel=1e-12)
 
 
-def test_mass_phi_rhs_zero_history(unit_ctx):
-    rhs, m_scale = assemble_mass_phi_rhs(
-        lambda pts, hints: np.zeros((len(pts), 2)), unit_ctx, 0.1, "initial")
+def step_scales(ctx, tau, monkeypatch):
+    """``(mass scale, right-hand-side scale)`` that the start-up step and a
+    general step of ``scheme`` pass to the step solve, with zero data."""
+    seen = {}
+
+    def capture(setup, k, bracket, clamped, theta, m_scale, r_scale, solver):
+        seen[k] = (m_scale, r_scale)
+
+    monkeypatch.setattr(scheme, "_advance", capture)
+    zero = lambda pts, t=None: np.zeros((len(pts), 2))
+    setup = scheme.ProblemSetup(ctx=ctx, u_initial=zero, dirichlet=zero,
+                                tau=tau, t_final=1.0)
+    u0 = interpolate(ctx.vspace, zero)
+    scheme.initial_step(setup, u0)
+    scheme.general_step(setup, scheme.SchemeState(u0, None, 2, u0))
+    return seen[1], seen[2]
+
+
+def test_mass_phi_rhs_zero_history(unit_ctx, monkeypatch):
+    (m_scale, r_scale), _ = step_scales(unit_ctx, 0.1, monkeypatch)
+    rhs = assemble_mass_phi_rhs(np.zeros(unit_ctx.qpoints_flat.shape),
+                                unit_ctx, r_scale)
     assert np.abs(rhs).max() == 0.0
     assert rhs.shape == (unit_ctx.vspace.dof_count,)
     assert m_scale == pytest.approx(unit_ctx.params.rho / 0.1, rel=1e-15)
+    assert r_scale == pytest.approx(unit_ctx.params.rho / 0.1, rel=1e-15)
 
 
-def test_mass_scaling_ratio(unit_ctx):
-    zero = lambda pts, hints: np.zeros((len(pts), 2))
-    _, s_init = assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "initial")
-    _, s_gen = assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "general")
+def test_mass_scaling_ratio(unit_ctx, monkeypatch):
+    (s_init, _), (s_gen, r_gen) = step_scales(unit_ctx, 0.1, monkeypatch)
     m = unit_ctx.mass_matrix()
     ratio = (s_gen * m).diagonal() / (s_init * m).diagonal()
     assert ratio == pytest.approx(np.full_like(ratio, 1.5), rel=1e-14)
-    with pytest.raises(ValueError):
-        assemble_mass_phi_rhs(zero, unit_ctx, 0.1, "euler")
+    rho_tau = unit_ctx.params.rho / 0.1
+    assert s_gen == pytest.approx(1.5 * rho_tau, rel=1e-15)
+    assert r_gen == pytest.approx(0.5 * rho_tau, rel=1e-15)
 
 
-def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params):
+def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params, monkeypatch):
     from porousflow.characteristics import ab2_material_terms
     phi_bar = 0.7
     ctx = make_context(unit_mesh, builtin_porosity("constant", value=phi_bar),
                        params)
+    _, (m_scale, r_scale) = step_scales(ctx, 0.1, monkeypatch)
     c = np.array([0.4, -0.2])
     u = const_velocity_coeffs(ctx, phi_bar * c)
     u_at = ctx.velocity_at_quad(u).reshape(-1, 2)
-
-    def bracket(pts, hints):
-        val, _ = ab2_material_terms(
-            u, u, ctx.porosity, 0.1, pts, hints, u_prev_at=u_at,
-            u_prev2_at=u_at,
-            g_prev=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy(),
-            g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())
-        return val
-
-    rhs, m_scale = assemble_mass_phi_rhs(bracket, ctx, 0.1, "general")
+    bracket, _ = ab2_material_terms(
+        u, u, ctx.porosity, 0.1, ctx.qpoints_flat, ctx.qhints_flat,
+        u_prev_at=u_at, u_prev2_at=u_at,
+        g_prev=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy(),
+        g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())
+    rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
     residual = m_scale * (ctx.mass_matrix() @ u.coefficients) - rhs
     assert np.abs(residual).max() < 1e-10
 

@@ -190,6 +190,17 @@ def test_simulate_rejects_non_finite_times(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_simulate_without_steps_writes_nothing(tmp_path, capsys):
+    # tau = 3/8 exceeds t_final = 0.3
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--n", "8", "--t-final", "0.3",
+                   "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tau exceeds the final time")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--n-list", "8", "--t-final", "inf"),
      "error: t_final must be positive and finite, got inf"),

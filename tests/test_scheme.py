@@ -105,12 +105,9 @@ def test_run_builds_constraint_table_once(params, monkeypatch):
 
 
 def test_tau_exceeding_final_time_rejected(params):
-    setup = make_setup(params, tau=2.0, t_final=1.0)
-    u0 = interpolate(setup.ctx.vspace, setup.u_initial)
-    with pytest.raises(ValueError):
-        initial_step(setup, u0)
-    with pytest.raises(ValueError):
-        run(setup)
+    with pytest.raises(ValueError, match="^tau exceeds the final time; no "
+                                         "steps to take$"):
+        make_setup(params, tau=2.0, t_final=1.0)
 
 
 @pytest.mark.parametrize("name, value", [("tau", math.nan),
@@ -430,8 +427,3 @@ def test_run_diagnostic_norms_match_fem_norm(mms_case, make):
 
     run(setup, observers=[observe])
     assert checked == list(range(1, setup.n_steps + 1))
-    for f in (interpolate(setup.ctx.vspace, setup.u_initial),
-              interpolate(setup.ctx.pspace, lambda p: np.sin(p[:, 0])
-                          + p[:, 1] ** 2)):
-        want = norm(f, "L2", rule=rule)
-        assert abs(setup.ctx.l2_norm(f) - want) <= 1e-13 * want
