@@ -51,7 +51,6 @@ class FormContext:
     wxarea: np.ndarray = field(init=False, repr=False)     # (nt, nq)
     qpoints: np.ndarray = field(init=False, repr=False)    # (nt, nq, 2)
     qpoints_flat: np.ndarray = field(init=False, repr=False)
-    qhints_flat: np.ndarray = field(init=False, repr=False)
     p1_vals: np.ndarray = field(init=False, repr=False)    # (nq, 3)
     p2_vals: np.ndarray = field(init=False, repr=False)    # (nq, 6)
     phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
@@ -64,7 +63,6 @@ class FormContext:
         self.p1_vals, self.p2_vals = self.tables.p1_vals, self.tables.p2_vals
         nt, nq = self.wxarea.shape
         self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
-        self.qhints_flat = np.repeat(np.arange(nt, dtype=np.int64), nq)
         self.phi_q = np.asarray(self.porosity.value(self.qpoints_flat),
                                 dtype=float).reshape(nt, nq)
 

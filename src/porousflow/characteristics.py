@@ -6,10 +6,9 @@ for the extrapolated advecting velocity ``w*``; previous velocity fields are
 evaluated there by finite element interpolation, dividing by the analytic
 porosity at the evaluation point.  All feet of a batch of points are handled
 together: one point location, one boundary-exit call, one field evaluation
-and one porosity evaluation per composed field.  The two-step bracket locates
-its feet with two walks, the ``tau`` feet from the points' own triangles and
-the ``2 tau`` feet, which lie twice as far along the same direction, from the
-triangles where the ``tau`` feet were found.
+and one porosity evaluation per composed field.  The two-step bracket does
+this twice, for the ``tau`` feet and for the ``2 tau`` feet, which lie twice
+as far along the same direction.
 
 Feet that leave the domain are clamped to the first boundary intersection of
 the backtracking segment.  When that crossing is through a Dirichlet edge the
@@ -26,15 +25,13 @@ from porousflow.mesh import BoundaryTag, boundary_exit_point, locate_many
 from porousflow.porous import PorosityField
 
 
-def _composed_average_velocity(points, hints, field: FeField,
-                               porosity: PorosityField, advect, tau: float,
-                               g=None):
-    """(field/phi) at the upwind feet of many points, walking from the
-    ``hints`` triangles; returns the values, the number of clamped feet and
-    the triangle of every (clamped) foot."""
+def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
+                               advect, tau: float, g=None):
+    """(field/phi) at the upwind feet of many points; returns the values and
+    the number of clamped feet."""
     mesh = field.space.mesh
     feet = points - tau * advect
-    tri, bary, inside = locate_many(mesh, feet, hints)
+    tri, bary, inside = locate_many(mesh, feet)
     outside = np.flatnonzero(~inside)
     on_dirichlet = outside[:0]
     if outside.size:
@@ -47,54 +44,34 @@ def _composed_average_velocity(points, hints, field: FeField,
     vals = eval_field_many(field, tri, bary)
     if on_dirichlet.size:
         vals[on_dirichlet] = g(feet[on_dirichlet])
-    return (vals / np.asarray(porosity.value(feet))[:, None], len(outside),
-            tri)
+    return vals / np.asarray(porosity.value(feet))[:, None], len(outside)
 
 
 def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
                        porosity: PorosityField, tau: float, points,
-                       hints=None, u_prev_at=None, u_prev2_at=None,
-                       g_prev=None, g_prev2=None):
+                       u_prev_at, u_prev2_at, g_prev=None, g_prev2=None):
     """Known part of the two-step material-derivative bracket at many points.
 
     Returns ``phi(x) * [4 (w_prev o X1(w*, tau))(x) - (w_prev2 o X1(w*,
     2 tau))(x)]`` and the clamped-feet count, where ``w* = (2 u_prev -
-    u_prev2)/phi`` is evaluated at the points themselves.  ``u_prev_at`` and
-    ``u_prev2_at`` optionally supply the fields' values at ``points`` to skip
-    a redundant point location.
+    u_prev2)/phi`` is evaluated at the points themselves from the fields'
+    values there, ``u_prev_at`` and ``u_prev2_at``.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if u_prev_at is None:
-        tri, bary, inside = locate_many(u_prev.space.mesh, points, hints)
-        if not inside.all():
-            raise ValueError("material term requested outside the domain")
-        u_prev_at = eval_field_many(u_prev, tri, bary)
-        u_prev2_at = eval_field_many(u_prev2, tri, bary)
     phi_x = np.asarray(porosity.value(points), dtype=float)
     w_star = (2.0 * u_prev_at - u_prev2_at) / phi_x[:, None]
-    w1, c1, tri1 = _composed_average_velocity(points, hints, u_prev,
-                                              porosity, w_star, tau, g_prev)
-    w2, c2, _ = _composed_average_velocity(points, tri1, u_prev2, porosity,
-                                           w_star, 2.0 * tau, g_prev2)
+    w1, c1 = _composed_average_velocity(points, u_prev, porosity, w_star,
+                                        tau, g_prev)
+    w2, c2 = _composed_average_velocity(points, u_prev2, porosity, w_star,
+                                        2.0 * tau, g_prev2)
     return phi_x[:, None] * (4.0 * w1 - w2), c1 + c2
 
 
 def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
-                       points, hints=None, u0_at=None, g0=None):
+                       points, u0_at, g0=None):
     """First-order composed term ``phi(x) * (w0 o X1(w0, tau))(x)`` at many
-    points, with ``w0 = u0/phi``; used only for the start-up step."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if u0_at is None:
-        tri, bary, inside = locate_many(u0.space.mesh, points, hints)
-        if not inside.all():
-            raise ValueError("material term requested outside the domain")
-        u0_at = eval_field_many(u0, tri, bary)
+    points, with ``w0 = u0/phi`` from the field's values ``u0_at`` there;
+    used only for the start-up step."""
     phi_x = np.asarray(porosity.value(points), dtype=float)
-    w0 = u0_at / phi_x[:, None]
-    w, clamped, _ = _composed_average_velocity(points, hints, u0, porosity,
-                                               w0, tau, g0)
+    w, clamped = _composed_average_velocity(points, u0, porosity,
+                                            u0_at / phi_x[:, None], tau, g0)
     return phi_x[:, None] * w, clamped

@@ -6,11 +6,11 @@ fully deterministic, which keeps convergence runs reproducible.  An optional
 ``LayerGrading`` concentrates the horizontal mesh lines around a given
 ``y``-line, e.g. to resolve a thin porosity transition layer.
 
-Point location uses a walking search through the triangle adjacency with an
-exhaustive scan as fallback; on the convex domains built here, a walk that
-crosses a boundary edge proves the query point lies outside.  Segments that
-leave the domain are cut at their first boundary crossing, all of them at
-once, from one table of segment/boundary-edge intersections.
+A point is located by index arithmetic on the grid lines: one
+``searchsorted`` per axis finds its cell, one side-of-diagonal test its
+triangle.  Segments are clipped against the sides of the rectangle (Liang &
+Barsky, ACM TOG 3, 1984), whose grid lines give the crossed boundary edge.  A
+hand-built ``Mesh`` has no grid lines and cannot locate points.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class Mesh:
         if len(self.boundary_tags) != len(self.boundary_edges):
             raise ValueError("one tag per boundary edge required")
         self._build_geometry()
-        self._build_adjacency()
+        # grid lines and boundary edges by side, set by generate_rect_mesh
+        self.xs = self.ys = self.side_edges = None
         # quadrature tables of this mesh by rule, filled by fem.quad_tables
         self.quad_cache: dict = {}
 
@@ -116,24 +117,6 @@ class Mesh:
         self.grad_lambda = grads
         edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
         self.h_max = float(np.sqrt((edges ** 2).sum(-1)).max())
-
-    def _build_adjacency(self):
-        nt = self.n_triangles
-        # edge k of a triangle lies opposite its vertex k; the two triangles
-        # of an interior edge meet as neighbours in the sorted edge keys
-        ends = np.sort(self.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
-        ends = ends.reshape(-1, 2)
-        order = np.lexsort((ends[:, 1], ends[:, 0]))
-        ends = ends[order]
-        same = (ends[1:] == ends[:-1]).all(axis=1)
-        if (same[1:] & same[:-1]).any():
-            raise ValueError("an edge is shared by more than two triangles")
-        first = np.flatnonzero(same)
-        a, b = order[first], order[first + 1]
-        neighbors = np.full(3 * nt, -1, dtype=np.int64)
-        neighbors[a] = b // 3
-        neighbors[b] = a // 3
-        self.triangle_neighbors = neighbors.reshape(nt, 3)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -224,97 +207,85 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
     # cell (i, j) has corners a, b, c, d counterclockwise from its lower
-    # left; the diagonal alternates with the parity of i + j
+    # left; its diagonal is a-c or b-d (_rises)
     j, i = np.divmod(np.arange(nx * ny), nx)
     a = j * (nx + 1) + i
     b, c, d = a + 1, a + nx + 2, a + nx + 1
-    even = (i + j) % 2 == 0
-    tris = np.empty((nx * ny, 2, 3), dtype=np.int64)
-    tris[:, 0] = np.where(even[:, None], np.column_stack([a, b, c]),
-                          np.column_stack([a, b, d]))
-    tris[:, 1] = np.where(even[:, None], np.column_stack([a, c, d]),
-                          np.column_stack([b, c, d]))
-    tris = tris.reshape(-1, 3)
+    rises = _rises(i, j)[:, None]
+    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    tris[_cell_triangle(i, j, nx, 0)] = np.where(
+        rises, np.column_stack([a, b, c]), np.column_stack([a, b, d]))
+    tris[_cell_triangle(i, j, nx, 1)] = np.where(
+        rises, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
 
-    # boundary edges (those of one triangle only), oriented counterclockwise
-    # around the rectangle as they appear in their owning triangle, in
-    # (triangle, local edge) order
+    # boundary edges (those with both ends on one side of the rectangle),
+    # oriented counterclockwise around it as they appear in their owning
+    # triangle, in (triangle, local edge) order
     ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-    keys = ends.min(axis=1) * len(vertices) + ends.max(axis=1)
-    order = np.argsort(keys, kind="stable")
-    differs = np.diff(keys[order]) != 0
-    single = np.concatenate([[True], differs]) \
-        & np.concatenate([differs, [True]])
-    owned = np.sort(order[single])
+    p, q = vertices[ends[:, 0]], vertices[ends[:, 1]]
+    on_side = (p == q) & ((p == vertices[0]) | (p == vertices[-1]))
+    owned = np.flatnonzero(on_side.any(axis=1))
     b_edges = ends[owned]
-    b_tris = owned // 3
 
     rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
     mids = 0.5 * (vertices[b_edges[:, 0]] + vertices[b_edges[:, 1]])
     tags = [rule(m) for m in mids]
-    return Mesh(vertices, tris, b_edges, tags, b_tris)
+    mesh = Mesh(vertices, tris, b_edges, tags, owned // 3)
+
+    # the boundary edges of each side, [normal axis, upper side, cell along
+    # the side]
+    side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
+    for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
+        for upper, value in enumerate((lines[0], lines[-1])):
+            on = np.flatnonzero(mids[:, axis] == value)
+            side_edges[axis, upper, _cell_index(along, mids[on, 1 - axis])] = on
+    mesh.xs, mesh.ys, mesh.side_edges = xs, ys, side_edges
+    return mesh
+
+
+def _rises(i, j):
+    """Whether the diagonal of grid cell (i, j) rises from its lower left."""
+    return (i + j) % 2 == 0
+
+
+def _cell_triangle(i, j, nx, upper):
+    """The lower (``upper`` 0) or upper (1) triangle of grid cell (i, j)."""
+    return 2 * (j * nx + i) + upper
 
 
 # -- point location -----------------------------------------------------------
 
-def locate_many(mesh: Mesh, pts: np.ndarray, hints: np.ndarray | None = None):
-    """Locate many points by walking from per-point hint triangles.
+def _grid(mesh: Mesh):
+    if mesh.xs is None:
+        raise ValueError("point location needs the grid lines of a mesh "
+                         "built by generate_rect_mesh")
+    return mesh.xs, mesh.ys, mesh.side_edges
 
-    Returns ``(tri, bary, inside)`` where ``tri`` is -1 for points outside the
-    closed domain.  Points that exhaust the walk budget (degenerate cycling)
-    fall back to an exhaustive scan.
+
+def _cell_index(lines, v):
+    """Grid cell along one axis of each coordinate ``v``, clipped."""
+    return np.clip(np.searchsorted(lines, v, "right") - 1, 0, len(lines) - 2)
+
+
+def locate_many(mesh: Mesh, pts: np.ndarray):
+    """Locate many points by grid arithmetic.
+
+    Returns ``(tri, bary, inside)`` where ``tri`` is -1 (and ``bary`` zero)
+    for points outside the closed domain.  A point on an edge or a vertex
+    is located in one of the triangles that share it.
     """
+    xs, ys, _ = _grid(mesh)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = len(pts)
-    if hints is None:
-        cur = np.zeros(n, dtype=np.int64)
-    else:
-        cur = np.clip(np.asarray(hints, dtype=np.int64).copy(), 0,
-                      mesh.n_triangles - 1)
-    tri_out = np.full(n, -1, dtype=np.int64)
-    bary_out = np.zeros((n, 3))
-    inside = np.zeros(n, dtype=bool)
-
-    pending = np.arange(n)
-    max_steps = 4 * int(np.sqrt(mesh.n_triangles)) + 64
-    for _ in range(max_steps):
-        if pending.size == 0:
-            break
-        b = mesh.barycentric(cur[pending], pts[pending])
-        amin = np.argmin(b, axis=1)
-        bmin = b[np.arange(len(b)), amin]
-        ok = bmin >= -INSIDE_TOL
-        done = pending[ok]
-        tri_out[done] = cur[done]
-        bary_out[done] = b[ok]
-        inside[done] = True
-        rest = pending[~ok]
-        if rest.size == 0:
-            pending = rest
-            break
-        nb = mesh.triangle_neighbors[cur[rest], amin[~ok]]
-        # crossing a boundary edge outward on a convex domain: point outside
-        cont = rest[nb >= 0]
-        cur[cont] = nb[nb >= 0]
-        pending = cont
-
-    # walk budget exhausted (degenerate cycling): exhaustive fallback
-    for i in pending:
-        hit = _locate_exhaustive(mesh, pts[i])
-        if hit is not None:
-            tri_out[i], bary_out[i] = hit
-            inside[i] = True
-    return tri_out, bary_out, inside
-
-
-def _locate_exhaustive(mesh: Mesh, x: np.ndarray):
-    """Scan all triangles; lowest containing index wins."""
-    all_tris = np.arange(mesh.n_triangles)
-    b = mesh.barycentric(all_tris, np.broadcast_to(x, (mesh.n_triangles, 2)))
-    ok = np.flatnonzero(b.min(axis=1) >= -INSIDE_TOL)
-    if ok.size == 0:
-        return None
-    return int(ok[0]), b[ok[0]]
+    x, y = pts[:, 0], pts[:, 1]
+    i, j = _cell_index(xs, x), _cell_index(ys, y)
+    run = np.where(_rises(i, j), x - xs[i], xs[i + 1] - x)
+    upper = (y - ys[j]) * (xs[i + 1] - xs[i]) > run * (ys[j + 1] - ys[j])
+    tri = _cell_triangle(i, j, len(xs) - 1, upper)
+    bary = mesh.barycentric(tri, pts)
+    inside = bary.min(axis=1) >= -INSIDE_TOL
+    tri[~inside] = -1
+    bary[~inside] = 0.0
+    return tri, bary, inside
 
 
 def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
@@ -322,25 +293,34 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     boundary; ``starts`` and ``ends`` are ``(m, 2)`` arrays.
 
     Every start must lie inside the closed domain and every end outside.
-    Each segment is intersected with every boundary edge (within a
-    parametric slack of ``EXIT_TOL``) and the first crossing along it wins.
-    A numerically tangent crossing is resolved by nudging the segment
-    parameter by ``EXIT_TOL`` toward the start; the returned points are
-    snapped onto the crossed edges so they always lie in the closed domain.
+    Each segment is clipped against the four sides, the grid lines of a side
+    giving the one edge it can cross there; the first crossing within a
+    parametric slack of ``EXIT_TOL`` wins.  It is nudged by ``EXIT_TOL``
+    toward the start and snapped onto its edge, so it lies in the domain.
     """
+    xs, ys, side_edges = _grid(mesh)
     a = np.atleast_2d(np.asarray(starts, dtype=float))
     s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
     if np.any((s == 0.0).all(axis=1)):
         raise ValueError("degenerate segment: start equals end")
-    p = mesh.vertices[mesh.boundary_edges[:, 0]]
-    r = mesh.vertices[mesh.boundary_edges[:, 1]] - p
-    # intersection table: one row per segment, one column per boundary edge
-    s0, s1 = s[:, :1], s[:, 1:]
-    ap0 = p[:, 0] - a[:, :1]
-    ap1 = p[:, 1] - a[:, 1:]
-    denom = s0 * r[:, 1] - s1 * r[:, 0]
+    # the crossing of each segment's line with the line of each side, and
+    # the side's boundary edge there: four candidates [axis, upper] a row
+    bounds = np.array([[xs[0], xs[-1]], [ys[0], ys[-1]]])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_par = (ap0 * r[:, 1] - ap1 * r[:, 0]) / denom
+        t_side = (bounds - a[:, :, None]) / s[:, :, None]
+        along = a[:, ::-1, None] + t_side * s[:, ::-1, None]
+    cells = np.stack([_cell_index(ys, along[:, 0]),
+                      _cell_index(xs, along[:, 1])], axis=1)
+    edges = side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
+
+    p = mesh.vertices[mesh.boundary_edges[edges, 0]]
+    r = mesh.vertices[mesh.boundary_edges[edges, 1]] - p
+    ap0 = p[..., 0] - a[:, :1]
+    ap1 = p[..., 1] - a[:, 1:]
+    s0, s1 = s[:, :1], s[:, 1:]
+    denom = s0 * r[..., 1] - s1 * r[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_par = (ap0 * r[..., 1] - ap1 * r[..., 0]) / denom
         u_par = (ap0 * s1 - ap1 * s0) / denom
     valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
         & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
@@ -349,11 +329,12 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
         raise ValueError("segment does not cross the boundary; is the end "
                          "point outside the domain?")
     t_all = np.where(valid, t_par, np.inf)
-    edge = np.argmin(t_all, axis=1)
-    t_star = np.maximum(t_all[np.arange(len(edge)), edge] - EXIT_TOL, 0.0)
+    rows, first = np.arange(len(a)), np.argmin(t_all, axis=1)
+    edge = edges[rows, first]
+    t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)
     points = a + t_star[:, None] * s
     # snap onto the edge
-    pe, re = p[edge], r[edge]
+    pe, re = p[rows, first], r[rows, first]
     d = points - pe
     u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
         / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])

@@ -157,7 +157,7 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
     """
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
     bracket, clamped = lg1_material_terms(
-        u0_field, ctx.porosity, tau, ctx.qpoints_flat, ctx.qhints_flat,
+        u0_field, ctx.porosity, tau, ctx.qpoints_flat,
         u0_at=ctx.velocity_at_quad(u0_field).reshape(-1, 2),
         g0=_bound_dirichlet(setup, 0.0))
     return _advance(setup, 1, bracket, clamped, u0_field, rho / tau,
@@ -178,7 +178,6 @@ def general_step(setup: ProblemSetup, state: SchemeState,
     t_k = state.k * tau
     bracket, clamped = ab2_material_terms(
         state.u_prev, state.u_prev2, ctx.porosity, tau, ctx.qpoints_flat,
-        ctx.qhints_flat,
         u_prev_at=ctx.velocity_at_quad(state.u_prev).reshape(-1, 2),
         u_prev2_at=ctx.velocity_at_quad(state.u_prev2).reshape(-1, 2),
         g_prev=_bound_dirichlet(setup, t_k - tau),

@@ -2,11 +2,14 @@
 
 Each reference below is the earlier implementation, kept verbatim in
 substance: ``einsum`` contractions over gathered node values, ``np.add.at``
-scatters, per-expression ``lambdify`` and the loop-built mesh.  Kernels whose
-arithmetic is unchanged must agree bit for bit; those that sum in another
-order agree within a tolerance fixed from double precision.
+scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
+the adjacency walk for point location and the segment/boundary-edge table
+for the boundary exit.  Kernels whose arithmetic is unchanged must agree bit
+for bit; those that sum in another order agree within a tolerance fixed from
+double precision.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -29,7 +32,11 @@ from porousflow.fem import (
     velocity_space,
 )
 from porousflow.mesh import (
+    EXIT_TOL,
+    INSIDE_TOL,
+    BoundaryHit,
     LayerGrading,
+    boundary_exit_point,
     generate_rect_mesh,
     locate_many,
 )
@@ -141,6 +148,106 @@ def rect_mesh_reference(x_extent, y_extent, n_divisions):
     return tris, np.array(b_edges), np.array(b_tris)
 
 
+@functools.lru_cache(maxsize=None)
+def adjacency_reference(mesh):
+    """Triangle neighbours by a per-triangle loop: entry k of a triangle is
+    the triangle across its edge opposite vertex k, -1 on the boundary."""
+    owner = {}
+    neighbors = np.full((mesh.n_triangles, 3), -1, dtype=np.int64)
+    for t, v in enumerate(mesh.triangles):
+        for k in range(3):
+            key = tuple(sorted((int(v[(k + 1) % 3]), int(v[(k + 2) % 3]))))
+            if key in owner:
+                s, j = owner.pop(key)
+                neighbors[t, k] = s
+                neighbors[s, j] = t
+            else:
+                owner[key] = (t, k)
+    return neighbors
+
+
+def exhaustive_reference(mesh, x):
+    """Scan all triangles for the point ``x``; lowest containing index wins,
+    ``None`` outside."""
+    all_tris = np.arange(mesh.n_triangles)
+    b = mesh.barycentric(all_tris, np.broadcast_to(x, (mesh.n_triangles, 2)))
+    ok = np.flatnonzero(b.min(axis=1) >= -INSIDE_TOL)
+    if ok.size == 0:
+        return None
+    return int(ok[0]), b[ok[0]]
+
+
+def walk_reference(mesh, pts, hints=None):
+    """Point location by walking the adjacency from per-point hint
+    triangles toward the point; walks that exhaust their budget fall back to
+    the exhaustive scan.  On a convex domain a walk that would cross a
+    boundary edge proves the point outside."""
+    neighbors = adjacency_reference(mesh)
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n = len(pts)
+    if hints is None:
+        cur = np.zeros(n, dtype=np.int64)
+    else:
+        cur = np.clip(np.asarray(hints, dtype=np.int64).copy(), 0,
+                      mesh.n_triangles - 1)
+    tri_out = np.full(n, -1, dtype=np.int64)
+    bary_out = np.zeros((n, 3))
+    inside = np.zeros(n, dtype=bool)
+    pending = np.arange(n)
+    for _ in range(4 * int(np.sqrt(mesh.n_triangles)) + 64):
+        if pending.size == 0:
+            break
+        b = mesh.barycentric(cur[pending], pts[pending])
+        amin = np.argmin(b, axis=1)
+        ok = b[np.arange(len(b)), amin] >= -INSIDE_TOL
+        done = pending[ok]
+        tri_out[done] = cur[done]
+        bary_out[done] = b[ok]
+        inside[done] = True
+        rest = pending[~ok]
+        nb = neighbors[cur[rest], amin[~ok]]
+        pending = rest[nb >= 0]
+        cur[pending] = nb[nb >= 0]
+    for i in pending:
+        hit = exhaustive_reference(mesh, pts[i])
+        if hit is not None:
+            tri_out[i], bary_out[i] = hit
+            inside[i] = True
+    return tri_out, bary_out, inside
+
+
+def exit_table_reference(mesh, starts, ends):
+    """First boundary crossings from one table of every segment against
+    every boundary edge; returns them and the table of crossing parameters
+    (``inf`` where a segment misses an edge)."""
+    a = np.atleast_2d(np.asarray(starts, dtype=float))
+    s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
+    p = mesh.vertices[mesh.boundary_edges[:, 0]]
+    r = mesh.vertices[mesh.boundary_edges[:, 1]] - p
+    s0, s1 = s[:, :1], s[:, 1:]
+    ap0 = p[:, 0] - a[:, :1]
+    ap1 = p[:, 1] - a[:, 1:]
+    denom = s0 * r[:, 1] - s1 * r[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_par = (ap0 * r[:, 1] - ap1 * r[:, 0]) / denom
+        u_par = (ap0 * s1 - ap1 * s0) / denom
+    valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
+        & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
+        & (t_par <= 1.0 + EXIT_TOL)
+    assert valid.any(axis=1).all()
+    t_all = np.where(valid, t_par, np.inf)
+    edge = np.argmin(t_all, axis=1)
+    t_star = np.maximum(t_all[np.arange(len(edge)), edge] - EXIT_TOL, 0.0)
+    points = a + t_star[:, None] * s
+    pe, re = p[edge], r[edge]
+    d = points - pe
+    u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
+        / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
+    points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
+    tags = np.array(mesh.boundary_tags, dtype=object)[edge]
+    return BoundaryHit(points, edge, tags), t_all
+
+
 def lambdify_reference(args, exprs, shape):
     import sympy as sp
     fns = [sp.lambdify(args, e, modules="numpy") for e in exprs]
@@ -176,7 +283,7 @@ def test_barycentric_is_bitwise_the_einsum_form(name, rows):
     mesh = MESHES[name]
     pts, tri, _ = located(mesh, rows)
     # the containing triangle and a neighbour (the point lies outside it)
-    nb = mesh.triangle_neighbors[tri, 0]
+    nb = adjacency_reference(mesh)[tri, 0]
     nb = np.where(nb >= 0, nb, tri)
     for tris in (tri, nb):
         assert np.array_equal(mesh.barycentric(tris, pts),
@@ -209,6 +316,82 @@ def test_rect_mesh_matches_the_loop_construction(x_extent, y_extent, n,
     assert np.array_equal(m.triangles, tris)
     assert np.array_equal(m.boundary_edges, b_edges)
     assert np.array_equal(m.boundary_edge_tri, b_tris)
+
+
+@st.composite
+def grid_points(draw, mesh):
+    """Points in the cells of a tensor-grid mesh, some on its grid lines or
+    cell diagonals, some pushed out through a side of the rectangle by a
+    multiple of ``INSIDE_TOL`` times the cell size."""
+    xs, ys = mesh.xs, mesh.ys
+    i = draw(st.integers(0, len(xs) - 2))
+    j = draw(st.integers(0, len(ys) - 2))
+    edge_or_inner = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                              st.floats(0.0, 1.0))
+    fx, fy = draw(edge_or_inner), draw(edge_or_inner)
+    if draw(st.booleans()):  # on the cell diagonal
+        fy = fx if (i + j) % 2 == 0 else 1.0 - fx
+    x = xs[i] + fx * (xs[i + 1] - xs[i])
+    y = ys[j] + fy * (ys[j + 1] - ys[j])
+    side = draw(st.sampled_from([None, "left", "right", "bottom", "top"]))
+    push = draw(st.floats(0.0, 3.0)) * INSIDE_TOL
+    if side == "left":
+        x = xs[0] - push * (xs[1] - xs[0])
+    elif side == "right":
+        x = xs[-1] + push * (xs[-1] - xs[-2])
+    elif side == "bottom":
+        y = ys[0] - push * (ys[1] - ys[0])
+    elif side == "top":
+        y = ys[-1] + push * (ys[-1] - ys[-2])
+    return x, y
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(data=st.data())
+def test_grid_location_matches_the_walk(name, data):
+    mesh = MESHES[name]
+    pts = np.array(data.draw(st.lists(grid_points(mesh), min_size=1,
+                                      max_size=40)))
+    tri, bary, inside = locate_many(mesh, pts)
+    tri_w, bary_w, inside_w = walk_reference(mesh, pts)
+    assert np.array_equal(inside, inside_w)
+    assert np.array_equal(tri[~inside], tri_w[~inside])
+    same = tri == tri_w
+    assert np.array_equal(bary[same], bary_w[same])
+    # a point on an edge or a vertex: both triangles contain it
+    for t in (tri[~same], tri_w[~same]):
+        assert (mesh.barycentric(t, pts[~same]).min(axis=1)
+                >= -INSIDE_TOL).all()
+
+
+fraction_segments = st.lists(
+    st.tuples(fraction, fraction, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(rows=fraction_segments)
+def test_exit_matches_the_table(name, rows):
+    mesh = MESHES[name]
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    rows = np.array(rows)
+    starts = lo + rows[:, :2] * (hi - lo)
+    ends = starts + rows[:, 2:] * (hi - lo)
+    out = ~walk_reference(mesh, ends)[2]
+    if not out.any():
+        return
+    hit = boundary_exit_point(mesh, starts[out], ends[out])
+    ref, t_all = exit_table_reference(mesh, starts[out], ends[out])
+    same = hit.edges == ref.edges
+    assert np.array_equal(hit.points[same], ref.points[same])
+    assert list(hit.tags[same]) == list(ref.tags[same])
+    # elsewhere a tie at a vertex: the other edge is crossed at the same
+    # parameter
+    rows = np.arange(len(ref.edges))
+    assert np.abs(t_all[rows, hit.edges] - t_all[rows, ref.edges]).max() \
+        <= 1e-12
 
 
 # -- reordered sums ---------------------------------------------------------------
@@ -303,11 +486,12 @@ def test_mms_stacks_match_per_expression_lambdify(monkeypatch):
             assert_rel(value, ref(pts, t), 1e-13)
 
 
-# -- walk start ---------------------------------------------------------------------
+# -- location in a run ---------------------------------------------------------------------
 
 def test_tau_foot_walk_start_clamps_the_same_feet(monkeypatch):
-    """The 2 tau walk starts at the tau foot's triangle; the clamped feet of
-    every step equal those of walks started at the points' own triangles."""
+    """The clamped feet of every step equal those of the same run with its
+    feet located by the reference walk, started at the points' own
+    triangles."""
     case = get_case("sinusoidal")
     _, ctx, setup = build_setup(case, 40, t_final=8.5 * case.nominal_h(40))
 
@@ -317,12 +501,13 @@ def test_tau_foot_walk_start_clamps_the_same_feet(monkeypatch):
         return counts
 
     counts = clamped(setup)
-    own = ctx.qhints_flat
-    original = characteristics.locate_many
+    nt, nq = ctx.wxarea.shape
+    own = np.repeat(np.arange(nt), nq)
 
-    def own_start(mesh, pts, hints=None):
-        return original(mesh, pts, own if len(pts) == len(own) else hints)
+    def walk_from_own_triangles(mesh, pts):
+        return walk_reference(mesh, pts, own)
 
-    monkeypatch.setattr(characteristics, "locate_many", own_start)
+    monkeypatch.setattr(characteristics, "locate_many",
+                        walk_from_own_triangles)
     assert counts == clamped(setup)
     assert len(counts) == 8 and sum(counts) > 0

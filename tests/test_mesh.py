@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from porousflow.cases import build_case_mesh, get_case
 from porousflow.mesh import (
     BoundaryTag,
     LayerGrading,
@@ -12,6 +11,7 @@ from porousflow.mesh import (
     generate_rect_mesh,
     locate_many,
 )
+from test_kernel_references import exhaustive_reference
 
 
 def test_structured_counts_and_hmax():
@@ -75,12 +75,10 @@ def test_locate_hint_agrees_with_exhaustive(rng):
     mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 12,
                               grading=LayerGrading(0.5, 0.01))
     pts = np.column_stack([rng.uniform(0, 3, 1000), rng.uniform(0, 1, 1000)])
-    hints = rng.integers(0, mesh.n_triangles, 1000)
-    tri_w, bary_w, inside_w = locate_many(mesh, pts, hints)
+    tri_w, bary_w, inside_w = locate_many(mesh, pts)
     assert inside_w.all()
-    from porousflow.mesh import _locate_exhaustive
     for i in range(0, 1000, 37):
-        t_e, b_e = _locate_exhaustive(mesh, pts[i])
+        t_e, b_e = exhaustive_reference(mesh, pts[i])
         got = mesh.barycentric(np.array([tri_w[i]]), pts[i][None])[0]
         assert got.min() >= -1e-12
         # both candidates contain the point; interior points are unambiguous
@@ -96,55 +94,9 @@ def test_quadrature_points_locate_home():
                     mesh.vertices[mesh.triangles])
     nt, nq = pts.shape[:2]
     flat = pts.reshape(nt * nq, 2)
-    hints = np.repeat(np.arange(nt), nq)
-    tri, bary, inside = locate_many(mesh, flat, hints)
+    tri, bary, inside = locate_many(mesh, flat)
     assert inside.all()
-    assert (tri == hints).all()
-
-
-def test_neighbor_symmetry(unit_mesh):
-    nb = unit_mesh.triangle_neighbors
-    for t in range(unit_mesh.n_triangles):
-        for s in nb[t]:
-            if s >= 0:
-                assert t in nb[s]
-
-
-def _loop_adjacency(mesh):
-    """Triangle neighbours by the per-triangle loop the vectorized
-    construction replaced."""
-    owner = {}
-    neighbors = np.full((mesh.n_triangles, 3), -1, dtype=np.int64)
-    for t, v in enumerate(mesh.triangles):
-        for k in range(3):
-            key = tuple(sorted((int(v[(k + 1) % 3]), int(v[(k + 2) % 3]))))
-            if key in owner:
-                s, j = owner.pop(key)
-                neighbors[t, k] = s
-                neighbors[s, j] = t
-            else:
-                owner[key] = (t, k)
-    return neighbors
-
-
-@pytest.mark.parametrize("mesh", [
-    build_case_mesh(get_case("two-layer"), 12),
-    generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 8),
-    build_case_mesh(get_case("sinusoidal"), 10),
-], ids=["two-layer-graded-12", "mms-uniform-8", "sinusoidal-10"])
-def test_adjacency_matches_per_triangle_loops(mesh):
-    assert np.array_equal(mesh.triangle_neighbors, _loop_adjacency(mesh))
-
-
-def test_edge_shared_by_three_triangles_rejected():
-    # three triangles fanned around the edge (0, 1)
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
-                      [0.5, 2.0]])
-    tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
-    edges = np.array([[1, 2], [2, 0], [0, 3], [3, 1]])
-    with pytest.raises(ValueError, match="more than two triangles"):
-        Mesh(verts, tris, edges, [BoundaryTag.DIRICHLET] * 4,
-             np.zeros(4, dtype=int))
+    assert (tri == np.repeat(np.arange(nt), nq)).all()
 
 
 def test_boundary_edges_count_and_tags():
@@ -193,6 +145,18 @@ def test_boundary_exit_point_stays_in_domain(unit_mesh, rng):
     hit = boundary_exit_point(unit_mesh, inside[out], outside[out])
     assert len(hit.points) == out.sum() > 0
     assert locate_many(unit_mesh, hit.points)[2].all()
+
+
+def test_hand_built_mesh_cannot_locate():
+    # the unit square cut along its diagonal, with no grid lines
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    mesh = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]),
+                np.array([[0, 1], [3, 2], [2, 0], [1, 3]]),
+                [BoundaryTag.DIRICHLET] * 4, np.array([0, 1, 0, 1]))
+    with pytest.raises(ValueError, match="generate_rect_mesh"):
+        locate_many(mesh, [(0.2, 0.2)])
+    with pytest.raises(ValueError, match="generate_rect_mesh"):
+        boundary_exit_point(mesh, [(0.2, 0.2)], [(-1.0, 0.2)])
 
 
 def test_mesh_vtk_export(unit_mesh, tmp_path):

@@ -112,7 +112,8 @@ def test_tau_exceeding_final_time_rejected(params):
 
 @pytest.mark.parametrize("name, value", [("tau", math.nan),
                                          ("t_final", math.inf),
-                                         ("tau", -math.inf)])
+                                         ("tau", -math.inf),
+                                         ("tau", 0.0)])
 def test_non_finite_times_rejected(params, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be positive and "
                                          "finite"):
