@@ -54,7 +54,6 @@ class FormContext:
     p1_vals: np.ndarray = field(init=False, repr=False)    # (nq, 3)
     p2_vals: np.ndarray = field(init=False, repr=False)    # (nq, 6)
     phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
-    _mass: sparse.csr_matrix | None = field(init=False, default=None, repr=False)
     _volume: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -74,12 +73,6 @@ class FormContext:
     def velocity_at_quad(self, f: FeField) -> np.ndarray:
         """Values of a velocity field at all quadrature points, (nt, nq, 2)."""
         return self.tables.at_quad(f)
-
-    def mass_matrix(self) -> sparse.csr_matrix:
-        """Unweighted velocity mass matrix (cached)."""
-        if self._mass is None:
-            self._mass = _vector_mass(self, np.ones_like(self.wxarea))
-        return self._mass
 
     def volume_vector(self) -> np.ndarray:
         """Pressure basis integrals (cached, see
@@ -174,11 +167,6 @@ def quadratic_drag_weight(theta_field: FeField,
     theta = ctx.velocity_at_quad(theta_field)
     speed = np.sqrt((theta ** 2).sum(axis=2))
     return ctx.params.rho * forchheimer_coeff(ctx.phi_q, ctx.params) * speed
-
-
-def assemble_c0(ctx: FormContext) -> sparse.csr_matrix:
-    """Linear drag form mu*(phi/K(phi) u, v)."""
-    return _vector_mass(ctx, linear_drag_weight(ctx))
 
 
 def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:

@@ -79,9 +79,10 @@ def parse_config_file(path) -> dict:
 def resolve_run_config(args) -> RunConfig:
     """The run's settings: flags over ``--config`` file values over the
     case's defaults.  A file may hold only the keys ``config.txt`` records;
-    one that the file cannot set (the case, its extents and constants) must
-    carry the value this run records, as text, so a written ``config.txt``
-    can be fed back.  Anything else raises ``ValueError``."""
+    one that the file cannot set (the case, its extents, its physical
+    parameters and constants) must carry the value this run records, as
+    text, so a written ``config.txt`` can be fed back.  Anything else raises
+    ``ValueError``."""
     case = case_lib.get_case(args.case)
     file_cfg = parse_config_file(args.config) if args.config else {}
     settable = set()
@@ -100,11 +101,11 @@ def resolve_run_config(args) -> RunConfig:
         n=n,
         tau=pick(args.tau, "tau", case.nominal_h(n), float),
         t_final=pick(args.t_final, "t_final", case.t_final, float),
-        mu=pick(None, "mu", case.params.mu, float),
-        rho=pick(None, "rho", case.params.rho, float),
-        d_p=pick(None, "d_p", case.params.d_p, float),
-        a=pick(None, "a", case.params.a, float),
-        b=pick(None, "b", case.params.b, float),
+        mu=case.params.mu,
+        rho=case.params.rho,
+        d_p=case.params.d_p,
+        a=case.params.a,
+        b=case.params.b,
         out_dir=pick(args.out_dir, "out_dir", f"out/{case.name}", str),
         snapshot_every=pick(args.snapshot_every, "snapshot_every", 10, int),
     )

@@ -138,8 +138,11 @@ def validate_porosity_admissibility(porosity: PorosityField, params: PhysicalPar
     ``bounds`` is ``((x0, x1), (y0, y1))``.  After the uniform scan the
     neighborhood of the largest margin is re-sampled a few times so that a
     thin violating layer is reported with a sharp peak value rather than
-    whatever the coarse grid happened to hit.
+    whatever the coarse grid happened to hit.  A ``resolution`` below 2
+    raises ``ValueError``.
     """
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
     (x0, x1), (y0, y1) = bounds
     xs = np.linspace(x0, x1, resolution)
     ys = np.linspace(y0, y1, resolution)

@@ -8,17 +8,17 @@ Dirichlet boundary is fixed through a single zero-mean Lagrange multiplier;
 per system only the values change.  Fixed unknowns are imposed by symmetric
 row/column elimination with right-hand-side lifting.
 
-A :class:`SaddleSystem` on its own is the from-scratch reference: the blocks
-are stacked, the fixed unknowns eliminated with diagonal masks, and the
-result solved by :func:`direct_solve`.
-
-A run builds one :class:`StepSolver` from its constant blocks and its table.
+Every solve goes through one :class:`StepSolver`, built from the constant
+blocks and the table: a run builds one, as does the steady solve of
+:func:`porousflow.verification.steady_stokes_solve` with a zero weight.
 Between steps only the velocity mass-type block changes: the scaled mass,
 the linear drag and the linearized quadratic drag fold into one weight per
 quadrature point.  The solver eliminates the constant blocks once, in a CSR
 pattern that also holds every element's mass-type entries, and each step
 scatters its element matrices into a copy of the constant data by
-precomputed positions.
+precomputed positions.  Its :meth:`StepSolver.solve` returns the step's
+velocity and pressure fields.  A :class:`SaddleSystem` is only a per-step
+front to that call.
 
 Every matrix is factorized by :func:`direct_solve` in one fill-reducing order
 of its unknowns, :func:`nested_dissection` of the mesh geometry, computed
@@ -41,7 +41,7 @@ import scipy.sparse as sparse
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
-from porousflow.assembly import FormContext, _vector_mass
+from porousflow.assembly import FormContext
 from porousflow.fem import FeField, boundary_nodes
 from porousflow.mesh import BoundaryTag
 
@@ -197,22 +197,10 @@ def _stack(a, b, gauge_vector):
                        format="csr")
 
 
-def _eliminate(k, fixed):
-    """Zero the rows and columns of the ``fixed`` unknowns of ``k`` and put
-    ones on their diagonal."""
-    n = k.shape[0]
-    keep = np.ones(n)
-    keep[fixed] = 0.0
-    mark = np.zeros(n)
-    mark[fixed] = 1.0
-    mask = sparse.diags(keep)
-    return (mask @ k @ mask + sparse.diags(mark)).tocsr()
-
-
 def _step_pattern(k, cell_dofs, free):
-    """Eliminate the fixed unknowns of ``k`` (as :func:`_eliminate` does)
-    and unite the result with every element's mass-type entries (same
-    velocity component) on free rows and columns.
+    """Eliminate the fixed unknowns of ``k`` (zero their rows and columns,
+    ones on their diagonal) and unite the result with every element's
+    mass-type entries (same velocity component) on free rows and columns.
 
     Returns the canonical CSR matrix, zero where only the mass-type entries
     act, and the position of each entry of the element matrices, ``(nt, 6,
@@ -392,7 +380,7 @@ class StepSolver:
                  constraints: Constraints):
         _fix_malloc_thresholds()
         self.ctx = ctx
-        self.a_block, self.b_block = a_block, b_block
+        self.b_block = b_block
         self.constraints = constraints
         fixed = constraints.fixed
         k = _stack(a_block, b_block,
@@ -447,16 +435,41 @@ class StepSolver:
             rhs[fixed] = values
         return k, rhs
 
-    def solve(self, weight: np.ndarray, rhs: np.ndarray, values: np.ndarray,
+    def solve(self, weight: np.ndarray, load: np.ndarray, values: np.ndarray,
               key=None):
-        """Solve the constrained system of the mass-type weight ``weight``,
-        the unconstrained ``rhs`` and the ``values`` of the fixed unknowns.
+        """Solve the step system of the mass-type weight ``weight``, the
+        velocity ``load`` (zero pressure and gauge rows) and the ``values``
+        of the fixed unknowns.
 
-        Returns ``(x, residual, krylov_iterations, factorized)`` with the
-        relative residual of ``x``; raises :class:`SingularSystemError` as
-        :func:`direct_solve` does.
+        Returns the velocity and pressure fields, with the fixed unknowns
+        set to their values exactly and, when gauged, the pressure shifted
+        to zero mean, and the :class:`SolveReport`.  Raises
+        :class:`SolverError` for a load that is not finite and
+        :class:`SingularSystemError` as :func:`direct_solve` does.
         """
+        if not np.isfinite(load).all():
+            raise SolverError("right-hand side contains NaN or Inf")
+        ctx, fixed = self.ctx, self.constraints.fixed
+        nv, nq = ctx.vspace.dof_count, ctx.pspace.dof_count
+        rhs = np.concatenate([load, np.zeros(self._constant.shape[0] - nv)])
         k, rhs = self.assemble(weight, rhs, values)
+        x, resid, iterations, factorized = self._solve(k, rhs, key)
+        x[fixed] = values   # prescribed values, exactly
+        u, p = x[:nv], x[nv:nv + nq]
+        if self.constraints.gauge:
+            c = ctx.volume_vector()
+            p = p - (c @ p) / float(ctx.mesh.areas.sum())
+        report = SolveReport(algebraic_residual=resid,
+                             incompressibility_residual=float(
+                                 np.abs(self.b_block @ u).max()),
+                             krylov_iterations=iterations,
+                             factorized=factorized)
+        return FeField(ctx.vspace, u), FeField(ctx.pspace, p), report
+
+    def _solve(self, k, rhs, key):
+        """``(x, residual, krylov_iterations, factorized)`` for the
+        constrained system ``k x = rhs``: GMRES with the held LU when it
+        was built under ``key``, else a new factorization."""
         iterations = 0
         if self._lu is not None and self._key == key:
             rhs_norm = max(float(np.linalg.norm(rhs)), 1e-30)
@@ -530,148 +543,31 @@ class StepSolver:
 
 
 class SaddleSystem:
-    """One velocity/pressure system and the values of its fixed unknowns.
+    """One step's system in front of the run's :class:`StepSolver`: the
+    velocity ``load``, the mass-type ``weight`` and the values of the
+    solver's fixed unknowns, set by :meth:`apply_dirichlet`."""
 
-    The velocity block is ``a_block``, plus the velocity mass matrix weighted
-    by ``mass_weight`` (nt, nq) at the quadrature points when one is given.
-    Nothing is fixed until the ``constraints`` table (made on first use when
-    none is given) is imposed by :meth:`apply_dirichlet` or
-    :meth:`apply_slip`.
-    """
-
-    def __init__(self, ctx: FormContext, a_block: sparse.spmatrix,
-                 b_block: sparse.spmatrix, rhs_velocity: np.ndarray,
-                 rhs_pressure: np.ndarray | None = None,
-                 mass_weight: np.ndarray | None = None,
-                 constraints: Constraints | None = None):
-        self.ctx = ctx
-        self.A = a_block.tocsr()
-        self.B = b_block.tocsr()
-        nv = ctx.vspace.dof_count
-        nq = ctx.pspace.dof_count
-        if self.A.shape != (nv, nv) or self.B.shape != (nq, nv):
-            raise ValueError("block shapes do not match the context spaces")
-        if mass_weight is not None and mass_weight.shape != ctx.wxarea.shape:
-            raise ValueError("the mass weight must have one value per "
-                             "quadrature point")
-        self.mass_weight = mass_weight
-        self.rhs_v = np.asarray(rhs_velocity, dtype=float).copy()
-        self.rhs_p = (np.zeros(nq) if rhs_pressure is None
-                      else np.asarray(rhs_pressure, dtype=float).copy())
-        self.constraints = constraints
-        self.values: np.ndarray | None = None   # of constraints.fixed
-    # -- constraints ------------------------------------------------------------
-
-    @property
-    def gauge(self) -> bool:
-        return self.constraints is not None and self.constraints.gauge
-
-    def _table(self, gauge: bool = False) -> Constraints:
-        """The constraint table, built on first use or to add the gauge."""
-        if self.constraints is None or (gauge and not self.gauge):
-            self.constraints = Constraints.build(self.ctx, gauge)
-        return self.constraints
+    def __init__(self, solver: StepSolver, load: np.ndarray,
+                 weight: np.ndarray):
+        self.solver, self.load, self.weight = solver, load, weight
+        self.values: np.ndarray | None = None
 
     def apply_dirichlet(self, g, t: float | None = None) -> "SaddleSystem":
-        """Impose the constraint table: both velocity components on the
-        Dirichlet nodes, from ``g(points [, t])`` returning ``(n, 2)``
-        values, and zero normal velocity on the slip edges.  ``g`` may be
-        ``None`` when no edge is Dirichlet."""
-        self.values = self._table().values(g, t)
+        """Evaluate the values of the solver's table: the Dirichlet data
+        from ``g(points [, t])`` and zeros on the slip unknowns."""
+        self.values = self.solver.constraints.values(g, t)
         return self
 
+    # The run's table already holds the slip and gauge constraints.  These
+    # two no-ops, and this front, stay only as the targets that
+    # perfbench/tracer.py hooks, until ROADMAP item 1 re-points the hooks at
+    # the solver's own names.
     def apply_slip(self) -> "SaddleSystem":
-        """Impose the constraint table of a boundary without Dirichlet
-        edges: zero normal velocity on the slip edges.  A no-op after
-        :meth:`apply_dirichlet`, which imposes them too."""
-        if self.values is None:
-            self.values = self._table().values()
         return self
 
     def apply_gauge(self) -> "SaddleSystem":
-        """Constrain the pressure to zero mean via one Lagrange multiplier."""
-        self._table(gauge=True)
         return self
 
-    # -- solve --------------------------------------------------------------------
-
-    def _rhs(self) -> np.ndarray:
-        """The unconstrained right-hand side, a zero gauge row appended."""
-        rhs = np.concatenate([self.rhs_v, self.rhs_p, [0.0]] if self.gauge
-                             else [self.rhs_v, self.rhs_p])
-        if not np.all(np.isfinite(rhs)):
-            raise SolverError("right-hand side contains NaN or Inf")
-        return rhs
-
-    def constrained(self):
-        """Constrained matrix and right-hand side, with the fixed unknowns
-        and their values, built from scratch: ``(k, rhs, fixed, values)``.
-
-        The blocks are stacked and the fixed unknowns eliminated by diagonal
-        masks after lifting the right-hand side.
-        """
-        rhs = self._rhs()
-        fixed, values = np.empty(0, dtype=np.int64), np.empty(0)
-        if self.values is not None:
-            fixed, values = self.constraints.fixed, self.values
-        a = self.A
-        if self.mass_weight is not None:
-            a = a + _vector_mass(self.ctx, self.mass_weight)
-        k = _stack(a, self.B, self.ctx.volume_vector() if self.gauge else None)
-        if fixed.size:
-            lift = np.zeros(k.shape[0])
-            lift[fixed] = values
-            rhs = rhs - k @ lift
-            k = _eliminate(k, fixed)
-            rhs[fixed] = values
-        return k, rhs, fixed, values
-
-    def solve(self, solver: StepSolver | None = None, key=None):
-        """Solve the constrained system; returns velocity field, pressure
-        field, report.
-
-        Without a ``solver`` this system is built from scratch
-        (:meth:`constrained`) and factorized on its own by
-        :func:`direct_solve`.  A run's ``solver`` must have been built for
-        this system's context, constant blocks and constraint table, else
-        ``ValueError``; it assembles the system from the mass weight, the
-        right-hand side and the imposed values, and may reuse the
-        factorization of an earlier system of the same ``key`` (see
-        :class:`StepSolver`).
-        """
-        if solver is None:
-            k, rhs, fixed, values = self.constrained()
-            perm = nested_dissection(self.ctx, fixed, self.gauge)[0]
-            x, resid, _ = direct_solve(k, rhs, perm)
-            iterations, factorized = 0, True
-        else:
-            if not (solver.ctx is self.ctx and solver.a_block is self.A
-                    and solver.b_block is self.B
-                    and solver.constraints is self.constraints):
-                raise ValueError("the solver was built for another form "
-                                 "context, other constant blocks or another "
-                                 "constraint table")
-            if self.mass_weight is None or self.values is None:
-                raise ValueError("a run's solver needs a mass weight and the "
-                                 "constraints imposed")
-            fixed, values = self.constraints.fixed, self.values
-            x, resid, iterations, factorized = solver.solve(
-                self.mass_weight, self._rhs(), values, key)
-        if fixed.size:
-            x[fixed] = values  # prescribed values, exactly
-
-        nv = self.ctx.vspace.dof_count
-        nq = self.ctx.pspace.dof_count
-        u = x[:nv]
-        p = x[nv:nv + nq]
-        if self.gauge:
-            c = self.ctx.volume_vector()
-            p = p - (c @ p) / float(self.ctx.mesh.areas.sum())
-        div_res = float(np.abs(self.B @ u).max()) if nq else 0.0
-        report = SolveReport(algebraic_residual=resid,
-                             incompressibility_residual=div_res,
-                             krylov_iterations=iterations,
-                             factorized=factorized)
-        u_field = FeField(self.ctx.vspace, u)
-        p_field = FeField(self.ctx.pspace, p)
-        return u_field, p_field, report
+    def solve(self, key=None):
+        """:meth:`StepSolver.solve` of this system."""
+        return self.solver.solve(self.weight, self.load, self.values, key)

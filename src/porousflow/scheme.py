@@ -123,7 +123,7 @@ def _bound_dirichlet(setup: ProblemSetup, t: float):
 
 def _advance(setup: ProblemSetup, k: int, bracket: np.ndarray, clamped: int,
              theta: FeField, m_scale: float, r_scale: float,
-             solver: StepSolver | None) -> StepResult:
+             solver: StepSolver) -> StepResult:
     """Solve step ``k``: the mass matrix enters times ``m_scale``, the
     transport ``bracket`` (values at the context's quadrature points) the
     right-hand side times ``r_scale`` beside the forcing at ``k tau``, and
@@ -135,26 +135,20 @@ def _advance(setup: ProblemSetup, k: int, bracket: np.ndarray, clamped: int,
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, t)
-    a0, b = setup.constant_blocks()
     weight = m_scale + linear_drag_weight(ctx) \
         + quadratic_drag_weight(theta, ctx)
-    system = SaddleSystem(ctx, a0, b, rhs, mass_weight=weight,
-                          constraints=setup.constraints)
+    system = SaddleSystem(solver, rhs, weight)
     system.apply_dirichlet(setup.dirichlet, t)
-    u, p, report = system.solve(solver, "initial" if k == 1 else "general")
+    u, p, report = system.solve("initial" if k == 1 else "general")
     u.time_label = t
     p.time_label = t
     return StepResult(u, p, report, clamped)
 
 
 def initial_step(setup: ProblemSetup, u0_field: FeField,
-                 solver: StepSolver | None = None) -> StepResult:
-    """First-order start-up step producing the fields at t = tau: mass and
-    right-hand-side scales ``rho/tau``.
-
-    ``solver`` is the run's :class:`StepSolver`; without one the step system
-    is built from scratch and factorized on its own.
-    """
+                 solver: StepSolver) -> StepResult:
+    """First-order start-up step producing the fields at t = tau with the
+    run's ``solver``: mass and right-hand-side scales ``rho/tau``."""
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
     bracket, clamped = lg1_material_terms(
         u0_field, ctx.porosity, tau, ctx.qpoints_flat,
@@ -165,13 +159,10 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
 
 
 def general_step(setup: ProblemSetup, state: SchemeState,
-                 solver: StepSolver | None = None) -> StepResult:
-    """Second-order step k >= 2 from the two stored history fields: mass
-    scale ``3 rho/(2 tau)``, right-hand-side scale ``rho/(2 tau)``.
-
-    ``solver`` is the run's :class:`StepSolver`; without one the step system
-    is built from scratch and factorized on its own.
-    """
+                 solver: StepSolver) -> StepResult:
+    """Second-order step k >= 2 from the two stored history fields, with the
+    run's ``solver``: mass scale ``3 rho/(2 tau)``, right-hand-side scale
+    ``rho/(2 tau)``."""
     if state.k < 2:
         raise ValueError("general steps start at k = 2")
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau

@@ -1,8 +1,9 @@
 """Diagnostic forms that only the tests evaluate.
 
 The convective trilinear form, which the time stepper replaces by the
-composed transport term, and a Korn-constant estimate on the constrained
-velocity space.
+composed transport term, a Korn-constant estimate on the constrained
+velocity space, and the unweighted velocity mass matrix and linear drag
+form, which the step solver folds into one quadrature-point weight.
 """
 
 import numpy as np
@@ -12,8 +13,10 @@ from scipy.sparse.linalg import eigsh
 from porousflow.assembly import (
     FormContext,
     _scatter_matrix,
+    _vector_mass,
     _vectorize_scalar_local,
     assemble_a0,
+    linear_drag_weight,
 )
 from porousflow.fem import AnalyticVectorField
 from porousflow.saddle import Constraints
@@ -40,7 +43,7 @@ def korn_constant_estimate(ctx: FormContext) -> float:
     Dirichlet unknowns of the boundary's constraint table.
     """
     strain = assemble_a0(ctx) / (2.0 * ctx.params.mu)
-    h1 = ctx.mass_matrix() + vector_gradient_gram(ctx)
+    h1 = mass_matrix(ctx) + vector_gradient_gram(ctx)
     table = Constraints.build(ctx, gauge=False)
     fixed = table.fixed[table.slots].ravel()
     if fixed.size == 0:
@@ -65,3 +68,13 @@ def vector_gradient_gram(ctx: FormContext) -> sparse.csr_matrix:
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count
     return _scatter_matrix(dofs, dofs, local, (n, n))
+
+
+def mass_matrix(ctx: FormContext) -> sparse.csr_matrix:
+    """Unweighted velocity mass matrix."""
+    return _vector_mass(ctx, np.ones_like(ctx.wxarea))
+
+
+def assemble_c0(ctx: FormContext) -> sparse.csr_matrix:
+    """Linear drag form mu*(phi/K(phi) u, v)."""
+    return _vector_mass(ctx, linear_drag_weight(ctx))

@@ -61,6 +61,7 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     ("t_finl = 2\ntau = 0.1\n", "error: unknown config key 't_finl'"),
     ("case = 'sinusoidal'\n", "error: config key 'case' = 'sinusoidal'"),
     ("eps = 0.01\n", "error: config key 'eps' = '0.01'"),
+    ("mu = 5.0\n", "error: config key 'mu' = '5.0'"),
 ])
 def test_config_file_rejects_keys_it_cannot_set(tmp_path, capsys, text,
                                                 message):
@@ -175,6 +176,24 @@ def test_validate_porosity_sinusoidal_passes(capsys):
     assert run_cli("validate-porosity", "sinusoidal",
                    "--resolution", "128") == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("resolution", ["0", "1"])
+def test_validate_porosity_rejects_too_small_resolution(capsys, resolution):
+    assert run_cli("validate-porosity", "two-layer",
+                   "--resolution", resolution) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: resolution must be at least 2")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_check_passes(capsys):
+    assert run_cli("check") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("PASS") for line in lines) == 9
+    assert not any(line.startswith("FAIL") for line in lines)
+    assert lines[-1] == "all checks passed"
 
 
 @pytest.mark.parametrize("flag, value", [("--t-final", "inf"),

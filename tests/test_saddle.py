@@ -26,7 +26,6 @@ from porousflow.saddle import (
     ConstraintConflictError,
     Constraints,
     GaugeError,
-    SaddleSystem,
     SingularSystemError,
     SolverError,
     StepSolver,
@@ -34,6 +33,7 @@ from porousflow.saddle import (
     nested_dissection,
 )
 from porousflow.verification import steady_stokes_solve
+from reference_solve import FreshSolver, ReferenceSystem
 
 
 def quad_velocity(p):
@@ -90,11 +90,10 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
                                    np.cos(p[:, 1])])
     a0 = assemble_a0(unit_ctx)
     b = assemble_b(unit_ctx)
-    system = SaddleSystem(unit_ctx, a0 + sp.identity(a0.shape[0]), b,
-                          np.zeros(a0.shape[0]))
-    system.apply_dirichlet(g)
-    system.apply_gauge()
-    u, p, rep = system.solve()
+    table = Constraints.build(unit_ctx, gauge=True)
+    solver = StepSolver(unit_ctx, a0 + sp.identity(a0.shape[0]), b, table)
+    u, p, rep = solver.solve(np.zeros_like(unit_ctx.wxarea),
+                             np.zeros(a0.shape[0]), table.values(g))
     nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
     expected = g(unit_ctx.vspace.node_coords[nodes])
     got = u.node_values()[nodes]
@@ -164,16 +163,42 @@ def test_slip_bottom_edge_zeroes_normal_component(params):
     b = assemble_b(ctx)
     rhs = assemble_load(lambda p: np.column_stack(
         [np.ones(len(p)), np.ones(len(p))]), ctx, None)
-    system = SaddleSystem(ctx, a0 + sp.identity(a0.shape[0]), b, rhs)
-    system.apply_dirichlet(lambda p: np.zeros((len(p), 2)))
-    system.apply_slip()
-    u, p, rep = system.solve()
+    table = Constraints.build(ctx, gauge=False)
+    solver = StepSolver(ctx, a0 + sp.identity(a0.shape[0]), b, table)
+    u, p, rep = solver.solve(np.zeros_like(ctx.wxarea), rhs, table.values(
+        lambda p: np.zeros((len(p), 2))))
     bottom = np.abs(ctx.vspace.node_coords[:, 1]) < 1e-12
     assert np.abs(u.node_values()[bottom, 1]).max() == 0.0
     # tangential component stays free
     interior_bottom = bottom & (ctx.vspace.node_coords[:, 0] > 1e-9) \
         & (ctx.vspace.node_coords[:, 0] < 1 - 1e-9)
     assert np.abs(u.node_values()[interior_bottom, 0]).max() > 0.0
+
+
+def _slip_dirichlet(p):
+    """Divergence-free data whose normal component vanishes on the slip
+    bottom edge."""
+    x, y = p[:, 0], p[:, 1]
+    return np.column_stack([2 * x * y, -y ** 2])
+
+
+@pytest.mark.parametrize("slip", [False, True],
+                         ids=["unit-square", "slip-bottom"])
+def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, slip):
+    ctx, g = ((_slip_bottom_ctx(params), _slip_dirichlet) if slip
+              else (unit_ctx, quad_velocity))
+    u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu), g,
+                                    gauge=True)
+    reference = ReferenceSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
+                                assemble_load(stokes_forcing(params.mu), ctx,
+                                              None),
+                                constraints=Constraints.build(ctx, True))
+    u_ref, p_ref, ref = reference.apply_dirichlet(g).solve()
+    assert rep.factorized and rep.krylov_iterations == 0
+    for got, want in ((u, u_ref), (p, p_ref)):
+        assert np.abs(got.coefficients - want.coefficients).max() \
+            <= 1e-12 * np.abs(want.coefficients).max()
+    assert rep.incompressibility_residual <= 1e-10
 
 
 def test_diagonal_slip_edge_rejected(params):
@@ -183,11 +208,8 @@ def test_diagonal_slip_edge_rejected(params):
     tags = [BoundaryTag.DIRICHLET, BoundaryTag.SLIP, BoundaryTag.DIRICHLET]
     mesh = Mesh(verts, tris, edges, tags, np.zeros(3, dtype=int))
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
-    a0 = assemble_a0(ctx)
-    b = assemble_b(ctx)
-    system = SaddleSystem(ctx, a0, b, np.zeros(a0.shape[0]))
     with pytest.raises(UnsupportedBoundaryError):
-        system.apply_slip()
+        Constraints.build(ctx, gauge=False)
 
 
 def test_gauge_zero_mean(unit_ctx, params):
@@ -205,10 +227,8 @@ def test_gauge_rejected_with_outflow(params):
 
     mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=tags)
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
-    system = SaddleSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
-                          np.zeros(ctx.vspace.dof_count))
     with pytest.raises(GaugeError):
-        system.apply_gauge()
+        Constraints.build(ctx, gauge=True)
 
 
 def test_gauge_invariance_to_pressure_rhs_shift(unit_ctx, params):
@@ -218,7 +238,7 @@ def test_gauge_invariance_to_pressure_rhs_shift(unit_ctx, params):
     sol = []
     for beta in (0.0, 0.7):
         shift = beta * pressure_volume_vector(unit_ctx)
-        system = SaddleSystem(unit_ctx, a0, b, rhs, rhs_pressure=shift)
+        system = ReferenceSystem(unit_ctx, a0, b, rhs, rhs_pressure=shift)
         system.apply_dirichlet(quad_velocity)
         system.apply_gauge()
         u, p, rep = system.solve()
@@ -230,8 +250,8 @@ def test_identity_dominated_known_solution(unit_ctx, rng):
     nv = unit_ctx.vspace.dof_count
     b = assemble_b(unit_ctx)
     x_known = rng.normal(size=nv)
-    system = SaddleSystem(unit_ctx, sp.identity(nv, format="csr"), b,
-                          x_known, rhs_pressure=b @ x_known)
+    system = ReferenceSystem(unit_ctx, sp.identity(nv, format="csr"), b,
+                             x_known, rhs_pressure=b @ x_known)
     u, p, rep = system.solve()
     assert np.abs(u.coefficients - x_known).max() < 1e-12
     assert np.abs(p.coefficients).max() < 1e-12
@@ -242,8 +262,8 @@ def test_singular_system_detected(unit_ctx):
     # and a body force that has no solution in its range
     rhs = assemble_load(lambda p: np.column_stack(
         [np.ones(len(p)), np.zeros(len(p))]), unit_ctx, None)
-    system = SaddleSystem(unit_ctx, assemble_a0(unit_ctx),
-                          assemble_b(unit_ctx), rhs)
+    system = ReferenceSystem(unit_ctx, assemble_a0(unit_ctx),
+                             assemble_b(unit_ctx), rhs)
     with pytest.raises(SingularSystemError):
         system.solve()
 
@@ -251,33 +271,32 @@ def test_singular_system_detected(unit_ctx):
 def test_nan_rhs_rejected(unit_ctx):
     rhs = np.zeros(unit_ctx.vspace.dof_count)
     rhs[0] = np.nan
-    system = SaddleSystem(unit_ctx, assemble_a0(unit_ctx),
-                          assemble_b(unit_ctx), rhs)
+    solver = _drag_solver(unit_ctx)
     with pytest.raises(SolverError):
-        system.solve()
+        solver.solve(np.ones_like(unit_ctx.wxarea), rhs,
+                     solver.constraints.values(quad_velocity))
 
 
-def _drag_solver(ctx):
-    """A run's solver for the viscous block under the gauged table."""
-    return StepSolver(ctx, assemble_a0(ctx), assemble_b(ctx),
-                      Constraints.build(ctx, gauge=True))
+def _drag_solver(ctx, kind=StepSolver):
+    """A run's solver, or its from-scratch stand-in, for the viscous block
+    under the gauged table."""
+    return kind(ctx, assemble_a0(ctx), assemble_b(ctx),
+                Constraints.build(ctx, gauge=True))
 
 
-def _drag_system(solver, drag, rhs):
-    """The viscous block plus the mass matrix weighted by ``drag``."""
-    ctx = solver.ctx
-    system = SaddleSystem(ctx, solver.a_block, solver.b_block, rhs,
-                          mass_weight=np.full(ctx.wxarea.shape, drag),
-                          constraints=solver.constraints)
-    return system.apply_dirichlet(quad_velocity)
+def _drag_solve(solver, drag, rhs, key=None):
+    """Solve the viscous block plus the mass matrix weighted by ``drag``."""
+    return solver.solve(np.full(solver.ctx.wxarea.shape, drag), rhs,
+                        solver.constraints.values(quad_velocity), key)
 
 
 def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
-    _, _, first = _drag_system(solver, 1.0, rhs).solve(solver, "general")
-    u, p, rep = _drag_system(solver, 1.3, rhs).solve(solver, "general")
-    u_ref, p_ref, ref = _drag_system(solver, 1.3, rhs).solve()
+    _, _, first = _drag_solve(solver, 1.0, rhs, "general")
+    u, p, rep = _drag_solve(solver, 1.3, rhs, "general")
+    u_ref, p_ref, ref = _drag_solve(_drag_solver(unit_ctx, FreshSolver), 1.3,
+                                    rhs)
     assert first.factorized and first.krylov_iterations == 0
     assert not rep.factorized and rep.krylov_iterations > 0
     assert ref.factorized and ref.krylov_iterations == 0
@@ -287,7 +306,7 @@ def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     assert np.abs(p.coefficients - p_ref.coefficients).max() \
         <= 1e-12 * np.abs(p_ref.coefficients).max()
     # another key never uses the held factorization
-    _, _, other = _drag_system(solver, 1.3, rhs).solve(solver, "initial")
+    _, _, other = _drag_solve(solver, 1.3, rhs, "initial")
     assert other.factorized and other.krylov_iterations == 0
 
 
@@ -295,7 +314,7 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
                                                     monkeypatch):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
-    _drag_system(solver, 1.0, rhs).solve(solver, "general")
+    _drag_solve(solver, 1.0, rhs, "general")
     held = solver._lu
     held_at_factorization = []
     splu = saddle.splu
@@ -306,7 +325,7 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
 
     monkeypatch.setattr(saddle, "splu", recording_splu)
     monkeypatch.setattr(saddle, "KRYLOV_MAX_ITERATIONS", 1)
-    u, p, rep = _drag_system(solver, 3.0, rhs).solve(solver, "general")
+    u, p, rep = _drag_solve(solver, 3.0, rhs, "general")
     assert rep.factorized and rep.krylov_iterations == 1
     assert held_at_factorization == [None]   # the old factor was dropped
     assert solver._lu is not None and solver._lu is not held
@@ -328,45 +347,23 @@ class _CountingLU:
 def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
-    _drag_system(solver, 1.0, rhs).solve(solver, "general")
+    _drag_solve(solver, 1.0, rhs, "general")
     solver._lu = counting = _CountingLU(solver._lu)
-    _, _, rep = _drag_system(solver, 1.3, rhs).solve(solver, "general")
+    _, _, rep = _drag_solve(solver, 1.3, rhs, "general")
     assert not rep.factorized and rep.krylov_iterations > 0
     # the start from LU^{-1} rhs, then one preconditioned direction each
     assert counting.calls == rep.krylov_iterations + 1
     assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
 
 
-def test_step_solver_bound_to_its_context(unit_ctx, pi_mesh, params):
-    other = make_context(pi_mesh, builtin_porosity("constant", value=1.0),
-                         params)
-    system = _drag_system(_drag_solver(unit_ctx), 1.0,
-                          np.zeros(unit_ctx.vspace.dof_count))
-    with pytest.raises(ValueError):
-        system.solve(_drag_solver(other))
-
-
-def test_step_solver_rejects_another_constraint_table(unit_ctx, params):
-    a0, b = assemble_a0(unit_ctx), assemble_b(unit_ctx)
+def test_step_solver_keeps_its_pattern(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
-    weight = np.ones_like(unit_ctx.wxarea)
-    tables = [Constraints.build(unit_ctx, gauge=True) for _ in range(2)]
-    solver = StepSolver(unit_ctx, a0, b, tables[0])
-
-    def weighted(table):
-        return SaddleSystem(unit_ctx, a0, b, rhs, mass_weight=weight,
-                            constraints=table).apply_dirichlet(quad_velocity)
-
+    solver = _drag_solver(unit_ctx)
     pattern = solver._constant
-    weighted(tables[0]).solve(solver, "general")
-    weighted(tables[0]).solve(solver, "general")
+    _drag_solve(solver, 1.0, rhs, "general")
+    _drag_solve(solver, 1.0, rhs, "general")
     assert solver._constant is pattern
-    with pytest.raises(ValueError):
-        weighted(tables[1]).solve(solver, "general")   # an equal table
-    with pytest.raises(ValueError):   # other constant blocks
-        SaddleSystem(unit_ctx, a0.copy(), b, rhs, mass_weight=weight,
-                     constraints=tables[0]).apply_dirichlet(
-            quad_velocity).solve(solver, "general")
+    _drag_solve(solver, 1.3, rhs, "initial")   # another key refactorizes
     assert solver._constant is pattern
 
 
@@ -397,11 +394,11 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
     ctx = make_context(mesh, builtin_porosity("constant", value=0.6), params)
     rng = np.random.default_rng(seed)
     table = Constraints.build(ctx, gauge)
-    system = SaddleSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
-                          rng.normal(size=ctx.vspace.dof_count),
-                          mass_weight=rng.uniform(1.0, 3.0,
-                                                  ctx.wxarea.shape),
-                          constraints=table)
+    system = ReferenceSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
+                             rng.normal(size=ctx.vspace.dof_count),
+                             mass_weight=rng.uniform(1.0, 3.0,
+                                                     ctx.wxarea.shape),
+                             constraints=table)
     k, rhs, fixed, _ = system.apply_dirichlet(
         lambda p: rng.normal(size=(len(p), 2))).constrained()
     size = k.shape[0]
@@ -435,16 +432,11 @@ def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
 
     monkeypatch.setattr(saddle, "nested_dissection", counting)
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
-    weight = np.ones_like(unit_ctx.wxarea)
-    a0, b = assemble_a0(unit_ctx), assemble_b(unit_ctx)
-    table = Constraints.build(unit_ctx, gauge=True)
-    solver = StepSolver(unit_ctx, a0, b, table)
+    solver = _drag_solver(unit_ctx)
     for kind in ("initial", "general", "initial"):
-        _, _, rep = SaddleSystem(unit_ctx, a0, b, rhs, mass_weight=weight,
-                                 constraints=table) \
-            .apply_dirichlet(quad_velocity).solve(solver, kind)
+        _, _, rep = _drag_solve(solver, 1.0, rhs, kind)
         assert rep.factorized
-    assert len(calls) == 1 and calls[0] is table.fixed
+    assert len(calls) == 1 and calls[0] is solver.constraints.fixed
 
 
 _FREED_BLOCK_SCRIPT = textwrap.dedent("""

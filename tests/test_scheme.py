@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from diagnostic_forms import assemble_c0, mass_matrix
 from porousflow import saddle
 from porousflow.assembly import (
-    assemble_c0,
     assemble_c1,
     linear_drag_weight,
     make_context,
@@ -18,7 +18,6 @@ from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
     Constraints,
     GaugeError,
-    SaddleSystem,
     StepSolver,
     UnsupportedBoundaryError,
 )
@@ -30,10 +29,16 @@ from porousflow.scheme import (
     initial_step,
     run,
 )
+from reference_solve import FreshSolver, ReferenceSystem
 
 
 def zero_vec(p, t=None):
     return np.zeros((len(p), 2))
+
+
+def step_solver(setup, kind=StepSolver):
+    """The run's solver of ``setup``, or a stand-in of the same signature."""
+    return kind(setup.ctx, *setup.constant_blocks(), setup.constraints)
 
 
 def make_setup(params, n=6, tau=0.25, t_final=1.0, phi=None, u0=None, g=None,
@@ -151,8 +156,8 @@ def test_initial_step_linearity_in_forcing(params):
     setup1 = make_setup(params, forcing=f1)
     setup2 = make_setup(params, forcing=f2)
     u0 = interpolate(setup1.ctx.vspace, setup1.u_initial)
-    r1 = initial_step(setup1, u0)
-    r2 = initial_step(setup2, u0)
+    r1 = initial_step(setup1, u0, step_solver(setup1))
+    r2 = initial_step(setup2, u0, step_solver(setup2))
     scale = np.abs(r1.u.coefficients).max()
     assert np.abs(r2.u.coefficients - 2.0 * r1.u.coefficients).max() \
         < 1e-9 * max(scale, 1.0)
@@ -190,7 +195,7 @@ def test_general_step_needs_full_history(params):
         SchemeState(u_prev=u0, p_prev=None, k=2)
     state = SchemeState(u_prev=u0, p_prev=None, k=1)
     with pytest.raises(ValueError):
-        general_step(setup, state)
+        general_step(setup, state, step_solver(setup))
 
 
 def test_nan_forcing_aborts_with_step_index(params):
@@ -252,14 +257,16 @@ def _sinusoidal_setup(mms_case):
 
 
 def _fresh_steps(setup):
-    """Every step through the public step functions without a solver, so
-    each step system is factorized on its own."""
+    """Every step through the public step functions with a stand-in solver
+    that builds each step system from scratch and factorizes it on its
+    own."""
     u0 = interpolate(setup.ctx.vspace, setup.u_initial)
-    results = [initial_step(setup, u0)]
+    solver = step_solver(setup, FreshSolver)
+    results = [initial_step(setup, u0, solver)]
     state = SchemeState(u_prev=results[0].u, p_prev=results[0].p, k=2,
                         u_prev2=u0)
     for k in range(2, setup.n_steps + 1):
-        results.append(general_step(setup, state))
+        results.append(general_step(setup, state, solver))
         state = SchemeState(u_prev=results[-1].u, p_prev=results[-1].p,
                             k=k + 1, u_prev2=state.u_prev)
     return results
@@ -346,27 +353,25 @@ def _slip_channel_setup(mms_case):
                         tau=tau, t_final=6.5 * tau)
 
 
-def _step_systems(setup, kind, t, theta, rhs):
-    """The step system of ``kind`` at time ``t`` twice: with the velocity
-    block assembled from its sparse parts (the reference) and with the
-    mass-type part as one quadrature-point weight."""
+def _step_system(setup, kind, t, theta, rhs):
+    """The step system of ``kind`` at time ``t`` twice: the reference, with
+    the velocity block assembled from its sparse parts, and the mass-type
+    part as one quadrature-point weight with the values of the run's
+    table."""
     ctx = setup.ctx
     a0, b = setup.constant_blocks()
     rho_tau = ctx.params.rho / setup.tau
     m_scale = rho_tau if kind == "initial" else 1.5 * rho_tau
-    reference = SaddleSystem(ctx, m_scale * ctx.mass_matrix() + a0
-                             + assemble_c0(ctx)
-                             + assemble_c1(theta, ctx), b, rhs)
+    reference = ReferenceSystem(ctx, m_scale * mass_matrix(ctx) + a0
+                                + assemble_c0(ctx)
+                                + assemble_c1(theta, ctx), b, rhs)
+    reference.apply_dirichlet(setup.dirichlet, t)
+    reference.apply_slip()
+    if setup.gauge:
+        reference.apply_gauge()
     weight = m_scale + linear_drag_weight(ctx) \
         + quadratic_drag_weight(theta, ctx)
-    weighted = SaddleSystem(ctx, a0, b, rhs, mass_weight=weight,
-                            constraints=setup.constraints)
-    for system in (reference, weighted):
-        system.apply_dirichlet(setup.dirichlet, t)
-        system.apply_slip()
-        if setup.gauge:
-            system.apply_gauge()
-    return reference, weighted
+    return reference, weight, setup.constraints.values(setup.dirichlet, t)
 
 
 @pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup,
@@ -384,11 +389,9 @@ def test_step_operator_matches_reference_elimination(mms_case, make, rng):
     pattern, fixed_values = solver._constant, []
     # both step kinds, at two times of the time-dependent Dirichlet data
     for kind, t, field in (("initial", tau, u0), ("general", 3 * tau, theta)):
-        reference, weighted = _step_systems(setup, kind, t, field, rhs)
+        reference, weight, values = _step_system(setup, kind, t, field, rhs)
         k_ref, rhs_ref, fixed_ref, values_ref = reference.constrained()
-        values = weighted.values
-        k, rhs_k = solver.assemble(weighted.mass_weight, weighted._rhs(),
-                                   values)
+        k, rhs_k = solver.assemble(weight, reference.full_rhs(), values)
         assert np.array_equal(setup.constraints.fixed, fixed_ref) \
             and fixed_ref.size
         assert np.array_equal(values, values_ref)

@@ -324,6 +324,7 @@ def test_trilinear_form_matches_identity_lhs(mms_case, params):
 
 def test_initial_step_error_is_bounded(mms_case):
     # regression guard on the start-up step accuracy at N=16, tau=h
+    from porousflow.saddle import StepSolver
     from porousflow.scheme import ProblemSetup, initial_step
     from porousflow.fem import error_norm
     mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 16)
@@ -333,7 +334,8 @@ def test_initial_step_error_is_bounded(mms_case):
                          dirichlet=mms_case.u, forcing=mms_case.f,
                          tau=tau, t_final=1.0, gauge=True)
     u0 = interpolate(ctx.vspace, setup.u_initial)
-    result = initial_step(setup, u0)
+    solver = StepSolver(ctx, *setup.constant_blocks(), setup.constraints)
+    result = initial_step(setup, u0, solver)
     err = error_norm(result.u, mms_case.u, "H1", tau,
                      exact_grad=mms_case.grad_u)
     assert np.isfinite(err)
