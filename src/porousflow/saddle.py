@@ -3,10 +3,11 @@
 A system couples the velocity block (mass + viscous + drag contributions)
 with the divergence constraint.  One :class:`Constraints` table per run fixes
 both velocity components on Dirichlet edges and the normal component on
-axis-aligned slip edges, and says whether the pressure level on a fully
-Dirichlet boundary is fixed through a single zero-mean Lagrange multiplier;
-per system only the values change.  Fixed unknowns are imposed by symmetric
-row/column elimination with right-hand-side lifting.
+axis-aligned slip edges, and says whether the pressure level is fixed
+through a single zero-mean Lagrange multiplier: exactly when no boundary
+edge is stress-free (:func:`pressure_gauge`), since only a stress-free edge
+fixes it otherwise; per system only the values change.  Fixed unknowns are
+imposed by symmetric row/column elimination with right-hand-side lifting.
 
 Every solve goes through one :class:`StepSolver`, built from the constant
 blocks and the table: a run builds one, as does the steady solve of
@@ -25,9 +26,12 @@ of its unknowns, :func:`nested_dissection` of the mesh geometry, computed
 once per solver.  The solver holds at most one LU.  A system of the same
 kind as the factorized one is solved by right-preconditioned GMRES with that
 LU, one triangular solve per iteration, down to the accuracy the factorizing
-direct solve itself reached; a system of another kind, or one on which GMRES
-misses that stop within one restart cycle, is factorized afresh, so one
-factorization serves every general step.
+direct solve itself reached.  GMRES starts from the least-squares
+combination of the solver's last ``GUESS_HISTORY`` solutions, which takes no
+LU solve, so a start that already meets the stop returns after 0
+iterations.  A system of another kind, or one on which GMRES misses that
+stop within one restart cycle, is factorized afresh, so one factorization
+serves every general step.
 """
 
 from __future__ import annotations
@@ -62,12 +66,20 @@ DISSECTION_LEAF = 32
 # stop is raised to DIRECT_RESIDUAL_MARGIN times the relative residual of the
 # direct solve that built the factor: GMRES in working precision stalls near
 # the accuracy of a direct solve (sinusoidal n=40: direct 5.8e-14, GMRES
-# 6.5e-14), so a stricter stop would only discard a good factor.  A margin of
-# 10 leaves a system whose direct solve reaches 4e-16 at KRYLOV_RTOL, which
-# one more iteration reaches, where 100 would stop it at 2e-14.
+# 6.5e-14), so a stricter stop would only discard a good factor.  Started
+# from past solutions, GMRES ends just under the stop rather than well past
+# it, so the margin bounds the distance to a fresh solve: over 6 steps of
+# sinusoidal n=40, a margin of 10 left a step 1.9e-12 (relative) off the
+# direct solution, and margins 1.5, 2 and 5 all 1.8e-13 in as many
+# iterations.
 KRYLOV_RTOL = 1e-14
-DIRECT_RESIDUAL_MARGIN = 10.0
+DIRECT_RESIDUAL_MARGIN = 5.0
 KRYLOV_MAX_ITERATIONS = 20
+# GMRES starts from the least-squares combination of the last GUESS_HISTORY
+# solutions.  Median LU solves per general step (two-layer n=60 / MMS N=32)
+# with 1, 2, 3, 4 and 6 of them: 5/7, 5/7, 5/6, 5/6 and 5/6; 8/9 when
+# started from the held LU's solution.
+GUESS_HISTORY = 3
 # A solve whose relative residual exceeds this is rejected as singular.
 RESIDUAL_BOUND = 1e-6
 # glibc raises its mmap threshold to each freed mapped block (up to 32 MiB),
@@ -98,13 +110,31 @@ class GaugeError(ValueError):
     """The zero-mean pressure gauge was requested where it does not apply."""
 
 
+def pressure_gauge(mesh, gauge: bool | None = None) -> bool:
+    """Whether step systems on ``mesh`` carry the zero-mean pressure gauge:
+    exactly when no boundary edge is stress-free.  A stress-free edge fixes
+    the pressure level (:meth:`Constraints.build` rejects a gauge there);
+    without one the level is undetermined.  ``gauge=None`` takes this rule;
+    ``gauge=False`` where it asks for the gauge raises :class:`GaugeError`."""
+    needed = BoundaryTag.STRESS_FREE not in set(mesh.boundary_tags)
+    if gauge is None:
+        return needed
+    if needed and not gauge:
+        raise GaugeError("without a stress-free edge the pressure level is "
+                         "undetermined; the zero-mean gauge is required")
+    return bool(gauge)
+
+
 @dataclass
 class SolveReport:
     """Algebraic quality measures of one solve: the relative residual of
     the constrained system, the largest entry of ``B u``, the GMRES
-    iterations taken (0 for a plain LU solve) and whether the solve built a
-    new factorization.  The clamped feet of a step are counted by the
-    scheme, in ``StepResult.clamped``."""
+    iterations taken and whether the solve built a new factorization.  A
+    solve that reuses the held LU takes one LU solve per GMRES iteration and
+    none for its start, 0 iterations when the start projected on past
+    solutions already meets the stop; a factorizing solve reports 0.  The
+    clamped feet of a step are counted by the scheme, in
+    ``StepResult.clamped``."""
 
     algebraic_residual: float
     incompressibility_residual: float
@@ -365,9 +395,14 @@ class StepSolver:
 
     The held factorization is keyed by the ``key`` of the solve that built
     it; start-up and general steps pass different keys because their mass
-    weights carry rho/tau and 3 rho/(2 tau).  A solve with the held key runs
-    GMRES on its own matrix, right-preconditioned by the held LU and started
-    from the LU's solution, down to ``KRYLOV_RTOL`` or
+    weights carry rho/tau and 3 rho/(2 tau).  The solver keeps the raw
+    solutions of its last ``GUESS_HISTORY`` solves, the factorizing ones
+    included, so a solve with the held key, which always follows the solve
+    that built the LU, has at least one.  Such a solve runs GMRES on its own
+    matrix, right-preconditioned by the held LU and started from the
+    combination ``P c`` of those solutions ``P`` that minimizes
+    ``|rhs - K P c|`` (0 iterations when that start meets the stop), down to
+    ``KRYLOV_RTOL`` or
     ``DIRECT_RESIDUAL_MARGIN`` times the relative residual the LU's own
     direct solve reached, whichever is larger, and never above
     ``RESIDUAL_BOUND``.  When GMRES misses that stop within one restart
@@ -408,6 +443,11 @@ class StepSolver:
         self._lu = None
         self._key = None
         self._direct_residual = 0.0    # the held LU's own relative residual
+        # the raw solutions of the last solves, in turn, and the solve count;
+        # held in one block from the start, since a copy kept per step left
+        # two-layer n=60 about 1 MB higher in peak RSS
+        self._past = np.empty((GUESS_HISTORY, n))
+        self._solves = 0
 
     def assemble(self, weight: np.ndarray, rhs: np.ndarray,
                  values: np.ndarray):
@@ -454,6 +494,8 @@ class StepSolver:
         rhs = np.concatenate([load, np.zeros(self._constant.shape[0] - nv)])
         k, rhs = self.assemble(weight, rhs, values)
         x, resid, iterations, factorized = self._solve(k, rhs, key)
+        self._past[self._solves % GUESS_HISTORY] = x
+        self._solves += 1
         x[fixed] = values   # prescribed values, exactly
         u, p = x[:nv], x[nv:nv + nq]
         if self.constraints.gauge:
@@ -482,8 +524,12 @@ class StepSolver:
         return x, resid, iterations, True
 
     def _krylov(self, k, rhs, rhs_norm):
-        """GMRES right-preconditioned by the held LU, started from its
-        solution, within one restart cycle of ``KRYLOV_MAX_ITERATIONS``.
+        """GMRES right-preconditioned by the held LU within one restart
+        cycle of ``KRYLOV_MAX_ITERATIONS``, started from ``x0 = P c``: the
+        past solutions ``P`` (columns) combined by the least-squares ``c``
+        of ``k P c = rhs``, which needs no LU solve and copes with linearly
+        dependent columns.  A start that meets the stop is returned after 0
+        iterations.
 
         The preconditioned directions ``Z = LU^{-1} V`` are stored, so each
         iteration solves with the LU once, and the least-squares residual of
@@ -499,7 +545,8 @@ class StepSolver:
         target = min(RESIDUAL_BOUND, max(
             KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._direct_residual)) \
             * rhs_norm
-        x0 = _lu_solve(lu, perm, rhs)
+        past = self._past[:self._solves].T
+        x0 = past @ np.linalg.lstsq(k @ past, rhs, rcond=None)[0]
         r = rhs - k @ x0
         beta = float(np.linalg.norm(r))
         if beta <= target:

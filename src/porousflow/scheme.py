@@ -32,7 +32,7 @@ from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate, norm
 from porousflow.mesh import BoundaryTag
 from porousflow.saddle import (Constraints, SaddleSystem, SolveReport,
-                               StepSolver)
+                               StepSolver, pressure_gauge)
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -50,9 +50,13 @@ class ProblemSetup:
 
     ``u_initial(points)`` gives the initial velocity; ``dirichlet(points, t)``
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
-    force (or ``None``).  With ``gauge=None`` the zero-mean pressure gauge is
-    enabled exactly when the whole boundary is Dirichlet.  The run's
-    :class:`Constraints` table is built here, so a bad boundary fails early.
+    force (or ``None``).  The zero-mean pressure gauge is on exactly when no
+    boundary edge is stress-free (:func:`pressure_gauge`): ``gauge=None``
+    follows that rule, and ``gauge=False`` on such a boundary, whose pressure
+    level would be undetermined, raises :class:`GaugeError` (a
+    ``ValueError``), as ``gauge=True`` beside a stress-free edge does.  The
+    run's :class:`Constraints` table is built here, so a bad boundary fails
+    early.
     """
 
     ctx: FormContext
@@ -74,8 +78,7 @@ class ProblemSetup:
         if self.n_steps < 1:
             raise ValueError("tau exceeds the final time; no steps to take")
         tags = set(self.ctx.mesh.boundary_tags)
-        if self.gauge is None:
-            self.gauge = tags == {BoundaryTag.DIRICHLET}
+        self.gauge = pressure_gauge(self.ctx.mesh, self.gauge)
         if BoundaryTag.DIRICHLET not in tags and not self.gauge:
             raise ValueError("a Dirichlet part of the boundary is required")
         if BoundaryTag.DIRICHLET in tags and self.dirichlet is None:

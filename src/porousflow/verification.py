@@ -37,7 +37,7 @@ from porousflow.porous import (
     forchheimer_coeff,
     linear_drag_coeff,
 )
-from porousflow.saddle import Constraints, StepSolver
+from porousflow.saddle import Constraints, StepSolver, pressure_gauge
 from porousflow.scheme import ProblemSetup, run
 
 
@@ -534,11 +534,10 @@ def steady_stokes_solve(ctx: FormContext, forcing, dirichlet,
 
     Used for the polynomial-exactness patch test: with quadratic velocity and
     linear pressure data the mixed pair reproduces the fields to solver
-    precision.
+    precision.  ``gauge`` follows :func:`pressure_gauge`, as in
+    :class:`ProblemSetup`.
     """
-    if gauge is None:
-        gauge = set(ctx.mesh.boundary_tags) == {BoundaryTag.DIRICHLET}
-    table = Constraints.build(ctx, gauge)
+    table = Constraints.build(ctx, pressure_gauge(ctx.mesh, gauge))
     solver = StepSolver(ctx, assemble_a0(ctx), assemble_b(ctx), table)
     return solver.solve(np.zeros_like(ctx.wxarea),
                         assemble_load(forcing, ctx, None),

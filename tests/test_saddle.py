@@ -201,6 +201,17 @@ def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, slip):
     assert rep.incompressibility_residual <= 1e-10
 
 
+def test_steady_stokes_solve_gauges_without_stress_free_edge(params):
+    ctx = _slip_bottom_ctx(params)
+    u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu),
+                                    _slip_dirichlet)
+    c = pressure_volume_vector(ctx)
+    assert abs(c @ p.coefficients) <= 1e-12 * np.abs(p.coefficients).max()
+    with pytest.raises(GaugeError):
+        steady_stokes_solve(ctx, stokes_forcing(params.mu), _slip_dirichlet,
+                            gauge=False)
+
+
 def test_diagonal_slip_edge_rejected(params):
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2]])
@@ -351,9 +362,24 @@ def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
     solver._lu = counting = _CountingLU(solver._lu)
     _, _, rep = _drag_solve(solver, 1.3, rhs, "general")
     assert not rep.factorized and rep.krylov_iterations > 0
-    # the start from LU^{-1} rhs, then one preconditioned direction each
-    assert counting.calls == rep.krylov_iterations + 1
+    # the start, projected on past solutions, takes no LU solve; then one
+    # preconditioned direction each
+    assert counting.calls == rep.krylov_iterations
     assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
+
+
+def test_step_solver_repeated_system_needs_no_iteration(unit_ctx, params):
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = _drag_solver(unit_ctx)
+    u0, p0, first = _drag_solve(solver, 1.3, rhs, "general")
+    solver._lu = counting = _CountingLU(solver._lu)
+    u, p, rep = _drag_solve(solver, 1.3, rhs, "general")
+    # the past solution already meets the stop
+    assert first.factorized and not rep.factorized
+    assert rep.krylov_iterations == 0 and counting.calls == 0
+    for got, want in ((u, u0), (p, p0)):
+        assert np.abs(got.coefficients - want.coefficients).max() \
+            <= 1e-12 * np.abs(want.coefficients).max()
 
 
 def test_step_solver_keeps_its_pattern(unit_ctx, params):

@@ -12,7 +12,7 @@ from porousflow.assembly import (
     quadratic_drag_weight,
 )
 from porousflow.cases import build_setup, get_case
-from porousflow.fem import FeField, interpolate, norm
+from porousflow.fem import FeField, field_mean, interpolate, norm
 from porousflow.mesh import BoundaryTag, Mesh, generate_rect_mesh
 from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
@@ -87,6 +87,39 @@ def test_setup_rejects_gauge_with_stress_free_edge(params):
     with pytest.raises(GaugeError):
         ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
                      tau=0.25, t_final=1.0, gauge=True)
+
+
+def _slip_bottom_setup(params, gauge=None):
+    """The unit square with a slip bottom edge, Dirichlet elsewhere (no
+    stress-free edge, so no edge fixes the pressure level), driven by a
+    constant body force."""
+    def tags(mid):
+        return BoundaryTag.SLIP if mid[1] <= 1e-9 else BoundaryTag.DIRICHLET
+
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 6, tag_rule=tags)
+    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
+    return ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
+                        forcing=lambda p, t: np.ones((len(p), 2)), tau=0.25,
+                        t_final=1.0, gauge=gauge)
+
+
+def test_setup_gauges_a_boundary_without_stress_free_edge(params):
+    setup = _slip_bottom_setup(params)
+    assert setup.gauge and setup.constraints.gauge
+    summary = run(setup)
+    p = summary.p_final
+    assert np.abs(p.coefficients).max() > 1e-3
+    assert abs(field_mean(p)) <= 1e-12 * np.abs(p.coefficients).max()
+
+
+def test_setup_rejects_ungauged_boundary_without_stress_free_edge(params):
+    with pytest.raises(GaugeError):
+        _slip_bottom_setup(params, gauge=False)
+    # an all-Dirichlet boundary as well
+    ctx = make_setup(params).ctx
+    with pytest.raises(ValueError):
+        ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
+                     tau=0.25, t_final=1.0, gauge=False)
 
 
 def test_run_builds_constraint_table_once(params, monkeypatch):
@@ -249,11 +282,17 @@ def _two_layer_setup(mms_case):
     return setup
 
 
-def _sinusoidal_setup(mms_case):
+def _sinusoidal_setup(mms_case, steps=6):
     case = get_case("sinusoidal")
     tau = case.nominal_h(40)
-    _, _, setup = build_setup(case, 40, tau=tau, t_final=6.5 * tau)
+    _, _, setup = build_setup(case, 40, tau=tau, t_final=(steps + 0.5) * tau)
     return setup
+
+
+def _sinusoidal_long_setup(mms_case):
+    """Twelve steps: the late ones start from past solutions that leave
+    GMRES a single iteration."""
+    return _sinusoidal_setup(mms_case, steps=12)
 
 
 def _fresh_steps(setup):
@@ -288,9 +327,9 @@ def _assert_same_fields(steps, fresh):
 
 
 @pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup,
-                                  _sinusoidal_setup],
+                                  _sinusoidal_setup, _sinusoidal_long_setup],
                          ids=["mms-gauged", "two-layer-stress-free",
-                              "sinusoidal-40"])
+                              "sinusoidal-40", "sinusoidal-40-12-steps"])
 def test_run_reuses_factorization_and_matches_fresh_solves(mms_case, make):
     setup = make(mms_case)
     fresh = _fresh_steps(setup)
