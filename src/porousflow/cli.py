@@ -38,7 +38,6 @@ class RunConfig:
     b: float
     out_dir: str
     snapshot_every: int = 10
-    diagnostics: bool = True
 
     def __post_init__(self):
         for name in ("n", "tau", "t_final", "mu", "rho", "d_p", "a", "b",
@@ -53,6 +52,8 @@ class RunConfig:
                  if isinstance(getattr(self, f.name), str)
                  else f"{f.name} = {getattr(self, f.name)}"
                  for f in fields(self)]
+        # every run writes diagnostics.jsonl; the line stays in the record
+        lines.append("diagnostics = True")
         for key, value in (extra or {}).items():
             lines.append(f"{key} = {value}")
         return "\n".join(lines) + "\n"
@@ -185,9 +186,6 @@ def _cmd_simulate(args) -> int:
           f"{mesh.n_triangles} triangles, {setup.n_steps} steps")
 
     series = SeriesWriter()
-    diag_path = out_dir / "diagnostics.jsonl"
-    diag_fh = open(diag_path, "w") if cfg.diagnostics else None
-
     from porousflow.fem import interpolate, norm, zero_field
     u0 = interpolate(ctx.vspace, case.u_initial)
     p0 = zero_field(ctx.pspace, 0.0)
@@ -201,18 +199,15 @@ def _cmd_simulate(args) -> int:
                            out_dir / f"{cfg.case}_{k:06d}.vtk")
             series.add(t, u_field, p_field, diag["velocity_l2"],
                        diag["pressure_l2"])
-        if diag_fh is not None:
-            diag_fh.write(json.dumps(diag, sort_keys=True) + "\n")
+        diag_fh.write(json.dumps(diag, sort_keys=True) + "\n")
 
     from porousflow.scheme import SchemeDivergenceError, run
-    try:
-        summary = run(setup, observers=[observer])
-    except SchemeDivergenceError as exc:
-        print(f"run aborted: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if diag_fh is not None:
-            diag_fh.close()
+    with open(out_dir / "diagnostics.jsonl", "w") as diag_fh:
+        try:
+            summary = run(setup, observers=[observer])
+        except SchemeDivergenceError as exc:
+            print(f"run aborted: {exc}", file=sys.stderr)
+            return 1
     series.write(out_dir / "series.csv")
     print(f"finished {summary.n_steps} steps in {summary.wall_time:.1f} s; "
           f"outputs in {out_dir}")

@@ -250,7 +250,7 @@ def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:
     b = np.atleast_2d(np.asarray(bary, dtype=float))
     c = sp.components
     coef = np.take(field_.coefficients[sp.cell_dofs], tris, axis=0)
-    coef = coef.reshape(len(tris), -1, c)                # (m, nb, comps)
+    coef = coef.reshape(len(tris), sp.cell_nodes.shape[1], c)   # (m, nb, c)
     vals = _p2_values(b) if sp.kind == P2_VECTOR else b
     value = np.einsum("mn,mnc->mc", vals, coef)
     return value[:, 0] if c == 1 else value
@@ -398,5 +398,4 @@ def boundary_nodes(space: SpaceDescriptor, tags) -> np.ndarray:
     nodes = mesh.boundary_edges
     if space.boundary_midpoints is not None:
         nodes = np.column_stack([nodes, space.boundary_midpoints])
-    tagged = np.isin(np.array(mesh.boundary_tags, dtype=object), list(tags))
-    return np.unique(nodes[tagged])
+    return np.unique(nodes[np.isin(mesh.boundary_tags, list(tags))])

@@ -1,16 +1,17 @@
 """Triangulations of axis-aligned rectangles with tagged boundaries.
 
-Meshes are structured crossed-triangle grids: every grid cell is split into
-two triangles with the diagonal alternating from cell to cell.  The layout is
-fully deterministic, which keeps convergence runs reproducible.  An optional
-``LayerGrading`` concentrates the horizontal mesh lines around a given
-``y``-line, e.g. to resolve a thin porosity transition layer.
+Every mesh is a structured crossed-triangle grid, built from its grid lines
+and a tag rule: every grid cell is split into two triangles with the diagonal
+alternating from cell to cell.  The layout is fully deterministic, which
+keeps convergence runs reproducible.  An optional ``LayerGrading``
+concentrates the horizontal mesh lines around a given ``y``-line, e.g. to
+resolve a thin porosity transition layer.  Every boundary edge lies on a side
+of the rectangle, so it is axis-aligned.
 
 A point is located by index arithmetic on the grid lines: one
 ``searchsorted`` per axis finds its cell, one side-of-diagonal test its
 triangle.  Segments are clipped against the sides of the rectangle (Liang &
-Barsky, ACM TOG 3, 1984), whose grid lines give the crossed boundary edge.  A
-hand-built ``Mesh`` has no grid lines and cannot locate points.
+Barsky, ACM TOG 3, 1984), whose grid lines give the crossed boundary edge.
 """
 
 from __future__ import annotations
@@ -61,44 +62,70 @@ class LayerGrading:
 
 
 class Mesh:
-    """Conforming triangulation of a rectangle.
+    """Crossed-triangle grid of a rectangle with tagged boundary edges.
 
     Parameters
     ----------
-    vertices : (nv, 2) float array
-    triangles : (nt, 3) int array, counterclockwise vertex triples
-    boundary_edges : (nbe, 2) int array, oriented as they appear in their
-        owning triangle (so the outward normal is the edge direction rotated
-        clockwise by 90 degrees)
-    boundary_tags : sequence of ``BoundaryTag``, one per boundary edge
-    boundary_edge_tri : (nbe,) int array, owning triangle of each edge
+    xs, ys : strictly increasing grid lines along x and y, at least two
+        each; the rectangle is ``[xs[0], xs[-1]] x [ys[0], ys[-1]]``
+    tag_rule : the ``BoundaryTag`` of a boundary edge from its midpoint
+        (default: everything ``DIRICHLET``)
+
+    Every grid cell is split into two counterclockwise triangles along a
+    diagonal that alternates from cell to cell.  ``boundary_edges`` (nbe, 2)
+    are oriented as they appear in their owning triangles
+    ``boundary_edge_tri``, so the outward normal is the edge direction
+    rotated clockwise by 90 degrees; ``boundary_tags`` is the object array
+    of their tags, and ``side_edges`` the edge of each side by [normal axis,
+    upper side, cell along the side].
     """
 
-    def __init__(self, vertices, triangles, boundary_edges, boundary_tags,
-                 boundary_edge_tri):
-        self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.boundary_edges = np.ascontiguousarray(boundary_edges, dtype=np.int64)
-        self.boundary_tags = list(boundary_tags)
-        self.boundary_edge_tri = np.ascontiguousarray(boundary_edge_tri, dtype=np.int64)
-        if len(self.boundary_tags) != len(self.boundary_edges):
-            raise ValueError("one tag per boundary edge required")
-        self._build_geometry()
-        # grid lines and boundary edges by side, set by generate_rect_mesh
-        self.xs = self.ys = self.side_edges = None
-        # quadrature tables of this mesh by rule, filled by fem.quad_tables
-        self.quad_cache: dict = {}
+    def __init__(self, xs, ys, tag_rule: TagRule | None = None):
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if not all(len(v) >= 2 and (np.diff(v) > 0.0).all() for v in (xs, ys)):
+            raise ValueError("grid lines must number at least two per axis "
+                             "and increase strictly")
+        self.xs, self.ys = xs, ys
+        nx, ny = len(xs) - 1, len(ys) - 1
+        xv, yv = np.meshgrid(xs, ys, indexing="xy")
+        self.vertices = vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    # -- construction helpers -------------------------------------------------
+        # cell (i, j) has corners a, b, c, d counterclockwise from its lower
+        # left; its diagonal is a-c or b-d (_rises)
+        j, i = np.divmod(np.arange(nx * ny), nx)
+        a = j * (nx + 1) + i
+        b, c, d = a + 1, a + nx + 2, a + nx + 1
+        rises = _rises(i, j)[:, None]
+        self.triangles = tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+        tris[_cell_triangle(i, j, nx, 0)] = np.where(
+            rises, np.column_stack([a, b, c]), np.column_stack([a, b, d]))
+        tris[_cell_triangle(i, j, nx, 1)] = np.where(
+            rises, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
 
-    def _build_geometry(self):
-        p = self.vertices[self.triangles]            # (nt, 3, 2)
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
+        # boundary edges (those with both ends on one side of the rectangle),
+        # oriented counterclockwise around it as they appear in their owning
+        # triangle, in (triangle, local edge) order
+        ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+        p, q = vertices[ends[:, 0]], vertices[ends[:, 1]]
+        on_side = (p == q) & ((p == vertices[0]) | (p == vertices[-1]))
+        owned = np.flatnonzero(on_side.any(axis=1))
+        self.boundary_edges = ends[owned]
+        self.boundary_edge_tri = owned // 3
+        rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
+        mids = 0.5 * (vertices[self.boundary_edges[:, 0]]
+                      + vertices[self.boundary_edges[:, 1]])
+        self.boundary_tags = np.array([rule(m) for m in mids], dtype=object)
+        self.side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
+        for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
+            for upper, value in enumerate((lines[0], lines[-1])):
+                on = np.flatnonzero(mids[:, axis] == value)
+                self.side_edges[axis, upper,
+                                _cell_index(along, mids[on, 1 - axis])] = on
+
+        pts = vertices[tris]                         # (nt, 3, 2)
+        d1 = pts[:, 1] - pts[:, 0]
+        d2 = pts[:, 2] - pts[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(det <= 0.0):
-            raise ValueError("all triangles must be counterclockwise with "
-                             "positive area")
         self.areas = 0.5 * det
         inv = np.empty((len(det), 2, 2))
         inv[:, 0, 0] = d2[:, 1]
@@ -107,7 +134,7 @@ class Mesh:
         inv[:, 1, 1] = d1[:, 0]
         inv /= det[:, None, None]
         # (lam1, lam2) = inv @ (x - p0), inv flattened row by row
-        self._p0 = np.ascontiguousarray(p[:, 0])
+        self._p0 = np.ascontiguousarray(pts[:, 0])
         self._inv_flat = inv.reshape(-1, 4)
         # gradients of the three barycentric coordinates, (nt, 3, 2)
         grads = np.empty((len(det), 3, 2))
@@ -115,10 +142,11 @@ class Mesh:
         grads[:, 2] = inv[:, 1]
         grads[:, 0] = -inv[:, 0] - inv[:, 1]
         self.grad_lambda = grads
-        edges = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+        edges = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 1],
+                          pts[:, 0] - pts[:, 2]])
         self.h_max = float(np.sqrt((edges ** 2).sum(-1)).max())
-
-    # -- basic queries ---------------------------------------------------------
+        # quadrature tables of this mesh by rule, filled by fem.quad_tables
+        self.quad_cache: dict = {}
 
     @property
     def n_vertices(self) -> int:
@@ -127,10 +155,6 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def boundary_edges_by_tag(self, tag: BoundaryTag) -> np.ndarray:
-        return np.array([i for i, t in enumerate(self.boundary_tags) if t is tag],
-                        dtype=np.int64)
 
     def barycentric(self, tris, pts) -> np.ndarray:
         """Barycentric coordinates of ``pts`` (m, 2) in triangles ``tris`` (m,)."""
@@ -202,45 +226,7 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
         ys = np.linspace(y0, y1, ny + 1)
     else:
         ys = _graded_nodes(y0, y1, ny, grading)
-
-    xv, yv = np.meshgrid(xs, ys, indexing="xy")
-    vertices = np.column_stack([xv.ravel(), yv.ravel()])
-
-    # cell (i, j) has corners a, b, c, d counterclockwise from its lower
-    # left; its diagonal is a-c or b-d (_rises)
-    j, i = np.divmod(np.arange(nx * ny), nx)
-    a = j * (nx + 1) + i
-    b, c, d = a + 1, a + nx + 2, a + nx + 1
-    rises = _rises(i, j)[:, None]
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    tris[_cell_triangle(i, j, nx, 0)] = np.where(
-        rises, np.column_stack([a, b, c]), np.column_stack([a, b, d]))
-    tris[_cell_triangle(i, j, nx, 1)] = np.where(
-        rises, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
-
-    # boundary edges (those with both ends on one side of the rectangle),
-    # oriented counterclockwise around it as they appear in their owning
-    # triangle, in (triangle, local edge) order
-    ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-    p, q = vertices[ends[:, 0]], vertices[ends[:, 1]]
-    on_side = (p == q) & ((p == vertices[0]) | (p == vertices[-1]))
-    owned = np.flatnonzero(on_side.any(axis=1))
-    b_edges = ends[owned]
-
-    rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
-    mids = 0.5 * (vertices[b_edges[:, 0]] + vertices[b_edges[:, 1]])
-    tags = [rule(m) for m in mids]
-    mesh = Mesh(vertices, tris, b_edges, tags, owned // 3)
-
-    # the boundary edges of each side, [normal axis, upper side, cell along
-    # the side]
-    side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
-    for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
-        for upper, value in enumerate((lines[0], lines[-1])):
-            on = np.flatnonzero(mids[:, axis] == value)
-            side_edges[axis, upper, _cell_index(along, mids[on, 1 - axis])] = on
-    mesh.xs, mesh.ys, mesh.side_edges = xs, ys, side_edges
-    return mesh
+    return Mesh(xs, ys, tag_rule)
 
 
 def _rises(i, j):
@@ -255,13 +241,6 @@ def _cell_triangle(i, j, nx, upper):
 
 # -- point location -----------------------------------------------------------
 
-def _grid(mesh: Mesh):
-    if mesh.xs is None:
-        raise ValueError("point location needs the grid lines of a mesh "
-                         "built by generate_rect_mesh")
-    return mesh.xs, mesh.ys, mesh.side_edges
-
-
 def _cell_index(lines, v):
     """Grid cell along one axis of each coordinate ``v``, clipped."""
     return np.clip(np.searchsorted(lines, v, "right") - 1, 0, len(lines) - 2)
@@ -274,7 +253,7 @@ def locate_many(mesh: Mesh, pts: np.ndarray):
     for points outside the closed domain.  A point on an edge or a vertex
     is located in one of the triangles that share it.
     """
-    xs, ys, _ = _grid(mesh)
+    xs, ys = mesh.xs, mesh.ys
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
     i, j = _cell_index(xs, x), _cell_index(ys, y)
@@ -298,7 +277,7 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     parametric slack of ``EXIT_TOL`` wins.  It is nudged by ``EXIT_TOL``
     toward the start and snapped onto its edge, so it lies in the domain.
     """
-    xs, ys, side_edges = _grid(mesh)
+    xs, ys = mesh.xs, mesh.ys
     a = np.atleast_2d(np.asarray(starts, dtype=float))
     s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
     if np.any((s == 0.0).all(axis=1)):
@@ -311,7 +290,7 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
         along = a[:, ::-1, None] + t_side * s[:, ::-1, None]
     cells = np.stack([_cell_index(ys, along[:, 0]),
                       _cell_index(xs, along[:, 1])], axis=1)
-    edges = side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
+    edges = mesh.side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
 
     p = mesh.vertices[mesh.boundary_edges[edges, 0]]
     r = mesh.vertices[mesh.boundary_edges[edges, 1]] - p
@@ -339,5 +318,4 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
         / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
     points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
-    tags = np.array(mesh.boundary_tags, dtype=object)[edge]
-    return BoundaryHit(points, edge, tags)
+    return BoundaryHit(points, edge, mesh.boundary_tags[edge])

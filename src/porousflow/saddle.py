@@ -1,13 +1,14 @@
 """Constrained saddle-point systems for one time step.
 
 A system couples the velocity block (mass + viscous + drag contributions)
-with the divergence constraint.  One :class:`Constraints` table per run fixes
-both velocity components on Dirichlet edges and the normal component on
-axis-aligned slip edges, and says whether the pressure level is fixed
-through a single zero-mean Lagrange multiplier: exactly when no boundary
-edge is stress-free (:func:`pressure_gauge`), since only a stress-free edge
-fixes it otherwise; per system only the values change.  Fixed unknowns are
-imposed by symmetric row/column elimination with right-hand-side lifting.
+with the divergence constraint.  One :class:`Constraints` table per run,
+read off the mesh's boundary tags, fixes both velocity components on
+Dirichlet edges and the normal component on slip edges (every boundary edge
+lies on a side of the rectangle), and says whether the pressure level is
+fixed through a single zero-mean Lagrange multiplier: exactly when no
+boundary edge is stress-free, since only a stress-free edge fixes it
+otherwise; per system only the values change.  Fixed unknowns are imposed by
+symmetric row/column elimination with right-hand-side lifting.
 
 Every solve goes through one :class:`StepSolver`, built from the constant
 blocks and the table: a run builds one, as does the steady solve of
@@ -102,27 +103,9 @@ class ConstraintConflictError(ValueError):
     """A degree of freedom was constrained twice with different values."""
 
 
-class UnsupportedBoundaryError(ValueError):
-    """A boundary configuration outside the supported set was requested."""
-
-
 class GaugeError(ValueError):
-    """The zero-mean pressure gauge was requested where it does not apply."""
-
-
-def pressure_gauge(mesh, gauge: bool | None = None) -> bool:
-    """Whether step systems on ``mesh`` carry the zero-mean pressure gauge:
-    exactly when no boundary edge is stress-free.  A stress-free edge fixes
-    the pressure level (:meth:`Constraints.build` rejects a gauge there);
-    without one the level is undetermined.  ``gauge=None`` takes this rule;
-    ``gauge=False`` where it asks for the gauge raises :class:`GaugeError`."""
-    needed = BoundaryTag.STRESS_FREE not in set(mesh.boundary_tags)
-    if gauge is None:
-        return needed
-    if needed and not gauge:
-        raise GaugeError("without a stress-free edge the pressure level is "
-                         "undetermined; the zero-mean gauge is required")
-    return bool(gauge)
+    """A pressure gauge other than the one the boundary needs was asked
+    for."""
 
 
 @dataclass
@@ -148,7 +131,10 @@ class Constraints:
     both components of every Dirichlet node and the normal component of
     every slip node.  ``points`` are the Dirichlet nodes' coordinates and
     ``slots`` (nd, 2) and ``slip`` the positions in ``fixed`` of their
-    unknowns and of the slip unknowns."""
+    unknowns and of the slip unknowns.  ``gauge`` says whether the pressure
+    carries the zero-mean gauge: exactly when no boundary edge is
+    stress-free, since a stress-free edge fixes the pressure level and
+    without one the level is undetermined."""
 
     fixed: np.ndarray
     points: np.ndarray
@@ -157,25 +143,14 @@ class Constraints:
     gauge: bool
 
     @classmethod
-    def build(cls, ctx: FormContext, gauge: bool) -> "Constraints":
-        """The table of ``ctx``'s tagged boundary; raises
-        :class:`UnsupportedBoundaryError` for a slip edge that is not
-        axis-aligned and :class:`GaugeError` for a gauge next to a
-        stress-free edge, which already fixes the pressure level."""
+    def build(cls, ctx: FormContext) -> "Constraints":
+        """The table of ``ctx``'s tagged boundary."""
         mesh, space = ctx.mesh, ctx.vspace
-        tags = np.array(mesh.boundary_tags, dtype=object)
-        if gauge and (tags == BoundaryTag.STRESS_FREE).any():
-            raise GaugeError("pressure gauge conflicts with a stress-free "
-                             "boundary, which already fixes the level")
+        tags = mesh.boundary_tags
         slip = tags == BoundaryTag.SLIP
         a, b = mesh.boundary_edges[slip].T
-        d = np.abs(mesh.vertices[b] - mesh.vertices[a])
-        horizontal = d[:, 1] <= 1e-12 * np.maximum(1.0, d[:, 0])
-        vertical = d[:, 0] <= 1e-12 * np.maximum(1.0, d[:, 1])
-        if not (horizontal | vertical).all():
-            raise UnsupportedBoundaryError(
-                "slip boundaries must be axis-aligned")
-        # the normal component: y on horizontal edges, x on vertical ones
+        # the normal component: y on horizontal sides, x on vertical ones
+        horizontal = mesh.vertices[a, 1] == mesh.vertices[b, 1]
         ends = np.column_stack([a, b, space.boundary_midpoints[slip]])
         slip_dofs = 2 * ends + horizontal[:, None]
         nodes = boundary_nodes(space, {BoundaryTag.DIRICHLET})
@@ -183,7 +158,8 @@ class Constraints:
         fixed = np.union1d(dirichlet_dofs, slip_dofs)
         return cls(fixed, space.node_coords[nodes],
                    np.searchsorted(fixed, dirichlet_dofs),
-                   np.searchsorted(fixed, np.unique(slip_dofs)), bool(gauge))
+                   np.searchsorted(fixed, np.unique(slip_dofs)),
+                   not (tags == BoundaryTag.STRESS_FREE).any())
 
     def values(self, g=None, t: float | None = None) -> np.ndarray:
         """Values of the ``fixed`` unknowns: the Dirichlet data from one

@@ -30,9 +30,8 @@ from porousflow.assembly import (
 from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate, norm
-from porousflow.mesh import BoundaryTag
-from porousflow.saddle import (Constraints, SaddleSystem, SolveReport,
-                               StepSolver, pressure_gauge)
+from porousflow.saddle import (Constraints, GaugeError, SaddleSystem,
+                               SolveReport, StepSolver)
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -50,13 +49,11 @@ class ProblemSetup:
 
     ``u_initial(points)`` gives the initial velocity; ``dirichlet(points, t)``
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
-    force (or ``None``).  The zero-mean pressure gauge is on exactly when no
-    boundary edge is stress-free (:func:`pressure_gauge`): ``gauge=None``
-    follows that rule, and ``gauge=False`` on such a boundary, whose pressure
-    level would be undetermined, raises :class:`GaugeError` (a
-    ``ValueError``), as ``gauge=True`` beside a stress-free edge does.  The
-    run's :class:`Constraints` table is built here, so a bad boundary fails
-    early.
+    force (or ``None``).  The run's :class:`Constraints` table is built
+    here from the mesh's tags, so a bad boundary fails early.  It carries
+    the zero-mean pressure gauge exactly when no boundary edge is
+    stress-free; ``gauge`` is set to that value, and a ``gauge`` given
+    otherwise raises :class:`GaugeError` (a ``ValueError``).
     """
 
     ctx: FormContext
@@ -77,13 +74,20 @@ class ProblemSetup:
                                  f"got {value}")
         if self.n_steps < 1:
             raise ValueError("tau exceeds the final time; no steps to take")
-        tags = set(self.ctx.mesh.boundary_tags)
-        self.gauge = pressure_gauge(self.ctx.mesh, self.gauge)
-        if BoundaryTag.DIRICHLET not in tags and not self.gauge:
+        self.constraints = table = Constraints.build(self.ctx)
+        # the gauge follows from the tags; a caller's value is only checked,
+        # so that one asking for a gauge beside a stress-free edge, or for
+        # none where the pressure level would be undetermined, fails loudly
+        if self.gauge is not None and self.gauge != table.gauge:
+            raise GaugeError(f"gauge={self.gauge} contradicts the boundary: "
+                             "the zero-mean pressure gauge is on exactly "
+                             "when no edge is stress-free")
+        self.gauge = table.gauge
+        has_dirichlet = len(table.points) > 0
+        if not has_dirichlet and not self.gauge:
             raise ValueError("a Dirichlet part of the boundary is required")
-        if BoundaryTag.DIRICHLET in tags and self.dirichlet is None:
+        if has_dirichlet and self.dirichlet is None:
             raise ValueError("dirichlet data is required on tagged edges")
-        self.constraints = Constraints.build(self.ctx, self.gauge)
 
     @property
     def n_steps(self) -> int:

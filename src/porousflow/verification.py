@@ -22,11 +22,13 @@ from porousflow.fem import (
     FeField,
     edge_quadrature,
     error_norm,
+    eval_field_many,
     field_mean,
     interpolate,
     norm,
     quad_tables,
     tri_quadrature,
+    zero_field,
 )
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import (
@@ -37,7 +39,7 @@ from porousflow.porous import (
     forchheimer_coeff,
     linear_drag_coeff,
 )
-from porousflow.saddle import Constraints, StepSolver, pressure_gauge
+from porousflow.saddle import Constraints, StepSolver
 from porousflow.scheme import ProblemSetup, run
 
 
@@ -190,7 +192,6 @@ def run_eoc(n_list: Sequence[int], t_final: float = 1.0,
             forcing=case.f,
             tau=tau,
             t_final=t_final,
-            gauge=True,
         )
         if progress:
             progress(f"running N={n_div}")
@@ -249,11 +250,17 @@ class EnergyRecord:
     forcing_budget: float    # ||f||^2 / (4 mu beta0^2)
 
 
-def analytic_l2(ctx: FormContext, f, t: float) -> float:
-    vals = np.asarray(f(ctx.qpoints_flat, t), dtype=float)
-    nt, nq = ctx.wxarea.shape
-    sq = (vals ** 2).reshape(nt, nq, -1).sum(axis=2)
-    return float(np.sqrt(np.einsum("tq,tq->", ctx.wxarea, sq)))
+def _boundary_quadrature(mesh, edges, n_points: int):
+    """Gauss-Legendre points of the boundary ``edges`` (m, n_points, 2),
+    their weights times the edge lengths (m, n_points) and the edges'
+    outward normals (m, 2)."""
+    s, w = edge_quadrature(n_points)
+    start = mesh.vertices[mesh.boundary_edges[edges, 0]]
+    d = mesh.vertices[mesh.boundary_edges[edges, 1]] - start
+    length = np.hypot(d[:, 0], d[:, 1])
+    normals = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
+    points = start[:, None, :] + s[None, :, None] * d[:, None, :]
+    return points, length[:, None] * w, normals
 
 
 def outflow_kinetic_flux(u_field: FeField, porosity: PorosityField,
@@ -262,27 +269,17 @@ def outflow_kinetic_flux(u_field: FeField, porosity: PorosityField,
     """Edge-quadrature value of the contour integral of (|u|^2/phi) u.n over
     the tagged part of the boundary."""
     mesh = u_field.space.mesh
-    edges = np.concatenate([mesh.boundary_edges_by_tag(t) for t in tags]) \
-        if tags else np.array([], dtype=np.int64)
-    if edges.size == 0:
-        return 0.0
-    s, w = edge_quadrature(n_points)
-    total = 0.0
-    for e in edges:
-        a, b = mesh.boundary_edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        d = pb - pa
-        length = float(np.hypot(*d))
-        normal = np.array([d[1], -d[0]]) / length
-        pts = pa[None, :] + s[:, None] * d[None, :]
-        owner = int(mesh.boundary_edge_tri[e])
-        bary = mesh.barycentric(np.full(len(pts), owner), pts)
-        from porousflow.fem import eval_field_many
-        uv = eval_field_many(u_field, np.full(len(pts), owner), bary)
-        phi = np.asarray(porosity.value(pts), dtype=float)
-        integrand = (uv ** 2).sum(axis=1) / phi * (uv @ normal)
-        total += length * float(w @ integrand)
-    return total
+    edges = np.flatnonzero(np.isin(mesh.boundary_tags, list(tags)))
+    points, weights, normals = _boundary_quadrature(mesh, edges, n_points)
+    points = points.reshape(-1, 2)
+    owners = np.repeat(mesh.boundary_edge_tri[edges], n_points)
+    uv = eval_field_many(u_field, owners,
+                         mesh.barycentric(owners, points)).reshape(
+                             len(edges), n_points, 2)
+    phi = np.asarray(porosity.value(points), dtype=float).reshape(
+        weights.shape)
+    flux = np.einsum("enc,ec->en", uv, normals)
+    return float((weights * (uv ** 2).sum(axis=2) / phi * flux).sum())
 
 
 @dataclass
@@ -310,12 +307,18 @@ class EnergyMonitor:
         self._f_sq_integrals: list[float] = []   # running value of the time
         self._u0_l2: float | None = None         # integral of ||f||^2
 
+    def _forcing_l2(self, t: float) -> float:
+        """L2 norm of the forcing at ``t`` on the context's rule."""
+        if self.forcing is None:
+            return 0.0
+        return error_norm(zero_field(self.ctx.vspace), self.forcing, "L2", t,
+                          rule=self.ctx.quad)
+
     def _record(self, t: float, u_field: FeField) -> EnergyRecord:
         mu, rho = self.ctx.params.mu, self.ctx.params.rho
         u_l2 = norm(u_field, "L2")
         u_h1 = norm(u_field, "H1")
-        f_l2 = (analytic_l2(self.ctx, self.forcing, t)
-                if self.forcing is not None else 0.0)
+        f_l2 = self._forcing_l2(t)
         rec = EnergyRecord(
             t=t,
             u_l2=u_l2,
@@ -338,8 +341,7 @@ class EnergyMonitor:
         rec = self._record(t, u_field)
         self.records.append(rec)
         tau = t / k
-        f_l2 = (analytic_l2(self.ctx, self.forcing, t)
-                if self.forcing is not None else 0.0)
+        f_l2 = self._forcing_l2(t)
         self._f_sq_integrals.append(self._f_sq_integrals[-1] + tau * f_l2 ** 2)
 
     def write_jsonl(self, path) -> None:
@@ -444,21 +446,16 @@ def transport_identity_check(u: AnalyticVectorField, porosity: PorosityField,
     int_mass = float(np.einsum("tq,tq->", wxa,
                                np.abs(int_vals).reshape(nt, nq)))
 
-    s, w = edge_quadrature((degree + 2) // 2)
-    boundary = 0.0
-    bdry_mass = 0.0
-    for e in range(len(mesh.boundary_edges)):
-        a, b = mesh.boundary_edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        d = pb - pa
-        length = float(np.hypot(*d))
-        normal = np.array([d[1], -d[0]]) / length
-        epts = pa[None, :] + s[:, None] * d[None, :]
-        ue = np.asarray(u.value(epts), dtype=float)
-        phie = np.asarray(porosity.value(epts), dtype=float)
-        integrand = 0.5 * (ue ** 2).sum(axis=1) / phie * (ue @ normal)
-        boundary += length * float(w @ integrand)
-        bdry_mass += length * float(w @ np.abs(integrand))
+    points, weights, normals = _boundary_quadrature(
+        mesh, np.arange(len(mesh.boundary_edges)), (degree + 2) // 2)
+    flat = points.reshape(-1, 2)
+    ue = np.asarray(u.value(flat), dtype=float).reshape(points.shape)
+    phie = np.asarray(porosity.value(flat), dtype=float).reshape(
+        weights.shape)
+    integrand = 0.5 * (ue ** 2).sum(axis=2) / phie \
+        * np.einsum("enc,ec->en", ue, normals)
+    boundary = float((weights * integrand).sum())
+    bdry_mass = float((weights * np.abs(integrand)).sum())
     return TransportIdentityReport(lhs=lhs, boundary_term=boundary,
                         interior_term=interior,
                         scale=max(lhs_mass, int_mass, bdry_mass))
@@ -527,17 +524,16 @@ def ab2_consistency_check(w: Callable, material: Callable,
 
 # -- steady exactness check ---------------------------------------------------------------
 
-def steady_stokes_solve(ctx: FormContext, forcing, dirichlet,
-                        gauge: bool | None = None):
+def steady_stokes_solve(ctx: FormContext, forcing, dirichlet):
     """One steady viscous solve with no drag and no mass term: a
-    :class:`StepSolver` solve with a zero mass-type weight.
+    :class:`StepSolver` solve with a zero mass-type weight under the table
+    of ``ctx``'s boundary.
 
     Used for the polynomial-exactness patch test: with quadratic velocity and
     linear pressure data the mixed pair reproduces the fields to solver
-    precision.  ``gauge`` follows :func:`pressure_gauge`, as in
-    :class:`ProblemSetup`.
+    precision.
     """
-    table = Constraints.build(ctx, pressure_gauge(ctx.mesh, gauge))
+    table = Constraints.build(ctx)
     solver = StepSolver(ctx, assemble_a0(ctx), assemble_b(ctx), table)
     return solver.solve(np.zeros_like(ctx.wxarea),
                         assemble_load(forcing, ctx, None),

@@ -62,10 +62,10 @@ class ReferenceSystem:
     def gauge(self) -> bool:
         return self.constraints is not None and self.constraints.gauge
 
-    def _table(self, gauge: bool = False) -> Constraints:
-        """The constraint table, built on first use or to add the gauge."""
-        if self.constraints is None or (gauge and not self.gauge):
-            self.constraints = Constraints.build(self.ctx, gauge)
+    def _table(self) -> Constraints:
+        """The constraint table, built on first use."""
+        if self.constraints is None:
+            self.constraints = Constraints.build(self.ctx)
         return self.constraints
 
     def apply_dirichlet(self, g, t=None) -> "ReferenceSystem":
@@ -83,8 +83,8 @@ class ReferenceSystem:
         return self
 
     def apply_gauge(self) -> "ReferenceSystem":
-        """Constrain the pressure to zero mean via one Lagrange multiplier."""
-        self._table(gauge=True)
+        """A no-op: the table carries the zero-mean gauge exactly when the
+        boundary needs it."""
         return self
 
     def full_rhs(self) -> np.ndarray:

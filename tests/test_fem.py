@@ -21,7 +21,6 @@ from porousflow.fem import (
 from porousflow.mesh import (
     BoundaryTag,
     LayerGrading,
-    Mesh,
     generate_rect_mesh,
     locate_many,
 )
@@ -141,6 +140,11 @@ def test_eval_linear_field(unit_mesh):
     tri, bary, _ = locate_many(unit_mesh, np.array([[0.3, 0.7]]))
     value = eval_field_many(f, tri, bary)[0]
     assert value[0] == pytest.approx(0.3, abs=1e-13)
+    # an empty batch gives no rows
+    assert eval_field_many(f, tri[:0], bary[:0]).shape == (0, 2)
+    p = interpolate(pressure_space(unit_mesh), lambda p: p[:, 1])
+    assert eval_field_many(p, tri, bary) == pytest.approx([0.7], abs=1e-13)
+    assert eval_field_many(p, tri[:0], bary[:0]).shape == (0,)
 
 
 def test_gradient_of_quadratic(unit_mesh):
@@ -160,6 +164,8 @@ def test_zero_field_evaluates_zero(unit_mesh):
     tri, bary, _ = locate_many(unit_mesh, np.array([[0.25, 0.75]]))
     value = eval_field_many(f, tri, bary)[0]
     assert value == pytest.approx([0.0, 0.0], abs=0.0)
+    assert eval_field_many(f, np.empty(0, dtype=np.int64),
+                           np.empty((0, 3))).shape == (0, 2)
 
 
 def test_c0_conformity_across_edges(unit_mesh, rng):
@@ -191,32 +197,39 @@ def test_l2_norm_of_constant(pi_mesh):
 
 
 def test_velocity_space_on_two_triangles():
-    # the unit square cut along its diagonal 1-2; boundary edges in the
-    # order the mesh lists them
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    edges = np.array([[0, 1], [3, 2], [2, 0], [1, 3]])
-    mesh = Mesh(verts, np.array([[0, 1, 2], [1, 3, 2]]), edges,
-                [BoundaryTag.DIRICHLET, BoundaryTag.SLIP,
-                 BoundaryTag.DIRICHLET, BoundaryTag.STRESS_FREE],
-                np.array([0, 1, 0, 1]))
+    # two triangles per cell of a 2 x 2 grid on the unit square: left and
+    # bottom Dirichlet, top slip, right stress-free
+    def tags(mid):
+        if mid[0] >= 1.0 - 1e-9:
+            return BoundaryTag.STRESS_FREE
+        if mid[1] >= 1.0 - 1e-9:
+            return BoundaryTag.SLIP
+        return BoundaryTag.DIRICHLET
+
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 2, tag_rule=tags)
     space = velocity_space(mesh)
-    # midpoints numbered as their edges first appear: edge k of a triangle
-    # lies opposite its vertex k, and the diagonal is shared
-    assert np.array_equal(space.cell_nodes, [[0, 1, 2, 4, 5, 6],
-                                             [1, 3, 2, 7, 4, 8]])
-    assert space.n_nodes == 9 and space.dof_count == 18
-    assert np.array_equal(space.node_coords[4], [0.5, 0.5])
-    mids = space.node_coords[space.boundary_midpoints]
-    assert np.array_equal(mids, 0.5 * (verts[edges[:, 0]]
-                                       + verts[edges[:, 1]]))
-    assert np.array_equal(space.boundary_midpoints, [6, 7, 5, 8])
-    assert np.array_equal(boundary_nodes(space, {BoundaryTag.DIRICHLET}),
-                          [0, 1, 2, 5, 6])
-    assert np.array_equal(boundary_nodes(space, {BoundaryTag.SLIP,
-                                                 BoundaryTag.STRESS_FREE}),
-                          [1, 2, 3, 7, 8])
-    assert boundary_nodes(pressure_space(mesh), {BoundaryTag.SLIP}).tolist() \
-        == [2, 3]
+    # midpoints numbered as their edges first appear in the triangles
+    cell_nodes, coords, midpoints = _velocity_nodes_by_loop(mesh)
+    assert np.array_equal(space.cell_nodes, cell_nodes)
+    assert np.array_equal(space.node_coords, coords)
+    assert np.array_equal(space.cell_nodes[0, 3:], [9, 10, 11])
+    assert space.n_nodes == 9 + 16 and space.dof_count == 50
+    # the boundary midpoints sit at the midpoints of their edges
+    assert np.array_equal(space.boundary_midpoints, midpoints)
+    ends = mesh.vertices[mesh.boundary_edges]
+    assert np.array_equal(space.node_coords[space.boundary_midpoints],
+                          0.5 * (ends[:, 0] + ends[:, 1]))
+    for wanted in ({BoundaryTag.DIRICHLET}, {BoundaryTag.SLIP},
+                   {BoundaryTag.SLIP, BoundaryTag.STRESS_FREE}):
+        for sp, mids in ((space, space.boundary_midpoints),
+                         (pressure_space(mesh), None)):
+            scan = set()
+            for e, tag in enumerate(mesh.boundary_tags):
+                if tag in wanted:
+                    scan.update(mesh.boundary_edges[e].tolist())
+                    if mids is not None:
+                        scan.add(int(mids[e]))
+            assert boundary_nodes(sp, wanted).tolist() == sorted(scan)
 
 
 def _velocity_nodes_by_loop(mesh):

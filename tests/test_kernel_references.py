@@ -3,8 +3,9 @@
 Each reference below is the earlier implementation, kept verbatim in
 substance: ``einsum`` contractions over gathered node values, ``np.add.at``
 scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
-the adjacency walk for point location and the segment/boundary-edge table
-for the boundary exit.  Kernels whose arithmetic is unchanged must agree bit
+the adjacency walk for point location, the segment/boundary-edge table
+for the boundary exit, the per-edge loops of the contour integrals and the
+quadrature-point sum of the forcing norm.  Kernels whose arithmetic is unchanged must agree bit
 for bit; those that sum in another order agree within a tolerance fixed from
 double precision.
 """
@@ -18,10 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porousflow.characteristics as characteristics
-from porousflow.assembly import assemble_load, assemble_mass_phi_rhs
+from porousflow.assembly import (assemble_load, assemble_mass_phi_rhs,
+                                 make_context)
 from porousflow.cases import build_case_mesh, build_setup, get_case
 from porousflow.fem import (
     FeField,
+    edge_quadrature,
     error_norm,
     eval_basis,
     eval_field_many,
@@ -35,12 +38,18 @@ from porousflow.mesh import (
     EXIT_TOL,
     INSIDE_TOL,
     BoundaryHit,
+    BoundaryTag,
     LayerGrading,
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
 )
 from porousflow.scheme import run
+from porousflow.verification import (
+    EnergyMonitor,
+    outflow_kinetic_flux,
+    transport_identity_check,
+)
 
 MESHES = {
     "graded-two-layer": build_case_mesh(get_case("two-layer"), n=12),
@@ -261,6 +270,55 @@ def lambdify_reference(args, exprs, shape):
     return call
 
 
+def outflow_flux_reference(u_field, porosity, n_points=5):
+    """The contour integral of (|u|^2/phi) u.n over the stress-free edges,
+    one edge at a time, and the integral of its absolute value."""
+    mesh = u_field.space.mesh
+    s, w = edge_quadrature(n_points)
+    total = mass = 0.0
+    for e in np.flatnonzero(mesh.boundary_tags == BoundaryTag.STRESS_FREE):
+        pa, pb = mesh.vertices[mesh.boundary_edges[e]]
+        d = pb - pa
+        length = float(np.hypot(*d))
+        normal = np.array([d[1], -d[0]]) / length
+        pts = pa[None, :] + s[:, None] * d[None, :]
+        owner = np.full(len(pts), mesh.boundary_edge_tri[e])
+        uv = eval_field_many(u_field, owner, mesh.barycentric(owner, pts))
+        phi = np.asarray(porosity.value(pts), dtype=float)
+        integrand = (uv ** 2).sum(axis=1) / phi * (uv @ normal)
+        total += length * float(w @ integrand)
+        mass += length * float(w @ np.abs(integrand))
+    return total, mass
+
+
+def transport_boundary_reference(u, porosity, extents, n_divisions, degree):
+    """The boundary term of the transport identity, one edge at a time, and
+    the integral of its absolute value."""
+    mesh = generate_rect_mesh(extents[0], extents[1], n_divisions)
+    s, w = edge_quadrature((degree + 2) // 2)
+    boundary = mass = 0.0
+    for a, b in mesh.boundary_edges:
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        d = pb - pa
+        length = float(np.hypot(*d))
+        normal = np.array([d[1], -d[0]]) / length
+        pts = pa[None, :] + s[:, None] * d[None, :]
+        ue = np.asarray(u.value(pts), dtype=float)
+        phie = np.asarray(porosity.value(pts), dtype=float)
+        integrand = 0.5 * (ue ** 2).sum(axis=1) / phie * (ue @ normal)
+        boundary += length * float(w @ integrand)
+        mass += length * float(w @ np.abs(integrand))
+    return boundary, mass
+
+
+def forcing_l2_reference(ctx, f, t):
+    """L2 norm of ``f(., t)`` summed over the context's quadrature points."""
+    vals = np.asarray(f(ctx.qpoints_flat, t), dtype=float)
+    nt, nq = ctx.wxarea.shape
+    sq = (vals ** 2).reshape(nt, nq, -1).sum(axis=2)
+    return float(np.sqrt(np.einsum("tq,tq->", ctx.wxarea, sq)))
+
+
 def assert_rel(value, reference, rel):
     scale = np.abs(reference).max()
     assert np.abs(np.asarray(value) - reference).max() <= rel * scale
@@ -432,6 +490,34 @@ def test_right_hand_sides_match_the_einsum_forms(two_layer):
     assert_rel(assemble_load(force, ctx, 0.7), ref, REL)
     assert_rel(assemble_load(u, ctx), load_reference(
         ctx, at_quad_reference(u, ctx.quad)[0]), REL)
+
+
+def test_contour_integrals_match_the_edge_loops(two_layer, mms_case):
+    ctx, u, _ = two_layer
+    porosity = get_case("two-layer").porosity
+    flux, mass = outflow_flux_reference(u, porosity)
+    assert mass > 0.0
+    assert abs(outflow_kinetic_flux(u, porosity) - flux) <= REL * mass
+    field = mms_case.velocity_field(0.3)
+    for extents, n in ((((0.0, math.pi), (0.0, math.pi)), 8),
+                       (((0.0, 2.0), (0.0, 1.0)), 6)):
+        report = transport_identity_check(field, mms_case.porosity, extents,
+                                          n)
+        boundary, mass = transport_boundary_reference(
+            field, mms_case.porosity, extents, n, 9)
+        assert abs(report.boundary_term - boundary) <= REL * mass
+
+
+def test_forcing_budget_matches_the_quadrature_sum(mms_case):
+    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 8)
+    ctx = make_context(mesh, mms_case.porosity, mms_case.params)
+    beta0 = 0.5
+    monitor = EnergyMonitor(ctx, beta0, forcing=mms_case.f)
+    monitor.start(interpolate(ctx.vspace, mms_case.u, 0.0))
+    f_l2 = forcing_l2_reference(ctx, mms_case.f, 0.0)
+    assert f_l2 > 0.0
+    assert monitor.records[0].forcing_budget == pytest.approx(
+        f_l2 ** 2 / (4.0 * ctx.params.mu * beta0 ** 2), rel=REL)
 
 
 def test_error_norms_match_the_rebuilt_tables(mms_case):

@@ -20,16 +20,14 @@ from porousflow.assembly import (
 )
 from porousflow.cases import build_case_mesh, get_case
 from porousflow.fem import boundary_nodes, interpolate
-from porousflow.mesh import BoundaryTag, Mesh, generate_rect_mesh
+from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
     ConstraintConflictError,
     Constraints,
-    GaugeError,
     SingularSystemError,
     SolverError,
     StepSolver,
-    UnsupportedBoundaryError,
     nested_dissection,
 )
 from porousflow.verification import steady_stokes_solve
@@ -90,7 +88,7 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
                                    np.cos(p[:, 1])])
     a0 = assemble_a0(unit_ctx)
     b = assemble_b(unit_ctx)
-    table = Constraints.build(unit_ctx, gauge=True)
+    table = Constraints.build(unit_ctx)
     solver = StepSolver(unit_ctx, a0 + sp.identity(a0.shape[0]), b, table)
     u, p, rep = solver.solve(np.zeros_like(unit_ctx.wxarea),
                              np.zeros(a0.shape[0]), table.values(g))
@@ -114,14 +112,14 @@ def _slip_bottom_ctx(params):
 def test_conflicting_constraints_rejected(params):
     # the bottom corners are Dirichlet nodes and slip nodes: g's y-component
     # there clashes with the slip zero
-    table = Constraints.build(_slip_bottom_ctx(params), gauge=False)
+    table = Constraints.build(_slip_bottom_ctx(params))
     with pytest.raises(ConstraintConflictError):
         table.values(lambda p: np.ones((len(p), 2)))
 
 
 def test_matching_corner_constraints_allowed(params):
     ctx = _slip_bottom_ctx(params)
-    table = Constraints.build(ctx, gauge=False)
+    table = Constraints.build(ctx)
     g = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
     values = table.values(g)
     assert table.slip.size > 0 and table.points.size > 0
@@ -135,14 +133,14 @@ def test_matching_corner_constraints_allowed(params):
 
 
 def test_slip_empty_is_noop(unit_ctx):
-    table = Constraints.build(unit_ctx, gauge=False)
+    table = Constraints.build(unit_ctx)
     assert table.slip.size == 0
     assert table.fixed.size == table.slots.size == 2 * len(table.points)
 
 
 def test_constraint_table_matches_the_tagged_nodes(params):
     ctx = _slip_bottom_ctx(params)
-    table = Constraints.build(ctx, gauge=False)
+    table = Constraints.build(ctx)
     coords = ctx.vspace.node_coords
     dirichlet = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
     slip = boundary_nodes(ctx.vspace, {BoundaryTag.SLIP})
@@ -154,7 +152,12 @@ def test_constraint_table_matches_the_tagged_nodes(params):
     assert np.array_equal(table.fixed[table.slots],
                           2 * dirichlet[:, None] + [0, 1])
     assert np.array_equal(table.fixed[table.slip], 2 * slip + 1)
-    assert not table.gauge and Constraints.build(ctx, gauge=True).gauge
+    # no stress-free edge fixes the pressure level: the table is gauged
+    assert table.gauge
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=_outlet_tags)
+    outlet = make_context(mesh, builtin_porosity("constant", value=1.0),
+                          params)
+    assert not Constraints.build(outlet).gauge
 
 
 def test_slip_bottom_edge_zeroes_normal_component(params):
@@ -163,7 +166,7 @@ def test_slip_bottom_edge_zeroes_normal_component(params):
     b = assemble_b(ctx)
     rhs = assemble_load(lambda p: np.column_stack(
         [np.ones(len(p)), np.ones(len(p))]), ctx, None)
-    table = Constraints.build(ctx, gauge=False)
+    table = Constraints.build(ctx)
     solver = StepSolver(ctx, a0 + sp.identity(a0.shape[0]), b, table)
     u, p, rep = solver.solve(np.zeros_like(ctx.wxarea), rhs, table.values(
         lambda p: np.zeros((len(p), 2))))
@@ -173,6 +176,9 @@ def test_slip_bottom_edge_zeroes_normal_component(params):
     interior_bottom = bottom & (ctx.vspace.node_coords[:, 0] > 1e-9) \
         & (ctx.vspace.node_coords[:, 0] < 1 - 1e-9)
     assert np.abs(u.node_values()[interior_bottom, 0]).max() > 0.0
+    # without a stress-free edge the table gauges the pressure to zero mean
+    c = pressure_volume_vector(ctx)
+    assert abs(c @ p.coefficients) <= 1e-12 * np.abs(p.coefficients).max()
 
 
 def _slip_dirichlet(p):
@@ -187,12 +193,11 @@ def _slip_dirichlet(p):
 def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, slip):
     ctx, g = ((_slip_bottom_ctx(params), _slip_dirichlet) if slip
               else (unit_ctx, quad_velocity))
-    u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu), g,
-                                    gauge=True)
+    u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu), g)
     reference = ReferenceSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
                                 assemble_load(stokes_forcing(params.mu), ctx,
                                               None),
-                                constraints=Constraints.build(ctx, True))
+                                constraints=Constraints.build(ctx))
     u_ref, p_ref, ref = reference.apply_dirichlet(g).solve()
     assert rep.factorized and rep.krylov_iterations == 0
     for got, want in ((u, u_ref), (p, p_ref)):
@@ -207,20 +212,6 @@ def test_steady_stokes_solve_gauges_without_stress_free_edge(params):
                                     _slip_dirichlet)
     c = pressure_volume_vector(ctx)
     assert abs(c @ p.coefficients) <= 1e-12 * np.abs(p.coefficients).max()
-    with pytest.raises(GaugeError):
-        steady_stokes_solve(ctx, stokes_forcing(params.mu), _slip_dirichlet,
-                            gauge=False)
-
-
-def test_diagonal_slip_edge_rejected(params):
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    tris = np.array([[0, 1, 2]])
-    edges = np.array([[0, 1], [1, 2], [2, 0]])
-    tags = [BoundaryTag.DIRICHLET, BoundaryTag.SLIP, BoundaryTag.DIRICHLET]
-    mesh = Mesh(verts, tris, edges, tags, np.zeros(3, dtype=int))
-    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
-    with pytest.raises(UnsupportedBoundaryError):
-        Constraints.build(ctx, gauge=False)
 
 
 def test_gauge_zero_mean(unit_ctx, params):
@@ -228,18 +219,6 @@ def test_gauge_zero_mean(unit_ctx, params):
                                     quad_velocity)
     c = pressure_volume_vector(unit_ctx)
     assert abs(c @ p.coefficients) <= 1e-10
-
-
-def test_gauge_rejected_with_outflow(params):
-    def tags(mid):
-        if mid[0] >= 1 - 1e-9:
-            return BoundaryTag.STRESS_FREE
-        return BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=tags)
-    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
-    with pytest.raises(GaugeError):
-        Constraints.build(ctx, gauge=True)
 
 
 def test_gauge_invariance_to_pressure_rhs_shift(unit_ctx, params):
@@ -292,7 +271,7 @@ def _drag_solver(ctx, kind=StepSolver):
     """A run's solver, or its from-scratch stand-in, for the viscous block
     under the gauged table."""
     return kind(ctx, assemble_a0(ctx), assemble_b(ctx),
-                Constraints.build(ctx, gauge=True))
+                Constraints.build(ctx))
 
 
 def _drag_solve(solver, drag, rhs, key=None):
@@ -419,7 +398,8 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
     params = get_case("two-layer").params
     ctx = make_context(mesh, builtin_porosity("constant", value=0.6), params)
     rng = np.random.default_rng(seed)
-    table = Constraints.build(ctx, gauge)
+    table = Constraints.build(ctx)
+    assert table.gauge == gauge
     system = ReferenceSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
                              rng.normal(size=ctx.vspace.dof_count),
                              mass_weight=rng.uniform(1.0, 3.0,
@@ -481,7 +461,7 @@ _FREED_BLOCK_SCRIPT = textwrap.dedent("""
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0),
                        PhysicalParams())
     a0, b = assemble_a0(ctx), assemble_b(ctx)
-    table = Constraints.build(ctx, gauge=True)
+    table = Constraints.build(ctx)
     big = np.ones(3 << 20)   # 24 MiB freed: glibc's threshold rises to it
     del big
     StepSolver(ctx, a0, b, table)

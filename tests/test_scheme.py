@@ -13,14 +13,9 @@ from porousflow.assembly import (
 )
 from porousflow.cases import build_setup, get_case
 from porousflow.fem import FeField, field_mean, interpolate, norm
-from porousflow.mesh import BoundaryTag, Mesh, generate_rect_mesh
+from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
-from porousflow.saddle import (
-    Constraints,
-    GaugeError,
-    StepSolver,
-    UnsupportedBoundaryError,
-)
+from porousflow.saddle import Constraints, GaugeError, StepSolver
 from porousflow.scheme import (
     ProblemSetup,
     SchemeDivergenceError,
@@ -62,18 +57,6 @@ def test_zero_data_gives_zero_solution(params):
     assert len(summary.steps) == 4
     assert np.abs(summary.u_final.coefficients).max() == 0.0
     assert np.abs(summary.p_final.coefficients).max() < 1e-14
-
-
-def test_setup_rejects_diagonal_slip_edge(params):
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = Mesh(verts, np.array([[0, 1, 2]]),
-                np.array([[0, 1], [1, 2], [2, 0]]),
-                [BoundaryTag.DIRICHLET, BoundaryTag.SLIP,
-                 BoundaryTag.DIRICHLET], np.zeros(3, dtype=int))
-    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
-    with pytest.raises(UnsupportedBoundaryError):
-        ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
-                     tau=0.25, t_final=1.0)
 
 
 def test_setup_rejects_gauge_with_stress_free_edge(params):

@@ -5,8 +5,9 @@ import pytest
 
 from diagnostic_forms import korn_constant_estimate, trilinear_a1_quadrature
 from porousflow.assembly import make_context
-from porousflow.fem import AnalyticVectorField, interpolate, norm
-from porousflow.mesh import generate_rect_mesh
+from porousflow.fem import (AnalyticVectorField, interpolate, norm,
+                            velocity_space)
+from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import (
     PhysicalParams,
     alpha_constant,
@@ -20,6 +21,7 @@ from porousflow.verification import (
     ab2_consistency_check,
     build_mms_case,
     default_consistency_field,
+    outflow_kinetic_flux,
     transport_identity_check,
     run_eoc,
     write_eoc_csv,
@@ -282,6 +284,30 @@ def test_energy_monitor_alpha_zero_reduction(params):
     # exp(0) = 1: the bound at t=0 equals the initial norm exactly
     bound = math.exp(-params.mu * mon.alpha * rec.t / params.rho) * rec.u_l2
     assert bound == rec.u_l2
+
+
+@pytest.mark.parametrize("c, phi_value", [(0.7, 0.5), (-1.3, 0.8)])
+def test_outflow_kinetic_flux_of_a_uniform_flow(c, phi_value):
+    # u = (c, 0) at constant phi on the unit square: the stress-free right
+    # edge (outward normal (1, 0), length 1) carries c^3/phi
+    def outlet(mid):
+        return BoundaryTag.STRESS_FREE if mid[0] >= 1.0 - 1e-9 \
+            else BoundaryTag.DIRICHLET
+
+    phi = builtin_porosity("constant", value=phi_value)
+
+    def uniform(mesh):
+        return interpolate(velocity_space(mesh), lambda p: np.column_stack(
+            [np.full(len(p), c), np.zeros(len(p))]))
+
+    u = uniform(generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=outlet))
+    assert outflow_kinetic_flux(u, phi) == pytest.approx(c ** 3 / phi_value,
+                                                         rel=1e-14)
+    # no tagged edge: nothing to integrate
+    assert outflow_kinetic_flux(u, phi, tags=(BoundaryTag.SLIP,)) == 0.0
+    assert outflow_kinetic_flux(u, phi, tags=()) == 0.0
+    closed = uniform(generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4))
+    assert outflow_kinetic_flux(closed, phi) == 0.0
 
 
 def test_korn_estimate_stable_across_resolutions(params):
