@@ -165,7 +165,7 @@ def quadratic_drag_weight(theta_field: FeField,
         if theta_field.space.dof_count != ctx.vspace.dof_count:
             raise ValueError("theta_field must live on the velocity space")
     theta = ctx.velocity_at_quad(theta_field)
-    speed = np.sqrt((theta ** 2).sum(axis=2))
+    speed = np.sqrt(theta[..., 0] ** 2 + theta[..., 1] ** 2)
     return ctx.params.rho * forchheimer_coeff(ctx.phi_q, ctx.params) * speed
 
 

@@ -6,9 +6,11 @@ for the extrapolated advecting velocity ``w*``; previous velocity fields are
 evaluated there by finite element interpolation, dividing by the analytic
 porosity at the evaluation point.  All feet of a batch of points are handled
 together: one point location, one boundary-exit call, one field evaluation
-and one porosity evaluation per composed field.  The two-step bracket does
-this twice, for the ``tau`` feet and for the ``2 tau`` feet, which lie twice
-as far along the same direction.
+and one porosity evaluation per foot set.  The two-step bracket does this
+twice, for the ``tau`` feet and for the ``2 tau`` feet, which lie twice as
+far along the same direction.  The porosity at the points themselves is the
+caller's ``phi_at``; the scheme passes the form context's table of it at the
+quadrature points, so no step evaluates it again.
 
 Feet that leave the domain are clamped to the first boundary intersection of
 the backtracking segment.  When that crossing is through a Dirichlet edge the
@@ -49,29 +51,29 @@ def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
 
 def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
                        porosity: PorosityField, tau: float, points,
-                       u_prev_at, u_prev2_at, g_prev=None, g_prev2=None):
+                       u_prev_at, u_prev2_at, phi_at, g_prev=None,
+                       g_prev2=None):
     """Known part of the two-step material-derivative bracket at many points.
 
     Returns ``phi(x) * [4 (w_prev o X1(w*, tau))(x) - (w_prev2 o X1(w*,
     2 tau))(x)]`` and the clamped-feet count, where ``w* = (2 u_prev -
     u_prev2)/phi`` is evaluated at the points themselves from the fields'
-    values there, ``u_prev_at`` and ``u_prev2_at``.
+    values there, ``u_prev_at`` and ``u_prev2_at``, and the porosity there,
+    ``phi_at`` (m,).
     """
-    phi_x = np.asarray(porosity.value(points), dtype=float)
-    w_star = (2.0 * u_prev_at - u_prev2_at) / phi_x[:, None]
+    w_star = (2.0 * u_prev_at - u_prev2_at) / phi_at[:, None]
     w1, c1 = _composed_average_velocity(points, u_prev, porosity, w_star,
                                         tau, g_prev)
     w2, c2 = _composed_average_velocity(points, u_prev2, porosity, w_star,
                                         2.0 * tau, g_prev2)
-    return phi_x[:, None] * (4.0 * w1 - w2), c1 + c2
+    return phi_at[:, None] * (4.0 * w1 - w2), c1 + c2
 
 
 def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
-                       points, u0_at, g0=None):
+                       points, u0_at, phi_at, g0=None):
     """First-order composed term ``phi(x) * (w0 o X1(w0, tau))(x)`` at many
-    points, with ``w0 = u0/phi`` from the field's values ``u0_at`` there;
-    used only for the start-up step."""
-    phi_x = np.asarray(porosity.value(points), dtype=float)
+    points, with ``w0 = u0/phi`` from the field's values ``u0_at`` and the
+    porosity ``phi_at`` there; used only for the start-up step."""
     w, clamped = _composed_average_velocity(points, u0, porosity,
-                                            u0_at / phi_x[:, None], tau, g0)
-    return phi_x[:, None] * w, clamped
+                                            u0_at / phi_at[:, None], tau, g0)
+    return phi_at[:, None] * w, clamped

@@ -10,8 +10,11 @@ of the rectangle, so it is axis-aligned.
 
 A point is located by index arithmetic on the grid lines: one
 ``searchsorted`` per axis finds its cell, one side-of-diagonal test its
-triangle.  Segments are clipped against the sides of the rectangle (Liang &
-Barsky, ACM TOG 3, 1984), whose grid lines give the crossed boundary edge.
+triangle.  Each triangle's affine inverse and origin are kept as six
+contiguous per-coefficient columns, so the barycentric coordinates of a batch
+gather six 1-D columns and the containment test reads whole columns.
+Segments are clipped against the sides of the rectangle (Liang & Barsky, ACM
+TOG 3, 1984), whose grid lines give the crossed boundary edge.
 """
 
 from __future__ import annotations
@@ -133,9 +136,10 @@ class Mesh:
         inv[:, 1, 0] = -d1[:, 1]
         inv[:, 1, 1] = d1[:, 0]
         inv /= det[:, None, None]
-        # (lam1, lam2) = inv @ (x - p0), inv flattened row by row
-        self._p0 = np.ascontiguousarray(pts[:, 0])
-        self._inv_flat = inv.reshape(-1, 4)
+        # (lam1, lam2) = inv @ (x - p0), kept as one contiguous column per
+        # coefficient: inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1], p0 x, p0 y
+        self._affine = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0],
+                                 inv[:, 1, 1], pts[:, 0, 0], pts[:, 0, 1]])
         # gradients of the three barycentric coordinates, (nt, 3, 2)
         grads = np.empty((len(det), 3, 2))
         grads[:, 1] = inv[:, 0]
@@ -158,12 +162,18 @@ class Mesh:
 
     def barycentric(self, tris, pts) -> np.ndarray:
         """Barycentric coordinates of ``pts`` (m, 2) in triangles ``tris`` (m,)."""
+        pts = np.asarray(pts, dtype=float)
+        return np.column_stack(self._bary_columns(tris, pts[:, 0], pts[:, 1]))
+
+    def _bary_columns(self, tris, x, y):
+        """The three barycentric coordinates of the points ``(x, y)`` in
+        triangles ``tris``, as separate (m,) arrays."""
         tris = np.asarray(tris, dtype=np.int64)
-        d = np.asarray(pts, dtype=float) - self._p0[tris]
-        inv = self._inv_flat[tris]
-        lam1 = inv[:, 0] * d[:, 0] + inv[:, 1] * d[:, 1]
-        lam2 = inv[:, 2] * d[:, 0] + inv[:, 3] * d[:, 1]
-        return np.column_stack([1.0 - lam1 - lam2, lam1, lam2])
+        c = self._affine
+        dx, dy = x - c[4].take(tris), y - c[5].take(tris)
+        lam1 = c[0].take(tris) * dx + c[1].take(tris) * dy
+        lam2 = c[2].take(tris) * dx + c[3].take(tris) * dy
+        return 1.0 - lam1 - lam2, lam1, lam2
 
 
 def _graded_interval(length: float, n: int, first: float) -> np.ndarray:
@@ -231,7 +241,7 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
 
 def _rises(i, j):
     """Whether the diagonal of grid cell (i, j) rises from its lower left."""
-    return (i + j) % 2 == 0
+    return ((i + j) & 1) == 0
 
 
 def _cell_triangle(i, j, nx, upper):
@@ -257,13 +267,17 @@ def locate_many(mesh: Mesh, pts: np.ndarray):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     x, y = pts[:, 0], pts[:, 1]
     i, j = _cell_index(xs, x), _cell_index(ys, y)
-    run = np.where(_rises(i, j), x - xs[i], xs[i + 1] - x)
-    upper = (y - ys[j]) * (xs[i + 1] - xs[i]) > run * (ys[j + 1] - ys[j])
+    x0, x1 = xs.take(i), xs[1:].take(i)
+    run = np.where(_rises(i, j), x - x0, x1 - x)
+    upper = (y - ys.take(j)) * (x1 - x0) > run * (ys[1:].take(j) - ys.take(j))
     tri = _cell_triangle(i, j, len(xs) - 1, upper)
-    bary = mesh.barycentric(tri, pts)
-    inside = bary.min(axis=1) >= -INSIDE_TOL
-    tri[~inside] = -1
-    bary[~inside] = 0.0
+    lam = mesh._bary_columns(tri, x, y)
+    inside = np.minimum(np.minimum(lam[0], lam[1]), lam[2]) >= -INSIDE_TOL
+    bary = np.column_stack(lam)
+    if not inside.all():
+        outside = ~inside
+        tri[outside] = -1
+        bary[outside] = 0.0
     return tri, bary, inside
 
 

@@ -138,8 +138,10 @@ def validate_porosity_admissibility(porosity: PorosityField, params: PhysicalPar
     ``bounds`` is ``((x0, x1), (y0, y1))``.  After the uniform scan the
     neighborhood of the largest margin is re-sampled a few times so that a
     thin violating layer is reported with a sharp peak value rather than
-    whatever the coarse grid happened to hit.  A ``resolution`` below 2
-    raises ``ValueError``.
+    whatever the coarse grid happened to hit.  The violation count and band
+    cover every distinct sample, the uniform and the refined ones, so a
+    layer thinner than the grid spacing is still counted.  A ``resolution``
+    below 2 raises ``ValueError``.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
@@ -149,11 +151,7 @@ def validate_porosity_admissibility(porosity: PorosityField, params: PhysicalPar
     xv, yv = np.meshgrid(xs, ys, indexing="ij")
     pts = np.column_stack([xv.ravel(), yv.ravel()])
     margin, phi = _margin_at(porosity, params, pts)
-    n_viol = int((margin > 0.0).sum())
-    extent = None
-    if n_viol:
-        bad_y = pts[margin > 0.0, 1]
-        extent = (float(bad_y.min()), float(bad_y.max()))
+    violating = [pts[margin > 0.0]]
 
     best = int(np.argmax(margin))
     cx, cy = pts[best]
@@ -164,11 +162,18 @@ def validate_porosity_admissibility(porosity: PorosityField, params: PhysicalPar
         gx, gy = np.meshgrid(lx, ly, indexing="ij")
         local = np.column_stack([gx.ravel(), gy.ravel()])
         lm, _ = _margin_at(porosity, params, local)
+        violating.append(local[lm > 0.0])
         j = int(np.argmax(lm))
         cx, cy = local[j]
         hx, hy = hx / 4.0, hy / 4.0
-    peak, _ = _margin_at(porosity, params, np.array([[cx, cy]]))
+    peak_at = np.array([[cx, cy]])
+    peak, _ = _margin_at(porosity, params, peak_at)
+    violating.append(peak_at[peak > 0.0])
     max_margin = float(max(margin[best], peak[0]))
+    bad = np.unique(np.concatenate(violating), axis=0)
+    extent = None
+    if len(bad):
+        extent = (float(bad[:, 1].min()), float(bad[:, 1].max()))
 
     phi0 = float(phi.min())
     return AdmissibilityReport(
@@ -176,7 +181,7 @@ def validate_porosity_admissibility(porosity: PorosityField, params: PhysicalPar
         phi0=phi0,
         max_margin=max_margin,
         argmax=(float(cx), float(cy)),
-        n_violations=n_viol,
+        n_violations=len(bad),
         resolution=resolution,
         violation_extent=extent,
     )
@@ -185,10 +190,14 @@ def validate_porosity_admissibility(porosity: PorosityField, params: PhysicalPar
 # -- built-in porosity models ------------------------------------------------------
 
 def _smooth_step(s, eps):
-    """Heaviside regularized over |s| < eps with a sine blend."""
+    """Heaviside regularized over |s| < eps with a sine blend; the blend is
+    evaluated only on that band (and at NaN, which it propagates)."""
     s = np.asarray(s, dtype=float)
-    inner = 0.5 + 0.5 * (s / eps + np.sin(np.pi * s / eps) / np.pi)
-    return np.where(s >= eps, 1.0, np.where(s <= -eps, 0.0, inner))
+    out = np.where(s >= eps, 1.0, 0.0)
+    band = ~(np.abs(s) >= eps)
+    sb = s[band]
+    out[band] = 0.5 + 0.5 * (sb / eps + np.sin(np.pi * sb / eps) / np.pi)
+    return out
 
 
 def _smooth_step_deriv(s, eps):

@@ -160,7 +160,7 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
     bracket, clamped = lg1_material_terms(
         u0_field, ctx.porosity, tau, ctx.qpoints_flat,
         u0_at=ctx.velocity_at_quad(u0_field).reshape(-1, 2),
-        g0=_bound_dirichlet(setup, 0.0))
+        phi_at=ctx.phi_q.ravel(), g0=_bound_dirichlet(setup, 0.0))
     return _advance(setup, 1, bracket, clamped, u0_field, rho / tau,
                     rho / tau, solver)
 
@@ -178,7 +178,7 @@ def general_step(setup: ProblemSetup, state: SchemeState,
         state.u_prev, state.u_prev2, ctx.porosity, tau, ctx.qpoints_flat,
         u_prev_at=ctx.velocity_at_quad(state.u_prev).reshape(-1, 2),
         u_prev2_at=ctx.velocity_at_quad(state.u_prev2).reshape(-1, 2),
-        g_prev=_bound_dirichlet(setup, t_k - tau),
+        phi_at=ctx.phi_q.ravel(), g_prev=_bound_dirichlet(setup, t_k - tau),
         g_prev2=_bound_dirichlet(setup, t_k - 2.0 * tau))
     theta = FeField(ctx.vspace,
                     2.0 * state.u_prev.coefficients - state.u_prev2.coefficients)

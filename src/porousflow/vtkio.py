@@ -42,7 +42,7 @@ def write_snapshot(u_field: FeField, p_field: FeField,
     path = Path(path)
     nv = mesh.n_vertices
     uv = u_field.node_values()[:nv]        # vertex nodes come first
-    speed = np.sqrt((uv ** 2).sum(axis=1))
+    speed = np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)
     press = p_field.coefficients
     phi = np.asarray(porosity.value(mesh.vertices), dtype=float)
     with open(path, "w") as fh:
@@ -74,7 +74,8 @@ class SeriesWriter:
 
     def add(self, t: float, u_field: FeField, p_field: FeField,
             u_l2: float, p_l2: float) -> None:
-        speed = np.sqrt((u_field.node_values() ** 2).sum(axis=1))
+        uv = u_field.node_values()
+        speed = np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)
         self.rows.append((t, float(speed.min()), float(speed.max()),
                           u_l2, p_l2))
 

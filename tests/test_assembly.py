@@ -240,7 +240,7 @@ def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params, monkeypatch):
     u_at = ctx.velocity_at_quad(u).reshape(-1, 2)
     bracket, _ = ab2_material_terms(
         u, u, ctx.porosity, 0.1, ctx.qpoints_flat,
-        u_prev_at=u_at, u_prev2_at=u_at,
+        u_prev_at=u_at, u_prev2_at=u_at, phi_at=ctx.phi_q.ravel(),
         g_prev=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy(),
         g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)

@@ -34,7 +34,7 @@ def lg1_at(u0, phi, tau, x, g0=None):
     """Start-up term and clamped-feet count at the single point ``x``."""
     pts = np.asarray(x, dtype=float)[None, :]
     val, clamped = lg1_material_terms(u0, phi, tau, pts, field_at(u0, pts),
-                                      g0=g0)
+                                      phi.value(pts), g0=g0)
     return val[0], clamped
 
 
@@ -43,7 +43,7 @@ def ab2_at(u_prev, u_prev2, phi, tau, x, g_prev=None, g_prev2=None):
     pts = np.asarray(x, dtype=float)[None, :]
     val, clamped = ab2_material_terms(u_prev, u_prev2, phi, tau, pts,
                                       field_at(u_prev, pts),
-                                      field_at(u_prev2, pts),
+                                      field_at(u_prev2, pts), phi.value(pts),
                                       g_prev=g_prev, g_prev2=g_prev2)
     return val[0], clamped
 
@@ -152,7 +152,7 @@ def test_clamped_feet_are_evaluated_at_the_clamped_point():
         [4.0 * (0.5 - p[:, 0]), np.zeros(len(p))]))
     x = np.array([[0.05, 0.5], [0.95, 0.3]])
     val, clamped = lg1_material_terms(u0, phi, 0.2, x, field_at(u0, x),
-                                      g0=lambda pts: pts + 1.0)
+                                      phi.value(x), g0=lambda pts: pts + 1.0)
     assert clamped == 2
     clamp = np.array([[0.0, 0.5], [1.0, 0.3]])
     at_clamp = np.array([clamp[0] + 1.0, [-2.0, 0.0]])  # g, then the field
@@ -237,14 +237,14 @@ def test_ab2_batched_matches_scalar(rng):
     ])
     batched, clamped = ab2_material_terms(u1, u2, phi, 0.05, pts,
                                           field_at(u1, pts),
-                                          field_at(u2, pts),
+                                          field_at(u2, pts), phi.value(pts),
                                           g_prev=g1, g_prev2=g2)
     total = 0
     for i in range(len(pts)):
         one = pts[i:i + 1]
         single, count = ab2_material_terms(u1, u2, phi, 0.05, one,
                                            field_at(u1, one),
-                                           field_at(u2, one),
+                                           field_at(u2, one), phi.value(one),
                                            g_prev=g1, g_prev2=g2)
         assert batched[i] == pytest.approx(single[0], abs=1e-14)
         total += count

@@ -3,11 +3,12 @@
 Each reference below is the earlier implementation, kept verbatim in
 substance: ``einsum`` contractions over gathered node values, ``np.add.at``
 scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
-the adjacency walk for point location, the segment/boundary-edge table
-for the boundary exit, the per-edge loops of the contour integrals and the
-quadrature-point sum of the forcing norm.  Kernels whose arithmetic is unchanged must agree bit
-for bit; those that sum in another order agree within a tolerance fixed from
-double precision.
+the adjacency walk for point location, the row-gather barycentric
+coordinates and grid location, the smooth step evaluated everywhere, the
+segment/boundary-edge table for the boundary exit, the per-edge loops of the
+contour integrals and the quadrature-point sum of the forcing norm.  Kernels
+whose arithmetic is unchanged must agree bit for bit; those that sum in
+another order agree within a tolerance fixed from double precision.
 """
 
 import functools
@@ -44,6 +45,7 @@ from porousflow.mesh import (
     generate_rect_mesh,
     locate_many,
 )
+from porousflow.porous import TWO_LAYER_EPS, _smooth_step
 from porousflow.scheme import run
 from porousflow.verification import (
     EnergyMonitor,
@@ -64,11 +66,58 @@ REL = 1e-14
 
 # -- references ------------------------------------------------------------------
 
+def affine_rows(mesh):
+    """The mesh's affine inverses (nt, 2, 2) and origins (nt, 2), read back
+    from its per-coefficient columns."""
+    inv = mesh._affine[:4].T.reshape(-1, 2, 2)
+    return inv, mesh._affine[4:].T
+
+
 def barycentric_reference(mesh, tris, pts):
-    inv = mesh._inv_flat.reshape(-1, 2, 2)
+    inv, _ = affine_rows(mesh)
     p0 = mesh.vertices[mesh.triangles[tris, 0]]
     lam = np.einsum("mij,mj->mi", inv[tris], pts - p0)
     return np.column_stack([1.0 - lam[:, 0] - lam[:, 1], lam])
+
+
+def barycentric_row_gather_reference(mesh, tris, pts):
+    """Barycentric coordinates from gathered rows of the affine tables,
+    read back by strided columns."""
+    inv, p0 = affine_rows(mesh)
+    inv = inv.reshape(-1, 4)[tris]
+    d = np.asarray(pts, dtype=float) - p0[tris]
+    lam1 = inv[:, 0] * d[:, 0] + inv[:, 1] * d[:, 1]
+    lam2 = inv[:, 2] * d[:, 0] + inv[:, 3] * d[:, 1]
+    return np.column_stack([1.0 - lam1 - lam2, lam1, lam2])
+
+
+def locate_reference(mesh, pts):
+    """Grid location with the row-gather barycentric coordinates, the
+    containment minimum taken along the rows and the outside masks always
+    written."""
+    xs, ys = mesh.xs, mesh.ys
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    i = np.clip(np.searchsorted(xs, x, "right") - 1, 0, len(xs) - 2)
+    j = np.clip(np.searchsorted(ys, y, "right") - 1, 0, len(ys) - 2)
+    run = np.where((i + j) % 2 == 0, x - xs[i], xs[i + 1] - x)
+    upper = (y - ys[j]) * (xs[i + 1] - xs[i]) > run * (ys[j + 1] - ys[j])
+    tri = 2 * (j * (len(xs) - 1) + i) + upper
+    bary = barycentric_row_gather_reference(mesh, tri, pts)
+    inside = bary.min(axis=1) >= -INSIDE_TOL
+    tri[~inside] = -1
+    bary[~inside] = 0.0
+    return tri, bary, inside
+
+
+def smooth_step_reference(s, eps):
+    """The regularized Heaviside with its blend evaluated everywhere and
+    picked by two nested ``where``."""
+    s = np.asarray(s, dtype=float)
+    # the sine of a huge or infinite s
+    with np.errstate(invalid="ignore", over="ignore"):
+        inner = 0.5 + 0.5 * (s / eps + np.sin(np.pi * s / eps) / np.pi)
+    return np.where(s >= eps, 1.0, np.where(s <= -eps, 0.0, inner))
 
 
 def eval_field_many_reference(field_, tris, bary):
@@ -421,6 +470,61 @@ def test_grid_location_matches_the_walk(name, data):
     for t in (tri[~same], tri_w[~same]):
         assert (mesh.barycentric(t, pts[~same]).min(axis=1)
                 >= -INSIDE_TOL).all()
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(data=st.data())
+def test_location_is_bitwise_the_row_gather_form(name, data):
+    """``locate_many`` and ``barycentric`` against the row-gather
+    formulation, for points inside, on and just outside the domain and far
+    outside it, and ``barycentric`` in arbitrary (mostly non-containing)
+    triangles."""
+    mesh = MESHES[name]
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    far = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)).map(
+        lambda f: tuple(lo + np.array(f) * (hi - lo)))
+    pts = np.array(data.draw(st.lists(st.one_of(grid_points(mesh), far),
+                                      min_size=1, max_size=40)))
+    for got, ref in zip(locate_many(mesh, pts), locate_reference(mesh, pts)):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    tris = np.array(data.draw(st.lists(
+        st.integers(0, mesh.n_triangles - 1), min_size=len(pts),
+        max_size=len(pts))))
+    assert np.array_equal(mesh.barycentric(tris, pts),
+                          barycentric_row_gather_reference(mesh, tris, pts))
+
+
+EDGES_OF_THE_BAND = [TWO_LAYER_EPS, -TWO_LAYER_EPS,
+                     np.nextafter(TWO_LAYER_EPS, 0.0),
+                     np.nextafter(-TWO_LAYER_EPS, 0.0),
+                     np.nextafter(TWO_LAYER_EPS, 1.0),
+                     np.nextafter(-TWO_LAYER_EPS, -1.0),
+                     0.0, -0.0, np.nan, np.inf, -np.inf]
+
+
+@PROPERTY
+@given(s=st.lists(st.one_of(
+    st.sampled_from(EDGES_OF_THE_BAND),
+    st.floats(-2.0 * TWO_LAYER_EPS, 2.0 * TWO_LAYER_EPS),
+    st.floats(allow_nan=True, allow_infinity=True)), max_size=30))
+def test_banded_smooth_step_is_bitwise_the_three_branch_form(s):
+    eps = TWO_LAYER_EPS
+    assert np.array_equal(_smooth_step(s, eps),
+                          smooth_step_reference(s, eps), equal_nan=True)
+
+
+def test_smooth_step_at_the_band_edges_and_non_finite_values():
+    eps = TWO_LAYER_EPS
+    s = np.array(EDGES_OF_THE_BAND)
+    got = _smooth_step(s, eps)
+    assert np.array_equal(got, smooth_step_reference(s, eps), equal_nan=True)
+    assert list(got[[0, 1, 4, 5, 9, 10]]) == [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert np.isnan(got[8]) and got[6] == 0.5
+    for v in EDGES_OF_THE_BAND:  # 0-d input keeps its shape
+        assert np.array_equal(_smooth_step(v, eps),
+                              smooth_step_reference(v, eps), equal_nan=True)
 
 
 fraction_segments = st.lists(

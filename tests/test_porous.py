@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from porousflow.porous import (
+    TWO_LAYER_EPS,
     PhysicalParams,
     alpha_constant,
     builtin_porosity,
@@ -124,6 +125,22 @@ def test_hypothesis_two_layer_fails_at_interface(params):
     assert rep.max_margin == pytest.approx(144.0 - 28.0, abs=8.0)
     assert abs(rep.argmax[1] - 0.5) < 0.01
     assert rep.n_violations > 0
+
+
+@pytest.mark.parametrize("resolution", [128, 256])
+def test_failing_report_counts_the_refined_layer(params, resolution):
+    # at 128 the uniform grid steps over the 0.0056-thick layer; only the
+    # refinement around the largest margin samples it
+    field = builtin_porosity("two-layer")
+    rep = validate_porosity_admissibility(field, params, ((0, 3), (0, 1)),
+                                          resolution=resolution)
+    assert not rep.passed
+    assert rep.n_violations >= 1
+    lo, hi = rep.violation_extent
+    assert lo <= rep.argmax[1] <= hi
+    # the band lies inside the transition layer |y - 1/2| < eps
+    assert 0.5 - TWO_LAYER_EPS <= lo < hi <= 0.5 + TWO_LAYER_EPS
+    assert "violation band" in rep.summary()
 
 
 def test_negative_gphi_where_admissible(params, rng):
