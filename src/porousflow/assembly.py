@@ -16,10 +16,12 @@ import numpy as np
 import scipy.sparse as sparse
 
 from porousflow.fem import (
+    P2_VECTOR,
     FeField,
     QuadratureRule,
     QuadTables,
     SpaceDescriptor,
+    eval_basis,
     pressure_space,
     quad_tables,
     tri_quadrature,
@@ -64,11 +66,6 @@ class FormContext:
         self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
         self.phi_q = np.asarray(self.porosity.value(self.qpoints_flat),
                                 dtype=float).reshape(nt, nq)
-
-    @property
-    def p2_grad(self) -> np.ndarray:
-        """Physical P2 basis gradients, (nt, nq, 6, 2)."""
-        return self.tables.p2_grad
 
     def velocity_at_quad(self, f: FeField) -> np.ndarray:
         """Values of a velocity field at all quadrature points, (nt, nq, 2)."""
@@ -129,15 +126,23 @@ def _vector_mass(ctx: FormContext, weight: np.ndarray) -> sparse.csr_matrix:
 
 # -- bilinear forms ---------------------------------------------------------------
 
+def _gradient_products(ctx: FormContext) -> np.ndarray:
+    """Integrals of ``d_d phi_n * d_c phi_m`` over each triangle ``t``,
+    (nt, 6, 2, 6, 2) indexed ``(t, n, c, m, d)``: the area times one reference
+    tensor of the context's rule contracted with the triangle's constant
+    ``grad_lambda`` (Kirby & Logg, ACM TOMS 32(3), 2006)."""
+    d = eval_basis(P2_VECTOR, ctx.quad.points)[1]             # (nq, 6, 3)
+    ref = np.einsum("q,qnj,qmk->jknm", ctx.quad.weights, d, d)
+    return np.einsum("t,jknm,tjd,tkc->tncmd", ctx.mesh.areas, ref,
+                     ctx.mesh.grad_lambda, ctx.mesh.grad_lambda, optimize=True)
+
+
 def assemble_a0(ctx: FormContext) -> sparse.csr_matrix:
     """Viscous form 2*mu*(D(u), D(v)) on the velocity space."""
-    g = ctx.p2_grad
-    wxa = ctx.wxarea
-    s = np.einsum("tq,tqnd,tqmd->tnm", wxa, g, g)
-    cross = np.einsum("tq,tqnd,tqmc->tncmd", wxa, g, g)
-    nt = len(wxa)
+    cross = _gradient_products(ctx)
+    s = np.einsum("tncmc->tnm", cross)
     local = ctx.params.mu * (_vectorize_scalar_local(s)
-                             + cross.reshape(nt, 12, 12))
+                             + cross.reshape(-1, 12, 12))
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count
     return _scatter_matrix(dofs, dofs, local, (n, n))
@@ -145,10 +150,12 @@ def assemble_a0(ctx: FormContext) -> sparse.csr_matrix:
 
 def assemble_b(ctx: FormContext) -> sparse.csr_matrix:
     """Divergence coupling -(div v, q), shape (pressure x velocity)."""
-    local = -np.einsum("tq,qi,tqnc->tinc", ctx.wxarea, ctx.p1_vals, ctx.p2_grad)
-    nt = len(ctx.wxarea)
-    local = local.reshape(nt, 3, 12)
-    return _scatter_matrix(ctx.pspace.cell_dofs, ctx.vspace.cell_dofs, local,
+    d = eval_basis(P2_VECTOR, ctx.quad.points)[1]
+    ref = np.einsum("q,qi,qnj->inj", ctx.quad.weights, ctx.p1_vals, d)
+    local = -np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
+                       ctx.mesh.grad_lambda, optimize=True)
+    return _scatter_matrix(ctx.pspace.cell_dofs, ctx.vspace.cell_dofs,
+                           local.reshape(-1, 3, 12),
                            (ctx.pspace.dof_count, ctx.vspace.dof_count))
 
 

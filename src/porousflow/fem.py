@@ -18,7 +18,6 @@ error norms and the form context of one mesh share them.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -274,7 +273,7 @@ class QuadTables:
         # cycle would hold both until the garbage collector runs
         self._grad_lambda = mesh.grad_lambda
         self.p1_vals, p1_dlam = eval_basis(P1_SCALAR, rule.points)
-        self.p2_vals, self._p2_dlam = eval_basis(P2_VECTOR, rule.points)
+        self.p2_vals, p2_dlam = eval_basis(P2_VECTOR, rule.points)
         self.wxarea = rule.weights[None, :] * mesh.areas[:, None]
         self.qpoints = np.einsum("qi,tid->tqd", rule.points,
                                  mesh.vertices[mesh.triangles])
@@ -285,18 +284,11 @@ class QuadTables:
         # (j*nq + q)*c + c''
         self._tables = {}
         for kind, c, vals, dlam in ((P1_SCALAR, 1, self.p1_vals, p1_dlam),
-                                    (P2_VECTOR, 2, self.p2_vals,
-                                     self._p2_dlam)):
+                                    (P2_VECTOR, 2, self.p2_vals, p2_dlam)):
             eye = np.eye(c)
             d = dlam.transpose(1, 2, 0).reshape(vals.shape[1], 3 * nq)
             self._tables[kind] = (np.kron(vals.T, eye), np.kron(d, eye))
         self.p2_table = self._tables[P2_VECTOR][0]
-
-    @functools.cached_property
-    def p2_grad(self) -> np.ndarray:
-        """Physical gradients of the P2 basis, (nt, nq, 6, 2)."""
-        return np.einsum("qnj,tjd->tqnd", self._p2_dlam,
-                         self._grad_lambda)
 
     def at_quad(self, field_: FeField) -> np.ndarray:
         """Field values at all quadrature points, (nt, nq, components)."""

@@ -85,8 +85,8 @@ GUESS_HISTORY = 3
 RESIDUAL_BOUND = 1e-6
 # glibc raises its mmap threshold to each freed mapped block (up to 32 MiB),
 # so later factors are carved from the heap among the step temporaries and a
-# run's peak RSS follows how that heap fragments (two-layer n=60: 134-144 MB
-# over four hash seeds, 129-132 MB with the threshold fixed).  Fixed, blocks
+# run's peak RSS follows how that heap fragments (perfbench two-layer-60,
+# five runs each: 108.2-112.2 MB fixed, 116.5-119.2 MB not).  Fixed, blocks
 # of MMAP_THRESHOLD bytes or more get mappings of their own, freed at once.
 MMAP_THRESHOLD = 4 << 20
 
@@ -404,7 +404,7 @@ class StepSolver:
         del k
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
-        # (two-layer n=60: 10 MB less resident during the run)
+        # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
         self._constant, self._pos = matrix.copy(), pos.copy()
         del matrix, pos
         # scalar P2 basis products at the quadrature points, (nq, 36)

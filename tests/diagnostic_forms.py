@@ -12,6 +12,7 @@ from scipy.sparse.linalg import eigsh
 
 from porousflow.assembly import (
     FormContext,
+    _gradient_products,
     _scatter_matrix,
     _vector_mass,
     _vectorize_scalar_local,
@@ -62,8 +63,7 @@ def korn_constant_estimate(ctx: FormContext) -> float:
 
 def vector_gradient_gram(ctx: FormContext) -> sparse.csr_matrix:
     """Gram matrix of the velocity gradients, (grad u, grad v)."""
-    g = ctx.p2_grad
-    s = np.einsum("tq,tqnd,tqmd->tnm", ctx.wxarea, g, g)
+    s = np.einsum("tncmc->tnm", _gradient_products(ctx))
     local = _vectorize_scalar_local(s)
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count

@@ -6,7 +6,8 @@ scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
 the adjacency walk for point location, the row-gather barycentric
 coordinates and grid location, the smooth step evaluated everywhere, the
 segment/boundary-edge table for the boundary exit, the per-edge loops of the
-contour integrals and the quadrature-point sum of the forcing norm.  Kernels
+contour integrals, the quadrature-point sum of the forcing norm and the
+viscous and divergence blocks from the physical gradient table.  Kernels
 whose arithmetic is unchanged must agree bit for bit; those that sum in
 another order agree within a tolerance fixed from double precision.
 """
@@ -20,8 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porousflow.characteristics as characteristics
-from porousflow.assembly import (assemble_load, assemble_mass_phi_rhs,
-                                 make_context)
+from porousflow.assembly import (
+    _scatter_matrix,
+    _vectorize_scalar_local,
+    assemble_a0,
+    assemble_b,
+    assemble_load,
+    assemble_mass_phi_rhs,
+    make_context,
+)
 from porousflow.cases import build_case_mesh, build_setup, get_case
 from porousflow.fem import (
     FeField,
@@ -45,13 +53,14 @@ from porousflow.mesh import (
     generate_rect_mesh,
     locate_many,
 )
-from porousflow.porous import TWO_LAYER_EPS, _smooth_step
+from porousflow.porous import TWO_LAYER_EPS, _smooth_step, builtin_porosity
 from porousflow.scheme import run
 from porousflow.verification import (
     EnergyMonitor,
     outflow_kinetic_flux,
     transport_identity_check,
 )
+from test_saddle import ORDERING_MESHES
 
 MESHES = {
     "graded-two-layer": build_case_mesh(get_case("two-layer"), n=12),
@@ -167,6 +176,28 @@ def load_reference(ctx, values):
     out = np.zeros(ctx.vspace.dof_count)
     np.add.at(out, ctx.vspace.cell_dofs.ravel(), local.reshape(nt, 12).ravel())
     return out
+
+
+def a0_reference(ctx):
+    _, g, wxa, _ = quad_tables_reference(ctx.mesh, "p2", ctx.quad)
+    s = np.einsum("tq,tqnd,tqmd->tnm", wxa, g, g)
+    cross = np.einsum("tq,tqnd,tqmc->tncmd", wxa, g, g)
+    nt = len(wxa)
+    local = ctx.params.mu * (_vectorize_scalar_local(s)
+                             + cross.reshape(nt, 12, 12))
+    dofs = ctx.vspace.cell_dofs
+    n = ctx.vspace.dof_count
+    return _scatter_matrix(dofs, dofs, local, (n, n))
+
+
+def b_reference(ctx):
+    p1_vals = quad_tables_reference(ctx.mesh, "p1", ctx.quad)[0]
+    _, g, wxa, _ = quad_tables_reference(ctx.mesh, "p2", ctx.quad)
+    local = -np.einsum("tq,qi,tqnc->tinc", wxa, p1_vals, g)
+    nt = len(wxa)
+    local = local.reshape(nt, 3, 12)
+    return _scatter_matrix(ctx.pspace.cell_dofs, ctx.vspace.cell_dofs, local,
+                           (ctx.pspace.dof_count, ctx.vspace.dof_count))
 
 
 def rect_mesh_reference(x_extent, y_extent, n_divisions):
@@ -557,6 +588,21 @@ def test_exit_matches_the_table(name, rows):
 
 
 # -- reordered sums ---------------------------------------------------------------
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(ORDERING_MESHES)), n=st.integers(4, 16),
+       degree=st.sampled_from([5, 9]))
+def test_constant_blocks_match_the_gradient_table(kind, n, degree):
+    make_mesh, _ = ORDERING_MESHES[kind]
+    ctx = make_context(make_mesh(n),
+                       builtin_porosity("constant", value=0.6),
+                       get_case("two-layer").params, quad_degree=degree)
+    for block, reference in ((assemble_a0(ctx), a0_reference(ctx)),
+                             (assemble_b(ctx), b_reference(ctx))):
+        assert np.array_equal(block.indptr, reference.indptr)
+        assert np.array_equal(block.indices, reference.indices)
+        assert_rel(block.data, reference.data, REL)
+
 
 @pytest.fixture(scope="module")
 def two_layer():
