@@ -1,7 +1,10 @@
 """Element-wise assembly of the velocity/pressure forms.
 
 All element loops are vectorized: local matrices are built for every element
-at once and scattered into COO triplets, letting scipy merge duplicates.
+at once.  The constant viscous and divergence forms stay per-element tables,
+which :class:`porousflow.saddle.StepSolver` places in the step matrix; the
+other forms are scattered into COO triplets, letting scipy merge
+duplicates.
 Coefficient weights (porosity, drag factors, linearized speeds) are evaluated
 at the physical quadrature points from the analytic porosity rather than
 interpolated, so the only discretization error in the coefficients is the
@@ -137,26 +140,23 @@ def _gradient_products(ctx: FormContext) -> np.ndarray:
                      ctx.mesh.grad_lambda, ctx.mesh.grad_lambda, optimize=True)
 
 
-def assemble_a0(ctx: FormContext) -> sparse.csr_matrix:
-    """Viscous form 2*mu*(D(u), D(v)) on the velocity space."""
+def viscous_elements(ctx: FormContext) -> np.ndarray:
+    """Element matrices of the viscous form 2*mu*(D(u), D(v)), (nt, 12, 12)
+    over each triangle's velocity unknowns."""
     cross = _gradient_products(ctx)
     s = np.einsum("tncmc->tnm", cross)
-    local = ctx.params.mu * (_vectorize_scalar_local(s)
-                             + cross.reshape(-1, 12, 12))
-    dofs = ctx.vspace.cell_dofs
-    n = ctx.vspace.dof_count
-    return _scatter_matrix(dofs, dofs, local, (n, n))
+    return ctx.params.mu * (_vectorize_scalar_local(s)
+                            + cross.reshape(-1, 12, 12))
 
 
-def assemble_b(ctx: FormContext) -> sparse.csr_matrix:
-    """Divergence coupling -(div v, q), shape (pressure x velocity)."""
+def divergence_elements(ctx: FormContext) -> np.ndarray:
+    """Element matrices of the divergence coupling -(div v, q), (nt, 3, 12)
+    from each triangle's velocity unknowns to its pressure unknowns."""
     d = eval_basis(P2_VECTOR, ctx.quad.points)[1]
     ref = np.einsum("q,qi,qnj->inj", ctx.quad.weights, ctx.p1_vals, d)
     local = -np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
                        ctx.mesh.grad_lambda, optimize=True)
-    return _scatter_matrix(ctx.pspace.cell_dofs, ctx.vspace.cell_dofs,
-                           local.reshape(-1, 3, 12),
-                           (ctx.pspace.dof_count, ctx.vspace.dof_count))
+    return local.reshape(-1, 3, 12)
 
 
 def linear_drag_weight(ctx: FormContext) -> np.ndarray:

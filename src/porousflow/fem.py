@@ -108,7 +108,8 @@ def _p2_values(b: np.ndarray) -> np.ndarray:
 
 
 def eval_basis(kind: str, bary):
-    """Nodal basis values and barycentric derivatives at ``bary`` points.
+    """Nodal basis values and barycentric derivatives of the ``kind``
+    (``P1_SCALAR`` or ``P2_VECTOR``) at ``bary`` points.
 
     Returns ``(values, d_dlambda)`` with shapes ``(m, nb)`` and ``(m, nb, 3)``.
     P1 nodes follow the vertices; P2 adds the midpoints of the edges opposite
@@ -116,11 +117,11 @@ def eval_basis(kind: str, bary):
     """
     b = np.atleast_2d(np.asarray(bary, dtype=float))
     m = len(b)
-    if kind in (P1_SCALAR, "p1"):
+    if kind == P1_SCALAR:
         vals = b.copy()
         grads = np.broadcast_to(np.eye(3), (m, 3, 3)).copy()
         return vals, grads
-    if kind in (P2_VECTOR, "p2"):
+    if kind == P2_VECTOR:
         grads = np.zeros((m, 6, 3))
         for i in range(3):
             grads[:, i, i] = 4.0 * b[:, i] - 1.0

@@ -10,17 +10,17 @@ boundary edge is stress-free, since only a stress-free edge fixes it
 otherwise; per system only the values change.  Fixed unknowns are imposed by
 symmetric row/column elimination with right-hand-side lifting.
 
-Every solve goes through one :class:`StepSolver`, built from the constant
-blocks and the table: a run builds one, as does the steady solve of
-:func:`porousflow.verification.steady_stokes_solve` with a zero weight.
-Between steps only the velocity mass-type block changes: the scaled mass,
-the linear drag and the linearized quadratic drag fold into one weight per
-quadrature point.  The solver eliminates the constant blocks once, in a CSR
-pattern that also holds every element's mass-type entries, and each step
-scatters its element matrices into a copy of the constant data by
-precomputed positions.  Its :meth:`StepSolver.solve` returns the step's
-velocity and pressure fields.  A :class:`SaddleSystem` is only a per-step
-front to that call.
+Every solve goes through one :class:`StepSolver`, built from the element
+tables of the constant blocks and the table: a run builds one, as does the
+steady solve of :func:`porousflow.verification.steady_stokes_solve` with a
+zero weight.  Between steps only the velocity mass-type block changes: the
+scaled mass, the linear drag and the linearized quadratic drag fold into one
+weight per quadrature point.  The solver places the constant element blocks,
+already eliminated, in one CSR conversion whose pattern also holds every
+element's mass-type entries, and each step scatters its element matrices
+into a copy of the constant data by precomputed positions.  Its
+:meth:`StepSolver.solve` returns the step's velocity and pressure fields.
+A :class:`SaddleSystem` is only a per-step front to that call.
 
 Every matrix is factorized by :func:`direct_solve` in one fill-reducing order
 of its unknowns, :func:`nested_dissection` of the mesh geometry, computed
@@ -193,47 +193,74 @@ def _fix_malloc_thresholds() -> None:
         pass
 
 
-def _stack(a, b, gauge_vector):
-    """Unconstrained block matrix ``[[A, B^T], [B, 0]]``, bordered by the
-    gauge column ``c`` and row ``c^T`` when ``gauge_vector`` is given."""
-    if gauge_vector is None:
-        return sparse.bmat([[a, b.T], [b, None]], format="csr")
-    cc = sparse.csr_matrix(gauge_vector[:, None])
-    return sparse.bmat([[a, b.T, None], [b, None, cc], [None, cc.T, None]],
-                       format="csr")
+def element_dofs(ctx: FormContext) -> np.ndarray:
+    """The unknowns of each triangle in a step system of ``ctx``, (nt, 15):
+    its 12 velocity unknowns, then its 3 pressure unknowns."""
+    nv = ctx.vspace.dof_count
+    return np.hstack([ctx.vspace.cell_dofs, nv + ctx.pspace.cell_dofs])
 
 
-def _step_pattern(k, cell_dofs, free):
-    """Eliminate the fixed unknowns of ``k`` (zero their rows and columns,
-    ones on their diagonal) and unite the result with every element's
-    mass-type entries (same velocity component) on free rows and columns.
+# the same-component pairs of a triangle's velocity unknowns, (6, 6, 2):
+# scalar nodes n and m of component c sit at 2 n + c and 2 m + c
+_MASS_ROWS = 2 * np.arange(6)[:, None, None] + np.arange(2)
+_MASS_COLS = 2 * np.arange(6)[None, :, None] + np.arange(2)
 
-    Returns the canonical CSR matrix, zero where only the mass-type entries
-    act, and the position of each entry of the element matrices, ``(nt, 6,
-    6, 2)`` flattened, in its data array; entries on a fixed row or column
-    point one past the end.
+
+def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
+    """The constrained step matrix without its mass-type part, by one
+    COO->CSR conversion: the element blocks ``[[A, B^T], [B, 0]]`` on free
+    rows and columns, the gauge border ``c`` and ``c^T`` when
+    ``gauge_vector`` is given, and ones on the diagonal of the fixed
+    unknowns.  Entries that cancel stay stored, so the pattern depends on
+    the mesh and the constraint table alone.
+
+    Returns the canonical CSR matrix and the position in its data array of
+    each element's mass-type entries, those of the viscous block's
+    same-component pairs, ``(nt, 6, 6, 2)`` flattened; entries on a fixed
+    row or column point one past the end.
     """
+    nt, n = len(dofs), len(free)
     # 32-bit indices, as scipy keeps them, halve the index traffic
-    dofs = cell_dofs.astype(np.int32).reshape(len(cell_dofs), -1, 2)
-    shape = dofs.shape[:2] + dofs.shape[1:]
-    rows = np.broadcast_to(dofs[:, :, None, :], shape).ravel()
-    cols = np.broadcast_to(dofs[:, None, :, :], shape).ravel()
-    live = free[rows] & free[cols]
-    rows, cols = rows[live], cols[live]
-    k = k.tocoo()
-    keep = free[k.row] & free[k.col] & (k.data != 0.0)
+    dofs = dofs.astype(np.int32)
+    rows = np.broadcast_to(dofs[:, :, None], (nt, 15, 15))
+    cols = np.broadcast_to(dofs[:, None, :], (nt, 15, 15))
+    on = free[dofs]
+    live = on[:, :, None] & on[:, None, :]
+    live[:, 12:, 12:] = False
     fixed = np.flatnonzero(~free).astype(np.int32)
-    united = sparse.csr_matrix(
-        (np.concatenate([k.data[keep], np.ones(fixed.size),
-                         np.zeros(rows.size)]),
-         (np.concatenate([k.row[keep], fixed, rows]),
-          np.concatenate([k.col[keep], fixed, cols]))), shape=k.shape)
-    nnz = united.nnz
-    ids = sparse.csr_matrix((np.arange(1.0, nnz + 1), united.indices,
-                             united.indptr), shape=k.shape)
-    pos = np.full(live.size, nnz)
-    pos[live] = np.asarray(ids[rows, cols]).ravel().astype(np.int64) - 1
-    return united, pos
+    tail = [(np.ones(fixed.size), fixed, fixed)]
+    if gauge_vector is not None:
+        pressure = np.arange(n - 1 - gauge_vector.size, n - 1, dtype=np.int32)
+        border = np.full(gauge_vector.size, n - 1, dtype=np.int32)
+        tail += [(gauge_vector, pressure, border),
+                 (gauge_vector, border, pressure)]
+    # the triplet arrays are allocated once and filled in place: below the
+    # mmap threshold, copies of them held at once stay resident as heap
+    # holes after the build (two-layer-60 peak RSS: 119.5 MB when the
+    # masked copies were concatenated, 108.6 MB filled in place)
+    m = np.count_nonzero(live)
+    size = m + sum(part[0].size for part in tail)
+    data, r, c = (np.empty(size), np.empty(size, np.int32),
+                  np.empty(size, np.int32))
+    data[m:], r[m:], c[m:] = (np.concatenate(x) for x in zip(*tail))
+    local = np.zeros((nt, 15, 15))
+    local[:, :12, :12] = a_elements
+    local[:, 12:, :12] = b_elements
+    local[:, :12, 12:] = b_elements.transpose(0, 2, 1)
+    data[:m] = local[live]
+    del local
+    r[:m] = rows[live]
+    c[:m] = cols[live]
+    k = sparse.coo_matrix((data, (r, c)), shape=(n, n)).tocsr()
+    del data, r, c
+    mass = live[:, _MASS_ROWS, _MASS_COLS]
+    ids = sparse.csr_matrix((np.arange(1.0, k.nnz + 1), k.indices, k.indptr),
+                            shape=k.shape)
+    found = ids[rows[:, _MASS_ROWS, _MASS_COLS][mass],
+                cols[:, _MASS_ROWS, _MASS_COLS][mass]]
+    pos = np.full(mass.size, k.nnz)
+    pos[mass.ravel()] = np.asarray(found).ravel().astype(np.int64) - 1
+    return k, pos
 
 
 def _place(pos, unknowns, groups, first):
@@ -263,9 +290,8 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     split put its left part at positions ``start:middle``, its right part at
     ``middle:separator`` and its separator after them.
     """
-    nv = ctx.vspace.dof_count
-    n = nv + ctx.pspace.dof_count + int(gauge)
-    cell_dofs = np.hstack([ctx.vspace.cell_dofs, nv + ctx.pspace.cell_dofs])
+    n = ctx.vspace.dof_count + ctx.pspace.dof_count + int(gauge)
+    cell_dofs = element_dofs(ctx)
     centroids = ctx.mesh.vertices[ctx.mesh.triangles].mean(axis=1)
     pos = np.full(n, -1)
     pos[fixed] = np.arange(fixed.size)
@@ -360,14 +386,18 @@ class StepSolver:
     (gauge-bordered when gauged) under one constraint table, holding at most
     one LU.
 
-    ``M(w)`` is the velocity mass matrix weighted by ``w`` at the quadrature
-    points, the only part that changes between steps.  At construction the
-    constant blocks are eliminated once, into a CSR pattern that also holds
-    every element's mass-type entries on free rows and columns, whose
+    ``A`` and ``B`` come as element tables, ``a_elements`` (nt, 12, 12) and
+    ``b_elements`` (nt, 3, 12) over each triangle's velocity and pressure
+    unknowns (:func:`element_dofs`).  ``M(w)`` is the velocity mass matrix
+    weighted by ``w`` at the quadrature points, the only part that changes
+    between steps.  At construction the constant blocks are placed and
+    eliminated at once (:func:`_step_matrix`), in a CSR pattern that also
+    holds every element's mass-type entries on free rows and columns, whose
     positions in the data array are recorded, and the
     :func:`nested_dissection` order of the unknowns is computed.
     :meth:`assemble` scatters the element matrices of ``M(w)`` into a copy of
-    the constant data and lifts the right-hand side by the fixed values.
+    the constant data and lifts the right-hand side by the fixed values
+    through the element matrices of the triangles that hold them.
 
     The held factorization is keyed by the ``key`` of the solve that built
     it; start-up and general steps pass different keys because their mass
@@ -387,21 +417,21 @@ class StepSolver:
     freed ones leave the process.
     """
 
-    def __init__(self, ctx: FormContext, a_block, b_block,
+    def __init__(self, ctx: FormContext, a_elements, b_elements,
                  constraints: Constraints):
         _fix_malloc_thresholds()
         self.ctx = ctx
-        self.b_block = b_block
+        self.b_elements = b_elements
         self.constraints = constraints
         fixed = constraints.fixed
-        k = _stack(a_block, b_block,
-                   ctx.volume_vector() if constraints.gauge else None)
-        n = k.shape[0]
-        self._fixed_columns = k[:, fixed]
+        n = (ctx.vspace.dof_count + ctx.pspace.dof_count
+             + int(constraints.gauge))
         free = np.ones(n, dtype=bool)
         free[fixed] = False
-        matrix, pos = _step_pattern(k, ctx.vspace.cell_dofs, free)
-        del k
+        dofs = element_dofs(ctx)
+        matrix, pos = _step_matrix(
+            a_elements, b_elements, dofs, free,
+            ctx.volume_vector() if constraints.gauge else None)
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
         # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
@@ -410,11 +440,13 @@ class StepSolver:
         # scalar P2 basis products at the quadrature points, (nq, 36)
         v = ctx.p2_vals
         self._vv = (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
-        # elements with a fixed unknown: the weighted part of the lifting
-        nv = ctx.vspace.dof_count
-        touched = ~free[:nv][ctx.vspace.cell_dofs].all(axis=1)
+        # the elements with a fixed unknown lift the right-hand side through
+        # their constant blocks [A; B], (m, 15, 12), and their mass-type part
+        touched = ~free[dofs[:, :12]].all(axis=1)
         self._lift_elems = np.flatnonzero(touched)
-        self._lift_dofs = ctx.vspace.cell_dofs[self._lift_elems]
+        self._lift_dofs = dofs[touched]
+        self._lift_blocks = np.concatenate([a_elements[touched],
+                                            b_elements[touched]], axis=1)
         self._perm = nested_dissection(ctx, fixed, constraints.gauge)[0]
         self._lu = None
         self._key = None
@@ -439,15 +471,14 @@ class StepSolver:
                               shape=const.shape)
         fixed = self.constraints.fixed
         if fixed.size:
-            nv = self.ctx.vspace.dof_count
-            lift = np.zeros(nv)
+            lift = np.zeros(self.ctx.vspace.dof_count)
             lift[fixed] = values
-            dofs = self._lift_dofs
-            weighted = local[self._lift_elems].reshape(-1, 6, 6) \
-                @ lift[dofs].reshape(-1, 6, 2)
-            rhs = rhs - self._fixed_columns @ values
-            rhs[:nv] -= np.bincount(dofs.ravel(), weighted.ravel(),
-                                    minlength=nv)
+            x = lift[self._lift_dofs[:, :12]]                     # (m, 12)
+            out = (self._lift_blocks @ x[:, :, None])[:, :, 0]    # (m, 15)
+            out[:, :12] += (local[self._lift_elems].reshape(-1, 6, 6)
+                            @ x.reshape(-1, 6, 2)).reshape(-1, 12)
+            rhs = rhs - np.bincount(self._lift_dofs.ravel(), out.ravel(),
+                                    minlength=len(rhs))
             rhs[fixed] = values
         return k, rhs
 
@@ -477,9 +508,12 @@ class StepSolver:
         if self.constraints.gauge:
             c = ctx.volume_vector()
             p = p - (c @ p) / float(ctx.mesh.areas.sum())
+        div = self.b_elements @ u[ctx.vspace.cell_dofs][:, :, None]
+        div = np.bincount(ctx.pspace.cell_dofs.ravel(), div.ravel(),
+                          minlength=nq)
         report = SolveReport(algebraic_residual=resid,
                              incompressibility_residual=float(
-                                 np.abs(self.b_block @ u).max()),
+                                 np.abs(div).max()),
                              krylov_iterations=iterations,
                              factorized=factorized)
         return FeField(ctx.vspace, u), FeField(ctx.pspace, p), report

@@ -18,12 +18,12 @@ import numpy as np
 
 from porousflow.assembly import (
     FormContext,
-    assemble_a0,
-    assemble_b,
     assemble_load,
     assemble_mass_phi_rhs,
+    divergence_elements,
     linear_drag_weight,
     quadratic_drag_weight,
+    viscous_elements,
 )
 # the steps fold the drag into the step solver's weight; assemble_c1 stays
 # importable here because perfbench/tracer.py hooks porousflow.scheme's names
@@ -94,11 +94,12 @@ class ProblemSetup:
         return int(np.floor(self.t_final / self.tau + 1e-9))
 
     def constant_blocks(self):
-        """The viscous block ``a0`` and the divergence block ``b``."""
+        """The element tables of the viscous block, (nt, 12, 12), and of the
+        divergence block, (nt, 3, 12)."""
         if not self._blocks:
-            self._blocks["a0"] = assemble_a0(self.ctx)
-            self._blocks["b"] = assemble_b(self.ctx)
-        return self._blocks["a0"], self._blocks["b"]
+            self._blocks["a"] = viscous_elements(self.ctx)
+            self._blocks["b"] = divergence_elements(self.ctx)
+        return self._blocks["a"], self._blocks["b"]
 
 
 @dataclass

@@ -16,7 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from porousflow.assembly import FormContext, assemble_a0, assemble_b, assemble_load, make_context
+from porousflow.assembly import (FormContext, assemble_load,
+                                 divergence_elements, make_context,
+                                 viscous_elements)
 from porousflow.fem import (
     AnalyticVectorField,
     FeField,
@@ -534,7 +536,8 @@ def steady_stokes_solve(ctx: FormContext, forcing, dirichlet):
     precision.
     """
     table = Constraints.build(ctx)
-    solver = StepSolver(ctx, assemble_a0(ctx), assemble_b(ctx), table)
+    solver = StepSolver(ctx, viscous_elements(ctx), divergence_elements(ctx),
+                        table)
     return solver.solve(np.zeros_like(ctx.wxarea),
                         assemble_load(forcing, ctx, None),
                         table.values(dirichlet))

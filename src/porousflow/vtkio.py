@@ -17,22 +17,23 @@ from porousflow.fem import FeField
 from porousflow.mesh import Mesh
 from porousflow.porous import PorosityField
 
-_FMT = "{:.16e}"
+_FMT = "%.16e"
+_POINT = f"{_FMT} {_FMT} 0.0"
+
+
+def _write_rows(fh, row_format: str, values: np.ndarray) -> None:
+    """One line of ``row_format`` per row of ``values``, in a single
+    formatting call over the flattened values."""
+    fh.write(f"{row_format}\n" * len(values) % tuple(values.ravel().tolist()))
 
 
 def _write_header(fh, title: str, mesh: Mesh) -> None:
-    fh.write("# vtk DataFile Version 3.0\n")
-    fh.write(f"{title}\n")
-    fh.write("ASCII\n")
-    fh.write("DATASET UNSTRUCTURED_GRID\n")
-    fh.write(f"POINTS {mesh.n_vertices} double\n")
-    for x, y in mesh.vertices:
-        fh.write(f"{_FMT.format(x)} {_FMT.format(y)} 0.0\n")
+    fh.write(f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+             f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_vertices} double\n")
+    _write_rows(fh, _POINT, mesh.vertices)
     fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-    for a, b, c in mesh.triangles:
-        fh.write(f"3 {a} {b} {c}\n")
-    fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
-    fh.writelines("5\n" for _ in range(mesh.n_triangles))
+    _write_rows(fh, "3 %d %d %d", mesh.triangles)
+    fh.write(f"CELL_TYPES {mesh.n_triangles}\n" + "5\n" * mesh.n_triangles)
 
 
 def write_snapshot(u_field: FeField, p_field: FeField,
@@ -43,23 +44,16 @@ def write_snapshot(u_field: FeField, p_field: FeField,
     nv = mesh.n_vertices
     uv = u_field.node_values()[:nv]        # vertex nodes come first
     speed = np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)
-    press = p_field.coefficients
     phi = np.asarray(porosity.value(mesh.vertices), dtype=float)
     with open(path, "w") as fh:
         _write_header(fh, f"flow snapshot t={t:.6e}", mesh)
-        fh.write(f"POINT_DATA {nv}\n")
-        fh.write("VECTORS velocity double\n")
-        for vx, vy in uv:
-            fh.write(f"{_FMT.format(vx)} {_FMT.format(vy)} 0.0\n")
-        fh.write("SCALARS velocity_magnitude double 1\nLOOKUP_TABLE default\n")
-        for s in speed:
-            fh.write(f"{_FMT.format(s)}\n")
-        fh.write("SCALARS pressure double 1\nLOOKUP_TABLE default\n")
-        for p in press:
-            fh.write(f"{_FMT.format(p)}\n")
-        fh.write("SCALARS porosity double 1\nLOOKUP_TABLE default\n")
-        for v in phi:
-            fh.write(f"{_FMT.format(v)}\n")
+        fh.write(f"POINT_DATA {nv}\nVECTORS velocity double\n")
+        _write_rows(fh, _POINT, uv)
+        for name, values in (("velocity_magnitude", speed),
+                             ("pressure", p_field.coefficients),
+                             ("porosity", phi)):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            _write_rows(fh, _FMT, values)
     return path
 
 

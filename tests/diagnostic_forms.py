@@ -16,11 +16,11 @@ from porousflow.assembly import (
     _scatter_matrix,
     _vector_mass,
     _vectorize_scalar_local,
-    assemble_a0,
     linear_drag_weight,
 )
 from porousflow.fem import AnalyticVectorField
 from porousflow.saddle import Constraints
+from reference_solve import assemble_a0
 
 
 def trilinear_a1_quadrature(u: AnalyticVectorField, w: AnalyticVectorField,

@@ -1,25 +1,64 @@
 """The from-scratch reference solve of one step system.
 
-The blocks are stacked, the fixed unknowns eliminated with diagonal masks
-after lifting the right-hand side, and the result factorized on its own by
-:func:`porousflow.saddle.direct_solve`.  The run's
-:class:`porousflow.saddle.StepSolver`, which eliminates the constant blocks
-once and reuses its factorization, is compared against it.
+The element tables of the constant blocks are scattered into global
+matrices, the blocks stacked, the fixed unknowns eliminated with diagonal
+masks after lifting the right-hand side, and the result factorized on its
+own by :func:`porousflow.saddle.direct_solve`.  The run's
+:class:`porousflow.saddle.StepSolver`, which places the element tables in
+its step matrix once and reuses its factorization, is compared against it.
 """
 
 import numpy as np
 import scipy.sparse as sparse
 
-from porousflow.assembly import FormContext, _vector_mass
+from porousflow.assembly import (
+    FormContext,
+    _scatter_matrix,
+    _vector_mass,
+    divergence_elements,
+    viscous_elements,
+)
 from porousflow.fem import FeField
 from porousflow.saddle import (
     Constraints,
     SolveReport,
     SolverError,
-    _stack,
     direct_solve,
     nested_dissection,
 )
+
+
+def global_blocks(ctx: FormContext, a_elements, b_elements):
+    """The global viscous block and divergence block of the element tables
+    ``a_elements`` (nt, 12, 12) and ``b_elements`` (nt, 3, 12)."""
+    v, p = ctx.vspace, ctx.pspace
+    a = _scatter_matrix(v.cell_dofs, v.cell_dofs, a_elements,
+                        (v.dof_count, v.dof_count))
+    b = _scatter_matrix(p.cell_dofs, v.cell_dofs, b_elements,
+                        (p.dof_count, v.dof_count))
+    return a, b
+
+
+def assemble_a0(ctx: FormContext) -> sparse.csr_matrix:
+    """Global viscous form 2*mu*(D(u), D(v)) on the velocity space."""
+    return global_blocks(ctx, viscous_elements(ctx),
+                         divergence_elements(ctx))[0]
+
+
+def assemble_b(ctx: FormContext) -> sparse.csr_matrix:
+    """Global divergence coupling -(div v, q), (pressure x velocity)."""
+    return global_blocks(ctx, viscous_elements(ctx),
+                         divergence_elements(ctx))[1]
+
+
+def _stack(a, b, gauge_vector):
+    """Unconstrained block matrix ``[[A, B^T], [B, 0]]``, bordered by the
+    gauge column ``c`` and row ``c^T`` when ``gauge_vector`` is given."""
+    if gauge_vector is None:
+        return sparse.bmat([[a, b.T], [b, None]], format="csr")
+    cc = sparse.csr_matrix(gauge_vector[:, None])
+    return sparse.bmat([[a, b.T, None], [b, None, cc], [None, cc.T, None]],
+                       format="csr")
 
 
 def eliminate(k, fixed):
@@ -135,12 +174,15 @@ class ReferenceSystem:
 
 class FreshSolver:
     """Stands in for a run's :class:`porousflow.saddle.StepSolver`, with its
-    constructor and :meth:`solve` signature, but solves every system from
-    scratch as a :class:`ReferenceSystem`."""
+    constructor and :meth:`solve` signature, but scatters the element tables
+    itself and solves every system from scratch as a
+    :class:`ReferenceSystem`."""
 
-    def __init__(self, ctx: FormContext, a_block, b_block,
+    def __init__(self, ctx: FormContext, a_elements, b_elements,
                  constraints: Constraints):
-        self.ctx, self.a_block, self.b_block = ctx, a_block, b_block
+        self.ctx = ctx
+        self.a_block, self.b_block = global_blocks(ctx, a_elements,
+                                                   b_elements)
         self.constraints = constraints
 
     def solve(self, weight, load, values, key=None):

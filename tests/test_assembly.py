@@ -13,8 +13,6 @@ from diagnostic_forms import (
 )
 from porousflow import scheme
 from porousflow.assembly import (
-    assemble_a0,
-    assemble_b,
     assemble_c1,
     assemble_load,
     assemble_mass_phi_rhs,
@@ -24,6 +22,7 @@ from porousflow.assembly import (
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import PhysicalParams, alpha_constant, builtin_porosity
+from reference_solve import assemble_a0, assemble_b
 
 
 def const_velocity_coeffs(ctx, c):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from porousflow.fem import (
+    P1_SCALAR,
+    P2_VECTOR,
     FeField,
     boundary_nodes,
     error_norm,
@@ -55,18 +57,24 @@ def test_p2_nodal_property():
         (1, 0, 0), (0, 1, 0), (0, 0, 1),
         (0, 0.5, 0.5), (0.5, 0, 0.5), (0.5, 0.5, 0),
     ], dtype=float)
-    vals, _ = eval_basis("p2", nodes)
+    vals, _ = eval_basis(P2_VECTOR, nodes)
     assert vals == pytest.approx(np.eye(6), abs=1e-14)
 
 
 def test_p1_centroid():
-    vals, _ = eval_basis("p1", [(1 / 3, 1 / 3, 1 / 3)])
+    vals, _ = eval_basis(P1_SCALAR, [(1 / 3, 1 / 3, 1 / 3)])
     assert vals[0] == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["p1", "p2", "p2-scalar"])
+def test_eval_basis_rejects_other_names(kind):
+    with pytest.raises(ValueError, match="unknown basis kind"):
+        eval_basis(kind, [(1 / 3, 1 / 3, 1 / 3)])
 
 
 def test_p2_partition_of_unity(rng):
     lam12 = rng.dirichlet((1, 1, 1), size=40)
-    vals, _ = eval_basis("p2", lam12)
+    vals, _ = eval_basis(P2_VECTOR, lam12)
     assert vals.sum(axis=1) == pytest.approx(np.ones(40), abs=1e-14)
 
 

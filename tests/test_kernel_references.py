@@ -6,10 +6,11 @@ scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
 the adjacency walk for point location, the row-gather barycentric
 coordinates and grid location, the smooth step evaluated everywhere, the
 segment/boundary-edge table for the boundary exit, the per-edge loops of the
-contour integrals, the quadrature-point sum of the forcing norm and the
-viscous and divergence blocks from the physical gradient table.  Kernels
-whose arithmetic is unchanged must agree bit for bit; those that sum in
-another order agree within a tolerance fixed from double precision.
+contour integrals, the quadrature-point sum of the forcing norm, the
+viscous and divergence blocks from the physical gradient table and the VTK
+snapshot written one line at a time.  Kernels whose arithmetic is unchanged
+must agree bit for bit; those that sum in another order agree within a
+tolerance fixed from double precision.
 """
 
 import functools
@@ -24,14 +25,14 @@ import porousflow.characteristics as characteristics
 from porousflow.assembly import (
     _scatter_matrix,
     _vectorize_scalar_local,
-    assemble_a0,
-    assemble_b,
     assemble_load,
     assemble_mass_phi_rhs,
     make_context,
 )
 from porousflow.cases import build_case_mesh, build_setup, get_case
 from porousflow.fem import (
+    P1_SCALAR,
+    P2_VECTOR,
     FeField,
     edge_quadrature,
     error_norm,
@@ -60,6 +61,8 @@ from porousflow.verification import (
     outflow_kinetic_flux,
     transport_identity_check,
 )
+from porousflow.vtkio import write_snapshot
+from reference_solve import assemble_a0, assemble_b
 from test_saddle import ORDERING_MESHES
 
 MESHES = {
@@ -179,7 +182,7 @@ def load_reference(ctx, values):
 
 
 def a0_reference(ctx):
-    _, g, wxa, _ = quad_tables_reference(ctx.mesh, "p2", ctx.quad)
+    _, g, wxa, _ = quad_tables_reference(ctx.mesh, P2_VECTOR, ctx.quad)
     s = np.einsum("tq,tqnd,tqmd->tnm", wxa, g, g)
     cross = np.einsum("tq,tqnd,tqmc->tncmd", wxa, g, g)
     nt = len(wxa)
@@ -191,8 +194,8 @@ def a0_reference(ctx):
 
 
 def b_reference(ctx):
-    p1_vals = quad_tables_reference(ctx.mesh, "p1", ctx.quad)[0]
-    _, g, wxa, _ = quad_tables_reference(ctx.mesh, "p2", ctx.quad)
+    p1_vals = quad_tables_reference(ctx.mesh, P1_SCALAR, ctx.quad)[0]
+    _, g, wxa, _ = quad_tables_reference(ctx.mesh, P2_VECTOR, ctx.quad)
     local = -np.einsum("tq,qi,tqnc->tinc", wxa, p1_vals, g)
     nt = len(wxa)
     local = local.reshape(nt, 3, 12)
@@ -399,6 +402,34 @@ def forcing_l2_reference(ctx, f, t):
     return float(np.sqrt(np.einsum("tq,tq->", ctx.wxarea, sq)))
 
 
+def snapshot_text_reference(u_field, p_field, porosity, mesh, t):
+    """The legacy VTK snapshot written one line at a time."""
+    fmt = "{:.16e}"
+    lines = ["# vtk DataFile Version 3.0", f"flow snapshot t={t:.6e}",
+             "ASCII", "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_vertices} double"]
+    for x, y in mesh.vertices:
+        lines.append(f"{fmt.format(x)} {fmt.format(y)} 0.0")
+    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {mesh.n_triangles}")
+    lines += ["5"] * mesh.n_triangles
+    nv = mesh.n_vertices
+    uv = u_field.node_values()[:nv]
+    lines += [f"POINT_DATA {nv}", "VECTORS velocity double"]
+    for vx, vy in uv:
+        lines.append(f"{fmt.format(vx)} {fmt.format(vy)} 0.0")
+    speed = np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)
+    phi = np.asarray(porosity.value(mesh.vertices), dtype=float)
+    for name, values in (("velocity_magnitude", speed),
+                         ("pressure", p_field.coefficients),
+                         ("porosity", phi)):
+        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+        lines += [fmt.format(v) for v in values]
+    return "\n".join(lines) + "\n"
+
+
 def assert_rel(value, reference, rel):
     scale = np.abs(reference).max()
     assert np.abs(np.asarray(value) - reference).max() <= rel * scale
@@ -585,6 +616,22 @@ def test_exit_matches_the_table(name, rows):
     rows = np.arange(len(ref.edges))
     assert np.abs(t_all[rows, hit.edges] - t_all[rows, ref.edges]).max() \
         <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_snapshot_text_is_the_line_by_line_text(seed, tmp_path):
+    case = get_case("two-layer")
+    mesh, ctx, _ = build_setup(case, 2)
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=ctx.vspace.dof_count) \
+        * 10.0 ** rng.integers(-150, 150, ctx.vspace.dof_count)
+    u[:4] = [0.0, -0.0, np.inf, np.nan]
+    u_field = FeField(ctx.vspace, u)
+    p_field = FeField(ctx.pspace, rng.normal(size=ctx.pspace.dof_count))
+    path = write_snapshot(u_field, p_field, case.porosity, mesh, 0.125,
+                          tmp_path / "snapshot.vtk")
+    assert path.read_text() == snapshot_text_reference(
+        u_field, p_field, case.porosity, mesh, 0.125)
 
 
 # -- reordered sums ---------------------------------------------------------------

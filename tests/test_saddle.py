@@ -12,11 +12,11 @@ from scipy.sparse.linalg import splu
 
 from porousflow import saddle
 from porousflow.assembly import (
-    assemble_a0,
-    assemble_b,
     assemble_load,
+    divergence_elements,
     make_context,
     pressure_volume_vector,
+    viscous_elements,
 )
 from porousflow.cases import build_case_mesh, get_case
 from porousflow.fem import boundary_nodes, interpolate
@@ -31,7 +31,8 @@ from porousflow.saddle import (
     nested_dissection,
 )
 from porousflow.verification import steady_stokes_solve
-from reference_solve import FreshSolver, ReferenceSystem
+from reference_solve import (FreshSolver, ReferenceSystem, assemble_a0,
+                             assemble_b)
 
 
 def quad_velocity(p):
@@ -86,12 +87,12 @@ def test_constant_dirichlet_reproduced(unit_ctx):
 def test_dirichlet_values_bit_for_bit(unit_ctx):
     g = lambda p: np.column_stack([np.sin(3 * p[:, 0]) * p[:, 1],
                                    np.cos(p[:, 1])])
-    a0 = assemble_a0(unit_ctx)
-    b = assemble_b(unit_ctx)
     table = Constraints.build(unit_ctx)
-    solver = StepSolver(unit_ctx, a0 + sp.identity(a0.shape[0]), b, table)
-    u, p, rep = solver.solve(np.zeros_like(unit_ctx.wxarea),
-                             np.zeros(a0.shape[0]), table.values(g))
+    solver = StepSolver(unit_ctx, viscous_elements(unit_ctx),
+                        divergence_elements(unit_ctx), table)
+    u, p, rep = solver.solve(np.ones_like(unit_ctx.wxarea),
+                             np.zeros(unit_ctx.vspace.dof_count),
+                             table.values(g))
     nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
     expected = g(unit_ctx.vspace.node_coords[nodes])
     got = u.node_values()[nodes]
@@ -162,13 +163,12 @@ def test_constraint_table_matches_the_tagged_nodes(params):
 
 def test_slip_bottom_edge_zeroes_normal_component(params):
     ctx = _slip_bottom_ctx(params)
-    a0 = assemble_a0(ctx)
-    b = assemble_b(ctx)
     rhs = assemble_load(lambda p: np.column_stack(
         [np.ones(len(p)), np.ones(len(p))]), ctx, None)
     table = Constraints.build(ctx)
-    solver = StepSolver(ctx, a0 + sp.identity(a0.shape[0]), b, table)
-    u, p, rep = solver.solve(np.zeros_like(ctx.wxarea), rhs, table.values(
+    solver = StepSolver(ctx, viscous_elements(ctx), divergence_elements(ctx),
+                        table)
+    u, p, rep = solver.solve(np.ones_like(ctx.wxarea), rhs, table.values(
         lambda p: np.zeros((len(p), 2))))
     bottom = np.abs(ctx.vspace.node_coords[:, 1]) < 1e-12
     assert np.abs(u.node_values()[bottom, 1]).max() == 0.0
@@ -270,7 +270,7 @@ def test_nan_rhs_rejected(unit_ctx):
 def _drag_solver(ctx, kind=StepSolver):
     """A run's solver, or its from-scratch stand-in, for the viscous block
     under the gauged table."""
-    return kind(ctx, assemble_a0(ctx), assemble_b(ctx),
+    return kind(ctx, viscous_elements(ctx), divergence_elements(ctx),
                 Constraints.build(ctx))
 
 
@@ -429,6 +429,38 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(kind=st.sampled_from(["graded-two-layer", "uniform-gauged"]),
+       n=st.integers(4, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_step_pattern_depends_on_the_mesh_alone(kind, n, seed):
+    # element tables that differ in the last bits, as another summation
+    # order of the same forms would make them, give the same stored pattern
+    # and the same fill of the first factor: SuperLU's stored entries of L
+    # and U (the CSC copies .L and .U leave out entries that are exactly
+    # zero, so their counts move with round-off)
+    make_mesh, _ = ORDERING_MESHES[kind]
+    ctx = make_context(make_mesh(n), builtin_porosity("constant", value=0.6),
+                       get_case("two-layer").params)
+    rng = np.random.default_rng(seed)
+    table = Constraints.build(ctx)
+    weight = rng.uniform(1.0, 3.0, ctx.wxarea.shape)
+    load = rng.normal(size=ctx.vspace.dof_count)
+    values = table.values(lambda p: rng.normal(size=(len(p), 2)))
+    a, b = viscous_elements(ctx), divergence_elements(ctx)
+    patterns = []
+    for scale in (0.0, 1e-15):
+        perturbed = [x * (1.0 + scale * rng.uniform(-1.0, 1.0, x.shape))
+                     for x in (a, b)]
+        solver = StepSolver(ctx, *perturbed, table)
+        solver.solve(weight, load, values)
+        patterns.append((solver._constant.indptr, solver._constant.indices,
+                         solver._lu.nnz))
+    (indptr, indices, fill), (indptr_p, indices_p, fill_p) = patterns
+    assert np.array_equal(indptr, indptr_p)
+    assert np.array_equal(indices, indices_p)
+    assert fill == fill_p
+
+
 def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
     calls = []
 
@@ -448,7 +480,8 @@ def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
 _FREED_BLOCK_SCRIPT = textwrap.dedent("""
     import os
     import numpy as np
-    from porousflow.assembly import assemble_a0, assemble_b, make_context
+    from porousflow.assembly import (divergence_elements, make_context,
+                                     viscous_elements)
     from porousflow.mesh import generate_rect_mesh
     from porousflow.porous import PhysicalParams, builtin_porosity
     from porousflow.saddle import Constraints, StepSolver
@@ -460,11 +493,11 @@ _FREED_BLOCK_SCRIPT = textwrap.dedent("""
     mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0),
                        PhysicalParams())
-    a0, b = assemble_a0(ctx), assemble_b(ctx)
+    a, b = viscous_elements(ctx), divergence_elements(ctx)
     table = Constraints.build(ctx)
     big = np.ones(3 << 20)   # 24 MiB freed: glibc's threshold rises to it
     del big
-    StepSolver(ctx, a0, b, table)
+    StepSolver(ctx, a, b, table)
     block = np.ones(2 << 20)   # 16 MiB
     pin = np.ones(100)         # allocated above the block in the heap
     before = rss()

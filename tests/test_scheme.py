@@ -24,7 +24,7 @@ from porousflow.scheme import (
     initial_step,
     run,
 )
-from reference_solve import FreshSolver, ReferenceSystem
+from reference_solve import FreshSolver, ReferenceSystem, global_blocks
 
 
 def zero_vec(p, t=None):
@@ -381,7 +381,7 @@ def _step_system(setup, kind, t, theta, rhs):
     part as one quadrature-point weight with the values of the run's
     table."""
     ctx = setup.ctx
-    a0, b = setup.constant_blocks()
+    a0, b = global_blocks(ctx, *setup.constant_blocks())
     rho_tau = ctx.params.rho / setup.tau
     m_scale = rho_tau if kind == "initial" else 1.5 * rho_tau
     reference = ReferenceSystem(ctx, m_scale * mass_matrix(ctx) + a0
