@@ -31,9 +31,7 @@ from porousflow.fem import (
 from porousflow.porous import (
     PhysicalParams,
     PorosityField,
-    alpha_constant,
     builtin_porosity,
-    drag_force,
     forchheimer_coeff,
     linear_drag_coeff,
     validate_porosity_admissibility,
@@ -50,10 +48,8 @@ __all__ = [
     "PhysicalParams",
     "PorosityField",
     "QuadratureRule",
-    "alpha_constant",
     "boundary_exit_point",
     "builtin_porosity",
-    "drag_force",
     "edge_quadrature",
     "error_norm",
     "eval_basis",

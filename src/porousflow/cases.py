@@ -39,7 +39,6 @@ class CaseDefinition:
     params: PhysicalParams
     grading: LayerGrading | None = None
     constants: dict = field(default_factory=dict)
-    notes: tuple = field(default_factory=tuple)
 
     def nominal_h(self, n: int | None = None) -> float:
         n = n or self.default_n
@@ -80,10 +79,10 @@ def case_two_layer() -> CaseDefinition:
         forcing=None,
         t_final=5.0,
         default_n=120,
+        # d_p defaulted to 5e-2 cm (not stated for this case)
         params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
         grading=LayerGrading(line=0.5, size=1.0 / 720.0),
         constants={"eps": TWO_LAYER_EPS},
-        notes=("d_p defaulted to 5e-2 cm (not stated for this case)",),
     )
 
 
@@ -100,6 +99,8 @@ def case_sinusoidal() -> CaseDefinition:
         name="sinusoidal",
         x_extent=(0.0, 3.0 * math.pi),
         y_extent=(0.0, math.pi),
+        # d_p and the boundary decomposition are defaults: stress-free outlet
+        # at the right edge, Dirichlet elsewhere
         tag_rule=_channel_tag_rule(3.0 * math.pi),
         porosity=builtin_porosity("sinusoidal"),
         u_initial=u0,
@@ -110,8 +111,6 @@ def case_sinusoidal() -> CaseDefinition:
         params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
         constants={"gamma0": SINUSOIDAL_GAMMA[0],
                    "gamma1": SINUSOIDAL_GAMMA[1]},
-        notes=("d_p and the boundary decomposition are defaults: stress-free "
-               "outlet at the right edge, Dirichlet elsewhere",),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,8 +42,7 @@ class PorosityField:
 
     ``value(points)`` maps ``(n, 2)`` to ``(n,)`` in (0, 1]; ``grad(points)``
     returns ``(n, 2)``.  ``phi0``/``phi1`` are the essential infimum and
-    supremum.  ``expr_factory(x, y)``, when present, rebuilds the field as a
-    symbolic expression for closed-form differentiation downstream.
+    supremum.
     """
 
     name: str
@@ -51,7 +50,6 @@ class PorosityField:
     grad: Callable
     phi0: float
     phi1: float
-    expr_factory: Callable | None = field(default=None, repr=False)
 
 
 def _check_phi(phi):
@@ -71,21 +69,6 @@ def forchheimer_coeff(phi, params: PhysicalParams):
     """Closed form of F(phi) phi / sqrt(K): b (1-phi) / (d_p phi^2), in cm^-1."""
     phi = _check_phi(phi)
     return params.b * (1.0 - phi) / (params.d_p * phi ** 2)
-
-
-def drag_force(u, phi, params: PhysicalParams):
-    """Pore-structure drag per unit volume for velocity ``u`` (2-vector)."""
-    u = np.asarray(u, dtype=float)
-    lin = linear_drag_coeff(phi, params)
-    quad = forchheimer_coeff(phi, params)
-    speed = np.sqrt((u ** 2).sum(axis=-1))
-    return -(params.mu * lin + params.rho * quad * speed)[..., None] * u
-
-
-def alpha_constant(porosity: PorosityField, params: PhysicalParams) -> float:
-    """Lower bound a (1-phi1)^2 / (d_p^2 phi1^2) for the linear drag weight."""
-    phi1 = porosity.phi1
-    return params.a * (1.0 - phi1) ** 2 / (params.d_p ** 2 * phi1 ** 2)
 
 
 # -- admissibility validation ----------------------------------------------------
@@ -234,13 +217,9 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
             g[:, 1] = 0.4 * np.cos(0.4 * pts[:, 1]) / 3.0
             return g
 
-        def expr(x, y):
-            import sympy as sp
-            return (2 + sp.sin(2 * y / 5)) / 3
-
         # sup over y in [0, pi]: 2y/5 stays below pi/2, sin is increasing
         phi1 = (2.0 + math.sin(0.4 * math.pi)) / 3.0
-        return PorosityField("mms-sine", val, grad, 2.0 / 3.0, phi1, expr)
+        return PorosityField("mms-sine", val, grad, 2.0 / 3.0, phi1)
 
     if name == "two-layer":
         eps = TWO_LAYER_EPS
@@ -272,12 +251,8 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
             g[:, 1] = 2.0 * amp * np.cos(2.0 * pts[:, 1]) * np.cos(2.0 * pts[:, 0])
             return g
 
-        def expr(x, y):
-            import sympy as sp
-            return amp * sp.sin(2 * y) * sp.cos(2 * x) + mid
-
         return PorosityField(f"sinusoidal({gamma0:g},{gamma1:g})", val, grad,
-                             gamma0, gamma1, expr)
+                             gamma0, gamma1)
 
     if name == "constant":
         c = float(value)
@@ -290,10 +265,6 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
         def grad(pts):
             return np.zeros_like(np.asarray(pts, dtype=float))
 
-        def expr(x, y):
-            import sympy as sp
-            return sp.Float(c)
-
-        return PorosityField(f"constant({c:g})", val, grad, c, c, expr)
+        return PorosityField(f"constant({c:g})", val, grad, c, c)
 
     raise ValueError(f"unknown porosity model: {name!r}")

@@ -1,5 +1,5 @@
-"""Verification harness: manufactured solution, convergence study, energy
-monitors, and quadrature identity checks.
+"""Verification harness: manufactured solution, convergence study, and
+quadrature identity checks.
 
 The manufactured forcing is derived symbolically from the closed-form
 velocity, pressure, and porosity, then compiled to vectorized numpy
@@ -21,22 +21,18 @@ from porousflow.assembly import (FormContext, assemble_load,
                                  viscous_elements)
 from porousflow.fem import (
     AnalyticVectorField,
-    FeField,
     edge_quadrature,
     error_norm,
-    eval_field_many,
     field_mean,
     interpolate,
     norm,
     quad_tables,
     tri_quadrature,
-    zero_field,
 )
-from porousflow.mesh import BoundaryTag, generate_rect_mesh
+from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import (
     PhysicalParams,
     PorosityField,
-    alpha_constant,
     builtin_porosity,
     forchheimer_coeff,
     linear_drag_coeff,
@@ -83,25 +79,22 @@ def _lambdify_stack(args, exprs, shape):
     return call
 
 
-def build_mms_case(params: PhysicalParams | None = None,
-                   porosity: PorosityField | None = None) -> MmsCase:
+def build_mms_case() -> MmsCase:
     """Stream-function flow ``psi = sin^3 x sin^3 y e^{-2t}`` with pressure
-    ``sin x sin y e^{-2t}`` over a porosity with a symbolic closed form."""
+    ``sin x sin y e^{-2t}`` over the ``mms-sine`` porosity ``(2 +
+    sin(2y/5))/3``, with the default physical parameters.  The case is
+    derived once and cached."""
     import sympy as sp
 
-    params = params or PhysicalParams()
-    porosity = porosity or builtin_porosity("mms-sine")
-    if porosity.expr_factory is None:
-        raise ValueError("the porosity needs a symbolic closed form")
-    key = (params, porosity.name)
-    if key in _MMS_CACHE:
-        return _MMS_CACHE[key]
+    if _MMS_CACHE:
+        return _MMS_CACHE["case"]
+    params = PhysicalParams()
 
     x, y, t = sp.symbols("x y t", real=True)
     psi = sp.sin(x) ** 3 * sp.sin(y) ** 3 * sp.exp(-2 * t)
     u = sp.Matrix([-sp.diff(psi, y), sp.diff(psi, x)])
     p = sp.sin(x) * sp.sin(y) * sp.exp(-2 * t)
-    phi = porosity.expr_factory(x, y)
+    phi = (2 + sp.sin(2 * y / 5)) / 3
 
     grad_u = sp.Matrix([[sp.diff(u[c], v) for v in (x, y)] for c in range(2)])
     w = u / phi
@@ -124,13 +117,13 @@ def build_mms_case(params: PhysicalParams | None = None,
     args = (x, y, t)
     case = MmsCase(
         params=params,
-        porosity=porosity,
+        porosity=builtin_porosity("mms-sine"),
         u=_lambdify_stack(args, list(u), (2,)),
         grad_u=_lambdify_stack(args, list(grad_u), (2, 2)),
         p=_lambdify_stack(args, [p], ()),
         f=_lambdify_stack(args, list(f), (2,)),
     )
-    _MMS_CACHE[key] = case
+    _MMS_CACHE["case"] = case
     return case
 
 
@@ -237,152 +230,20 @@ def write_eoc_csv(records: Sequence[EocRecord], path) -> None:
             ])
 
 
-# -- energy monitors -----------------------------------------------------------------
+# -- quadrature identity checks -------------------------------------------------------
 
-@dataclass
-class EnergyRecord:
-    """Per-step terms of the kinetic-energy balance."""
-
-    t: float
-    u_l2: float
-    kinetic: float           # rho/2 ||u||^2
-    h1_dissipation: float    # mu beta0^2 ||u||_H1^2
-    drag_dissipation: float  # mu alpha ||u||^2
-    outflow_flux: float      # rho/2 * contour integral of (|u|^2/phi) u.n
-    forcing_budget: float    # ||f||^2 / (4 mu beta0^2)
-
-
-def _boundary_quadrature(mesh, edges, n_points: int):
-    """Gauss-Legendre points of the boundary ``edges`` (m, n_points, 2),
-    their weights times the edge lengths (m, n_points) and the edges'
-    outward normals (m, 2)."""
+def _boundary_quadrature(mesh, n_points: int):
+    """Gauss-Legendre points of the boundary edges (m, n_points, 2), their
+    weights times the edge lengths (m, n_points) and the edges' outward
+    normals (m, 2)."""
     s, w = edge_quadrature(n_points)
-    start = mesh.vertices[mesh.boundary_edges[edges, 0]]
-    d = mesh.vertices[mesh.boundary_edges[edges, 1]] - start
+    start = mesh.vertices[mesh.boundary_edges[:, 0]]
+    d = mesh.vertices[mesh.boundary_edges[:, 1]] - start
     length = np.hypot(d[:, 0], d[:, 1])
     normals = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
     points = start[:, None, :] + s[None, :, None] * d[:, None, :]
     return points, length[:, None] * w, normals
 
-
-def outflow_kinetic_flux(u_field: FeField, porosity: PorosityField,
-                         tags=(BoundaryTag.STRESS_FREE,),
-                         n_points: int = 5) -> float:
-    """Edge-quadrature value of the contour integral of (|u|^2/phi) u.n over
-    the tagged part of the boundary."""
-    mesh = u_field.space.mesh
-    edges = np.flatnonzero(np.isin(mesh.boundary_tags, list(tags)))
-    points, weights, normals = _boundary_quadrature(mesh, edges, n_points)
-    points = points.reshape(-1, 2)
-    owners = np.repeat(mesh.boundary_edge_tri[edges], n_points)
-    uv = eval_field_many(u_field, owners,
-                         mesh.barycentric(owners, points)).reshape(
-                             len(edges), n_points, 2)
-    phi = np.asarray(porosity.value(points), dtype=float).reshape(
-        weights.shape)
-    flux = np.einsum("enc,ec->en", uv, normals)
-    return float((weights * (uv ** 2).sum(axis=2) / phi * flux).sum())
-
-
-@dataclass
-class EnergyVerdict:
-    name: str
-    passed: bool
-    margin: float
-    detail: str
-
-
-class EnergyMonitor:
-    """Observer recording the energy-balance terms and stability budgets.
-
-    Usage: construct, call :meth:`start` with the initial velocity field,
-    register the instance as a run observer, then read :attr:`records` and
-    :meth:`verdicts`.
-    """
-
-    def __init__(self, ctx: FormContext, beta0: float, forcing=None):
-        self.ctx = ctx
-        self.beta0 = float(beta0)
-        self.alpha = alpha_constant(ctx.porosity, ctx.params)
-        self.forcing = forcing
-        self.records: list[EnergyRecord] = []
-        self._f_sq_integrals: list[float] = []   # running value of the time
-        self._u0_l2: float | None = None         # integral of ||f||^2
-
-    def _forcing_l2(self, t: float) -> float:
-        """L2 norm of the forcing at ``t`` on the context's rule."""
-        if self.forcing is None:
-            return 0.0
-        return error_norm(zero_field(self.ctx.vspace), self.forcing, "L2", t,
-                          rule=self.ctx.quad)
-
-    def _record(self, t: float, u_field: FeField) -> EnergyRecord:
-        mu, rho = self.ctx.params.mu, self.ctx.params.rho
-        u_l2 = norm(u_field, "L2")
-        u_h1 = norm(u_field, "H1")
-        f_l2 = self._forcing_l2(t)
-        rec = EnergyRecord(
-            t=t,
-            u_l2=u_l2,
-            kinetic=0.5 * rho * u_l2 ** 2,
-            h1_dissipation=mu * self.beta0 ** 2 * u_h1 ** 2,
-            drag_dissipation=mu * self.alpha * u_l2 ** 2,
-            outflow_flux=0.5 * rho * outflow_kinetic_flux(
-                u_field, self.ctx.porosity),
-            forcing_budget=f_l2 ** 2 / (4.0 * mu * self.beta0 ** 2),
-        )
-        return rec
-
-    def start(self, u0_field: FeField) -> None:
-        rec = self._record(0.0, u0_field)
-        self._u0_l2 = rec.u_l2
-        self.records.append(rec)
-        self._f_sq_integrals.append(0.0)
-
-    def __call__(self, k, t, u_field, p_field, diag) -> None:
-        rec = self._record(t, u_field)
-        self.records.append(rec)
-        tau = t / k
-        f_l2 = self._forcing_l2(t)
-        self._f_sq_integrals.append(self._f_sq_integrals[-1] + tau * f_l2 ** 2)
-
-    def write_jsonl(self, path) -> None:
-        """Energy records, one JSON object per line."""
-        import json
-        with open(path, "w") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.__dict__, sort_keys=True) + "\n")
-
-    def verdicts(self) -> list[EnergyVerdict]:
-        if self._u0_l2 is None or not self.records:
-            raise RuntimeError("monitor was never started")
-        mu, rho = self.ctx.params.mu, self.ctx.params.rho
-        u0 = self._u0_l2
-        f_total = math.sqrt(self._f_sq_integrals[-1])
-        out = []
-
-        lhs = math.sqrt(rho) * max(r.u_l2 for r in self.records)
-        rhs = 2.0 * (math.sqrt(rho) * u0
-                     + f_total / (math.sqrt(mu) * self.beta0))
-        out.append(EnergyVerdict(
-            "max-velocity-budget", lhs <= rhs + 1e-12, rhs - lhs,
-            f"max_k sqrt(rho)||u^k|| = {lhs:.6g} vs budget {rhs:.6g}"))
-
-        worst = math.inf
-        ok = True
-        for rec, f_int in zip(self.records, self._f_sq_integrals):
-            bound = (math.exp(-mu * self.alpha * rec.t / rho) * u0
-                     + math.sqrt(f_int) / (math.sqrt(2.0 * rho * mu) * self.beta0))
-            margin = bound - rec.u_l2
-            worst = min(worst, margin)
-            ok = ok and (rec.u_l2 <= bound + 1e-12)
-        out.append(EnergyVerdict(
-            "exponential-decay-budget", ok, worst,
-            f"worst margin over steps: {worst:.6g}"))
-        return out
-
-
-# -- quadrature identity checks -------------------------------------------------------
 
 @dataclass
 class TransportIdentityReport:
@@ -448,8 +309,7 @@ def transport_identity_check(u: AnalyticVectorField, porosity: PorosityField,
     int_mass = float(np.einsum("tq,tq->", wxa,
                                np.abs(int_vals).reshape(nt, nq)))
 
-    points, weights, normals = _boundary_quadrature(
-        mesh, np.arange(len(mesh.boundary_edges)), (degree + 2) // 2)
+    points, weights, normals = _boundary_quadrature(mesh, (degree + 2) // 2)
     flat = points.reshape(-1, 2)
     ue = np.asarray(u.value(flat), dtype=float).reshape(points.shape)
     phie = np.asarray(porosity.value(flat), dtype=float).reshape(

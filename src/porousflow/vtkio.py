@@ -82,37 +82,3 @@ class SeriesWriter:
                 writer.writerow([f"{v:.6e}" for v in row])
         return path
 
-
-def read_point_data(path) -> dict:
-    """Parse the point-data arrays back from a legacy ASCII snapshot."""
-    arrays: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    i = 0
-    n_points = 0
-    in_point_data = False
-    while i < len(lines):
-        line = lines[i]
-        if line.startswith("POINTS"):
-            n_points = int(line.split()[1])
-            pts = [tuple(map(float, lines[i + 1 + j].split()))
-                   for j in range(n_points)]
-            arrays["points"] = np.array(pts)[:, :2]
-            i += n_points
-        elif line.startswith("POINT_DATA"):
-            in_point_data = True
-        elif line.startswith("CELL_DATA"):
-            in_point_data = False
-        elif line.startswith("VECTORS") and in_point_data:
-            name = line.split()[1]
-            vals = [tuple(map(float, lines[i + 1 + j].split()))
-                    for j in range(n_points)]
-            arrays[name] = np.array(vals)[:, :2]
-            i += n_points
-        elif line.startswith("SCALARS") and in_point_data:
-            name = line.split()[1]
-            vals = [float(lines[i + 2 + j]) for j in range(n_points)]
-            arrays[name] = np.array(vals)
-            i += n_points + 1
-        i += 1
-    return arrays

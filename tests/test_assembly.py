@@ -21,7 +21,7 @@ from porousflow.assembly import (
 )
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
-from porousflow.porous import PhysicalParams, alpha_constant, builtin_porosity
+from porousflow.porous import builtin_porosity, linear_drag_coeff
 from reference_solve import assemble_a0, assemble_b
 
 
@@ -103,7 +103,7 @@ def test_c0_dominates_alpha_mass(unit_mesh, params, rng):
     ctx = make_context(unit_mesh, porosity, params)
     c0 = assemble_c0(ctx)
     m = mass_matrix(ctx)
-    alpha = alpha_constant(porosity, params)
+    alpha = linear_drag_coeff(porosity.phi1, params)
     for _ in range(5):
         x = rng.normal(size=c0.shape[0])
         assert x @ (c0 @ x) >= params.mu * alpha * (x @ (m @ x)) - 1e-10

@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from porousflow import cases, scheme
 from porousflow.cli import main, parse_config_file
-from porousflow.vtkio import read_point_data
+from porousflow.fem import eval_field_many, interpolate, zero_field
+from porousflow.mesh import locate_many
+from snapshot_reference import snapshot_text_reference
 
 
 def run_cli(*argv):
@@ -115,26 +118,47 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert all(isinstance(d["factorized"], bool) for d in diag)
 
 
+def simulate_two_layer_12(out):
+    """``simulate two-layer --n 12`` for one step, a snapshot at each."""
+    assert run_cli("simulate", "two-layer", "--n", "12", "--t-final", "0.25",
+                   "--snapshot-every", "1", "--out-dir", str(out)) == 0
+    return cases.get_case("two-layer")
+
+
 def test_snapshot_magnitude_consistent(tmp_path):
     out = tmp_path / "run"
-    run_cli("simulate", "two-layer", "--n", "12", "--t-final", "0.25",
-            "--snapshot-every", "1", "--out-dir", str(out))
-    data = read_point_data(out / "two-layer_000001.vtk")
-    vel = data["velocity"]
-    mag = data["velocity_magnitude"]
-    assert np.abs(np.sqrt((vel ** 2).sum(axis=1)) - mag).max() < 1e-12
-    assert data["porosity"].min() >= 0.4 - 1e-12
-    assert data["porosity"].max() <= 0.8 + 1e-12
+    case = simulate_two_layer_12(out)
+    mesh, ctx, setup = cases.build_setup(case, 12, t_final=0.25)
+    fields = []
+    scheme.run(setup, [lambda k, t, u, p, d: fields.append((u, p, t))])
+    u, p, t = fields[-1]
+    assert (out / "two-layer_000001.vtk").read_text() \
+        == snapshot_text_reference(u, p, case.porosity, mesh, t)
+    # the written vertex velocities are the field's values at the vertices
+    uv = u.node_values()[:mesh.n_vertices]
+    tri, bary, inside = locate_many(mesh, mesh.vertices)
+    assert inside.all()
+    at_vertices = eval_field_many(u, tri, bary)
+    assert np.abs(np.sqrt((at_vertices ** 2).sum(axis=1))
+                  - np.sqrt((uv ** 2).sum(axis=1))).max() < 1e-12
+    phi = case.porosity.value(mesh.vertices)
+    assert phi.min() >= 0.4 - 1e-12
+    assert phi.max() <= 0.8 + 1e-12
 
 
 def test_snapshot_initial_state_parseable(tmp_path):
     out = tmp_path / "run"
-    run_cli("simulate", "two-layer", "--n", "12", "--t-final", "0.25",
-            "--snapshot-every", "1", "--out-dir", str(out))
-    data = read_point_data(out / "two-layer_000000.vtk")
-    assert data["pressure"] == pytest.approx(np.zeros(len(data["pressure"])))
+    case = simulate_two_layer_12(out)
+    mesh, ctx, _ = cases.build_setup(case, 12, t_final=0.25)
+    u0 = interpolate(ctx.vspace, case.u_initial)
+    p0 = zero_field(ctx.pspace, 0.0)
+    assert (out / "two-layer_000000.vtk").read_text() \
+        == snapshot_text_reference(u0, p0, case.porosity, mesh, 0.0)
+    assert p0.coefficients == pytest.approx(np.zeros(ctx.pspace.dof_count))
     # inflow maximum of the initial profile
-    assert data["velocity_magnitude"].max() == pytest.approx(0.25, abs=1e-12)
+    uv = u0.node_values()[:mesh.n_vertices]
+    assert np.sqrt((uv ** 2).sum(axis=1)).max() == pytest.approx(0.25,
+                                                                abs=1e-12)
 
 
 def test_outputs_deterministic(tmp_path):
@@ -194,6 +218,18 @@ def test_check_passes(capsys):
     assert sum(line.startswith("PASS") for line in lines) == 9
     assert not any(line.startswith("FAIL") for line in lines)
     assert lines[-1] == "all checks passed"
+
+
+def test_check_fails_on_the_pressure_error(capsys, monkeypatch):
+    from porousflow import verification
+    monkeypatch.setattr(verification, "polynomial_exactness_check",
+                        lambda ctx: (0.0, 1.0))
+    assert run_cli("check") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] \
+        == ["FAIL  mixed-element polynomial exactness  "
+            "(u and p nodal errors <= 1e-10)"]
+    assert lines[-1] == "1 check(s) failed"
 
 
 @pytest.mark.parametrize("flag, value", [("--t-final", "inf"),

@@ -5,12 +5,12 @@ substance: ``einsum`` contractions over gathered node values, ``np.add.at``
 scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
 the adjacency walk for point location, the row-gather barycentric
 coordinates and grid location, the smooth step evaluated everywhere, the
-segment/boundary-edge table for the boundary exit, the per-edge loops of the
-contour integrals, the quadrature-point sum of the forcing norm, the
-viscous and divergence blocks from the physical gradient table and the VTK
-snapshot written one line at a time.  Kernels whose arithmetic is unchanged
-must agree bit for bit; those that sum in another order agree within a
-tolerance fixed from double precision.
+segment/boundary-edge table for the boundary exit, the per-edge loop of the
+transport identity's contour integral, the viscous and divergence blocks
+from the physical gradient table and the VTK snapshot written one line at a
+time (in ``snapshot_reference``, which the CLI tests share).  Kernels whose
+arithmetic is unchanged must agree bit for bit; those that sum in another
+order agree within a tolerance fixed from double precision.
 """
 
 import functools
@@ -48,7 +48,6 @@ from porousflow.mesh import (
     EXIT_TOL,
     INSIDE_TOL,
     BoundaryHit,
-    BoundaryTag,
     LayerGrading,
     boundary_exit_point,
     generate_rect_mesh,
@@ -56,13 +55,10 @@ from porousflow.mesh import (
 )
 from porousflow.porous import TWO_LAYER_EPS, _smooth_step, builtin_porosity
 from porousflow.scheme import run
-from porousflow.verification import (
-    EnergyMonitor,
-    outflow_kinetic_flux,
-    transport_identity_check,
-)
+from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
 from reference_solve import assemble_a0, assemble_b
+from snapshot_reference import snapshot_text_reference
 from test_saddle import ORDERING_MESHES
 
 MESHES = {
@@ -353,27 +349,6 @@ def lambdify_reference(args, exprs, shape):
     return call
 
 
-def outflow_flux_reference(u_field, porosity, n_points=5):
-    """The contour integral of (|u|^2/phi) u.n over the stress-free edges,
-    one edge at a time, and the integral of its absolute value."""
-    mesh = u_field.space.mesh
-    s, w = edge_quadrature(n_points)
-    total = mass = 0.0
-    for e in np.flatnonzero(mesh.boundary_tags == BoundaryTag.STRESS_FREE):
-        pa, pb = mesh.vertices[mesh.boundary_edges[e]]
-        d = pb - pa
-        length = float(np.hypot(*d))
-        normal = np.array([d[1], -d[0]]) / length
-        pts = pa[None, :] + s[:, None] * d[None, :]
-        owner = np.full(len(pts), mesh.boundary_edge_tri[e])
-        uv = eval_field_many(u_field, owner, mesh.barycentric(owner, pts))
-        phi = np.asarray(porosity.value(pts), dtype=float)
-        integrand = (uv ** 2).sum(axis=1) / phi * (uv @ normal)
-        total += length * float(w @ integrand)
-        mass += length * float(w @ np.abs(integrand))
-    return total, mass
-
-
 def transport_boundary_reference(u, porosity, extents, n_divisions, degree):
     """The boundary term of the transport identity, one edge at a time, and
     the integral of its absolute value."""
@@ -392,42 +367,6 @@ def transport_boundary_reference(u, porosity, extents, n_divisions, degree):
         boundary += length * float(w @ integrand)
         mass += length * float(w @ np.abs(integrand))
     return boundary, mass
-
-
-def forcing_l2_reference(ctx, f, t):
-    """L2 norm of ``f(., t)`` summed over the context's quadrature points."""
-    vals = np.asarray(f(ctx.qpoints_flat, t), dtype=float)
-    nt, nq = ctx.wxarea.shape
-    sq = (vals ** 2).reshape(nt, nq, -1).sum(axis=2)
-    return float(np.sqrt(np.einsum("tq,tq->", ctx.wxarea, sq)))
-
-
-def snapshot_text_reference(u_field, p_field, porosity, mesh, t):
-    """The legacy VTK snapshot written one line at a time."""
-    fmt = "{:.16e}"
-    lines = ["# vtk DataFile Version 3.0", f"flow snapshot t={t:.6e}",
-             "ASCII", "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    for x, y in mesh.vertices:
-        lines.append(f"{fmt.format(x)} {fmt.format(y)} 0.0")
-    lines.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.n_triangles}")
-    lines += ["5"] * mesh.n_triangles
-    nv = mesh.n_vertices
-    uv = u_field.node_values()[:nv]
-    lines += [f"POINT_DATA {nv}", "VECTORS velocity double"]
-    for vx, vy in uv:
-        lines.append(f"{fmt.format(vx)} {fmt.format(vy)} 0.0")
-    speed = np.sqrt(uv[:, 0] ** 2 + uv[:, 1] ** 2)
-    phi = np.asarray(porosity.value(mesh.vertices), dtype=float)
-    for name, values in (("velocity_magnitude", speed),
-                         ("pressure", p_field.coefficients),
-                         ("porosity", phi)):
-        lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-        lines += [fmt.format(v) for v in values]
-    return "\n".join(lines) + "\n"
 
 
 def assert_rel(value, reference, rel):
@@ -689,12 +628,7 @@ def test_right_hand_sides_match_the_einsum_forms(two_layer):
         ctx, at_quad_reference(u, ctx.quad)[0]), REL)
 
 
-def test_contour_integrals_match_the_edge_loops(two_layer, mms_case):
-    ctx, u, _ = two_layer
-    porosity = get_case("two-layer").porosity
-    flux, mass = outflow_flux_reference(u, porosity)
-    assert mass > 0.0
-    assert abs(outflow_kinetic_flux(u, porosity) - flux) <= REL * mass
+def test_contour_integrals_match_the_edge_loops(mms_case):
     field = mms_case.velocity_field(0.3)
     for extents, n in ((((0.0, math.pi), (0.0, math.pi)), 8),
                        (((0.0, 2.0), (0.0, 1.0)), 6)):
@@ -703,18 +637,6 @@ def test_contour_integrals_match_the_edge_loops(two_layer, mms_case):
         boundary, mass = transport_boundary_reference(
             field, mms_case.porosity, extents, n, 9)
         assert abs(report.boundary_term - boundary) <= REL * mass
-
-
-def test_forcing_budget_matches_the_quadrature_sum(mms_case):
-    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 8)
-    ctx = make_context(mesh, mms_case.porosity, mms_case.params)
-    beta0 = 0.5
-    monitor = EnergyMonitor(ctx, beta0, forcing=mms_case.f)
-    monitor.start(interpolate(ctx.vspace, mms_case.u, 0.0))
-    f_l2 = forcing_l2_reference(ctx, mms_case.f, 0.0)
-    assert f_l2 > 0.0
-    assert monitor.records[0].forcing_budget == pytest.approx(
-        f_l2 ** 2 / (4.0 * ctx.params.mu * beta0 ** 2), rel=REL)
 
 
 def test_error_norms_match_the_rebuilt_tables(mms_case):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from porousflow.assembly import (linear_drag_weight, make_context,
+                                 quadratic_drag_weight)
+from porousflow.fem import interpolate
 from porousflow.porous import (
     TWO_LAYER_EPS,
     PhysicalParams,
-    alpha_constant,
+    PorosityField,
     builtin_porosity,
-    drag_force,
     forchheimer_coeff,
     linear_drag_coeff,
     validate_porosity_admissibility,
@@ -61,39 +63,65 @@ def test_params_positive():
         PhysicalParams(d_p=0.0)
 
 
-def test_drag_force_zero_cases(params):
-    assert drag_force(np.zeros(2), 0.7, params) == pytest.approx([0, 0])
-    assert drag_force(np.array([3.0, -2.0]), 1.0, params) \
-        == pytest.approx([0, 0], abs=0.0)
+def step_drag(porosity, u, mesh, params):
+    """The drag a step applies at the quadrature points to the interpolant
+    of ``u``, linearized about that velocity itself: the step's weights ``mu
+    phi/K + rho F phi/sqrt(K) |u|`` times ``-u``.  Returns the drag and the
+    velocity there."""
+    ctx = make_context(mesh, porosity, params)
+    field = interpolate(ctx.vspace, u)
+    uq = ctx.velocity_at_quad(field)
+    weight = linear_drag_weight(ctx) + quadratic_drag_weight(field, ctx)
+    return -weight[..., None] * uq, uq
 
 
-def test_drag_force_value(params):
+def uniform(c):
+    return lambda p: np.broadcast_to(np.asarray(c, float), (len(p), 2)).copy()
+
+
+def test_drag_force_zero_cases(params, unit_mesh):
+    drag, _ = step_drag(builtin_porosity("constant", value=0.7),
+                        uniform([0.0, 0.0]), unit_mesh, params)
+    assert np.abs(drag).max() == pytest.approx(0.0)
+    drag, _ = step_drag(builtin_porosity("constant", value=1.0),
+                        uniform([3.0, -2.0]), unit_mesh, params)
+    assert np.abs(drag).max() == 0.0
+
+
+def test_drag_force_value(params, unit_mesh):
     # oracle from the compositional forms: phi/K(0.5) = 60000, F phi/sqrt(K) = 70
     k, f = permeability_oracle(0.5, params)
     expected = -(params.mu * 0.5 / k + params.rho * f * 0.5 / np.sqrt(k))
-    got = drag_force(np.array([1.0, 0.0]), 0.5, params)
-    assert got[0] == pytest.approx(expected, rel=1e-12)
-    assert got[0] == pytest.approx(-603.057, rel=1e-4)
-    assert got[1] == 0.0
+    got, _ = step_drag(builtin_porosity("constant", value=0.5),
+                       uniform([1.0, 0.0]), unit_mesh, params)
+    assert got[..., 0] == pytest.approx(expected, rel=1e-12)
+    assert got[..., 0] == pytest.approx(-603.057, rel=1e-4)
+    assert (got[..., 1] == 0.0).all()
 
 
-def test_drag_dissipates(params, rng):
-    u = rng.normal(0, 2.0, (200, 2))
-    phi = rng.uniform(0.05, 1.0, 200)
-    power = (drag_force(u, phi, params) * u).sum(axis=1)
+def test_drag_dissipates(params, unit_mesh, rng):
+    # porosity ramping over [0.05, 1] across the unit square
+    ramp = PorosityField("ramp", lambda p: 0.05 + 0.95 * p[:, 0],
+                         lambda p: np.tile([0.95, 0.0], (len(p), 1)),
+                         0.05, 1.0)
+    drag, uq = step_drag(ramp, lambda p: rng.normal(0, 2.0, (len(p), 2)),
+                         unit_mesh, params)
+    power = (drag * uq).sum(axis=-1)
     assert (power <= 1e-14).all()
 
 
 def test_alpha_constant(params):
+    # the linear drag floor a (1-phi1)^2 / (d_p^2 phi1^2), at the supremum
     one = builtin_porosity("constant", value=1.0)
-    assert alpha_constant(one, params) == 0.0
+    assert linear_drag_coeff(one.phi1, params) == 0.0
     mixed = builtin_porosity("constant", value=0.8)
-    assert alpha_constant(mixed, params) == pytest.approx(3750.0, rel=1e-12)
+    assert linear_drag_coeff(mixed.phi1, params) == pytest.approx(3750.0,
+                                                                  rel=1e-12)
 
 
 def test_alpha_lower_bounds_drag_on_grid(params, rng):
     field = builtin_porosity("sinusoidal")
-    alpha = alpha_constant(field, params)
+    alpha = linear_drag_coeff(field.phi1, params)
     pts = np.column_stack([rng.uniform(0, 3 * np.pi, 4000),
                            rng.uniform(0, np.pi, 4000)])
     lin = linear_drag_coeff(field.value(pts), params)

@@ -5,23 +5,16 @@ import pytest
 
 from diagnostic_forms import korn_constant_estimate, trilinear_a1_quadrature
 from porousflow.assembly import make_context
-from porousflow.fem import (AnalyticVectorField, interpolate, norm,
-                            velocity_space)
-from porousflow.mesh import BoundaryTag, generate_rect_mesh
+from porousflow.fem import AnalyticVectorField, interpolate
+from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import (
-    PhysicalParams,
-    alpha_constant,
     builtin_porosity,
     forchheimer_coeff,
     linear_drag_coeff,
 )
-from porousflow.scheme import ProblemSetup, run
 from porousflow.verification import (
-    EnergyMonitor,
     ab2_consistency_check,
-    build_mms_case,
     default_consistency_field,
-    outflow_kinetic_flux,
     transport_identity_check,
     run_eoc,
     write_eoc_csv,
@@ -113,12 +106,6 @@ def test_manufactured_point_values(mms_case):
     assert u[0] == pytest.approx(-1.06066, rel=1e-5)
     assert u[1] == pytest.approx(0.0, abs=1e-12)
     assert mms_case.p(pt, 0.0)[0] == pytest.approx(0.70711, rel=1e-5)
-
-
-def test_mms_rejects_porosity_without_closed_form():
-    bare = builtin_porosity("two-layer")
-    with pytest.raises(ValueError):
-        build_mms_case(porosity=bare)
 
 
 # -- convergence records -----------------------------------------------------------
@@ -221,94 +208,7 @@ def test_ab2_smooth_field_second_order():
     assert 1.8 <= rep.observed_order <= 2.2
 
 
-# -- energy monitor ------------------------------------------------------------------
-
-def _decay_setup(params, phi_value, n=10):
-    case = build_mms_case()
-    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), n)
-    phi = builtin_porosity("constant", value=phi_value)
-    ctx = make_context(mesh, phi, params)
-    setup = ProblemSetup(ctx=ctx, u_initial=lambda p: case.u(p, 0.0),
-                         dirichlet=lambda p, t: np.zeros((len(p), 2)),
-                         forcing=None, tau=math.pi / n, t_final=0.75,
-                         gauge=True)
-    return ctx, setup
-
-
-def test_energy_monitor_zero_run(params):
-    ctx, setup = _decay_setup(params, 0.5, n=6)
-    setup = ProblemSetup(ctx=ctx, u_initial=lambda p: np.zeros((len(p), 2)),
-                         dirichlet=setup.dirichlet, forcing=None,
-                         tau=setup.tau, t_final=setup.t_final, gauge=True)
-    mon = EnergyMonitor(ctx, beta0=0.5)
-    mon.start(interpolate(ctx.vspace, setup.u_initial))
-    run(setup, observers=[mon])
-    for rec in mon.records:
-        assert rec.u_l2 == 0.0
-        assert rec.kinetic == 0.0
-        assert rec.outflow_flux == 0.0
-    verdicts = mon.verdicts()
-    assert all(v.passed for v in verdicts)
-
-
-def test_energy_monitor_decay_run(params):
-    ctx, setup = _decay_setup(params, 0.5, n=10)
-    beta0 = korn_constant_estimate(ctx)
-    mon = EnergyMonitor(ctx, beta0)
-    mon.start(interpolate(ctx.vspace, setup.u_initial))
-    run(setup, observers=[mon])
-    norms = [r.u_l2 for r in mon.records]
-    assert norms[-1] < norms[0]
-    budget = next(v for v in mon.verdicts() if v.name == "max-velocity-budget")
-    assert budget.passed
-    # records carry finite balance terms
-    for rec in mon.records:
-        for value in (rec.kinetic, rec.h1_dissipation, rec.drag_dissipation,
-                      rec.outflow_flux, rec.forcing_budget):
-            assert np.isfinite(value)
-
-
-def test_energy_monitor_alpha_zero_reduction(params):
-    # at unit porosity the drag floor vanishes and the decay bound reduces
-    # to non-amplification plus the forcing budget
-    phi = builtin_porosity("constant", value=1.0)
-    assert alpha_constant(phi, params) == 0.0
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
-    ctx = make_context(mesh, phi, params)
-    mon = EnergyMonitor(ctx, beta0=0.5)
-    u0 = interpolate(ctx.vspace,
-                     lambda p: 0.1 * np.column_stack([p[:, 1], -p[:, 0]]))
-    mon.start(u0)
-    assert mon.alpha == 0.0
-    rec = mon.records[0]
-    # exp(0) = 1: the bound at t=0 equals the initial norm exactly
-    bound = math.exp(-params.mu * mon.alpha * rec.t / params.rho) * rec.u_l2
-    assert bound == rec.u_l2
-
-
-@pytest.mark.parametrize("c, phi_value", [(0.7, 0.5), (-1.3, 0.8)])
-def test_outflow_kinetic_flux_of_a_uniform_flow(c, phi_value):
-    # u = (c, 0) at constant phi on the unit square: the stress-free right
-    # edge (outward normal (1, 0), length 1) carries c^3/phi
-    def outlet(mid):
-        return BoundaryTag.STRESS_FREE if mid[0] >= 1.0 - 1e-9 \
-            else BoundaryTag.DIRICHLET
-
-    phi = builtin_porosity("constant", value=phi_value)
-
-    def uniform(mesh):
-        return interpolate(velocity_space(mesh), lambda p: np.column_stack(
-            [np.full(len(p), c), np.zeros(len(p))]))
-
-    u = uniform(generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=outlet))
-    assert outflow_kinetic_flux(u, phi) == pytest.approx(c ** 3 / phi_value,
-                                                         rel=1e-14)
-    # no tagged edge: nothing to integrate
-    assert outflow_kinetic_flux(u, phi, tags=(BoundaryTag.SLIP,)) == 0.0
-    assert outflow_kinetic_flux(u, phi, tags=()) == 0.0
-    closed = uniform(generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4))
-    assert outflow_kinetic_flux(closed, phi) == 0.0
-
+# -- diagnostic forms and the start-up step -----------------------------------------
 
 def test_korn_estimate_stable_across_resolutions(params):
     values = []
@@ -367,18 +267,3 @@ def test_initial_step_error_is_bounded(mms_case):
     assert np.isfinite(err)
     assert err < 0.5  # measured 0.39; the start-up step is first order
 
-
-def test_energy_monitor_jsonl(params, tmp_path):
-    import json
-    ctx, setup = _decay_setup(params, 0.5, n=6)
-    mon = EnergyMonitor(ctx, beta0=0.5)
-    mon.start(interpolate(ctx.vspace, setup.u_initial))
-    run(setup, observers=[mon])
-    path = tmp_path / "energy.jsonl"
-    mon.write_jsonl(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(mon.records)
-    first = json.loads(lines[0])
-    assert set(first) == {"t", "u_l2", "kinetic", "h1_dissipation",
-                          "drag_dissipation", "outflow_flux",
-                          "forcing_budget"}
