@@ -22,17 +22,20 @@ into a copy of the constant data by precomputed positions.  Its
 :meth:`StepSolver.solve` returns the step's velocity and pressure fields.
 A :class:`SaddleSystem` is only a per-step front to that call.
 
-Every matrix is factorized by :func:`direct_solve` in one fill-reducing order
-of its unknowns, :func:`nested_dissection` of the mesh geometry, computed
-once per solver.  The solver holds at most one LU.  A system of the same
-kind as the factorized one is solved by right-preconditioned GMRES with that
-LU, one triangular solve per iteration, down to the accuracy the factorizing
-direct solve itself reached.  GMRES starts from the least-squares
-combination of the solver's last ``GUESS_HISTORY`` solutions, which takes no
-LU solve, so a start that already meets the stop returns after 0
-iterations.  A system of another kind, or one on which GMRES misses that
-stop within one restart cycle, is factorized afresh, so one factorization
-serves every general step.
+Every matrix is factorized in single precision (:func:`_factorize`) in one
+fill-reducing order of its unknowns, :func:`nested_dissection` of the mesh
+geometry, computed once per solver.  The solver holds at most one LU.  Every
+system is solved by right-preconditioned GMRES in float64 with that LU, one
+triangular solve per iteration: the system that built the LU down to
+``KRYLOV_RTOL`` or to where its true residual stops falling, which is
+iterative refinement by GMRES with a low-precision factor (Arioli & Duff,
+ETNA 33, 2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018), and a later
+system of the same kind down to the accuracy that first solve reached.
+GMRES starts from the least-squares combination of the solver's last
+``GUESS_HISTORY`` solutions, which takes no LU solve, so a start that
+already meets the stop returns after 0 iterations.  A system of another
+kind, or one on which GMRES misses that stop within one restart cycle, is
+factorized afresh, so one factorization serves every general step.
 """
 
 from __future__ import annotations
@@ -58,24 +61,32 @@ from porousflow.mesh import BoundaryTag
 # core), it cuts the factor of two-layer n=60 from 2.05M entries (L+U) and
 # 0.28 s to 1.43M and 0.10 s, of MMS N=32 from 2.77M to 1.33M entries, and of
 # sinusoidal n=150 from 30.9M entries and 9.0 s to 12.2M and 0.96 s, with
-# its triangular solve 62 -> 31 ms.
+# its triangular solve 62 -> 31 ms.  The factor is kept in float32: against
+# float64, on the same general step matrices, its factorization is 20% (n=60,
+# MMS N=32) and 24% (n=150) faster, one triangular solve 37%, 9% and 33%,
+# and its values take half the memory.
 DIAG_PIVOT_THRESH = 0.01
 DISSECTION_LEAF = 32
-# GMRES with a held factor as preconditioner must reach this relative
-# residual (of the unpreconditioned system) within one restart cycle of
+# GMRES with a held factor as preconditioner must reach this relative residual
+# (of the unpreconditioned system) within one restart cycle of
 # KRYLOV_MAX_ITERATIONS iterations; otherwise the factor is replaced.  The
-# stop is raised to DIRECT_RESIDUAL_MARGIN times the relative residual of the
-# direct solve that built the factor: GMRES in working precision stalls near
-# the accuracy of a direct solve (sinusoidal n=40: direct 5.8e-14, GMRES
-# 6.5e-14), so a stricter stop would only discard a good factor.  Started
-# from past solutions, GMRES ends just under the stop rather than well past
-# it, so the margin bounds the distance to a fresh solve: over 6 steps of
-# sinusoidal n=40, a margin of 10 left a step 1.9e-12 (relative) off the
-# direct solution, and margins 1.5, 2 and 5 all 1.8e-13 in as many
-# iterations.
+# solve that builds a factor refines with it down to KRYLOV_RTOL or until its
+# true residual falls by less than the factor REFINE_STALL from one iterate to
+# the next (2-5 iterations, the float32 factor gaining 4-7 digits each; at the
+# round-off floor the residual still creeps down, and stopping only where it
+# rises missed 20 iterations on sinusoidal n=150), and a later solve with that
+# factor stops at DIRECT_RESIDUAL_MARGIN times the relative residual the first
+# one reached, if that is larger: GMRES in working precision stalls near the
+# accuracy of a direct solve (sinusoidal n=40: float64 direct solve 5.8e-14,
+# refinement 4.3e-14), so a stricter stop would only discard a good factor.
+# Started from past solutions, GMRES ends just under the stop rather than well
+# past it, so the margin bounds the distance to a fresh solve: over 6 steps of
+# sinusoidal n=40, a margin of 10 left a step 1.9e-12 (relative) off the direct
+# solution, and margins 1.5, 2 and 5 all 1.8e-13 in as many iterations.
 KRYLOV_RTOL = 1e-14
 DIRECT_RESIDUAL_MARGIN = 5.0
 KRYLOV_MAX_ITERATIONS = 20
+REFINE_STALL = 0.5
 # GMRES starts from the least-squares combination of the last GUESS_HISTORY
 # solutions.  Median LU solves per general step (two-layer n=60 / MMS N=32)
 # with 1, 2, 3, 4 and 6 of them: 5/7, 5/7, 5/6, 5/6 and 5/6; 8/9 when
@@ -112,11 +123,12 @@ class GaugeError(ValueError):
 class SolveReport:
     """Algebraic quality measures of one solve: the relative residual of
     the constrained system, the largest entry of ``B u``, the GMRES
-    iterations taken and whether the solve built a new factorization.  A
-    solve that reuses the held LU takes one LU solve per GMRES iteration and
-    none for its start, 0 iterations when the start projected on past
-    solutions already meets the stop; a factorizing solve reports 0.  The
-    clamped feet of a step are counted by the scheme, in
+    iterations taken and whether the solve built a new factorization.  Every
+    solve takes one LU solve per GMRES iteration and none for its start, 0
+    iterations when the start projected on past solutions already meets the
+    stop; a factorizing solve counts the iterations that refined its
+    solution with the new single-precision LU, 2-5 on the benchmark runs.
+    The clamped feet of a step are counted by the scheme, in
     ``StepResult.clamped``."""
 
     algebraic_residual: float
@@ -352,33 +364,25 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
 
 
 def _lu_solve(lu, perm, b):
-    """``x`` with ``k x = b`` by the LU of ``k[perm][:, perm]``."""
+    """``x`` with ``k x = b`` by the single-precision LU of
+    ``k[perm][:, perm]``."""
     x = np.empty_like(b)
-    x[perm] = lu.solve(b[perm])
+    x[perm] = lu.solve(b[perm].astype(np.float32))
     return x
 
 
-def direct_solve(k: sparse.csr_matrix, rhs: np.ndarray, perm: np.ndarray):
-    """Solve ``k x = rhs`` by a sparse LU of ``k`` in the order ``perm`` of
-    its unknowns (a :func:`nested_dissection` order).
-
-    Returns ``(x, residual, lu)`` with the relative residual of ``x`` and the
-    LU of ``k[perm][:, perm]``; raises :class:`SingularSystemError` when the
-    factorization fails or that residual exceeds ``RESIDUAL_BOUND``.
-    """
+def _factorize(k: sparse.csr_matrix, perm: np.ndarray):
+    """The single-precision sparse LU of ``k`` in the order ``perm`` of its
+    unknowns (a :func:`nested_dissection` order), that is of
+    ``k[perm][:, perm]``, by the module's ``splu``; raises
+    :class:`SingularSystemError` when the factorization fails."""
     try:
-        lu = splu(k[perm][:, perm].tocsc(), permc_spec="NATURAL",
-                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                  options={"SymmetricMode": True})
+        return splu(k.astype(np.float32)[perm][:, perm].tocsc(),
+                    permc_spec="NATURAL",
+                    diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                    options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-    x = _lu_solve(lu, perm, rhs)
-    resid = float(np.linalg.norm(k @ x - rhs)) \
-        / max(float(np.linalg.norm(rhs)), 1e-30)
-    if not resid <= RESIDUAL_BOUND:   # also rejects NaN
-        raise SingularSystemError(
-            f"direct LU solve left a relative residual of {resid:.3e}")
-    return x, resid, lu
 
 
 class StepSolver:
@@ -404,17 +408,20 @@ class StepSolver:
     weights carry rho/tau and 3 rho/(2 tau).  The solver keeps the raw
     solutions of its last ``GUESS_HISTORY`` solves, the factorizing ones
     included, so a solve with the held key, which always follows the solve
-    that built the LU, has at least one.  Such a solve runs GMRES on its own
-    matrix, right-preconditioned by the held LU and started from the
-    combination ``P c`` of those solutions ``P`` that minimizes
-    ``|rhs - K P c|`` (0 iterations when that start meets the stop), down to
-    ``KRYLOV_RTOL`` or
-    ``DIRECT_RESIDUAL_MARGIN`` times the relative residual the LU's own
-    direct solve reached, whichever is larger, and never above
+    that built the LU, has at least one.  Every solve runs GMRES in float64
+    on its own matrix, right-preconditioned by the held single-precision LU
+    and started from the combination ``P c`` of those solutions ``P`` that
+    minimizes ``|rhs - K P c|`` (0 iterations when that start meets the
+    stop).  A solve with the held key stops at ``KRYLOV_RTOL`` or
+    ``DIRECT_RESIDUAL_MARGIN`` times the relative residual the solve that
+    built the LU reached, whichever is larger, and never above
     ``RESIDUAL_BOUND``.  When GMRES misses that stop within one restart
     cycle, or the key differs, the held LU is dropped before the new matrix
-    is factorized by :func:`direct_solve`, so two factors never coexist and
-    freed ones leave the process.
+    is factorized (:func:`_factorize`), so two factors never coexist and
+    freed ones leave the process; GMRES with the new LU then refines from
+    the same start down to ``KRYLOV_RTOL`` or to where its true residual
+    stops falling, and raises :class:`SingularSystemError` when it misses
+    both within one restart cycle or ends above ``RESIDUAL_BOUND``.
     """
 
     def __init__(self, ctx: FormContext, a_elements, b_elements,
@@ -450,7 +457,7 @@ class StepSolver:
         self._perm = nested_dissection(ctx, fixed, constraints.gauge)[0]
         self._lu = None
         self._key = None
-        self._direct_residual = 0.0    # the held LU's own relative residual
+        self._factor_residual = 0.0    # reached by the solve that built the LU
         # the raw solutions of the last solves, in turn, and the solve count;
         # held in one block from the start, since a copy kept per step left
         # two-layer n=60 about 1 MB higher in peak RSS
@@ -492,7 +499,8 @@ class StepSolver:
         set to their values exactly and, when gauged, the pressure shifted
         to zero mean, and the :class:`SolveReport`.  Raises
         :class:`SolverError` for a load that is not finite and
-        :class:`SingularSystemError` as :func:`direct_solve` does.
+        :class:`SingularSystemError` when the factorization fails or GMRES
+        with the new LU misses its stop (see :class:`StepSolver`).
         """
         if not np.isfinite(load).all():
             raise SolverError("right-hand side contains NaN or Inf")
@@ -521,40 +529,51 @@ class StepSolver:
     def _solve(self, k, rhs, key):
         """``(x, residual, krylov_iterations, factorized)`` for the
         constrained system ``k x = rhs``: GMRES with the held LU when it
-        was built under ``key``, else a new factorization."""
-        iterations = 0
+        was built under ``key``, else with a new one."""
+        rhs_norm = max(float(np.linalg.norm(rhs)), 1e-30)
         if self._lu is not None and self._key == key:
-            rhs_norm = max(float(np.linalg.norm(rhs)), 1e-30)
             x, iterations, r_norm = self._krylov(k, rhs, rhs_norm)
             if x is not None:
                 return x, r_norm / rhs_norm, iterations, False
         self._lu = None
-        x, resid, self._lu = direct_solve(k, rhs, self._perm)
-        self._key, self._direct_residual = key, resid
-        return x, resid, iterations, True
+        self._lu = _factorize(k, self._perm)
+        x, iterations, r_norm = self._krylov(k, rhs, rhs_norm, refine=True)
+        if x is None or not r_norm <= RESIDUAL_BOUND * rhs_norm:   # or NaN
+            self._lu = None
+            reached = "no stop" if x is None \
+                else f"a relative residual of {r_norm / rhs_norm:.3e}"
+            raise SingularSystemError(f"GMRES with a new LU reached {reached}"
+                                      f" in {iterations} iterations")
+        self._key, self._factor_residual = key, r_norm / rhs_norm
+        return x, self._factor_residual, iterations, True
 
-    def _krylov(self, k, rhs, rhs_norm):
+    def _krylov(self, k, rhs, rhs_norm, refine=False):
         """GMRES right-preconditioned by the held LU within one restart
         cycle of ``KRYLOV_MAX_ITERATIONS``, started from ``x0 = P c``: the
         past solutions ``P`` (columns) combined by the least-squares ``c``
         of ``k P c = rhs``, which needs no LU solve and copes with linearly
-        dependent columns.  A start that meets the stop is returned after 0
-        iterations.
+        dependent columns (``x0 = 0`` before the first solve).  A start that
+        meets the stop is returned after 0 iterations.
 
-        The preconditioned directions ``Z = LU^{-1} V`` are stored, so each
-        iteration solves with the LU once, and the least-squares residual of
-        the Hessenberg system is the residual of ``k x = rhs`` itself.  The
-        iterate is formed once that residual reaches the stop (see
-        :class:`StepSolver`) and is accepted when its true residual does too.
+        The preconditioned directions ``Z = LU^{-1} V`` are stored in
+        float64, so each iteration solves with the LU once, and the
+        least-squares residual of the Hessenberg system is the residual of
+        ``k x = rhs`` itself, whatever the precision of the LU.  The iterate
+        is formed once that residual reaches the stop and is accepted when
+        its true residual does too.  The stop of a solve that reuses the LU
+        is given at :class:`StepSolver`; with ``refine``, for a new LU, it is
+        ``KRYLOV_RTOL``, and the best iterate is also accepted once the true
+        residual stops falling, by less than ``REFINE_STALL`` from one
+        iterate to the next.
 
         Returns ``(x, iterations, residual norm)``, with ``x = None`` when
         the stop was missed.
         """
         lu, perm = self._lu, self._perm
         m = KRYLOV_MAX_ITERATIONS
-        target = min(RESIDUAL_BOUND, max(
-            KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._direct_residual)) \
-            * rhs_norm
+        stop = KRYLOV_RTOL if refine else min(RESIDUAL_BOUND, max(
+            KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._factor_residual))
+        target = stop * rhs_norm
         past = self._past[:self._solves].T
         x0 = past @ np.linalg.lstsq(k @ past, rhs, rcond=None)[0]
         r = rhs - k @ x0
@@ -568,6 +587,7 @@ class StepSolver:
         rot = np.zeros((m, 2))
         v[0] = r / beta
         g[0] = beta
+        best = None   # with refine: (x, residual norm) of the best iterate
         for j in range(m):
             z[j] = _lu_solve(lu, perm, v[j])
             w = k @ z[j]
@@ -593,6 +613,11 @@ class StepSolver:
                 r_norm = float(np.linalg.norm(rhs - k @ x))
                 if r_norm <= target:
                     return x, j + 1, r_norm
+                if refine:
+                    if best is not None and r_norm > REFINE_STALL * best[1]:
+                        x, r_norm = min(best, (x, r_norm), key=lambda b: b[1])
+                        return x, j + 1, r_norm
+                    best = x, r_norm
             if h_next == 0.0:
                 break
             v[j + 1] = w / h_next

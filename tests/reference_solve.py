@@ -2,14 +2,17 @@
 
 The element tables of the constant blocks are scattered into global
 matrices, the blocks stacked, the fixed unknowns eliminated with diagonal
-masks after lifting the right-hand side, and the result factorized on its
-own by :func:`porousflow.saddle.direct_solve`.  The run's
+masks after lifting the right-hand side, and the result solved on its own by
+:func:`direct_solve`, a float64 SuperLU factorization called here, apart
+from the run's factor path.  The run's
 :class:`porousflow.saddle.StepSolver`, which places the element tables in
-its step matrix once and reuses its factorization, is compared against it.
+its step matrix once, factorizes it in single precision, refines every
+solution by GMRES and reuses its factorization, is compared against it.
 """
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.linalg import splu
 
 from porousflow.assembly import (
     FormContext,
@@ -20,12 +23,38 @@ from porousflow.assembly import (
 )
 from porousflow.fem import FeField
 from porousflow.saddle import (
+    DIAG_PIVOT_THRESH,
+    RESIDUAL_BOUND,
     Constraints,
+    SingularSystemError,
     SolveReport,
     SolverError,
-    direct_solve,
     nested_dissection,
 )
+
+
+def direct_solve(k: sparse.csr_matrix, rhs: np.ndarray, perm: np.ndarray):
+    """Solve ``k x = rhs`` by a float64 sparse LU of ``k`` in the order
+    ``perm`` of its unknowns (a :func:`nested_dissection` order).
+
+    Returns ``x`` and its relative residual; raises
+    :class:`SingularSystemError` when the factorization fails or that
+    residual exceeds ``RESIDUAL_BOUND``.
+    """
+    try:
+        lu = splu(k[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SingularSystemError(str(exc)) from exc
+    x = np.empty_like(rhs)
+    x[perm] = lu.solve(rhs[perm])
+    resid = float(np.linalg.norm(k @ x - rhs)) \
+        / max(float(np.linalg.norm(rhs)), 1e-30)
+    if not resid <= RESIDUAL_BOUND:   # also rejects NaN
+        raise SingularSystemError(
+            f"direct LU solve left a relative residual of {resid:.3e}")
+    return x, resid
 
 
 def global_blocks(ctx: FormContext, a_elements, b_elements):
@@ -158,7 +187,7 @@ class ReferenceSystem:
         :meth:`constrained`, zero-mean pressure when gauged."""
         k, rhs, fixed, values = self.constrained()
         perm = nested_dissection(self.ctx, fixed, self.gauge)[0]
-        x, resid, _ = direct_solve(k, rhs, perm)
+        x, resid = direct_solve(k, rhs, perm)
         x[fixed] = values
         nv = self.ctx.vspace.dof_count
         u, p = x[:nv], x[nv:nv + self.ctx.pspace.dof_count]

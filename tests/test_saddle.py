@@ -32,7 +32,7 @@ from porousflow.saddle import (
 )
 from porousflow.verification import steady_stokes_solve
 from reference_solve import (FreshSolver, ReferenceSystem, assemble_a0,
-                             assemble_b)
+                             assemble_b, direct_solve)
 
 
 def quad_velocity(p):
@@ -199,7 +199,7 @@ def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, slip):
                                               None),
                                 constraints=Constraints.build(ctx))
     u_ref, p_ref, ref = reference.apply_dirichlet(g).solve()
-    assert rep.factorized and rep.krylov_iterations == 0
+    assert rep.factorized and 1 <= rep.krylov_iterations <= 5
     for got, want in ((u, u_ref), (p, p_ref)):
         assert np.abs(got.coefficients - want.coefficients).max() \
             <= 1e-12 * np.abs(want.coefficients).max()
@@ -287,7 +287,7 @@ def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     u, p, rep = _drag_solve(solver, 1.3, rhs, "general")
     u_ref, p_ref, ref = _drag_solve(_drag_solver(unit_ctx, FreshSolver), 1.3,
                                     rhs)
-    assert first.factorized and first.krylov_iterations == 0
+    assert first.factorized and 1 <= first.krylov_iterations <= 5
     assert not rep.factorized and rep.krylov_iterations > 0
     assert ref.factorized and ref.krylov_iterations == 0
     assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
@@ -295,9 +295,18 @@ def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
         <= 1e-12 * np.abs(u_ref.coefficients).max()
     assert np.abs(p.coefficients - p_ref.coefficients).max() \
         <= 1e-12 * np.abs(p_ref.coefficients).max()
-    # another key never uses the held factorization
+    # another key never uses the held factorization; this repeats the last
+    # system, so the start projected on past solutions already meets the
+    # stop of the new factor's refinement
     _, _, other = _drag_solve(solver, 1.3, rhs, "initial")
     assert other.factorized and other.krylov_iterations == 0
+
+
+def identity_lu(solver):
+    """The LU of the identity, which as the held factor of ``solver`` no
+    longer fits its systems: GMRES with it misses the stop."""
+    n = solver._constant.shape[0]
+    return splu(sp.identity(n, dtype=np.float32, format="csc"))
 
 
 def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
@@ -305,7 +314,7 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
     _drag_solve(solver, 1.0, rhs, "general")
-    held = solver._lu
+    solver._lu = held = identity_lu(solver)
     held_at_factorization = []
     splu = saddle.splu
 
@@ -314,12 +323,39 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(saddle, "splu", recording_splu)
-    monkeypatch.setattr(saddle, "KRYLOV_MAX_ITERATIONS", 1)
     u, p, rep = _drag_solve(solver, 3.0, rhs, "general")
-    assert rep.factorized and rep.krylov_iterations == 1
+    u_ref, p_ref, _ = _drag_solve(_drag_solver(unit_ctx, FreshSolver), 3.0,
+                                  rhs)
+    assert rep.factorized and 1 <= rep.krylov_iterations <= 5
     assert held_at_factorization == [None]   # the old factor was dropped
     assert solver._lu is not None and solver._lu is not held
     assert rep.algebraic_residual <= 1e-12
+    for got, want in ((u, u_ref), (p, p_ref)):
+        assert np.abs(got.coefficients - want.coefficients).max() \
+            <= 1e-12 * np.abs(want.coefficients).max()
+
+
+@pytest.mark.parametrize("name, value", [("KRYLOV_MAX_ITERATIONS", 1),
+                                         ("RESIDUAL_BOUND", 1e-20)],
+                         ids=["misses-stop", "above-bound"])
+def test_step_solver_raises_when_refinement_fails(unit_ctx, params,
+                                                  monkeypatch, name, value):
+    # one iteration with a single-precision factor cannot reach the stop,
+    # and no float64 solve reaches a relative residual of 1e-20
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = _drag_solver(unit_ctx)
+    monkeypatch.setattr(saddle, name, value)
+    with pytest.raises(SingularSystemError, match="GMRES with a new LU"):
+        _drag_solve(solver, 1.0, rhs, "general")
+    assert solver._lu is None
+
+
+def test_step_solver_holds_a_single_precision_factor(unit_ctx, params):
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = _drag_solver(unit_ctx)
+    _drag_solve(solver, 1.0, rhs, "general")
+    assert solver._lu.L.dtype == np.float32
+    assert solver._lu.U.dtype == np.float32
 
 
 class _CountingLU:
@@ -421,12 +457,36 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
         assert np.count_nonzero(left_right.data) == 0
         assert np.count_nonzero(ordered[middle:separator,
                                         start:middle].data) == 0
-    x, resid, _ = saddle.direct_solve(k, rhs, perm)
+    x, resid = direct_solve(k, rhs, perm)
     reference = splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=saddle.DIAG_PIVOT_THRESH,
                      options={"SymmetricMode": True}).solve(rhs)
     assert resid <= 1e-12
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERING_MESHES))
+@settings(max_examples=5, deadline=None, database=None)
+@given(n=st.integers(4, 16), seed=st.integers(0, 2 ** 32 - 1))
+def test_first_solve_matches_the_float64_reference(kind, n, seed):
+    # the factorizing solve, by GMRES with the single-precision factor,
+    # lands within 1e-12 of the float64 direct solve of the same system
+    make_mesh, _ = ORDERING_MESHES[kind]
+    ctx = make_context(make_mesh(n), builtin_porosity("constant", value=0.6),
+                       get_case("two-layer").params)
+    rng = np.random.default_rng(seed)
+    table = Constraints.build(ctx)
+    weight = rng.uniform(1.0, 3.0, ctx.wxarea.shape)
+    load = rng.normal(size=ctx.vspace.dof_count)
+    values = table.values(lambda p: rng.normal(size=(len(p), 2)))
+    blocks = viscous_elements(ctx), divergence_elements(ctx)
+    u, p, rep = StepSolver(ctx, *blocks, table).solve(weight, load, values)
+    u_ref, p_ref, _ = FreshSolver(ctx, *blocks, table).solve(weight, load,
+                                                            values)
+    assert rep.factorized and 1 <= rep.krylov_iterations <= 5
+    for got, want in ((u, u_ref), (p, p_ref)):
+        assert np.abs(got.coefficients - want.coefficients).max() \
+            <= 1e-12 * np.abs(want.coefficients).max()
 
 
 @settings(max_examples=20, deadline=None, database=None)
