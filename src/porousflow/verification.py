@@ -2,9 +2,12 @@
 quadrature identity checks.
 
 The manufactured forcing is derived symbolically from the closed-form
-velocity, pressure, and porosity, then compiled to vectorized numpy
-functions.  A finite-difference oracle in the test suite cross-checks the
-derivation, so no hand-transcribed derivative ever enters the pipeline.
+velocity, pressure, and porosity by ``tests/mms_derivation.py``, which
+prints it as the vectorized numpy functions of the generated module
+``porousflow._mms_generated``; the program runs those and needs no sympy.
+The test suite checks the module against the derivation, and a
+finite-difference oracle cross-checks the derivation, so no
+hand-transcribed derivative ever enters the pipeline.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from porousflow import _mms_generated
 from porousflow.assembly import (FormContext, assemble_load,
                                  divergence_elements, make_context,
                                  viscous_elements)
@@ -62,11 +66,9 @@ class MmsCase:
 _MMS_CACHE: dict = {}
 
 
-def _lambdify_stack(args, exprs, shape):
-    """One numpy function of ``(points, t)`` for the stacked ``exprs``, with
-    their common subexpressions computed once."""
-    import sympy as sp
-    fn = sp.lambdify(args, list(exprs), modules="numpy", cse=True)
+def _stack(fn, shape):
+    """One function of ``(points, t)`` for the generated ``fn`` of ``(x, y,
+    t)``, its components stacked to ``shape`` at each point."""
 
     def call(pts, t):
         pts = np.asarray(pts, dtype=float)
@@ -82,46 +84,18 @@ def _lambdify_stack(args, exprs, shape):
 def build_mms_case() -> MmsCase:
     """Stream-function flow ``psi = sin^3 x sin^3 y e^{-2t}`` with pressure
     ``sin x sin y e^{-2t}`` over the ``mms-sine`` porosity ``(2 +
-    sin(2y/5))/3``, with the default physical parameters.  The case is
-    derived once and cached."""
-    import sympy as sp
-
+    sin(2y/5))/3``, with the default physical parameters, from the
+    functions of :mod:`porousflow._mms_generated`.  The case is built once
+    and cached."""
     if _MMS_CACHE:
         return _MMS_CACHE["case"]
-    params = PhysicalParams()
-
-    x, y, t = sp.symbols("x y t", real=True)
-    psi = sp.sin(x) ** 3 * sp.sin(y) ** 3 * sp.exp(-2 * t)
-    u = sp.Matrix([-sp.diff(psi, y), sp.diff(psi, x)])
-    p = sp.sin(x) * sp.sin(y) * sp.exp(-2 * t)
-    phi = (2 + sp.sin(2 * y / 5)) / 3
-
-    grad_u = sp.Matrix([[sp.diff(u[c], v) for v in (x, y)] for c in range(2)])
-    w = u / phi
-    conv = sp.Matrix([u[0] * sp.diff(w[c], x) + u[1] * sp.diff(w[c], y)
-                      for c in range(2)])
-    d_tensor = sp.Matrix([[sp.Rational(1, 2)
-                           * (sp.diff(u[i], v_j) + sp.diff(u[j], v_i))
-                           for j, v_j in enumerate((x, y))]
-                          for i, v_i in enumerate((x, y))])
-    div_stress = sp.Matrix([sum(sp.diff(2 * params.mu * d_tensor[i, j], v)
-                                for j, v in enumerate((x, y)))
-                            for i in range(2)])
-    speed = sp.sqrt(u[0] ** 2 + u[1] ** 2)
-    lin = params.a * (1 - phi) ** 2 / (params.d_p ** 2 * phi ** 2)
-    quad = params.b * (1 - phi) / (params.d_p * phi ** 2)
-    drag = -params.mu * lin * u - params.rho * quad * speed * u
-    grad_p = sp.Matrix([sp.diff(p, x), sp.diff(p, y)])
-    f = params.rho * (sp.diff(u, t) + conv) - div_stress + grad_p - drag
-
-    args = (x, y, t)
     case = MmsCase(
-        params=params,
+        params=PhysicalParams(),
         porosity=builtin_porosity("mms-sine"),
-        u=_lambdify_stack(args, list(u), (2,)),
-        grad_u=_lambdify_stack(args, list(grad_u), (2, 2)),
-        p=_lambdify_stack(args, [p], ()),
-        f=_lambdify_stack(args, list(f), (2,)),
+        u=_stack(_mms_generated.u, (2,)),
+        grad_u=_stack(_mms_generated.grad_u, (2, 2)),
+        p=_stack(_mms_generated.p, ()),
+        f=_stack(_mms_generated.f, (2,)),
     )
     _MMS_CACHE["case"] = case
     return case

@@ -663,30 +663,20 @@ def test_error_norms_match_the_rebuilt_tables(mms_case):
         assert norm(f, "H1") == pytest.approx(math.sqrt(semi + l2), rel=1e-13)
 
 
-def test_mms_stacks_match_per_expression_lambdify(monkeypatch):
+def test_mms_stacks_match_per_expression_lambdify(mms_case):
     import sympy as sp
 
-    from porousflow import verification
-    captured = []
-    original = verification._lambdify_stack
-
-    def capture(args, exprs, shape):
-        captured.append((args, list(exprs), shape))
-        return original(args, exprs, shape)
-
-    # derive the case afresh, without touching the cached one
-    monkeypatch.setattr(verification, "_MMS_CACHE", {})
-    monkeypatch.setattr(verification, "_lambdify_stack", capture)
-    case = verification.build_mms_case()
-    assert [c[2] for c in captured] == [(2,), (2, 2), (), (2,)]
+    from mms_derivation import derive
+    args, stacks = derive()
+    assert [(name, shape) for name, _, shape in stacks] == [
+        ("u", (2,)), ("grad_u", (2, 2)), ("p", ()), ("f", (2,))]
+    assert all(isinstance(a, sp.Symbol) for a in args)
     mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 6)
     pts = mesh.vertices[mesh.triangles].mean(axis=1)
-    for (args, exprs, shape), fn in zip(
-            captured, (case.u, case.grad_u, case.p, case.f)):
-        assert all(isinstance(a, sp.Symbol) for a in args)
+    for name, exprs, shape in stacks:
         ref = lambdify_reference(args, exprs, shape)
         for t in (0.0, 0.45):
-            value = fn(pts, t)
+            value = getattr(mms_case, name)(pts, t)
             assert value.shape == (len(pts),) + shape
             assert_rel(value, ref(pts, t), 1e-13)
 

@@ -1,8 +1,15 @@
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import porousflow
 from diagnostic_forms import korn_constant_estimate, trilinear_a1_quadrature
 from porousflow.assembly import make_context
 from porousflow.fem import AnalyticVectorField, interpolate
@@ -124,6 +131,30 @@ def test_run_eoc_structure_and_monotonicity(tmp_path):
     assert lines[0] == "N,h,Er1,slope1,Er2,slope2"
     assert len(lines) == 3
     assert lines[1].split(",")[3] == ""  # no slope at the first resolution
+
+
+_NO_SYMPY_SCRIPT = textwrap.dedent("""
+    import dataclasses
+    import json
+    import sys
+
+    sys.modules["sympy"] = None   # every import of sympy now fails
+    from porousflow.verification import build_mms_case, run_eoc
+
+    build_mms_case()
+    print(json.dumps([dataclasses.asdict(r) for r in run_eoc([4, 8])]))
+""")
+
+
+def test_manufactured_case_and_eoc_run_without_sympy():
+    """The run-time path executes the generated module, so a process that
+    cannot import sympy builds the case and records the same study."""
+    src = os.path.dirname(os.path.dirname(porousflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [dataclasses.asdict(r)
+                                      for r in run_eoc([4, 8])]
 
 
 def test_run_eoc_requires_ascending_list():
