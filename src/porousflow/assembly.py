@@ -189,14 +189,10 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
 # -- right-hand sides --------------------------------------------------------------
 
 def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:
-    """Load vector (f(t), v) with ``f`` analytic or a velocity field."""
+    """Load vector (f(t), v) of an analytic ``f(points [, t])``."""
     nt, nq = ctx.wxarea.shape
-    if isinstance(f, FeField):
-        fv = ctx.velocity_at_quad(f)
-    else:
-        fv = f(ctx.qpoints_flat) if t is None else f(ctx.qpoints_flat, t)
-        fv = np.asarray(fv, dtype=float).reshape(nt, nq, 2)
-    return _velocity_load(ctx, fv)
+    fv = f(ctx.qpoints_flat) if t is None else f(ctx.qpoints_flat, t)
+    return _velocity_load(ctx, np.asarray(fv, dtype=float).reshape(nt, nq, 2))
 
 
 def assemble_mass_phi_rhs(bracket: np.ndarray, ctx: FormContext,

@@ -32,8 +32,6 @@ class CaseDefinition:
     tag_rule: Callable
     porosity: PorosityField
     u_initial: Callable
-    dirichlet: Callable | None
-    forcing: Callable | None
     t_final: float
     default_n: int
     params: PhysicalParams
@@ -75,8 +73,6 @@ def case_two_layer() -> CaseDefinition:
         tag_rule=_channel_tag_rule(3.0),
         porosity=builtin_porosity("two-layer"),
         u_initial=u0,
-        dirichlet=lambda pts, t: u0(pts),
-        forcing=None,
         t_final=5.0,
         default_n=120,
         # d_p defaulted to 5e-2 cm (not stated for this case)
@@ -104,8 +100,6 @@ def case_sinusoidal() -> CaseDefinition:
         tag_rule=_channel_tag_rule(3.0 * math.pi),
         porosity=builtin_porosity("sinusoidal"),
         u_initial=u0,
-        dirichlet=lambda pts, t: u0(pts),
-        forcing=None,
         t_final=5.0,
         default_n=300,
         params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
@@ -140,15 +134,15 @@ def build_case_mesh(case: CaseDefinition, n: int | None = None) -> Mesh:
 def build_setup(case: CaseDefinition, n: int | None = None,
                 tau: float | None = None, t_final: float | None = None):
     """Mesh + context (degree-5 quadrature) + problem setup for a case at
-    the given resolution."""
+    the given resolution: the Dirichlet edges keep the initial profile, and
+    no body force acts."""
     n = n or case.default_n
     mesh = build_case_mesh(case, n)
     ctx = make_context(mesh, case.porosity, case.params)
     setup = ProblemSetup(
         ctx=ctx,
         u_initial=case.u_initial,
-        dirichlet=case.dirichlet,
-        forcing=case.forcing,
+        dirichlet=lambda pts, t: case.u_initial(pts),
         tau=tau if tau is not None else case.nominal_h(n),
         t_final=t_final if t_final is not None else case.t_final,
     )

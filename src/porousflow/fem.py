@@ -209,12 +209,7 @@ class FeField:
 
     def node_values(self) -> np.ndarray:
         """View of the coefficients as ``(n_nodes, components)``."""
-        if self.space.components == 1:
-            return self.coefficients.reshape(-1, 1)
         return self.coefficients.reshape(-1, self.space.components)
-
-    def copy(self) -> "FeField":
-        return FeField(self.space, self.coefficients.copy(), self.time_label)
 
 
 def zero_field(space: SpaceDescriptor, t: float | None = None) -> FeField:
@@ -230,14 +225,11 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
     """Nodal interpolant of an analytic function.
 
     ``fn(points [, t])`` must accept an ``(n, 2)`` array and return ``(n,)``
-    values for scalar spaces or ``(n, 2)`` for vector spaces.
+    values for scalar spaces or ``(n, 2)`` for vector spaces; values of
+    another size raise ``ValueError``.
     """
     vals = _call(fn, space.node_coords, t)
-    if space.components == 1:
-        coeff = vals.reshape(-1)
-    else:
-        coeff = np.asarray(vals, dtype=float).reshape(space.n_nodes,
-                                                      space.components).ravel()
+    coeff = vals.reshape(space.n_nodes, space.components).ravel()
     return FeField(space, coeff, t)
 
 
@@ -325,24 +317,21 @@ def quad_tables(mesh: Mesh, rule: QuadratureRule | None = None) -> QuadTables:
 
 
 def norm(field_: FeField, kind: str = "L2", rule: QuadratureRule | None = None) -> float:
-    """Quadrature approximation of the L2, H1, or H1-seminorm of a field."""
-    if kind not in ("L2", "H1", "H1semi"):
+    """Quadrature approximation of the L2 or H1 norm of a field."""
+    if kind not in ("L2", "H1"):
         raise ValueError(f"unknown norm kind: {kind!r}")
     tables = quad_tables(field_.space.mesh, rule)
-    total = 0.0
-    if kind in ("L2", "H1"):
-        total += float(tables.integrate(tables.at_quad(field_) ** 2).sum())
-    if kind in ("H1", "H1semi"):
+    total = float(tables.integrate(tables.at_quad(field_) ** 2).sum())
+    if kind == "H1":
         total += float(tables.integrate(tables.grad_at_quad(field_) ** 2).sum())
     return float(np.sqrt(total))
 
 
 def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
                t: float | None = None, exact_grad: Callable | None = None,
-               zero_mean: bool = False,
-               rule: QuadratureRule | None = None) -> float:
+               zero_mean: bool = False) -> float:
     """Norm of ``field - exact`` with the analytic field sampled at the
-    quadrature points.
+    points of the degree-5 quadrature.
 
     ``exact(points [, t])`` returns values; for the H1 norm ``exact_grad``
     must return ``(n, 2)`` (scalar) or ``(n, 2, 2)`` gradients.  With
@@ -354,7 +343,7 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
     if kind == "H1" and exact_grad is None:
         raise ValueError("H1 error norm requires exact_grad")
     sp = field_.space
-    tables = quad_tables(sp.mesh, rule)
+    tables = quad_tables(sp.mesh)
     nt, nq = tables.wxarea.shape
     flat = tables.qpoints.reshape(nt * nq, 2)
     diff = tables.at_quad(field_) - _call(exact, flat, t).reshape(nt, nq, -1)

@@ -146,9 +146,6 @@ class Mesh:
         grads[:, 2] = inv[:, 1]
         grads[:, 0] = -inv[:, 0] - inv[:, 1]
         self.grad_lambda = grads
-        edges = np.stack([pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 1],
-                          pts[:, 0] - pts[:, 2]])
-        self.h_max = float(np.sqrt((edges ** 2).sum(-1)).max())
         # quadrature tables of this mesh by rule, filled by fem.quad_tables
         self.quad_cache: dict = {}
 

@@ -13,7 +13,6 @@ quadratic drag dominates the destabilizing porosity-gradient transport term.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,18 +37,15 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class PorosityField:
-    """Analytic porosity with gradient and range metadata.
+    """Analytic porosity with its gradient.
 
     ``value(points)`` maps ``(n, 2)`` to ``(n,)`` in (0, 1]; ``grad(points)``
-    returns ``(n, 2)``.  ``phi0``/``phi1`` are the essential infimum and
-    supremum.
+    returns ``(n, 2)``.
     """
 
     name: str
     value: Callable
     grad: Callable
-    phi0: float
-    phi1: float
 
 
 def _check_phi(phi):
@@ -217,9 +213,7 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
             g[:, 1] = 0.4 * np.cos(0.4 * pts[:, 1]) / 3.0
             return g
 
-        # sup over y in [0, pi]: 2y/5 stays below pi/2, sin is increasing
-        phi1 = (2.0 + math.sin(0.4 * math.pi)) / 3.0
-        return PorosityField("mms-sine", val, grad, 2.0 / 3.0, phi1)
+        return PorosityField("mms-sine", val, grad)
 
     if name == "two-layer":
         eps = TWO_LAYER_EPS
@@ -233,7 +227,7 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
             g[:, 1] = 0.4 * _smooth_step_deriv(pts[:, 1] - 0.5, eps)
             return g
 
-        return PorosityField(f"two-layer(eps={eps:g})", val, grad, 0.4, 0.8)
+        return PorosityField(f"two-layer(eps={eps:g})", val, grad)
 
     if name == "sinusoidal":
         gamma0, gamma1 = SINUSOIDAL_GAMMA
@@ -251,8 +245,7 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
             g[:, 1] = 2.0 * amp * np.cos(2.0 * pts[:, 1]) * np.cos(2.0 * pts[:, 0])
             return g
 
-        return PorosityField(f"sinusoidal({gamma0:g},{gamma1:g})", val, grad,
-                             gamma0, gamma1)
+        return PorosityField(f"sinusoidal({gamma0:g},{gamma1:g})", val, grad)
 
     if name == "constant":
         c = float(value)
@@ -265,6 +258,6 @@ def builtin_porosity(name: str, value: float = 0.5) -> PorosityField:
         def grad(pts):
             return np.zeros_like(np.asarray(pts, dtype=float))
 
-        return PorosityField(f"constant({c:g})", val, grad, c, c)
+        return PorosityField(f"constant({c:g})", val, grad)
 
     raise ValueError(f"unknown porosity model: {name!r}")

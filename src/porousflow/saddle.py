@@ -72,9 +72,11 @@ DISSECTION_LEAF = 32
 # KRYLOV_MAX_ITERATIONS iterations; otherwise the factor is replaced.  The
 # solve that builds a factor refines with it down to KRYLOV_RTOL or until its
 # true residual falls by less than the factor REFINE_STALL from one iterate to
-# the next (2-5 iterations, the float32 factor gaining 4-7 digits each; at the
-# round-off floor the residual still creeps down, and stopping only where it
-# rises missed 20 iterations on sinusoidal n=150), and a later solve with that
+# the next (measured: 2-5 iterations on two-layer n=60/120, sinusoidal
+# n=40/80/150 and MMS N=8/16/32, and on MMS N=32 9 at tau=1e-7 and 7 at
+# mu=1e3, the float32 factor gaining 4-7 digits each; at the round-off floor
+# the residual still creeps down, and stopping only where it rises missed 20
+# iterations on sinusoidal n=150), and a later solve with that
 # factor stops at DIRECT_RESIDUAL_MARGIN times the relative residual the first
 # one reached, if that is larger: GMRES in working precision stalls near the
 # accuracy of a direct solve (sinusoidal n=40: float64 direct solve 5.8e-14,
@@ -127,7 +129,9 @@ class SolveReport:
     solve takes one LU solve per GMRES iteration and none for its start, 0
     iterations when the start projected on past solutions already meets the
     stop; a factorizing solve counts the iterations that refined its
-    solution with the new single-precision LU, 2-5 on the benchmark runs.
+    solution with the new single-precision LU: measured 2-5 on the bundled
+    cases and the manufactured solution, 7 at ``mu = 1e3`` and 9 at ``tau =
+    1e-7`` (manufactured solution, N=32).
     The clamped feet of a step are counted by the scheme, in
     ``StepResult.clamped``."""
 

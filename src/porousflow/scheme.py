@@ -107,7 +107,6 @@ class SchemeState:
     """Rolling two-step history; ``k`` is the next step to compute."""
 
     u_prev: FeField
-    p_prev: FeField | None
     k: int
     u_prev2: FeField | None = None
 
@@ -194,8 +193,6 @@ class RunSummary:
     steps: list
     n_steps: int
     wall_time: float
-    u_final: FeField | None = None
-    p_final: FeField | None = None
 
 
 Observer = Callable[[int, float, FeField, FeField, dict], None]
@@ -219,7 +216,7 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     records: list[dict] = []
     summary = RunSummary(records, n_steps, 0.0)
 
-    state = SchemeState(u_prev=u0_field, p_prev=None, k=1)
+    state = SchemeState(u_prev=u0_field, k=1)
     for k in range(1, n_steps + 1):
         try:
             if k == 1:
@@ -245,9 +242,6 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
         records.append(diag)
         for obs in observers:
             obs(k, t_k, result.u, result.p, diag)
-        state = SchemeState(u_prev=result.u, p_prev=result.p, k=k + 1,
-                            u_prev2=state.u_prev)
+        state = SchemeState(u_prev=result.u, k=k + 1, u_prev2=state.u_prev)
     summary.wall_time = time.perf_counter() - t0
-    summary.u_final = state.u_prev
-    summary.p_final = state.p_prev
     return summary

@@ -23,6 +23,7 @@ from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import builtin_porosity, linear_drag_coeff
 from reference_solve import assemble_a0, assemble_b
+from test_porous import POROSITY_RANGES
 
 
 def const_velocity_coeffs(ctx, c):
@@ -103,7 +104,7 @@ def test_c0_dominates_alpha_mass(unit_mesh, params, rng):
     ctx = make_context(unit_mesh, porosity, params)
     c0 = assemble_c0(ctx)
     m = mass_matrix(ctx)
-    alpha = linear_drag_coeff(porosity.phi1, params)
+    alpha = linear_drag_coeff(POROSITY_RANGES["mms-sine"][1], params)
     for _ in range(5):
         x = rng.normal(size=c0.shape[0])
         assert x @ (c0 @ x) >= params.mu * alpha * (x @ (m @ x)) - 1e-10
@@ -204,7 +205,7 @@ def step_scales(ctx, tau, monkeypatch):
     u0 = interpolate(ctx.vspace, zero)
     # the captured step routine never solves, so no solver is built
     scheme.initial_step(setup, u0, None)
-    scheme.general_step(setup, scheme.SchemeState(u0, None, 2, u0), None)
+    scheme.general_step(setup, scheme.SchemeState(u0, 2, u0), None)
     return seen[1], seen[2]
 
 

@@ -48,12 +48,12 @@ def test_boundary_tags_cover_and_split():
 def test_initial_data_matches_dirichlet_trace():
     for name in case_lib.case_names():
         case = case_lib.get_case(name)
-        mesh = case_lib.build_case_mesh(case, n=12)
+        mesh, _, setup = case_lib.build_setup(case, n=12)
         wall = [mesh.boundary_edges[e]
                 for e in np.flatnonzero(
                     mesh.boundary_tags == BoundaryTag.DIRICHLET)]
         pts = mesh.vertices[np.unique(np.concatenate(wall))]
-        assert case.dirichlet(pts, 0.0) == pytest.approx(case.u_initial(pts))
+        assert setup.dirichlet(pts, 0.0) == pytest.approx(case.u_initial(pts))
 
 
 def test_default_time_step_is_nominal_cell_size():

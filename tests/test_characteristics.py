@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
-from porousflow.fem import eval_field_many, interpolate, velocity_space
+from porousflow.fem import (FeField, eval_field_many, interpolate,
+                            velocity_space)
 from porousflow.mesh import (
     BoundaryTag,
     boundary_exit_point,
@@ -18,9 +19,7 @@ def constant_field(space, c):
 
 
 def scaled(f, factor):
-    out = f.copy()
-    out.coefficients *= factor
-    return out
+    return FeField(f.space, factor * f.coefficients)
 
 
 def field_at(f, pts):

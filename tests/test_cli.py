@@ -265,6 +265,9 @@ def test_simulate_without_steps_writes_nothing(tmp_path, capsys):
     (("--n-list", "0,8"), "error: resolutions must be positive"),
     (("--n-list", "4", "--t-final", "0.5"), "error: tau = pi/4 exceeds"),
     (("--n-list", "4,4"), "error: resolutions must be ascending"),
+    (("--n-list", "1,2", "--t-final", "4"),
+     "error: resolutions must be positive cell counts of at least 2, got "
+     "[1, 2]"),
 ])
 def test_eoc_rejects_bad_inputs_before_writing(tmp_path, capsys, argv,
                                                message):

@@ -100,6 +100,27 @@ def test_basis_gradients_match_finite_differences(unit_mesh, rng):
         assert grad[:, :, d] == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("make_space", [velocity_space, pressure_space],
+                         ids=["velocity", "pressure"])
+def test_interpolate_node_values_round_trip(unit_mesh, make_space):
+    space = make_space(unit_mesh)
+    vector = space.components == 2
+
+    def fn(p):
+        vals = np.column_stack([np.sin(p[:, 0]) + p[:, 1], p[:, 0] * p[:, 1]])
+        return vals if vector else vals[:, 0]
+
+    f = interpolate(space, fn)
+    nodal = fn(space.node_coords).reshape(space.n_nodes, space.components)
+    assert np.array_equal(f.node_values(), nodal)
+    # values shaped for the other space, or one node short, are rejected
+    other = (lambda p: np.zeros(len(p))) if vector \
+        else (lambda p: np.zeros((len(p), 2)))
+    for bad in (other, lambda p: fn(p)[:-1]):
+        with pytest.raises(ValueError):
+            interpolate(space, bad)
+
+
 def test_interpolate_constant(unit_mesh):
     space = velocity_space(unit_mesh)
     c = np.array([2.5, -1.25])
@@ -282,7 +303,9 @@ def test_h1_norm_termwise_identity(pi_mesh, rng):
     space = velocity_space(pi_mesh)
     f = FeField(space, rng.normal(size=space.dof_count))
     full = norm(f, "H1")
-    parts = math.sqrt(norm(f, "L2") ** 2 + norm(f, "H1semi") ** 2)
+    tables = quad_tables(pi_mesh)
+    semi_sq = float(tables.integrate(tables.grad_at_quad(f) ** 2).sum())
+    parts = math.sqrt(norm(f, "L2") ** 2 + semi_sq)
     assert full == pytest.approx(parts, rel=1e-13)
 
 
@@ -305,7 +328,8 @@ def test_field_mean(pi_mesh):
 
 def test_unknown_norm_kind_rejected(pi_mesh):
     f = zero_field(pressure_space(pi_mesh))
-    with pytest.raises(ValueError):
-        norm(f, "L7")
+    for kind in ("L7", "H1semi"):
+        with pytest.raises(ValueError):
+            norm(f, kind)
     with pytest.raises(ValueError):
         error_norm(f, lambda p, t: np.zeros(len(p)), "Linf", t=0.0)

@@ -17,7 +17,9 @@ from test_kernel_references import exhaustive_reference
 def test_structured_counts_and_hmax():
     m = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 4)
     assert m.n_triangles == 32
-    assert m.h_max == pytest.approx(math.sqrt(2.0) * math.pi / 4.0, rel=1e-14)
+    edges = m.vertices[m.triangles[:, [1, 2, 0]]] - m.vertices[m.triangles]
+    h_max = np.sqrt((edges ** 2).sum(-1)).max()
+    assert h_max == pytest.approx(math.sqrt(2.0) * math.pi / 4.0, rel=1e-14)
 
 
 def test_area_tiling_unit_square():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from porousflow.assembly import (linear_drag_weight, make_context,
                                  quadratic_drag_weight)
 from porousflow.fem import interpolate
 from porousflow.porous import (
+    SINUSOIDAL_GAMMA,
     TWO_LAYER_EPS,
     PhysicalParams,
     PorosityField,
@@ -13,6 +16,14 @@ from porousflow.porous import (
     linear_drag_coeff,
     validate_porosity_admissibility,
 )
+
+# essential infimum and supremum of each bundled porosity over its domain;
+# the mms-sine supremum: 2y/5 stays below pi/2 on [0, pi], sin increases
+POROSITY_RANGES = {
+    "mms-sine": (2.0 / 3.0, (2.0 + math.sin(0.4 * math.pi)) / 3.0),
+    "two-layer": (0.4, 0.8),
+    "sinusoidal": SINUSOIDAL_GAMMA,
+}
 
 
 def permeability_oracle(phi, p: PhysicalParams):
@@ -102,26 +113,27 @@ def test_drag_force_value(params, unit_mesh):
 def test_drag_dissipates(params, unit_mesh, rng):
     # porosity ramping over [0.05, 1] across the unit square
     ramp = PorosityField("ramp", lambda p: 0.05 + 0.95 * p[:, 0],
-                         lambda p: np.tile([0.95, 0.0], (len(p), 1)),
-                         0.05, 1.0)
+                         lambda p: np.tile([0.95, 0.0], (len(p), 1)))
     drag, uq = step_drag(ramp, lambda p: rng.normal(0, 2.0, (len(p), 2)),
                          unit_mesh, params)
     power = (drag * uq).sum(axis=-1)
     assert (power <= 1e-14).all()
 
 
-def test_alpha_constant(params):
+def test_alpha_constant(params, rng):
     # the linear drag floor a (1-phi1)^2 / (d_p^2 phi1^2), at the supremum
+    # phi1 of a constant field: its one value
+    pts = rng.uniform(0.0, 1.0, (50, 2))
     one = builtin_porosity("constant", value=1.0)
-    assert linear_drag_coeff(one.phi1, params) == 0.0
+    assert linear_drag_coeff(one.value(pts).max(), params) == 0.0
     mixed = builtin_porosity("constant", value=0.8)
-    assert linear_drag_coeff(mixed.phi1, params) == pytest.approx(3750.0,
-                                                                  rel=1e-12)
+    assert linear_drag_coeff(mixed.value(pts).max(), params) \
+        == pytest.approx(3750.0, rel=1e-12)
 
 
 def test_alpha_lower_bounds_drag_on_grid(params, rng):
     field = builtin_porosity("sinusoidal")
-    alpha = linear_drag_coeff(field.phi1, params)
+    alpha = linear_drag_coeff(POROSITY_RANGES["sinusoidal"][1], params)
     pts = np.column_stack([rng.uniform(0, 3 * np.pi, 4000),
                            rng.uniform(0, np.pi, 4000)])
     lin = linear_drag_coeff(field.value(pts), params)
@@ -190,7 +202,10 @@ def test_builtin_values():
     assert two.value(pts) == pytest.approx([0.6, 0.4, 0.8], abs=1e-14)
     sin = builtin_porosity("sinusoidal")
     assert sin.value(np.array([[0.0, 0.0]]))[0] == pytest.approx(0.4)
-    assert sin.phi0 == 0.15 and sin.phi1 == 0.65
+    assert POROSITY_RANGES["sinusoidal"] == (0.15, 0.65)
+    # the extremes, where |sin 2y cos 2x| = 1
+    extremes = np.array([[np.pi / 2, np.pi / 4], [0.0, np.pi / 4]])
+    assert sin.value(extremes) == pytest.approx([0.15, 0.65], abs=1e-15)
 
 
 def test_builtin_range(rng):
@@ -202,8 +217,9 @@ def test_builtin_range(rng):
                                rng.uniform(*bounds[1], 2000)])
         vals = field.value(pts)
         assert (vals > 0).all() and (vals <= 1).all()
-        assert vals.min() >= field.phi0 - 1e-12
-        assert vals.max() <= field.phi1 + 1e-12
+        phi0, phi1 = POROSITY_RANGES[name]
+        assert vals.min() >= phi0 - 1e-12
+        assert vals.max() <= phi1 + 1e-12
 
 
 def test_builtin_gradients_match_central_differences(rng):
