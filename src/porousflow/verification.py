@@ -3,8 +3,11 @@ quadrature identity checks.
 
 The manufactured forcing is derived symbolically from the closed-form
 velocity, pressure, and porosity by ``tests/mms_derivation.py``, which
-prints it as the vectorized numpy functions of the generated module
-``porousflow._mms_generated``; the program runs those and needs no sympy.
+separates every quantity into powers of ``e^{-2t}`` times functions of the
+point and prints those spatial factors as the vectorized numpy functions of
+the generated module ``porousflow._mms_generated``; the program evaluates
+them once per point set, combines them with the time factors at each call,
+and needs no sympy.
 The test suite checks the module against the derivation, and a
 finite-difference oracle cross-checks the derivation, so no
 hand-transcribed derivative ever enters the pipeline.
@@ -49,7 +52,13 @@ from porousflow.scheme import ProblemSetup, run
 
 @dataclass(frozen=True)
 class MmsCase:
-    """Closed-form flow with the forcing that makes it an exact solution."""
+    """Closed-form flow with the forcing that makes it an exact solution.
+
+    Each quantity is a function of ``(points, t)``; one case evaluates the
+    spatial factors of all four once per point set (see
+    :class:`_SpatialTables`) and each call combines them with the powers of
+    ``e^{-2t}``, so the per-step calls of a run on fixed points cost a few
+    array operations."""
 
     params: PhysicalParams
     porosity: PorosityField
@@ -63,17 +72,54 @@ class MmsCase:
                                    lambda pts: self.grad_u(pts, t))
 
 
-def _stack(fn, shape):
-    """One function of ``(points, t)`` for the generated ``fn`` of ``(x, y,
-    t)``, its components stacked to ``shape`` at each point."""
+class _SpatialTables:
+    """The generated spatial factors of one case at its most recently used
+    point sets.
+
+    A point set is found by value (same shape and equal entries) against a
+    private copy, so a caller that edits its array in place gets the new
+    points' values; each set is held once, with the tables of every
+    quantity evaluated there.  At most ``SIZE`` sets are held, the least
+    recently used dropped first: a step of a run uses its quadrature points
+    and Dirichlet nodes, the start and the end its finite-element nodes, and
+    one-off sets (the Dirichlet feet of the characteristics) pass through."""
+
+    SIZE = 4
+
+    def __init__(self):
+        self._held: list[tuple[np.ndarray, dict]] = []   # most recent first
+
+    def at(self, pts: np.ndarray) -> dict:
+        """The tables (by quantity name) held for ``pts``, empty when
+        ``pts`` is new."""
+        for i, (held, tables) in enumerate(self._held):
+            if held.shape == pts.shape and np.array_equal(held, pts):
+                self._held.insert(0, self._held.pop(i))
+                return tables
+        tables: dict = {}
+        self._held.insert(0, (pts.copy(), tables))
+        del self._held[self.SIZE:]
+        return tables
+
+
+def _stack(tables: _SpatialTables, name: str, shape):
+    """One function of ``(points, t)`` for the generated ``name`` of ``(x,
+    y)``: ``sum_k e^{-2kt} c_k(points)``, each ``c_k`` stacked to ``shape``
+    at each point and memoized in ``tables``."""
+    fn = getattr(_mms_generated, name)
 
     def call(pts, t):
         pts = np.asarray(pts, dtype=float)
-        x, y = pts[:, 0], pts[:, 1]
-        cols = [np.broadcast_to(np.asarray(v, dtype=float), x.shape)
-                for v in fn(x, y, t)]
-        out = np.stack(cols, axis=-1)
-        return out.reshape((len(pts),) + shape)
+        held = tables.at(pts)
+        if name not in held:
+            x, y = pts[:, 0], pts[:, 1]
+            held[name] = [
+                (k, np.stack([np.broadcast_to(np.asarray(v, dtype=float),
+                                              x.shape) for v in comps],
+                             axis=-1).reshape((len(pts),) + shape))
+                for k, comps in fn(x, y)]
+        decay = np.exp(-2.0 * t)
+        return sum(decay ** k * c for k, c in held[name])
 
     return call
 
@@ -81,15 +127,17 @@ def _stack(fn, shape):
 def build_mms_case() -> MmsCase:
     """Stream-function flow ``psi = sin^3 x sin^3 y e^{-2t}`` with pressure
     ``sin x sin y e^{-2t}`` over the ``mms-sine`` porosity ``(2 +
-    sin(2y/5))/3``, with the default physical parameters, from the
-    functions of :mod:`porousflow._mms_generated`."""
+    sin(2y/5))/3``, with the default physical parameters, from the spatial
+    factors of :mod:`porousflow._mms_generated`, memoized per point set in
+    one :class:`_SpatialTables` of the case."""
+    tables = _SpatialTables()
     return MmsCase(
         params=PhysicalParams(),
         porosity=builtin_porosity("mms-sine"),
-        u=_stack(_mms_generated.u, (2,)),
-        grad_u=_stack(_mms_generated.grad_u, (2, 2)),
-        p=_stack(_mms_generated.p, ()),
-        f=_stack(_mms_generated.f, (2,)),
+        u=_stack(tables, "u", (2,)),
+        grad_u=_stack(tables, "grad_u", (2, 2)),
+        p=_stack(tables, "p", ()),
+        f=_stack(tables, "f", (2,)),
     )
 
 

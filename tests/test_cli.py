@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from porousflow import cases, scheme
+from porousflow import cases, cli, scheme
 from porousflow.cli import main, parse_config_file
 from porousflow.fem import eval_field_many, interpolate, zero_field
 from porousflow.mesh import locate_many
+from porousflow.verification import EocRecord
 from snapshot_reference import snapshot_text_reference
 
 
@@ -182,6 +183,32 @@ def test_eoc_subcommand_writes_csv(tmp_path, capsys):
     lines = (out / "eoc.csv").read_text().splitlines()
     assert lines[0] == "N,h,Er1,slope1,Er2,slope2"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("slopes, code, verdicts", [
+    ((2.5, 2.0), 1, ("Er1: 2.50 in [1.7, 2.4] -> FAIL",
+                     "Er2: 2.00 in [1.7, 2.6] -> PASS")),
+    ((2.0, 2.5), 0, ("Er1: 2.00 in [1.7, 2.4] -> PASS",
+                     "Er2: 2.50 in [1.7, 2.6] -> PASS")),
+])
+def test_eoc_checks_each_slope_against_its_own_band(tmp_path, capsys,
+                                                    monkeypatch, slopes,
+                                                    code, verdicts):
+    """The Er1 slope has the band [1.7, 2.4] of acceptance criterion 1 and
+    the Er2 slope [1.7, 2.6], so 2.5 fails for Er1 and passes for Er2."""
+    def study(n_list, t_final, progress):
+        return [EocRecord(n=8, h=0.4, er1=0.1, er2=0.1, final_rel1=0.1,
+                          final_rel2=0.1),
+                EocRecord(n=16, h=0.2, er1=0.02, er2=0.02, slope1=slopes[0],
+                          slope2=slopes[1], final_rel1=0.02,
+                          final_rel2=0.02)]
+
+    monkeypatch.setattr(cli, "run_eoc", study)
+    assert run_cli("eoc", "--n-list", "8,16",
+                   "--out-dir", str(tmp_path / "eoc")) == code
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("slope check")]
+    assert checks == [f"slope check N=16 {v}" for v in verdicts]
 
 
 def test_validate_porosity_two_layer_reports_failure(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porousflow.characteristics as characteristics
+from porousflow import _mms_generated
 from porousflow.assembly import (
     _scatter_matrix,
     _vectorize_scalar_local,
@@ -669,6 +670,9 @@ def test_error_norms_match_the_rebuilt_tables(mms_case):
 
 
 def test_mms_stacks_match_per_expression_lambdify(mms_case):
+    """The case's functions, which combine the separated spatial factors of
+    the generated module with powers of e^{-2t}, against each expression of
+    the derivation in ``(x, y, t)``."""
     import sympy as sp
 
     from mms_derivation import derive
@@ -679,6 +683,9 @@ def test_mms_stacks_match_per_expression_lambdify(mms_case):
     mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 6)
     pts = mesh.vertices[mesh.triangles].mean(axis=1)
     for name, exprs, shape in stacks:
+        terms = getattr(_mms_generated, name)(pts[:, 0], pts[:, 1])
+        assert [k for k, _ in terms] == ([1, 2] if name == "f" else [1])
+        assert all(len(comps) == len(exprs) for _, comps in terms)
         ref = lambdify_reference(args, exprs, shape)
         for t in (0.0, 0.45):
             value = getattr(mms_case, name)(pts, t)

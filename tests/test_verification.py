@@ -20,7 +20,10 @@ from porousflow.porous import (
     linear_drag_coeff,
 )
 from porousflow.verification import (
+    _SpatialTables,
+    _stack,
     ab2_consistency_check,
+    build_mms_case,
     default_consistency_field,
     transport_identity_check,
     run_eoc,
@@ -115,6 +118,79 @@ def test_manufactured_point_values(mms_case):
     assert mms_case.p(pt, 0.0)[0] == pytest.approx(0.70711, rel=1e-5)
 
 
+def _mms_points(n_div=6):
+    mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), n_div)
+    return mesh.vertices[mesh.triangles].mean(axis=1)
+
+
+_MMS_NAMES = ("u", "grad_u", "p", "f")
+
+
+def test_manufactured_memo_hit_equals_a_cold_case():
+    """A call on held points (the spatial tables reused) gives the bits a
+    fresh case computes, the tables built on the spot."""
+    warm = build_mms_case()
+    pts = _mms_points()
+    for name in _MMS_NAMES:
+        getattr(warm, name)(pts, 0.2)
+    for t in (0.0, 0.45, 1.3):
+        cold = build_mms_case()
+        for name in _MMS_NAMES:
+            assert np.array_equal(getattr(warm, name)(pts.copy(), t),
+                                  getattr(cold, name)(pts, t))
+
+
+def test_manufactured_values_follow_points_edited_in_place():
+    case = build_mms_case()
+    pts = _mms_points()
+    before = {name: getattr(case, name)(pts, 0.3) for name in _MMS_NAMES}
+    pts[:, 0] += 0.05
+    pts[3, 1] = 1.0
+    for name in _MMS_NAMES:
+        value = getattr(case, name)(pts, 0.3)
+        assert np.array_equal(value,
+                              getattr(build_mms_case(), name)(pts, 0.3))
+        assert not np.array_equal(value, before[name])
+
+
+def test_manufactured_memo_holds_a_bounded_number_of_point_sets():
+    tables = _SpatialTables()
+    u = _stack(tables, "u", (2,))
+    f = _stack(tables, "f", (2,))
+    pts = _mms_points()
+    u(pts, 0.1)
+    f(pts, 0.1)
+    assert len(tables._held) == 1     # one entry per point set, not per name
+    for i in range(3 * _SpatialTables.SIZE):
+        f(pts + 0.01 * i, 0.1)
+        u(pts[: 5 + i], 0.1)
+        assert len(tables._held) <= _SpatialTables.SIZE
+    # the most recently used sets stay held
+    held = [h for h, _ in tables._held]
+    assert any(np.array_equal(h, pts[: 5 + i]) for h in held)
+
+
+def test_generator_refuses_a_forcing_that_does_not_separate(monkeypatch):
+    """Every quantity must be a polynomial in e^{-2t} with coefficients
+    free of t; the generator raises on a forcing that is not."""
+    sp = pytest.importorskip("sympy")
+    import mms_derivation
+
+    derive = mms_derivation.derive
+    (x, y, t), _ = derive()
+    mms_derivation.generate()   # the derivation itself separates
+    for extra in (sp.sin(t), t * sp.exp(-2 * t), sp.exp(-t) * x):
+        def mutant(extra=extra):
+            args, stacks = derive()
+            return args, [(name, [e + extra for e in exprs]
+                           if name == "f" else exprs, shape)
+                          for name, exprs, shape in stacks]
+
+        monkeypatch.setattr(mms_derivation, "derive", mutant)
+        with pytest.raises(ValueError, match=r"e\^\(-2t\)"):
+            mms_derivation.generate()
+
+
 # -- convergence records -----------------------------------------------------------
 
 def test_run_eoc_structure_and_monotonicity(tmp_path):
@@ -131,6 +207,24 @@ def test_run_eoc_structure_and_monotonicity(tmp_path):
     assert lines[0] == "N,h,Er1,slope1,Er2,slope2"
     assert len(lines) == 3
     assert lines[1].split(",")[3] == ""  # no slope at the first resolution
+
+
+# the study as recorded before the manufactured solution was separated into
+# time and space factors: (N, er1, er2, final_rel1, final_rel2)
+_EOC_8_16 = [
+    (8, 0.6146937044117049, 0.6931358722946761, 0.33319831025086766,
+     1.5488458348525709),
+    (16, 0.38724470007055933, 0.6036317791371013, 0.07509782846232303,
+     0.07920302432709297),
+]
+
+
+def test_run_eoc_reproduces_the_recorded_study():
+    records = run_eoc([8, 16])
+    got = [(r.n, r.er1, r.er2, r.final_rel1, r.final_rel2) for r in records]
+    assert [g[0] for g in got] == [w[0] for w in _EOC_8_16]
+    for g, w in zip(got, _EOC_8_16):
+        assert g[1:] == pytest.approx(w[1:], rel=1e-10, abs=0.0)
 
 
 _NO_SYMPY_SCRIPT = textwrap.dedent("""
