@@ -19,15 +19,11 @@ import numpy as np
 import scipy.sparse as sparse
 
 from porousflow.fem import (
-    P2_VECTOR,
     FeField,
-    QuadratureRule,
     QuadTables,
     SpaceDescriptor,
-    eval_basis,
     pressure_space,
     quad_tables,
-    tri_quadrature,
     velocity_space,
 )
 from porousflow.mesh import Mesh
@@ -41,38 +37,25 @@ from porousflow.porous import (
 
 @dataclass
 class FormContext:
-    """Mesh, spaces, porosity, constants, and the mesh's quadrature tables
-    of the context's rule (see :func:`porousflow.fem.quad_tables`)."""
+    """Mesh, spaces, porosity, constants, the mesh's quadrature tables (see
+    :func:`porousflow.fem.quad_tables`) and the porosity at their points."""
 
     mesh: Mesh
     vspace: SpaceDescriptor
     pspace: SpaceDescriptor
     porosity: PorosityField
     params: PhysicalParams
-    quad: QuadratureRule
 
-    # tables of the rule, shared with the mesh's norms and error norms
+    # shared with the mesh's norms and error norms
     tables: QuadTables = field(init=False, repr=False)
-    wxarea: np.ndarray = field(init=False, repr=False)     # (nt, nq)
-    qpoints: np.ndarray = field(init=False, repr=False)    # (nt, nq, 2)
-    qpoints_flat: np.ndarray = field(init=False, repr=False)
-    p1_vals: np.ndarray = field(init=False, repr=False)    # (nq, 3)
-    p2_vals: np.ndarray = field(init=False, repr=False)    # (nq, 6)
     phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
     _volume: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.tables = quad_tables(self.mesh, self.quad)
-        self.wxarea, self.qpoints = self.tables.wxarea, self.tables.qpoints
-        self.p1_vals, self.p2_vals = self.tables.p1_vals, self.tables.p2_vals
-        nt, nq = self.wxarea.shape
-        self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
-        self.phi_q = np.asarray(self.porosity.value(self.qpoints_flat),
-                                dtype=float).reshape(nt, nq)
-
-    def velocity_at_quad(self, f: FeField) -> np.ndarray:
-        """Values of a velocity field at all quadrature points, (nt, nq, 2)."""
-        return self.tables.at_quad(f)
+        self.tables = quad_tables(self.mesh)
+        self.phi_q = np.asarray(
+            self.porosity.value(self.tables.qpoints_flat),
+            dtype=float).reshape(self.tables.wxarea.shape)
 
     def volume_vector(self) -> np.ndarray:
         """Pressure basis integrals (cached, see
@@ -82,10 +65,10 @@ class FormContext:
         return self._volume
 
 
-def make_context(mesh: Mesh, porosity: PorosityField, params: PhysicalParams,
-                 quad_degree: int = 5) -> FormContext:
+def make_context(mesh: Mesh, porosity: PorosityField,
+                 params: PhysicalParams) -> FormContext:
     return FormContext(mesh, velocity_space(mesh), pressure_space(mesh),
-                       porosity, params, tri_quadrature(quad_degree))
+                       porosity, params)
 
 
 # -- scatter helpers -------------------------------------------------------------
@@ -103,7 +86,7 @@ def _scatter_vector(dofs, local, size) -> np.ndarray:
 def _velocity_load(ctx: FormContext, values: np.ndarray) -> np.ndarray:
     """Load vector (v, .) of velocity-valued quadrature-point values
     (nt, nq, 2): one product with the transposed P2 value table."""
-    local = (ctx.wxarea[:, :, None] * values).reshape(len(values), -1) \
+    local = (ctx.tables.wxarea[:, :, None] * values).reshape(len(values), -1) \
         @ ctx.tables.p2_table.T                               # (nt, 12)
     return _scatter_vector(ctx.vspace.cell_dofs, local, ctx.vspace.dof_count)
 
@@ -119,8 +102,8 @@ def _vectorize_scalar_local(s_local: np.ndarray) -> np.ndarray:
 
 def _vector_mass(ctx: FormContext, weight: np.ndarray) -> sparse.csr_matrix:
     """Velocity mass matrix with a per-quadrature-point scalar weight."""
-    v = ctx.p2_vals
-    s_local = np.einsum("tq,qn,qm->tnm", ctx.wxarea * weight, v, v)
+    v = ctx.tables.p2_vals
+    s_local = np.einsum("tq,qn,qm->tnm", ctx.tables.wxarea * weight, v, v)
     local = _vectorize_scalar_local(s_local)
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count
@@ -132,10 +115,11 @@ def _vector_mass(ctx: FormContext, weight: np.ndarray) -> sparse.csr_matrix:
 def _gradient_products(ctx: FormContext) -> np.ndarray:
     """Integrals of ``d_d phi_n * d_c phi_m`` over each triangle ``t``,
     (nt, 6, 2, 6, 2) indexed ``(t, n, c, m, d)``: the area times one reference
-    tensor of the context's rule contracted with the triangle's constant
+    tensor of the degree-5 rule contracted with the triangle's constant
     ``grad_lambda`` (Kirby & Logg, ACM TOMS 32(3), 2006)."""
-    d = eval_basis(P2_VECTOR, ctx.quad.points)[1]             # (nq, 6, 3)
-    ref = np.einsum("q,qnj,qmk->jknm", ctx.quad.weights, d, d)
+    tables = ctx.tables
+    d = tables.p2_dlam                                        # (nq, 6, 3)
+    ref = np.einsum("q,qnj,qmk->jknm", tables.weights, d, d)
     return np.einsum("t,jknm,tjd,tkc->tncmd", ctx.mesh.areas, ref,
                      ctx.mesh.grad_lambda, ctx.mesh.grad_lambda, optimize=True)
 
@@ -152,8 +136,9 @@ def viscous_elements(ctx: FormContext) -> np.ndarray:
 def divergence_elements(ctx: FormContext) -> np.ndarray:
     """Element matrices of the divergence coupling -(div v, q), (nt, 3, 12)
     from each triangle's velocity unknowns to its pressure unknowns."""
-    d = eval_basis(P2_VECTOR, ctx.quad.points)[1]
-    ref = np.einsum("q,qi,qnj->inj", ctx.quad.weights, ctx.p1_vals, d)
+    tables = ctx.tables
+    ref = np.einsum("q,qi,qnj->inj", tables.weights, tables.p1_vals,
+                    tables.p2_dlam)
     local = -np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
                        ctx.mesh.grad_lambda, optimize=True)
     return local.reshape(-1, 3, 12)
@@ -171,7 +156,7 @@ def quadratic_drag_weight(theta_field: FeField,
     if theta_field.space is not ctx.vspace:
         if theta_field.space.dof_count != ctx.vspace.dof_count:
             raise ValueError("theta_field must live on the velocity space")
-    theta = ctx.velocity_at_quad(theta_field)
+    theta = ctx.tables.at_quad(theta_field)
     speed = np.sqrt(theta[..., 0] ** 2 + theta[..., 1] ** 2)
     return ctx.params.rho * forchheimer_coeff(ctx.phi_q, ctx.params) * speed
 
@@ -190,9 +175,10 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
 
 def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:
     """Load vector (f(t), v) of an analytic ``f(points [, t])``."""
-    nt, nq = ctx.wxarea.shape
-    fv = f(ctx.qpoints_flat) if t is None else f(ctx.qpoints_flat, t)
-    return _velocity_load(ctx, np.asarray(fv, dtype=float).reshape(nt, nq, 2))
+    pts = ctx.tables.qpoints_flat
+    fv = f(pts) if t is None else f(pts, t)
+    return _velocity_load(ctx, np.asarray(fv, dtype=float).reshape(
+        *ctx.tables.wxarea.shape, 2))
 
 
 def assemble_mass_phi_rhs(bracket: np.ndarray, ctx: FormContext,
@@ -200,12 +186,12 @@ def assemble_mass_phi_rhs(bracket: np.ndarray, ctx: FormContext,
     """Time-derivative load of one step: ``scale`` times the load of the
     composed transport ``bracket``, its values (already multiplied by the
     porosity) at the context's flattened quadrature points."""
-    nt, nq = ctx.wxarea.shape
-    return scale * _velocity_load(ctx, bracket.reshape(nt, nq, 2))
+    return scale * _velocity_load(
+        ctx, bracket.reshape(*ctx.tables.wxarea.shape, 2))
 
 
 def pressure_volume_vector(ctx: FormContext) -> np.ndarray:
     """Integrals of the pressure basis functions, used by the mean gauge."""
-    local = np.einsum("tq,qi->ti", ctx.wxarea, ctx.p1_vals)
+    local = np.einsum("tq,qi->ti", ctx.tables.wxarea, ctx.tables.p1_vals)
     return _scatter_vector(ctx.pspace.cell_dofs, local, ctx.pspace.dof_count)
 

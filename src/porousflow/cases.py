@@ -39,7 +39,7 @@ class CaseDefinition:
     constants: dict = field(default_factory=dict)
 
     def nominal_h(self, n: int | None = None) -> float:
-        n = n or self.default_n
+        n = self.default_n if n is None else n
         return (self.x_extent[1] - self.x_extent[0]) / n
 
 
@@ -124,10 +124,11 @@ def case_names() -> list[str]:
 
 
 def build_case_mesh(case: CaseDefinition, n: int | None = None) -> Mesh:
-    """The case's mesh at ``n`` cells along x, graded when the case has a
-    layer grading."""
+    """The case's mesh at ``n`` cells along x (the case's ``default_n``
+    when ``None``), graded when the case has a layer grading."""
     return generate_rect_mesh(case.x_extent, case.y_extent,
-                              n or case.default_n, grading=case.grading,
+                              case.default_n if n is None else n,
+                              grading=case.grading,
                               tag_rule=case.tag_rule)
 
 
@@ -136,7 +137,6 @@ def build_setup(case: CaseDefinition, n: int | None = None,
     """Mesh + context (degree-5 quadrature) + problem setup for a case at
     the given resolution: the Dirichlet edges keep the initial profile, and
     no body force acts."""
-    n = n or case.default_n
     mesh = build_case_mesh(case, n)
     ctx = make_context(mesh, case.porosity, case.params)
     setup = ProblemSetup(

@@ -7,13 +7,15 @@ velocity components first (the two components of a node are adjacent),
 followed by the pressure unknowns, which fixes the block layout of the
 coupled systems downstream.
 
-Triangle quadrature comes in two flavors: the classical 7-point rule, exact
-to degree 5 and used as the default everywhere, and conical-product rules of
-arbitrary degree assembled from Gauss-Jacobi/Gauss-Legendre points for the
-high-accuracy diagnostics.  Weights are normalized to sum to one; integrals
-are ``area * sum(w_i * f_i)`` per element.  The tables of a rule on a mesh
-are built once and kept on the mesh (:func:`quad_tables`), so the norms, the
-error norms and the form context of one mesh share them.
+Every form, norm and composite term ``u_h o X`` is integrated with one
+triangle rule, the classical 7-point rule exact to degree 5.  Its tables on
+a mesh (points, weights times areas, basis values and derivatives) are built
+once and kept on the mesh (:func:`quad_tables`), so the forms, the norms and
+the error norms of one mesh share them.  :func:`tri_quadrature` also builds
+conical-product rules of higher degree from Gauss-Jacobi/Gauss-Legendre
+points, which only the checks of analytic integrals use.  Weights are
+normalized to sum to one; integrals are ``area * sum(w_i * f_i)`` per
+element.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ P1_SCALAR = "p1-scalar"
 class QuadratureRule:
     """Symmetric rule on the reference triangle, barycentric points."""
 
-    degree: int
     points: np.ndarray   # (nq, 3)
     weights: np.ndarray  # (nq,), sums to 1
 
@@ -52,7 +53,7 @@ def _radon7() -> QuadratureRule:
         c = 1.0 - 2.0 * a
         pts += [(c, a, a), (a, c, a), (a, a, c)]
         wts += [w, w, w]
-    return QuadratureRule(5, np.array(pts), np.array(wts))
+    return QuadratureRule(np.array(pts), np.array(wts))
 
 
 def _conical(degree: int) -> QuadratureRule:
@@ -69,20 +70,11 @@ def _conical(degree: int) -> QuadratureRule:
     y = (vv * (1.0 - uu)).ravel()
     w = 2.0 * np.outer(wu, wv).ravel()       # normalize: weights sum to 1
     pts = np.column_stack([1.0 - x - y, x, y])
-    return QuadratureRule(degree, pts, w)
-
-
-_MIDPOINT = QuadratureRule(
-    2,
-    np.array([(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]),
-    np.full(3, 1.0 / 3.0),
-)
+    return QuadratureRule(pts, w)
 
 
 def tri_quadrature(degree: int) -> QuadratureRule:
     """Rule exact for polynomials of total degree <= ``degree``."""
-    if degree <= 2:
-        return _MIDPOINT
     if degree <= 5:
         return _radon7()
     return _conical(degree)
@@ -141,25 +133,25 @@ class SpaceDescriptor:
 
     mesh: Mesh
     kind: str
-    components: int
-    n_nodes: int
     node_coords: np.ndarray          # (n_nodes, 2)
     cell_nodes: np.ndarray           # (nt, 3|6) scalar node ids per cell
     # (nbe,) midpoint node of each boundary edge (P2 only)
     boundary_midpoints: np.ndarray | None = field(default=None, repr=False)
-    cell_dofs: np.ndarray = field(default=None, repr=False)
+    # (nt, nb*c) unknowns per cell, the c components of a node adjacent
+    cell_dofs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.cell_dofs is None:
-            if self.components == 1:
-                self.cell_dofs = self.cell_nodes
-            else:
-                nt, nl = self.cell_nodes.shape
-                d = np.empty((nt, nl * self.components), dtype=np.int64)
-                for c in range(self.components):
-                    d[:, c::self.components] = \
-                        self.components * self.cell_nodes + c
-                self.cell_dofs = d
+        c = self.components
+        self.cell_dofs = (c * self.cell_nodes[:, :, None] + np.arange(c)) \
+            .reshape(len(self.cell_nodes), -1)
+
+    @property
+    def components(self) -> int:
+        return 2 if self.kind == P2_VECTOR else 1
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.node_coords)
 
     @property
     def dof_count(self) -> int:
@@ -184,14 +176,13 @@ def velocity_space(mesh: Mesh) -> SpaceDescriptor:
     coords[rank] = 0.5 * (mesh.vertices[keys // nv] + mesh.vertices[keys % nv])
     bends = np.sort(mesh.boundary_edges, axis=1)
     midpoints = rank[np.searchsorted(keys, bends[:, 0] * nv + bends[:, 1])]
-    return SpaceDescriptor(mesh, P2_VECTOR, 2, len(coords), coords,
-                           cell_nodes, midpoints)
+    return SpaceDescriptor(mesh, P2_VECTOR, coords, cell_nodes, midpoints)
 
 
 def pressure_space(mesh: Mesh) -> SpaceDescriptor:
     """Scalar P1 space on the mesh vertices."""
-    return SpaceDescriptor(mesh, P1_SCALAR, 1, mesh.n_vertices,
-                           mesh.vertices.copy(), mesh.triangles.copy())
+    return SpaceDescriptor(mesh, P1_SCALAR, mesh.vertices.copy(),
+                           mesh.triangles.copy())
 
 
 @dataclass
@@ -251,33 +242,43 @@ def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:
 # -- quadrature tables and norms ------------------------------------------------
 
 class QuadTables:
-    """One quadrature rule tabulated on one mesh.
+    """The degree-5 rule tabulated on one mesh: the only source of
+    quadrature points, weights and basis tables of the forms and norms.
 
-    Holds the weights times areas ``wxarea`` (nt, nq), the physical points
-    ``qpoints`` (nt, nq, 2), the reference basis values ``p1_vals`` (nq, 3)
-    and ``p2_vals`` (nq, 6), and the tables that turn a field's per-cell
-    coefficients ``coefficients[cell_dofs]`` (nt, nb*c) into its values and
-    gradients at all quadrature points with one matrix product each.  Built
-    by :func:`quad_tables`, once per mesh and rule.
+    Holds the rule's ``weights`` (nq,), the weights times areas ``wxarea``
+    (nt, nq), the physical points ``qpoints`` (nt, nq, 2) and
+    ``qpoints_flat`` (nt*nq, 2), the reference basis values ``p1_vals``
+    (nq, 3) and ``p2_vals`` (nq, 6), the P2 barycentric derivatives
+    ``p2_dlam`` (nq, 6, 3), the scalar P2 products ``p2_products`` (nq, 36),
+    and the tables that turn a field's per-cell coefficients
+    ``coefficients[cell_dofs]`` (nt, nb*c) into its values and gradients at
+    all quadrature points with one matrix product each.  Built by
+    :func:`quad_tables`, once per mesh.
     """
 
-    def __init__(self, mesh: Mesh, rule: QuadratureRule):
+    def __init__(self, mesh: Mesh):
+        rule = tri_quadrature(5)
         # no reference to the mesh itself: the mesh keeps the tables, and a
         # cycle would hold both until the garbage collector runs
         self._grad_lambda = mesh.grad_lambda
+        self.weights = rule.weights
         self.p1_vals, p1_dlam = eval_basis(P1_SCALAR, rule.points)
-        self.p2_vals, p2_dlam = eval_basis(P2_VECTOR, rule.points)
+        self.p2_vals, self.p2_dlam = eval_basis(P2_VECTOR, rule.points)
+        v = self.p2_vals
+        self.p2_products = (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
         self.wxarea = rule.weights[None, :] * mesh.areas[:, None]
         self.qpoints = np.einsum("qi,tid->tqd", rule.points,
                                  mesh.vertices[mesh.triangles])
-        nq = len(rule.weights)
+        nt, nq = self.wxarea.shape
+        self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
         # value table (nb*c, nq*c): entry (n*c + c', q*c + c'') is vals[q, n]
         # where c' == c'' and 0 elsewhere; the gradient table holds the
         # derivatives by the three barycentric coordinates j in column blocks
         # (j*nq + q)*c + c''
         self._tables = {}
         for kind, c, vals, dlam in ((P1_SCALAR, 1, self.p1_vals, p1_dlam),
-                                    (P2_VECTOR, 2, self.p2_vals, p2_dlam)):
+                                    (P2_VECTOR, 2, self.p2_vals,
+                                     self.p2_dlam)):
             eye = np.eye(c)
             d = dlam.transpose(1, 2, 0).reshape(vals.shape[1], 3 * nq)
             self._tables[kind] = (np.kron(vals.T, eye), np.kron(d, eye))
@@ -305,22 +306,19 @@ class QuadTables:
         return self.wxarea.reshape(-1) @ values.reshape(self.wxarea.size, -1)
 
 
-def quad_tables(mesh: Mesh, rule: QuadratureRule | None = None) -> QuadTables:
-    """The :class:`QuadTables` of ``rule`` (default: degree 5) on ``mesh``,
-    built on first use and kept on the mesh."""
-    rule = rule or tri_quadrature(5)
-    key = (rule.points.tobytes(), rule.weights.tobytes())
-    tables = mesh.quad_cache.get(key)
-    if tables is None:
-        tables = mesh.quad_cache[key] = QuadTables(mesh, rule)
-    return tables
+def quad_tables(mesh: Mesh) -> QuadTables:
+    """The :class:`QuadTables` of ``mesh``, built on first use and kept on
+    the mesh."""
+    if mesh.quad_tables is None:
+        mesh.quad_tables = QuadTables(mesh)
+    return mesh.quad_tables
 
 
-def norm(field_: FeField, kind: str = "L2", rule: QuadratureRule | None = None) -> float:
+def norm(field_: FeField, kind: str = "L2") -> float:
     """Quadrature approximation of the L2 or H1 norm of a field."""
     if kind not in ("L2", "H1"):
         raise ValueError(f"unknown norm kind: {kind!r}")
-    tables = quad_tables(field_.space.mesh, rule)
+    tables = quad_tables(field_.space.mesh)
     total = float(tables.integrate(tables.at_quad(field_) ** 2).sum())
     if kind == "H1":
         total += float(tables.integrate(tables.grad_at_quad(field_) ** 2).sum())
@@ -345,7 +343,7 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
     sp = field_.space
     tables = quad_tables(sp.mesh)
     nt, nq = tables.wxarea.shape
-    flat = tables.qpoints.reshape(nt * nq, 2)
+    flat = tables.qpoints_flat
     diff = tables.at_quad(field_) - _call(exact, flat, t).reshape(nt, nq, -1)
     if zero_mean:
         diff = diff - tables.integrate(diff) / float(sp.mesh.areas.sum())

@@ -146,8 +146,8 @@ class Mesh:
         grads[:, 2] = inv[:, 1]
         grads[:, 0] = -inv[:, 0] - inv[:, 1]
         self.grad_lambda = grads
-        # quadrature tables of this mesh by rule, filled by fem.quad_tables
-        self.quad_cache: dict = {}
+        # the quadrature tables of this mesh, filled by fem.quad_tables
+        self.quad_tables = None
 
     @property
     def n_vertices(self) -> int:

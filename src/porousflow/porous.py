@@ -31,8 +31,8 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("mu", "rho", "d_p", "a", "b"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class PorosityField:
 
 def _check_phi(phi):
     phi = np.asarray(phi, dtype=float)
-    if np.any(phi <= 0.0) or np.any(phi > 1.0):
+    # nan fails every comparison: test that each value lies inside
+    if not np.all((phi > 0.0) & (phi <= 1.0)):
         raise ValueError("porosity must lie in (0, 1]")
     return phi
 

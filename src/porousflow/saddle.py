@@ -448,9 +448,6 @@ class StepSolver:
         # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
         self._constant, self._pos = matrix.copy(), pos.copy()
         del matrix, pos
-        # scalar P2 basis products at the quadrature points, (nq, 36)
-        v = ctx.p2_vals
-        self._vv = (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
         # the elements with a fixed unknown lift the right-hand side through
         # their constant blocks [A; B], (m, 15, 12), and their mass-type part
         touched = ~free[dofs[:, :12]].all(axis=1)
@@ -473,7 +470,8 @@ class StepSolver:
         """Constrained matrix and right-hand side for the mass-type weight
         ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
         fixed unknowns."""
-        local = (self.ctx.wxarea * weight) @ self._vv          # (nt, 36)
+        tables = self.ctx.tables
+        local = (tables.wxarea * weight) @ tables.p2_products   # (nt, 36)
         const = self._constant
         data = np.bincount(self._pos, np.repeat(local.ravel(), 2),
                            minlength=const.nnz + 1)[:const.nnz]

@@ -158,8 +158,8 @@ def initial_step(setup: ProblemSetup, u0_field: FeField,
     run's ``solver``: mass and right-hand-side scales ``rho/tau``."""
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
     bracket, clamped = lg1_material_terms(
-        u0_field, ctx.porosity, tau, ctx.qpoints_flat,
-        u0_at=ctx.velocity_at_quad(u0_field).reshape(-1, 2),
+        u0_field, ctx.porosity, tau, ctx.tables.qpoints_flat,
+        u0_at=ctx.tables.at_quad(u0_field).reshape(-1, 2),
         phi_at=ctx.phi_q.ravel(), g0=_bound_dirichlet(setup, 0.0))
     return _advance(setup, 1, bracket, clamped, u0_field, rho / tau,
                     rho / tau, solver)
@@ -175,9 +175,10 @@ def general_step(setup: ProblemSetup, state: SchemeState,
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
     t_k = state.k * tau
     bracket, clamped = ab2_material_terms(
-        state.u_prev, state.u_prev2, ctx.porosity, tau, ctx.qpoints_flat,
-        u_prev_at=ctx.velocity_at_quad(state.u_prev).reshape(-1, 2),
-        u_prev2_at=ctx.velocity_at_quad(state.u_prev2).reshape(-1, 2),
+        state.u_prev, state.u_prev2, ctx.porosity, tau,
+        ctx.tables.qpoints_flat,
+        u_prev_at=ctx.tables.at_quad(state.u_prev).reshape(-1, 2),
+        u_prev2_at=ctx.tables.at_quad(state.u_prev2).reshape(-1, 2),
         phi_at=ctx.phi_q.ravel(), g_prev=_bound_dirichlet(setup, t_k - tau),
         g_prev2=_bound_dirichlet(setup, t_k - 2.0 * tau))
     theta = FeField(ctx.vspace,
@@ -230,8 +231,8 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
         diag = {
             "step": k,
             "t": t_k,
-            "velocity_l2": norm(result.u, "L2", setup.ctx.quad),
-            "pressure_l2": norm(result.p, "L2", setup.ctx.quad),
+            "velocity_l2": norm(result.u, "L2"),
+            "pressure_l2": norm(result.p, "L2"),
             "incompressibility_residual":
                 result.report.incompressibility_residual,
             "algebraic_residual": result.report.algebraic_residual,

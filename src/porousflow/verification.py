@@ -33,7 +33,6 @@ from porousflow.fem import (
     field_mean,
     interpolate,
     norm,
-    quad_tables,
     tri_quadrature,
 )
 from porousflow.mesh import generate_rect_mesh
@@ -296,13 +295,16 @@ def transport_identity_check(u: AnalyticVectorField, porosity: PorosityField,
 
     For divergence-free ``u`` the convective integral equals half the contour
     integral of ``(|u|^2/phi) u.n`` plus half of ``(|u|^2, (u . grad)(1/phi))``.
-    Both sides are evaluated independently by quadrature of the given degree.
+    Both sides are evaluated independently by quadrature of the given degree,
+    from the points and weights of :func:`porousflow.fem.tri_quadrature`
+    alone: the integrands are analytic and need no basis tables.
     """
     mesh = generate_rect_mesh(extents[0], extents[1], n_divisions)
-    tables = quad_tables(mesh, tri_quadrature(degree))
-    wxa, pts = tables.wxarea, tables.qpoints
+    rule = tri_quadrature(degree)
+    wxa = rule.weights[None, :] * mesh.areas[:, None]
     nt, nq = wxa.shape
-    flat = pts.reshape(nt * nq, 2)
+    flat = np.einsum("qi,tid->tqd", rule.points,
+                     mesh.vertices[mesh.triangles]).reshape(nt * nq, 2)
 
     uv = np.asarray(u.value(flat), dtype=float)
     gu = np.asarray(u.grad(flat), dtype=float)
@@ -413,7 +415,7 @@ def steady_stokes_solve(ctx: FormContext, forcing, dirichlet):
     table = Constraints.build(ctx)
     solver = StepSolver(ctx, viscous_elements(ctx), divergence_elements(ctx),
                         table)
-    return solver.solve(np.zeros_like(ctx.wxarea),
+    return solver.solve(np.zeros_like(ctx.tables.wxarea),
                         assemble_load(forcing, ctx, None),
                         table.values(dirichlet))
 

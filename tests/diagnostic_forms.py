@@ -26,14 +26,14 @@ from reference_solve import assemble_a0
 def trilinear_a1_quadrature(u: AnalyticVectorField, w: AnalyticVectorField,
                             v: AnalyticVectorField, ctx: FormContext) -> float:
     """Quadrature value of the convective form rho*((u . grad) w, v)."""
-    pts = ctx.qpoints_flat
+    pts = ctx.tables.qpoints_flat
     uv = np.asarray(u.value(pts), dtype=float)
     gw = np.asarray(w.grad(pts), dtype=float)          # (n, 2, 2): gw[i, c, d] = d_d w_c
     vv = np.asarray(v.value(pts), dtype=float)
     conv = np.einsum("nd,ncd->nc", uv, gw)
-    nt, nq = ctx.wxarea.shape
-    integrand = (conv * vv).sum(axis=1).reshape(nt, nq)
-    return ctx.params.rho * float(np.einsum("tq,tq->", ctx.wxarea, integrand))
+    wxa = ctx.tables.wxarea
+    integrand = (conv * vv).sum(axis=1).reshape(wxa.shape)
+    return ctx.params.rho * float(np.einsum("tq,tq->", wxa, integrand))
 
 
 def korn_constant_estimate(ctx: FormContext) -> float:
@@ -72,7 +72,7 @@ def vector_gradient_gram(ctx: FormContext) -> sparse.csr_matrix:
 
 def mass_matrix(ctx: FormContext) -> sparse.csr_matrix:
     """Unweighted velocity mass matrix."""
-    return _vector_mass(ctx, np.ones_like(ctx.wxarea))
+    return _vector_mass(ctx, np.ones_like(ctx.tables.wxarea))
 
 
 def assemble_c0(ctx: FormContext) -> sparse.csr_matrix:

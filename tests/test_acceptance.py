@@ -82,7 +82,7 @@ def two_layer_run():
     """Scaled-down channel run through the layered medium, to t = 5 s."""
     case = case_lib.get_case("two-layer")
     mesh, ctx, setup = case_lib.build_setup(case, n=60)
-    qp = ctx.qpoints_flat
+    qp = ctx.tables.qpoints_flat
     top = qp[:, 1] > 0.55
     bottom = qp[:, 1] < 0.45
     layer_means = []
@@ -90,7 +90,7 @@ def two_layer_run():
     def sample(k, t, u_field, p_field, diag):
         if t >= 0.5 and (k % 10 == 0 or k == setup.n_steps):
             speed = np.sqrt(
-                (ctx.velocity_at_quad(u_field).reshape(-1, 2) ** 2).sum(1))
+                (ctx.tables.at_quad(u_field).reshape(-1, 2) ** 2).sum(1))
             layer_means.append((t, float(speed[top].mean()),
                                 float(speed[bottom].mean())))
 

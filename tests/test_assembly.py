@@ -211,7 +211,7 @@ def step_scales(ctx, tau, monkeypatch):
 
 def test_mass_phi_rhs_zero_history(unit_ctx, monkeypatch):
     (m_scale, r_scale), _ = step_scales(unit_ctx, 0.1, monkeypatch)
-    rhs = assemble_mass_phi_rhs(np.zeros(unit_ctx.qpoints_flat.shape),
+    rhs = assemble_mass_phi_rhs(np.zeros(unit_ctx.tables.qpoints_flat.shape),
                                 unit_ctx, r_scale)
     assert np.abs(rhs).max() == 0.0
     assert rhs.shape == (unit_ctx.vspace.dof_count,)
@@ -237,9 +237,9 @@ def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params, monkeypatch):
     _, (m_scale, r_scale) = step_scales(ctx, 0.1, monkeypatch)
     c = np.array([0.4, -0.2])
     u = const_velocity_coeffs(ctx, phi_bar * c)
-    u_at = ctx.velocity_at_quad(u).reshape(-1, 2)
+    u_at = ctx.tables.at_quad(u).reshape(-1, 2)
     bracket, _ = ab2_material_terms(
-        u, u, ctx.porosity, 0.1, ctx.qpoints_flat,
+        u, u, ctx.porosity, 0.1, ctx.tables.qpoints_flat,
         u_prev_at=u_at, u_prev2_at=u_at, phi_at=ctx.phi_q.ravel(),
         g_prev=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy(),
         g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())

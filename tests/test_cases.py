@@ -56,6 +56,15 @@ def test_initial_data_matches_dirichlet_trace():
         assert setup.dirichlet(pts, 0.0) == pytest.approx(case.u_initial(pts))
 
 
+def test_zero_cells_is_not_the_default():
+    # only None selects the case's default_n
+    case = case_lib.get_case("two-layer")
+    with pytest.raises(ValueError, match="n_divisions must be at least 2"):
+        case_lib.build_case_mesh(case, 0)
+    with pytest.raises(ValueError, match="n_divisions must be at least 2"):
+        case_lib.build_setup(case, 0)
+
+
 def test_default_time_step_is_nominal_cell_size():
     case = case_lib.get_case("two-layer")
     assert case.nominal_h() == pytest.approx(3.0 / 120.0)

@@ -247,6 +247,27 @@ def test_check_passes(capsys):
     assert lines[-1] == "all checks passed"
 
 
+CHECK_OUTPUT = """\
+PASS  quadrature degree 2 monomial exactness  (worst < 1e-14)
+PASS  quadrature degree 5 monomial exactness  (worst < 1e-14)
+PASS  quadrature degree 9 monomial exactness  (worst < 1e-14)
+PASS  drag coefficients match compositional forms  (worst < 1e-12)
+PASS  transport identity (divergence-free field)  (relative residual < 1e-6)
+PASS  two-step material derivative order  (order 2.00)
+PASS  mixed-element polynomial exactness  (u and p nodal errors <= 1e-10)
+PASS  two-layer porosity flagged inadmissible  (margin 116.6)
+PASS  sinusoidal porosity admissible  (margin -24.5)
+all checks passed
+"""
+
+
+def test_check_output_is_the_recorded_text(capsys):
+    # the round-off checks print their bounds, so the text survives any
+    # reordering of floating-point work
+    assert run_cli("check") == 0
+    assert capsys.readouterr().out == CHECK_OUTPUT
+
+
 def test_check_fails_on_the_pressure_error(capsys, monkeypatch):
     from porousflow import verification
     monkeypatch.setattr(verification, "polynomial_exactness_check",
@@ -268,6 +289,19 @@ def test_simulate_rejects_non_finite_times(tmp_path, capsys, flag, value):
     captured = capsys.readouterr()
     assert f"config field {flag[2:].replace('-', '_')} must be" \
         in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_rejects_non_positive_n(tmp_path, capsys, n):
+    # checked before the default step is taken from the cell count
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--n", n,
+                   "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: config field n must be positive and "
+                            f"finite, got {n}\n")
     assert captured.out == ""
     assert not out.exists()
 

@@ -65,6 +65,11 @@ def test_phi_range_validated(params):
         linear_drag_coeff(0.0, params)
     with pytest.raises(ValueError):
         forchheimer_coeff(1.2, params)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            linear_drag_coeff(np.array([0.5, bad]), params)
+        with pytest.raises(ValueError):
+            forchheimer_coeff(bad, params)
 
 
 def test_params_positive():
@@ -72,6 +77,10 @@ def test_params_positive():
         PhysicalParams(mu=-1.0)
     with pytest.raises(ValueError):
         PhysicalParams(d_p=0.0)
+    for name in ("mu", "rho", "d_p", "a", "b"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PhysicalParams(**{name: bad})
 
 
 def step_drag(porosity, u, mesh, params):
@@ -81,7 +90,7 @@ def step_drag(porosity, u, mesh, params):
     velocity there."""
     ctx = make_context(mesh, porosity, params)
     field = interpolate(ctx.vspace, u)
-    uq = ctx.velocity_at_quad(field)
+    uq = ctx.tables.at_quad(field)
     weight = linear_drag_weight(ctx) + quadratic_drag_weight(field, ctx)
     return -weight[..., None] * uq, uq
 

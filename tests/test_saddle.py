@@ -90,7 +90,7 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
     table = Constraints.build(unit_ctx)
     solver = StepSolver(unit_ctx, viscous_elements(unit_ctx),
                         divergence_elements(unit_ctx), table)
-    u, p, rep = solver.solve(np.ones_like(unit_ctx.wxarea),
+    u, p, rep = solver.solve(np.ones_like(unit_ctx.tables.wxarea),
                              np.zeros(unit_ctx.vspace.dof_count),
                              table.values(g))
     nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
@@ -168,8 +168,8 @@ def test_slip_bottom_edge_zeroes_normal_component(params):
     table = Constraints.build(ctx)
     solver = StepSolver(ctx, viscous_elements(ctx), divergence_elements(ctx),
                         table)
-    u, p, rep = solver.solve(np.ones_like(ctx.wxarea), rhs, table.values(
-        lambda p: np.zeros((len(p), 2))))
+    u, p, rep = solver.solve(np.ones_like(ctx.tables.wxarea), rhs,
+                             table.values(lambda p: np.zeros((len(p), 2))))
     bottom = np.abs(ctx.vspace.node_coords[:, 1]) < 1e-12
     assert np.abs(u.node_values()[bottom, 1]).max() == 0.0
     # tangential component stays free
@@ -263,7 +263,7 @@ def test_nan_rhs_rejected(unit_ctx):
     rhs[0] = np.nan
     solver = _drag_solver(unit_ctx)
     with pytest.raises(SolverError):
-        solver.solve(np.ones_like(unit_ctx.wxarea), rhs,
+        solver.solve(np.ones_like(unit_ctx.tables.wxarea), rhs,
                      solver.constraints.values(quad_velocity))
 
 
@@ -276,7 +276,7 @@ def _drag_solver(ctx, kind=StepSolver):
 
 def _drag_solve(solver, drag, rhs, key=None):
     """Solve the viscous block plus the mass matrix weighted by ``drag``."""
-    return solver.solve(np.full(solver.ctx.wxarea.shape, drag), rhs,
+    return solver.solve(np.full(solver.ctx.tables.wxarea.shape, drag), rhs,
                         solver.constraints.values(quad_velocity), key)
 
 
@@ -439,7 +439,7 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
     system = ReferenceSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
                              rng.normal(size=ctx.vspace.dof_count),
                              mass_weight=rng.uniform(1.0, 3.0,
-                                                     ctx.wxarea.shape),
+                                                     ctx.tables.wxarea.shape),
                              constraints=table)
     k, rhs, fixed, _ = system.apply_dirichlet(
         lambda p: rng.normal(size=(len(p), 2))).constrained()
@@ -476,7 +476,7 @@ def test_first_solve_matches_the_float64_reference(kind, n, seed):
                        get_case("two-layer").params)
     rng = np.random.default_rng(seed)
     table = Constraints.build(ctx)
-    weight = rng.uniform(1.0, 3.0, ctx.wxarea.shape)
+    weight = rng.uniform(1.0, 3.0, ctx.tables.wxarea.shape)
     load = rng.normal(size=ctx.vspace.dof_count)
     values = table.values(lambda p: rng.normal(size=(len(p), 2)))
     blocks = viscous_elements(ctx), divergence_elements(ctx)
@@ -503,7 +503,7 @@ def test_step_pattern_depends_on_the_mesh_alone(kind, n, seed):
                        get_case("two-layer").params)
     rng = np.random.default_rng(seed)
     table = Constraints.build(ctx)
-    weight = rng.uniform(1.0, 3.0, ctx.wxarea.shape)
+    weight = rng.uniform(1.0, 3.0, ctx.tables.wxarea.shape)
     load = rng.normal(size=ctx.vspace.dof_count)
     values = table.values(lambda p: rng.normal(size=(len(p), 2)))
     a, b = viscous_elements(ctx), divergence_elements(ctx)

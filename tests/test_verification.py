@@ -365,11 +365,11 @@ def test_trilinear_form_matches_identity_lhs(mms_case, params):
 
     w = AnalyticVectorField(w_value, w_grad)
     mesh = generate_rect_mesh((0.0, math.pi / 2), (0.0, math.pi), 16)
-    ctx = make_context(mesh, phi, params, quad_degree=9)
+    ctx = make_context(mesh, phi, params)
     a1_val = trilinear_a1_quadrature(u, w, u, ctx) / params.rho
     rep = transport_identity_check(u, phi,
                                 extents=((0.0, math.pi / 2), (0.0, math.pi)),
-                                n_divisions=16, degree=9)
+                                n_divisions=16, degree=5)
     assert a1_val == pytest.approx(rep.lhs, rel=1e-12)
 
 
