@@ -39,7 +39,13 @@ class CaseDefinition:
     constants: dict = field(default_factory=dict)
 
     def nominal_h(self, n: int | None = None) -> float:
+        """The cell width along x at ``n`` cells (``default_n`` when
+        ``None``); ``n`` below 2, the coarsest mesh
+        :func:`porousflow.mesh.generate_rect_mesh` builds, raises
+        ``ValueError``."""
         n = self.default_n if n is None else n
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n}")
         return (self.x_extent[1] - self.x_extent[0]) / n
 
 

@@ -37,7 +37,6 @@ class BoundaryTag(Enum):
 
     DIRICHLET = 0    # prescribed velocity
     STRESS_FREE = 1  # zero normal stress (typically an outflow)
-    SLIP = 2         # zero normal velocity, stress-free tangentially
 
 
 TagRule = Callable[[np.ndarray], BoundaryTag]
@@ -72,7 +71,8 @@ class Mesh:
     xs, ys : strictly increasing grid lines along x and y, at least two
         each; the rectangle is ``[xs[0], xs[-1]] x [ys[0], ys[-1]]``
     tag_rule : the ``BoundaryTag`` of a boundary edge from its midpoint
-        (default: everything ``DIRICHLET``)
+        (default: everything ``DIRICHLET``); any other value raises
+        ``ValueError``
 
     Every grid cell is split into two counterclockwise triangles along a
     diagonal that alternates from cell to cell.  ``boundary_edges`` (nbe, 2)
@@ -117,7 +117,12 @@ class Mesh:
         rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
         mids = 0.5 * (vertices[self.boundary_edges[:, 0]]
                       + vertices[self.boundary_edges[:, 1]])
-        self.boundary_tags = np.array([rule(m) for m in mids], dtype=object)
+        tags = [rule(m) for m in mids]
+        for mid, tag in zip(mids, tags):
+            if not isinstance(tag, BoundaryTag):
+                raise ValueError(f"tag_rule returned {tag!r} for the boundary "
+                                 f"edge at {mid.tolist()}, not a BoundaryTag")
+        self.boundary_tags = np.array(tags, dtype=object)
         self.side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
         for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
             for upper, value in enumerate((lines[0], lines[-1])):

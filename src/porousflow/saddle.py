@@ -3,12 +3,11 @@
 A system couples the velocity block (mass + viscous + drag contributions)
 with the divergence constraint.  One :class:`Constraints` table per run,
 read off the mesh's boundary tags, fixes both velocity components on
-Dirichlet edges and the normal component on slip edges (every boundary edge
-lies on a side of the rectangle), and says whether the pressure level is
-fixed through a single zero-mean Lagrange multiplier: exactly when no
-boundary edge is stress-free, since only a stress-free edge fixes it
-otherwise; per system only the values change.  Fixed unknowns are imposed by
-symmetric row/column elimination with right-hand-side lifting.
+Dirichlet edges and says whether the pressure level is fixed through a
+single zero-mean Lagrange multiplier: exactly when no boundary edge is
+stress-free, since only a stress-free edge fixes it otherwise; per system
+only the values change.  Fixed unknowns are imposed by symmetric row/column
+elimination with right-hand-side lifting.
 
 Every solve goes through one :class:`StepSolver`, built from the element
 tables of the constant blocks and the table: a run builds one, as does the
@@ -112,10 +111,6 @@ class SingularSystemError(SolverError):
     """The constrained system is (numerically) singular."""
 
 
-class ConstraintConflictError(ValueError):
-    """A degree of freedom was constrained twice with different values."""
-
-
 class GaugeError(ValueError):
     """A pressure gauge other than the one the boundary needs was asked
     for."""
@@ -143,58 +138,37 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class Constraints:
-    """The fixed velocity unknowns of one boundary configuration: sorted,
-    both components of every Dirichlet node and the normal component of
-    every slip node.  ``points`` are the Dirichlet nodes' coordinates and
-    ``slots`` (nd, 2) and ``slip`` the positions in ``fixed`` of their
-    unknowns and of the slip unknowns.  ``gauge`` says whether the pressure
-    carries the zero-mean gauge: exactly when no boundary edge is
+    """The fixed velocity unknowns of one boundary configuration: both
+    components of every Dirichlet node, nodes in ascending order, and
+    ``points``, those nodes' coordinates.  ``gauge`` says whether the
+    pressure carries the zero-mean gauge: exactly when no boundary edge is
     stress-free, since a stress-free edge fixes the pressure level and
     without one the level is undetermined."""
 
     fixed: np.ndarray
     points: np.ndarray
-    slots: np.ndarray
-    slip: np.ndarray
     gauge: bool
 
     @classmethod
     def build(cls, ctx: FormContext) -> "Constraints":
         """The table of ``ctx``'s tagged boundary."""
-        mesh, space = ctx.mesh, ctx.vspace
-        tags = mesh.boundary_tags
-        slip = tags == BoundaryTag.SLIP
-        a, b = mesh.boundary_edges[slip].T
-        # the normal component: y on horizontal sides, x on vertical ones
-        horizontal = mesh.vertices[a, 1] == mesh.vertices[b, 1]
-        ends = np.column_stack([a, b, space.boundary_midpoints[slip]])
-        slip_dofs = 2 * ends + horizontal[:, None]
-        nodes = boundary_nodes(space, {BoundaryTag.DIRICHLET})
-        dirichlet_dofs = 2 * nodes[:, None] + np.arange(2)
-        fixed = np.union1d(dirichlet_dofs, slip_dofs)
-        return cls(fixed, space.node_coords[nodes],
-                   np.searchsorted(fixed, dirichlet_dofs),
-                   np.searchsorted(fixed, np.unique(slip_dofs)),
-                   not (tags == BoundaryTag.STRESS_FREE).any())
+        nodes = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
+        return cls((2 * nodes[:, None] + np.arange(2)).ravel(),
+                   ctx.vspace.node_coords[nodes],
+                   not (ctx.mesh.boundary_tags == BoundaryTag.STRESS_FREE)
+                   .any())
 
-    def values(self, g=None, t: float | None = None) -> np.ndarray:
-        """Values of the ``fixed`` unknowns: the Dirichlet data from one
-        ``g(points [, t])`` call, needed only when there are Dirichlet
-        nodes, and zeros on the slip unknowns.  Raises
-        :class:`ConstraintConflictError` where a Dirichlet value differs from
-        the slip zero on the same unknown."""
-        values = np.zeros(self.fixed.size)
-        if len(self.points):
-            values[self.slots] = g(self.points) if t is None \
-                else g(self.points, t)
-        shared = np.abs(values[self.slip])
-        clash = self.slip[shared > 1e-12 * np.maximum(1.0, shared)]
-        if clash.size:
-            raise ConstraintConflictError(
-                f"velocity dof {self.fixed[clash[0]]} constrained to both "
-                f"{float(values[clash[0]])!r} and 0.0")
-        values[self.slip] = 0.0
-        return values
+    def values(self, g, t: float | None = None) -> np.ndarray:
+        """Values of the ``fixed`` unknowns from one ``g(points [, t])``
+        call, which must return one velocity per Dirichlet node, an array
+        shaped like ``points``; any other shape raises ``ValueError``."""
+        values = np.asarray(g(self.points) if t is None
+                            else g(self.points, t), dtype=float)
+        if values.shape != self.points.shape:
+            raise ValueError(f"Dirichlet data of shape {values.shape} for "
+                             f"{len(self.points)} nodes; expected "
+                             f"{self.points.shape}")
+        return values.ravel()
 
 
 def _fix_malloc_thresholds() -> None:
@@ -637,15 +611,15 @@ class SaddleSystem:
         self.values: np.ndarray | None = None
 
     def apply_dirichlet(self, g, t: float | None = None) -> "SaddleSystem":
-        """Evaluate the values of the solver's table: the Dirichlet data
-        from ``g(points [, t])`` and zeros on the slip unknowns."""
+        """Evaluate the values of the solver's table, the Dirichlet data
+        from ``g(points [, t])``."""
         self.values = self.solver.constraints.values(g, t)
         return self
 
-    # The run's table already holds the slip and gauge constraints.  These
-    # two no-ops, and this front, stay only as the targets that
-    # perfbench/tracer.py hooks, until ROADMAP item 1 re-points the hooks at
-    # the solver's own names.
+    # The run's table already holds every constraint, the gauge included,
+    # and no boundary kind is left for apply_slip.  These two no-ops, and
+    # this front, stay only as the targets that perfbench/tracer.py hooks,
+    # until ROADMAP item 1 re-points the hooks at the solver's own names.
     def apply_slip(self) -> "SaddleSystem":
         return self
 

@@ -50,15 +50,17 @@ class ProblemSetup:
     ``u_initial(points)`` gives the initial velocity; ``dirichlet(points, t)``
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
     force (or ``None``).  The run's :class:`Constraints` table is built
-    here from the mesh's tags, so a bad boundary fails early.  It carries
-    the zero-mean pressure gauge exactly when no boundary edge is
-    stress-free; ``gauge`` is set to that value, and a ``gauge`` given
-    otherwise raises :class:`GaugeError` (a ``ValueError``).
+    here from the mesh's tags, so a bad boundary fails early: every boundary
+    edge is Dirichlet or stress-free, and an all-stress-free boundary raises
+    ``ValueError``.  The table carries the zero-mean pressure gauge exactly
+    when no boundary edge is stress-free; ``gauge`` is set to that value,
+    and a ``gauge`` given otherwise raises :class:`GaugeError` (a
+    ``ValueError``).
     """
 
     ctx: FormContext
     u_initial: Callable
-    dirichlet: Callable | None
+    dirichlet: Callable
     tau: float
     t_final: float
     forcing: Callable | None = None
@@ -83,10 +85,9 @@ class ProblemSetup:
                              "the zero-mean pressure gauge is on exactly "
                              "when no edge is stress-free")
         self.gauge = table.gauge
-        has_dirichlet = len(table.points) > 0
-        if not has_dirichlet and not self.gauge:
+        if not len(table.points):
             raise ValueError("a Dirichlet part of the boundary is required")
-        if has_dirichlet and self.dirichlet is None:
+        if self.dirichlet is None:
             raise ValueError("dirichlet data is required on tagged edges")
 
     @property
@@ -123,8 +124,6 @@ class StepResult(NamedTuple):
 
 
 def _bound_dirichlet(setup: ProblemSetup, t: float):
-    if setup.dirichlet is None:
-        return None
     return lambda pts: setup.dirichlet(pts, t)
 
 

@@ -45,8 +45,7 @@ def korn_constant_estimate(ctx: FormContext) -> float:
     """
     strain = assemble_a0(ctx) / (2.0 * ctx.params.mu)
     h1 = mass_matrix(ctx) + vector_gradient_gram(ctx)
-    table = Constraints.build(ctx)
-    fixed = table.fixed[table.slots].ravel()
+    fixed = Constraints.build(ctx).fixed
     if fixed.size == 0:
         raise ValueError("the constrained space needs at least one fixed node")
     free = np.setdiff1d(np.arange(ctx.vspace.dof_count), fixed)

@@ -107,9 +107,9 @@ class ReferenceSystem:
 
     The velocity block is ``a_block``, plus the velocity mass matrix weighted
     by ``mass_weight`` (nt, nq) at the quadrature points when one is given.
-    Nothing is fixed until the ``constraints`` table (made on first use when
-    none is given) is imposed by :meth:`apply_dirichlet` or
-    :meth:`apply_slip`.
+    Without a ``constraints`` table the system is unconstrained and
+    ungauged; with one, nothing is fixed until :meth:`apply_dirichlet`
+    imposes it.
     """
 
     def __init__(self, ctx: FormContext, a_block, b_block, rhs_velocity,
@@ -130,24 +130,10 @@ class ReferenceSystem:
     def gauge(self) -> bool:
         return self.constraints is not None and self.constraints.gauge
 
-    def _table(self) -> Constraints:
-        """The constraint table, built on first use."""
-        if self.constraints is None:
-            self.constraints = Constraints.build(self.ctx)
-        return self.constraints
-
     def apply_dirichlet(self, g, t=None) -> "ReferenceSystem":
         """Impose the constraint table: both velocity components on the
-        Dirichlet nodes from ``g(points [, t])``, and zero normal velocity
-        on the slip edges."""
-        self.values = self._table().values(g, t)
-        return self
-
-    def apply_slip(self) -> "ReferenceSystem":
-        """Impose the table of a boundary without Dirichlet edges; a no-op
-        after :meth:`apply_dirichlet`, which imposes the slip edges too."""
-        if self.values is None:
-            self.values = self._table().values()
+        Dirichlet nodes from ``g(points [, t])``."""
+        self.values = self.constraints.values(g, t)
         return self
 
     def apply_gauge(self) -> "ReferenceSystem":

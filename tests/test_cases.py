@@ -73,6 +73,14 @@ def test_default_time_step_is_nominal_cell_size():
     assert sin_case.nominal_h() == pytest.approx(3.0 * math.pi / 300.0)
 
 
+@pytest.mark.parametrize("n", [0, -3, 1])
+def test_nominal_h_rejects_fewer_than_two_cells(n):
+    # 2 is the coarsest mesh generate_rect_mesh builds
+    case = case_lib.get_case("two-layer")
+    with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+        case.nominal_h(n)
+
+
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         case_lib.get_case("karst")

@@ -242,13 +242,12 @@ def test_validate_porosity_rejects_too_small_resolution(capsys, resolution):
 def test_check_passes(capsys):
     assert run_cli("check") == 0
     lines = capsys.readouterr().out.splitlines()
-    assert sum(line.startswith("PASS") for line in lines) == 9
+    assert sum(line.startswith("PASS") for line in lines) == 8
     assert not any(line.startswith("FAIL") for line in lines)
     assert lines[-1] == "all checks passed"
 
 
 CHECK_OUTPUT = """\
-PASS  quadrature degree 2 monomial exactness  (worst < 1e-14)
 PASS  quadrature degree 5 monomial exactness  (worst < 1e-14)
 PASS  quadrature degree 9 monomial exactness  (worst < 1e-14)
 PASS  drag coefficients match compositional forms  (worst < 1e-12)

@@ -123,6 +123,31 @@ def test_boundary_edges_count_and_tags():
         == 2 * (nx + ny) - ny
 
 
+def _wall_on_top(mid):
+    """Real tags on three sides, a string on the top side."""
+    if mid[1] >= 1.0 - 1e-9:
+        return "wall"
+    return BoundaryTag.STRESS_FREE if mid[0] >= 1.0 - 1e-9 \
+        else BoundaryTag.DIRICHLET
+
+
+@pytest.mark.parametrize("rule", [lambda mid: "wall", lambda mid: None,
+                                  _wall_on_top],
+                         ids=["string", "none", "mixed"])
+def test_tag_rule_must_return_a_boundary_tag(rule):
+    # the error names the first boundary edge whose tag is not a
+    # BoundaryTag, by its midpoint, and the value the rule returned there
+    valid = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
+    ends = valid.vertices[valid.boundary_edges]
+    mids = 0.5 * (ends[:, 0] + ends[:, 1])
+    mid = next(m for m in mids if not isinstance(rule(m), BoundaryTag))
+    with pytest.raises(ValueError) as info:
+        generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=rule)
+    assert str(info.value) == (
+        f"tag_rule returned {rule(mid)!r} for the boundary edge at "
+        f"{mid.tolist()}, not a BoundaryTag")
+
+
 def test_boundary_exit_left_edge():
     mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6,
                               tag_rule=lambda mid: BoundaryTag.DIRICHLET)

@@ -23,13 +23,13 @@ from porousflow.fem import boundary_nodes, interpolate
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
-    ConstraintConflictError,
     Constraints,
     SingularSystemError,
     SolverError,
     StepSolver,
     nested_dissection,
 )
+from porousflow.scheme import ProblemSetup
 from porousflow.verification import steady_stokes_solve
 from reference_solve import (FreshSolver, ReferenceSystem, assemble_a0,
                              assemble_b, direct_solve)
@@ -99,106 +99,58 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
     assert (got == expected).all()  # exactly the prescribed values
 
 
-def _slip_bottom_ctx(params):
-    """The unit square with a slip bottom edge, Dirichlet elsewhere."""
-    def tags(mid):
-        if mid[1] <= 1e-9:
-            return BoundaryTag.SLIP
-        return BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=tags)
+def _outlet_ctx(params):
+    """The unit square with a stress-free right edge, Dirichlet
+    elsewhere."""
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=_outlet_tags)
     return make_context(mesh, builtin_porosity("constant", value=1.0), params)
 
 
-def test_conflicting_constraints_rejected(params):
-    # the bottom corners are Dirichlet nodes and slip nodes: g's y-component
-    # there clashes with the slip zero
-    table = Constraints.build(_slip_bottom_ctx(params))
-    with pytest.raises(ConstraintConflictError):
-        table.values(lambda p: np.ones((len(p), 2)))
-
-
-def test_matching_corner_constraints_allowed(params):
-    ctx = _slip_bottom_ctx(params)
-    table = Constraints.build(ctx)
-    g = lambda p: np.column_stack([np.ones(len(p)), np.zeros(len(p))])
-    values = table.values(g)
-    assert table.slip.size > 0 and table.points.size > 0
-    assert (values[table.slots] == g(table.points)).all()
-    assert (values[table.slip] == 0.0).all()
-    corners = np.flatnonzero(
-        (np.abs(table.points[:, 1]) < 1e-12)
-        & (np.abs(table.points[:, 0] - 0.5) > 0.49))
-    assert len(corners) == 2
-    assert np.isin(table.slots[corners, 1], table.slip).all()
-
-
 def test_slip_empty_is_noop(unit_ctx):
+    # the table fixes both components of each Dirichlet node and nothing
+    # else
     table = Constraints.build(unit_ctx)
-    assert table.slip.size == 0
-    assert table.fixed.size == table.slots.size == 2 * len(table.points)
+    assert table.fixed.size == 2 * len(table.points)
 
 
-def test_constraint_table_matches_the_tagged_nodes(params):
-    ctx = _slip_bottom_ctx(params)
+def test_constraint_table_matches_the_tagged_nodes(unit_ctx, params):
+    ctx = _outlet_ctx(params)
     table = Constraints.build(ctx)
     coords = ctx.vspace.node_coords
     dirichlet = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
-    slip = boundary_nodes(ctx.vspace, {BoundaryTag.SLIP})
-    assert np.array_equal(np.flatnonzero(np.abs(coords[:, 1]) < 1e-12), slip)
-    want = np.union1d(np.concatenate([2 * dirichlet, 2 * dirichlet + 1]),
-                      2 * slip + 1)   # the bottom's normal is y
-    assert np.array_equal(table.fixed, want)
+    # the left, bottom and top sides, the outlet's corners included
+    on_wall = (np.abs(coords[:, 0]) < 1e-12) \
+        | (np.abs(coords[:, 1] - 0.5) > 0.5 - 1e-12)
+    assert np.array_equal(np.flatnonzero(on_wall), dirichlet)
+    want = np.concatenate([2 * dirichlet, 2 * dirichlet + 1])
+    assert np.array_equal(table.fixed, np.sort(want))
     assert np.array_equal(table.points, coords[dirichlet])
-    assert np.array_equal(table.fixed[table.slots],
+    assert np.array_equal(table.fixed.reshape(-1, 2),
                           2 * dirichlet[:, None] + [0, 1])
-    assert np.array_equal(table.fixed[table.slip], 2 * slip + 1)
-    # no stress-free edge fixes the pressure level: the table is gauged
-    assert table.gauge
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=_outlet_tags)
-    outlet = make_context(mesh, builtin_porosity("constant", value=1.0),
-                          params)
-    assert not Constraints.build(outlet).gauge
+    # the stress-free outlet fixes the pressure level: no gauge
+    assert not table.gauge
+    # without a stress-free edge nothing does: the table is gauged
+    assert Constraints.build(unit_ctx).gauge
 
 
-def test_slip_bottom_edge_zeroes_normal_component(params):
-    ctx = _slip_bottom_ctx(params)
-    rhs = assemble_load(lambda p: np.column_stack(
-        [np.ones(len(p)), np.ones(len(p))]), ctx, None)
-    table = Constraints.build(ctx)
-    solver = StepSolver(ctx, viscous_elements(ctx), divergence_elements(ctx),
-                        table)
-    u, p, rep = solver.solve(np.ones_like(ctx.tables.wxarea), rhs,
-                             table.values(lambda p: np.zeros((len(p), 2))))
-    bottom = np.abs(ctx.vspace.node_coords[:, 1]) < 1e-12
-    assert np.abs(u.node_values()[bottom, 1]).max() == 0.0
-    # tangential component stays free
-    interior_bottom = bottom & (ctx.vspace.node_coords[:, 0] > 1e-9) \
-        & (ctx.vspace.node_coords[:, 0] < 1 - 1e-9)
-    assert np.abs(u.node_values()[interior_bottom, 0]).max() > 0.0
-    # without a stress-free edge the table gauges the pressure to zero mean
-    c = pressure_volume_vector(ctx)
-    assert abs(c @ p.coefficients) <= 1e-12 * np.abs(p.coefficients).max()
-
-
-def _slip_dirichlet(p):
-    """Divergence-free data whose normal component vanishes on the slip
-    bottom edge."""
+def _divergence_free_data(p):
+    """Dirichlet data with zero net flux, as an all-Dirichlet boundary
+    needs."""
     x, y = p[:, 0], p[:, 1]
     return np.column_stack([2 * x * y, -y ** 2])
 
 
-@pytest.mark.parametrize("slip", [False, True],
-                         ids=["unit-square", "slip-bottom"])
-def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, slip):
-    ctx, g = ((_slip_bottom_ctx(params), _slip_dirichlet) if slip
-              else (unit_ctx, quad_velocity))
-    u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu), g)
+@pytest.mark.parametrize("outlet", [False, True],
+                         ids=["unit-square", "stress-free-outlet"])
+def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, outlet):
+    ctx = _outlet_ctx(params) if outlet else unit_ctx
+    u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu),
+                                    quad_velocity)
     reference = ReferenceSystem(ctx, assemble_a0(ctx), assemble_b(ctx),
                                 assemble_load(stokes_forcing(params.mu), ctx,
                                               None),
                                 constraints=Constraints.build(ctx))
-    u_ref, p_ref, ref = reference.apply_dirichlet(g).solve()
+    u_ref, p_ref, ref = reference.apply_dirichlet(quad_velocity).solve()
     assert rep.factorized and 1 <= rep.krylov_iterations <= 5
     for got, want in ((u, u_ref), (p, p_ref)):
         assert np.abs(got.coefficients - want.coefficients).max() \
@@ -207,9 +159,13 @@ def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, slip):
 
 
 def test_steady_stokes_solve_gauges_without_stress_free_edge(params):
-    ctx = _slip_bottom_ctx(params)
+    # an all-Dirichlet square, so no edge fixes the pressure level
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 6)
+    ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
+    assert Constraints.build(ctx).gauge
     u, p, rep = steady_stokes_solve(ctx, stokes_forcing(params.mu),
-                                    _slip_dirichlet)
+                                    _divergence_free_data)
+    assert np.abs(p.coefficients).max() > 1e-3
     c = pressure_volume_vector(ctx)
     assert abs(c @ p.coefficients) <= 1e-12 * np.abs(p.coefficients).max()
 
@@ -228,7 +184,8 @@ def test_gauge_invariance_to_pressure_rhs_shift(unit_ctx, params):
     sol = []
     for beta in (0.0, 0.7):
         shift = beta * pressure_volume_vector(unit_ctx)
-        system = ReferenceSystem(unit_ctx, a0, b, rhs, rhs_pressure=shift)
+        system = ReferenceSystem(unit_ctx, a0, b, rhs, rhs_pressure=shift,
+                                 constraints=Constraints.build(unit_ctx))
         system.apply_dirichlet(quad_velocity)
         system.apply_gauge()
         u, p, rep = system.solve()
@@ -519,6 +476,63 @@ def test_step_pattern_depends_on_the_mesh_alone(kind, n, seed):
     assert np.array_equal(indptr, indptr_p)
     assert np.array_equal(indices, indices_p)
     assert fill == fill_p
+
+
+def _side_rule(kinds, x_extent, y_extent):
+    """The tag rule giving each side of the rectangle its kind in
+    ``kinds``, in the order left, right, bottom, top."""
+    def rule(mid):
+        for kind, value, line in zip(
+                kinds, (mid[0], mid[0], mid[1], mid[1]),
+                (*x_extent, *y_extent)):
+            if abs(value - line) <= 1e-9:
+                return kind
+        raise AssertionError(f"{mid} lies on no side")
+    return rule
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(graded=st.booleans(), n=st.integers(2, 12),
+       kinds=st.lists(st.sampled_from([BoundaryTag.DIRICHLET,
+                                       BoundaryTag.STRESS_FREE]),
+                      min_size=4, max_size=4))
+def test_constraint_table_of_any_side_tagging(graded, n, kinds):
+    case = get_case("two-layer")
+    x_extent, y_extent = ((case.x_extent, case.y_extent) if graded
+                          else ((0.0, 1.0), (0.0, 1.0)))
+    mesh = generate_rect_mesh(x_extent, y_extent, n,
+                              grading=case.grading if graded else None,
+                              tag_rule=_side_rule(kinds, x_extent, y_extent))
+    ctx = make_context(mesh, builtin_porosity("constant", value=0.6),
+                       case.params)
+    table = Constraints.build(ctx)
+    # the Dirichlet nodes by a loop over the boundary edges: both ends and
+    # the midpoint node of each Dirichlet edge
+    nodes = set()
+    for e, tag in enumerate(mesh.boundary_tags):
+        if tag is BoundaryTag.DIRICHLET:
+            nodes.update(mesh.boundary_edges[e].tolist())
+            nodes.add(int(ctx.vspace.boundary_midpoints[e]))
+    nodes = sorted(nodes)
+    assert table.fixed.tolist() == [2 * i + c for i in nodes for c in (0, 1)]
+    assert np.array_equal(table.points,
+                          ctx.vspace.node_coords[nodes].reshape(-1, 2))
+    assert table.gauge == (BoundaryTag.STRESS_FREE not in kinds)
+    nd = len(nodes)
+    zero = lambda p, t=None: np.zeros((len(p), 2))
+    if not nd:
+        with pytest.raises(ValueError, match="^a Dirichlet part of the "
+                                             "boundary is required$"):
+            ProblemSetup(ctx=ctx, u_initial=zero, dirichlet=zero, tau=0.25,
+                         t_final=1.0)
+    else:
+        assert nd > 2
+        g = lambda p, t: np.column_stack([p[:, 0] * t, p[:, 1] - t])
+        assert np.array_equal(table.values(g, 0.5),
+                              g(table.points, 0.5).ravel())
+    for shape in ((nd,), (2, nd), (nd, 3)):
+        with pytest.raises(ValueError, match="^Dirichlet data of shape"):
+            table.values(lambda p: np.ones(shape))
 
 
 def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):

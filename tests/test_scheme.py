@@ -11,7 +11,7 @@ from porousflow.assembly import (
     make_context,
     quadratic_drag_weight,
 )
-from porousflow.cases import build_setup, get_case
+from porousflow.cases import build_case_mesh, build_setup, get_case
 from porousflow.fem import FeField, field_mean, interpolate, norm
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
@@ -82,14 +82,10 @@ def test_setup_rejects_gauge_with_stress_free_edge(params):
                      tau=0.25, t_final=1.0, gauge=True)
 
 
-def _slip_bottom_setup(params, gauge=None):
-    """The unit square with a slip bottom edge, Dirichlet elsewhere (no
-    stress-free edge, so no edge fixes the pressure level), driven by a
-    constant body force."""
-    def tags(mid):
-        return BoundaryTag.SLIP if mid[1] <= 1e-9 else BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 6, tag_rule=tags)
+def _all_dirichlet_setup(params, gauge=None):
+    """The all-Dirichlet unit square (no stress-free edge, so no edge fixes
+    the pressure level), driven by a constant body force."""
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 6)
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
     return ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
                         forcing=lambda p, t: np.ones((len(p), 2)), tau=0.25,
@@ -97,7 +93,7 @@ def _slip_bottom_setup(params, gauge=None):
 
 
 def test_setup_gauges_a_boundary_without_stress_free_edge(params):
-    setup = _slip_bottom_setup(params)
+    setup = _all_dirichlet_setup(params)
     assert setup.gauge and setup.constraints.gauge
     _, _, p = run_to_end(setup)
     assert np.abs(p.coefficients).max() > 1e-3
@@ -106,8 +102,8 @@ def test_setup_gauges_a_boundary_without_stress_free_edge(params):
 
 def test_setup_rejects_ungauged_boundary_without_stress_free_edge(params):
     with pytest.raises(GaugeError):
-        _slip_bottom_setup(params, gauge=False)
-    # an all-Dirichlet boundary as well
+        _all_dirichlet_setup(params, gauge=False)
+    # the set-up of make_setup as well
     ctx = make_setup(params).ctx
     with pytest.raises(ValueError):
         ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
@@ -372,21 +368,11 @@ def test_run_replaces_lu_that_misses_target(mms_case, monkeypatch):
     assert all(1 <= d["krylov_iterations"] <= 5 for d in diags)
 
 
-def _slip_channel_setup(mms_case):
-    """The two-layer channel at n=12 with slip walls, a stress-free outlet
-    and an inflow that grows in time."""
+def _growing_inflow_setup(mms_case):
+    """The two-layer channel at n=12 with Dirichlet walls, a stress-free
+    outlet and an inflow that grows in time."""
     case = get_case("two-layer")
-
-    def tags(mid):
-        if mid[0] >= 3.0 - 1e-9:
-            return BoundaryTag.STRESS_FREE
-        if mid[1] <= 1e-9 or mid[1] >= 1.0 - 1e-9:
-            return BoundaryTag.SLIP
-        return BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh(case.x_extent, case.y_extent, 12,
-                              grading=case.grading, tag_rule=tags)
-    ctx = make_context(mesh, case.porosity, case.params)
+    ctx = make_context(build_case_mesh(case, 12), case.porosity, case.params)
     tau = case.nominal_h(12)
     return ProblemSetup(ctx=ctx, u_initial=case.u_initial,
                         dirichlet=lambda p, t: (1.0 + t) * case.u_initial(p),
@@ -404,9 +390,9 @@ def _step_system(setup, kind, t, theta, rhs):
     m_scale = rho_tau if kind == "initial" else 1.5 * rho_tau
     reference = ReferenceSystem(ctx, m_scale * mass_matrix(ctx) + a0
                                 + assemble_c0(ctx)
-                                + assemble_c1(theta, ctx), b, rhs)
+                                + assemble_c1(theta, ctx), b, rhs,
+                                constraints=Constraints.build(ctx))
     reference.apply_dirichlet(setup.dirichlet, t)
-    reference.apply_slip()
     if setup.gauge:
         reference.apply_gauge()
     weight = m_scale + linear_drag_weight(ctx) \
@@ -415,9 +401,9 @@ def _step_system(setup, kind, t, theta, rhs):
 
 
 @pytest.mark.parametrize("make", [_mms_setup, _two_layer_setup,
-                                  _slip_channel_setup],
+                                  _growing_inflow_setup],
                          ids=["mms-gauged", "two-layer-stress-free",
-                              "channel-slip-stress-free"])
+                              "two-layer-growing-inflow"])
 def test_step_operator_matches_reference_elimination(mms_case, make, rng):
     setup = make(mms_case)
     ctx, tau = setup.ctx, setup.tau
