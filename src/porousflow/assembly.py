@@ -38,7 +38,8 @@ from porousflow.porous import (
 @dataclass
 class FormContext:
     """Mesh, spaces, porosity, constants, the mesh's quadrature tables (see
-    :func:`porousflow.fem.quad_tables`) and the porosity at their points."""
+    :func:`porousflow.fem.quad_tables`) and the porosity at their points,
+    with the quantities derived from them alone computed once."""
 
     mesh: Mesh
     vspace: SpaceDescriptor
@@ -50,6 +51,7 @@ class FormContext:
     tables: QuadTables = field(init=False, repr=False)
     phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
     _volume: np.ndarray | None = field(init=False, default=None, repr=False)
+    _drag: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.tables = quad_tables(self.mesh)
@@ -63,6 +65,18 @@ class FormContext:
         if self._volume is None:
             self._volume = pressure_volume_vector(self)
         return self._volume
+
+    def drag_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The drag factors at the quadrature points, (nt, nq) each and
+        read-only (cached): the linear weight ``mu*phi/K(phi)`` and the
+        quadratic weight per unit speed, ``rho*F phi/sqrt(K)``."""
+        if self._drag is None:
+            self._drag = (
+                self.params.mu * linear_drag_coeff(self.phi_q, self.params),
+                self.params.rho * forchheimer_coeff(self.phi_q, self.params))
+            for factor in self._drag:
+                factor.flags.writeable = False
+        return self._drag
 
 
 def make_context(mesh: Mesh, porosity: PorosityField,
@@ -145,8 +159,9 @@ def divergence_elements(ctx: FormContext) -> np.ndarray:
 
 
 def linear_drag_weight(ctx: FormContext) -> np.ndarray:
-    """Quadrature-point weight mu*phi/K(phi) of the linear drag form."""
-    return ctx.params.mu * linear_drag_coeff(ctx.phi_q, ctx.params)
+    """Quadrature-point weight mu*phi/K(phi) of the linear drag form, the
+    context's cached, read-only array."""
+    return ctx.drag_factors()[0]
 
 
 def quadratic_drag_weight(theta_field: FeField,
@@ -158,7 +173,7 @@ def quadratic_drag_weight(theta_field: FeField,
             raise ValueError("theta_field must live on the velocity space")
     theta = ctx.tables.at_quad(theta_field)
     speed = np.sqrt(theta[..., 0] ** 2 + theta[..., 1] ** 2)
-    return ctx.params.rho * forchheimer_coeff(ctx.phi_q, ctx.params) * speed
+    return ctx.drag_factors()[1] * speed
 
 
 def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:

@@ -16,14 +16,20 @@ zero weight.  Between steps only the velocity mass-type block changes: the
 scaled mass, the linear drag and the linearized quadratic drag fold into one
 weight per quadrature point.  The solver places the constant element blocks,
 already eliminated, in one CSR conversion whose pattern also holds every
-element's mass-type entries, and each step scatters its element matrices
-into a copy of the constant data by precomputed positions.  Its
-:meth:`StepSolver.solve` returns the step's velocity and pressure fields.
-A :class:`SaddleSystem` is only a per-step front to that call.
+element's mass-type entries (:func:`_step_matrix`): each triangle gives its
+216 entries row by row, with those on a fixed row or column sent to an
+extra row that is dropped, and the mass-type positions are looked up for
+the first velocity component and shifted for the second.  Each step
+scatters its element matrices into a copy of the constant data by those
+positions.  Its :meth:`StepSolver.solve` returns the step's velocity and
+pressure fields.  A :class:`SaddleSystem` is only a per-step front to that
+call.
 
 Every matrix is factorized in single precision (:func:`_factorize`) in one
 fill-reducing order of its unknowns, :func:`nested_dissection` of the mesh
-geometry, computed once per solver.  The solver holds at most one LU.  Every
+geometry, computed once per solver on nodes rather than unknowns, each
+part's triangles kept in centroid order along both axes.  The solver holds
+at most one LU.  Every
 system is solved by right-preconditioned GMRES in float64 with that LU, one
 triangular solve per iteration: the system that built the LU down to
 ``KRYLOV_RTOL`` or to where its true residual stops falling, which is
@@ -190,10 +196,12 @@ def element_dofs(ctx: FormContext) -> np.ndarray:
     return np.hstack([ctx.vspace.cell_dofs, nv + ctx.pspace.cell_dofs])
 
 
-# the same-component pairs of a triangle's velocity unknowns, (6, 6, 2):
-# scalar nodes n and m of component c sit at 2 n + c and 2 m + c
-_MASS_ROWS = 2 * np.arange(6)[:, None, None] + np.arange(2)
-_MASS_COLS = 2 * np.arange(6)[None, :, None] + np.arange(2)
+# each triangle's entries in the step matrix, row by row of its 15 x 15
+# element matrix without the pressure-pressure block: the local row and
+# column of each of the 216
+_ENTRY_ROWS = np.repeat(np.arange(15), [15] * 12 + [12] * 3)
+_ENTRY_COLS = np.concatenate([np.tile(np.arange(15), 12),
+                              np.tile(np.arange(12), 3)])
 
 
 def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
@@ -204,6 +212,14 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
     unknowns.  Entries that cancel stay stored, so the pattern depends on
     the mesh and the constraint table alone.
 
+    Every triangle gives its 216 entries in row-major order, so each row
+    receives its entries in the order of the triangles and, within one, of
+    the columns.  scipy sums duplicates in the order its per-row sort leaves
+    them, so that order fixes the data to the last bit.  Entries on a fixed
+    row or column, which only the triangles holding a fixed unknown have,
+    go to an extra row ``n``, dropped after the conversion; that leaves the
+    sequences of the other rows as they are.
+
     Returns the canonical CSR matrix and the position in its data array of
     each element's mass-type entries, those of the viscous block's
     same-component pairs, ``(nt, 6, 6, 2)`` flattened; entries on a fixed
@@ -212,11 +228,6 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
     nt, n = len(dofs), len(free)
     # 32-bit indices, as scipy keeps them, halve the index traffic
     dofs = dofs.astype(np.int32)
-    rows = np.broadcast_to(dofs[:, :, None], (nt, 15, 15))
-    cols = np.broadcast_to(dofs[:, None, :], (nt, 15, 15))
-    on = free[dofs]
-    live = on[:, :, None] & on[:, None, :]
-    live[:, 12:, 12:] = False
     fixed = np.flatnonzero(~free).astype(np.int32)
     tail = [(np.ones(fixed.size), fixed, fixed)]
     if gauge_vector is not None:
@@ -228,38 +239,48 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
     # mmap threshold, copies of them held at once stay resident as heap
     # holes after the build (two-layer-60 peak RSS: 119.5 MB when the
     # masked copies were concatenated, 108.6 MB filled in place)
-    m = np.count_nonzero(live)
+    m = 216 * nt
     size = m + sum(part[0].size for part in tail)
     data, r, c = (np.empty(size), np.empty(size, np.int32),
                   np.empty(size, np.int32))
     data[m:], r[m:], c[m:] = (np.concatenate(x) for x in zip(*tail))
-    local = np.zeros((nt, 15, 15))
-    local[:, :12, :12] = a_elements
-    local[:, 12:, :12] = b_elements
-    local[:, :12, 12:] = b_elements.transpose(0, 2, 1)
-    data[:m] = local[live]
-    del local
-    r[:m] = rows[live]
-    c[:m] = cols[live]
-    k = sparse.coo_matrix((data, (r, c)), shape=(n, n)).tocsr()
-    del data, r, c
-    mass = live[:, _MASS_ROWS, _MASS_COLS]
-    ids = sparse.csr_matrix((np.arange(1.0, k.nnz + 1), k.indices, k.indptr),
-                            shape=k.shape)
-    found = ids[rows[:, _MASS_ROWS, _MASS_COLS][mass],
-                cols[:, _MASS_ROWS, _MASS_COLS][mass]]
-    pos = np.full(mass.size, k.nnz)
-    pos[mass.ravel()] = np.asarray(found).ravel().astype(np.int64) - 1
-    return k, pos
-
-
-def _place(pos, unknowns, groups, first):
-    """Give the ``unknowns`` of each group consecutive positions from
-    ``first[group]`` on, in index order."""
-    order = np.argsort(groups, kind="stable")
-    unknowns, groups = unknowns[order], groups[order]
-    rank = np.arange(len(groups)) - np.searchsorted(groups, groups)
-    pos[unknowns] = first[groups] + rank
+    for x, (velocity, coupling, pressure) in (
+            (data, (a_elements, b_elements.transpose(0, 2, 1), b_elements)),
+            (r, (dofs[:, :12, None], dofs[:, :12, None], dofs[:, 12:, None])),
+            (c, (dofs[:, None, :12], dofs[:, None, 12:], dofs[:, None, :12]))):
+        # views of x: each slice keeps its last axis contiguous, so
+        # reshaping it copies nothing
+        entries = x[:m].reshape(nt, 216)
+        upper = entries[:, :180].reshape(nt, 12, 15)
+        upper[:, :, :12] = velocity
+        upper[:, :, 12:] = coupling
+        entries[:, 180:].reshape(nt, 3, 12)[:] = pressure
+    # entries on a fixed row or column to row n
+    touched = np.flatnonzero(~free[dofs[:, :12]].all(axis=1))
+    on = free[dofs[touched]]
+    rows = r[:m].reshape(nt, 216)
+    rows[touched] = np.where(on[:, _ENTRY_ROWS] & on[:, _ENTRY_COLS],
+                             rows[touched], n)
+    k = sparse.coo_matrix((data, (r, c)), shape=(n + 1, n)).tocsr()
+    del data, r, c, rows
+    # row n's entries lie past the end of row n - 1; scipy prunes them
+    k = sparse.csr_matrix((k.data, k.indices, k.indptr[:-1]), shape=(n, n))
+    # the mass-type pairs (2a, 2b) of a triangle's nodes, looked up in data
+    # numbered i - nnz (0 where not stored); 2b + 1 is stored on no even row
+    # when b is fixed, so such a pair is not found.  Both rows of a free node
+    # hold the same columns, so (2a + 1, 2b + 1) lies one row length and one
+    # further on.
+    first = dofs[:, 0:12:2]
+    ids = sparse.csr_matrix((np.arange(-k.nnz, 0, dtype=k.indices.dtype),
+                             k.indices, k.indptr), shape=k.shape)
+    found = np.asarray(ids[np.repeat(first, 6, axis=1).ravel(),
+                           np.tile(first + ~free[first], 6).ravel()])
+    found = found.reshape(nt, 6, 6)
+    pos = np.empty((nt, 6, 6, 2), dtype=np.int64)
+    pos[..., 0] = found + k.nnz
+    pos[..., 1] = pos[..., 0] + (found < 0) * (
+        np.diff(k.indptr)[first] + 1)[:, :, None]
+    return k, pos.ravel()
 
 
 def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
@@ -275,67 +296,100 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     matrices couple only unknowns of one triangle, so no entry of the step
     matrix joins a left part to its right part.
 
+    The split runs on nodes: the two velocity unknowns of a free node and
+    the pressure unknown of a vertex are used by that node's triangles, so
+    each is one item, of 2 and 1 unknowns.  Each part keeps its triangles in
+    the order of their centroids along x and along y (ties in index order),
+    which gives its extents and its median, and each split partitions both
+    orders stably.  An item's group (leaf or separator) is recorded when it
+    is placed; one stable sort by group start then numbers the unknowns.
+
     Returns ``(perm, splits)``: ``k[perm][:, perm]`` is ``k`` in this order,
     and each row ``(start, middle, separator)`` of ``splits`` says that one
     split put its left part at positions ``start:middle``, its right part at
     ``middle:separator`` and its separator after them.
     """
-    n = ctx.vspace.dof_count + ctx.pspace.dof_count + int(gauge)
-    cell_dofs = element_dofs(ctx)
+    nv, nq = ctx.vspace.dof_count, ctx.pspace.dof_count
+    n = nv + nq + int(gauge)
+    cell_nodes, n_nodes = ctx.vspace.cell_nodes, ctx.vspace.n_nodes
+    node_free = np.ones(n_nodes, dtype=bool)
+    node_free[fixed // 2] = False
+    velocity = np.flatnonzero(node_free)
+    # the items in index order of their unknowns; vertex v is node v
+    item_node = np.concatenate([velocity, np.arange(nq)])
+    weight = np.concatenate([np.full(velocity.size, 2),
+                             np.ones(nq, dtype=np.int64)])
+    group = np.empty(item_node.size, dtype=np.int64)   # its first position
     centroids = ctx.mesh.vertices[ctx.mesh.triangles].mean(axis=1)
-    pos = np.full(n, -1)
+    orders = [np.argsort(centroids[:, d], kind="stable") for d in (0, 1)]
+    count = np.array([len(centroids)])   # triangles of each part
+    start = np.array([fixed.size])       # first position of each part
+    size = np.array([weight.sum()])      # unknowns of each part
+    live = np.arange(item_node.size)     # the unplaced items, ascending,
+    part = np.zeros(live.size, dtype=np.int64)   # and their parts
+    side = np.empty(len(centroids), dtype=np.int64)   # 1: right
+    splits = []
+    while True:
+        big = size > DISSECTION_LEAF
+        keep = big[part]
+        group[live[~keep]] = start[part[~keep]]
+        if not big.any():
+            break
+        # split the big parts, renumbered 0, 1, ...
+        orders = [o[np.repeat(big, count)] for o in orders]
+        count, start = count[big], start[big]
+        live, part = live[keep], (np.cumsum(big) - 1)[part[keep]]
+        parts = len(count)
+        end = np.cumsum(count)
+        begin = end - count
+        tp = np.repeat(np.arange(parts), count)   # part at each place
+        extent = np.column_stack([centroids[o[end - 1], d]
+                                  - centroids[o[begin], d]
+                                  for d, o in enumerate(orders)])
+        axis = np.argmax(extent, axis=1)
+        rank = np.arange(len(tp)) - begin[tp]
+        half = count // 2
+        for d, o in enumerate(orders):
+            along = axis[tp] == d
+            side[o[along]] = rank[along] >= half[tp[along]]
+        used = np.zeros(2 * n_nodes, dtype=bool)   # left, then right
+        o = orders[0]
+        used[(cell_nodes[o] + n_nodes * side[o][:, None]).ravel()] = True
+        on_right = used[n_nodes + item_node[live]]
+        sep = used[item_node[live]] & on_right
+        child = 2 * part + on_right
+        sizes = np.bincount(child[~sep], weight[live[~sep]],
+                            minlength=2 * parts).astype(np.int64)
+        middle = start + sizes[0::2]
+        separator = middle + sizes[1::2]
+        group[live[sep]] = separator[part[sep]]
+        splits.append(np.column_stack([start, middle, separator]))
+        # each part's left triangles, then its right ones, in the same order
+        for d, o in enumerate(orders):
+            right = side[o]
+            before = np.cumsum(right) - right
+            before -= before[begin][tp]
+            place = begin[tp] + np.where(right, half[tp] + before,
+                                         rank - before)
+            orders[d] = np.empty_like(o)
+            orders[d][place] = o
+        count = np.column_stack([half, count - half]).ravel()
+        start = np.column_stack([start, middle]).ravel()
+        size = sizes
+        live, part = live[~sep], child[~sep]
+    # groups tile the positions, so items sorted by group start and index
+    # take consecutive runs
+    order = np.argsort(group, kind="stable")
+    runs = weight[order]
+    item_pos = np.empty_like(group)
+    item_pos[order] = fixed.size + np.cumsum(runs) - runs
+    pos = np.empty(n, dtype=np.int64)
     pos[fixed] = np.arange(fixed.size)
     if gauge:
         pos[-1] = n - 1
-    part = np.where(pos < 0, 0, -1)       # of each unknown; -1 once placed
-    tri_part = np.zeros(len(centroids), dtype=np.int64)   # -1 in a leaf
-    start = np.array([fixed.size])        # first position of each part
-    splits = []
-    while True:
-        live = np.flatnonzero(part >= 0)
-        size = np.bincount(part[live], minlength=len(start))
-        big = size > DISSECTION_LEAF
-        leaf = live[~big[part[live]]]
-        _place(pos, leaf, part[leaf], start)
-        # split the big parts, renumbered 0, 1, ...
-        tris = np.flatnonzero(tri_part >= 0)
-        tris = tris[big[tri_part[tris]]]
-        if not tris.size:
-            break
-        renumber = np.cumsum(big) - 1
-        tp = renumber[tri_part[tris]]
-        live = live[big[part[live]]]
-        up = renumber[part[live]]
-        start = start[big]
-        parts = len(start)
-        c = centroids[tris]
-        low = np.full((parts, 2), np.inf)
-        high = np.full((parts, 2), -np.inf)
-        np.minimum.at(low, tp, c)
-        np.maximum.at(high, tp, c)
-        axis = np.argmax(high - low, axis=1)
-        order = np.lexsort((c[np.arange(len(tris)), axis[tp]], tp))
-        sorted_tp = tp[order]
-        rank = np.empty(len(tris), dtype=np.int64)
-        rank[order] = np.arange(len(tris)) - np.searchsorted(sorted_tp,
-                                                            sorted_tp)
-        side = (rank >= np.bincount(tp, minlength=parts)[tp] // 2) * 1
-        used = np.zeros((2, n), dtype=bool)
-        used[np.repeat(side, cell_dofs.shape[1]),
-             cell_dofs[tris].ravel()] = True
-        on_left, on_right = used[:, live]
-        sep = on_left & on_right
-        child = 2 * up + on_right
-        sizes = np.bincount(child[~sep], minlength=2 * parts)
-        middle = start + sizes[0::2]
-        separator = middle + sizes[1::2]
-        _place(pos, live[sep], up[sep], separator)
-        splits.append(np.column_stack([start, middle, separator]))
-        part[:] = -1
-        part[live[~sep]] = child[~sep]
-        tri_part[:] = -1
-        tri_part[tris] = 2 * tp + side
-        start = np.column_stack([start, middle]).ravel()
+    pos[2 * velocity] = item_pos[:velocity.size]
+    pos[2 * velocity + 1] = item_pos[:velocity.size] + 1
+    pos[nv:nv + nq] = item_pos[velocity.size:]
     perm = np.empty(n, dtype=np.int64)
     perm[pos] = np.arange(n)
     return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])

@@ -7,10 +7,13 @@ the adjacency walk for point location, the row-gather barycentric
 coordinates and grid location, the smooth step evaluated everywhere, the
 segment/boundary-edge table for the boundary exit, the per-edge loop of the
 transport identity's contour integral, the viscous and divergence blocks
-from the physical gradient table and the VTK snapshot written one line at a
-time (in ``snapshot_reference``, which the CLI tests share).  Kernels whose
-arithmetic is unchanged must agree bit for bit; those that sum in another
-order agree within a tolerance fixed from double precision.
+from the physical gradient table, the step matrix from the masked dense
+element table with its mass-type positions by sparse fancy indexing, the
+nested dissection on unknowns with its bounds by ``ufunc.at`` and the VTK
+snapshot written one line at a time (in ``snapshot_reference``, which the
+CLI tests share).  Kernels whose arithmetic is unchanged must agree bit for
+bit; those that sum in another order agree within a tolerance fixed from
+double precision.
 """
 
 import functools
@@ -18,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +32,9 @@ from porousflow.assembly import (
     _vectorize_scalar_local,
     assemble_load,
     assemble_mass_phi_rhs,
+    divergence_elements,
     make_context,
+    viscous_elements,
 )
 from porousflow.cases import build_case_mesh, build_setup, get_case
 from porousflow.fem import (
@@ -50,18 +56,26 @@ from porousflow.mesh import (
     EXIT_TOL,
     INSIDE_TOL,
     BoundaryHit,
+    BoundaryTag,
     LayerGrading,
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
 )
 from porousflow.porous import TWO_LAYER_EPS, _smooth_step, builtin_porosity
+from porousflow.saddle import (
+    DISSECTION_LEAF,
+    Constraints,
+    _step_matrix,
+    element_dofs,
+    nested_dissection,
+)
 from porousflow.scheme import run
 from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
 from reference_solve import assemble_a0, assemble_b
 from snapshot_reference import snapshot_text_reference
-from test_saddle import ORDERING_MESHES
+from test_saddle import ORDERING_MESHES, _side_rule
 
 MESHES = {
     "graded-two-layer": build_case_mesh(get_case("two-layer"), n=12),
@@ -202,6 +216,124 @@ def b_reference(ctx):
     local = local.reshape(nt, 3, 12)
     return _scatter_matrix(ctx.pspace.cell_dofs, ctx.vspace.cell_dofs, local,
                            (ctx.pspace.dof_count, ctx.vspace.dof_count))
+
+
+# the same-component pairs of a triangle's velocity unknowns, (6, 6, 2):
+# scalar nodes n and m of component c sit at 2 n + c and 2 m + c
+_MASS_ROWS = 2 * np.arange(6)[:, None, None] + np.arange(2)
+_MASS_COLS = 2 * np.arange(6)[None, :, None] + np.arange(2)
+
+
+def step_matrix_reference(a_elements, b_elements, dofs, free, gauge_vector):
+    """The step matrix from the dense (nt, 15, 15) element table, its live
+    entries gathered by boolean masks, and the mass-type positions by sparse
+    fancy indexing."""
+    nt, n = len(dofs), len(free)
+    dofs = dofs.astype(np.int32)
+    rows = np.broadcast_to(dofs[:, :, None], (nt, 15, 15))
+    cols = np.broadcast_to(dofs[:, None, :], (nt, 15, 15))
+    on = free[dofs]
+    live = on[:, :, None] & on[:, None, :]
+    live[:, 12:, 12:] = False
+    fixed = np.flatnonzero(~free).astype(np.int32)
+    tail = [(np.ones(fixed.size), fixed, fixed)]
+    if gauge_vector is not None:
+        pressure = np.arange(n - 1 - gauge_vector.size, n - 1, dtype=np.int32)
+        border = np.full(gauge_vector.size, n - 1, dtype=np.int32)
+        tail += [(gauge_vector, pressure, border),
+                 (gauge_vector, border, pressure)]
+    m = np.count_nonzero(live)
+    size = m + sum(part[0].size for part in tail)
+    data, r, c = (np.empty(size), np.empty(size, np.int32),
+                  np.empty(size, np.int32))
+    data[m:], r[m:], c[m:] = (np.concatenate(x) for x in zip(*tail))
+    local = np.zeros((nt, 15, 15))
+    local[:, :12, :12] = a_elements
+    local[:, 12:, :12] = b_elements
+    local[:, :12, 12:] = b_elements.transpose(0, 2, 1)
+    data[:m] = local[live]
+    r[:m] = rows[live]
+    c[:m] = cols[live]
+    k = sparse.coo_matrix((data, (r, c)), shape=(n, n)).tocsr()
+    mass = live[:, _MASS_ROWS, _MASS_COLS]
+    ids = sparse.csr_matrix((np.arange(1.0, k.nnz + 1), k.indices, k.indptr),
+                            shape=k.shape)
+    found = ids[rows[:, _MASS_ROWS, _MASS_COLS][mass],
+                cols[:, _MASS_ROWS, _MASS_COLS][mass]]
+    pos = np.full(mass.size, k.nnz)
+    pos[mass.ravel()] = np.asarray(found).ravel().astype(np.int64) - 1
+    return k, pos
+
+
+def _place_reference(pos, unknowns, groups, first):
+    order = np.argsort(groups, kind="stable")
+    unknowns, groups = unknowns[order], groups[order]
+    rank = np.arange(len(groups)) - np.searchsorted(groups, groups)
+    pos[unknowns] = first[groups] + rank
+
+
+def nested_dissection_reference(ctx, fixed, gauge):
+    """The dissection on every unknown, each part's bounds by
+    ``np.minimum.at``/``np.maximum.at`` and its median by one ``lexsort``
+    along its longer extent, each group placed as it forms."""
+    n = ctx.vspace.dof_count + ctx.pspace.dof_count + int(gauge)
+    cell_dofs = element_dofs(ctx)
+    centroids = ctx.mesh.vertices[ctx.mesh.triangles].mean(axis=1)
+    pos = np.full(n, -1)
+    pos[fixed] = np.arange(fixed.size)
+    if gauge:
+        pos[-1] = n - 1
+    part = np.where(pos < 0, 0, -1)
+    tri_part = np.zeros(len(centroids), dtype=np.int64)
+    start = np.array([fixed.size])
+    splits = []
+    while True:
+        live = np.flatnonzero(part >= 0)
+        size = np.bincount(part[live], minlength=len(start))
+        big = size > DISSECTION_LEAF
+        leaf = live[~big[part[live]]]
+        _place_reference(pos, leaf, part[leaf], start)
+        tris = np.flatnonzero(tri_part >= 0)
+        tris = tris[big[tri_part[tris]]]
+        if not tris.size:
+            break
+        renumber = np.cumsum(big) - 1
+        tp = renumber[tri_part[tris]]
+        live = live[big[part[live]]]
+        up = renumber[part[live]]
+        start = start[big]
+        parts = len(start)
+        c = centroids[tris]
+        low = np.full((parts, 2), np.inf)
+        high = np.full((parts, 2), -np.inf)
+        np.minimum.at(low, tp, c)
+        np.maximum.at(high, tp, c)
+        axis = np.argmax(high - low, axis=1)
+        order = np.lexsort((c[np.arange(len(tris)), axis[tp]], tp))
+        sorted_tp = tp[order]
+        rank = np.empty(len(tris), dtype=np.int64)
+        rank[order] = np.arange(len(tris)) - np.searchsorted(sorted_tp,
+                                                            sorted_tp)
+        side = (rank >= np.bincount(tp, minlength=parts)[tp] // 2) * 1
+        used = np.zeros((2, n), dtype=bool)
+        used[np.repeat(side, cell_dofs.shape[1]),
+             cell_dofs[tris].ravel()] = True
+        on_left, on_right = used[:, live]
+        sep = on_left & on_right
+        child = 2 * up + on_right
+        sizes = np.bincount(child[~sep], minlength=2 * parts)
+        middle = start + sizes[0::2]
+        separator = middle + sizes[1::2]
+        _place_reference(pos, live[sep], up[sep], separator)
+        splits.append(np.column_stack([start, middle, separator]))
+        part[:] = -1
+        part[live[~sep]] = child[~sep]
+        tri_part[:] = -1
+        tri_part[tris] = 2 * tp + side
+        start = np.column_stack([start, middle]).ravel()
+    perm = np.empty(n, dtype=np.int64)
+    perm[pos] = np.arange(n)
+    return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
 def rect_mesh_reference(x_extent, y_extent, n_divisions):
@@ -576,6 +708,59 @@ def test_snapshot_text_is_the_line_by_line_text(seed, tmp_path):
                           tmp_path / "snapshot.vtk")
     assert path.read_text() == snapshot_text_reference(
         u_field, p_field, case.porosity, mesh, 0.125)
+
+
+# the step solver's meshes: the three ordering meshes, or a graded or
+# uniform rectangle whose sides are each Dirichlet or stress-free
+side_tags = st.lists(st.sampled_from([BoundaryTag.DIRICHLET,
+                                      BoundaryTag.STRESS_FREE]),
+                     min_size=4, max_size=4)
+solver_meshes = st.one_of(
+    st.tuples(st.sampled_from(sorted(ORDERING_MESHES)), st.none()),
+    st.tuples(st.sampled_from(["graded", "uniform"]), side_tags))
+
+
+def solver_mesh(kind, kinds, n):
+    if kinds is None:
+        return ORDERING_MESHES[kind][0](n)
+    case = get_case("two-layer")
+    graded = kind == "graded"
+    x_extent, y_extent = ((case.x_extent, case.y_extent) if graded
+                          else ((0.0, 1.0), (0.0, 1.0)))
+    return generate_rect_mesh(x_extent, y_extent, n,
+                              grading=case.grading if graded else None,
+                              tag_rule=_side_rule(kinds, x_extent, y_extent))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(layout=solver_meshes, n=st.integers(2, 16))
+def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
+    # the same pattern, mass-type positions and dissection order, and the
+    # same constant data to the last bit: each row takes its entries in the
+    # same sequence through the same conversion
+    ctx = make_context(solver_mesh(*layout, n),
+                       builtin_porosity("constant", value=0.6),
+                       get_case("two-layer").params)
+    table = Constraints.build(ctx)
+    size = ctx.vspace.dof_count + ctx.pspace.dof_count + int(table.gauge)
+    free = np.ones(size, dtype=bool)
+    free[table.fixed] = False
+    args = (viscous_elements(ctx), divergence_elements(ctx),
+            element_dofs(ctx), free,
+            ctx.volume_vector() if table.gauge else None)
+    (k, pos), (k_ref, pos_ref) = (_step_matrix(*args),
+                                  step_matrix_reference(*args))
+    assert k.shape == k_ref.shape
+    assert np.array_equal(k.indptr, k_ref.indptr)
+    assert np.array_equal(k.indices, k_ref.indices)
+    assert k.data.tobytes() == k_ref.data.tobytes()
+    assert np.array_equal(pos, pos_ref) and pos.dtype == pos_ref.dtype
+    (perm, splits), (perm_ref, splits_ref) = (
+        nested_dissection(ctx, table.fixed, table.gauge),
+        nested_dissection_reference(ctx, table.fixed, table.gauge))
+    assert np.array_equal(perm, perm_ref)
+    assert np.array_equal(splits, splits_ref)
+    assert splits.dtype == splits_ref.dtype
 
 
 # -- reordered sums ---------------------------------------------------------------

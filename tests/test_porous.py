@@ -99,6 +99,24 @@ def uniform(c):
     return lambda p: np.broadcast_to(np.asarray(c, float), (len(p), 2)).copy()
 
 
+def test_drag_weights_are_computed_once_per_context(params, unit_mesh):
+    # the context-only factors are cached read-only, and the weights keep
+    # the arithmetic of the closed forms, so every step is bitwise the same
+    ctx = make_context(unit_mesh, builtin_porosity("sinusoidal"), params)
+    field = interpolate(ctx.vspace, uniform([3.0, -2.0]))
+    linear = linear_drag_weight(ctx)
+    assert linear is linear_drag_weight(ctx) and not linear.flags.writeable
+    assert np.array_equal(linear, params.mu * linear_drag_coeff(ctx.phi_q,
+                                                                 params))
+    uq = ctx.tables.at_quad(field)
+    speed = np.sqrt(uq[..., 0] ** 2 + uq[..., 1] ** 2)
+    assert np.array_equal(quadratic_drag_weight(field, ctx),
+                          params.rho * forchheimer_coeff(ctx.phi_q, params)
+                          * speed)
+    with pytest.raises(ValueError):
+        linear[0, 0] = 0.0
+
+
 def test_drag_force_zero_cases(params, unit_mesh):
     drag, _ = step_drag(builtin_porosity("constant", value=0.7),
                         uniform([0.0, 0.0]), unit_mesh, params)
