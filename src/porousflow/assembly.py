@@ -140,11 +140,21 @@ def _gradient_products(ctx: FormContext) -> np.ndarray:
 
 def viscous_elements(ctx: FormContext) -> np.ndarray:
     """Element matrices of the viscous form 2*mu*(D(u), D(v)), (nt, 12, 12)
-    over each triangle's velocity unknowns."""
+    over each triangle's velocity unknowns: mu times the sum of the
+    gradient products and their trace on the same-component blocks."""
     cross = _gradient_products(ctx)
     s = np.einsum("tncmc->tnm", cross)
-    return ctx.params.mu * (_vectorize_scalar_local(s)
-                            + cross.reshape(-1, 12, 12))
+    nt = len(cross)
+    out = np.empty((nt, 6, 2, 6, 2))
+    # each component block cross[:, :, c, :, d] is contiguous; the
+    # cross-component blocks add +0.0, which turns a -0.0 into +0.0 as the
+    # zero-filled scalar expansion did
+    for c in range(2):
+        for d in range(2):
+            np.add(s if c == d else 0.0, cross[:, :, c, :, d],
+                   out=out[:, :, c, :, d])
+    out *= ctx.params.mu
+    return out.reshape(nt, 12, 12)
 
 
 def divergence_elements(ctx: FormContext) -> np.ndarray:
@@ -153,9 +163,12 @@ def divergence_elements(ctx: FormContext) -> np.ndarray:
     tables = ctx.tables
     ref = np.einsum("q,qi,qnj->inj", tables.weights, tables.p1_vals,
                     tables.p2_dlam)
-    local = -np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
-                       ctx.mesh.grad_lambda, optimize=True)
-    return local.reshape(-1, 3, 12)
+    local = np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
+                      ctx.mesh.grad_lambda, optimize=True)
+    out = np.empty(local.shape)
+    for c in range(2):       # each velocity component's block is contiguous
+        np.negative(local[..., c], out=out[..., c])
+    return out.reshape(-1, 3, 12)
 
 
 def linear_drag_weight(ctx: FormContext) -> np.ndarray:

@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from porousflow.mesh import Mesh
 
@@ -58,6 +57,10 @@ def _radon7() -> QuadratureRule:
 
 def _conical(degree: int) -> QuadratureRule:
     """Conical-product rule exact to ``degree`` (no tabulated constants)."""
+    # imported here: only the checks of analytic integrals need these rules,
+    # and scipy.special would add to every run's memory
+    from scipy.special import roots_jacobi
+
     n = (degree + 2) // 2
     xj, wj = roots_jacobi(n, 1.0, 0.0)       # weight (1-x) on [-1, 1]
     u = 0.5 * (xj + 1.0)
@@ -295,10 +298,16 @@ class QuadTables:
         (nt, nq, components, 2)."""
         coef = field_.coefficients[field_.space.cell_dofs]
         nt, nq = self.wxarea.shape
-        d = coef @ self._tables[field_.space.kind][1]
-        d = d.reshape(nt, 3, nq, -1, 1)
-        gl = self._grad_lambda[:, :, None, None, :]        # (nt, 3, 1, 1, 2)
-        return d[:, 0] * gl[:, 0] + d[:, 1] * gl[:, 1] + d[:, 2] * gl[:, 2]
+        # derivatives by the barycentric coordinates, (nt, 3, nq*c)
+        d = (coef @ self._tables[field_.space.kind][1]).reshape(nt, 3, -1)
+        gl = self._grad_lambda                               # (nt, 3, 2)
+        out = np.empty((nt, d.shape[2], 2))
+        for x in range(2):
+            o = out[:, :, x]
+            np.multiply(d[:, 0], gl[:, 0, x, None], out=o)
+            o += d[:, 1] * gl[:, 1, x, None]
+            o += d[:, 2] * gl[:, 2, x, None]
+        return out.reshape(nt, nq, -1, 2)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Integrals of quadrature-point values (nt, nq, ...) over the mesh,

@@ -7,11 +7,13 @@ the adjacency walk for point location, the row-gather barycentric
 coordinates and grid location, the smooth step evaluated everywhere, the
 segment/boundary-edge table for the boundary exit, the per-edge loop of the
 transport identity's contour integral, the viscous and divergence blocks
-from the physical gradient table, the step matrix from the masked dense
-element table with its mass-type positions by sparse fancy indexing, the
-nested dissection on unknowns with its bounds by ``ufunc.at`` and the VTK
-snapshot written one line at a time (in ``snapshot_reference``, which the
-CLI tests share).  Kernels whose arithmetic is unchanged must agree bit for
+from the physical gradient table, the viscous element table as a sum with a
+zero-filled component expansion and the divergence table as a negated
+reshape, the quadrature-point gradients by a five-dimensional broadcast,
+the step matrix from the masked dense element table with its mass-type
+positions by sparse fancy indexing, the nested dissection on unknowns with
+its bounds by ``ufunc.at`` and the VTK snapshot written one line at a time
+(in ``snapshot_reference``, which the CLI tests share).  Kernels whose arithmetic is unchanged must agree bit for
 bit; those that sum in another order agree within a tolerance fixed from
 double precision.
 """
@@ -28,8 +30,8 @@ from hypothesis import strategies as st
 import porousflow.characteristics as characteristics
 from porousflow import _mms_generated
 from porousflow.assembly import (
+    _gradient_products,
     _scatter_matrix,
-    _vectorize_scalar_local,
     assemble_load,
     assemble_mass_phi_rhs,
     divergence_elements,
@@ -200,7 +202,7 @@ def a0_reference(ctx):
     s = np.einsum("tq,tqnd,tqmd->tnm", wxa, g, g)
     cross = np.einsum("tq,tqnd,tqmc->tncmd", wxa, g, g)
     nt = len(wxa)
-    local = ctx.params.mu * (_vectorize_scalar_local(s)
+    local = ctx.params.mu * (vectorize_scalar_local_reference(s)
                              + cross.reshape(nt, 12, 12))
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count
@@ -216,6 +218,47 @@ def b_reference(ctx):
     local = local.reshape(nt, 3, 12)
     return _scatter_matrix(ctx.pspace.cell_dofs, ctx.vspace.cell_dofs, local,
                            (ctx.pspace.dof_count, ctx.vspace.dof_count))
+
+
+def vectorize_scalar_local_reference(s_local):
+    """Expand scalar-node local matrices to both velocity components."""
+    nt, nl, _ = s_local.shape
+    out = np.zeros((nt, 2 * nl, 2 * nl))
+    out[:, 0::2, 0::2] = s_local
+    out[:, 1::2, 1::2] = s_local
+    return out
+
+
+def viscous_elements_reference(ctx):
+    """The viscous element table as mu times the sum of the zero-filled
+    component expansion of the trace and a reshaped copy of the gradient
+    products."""
+    cross = _gradient_products(ctx)
+    s = np.einsum("tncmc->tnm", cross)
+    return ctx.params.mu * (vectorize_scalar_local_reference(s)
+                            + cross.reshape(-1, 12, 12))
+
+
+def divergence_elements_reference(ctx):
+    tables = ctx.tables
+    ref = np.einsum("q,qi,qnj->inj", tables.weights, tables.p1_vals,
+                    tables.p2_dlam)
+    local = -np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
+                       ctx.mesh.grad_lambda, optimize=True)
+    return local.reshape(-1, 3, 12)
+
+
+def grad_at_quad_reference(mesh, field_):
+    """Quadrature-point gradients by a broadcast of the (nt, 3, nq, c, 1)
+    barycentric derivatives against the (nt, 3, 1, 1, 2) gradients
+    ``grad_lambda``."""
+    tables = quad_tables(mesh)
+    coef = field_.coefficients[field_.space.cell_dofs]
+    nt, nq = tables.wxarea.shape
+    d = coef @ tables._tables[field_.space.kind][1]
+    d = d.reshape(nt, 3, nq, -1, 1)
+    gl = mesh.grad_lambda[:, :, None, None, :]             # (nt, 3, 1, 1, 2)
+    return d[:, 0] * gl[:, 0] + d[:, 1] * gl[:, 1] + d[:, 2] * gl[:, 2]
 
 
 # the same-component pairs of a triangle's velocity unknowns, (6, 6, 2):
@@ -511,6 +554,13 @@ def assert_rel(value, reference, rel):
     assert np.abs(np.asarray(value) - reference).max() <= rel * scale
 
 
+def assert_same_bytes(value, reference):
+    """Equal arrays to the last bit, signed zeros and NaN payloads
+    included."""
+    assert value.shape == reference.shape and value.dtype == reference.dtype
+    assert value.tobytes() == reference.tobytes()
+
+
 # -- bitwise kernels ----------------------------------------------------------------
 
 def located(mesh, rows):
@@ -761,6 +811,46 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     assert np.array_equal(perm, perm_ref)
     assert np.array_equal(splits, splits_ref)
     assert splits.dtype == splits_ref.dtype
+
+
+def assert_element_tables_are_the_expanded_forms(ctx):
+    assert_same_bytes(viscous_elements(ctx), viscous_elements_reference(ctx))
+    assert_same_bytes(divergence_elements(ctx),
+                      divergence_elements_reference(ctx))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(layout=solver_meshes, n=st.integers(2, 16))
+def test_element_tables_are_bytewise_the_expanded_forms(layout, n):
+    assert_element_tables_are_the_expanded_forms(make_context(
+        solver_mesh(*layout, n), builtin_porosity("constant", value=0.6),
+        get_case("two-layer").params))
+
+
+def test_benchmark_element_tables_are_bytewise_the_expanded_forms(mms_case):
+    # the meshes of the two benchmark workloads: two-layer n=60 and the
+    # largest level of the manufactured-solution study
+    assert_element_tables_are_the_expanded_forms(
+        build_setup(get_case("two-layer"), 60)[1])
+    assert_element_tables_are_the_expanded_forms(make_context(
+        generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 32),
+        mms_case.porosity, mms_case.params))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(ORDERING_MESHES)), n=st.integers(2, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadrature_point_gradients_are_bytewise_the_broadcast_form(kind, n,
+                                                                    seed):
+    mesh = ORDERING_MESHES[kind][0](n)
+    rng = np.random.default_rng(seed)
+    for space in (velocity_space(mesh), pressure_space(mesh)):
+        coef = rng.normal(size=space.dof_count) \
+            * 10.0 ** rng.integers(-8, 8, space.dof_count)
+        coef[rng.random(space.dof_count) < 0.2] = -0.0
+        f = FeField(space, coef)
+        assert_same_bytes(quad_tables(mesh).grad_at_quad(f),
+                          grad_at_quad_reference(mesh, f))
 
 
 # -- reordered sums ---------------------------------------------------------------

@@ -11,8 +11,10 @@ import pytest
 
 import porousflow
 from diagnostic_forms import korn_constant_estimate, trilinear_a1_quadrature
+from porousflow import scheme
 from porousflow.assembly import make_context
-from porousflow.fem import AnalyticVectorField, interpolate
+from porousflow.cases import build_setup, get_case
+from porousflow.fem import AnalyticVectorField, interpolate, tri_quadrature
 from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import (
     builtin_porosity,
@@ -249,6 +251,45 @@ def test_manufactured_case_and_eoc_run_without_sympy():
                          capture_output=True, text=True, check=True)
     assert json.loads(out.stdout) == [dataclasses.asdict(r)
                                       for r in run_eoc([4, 8])]
+
+
+_NO_SCIPY_SPECIAL_SCRIPT = textwrap.dedent("""
+    import dataclasses
+    import json
+    import sys
+
+    sys.modules["scipy.special"] = None   # every import of it now fails
+    import porousflow.cli
+    from porousflow import scheme
+    from porousflow.cases import build_setup, get_case
+    from porousflow.fem import tri_quadrature
+    from porousflow.verification import run_eoc
+
+    _, _, setup = build_setup(get_case("two-layer"), 12, t_final=0.3)
+    steps = scheme.run(setup).steps
+    records = [dataclasses.asdict(r) for r in run_eoc([2, 4], t_final=2.0)]
+    del sys.modules["scipy.special"]      # lift the block
+    print(json.dumps([steps, records, tri_quadrature(9).weights.tolist()]))
+""")
+
+
+def test_runs_and_study_without_scipy_special():
+    """Only the conical rules above degree 5, which the checks use, need
+    scipy.special: a process that cannot import it loads the command line,
+    runs a one-step two-layer run and a two-level study with the same
+    results, and builds the degree-9 rule once the import is allowed."""
+    src = os.path.dirname(os.path.dirname(porousflow.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SPECIAL_SCRIPT],
+                         env=env, capture_output=True, text=True, check=True)
+    steps, records, weights = json.loads(out.stdout)
+    _, _, setup = build_setup(get_case("two-layer"), 12, t_final=0.3)
+    expected = scheme.run(setup).steps
+    assert len(expected) == 1
+    assert steps == json.loads(json.dumps(expected))
+    assert records == [dataclasses.asdict(r)
+                       for r in run_eoc([2, 4], t_final=2.0)]
+    assert weights == tri_quadrature(9).weights.tolist()
 
 
 def test_run_eoc_requires_ascending_list():
