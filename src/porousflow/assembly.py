@@ -126,49 +126,70 @@ def _vector_mass(ctx: FormContext, weight: np.ndarray) -> sparse.csr_matrix:
 
 # -- bilinear forms ---------------------------------------------------------------
 
-def _gradient_products(ctx: FormContext) -> np.ndarray:
-    """Integrals of ``d_d phi_n * d_c phi_m`` over each triangle ``t``,
-    (nt, 6, 2, 6, 2) indexed ``(t, n, c, m, d)``: the area times one reference
-    tensor of the degree-5 rule contracted with the triangle's constant
-    ``grad_lambda`` (Kirby & Logg, ACM TOMS 32(3), 2006)."""
-    tables = ctx.tables
-    d = tables.p2_dlam                                        # (nq, 6, 3)
-    ref = np.einsum("q,qnj,qmk->jknm", tables.weights, d, d)
-    return np.einsum("t,jknm,tjd,tkc->tncmd", ctx.mesh.areas, ref,
-                     ctx.mesh.grad_lambda, ctx.mesh.grad_lambda, optimize=True)
-
-
 def viscous_elements(ctx: FormContext) -> np.ndarray:
     """Element matrices of the viscous form 2*mu*(D(u), D(v)), (nt, 12, 12)
-    over each triangle's velocity unknowns: mu times the sum of the
-    gradient products and their trace on the same-component blocks."""
-    cross = _gradient_products(ctx)
-    s = np.einsum("tncmc->tnm", cross)
-    nt = len(cross)
+    over each triangle's velocity unknowns: mu times the gradient products
+    ``D_cd``, the integrals of ``d_d phi_n * d_c phi_m`` over each triangle,
+    plus their trace ``D_00 + D_11`` on the same-component blocks.
+
+    ``D_cd`` is the area times one reference tensor of the degree-5 rule
+    contracted with the triangle's constant ``grad_lambda`` (Kirby & Logg,
+    ACM TOMS 32(3), 2006): one matrix product per component block, with the
+    rows and the summation order of the single product that
+    ``einsum(..., optimize=True)`` ran for all four blocks at once.
+    """
+    tables, mesh = ctx.tables, ctx.mesh
+    dlam = tables.p2_dlam                                     # (nq, 6, 3)
+    ref = np.einsum("q,qnj,qmk->jknm", tables.weights, dlam,
+                    dlam).reshape(9, 36)
+    gl = mesh.grad_lambda                                     # (nt, 3, 2)
+    nt = len(gl)
+    x = np.einsum("tjd,t->dtj", gl, mesh.areas)
+    rows = np.empty((nt, 3, 3))
+    block = np.empty((nt, 36))
+
+    def products(c, d):
+        """``D_cd`` (nt, 6, 6), in the one reused block buffer; its rows
+        are ``0.0 + x_d[t, j] * grad_lambda[t, k, c]``, as einsum forms
+        them."""
+        np.multiply(x[d, :, :, None], gl[:, None, :, c], out=rows)
+        np.add(rows, 0.0, out=rows)
+        return np.dot(rows.reshape(nt, 9), ref, out=block).reshape(nt, 6, 6)
+
     out = np.empty((nt, 6, 2, 6, 2))
-    # each component block cross[:, :, c, :, d] is contiguous; the
-    # cross-component blocks add +0.0, which turns a -0.0 into +0.0 as the
-    # zero-filled scalar expansion did
-    for c in range(2):
-        for d in range(2):
-            np.add(s if c == d else 0.0, cross[:, :, c, :, d],
-                   out=out[:, :, c, :, d])
+    # the trace is summed as (0.0 + D_00) + D_11, in the (1, 1) block until
+    # D_11 is added to it; the cross-component blocks add +0.0, which turns
+    # a -0.0 into +0.0 as the zero-filled scalar expansion did
+    diag0, diag1 = out[:, :, 0, :, 0], out[:, :, 1, :, 1]
+    prod = products(0, 0)
+    np.copyto(diag0, prod)
+    np.add(prod, 0.0, out=diag1)
+    prod = products(1, 1)          # the same buffer, now holding D_11
+    diag1 += prod
+    diag0 += diag1
+    diag1 += prod
+    for c, d in ((0, 1), (1, 0)):
+        np.add(products(c, d), 0.0, out=out[:, :, c, :, d])
     out *= ctx.params.mu
     return out.reshape(nt, 12, 12)
 
 
 def divergence_elements(ctx: FormContext) -> np.ndarray:
     """Element matrices of the divergence coupling -(div v, q), (nt, 3, 12)
-    from each triangle's velocity unknowns to its pressure unknowns."""
-    tables = ctx.tables
+    from each triangle's velocity unknowns to its pressure unknowns: one
+    matrix product of the reference tensor per velocity component, as the
+    einsum over both components ran it, negated into its block."""
+    tables, mesh = ctx.tables, ctx.mesh
     ref = np.einsum("q,qi,qnj->inj", tables.weights, tables.p1_vals,
-                    tables.p2_dlam)
-    local = np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
-                      ctx.mesh.grad_lambda, optimize=True)
-    out = np.empty(local.shape)
-    for c in range(2):       # each velocity component's block is contiguous
-        np.negative(local[..., c], out=out[..., c])
-    return out.reshape(-1, 3, 12)
+                    tables.p2_dlam).transpose(2, 0, 1).reshape(3, 18)
+    x = np.einsum("tjc,t->ctj", mesh.grad_lambda, mesh.areas)
+    nt = x.shape[1]
+    block = np.empty((nt, 18))
+    out = np.empty((nt, 3, 6, 2))
+    for c in range(2):
+        np.dot(x[c], ref, out=block)
+        np.negative(block.reshape(nt, 3, 6), out=out[..., c])
+    return out.reshape(nt, 3, 12)
 
 
 def linear_drag_weight(ctx: FormContext) -> np.ndarray:

@@ -164,21 +164,38 @@ class SpaceDescriptor:
 def velocity_space(mesh: Mesh) -> SpaceDescriptor:
     """Vector P2 space: nodes at vertices plus unique edge midpoints, the
     midpoints numbered in the order their edges first appear in the
-    triangles."""
+    triangles.
+
+    An edge is keyed by its lower vertex and the rank of its vertex-number
+    difference among those of the mesh (four on a crossed grid), so a dense
+    table of a few keys per vertex finds each edge's first appearance and
+    its node, with no sort.
+    """
     nv, nt = mesh.n_vertices, mesh.n_triangles
+    tris = mesh.triangles
     # edge k of a triangle lies opposite its vertex k
-    ends = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
-    keys, first, inverse = np.unique(ends[..., 0] * nv + ends[..., 1],
-                                     return_index=True, return_inverse=True)
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(nv, nv + len(keys))
-    cell_nodes = np.column_stack([mesh.triangles,
-                                  rank[inverse].reshape(nt, 3)])
-    coords = np.empty((nv + len(keys), 2))
+    a, b = tris[:, [1, 2, 0]], tris[:, [2, 0, 1]]
+    lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+    rank = np.zeros(int((hi - lo).max()) + 1, dtype=np.int64)
+    rank[hi - lo] = 1
+    np.cumsum(rank, out=rank)
+    width = int(rank[-1])
+
+    def key(lo, hi):
+        return lo * width + rank[hi - lo] - 1
+
+    keys, at = key(lo, hi), np.arange(3 * nt)
+    first = np.full(nv * width, 3 * nt)
+    np.minimum.at(first, keys, at)
+    new = np.flatnonzero(first[keys] == at)
+    node = np.empty(nv * width, dtype=np.int64)
+    node[keys[new]] = np.arange(nv, nv + len(new))
+    cell_nodes = np.column_stack([tris, node[keys].reshape(nt, 3)])
+    coords = np.empty((nv + len(new), 2))
     coords[:nv] = mesh.vertices
-    coords[rank] = 0.5 * (mesh.vertices[keys // nv] + mesh.vertices[keys % nv])
-    bends = np.sort(mesh.boundary_edges, axis=1)
-    midpoints = rank[np.searchsorted(keys, bends[:, 0] * nv + bends[:, 1])]
+    coords[nv:] = 0.5 * (mesh.vertices[lo[new]] + mesh.vertices[hi[new]])
+    ends = mesh.boundary_edges
+    midpoints = node[key(ends.min(axis=1), ends.max(axis=1))]
     return SpaceDescriptor(mesh, P2_VECTOR, coords, cell_nodes, midpoints)
 
 
@@ -244,6 +261,23 @@ def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:
 
 # -- quadrature tables and norms ------------------------------------------------
 
+def physical_points(mesh: Mesh, bary: np.ndarray) -> np.ndarray:
+    """The points of barycentric coordinates ``bary`` (nq, 3) in every
+    triangle of ``mesh``, (nt, nq, 2): per axis, ``c0*b0 + c1*b1 + c2*b2``
+    from the triangle's vertex coordinates ``c_i``, summed in that order."""
+    tris = mesh.triangles
+    out = np.empty((len(tris), len(bary), 2))
+    term = np.empty(out.shape[:2])
+    for axis in range(2):
+        coord = mesh.vertices[:, axis]
+        o = out[:, :, axis]
+        np.multiply(coord.take(tris[:, 0])[:, None], bary[:, 0], out=o)
+        for i in (1, 2):
+            o += np.multiply(coord.take(tris[:, i])[:, None], bary[:, i],
+                             out=term)
+    return out
+
+
 class QuadTables:
     """The degree-5 rule tabulated on one mesh: the only source of
     quadrature points, weights and basis tables of the forms and norms.
@@ -270,8 +304,7 @@ class QuadTables:
         v = self.p2_vals
         self.p2_products = (v[:, :, None] * v[:, None, :]).reshape(len(v), -1)
         self.wxarea = rule.weights[None, :] * mesh.areas[:, None]
-        self.qpoints = np.einsum("qi,tid->tqd", rule.points,
-                                 mesh.vertices[mesh.triangles])
+        self.qpoints = physical_points(mesh, rule.points)
         nt, nq = self.wxarea.shape
         self.qpoints_flat = self.qpoints.reshape(nt * nq, 2)
         # value table (nb*c, nq*c): entry (n*c + c', q*c + c'') is vals[q, n]

@@ -107,13 +107,17 @@ class Mesh:
 
         # boundary edges (those with both ends on one side of the rectangle),
         # oriented counterclockwise around it as they appear in their owning
-        # triangle, in (triangle, local edge) order
-        ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+        # triangle, in (triangle, local edge) order; only the triangles of
+        # the grid cells along the sides can own one
+        border = np.flatnonzero((i == 0) | (i == nx - 1) | (j == 0)
+                                | (j == ny - 1))
+        near = (2 * border[:, None] + np.arange(2)).ravel()
+        ends = tris[near][:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
         p, q = vertices[ends[:, 0]], vertices[ends[:, 1]]
         on_side = (p == q) & ((p == vertices[0]) | (p == vertices[-1]))
         owned = np.flatnonzero(on_side.any(axis=1))
         self.boundary_edges = ends[owned]
-        self.boundary_edge_tri = owned // 3
+        self.boundary_edge_tri = near[owned // 3]
         rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
         mids = 0.5 * (vertices[self.boundary_edges[:, 0]]
                       + vertices[self.boundary_edges[:, 1]])
@@ -130,26 +134,24 @@ class Mesh:
                 self.side_edges[axis, upper,
                                 _cell_index(along, mids[on, 1 - axis])] = on
 
-        pts = vertices[tris]                         # (nt, 3, 2)
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        # the corners' coordinates, (3, nt) per axis
+        cx, cy = vertices[:, 0].take(tris.T), vertices[:, 1].take(tris.T)
+        d1x, d1y = cx[1] - cx[0], cy[1] - cy[0]
+        d2x, d2y = cx[2] - cx[0], cy[2] - cy[0]
+        det = d1x * d2y - d1y * d2x
         self.areas = 0.5 * det
-        inv = np.empty((len(det), 2, 2))
-        inv[:, 0, 0] = d2[:, 1]
-        inv[:, 0, 1] = -d2[:, 0]
-        inv[:, 1, 0] = -d1[:, 1]
-        inv[:, 1, 1] = d1[:, 0]
-        inv /= det[:, None, None]
-        # (lam1, lam2) = inv @ (x - p0), kept as one contiguous column per
-        # coefficient: inv[0, 0], inv[0, 1], inv[1, 0], inv[1, 1], p0 x, p0 y
-        self._affine = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0],
-                                 inv[:, 1, 1], pts[:, 0, 0], pts[:, 0, 1]])
-        # gradients of the three barycentric coordinates, (nt, 3, 2)
+        # (lam1, lam2) = inv @ (x - p0) with inv = [[d2y, -d2x], [-d1y, d1x]]
+        # / det, kept as one contiguous column per coefficient: inv[0, 0],
+        # inv[0, 1], inv[1, 0], inv[1, 1], p0 x, p0 y
+        self._affine = c = np.empty((6, len(det)))
+        for row, num in enumerate((d2y, -d2x, -d1y, d1x)):
+            np.divide(num, det, out=c[row])
+        c[4], c[5] = cx[0], cy[0]
+        # gradients of the three barycentric coordinates, (nt, 3, 2): the
+        # rows of inv for lam1 and lam2, minus both for lam0
         grads = np.empty((len(det), 3, 2))
-        grads[:, 1] = inv[:, 0]
-        grads[:, 2] = inv[:, 1]
-        grads[:, 0] = -inv[:, 0] - inv[:, 1]
+        grads[:, 1:] = c[:4].T.reshape(-1, 2, 2)
+        np.subtract(-c[0:2], c[2:4], out=grads[:, 0].T)
         self.grad_lambda = grads
         # the quadrature tables of this mesh, filled by fem.quad_tables
         self.quad_tables = None
@@ -192,6 +194,10 @@ def _graded_interval(length: float, n: int, first: float) -> np.ndarray:
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # no float lies between the ends: every further halving would give
+        # r = mid, as the last one does
+        if mid in (lo, hi):
+            break
         if fill(mid) < length:
             lo = mid
         else:

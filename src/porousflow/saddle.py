@@ -577,6 +577,18 @@ class StepSolver:
         self._key, self._factor_residual = key, r_norm / rhs_norm
         return x, self._factor_residual, iterations, True
 
+    def _start(self, k, rhs):
+        """The start ``x0 = P c`` of :meth:`_krylov`, ``x0 = 0`` before the
+        first solve.  ``k P`` is formed by one product per held solution,
+        each a contiguous row of the ring, written into the columns of an
+        F-ordered array: every row of ``k`` is summed in the order of the
+        product with all columns at once, without its copy of ``P``."""
+        past = self._past[:self._solves]
+        kp = np.empty((len(rhs), len(past)), order="F")
+        for i, p in enumerate(past):
+            kp[:, i] = k @ p
+        return past.T @ np.linalg.lstsq(kp, rhs, rcond=None)[0]
+
     def _krylov(self, k, rhs, rhs_norm, refine=False):
         """GMRES right-preconditioned by the held LU within one restart
         cycle of ``KRYLOV_MAX_ITERATIONS``, started from ``x0 = P c``: the
@@ -604,8 +616,7 @@ class StepSolver:
         stop = KRYLOV_RTOL if refine else min(RESIDUAL_BOUND, max(
             KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._factor_residual))
         target = stop * rhs_norm
-        past = self._past[:self._solves].T
-        x0 = past @ np.linalg.lstsq(k @ past, rhs, rcond=None)[0]
+        x0 = self._start(k, rhs)
         r = rhs - k @ x0
         beta = float(np.linalg.norm(r))
         if beta <= target:

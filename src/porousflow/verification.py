@@ -33,6 +33,7 @@ from porousflow.fem import (
     field_mean,
     interpolate,
     norm,
+    physical_points,
     tri_quadrature,
 )
 from porousflow.mesh import generate_rect_mesh
@@ -303,8 +304,7 @@ def transport_identity_check(u: AnalyticVectorField, porosity: PorosityField,
     rule = tri_quadrature(degree)
     wxa = rule.weights[None, :] * mesh.areas[:, None]
     nt, nq = wxa.shape
-    flat = np.einsum("qi,tid->tqd", rule.points,
-                     mesh.vertices[mesh.triangles]).reshape(nt * nq, 2)
+    flat = physical_points(mesh, rule.points).reshape(nt * nq, 2)
 
     uv = np.asarray(u.value(flat), dtype=float)
     gu = np.asarray(u.grad(flat), dtype=float)

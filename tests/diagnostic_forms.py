@@ -2,8 +2,10 @@
 
 The convective trilinear form, which the time stepper replaces by the
 composed transport term, a Korn-constant estimate on the constrained
-velocity space, and the unweighted velocity mass matrix and linear drag
-form, which the step solver folds into one quadrature-point weight.
+velocity space, the unweighted velocity mass matrix and linear drag form,
+which the step solver folds into one quadrature-point weight, and the
+per-triangle gradient products by the five-operand einsum that the viscous
+element table once used.
 """
 
 import numpy as np
@@ -12,7 +14,6 @@ from scipy.sparse.linalg import eigsh
 
 from porousflow.assembly import (
     FormContext,
-    _gradient_products,
     _scatter_matrix,
     _vector_mass,
     _vectorize_scalar_local,
@@ -21,6 +22,18 @@ from porousflow.assembly import (
 from porousflow.fem import AnalyticVectorField
 from porousflow.saddle import Constraints
 from reference_solve import assemble_a0
+
+
+def gradient_products(ctx: FormContext) -> np.ndarray:
+    """Integrals of ``d_d phi_n * d_c phi_m`` over each triangle ``t``,
+    (nt, 6, 2, 6, 2) indexed ``(t, n, c, m, d)``: the area times one reference
+    tensor of the degree-5 rule contracted with the triangle's constant
+    ``grad_lambda`` (Kirby & Logg, ACM TOMS 32(3), 2006)."""
+    tables = ctx.tables
+    d = tables.p2_dlam                                        # (nq, 6, 3)
+    ref = np.einsum("q,qnj,qmk->jknm", tables.weights, d, d)
+    return np.einsum("t,jknm,tjd,tkc->tncmd", ctx.mesh.areas, ref,
+                     ctx.mesh.grad_lambda, ctx.mesh.grad_lambda, optimize=True)
 
 
 def trilinear_a1_quadrature(u: AnalyticVectorField, w: AnalyticVectorField,
@@ -62,7 +75,7 @@ def korn_constant_estimate(ctx: FormContext) -> float:
 
 def vector_gradient_gram(ctx: FormContext) -> sparse.csr_matrix:
     """Gram matrix of the velocity gradients, (grad u, grad v)."""
-    s = np.einsum("tncmc->tnm", _gradient_products(ctx))
+    s = np.einsum("tncmc->tnm", gradient_products(ctx))
     local = _vectorize_scalar_local(s)
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count

@@ -8,14 +8,20 @@ coordinates and grid location, the smooth step evaluated everywhere, the
 segment/boundary-edge table for the boundary exit, the per-edge loop of the
 transport identity's contour integral, the viscous and divergence blocks
 from the physical gradient table, the viscous element table as a sum with a
-zero-filled component expansion and the divergence table as a negated
-reshape, the quadrature-point gradients by a five-dimensional broadcast,
-the step matrix from the masked dense element table with its mass-type
-positions by sparse fancy indexing, the nested dissection on unknowns with
-its bounds by ``ufunc.at`` and the VTK snapshot written one line at a time
-(in ``snapshot_reference``, which the CLI tests share).  Kernels whose arithmetic is unchanged must agree bit for
-bit; those that sum in another order agree within a tolerance fixed from
-double precision.
+zero-filled component expansion of the five-operand gradient-product
+``einsum`` and the divergence table as a negated reshape of one
+``einsum``, the quadrature points by one ``einsum`` over the gathered
+vertices, the boundary edges from a scan of every triangle with the affine
+columns through stacked inverses, the grading ratio after all 200
+halvings, the P2 midpoints numbered through ``np.unique``, the
+quadrature-point gradients by a five-dimensional broadcast, the step
+matrix from the masked dense element table with its mass-type positions by
+sparse fancy indexing, the nested dissection on unknowns with its bounds by
+``ufunc.at``, the GMRES start from one product with all held solutions and
+the VTK snapshot written one line at a time (in ``snapshot_reference``,
+which the CLI tests share).  Kernels whose arithmetic is unchanged must
+agree bit for bit; those that sum in another order agree within a
+tolerance fixed from double precision.
 """
 
 import functools
@@ -28,9 +34,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porousflow.characteristics as characteristics
+import porousflow.mesh as mesh_module
 from porousflow import _mms_generated
 from porousflow.assembly import (
-    _gradient_products,
     _scatter_matrix,
     assemble_load,
     assemble_mass_phi_rhs,
@@ -49,6 +55,7 @@ from porousflow.fem import (
     eval_field_many,
     interpolate,
     norm,
+    physical_points,
     pressure_space,
     quad_tables,
     tri_quadrature,
@@ -68,6 +75,7 @@ from porousflow.porous import TWO_LAYER_EPS, _smooth_step, builtin_porosity
 from porousflow.saddle import (
     DISSECTION_LEAF,
     Constraints,
+    StepSolver,
     _step_matrix,
     element_dofs,
     nested_dissection,
@@ -75,6 +83,7 @@ from porousflow.saddle import (
 from porousflow.scheme import run
 from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
+from diagnostic_forms import gradient_products
 from reference_solve import assemble_a0, assemble_b
 from snapshot_reference import snapshot_text_reference
 from test_saddle import ORDERING_MESHES, _side_rule
@@ -233,7 +242,7 @@ def viscous_elements_reference(ctx):
     """The viscous element table as mu times the sum of the zero-filled
     component expansion of the trace and a reshaped copy of the gradient
     products."""
-    cross = _gradient_products(ctx)
+    cross = gradient_products(ctx)
     s = np.einsum("tncmc->tnm", cross)
     return ctx.params.mu * (vectorize_scalar_local_reference(s)
                             + cross.reshape(-1, 12, 12))
@@ -246,6 +255,81 @@ def divergence_elements_reference(ctx):
     local = -np.einsum("t,inj,tjc->tinc", ctx.mesh.areas, ref,
                        ctx.mesh.grad_lambda, optimize=True)
     return local.reshape(-1, 3, 12)
+
+
+def qpoints_reference(mesh, rule):
+    """Physical quadrature points by one einsum over the gathered vertices."""
+    return np.einsum("qi,tid->tqd", rule.points, mesh.vertices[mesh.triangles])
+
+
+def mesh_geometry_reference(mesh):
+    """Boundary edges from a scan of every triangle's edges, and the areas,
+    affine columns and barycentric gradients through the (nt, 2, 2)
+    inverses and a stacked copy of their entries."""
+    vertices, tris = mesh.vertices, mesh.triangles
+    ends = tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
+    p, q = vertices[ends[:, 0]], vertices[ends[:, 1]]
+    on_side = (p == q) & ((p == vertices[0]) | (p == vertices[-1]))
+    owned = np.flatnonzero(on_side.any(axis=1))
+    pts = vertices[tris]                         # (nt, 3, 2)
+    d1 = pts[:, 1] - pts[:, 0]
+    d2 = pts[:, 2] - pts[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    inv = np.empty((len(det), 2, 2))
+    inv[:, 0, 0] = d2[:, 1]
+    inv[:, 0, 1] = -d2[:, 0]
+    inv[:, 1, 0] = -d1[:, 1]
+    inv[:, 1, 1] = d1[:, 0]
+    inv /= det[:, None, None]
+    affine = np.stack([inv[:, 0, 0], inv[:, 0, 1], inv[:, 1, 0],
+                       inv[:, 1, 1], pts[:, 0, 0], pts[:, 0, 1]])
+    grads = np.empty((len(det), 3, 2))
+    grads[:, 1] = inv[:, 0]
+    grads[:, 2] = inv[:, 1]
+    grads[:, 0] = -inv[:, 0] - inv[:, 1]
+    return {"boundary_edges": ends[owned], "boundary_edge_tri": owned // 3,
+            "areas": 0.5 * det, "_affine": affine, "grad_lambda": grads}
+
+
+def graded_interval_reference(length, n, first):
+    """Graded sizes with the growth ratio bisected 200 times."""
+    if first * n >= length:
+        return np.full(n, length / n)
+
+    def fill(r):
+        return first * (r ** n - 1.0) / (r - 1.0)
+
+    lo, hi = 1.0 + 1e-12, 2.0
+    while fill(hi) < length:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if fill(mid) < length:
+            lo = mid
+        else:
+            hi = mid
+    r = 0.5 * (lo + hi)
+    sizes = first * r ** np.arange(n)
+    return sizes * (length / sizes.sum())
+
+
+def velocity_space_reference(mesh):
+    """Midpoint nodes numbered through ``np.unique`` of the sorted edge
+    keys: (node coordinates, cell nodes, boundary midpoints)."""
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    ends = np.sort(mesh.triangles[:, [[1, 2], [2, 0], [0, 1]]], axis=2)
+    keys, first, inverse = np.unique(ends[..., 0] * nv + ends[..., 1],
+                                     return_index=True, return_inverse=True)
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(nv, nv + len(keys))
+    cell_nodes = np.column_stack([mesh.triangles,
+                                  rank[inverse].reshape(nt, 3)])
+    coords = np.empty((nv + len(keys), 2))
+    coords[:nv] = mesh.vertices
+    coords[rank] = 0.5 * (mesh.vertices[keys // nv] + mesh.vertices[keys % nv])
+    bends = np.sort(mesh.boundary_edges, axis=1)
+    midpoints = rank[np.searchsorted(keys, bends[:, 0] * nv + bends[:, 1])]
+    return coords, cell_nodes, midpoints
 
 
 def grad_at_quad_reference(mesh, field_):
@@ -819,6 +903,20 @@ def assert_element_tables_are_the_expanded_forms(ctx):
                       divergence_elements_reference(ctx))
 
 
+def assert_set_up_arrays_are_the_parent_forms(mesh):
+    # the mesh's geometry, the velocity space's nodes and the quadrature
+    # points, each to the last bit, index arrays with their dtype
+    for name, reference in mesh_geometry_reference(mesh).items():
+        assert_same_bytes(getattr(mesh, name), reference)
+    space = velocity_space(mesh)
+    for value, reference in zip((space.node_coords, space.cell_nodes,
+                                 space.boundary_midpoints),
+                                velocity_space_reference(mesh)):
+        assert_same_bytes(value, reference)
+    assert_same_bytes(quad_tables(mesh).qpoints,
+                      qpoints_reference(mesh, tri_quadrature(5)))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(layout=solver_meshes, n=st.integers(2, 16))
 def test_element_tables_are_bytewise_the_expanded_forms(layout, n):
@@ -827,14 +925,54 @@ def test_element_tables_are_bytewise_the_expanded_forms(layout, n):
         get_case("two-layer").params))
 
 
-def test_benchmark_element_tables_are_bytewise_the_expanded_forms(mms_case):
-    # the meshes of the two benchmark workloads: two-layer n=60 and the
-    # largest level of the manufactured-solution study
-    assert_element_tables_are_the_expanded_forms(
-        build_setup(get_case("two-layer"), 60)[1])
-    assert_element_tables_are_the_expanded_forms(make_context(
-        generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 32),
-        mms_case.porosity, mms_case.params))
+@pytest.fixture(scope="module")
+def benchmark_contexts(mms_case):
+    # the meshes of the two benchmark workloads, two-layer n=60 and the
+    # largest level of the manufactured-solution study, and sinusoidal n=120
+    return [build_setup(get_case("two-layer"), 60)[1],
+            build_setup(get_case("sinusoidal"), 120)[1],
+            make_context(generate_rect_mesh((0.0, math.pi), (0.0, math.pi),
+                                            32),
+                         mms_case.porosity, mms_case.params)]
+
+
+def test_benchmark_element_tables_are_bytewise_the_expanded_forms(
+        benchmark_contexts):
+    for ctx in benchmark_contexts:
+        assert_element_tables_are_the_expanded_forms(ctx)
+
+
+def test_benchmark_set_up_arrays_are_bytewise_the_parent_forms(
+        benchmark_contexts):
+    for ctx in benchmark_contexts:
+        assert_set_up_arrays_are_the_parent_forms(ctx.mesh)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(ORDERING_MESHES)), n=st.integers(2, 16))
+def test_set_up_arrays_are_bytewise_the_parent_forms(kind, n):
+    assert_set_up_arrays_are_the_parent_forms(ORDERING_MESHES[kind][0](n))
+
+
+@PROPERTY
+@given(length=st.floats(1e-3, 1e3), n=st.integers(1, 400),
+       share=st.floats(1e-6, 1.0))
+def test_graded_interval_is_bitwise_the_full_bisection(length, n, share):
+    # the bisection stops once no float lies between the ends of its
+    # bracket, with the ratio of all 200 halvings
+    first = share * length / n
+    assert_same_bytes(mesh_module._graded_interval(length, n, first),
+                      graded_interval_reference(length, n, first))
+
+
+@pytest.mark.parametrize("degree", [5, 9])
+def test_physical_points_are_bitwise_the_einsum_form(degree):
+    # the quadrature points of the tables and of the transport check
+    rule = tri_quadrature(degree)
+    for mesh in (MESHES["graded-two-layer"],
+                 generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 64)):
+        assert_same_bytes(physical_points(mesh, rule.points),
+                          qpoints_reference(mesh, rule))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -996,3 +1134,28 @@ def test_tau_foot_walk_start_clamps_the_same_feet(monkeypatch):
                         walk_from_own_triangles)
     assert counts == clamped(setup)
     assert len(counts) == 8 and sum(counts) > 0
+
+
+# -- solver start ------------------------------------------------------------------------
+
+def test_krylov_start_is_bitwise_the_product_with_all_columns(monkeypatch):
+    """Every solve's GMRES start equals the one formed with the product of
+    the step matrix and all held solutions at once (zero before the first
+    solve)."""
+    starts = []
+    start = StepSolver._start
+
+    def recording(self, k, rhs):
+        x0 = start(self, k, rhs)
+        past = self._past[:self._solves].T
+        reference = past @ np.linalg.lstsq(k @ past, rhs, rcond=None)[0]
+        starts.append((self._solves, x0, reference))
+        return x0
+
+    monkeypatch.setattr(StepSolver, "_start", recording)
+    case = get_case("sinusoidal")
+    run(build_setup(case, 12, t_final=6.5 * case.nominal_h(12))[2])
+    assert starts[0][0] == 0 and not starts[0][1].any()
+    assert max(solves for solves, _, _ in starts) >= 5
+    for _, x0, reference in starts:
+        assert_same_bytes(x0, reference)
