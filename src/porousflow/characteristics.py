@@ -32,7 +32,8 @@ def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
     """(field/phi) at the upwind feet of many points; returns the values and
     the number of clamped feet."""
     mesh = field.space.mesh
-    feet = points - tau * advect
+    # F-ordered, so that point location reads x and y as they are
+    feet = np.subtract(points, tau * advect, order="F")
     tri, bary, inside = locate_many(mesh, feet)
     outside = np.flatnonzero(~inside)
     on_dirichlet = outside[:0]

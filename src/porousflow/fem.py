@@ -92,13 +92,16 @@ def edge_quadrature(n: int = 5):
 # -- reference bases -----------------------------------------------------------
 
 def _p2_values(b: np.ndarray) -> np.ndarray:
-    """P2 nodal basis values at barycentric points ``b`` (m, 3), (m, 6)."""
+    """P2 nodal basis values at barycentric points ``b`` (m, 3), (m, 6),
+    each column written by its last product; the columns of ``b`` are read
+    contiguously when it is F-ordered."""
     vals = np.empty((len(b), 6))
     for i in range(3):
-        vals[:, i] = b[:, i] * (2.0 * b[:, i] - 1.0)
+        np.multiply(b[:, i], 2.0 * b[:, i] - 1.0, out=vals[:, i])
+    four_b = 4.0 * b
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        vals[:, 3 + k] = 4.0 * b[:, i] * b[:, j]
+        np.multiply(four_b[:, i], b[:, j], out=vals[:, 3 + k])
     return vals
 
 
@@ -247,14 +250,17 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
 def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:
     """Values of a field at points located in triangles ``tris`` (m,) with
     barycentric coordinates ``bary`` (m, 3): (m, components), or (m,) for a
-    scalar field."""
+    scalar field.  The P2 basis table reads the columns of ``bary``, which
+    are contiguous when it is F-ordered, as ``locate_many`` returns it; the
+    contraction always takes a C-ordered table, since ``einsum`` sums in an
+    order that follows the memory layout."""
     sp = field_.space
     tris = np.asarray(tris, dtype=np.int64)
     b = np.atleast_2d(np.asarray(bary, dtype=float))
     c = sp.components
     coef = np.take(field_.coefficients[sp.cell_dofs], tris, axis=0)
     coef = coef.reshape(len(tris), sp.cell_nodes.shape[1], c)   # (m, nb, c)
-    vals = _p2_values(b) if sp.kind == P2_VECTOR else b
+    vals = _p2_values(b) if sp.kind == P2_VECTOR else np.ascontiguousarray(b)
     value = np.einsum("mn,mnc->mc", vals, coef)
     return value[:, 0] if c == 1 else value
 

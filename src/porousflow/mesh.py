@@ -9,10 +9,12 @@ resolve a thin porosity transition layer.  Every boundary edge lies on a side
 of the rectangle, so it is axis-aligned.
 
 A point is located by index arithmetic on the grid lines: one
-``searchsorted`` per axis finds its cell, one side-of-diagonal test its
+``searchsorted`` per axis on the interior grid lines finds its cell, one
+side-of-diagonal test against the cell widths, tabulated once per mesh, its
 triangle.  Each triangle's affine inverse and origin are kept as six
 contiguous per-coefficient columns, so the barycentric coordinates of a batch
-gather six 1-D columns and the containment test reads whole columns.
+gather six 1-D columns into the columns of an F-ordered (m, 3) array, and the
+containment test and the basis evaluation read whole columns.
 Segments are clipped against the sides of the rectangle (Liang & Barsky, ACM
 TOG 3, 1984), whose grid lines give the crossed boundary edge.
 """
@@ -89,6 +91,8 @@ class Mesh:
             raise ValueError("grid lines must number at least two per axis "
                              "and increase strictly")
         self.xs, self.ys = xs, ys
+        # the width of each grid cell along x and along y
+        self._widths = np.diff(xs), np.diff(ys)
         nx, ny = len(xs) - 1, len(ys) - 1
         xv, yv = np.meshgrid(xs, ys, indexing="xy")
         self.vertices = vertices = np.column_stack([xv.ravel(), yv.ravel()])
@@ -127,6 +131,12 @@ class Mesh:
                 raise ValueError(f"tag_rule returned {tag!r} for the boundary "
                                  f"edge at {mid.tolist()}, not a BoundaryTag")
         self.boundary_tags = np.array(tags, dtype=object)
+        # per boundary edge: its start, its direction (end minus start) and
+        # that direction's squared length, one row per coordinate
+        start, end = vertices[self.boundary_edges.T]
+        d = end - start
+        self._edge_table = np.vstack([start.T, d.T,
+                                      d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]])
         self.side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
         for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
             for upper, value in enumerate((lines[0], lines[-1])):
@@ -165,19 +175,27 @@ class Mesh:
         return len(self.triangles)
 
     def barycentric(self, tris, pts) -> np.ndarray:
-        """Barycentric coordinates of ``pts`` (m, 2) in triangles ``tris`` (m,)."""
+        """Barycentric coordinates of ``pts`` (m, 2) in triangles ``tris``
+        (m,), an F-ordered (m, 3) array."""
         pts = np.asarray(pts, dtype=float)
-        return np.column_stack(self._bary_columns(tris, pts[:, 0], pts[:, 1]))
+        return self._barycentric(tris, pts[:, 0], pts[:, 1])
 
-    def _bary_columns(self, tris, x, y):
-        """The three barycentric coordinates of the points ``(x, y)`` in
-        triangles ``tris``, as separate (m,) arrays."""
+    def _barycentric(self, tris, x, y):
+        """The barycentric coordinates of the points ``(x, y)`` in triangles
+        ``tris``, each written into its column of an F-ordered (m, 3)
+        array."""
         tris = np.asarray(tris, dtype=np.int64)
         c = self._affine
+        bary = np.empty((len(tris), 3), order="F")
+        lam0, lam1, lam2 = bary.T
         dx, dy = x - c[4].take(tris), y - c[5].take(tris)
-        lam1 = c[0].take(tris) * dx + c[1].take(tris) * dy
-        lam2 = c[2].take(tris) * dx + c[3].take(tris) * dy
-        return 1.0 - lam1 - lam2, lam1, lam2
+        np.multiply(c[0].take(tris), dx, out=lam1)
+        lam1 += c[1].take(tris) * dy
+        np.multiply(c[2].take(tris), dx, out=lam2)
+        lam2 += c[3].take(tris) * dy
+        np.subtract(1.0, lam1, out=lam0)
+        lam0 -= lam2
+        return bary
 
 
 def _graded_interval(length: float, n: int, first: float) -> np.ndarray:
@@ -260,28 +278,33 @@ def _cell_triangle(i, j, nx, upper):
 # -- point location -----------------------------------------------------------
 
 def _cell_index(lines, v):
-    """Grid cell along one axis of each coordinate ``v``, clipped."""
-    return np.clip(np.searchsorted(lines, v, "right") - 1, 0, len(lines) - 2)
+    """Grid cell along one axis of each coordinate ``v``: the number of
+    interior grid lines at or below it, so a ``v`` below the first line is in
+    the first cell and one at or above the last line, or NaN, in the last."""
+    return np.searchsorted(lines[1:-1], v, "right")
 
 
 def locate_many(mesh: Mesh, pts: np.ndarray):
     """Locate many points by grid arithmetic.
 
     Returns ``(tri, bary, inside)`` where ``tri`` is -1 (and ``bary`` zero)
-    for points outside the closed domain.  A point on an edge or a vertex
-    is located in one of the triangles that share it.
+    for points outside the closed domain; ``bary`` is F-ordered (m, 3), one
+    contiguous column per coordinate.  A point on an edge or a vertex is
+    located in one of the triangles that share it.  ``pts`` (m, 2) is read
+    by contiguous x and y columns, copied unless ``pts`` is F-ordered.
     """
     xs, ys = mesh.xs, mesh.ys
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    x, y = pts[:, 0], pts[:, 1]
+    x, y = np.ascontiguousarray(pts[:, 0]), np.ascontiguousarray(pts[:, 1])
     i, j = _cell_index(xs, x), _cell_index(ys, y)
     x0, x1 = xs.take(i), xs[1:].take(i)
+    dx, dy = mesh._widths
     run = np.where(_rises(i, j), x - x0, x1 - x)
-    upper = (y - ys.take(j)) * (x1 - x0) > run * (ys[1:].take(j) - ys.take(j))
+    upper = (y - ys.take(j)) * dx.take(i) > run * dy.take(j)
     tri = _cell_triangle(i, j, len(xs) - 1, upper)
-    lam = mesh._bary_columns(tri, x, y)
-    inside = np.minimum(np.minimum(lam[0], lam[1]), lam[2]) >= -INSIDE_TOL
-    bary = np.column_stack(lam)
+    bary = mesh._barycentric(tri, x, y)
+    lam0, lam1, lam2 = bary.T
+    inside = np.minimum(np.minimum(lam0, lam1), lam2) >= -INSIDE_TOL
     if not inside.all():
         outside = ~inside
         tri[outside] = -1
@@ -298,12 +321,15 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     giving the one edge it can cross there; the first crossing within a
     parametric slack of ``EXIT_TOL`` wins.  It is nudged by ``EXIT_TOL``
     toward the start and snapped onto its edge, so it lies in the domain.
+    The four candidate edges of every segment are read from the mesh's
+    per-edge table in one gather.
     """
     xs, ys = mesh.xs, mesh.ys
     a = np.atleast_2d(np.asarray(starts, dtype=float))
     s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
     if np.any((s == 0.0).all(axis=1)):
         raise ValueError("degenerate segment: start equals end")
+    a0, a1, s0, s1 = a[:, :1], a[:, 1:], s[:, :1], s[:, 1:]
     # the crossing of each segment's line with the line of each side, and
     # the side's boundary edge there: four candidates [axis, upper] a row
     bounds = np.array([[xs[0], xs[-1]], [ys[0], ys[-1]]])
@@ -313,15 +339,13 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     cells = np.stack([_cell_index(ys, along[:, 0]),
                       _cell_index(xs, along[:, 1])], axis=1)
     edges = mesh.side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
-
-    p = mesh.vertices[mesh.boundary_edges[edges, 0]]
-    r = mesh.vertices[mesh.boundary_edges[edges, 1]] - p
-    ap0 = p[..., 0] - a[:, :1]
-    ap1 = p[..., 1] - a[:, 1:]
-    s0, s1 = s[:, :1], s[:, 1:]
-    denom = s0 * r[..., 1] - s1 * r[..., 0]
+    # start, direction and squared length of each candidate, (m, 4) each
+    p0, p1, r0, r1, _ = mesh._edge_table[:, edges]
+    ap0 = p0 - a0
+    ap1 = p1 - a1
+    denom = s0 * r1 - s1 * r0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_par = (ap0 * r[..., 1] - ap1 * r[..., 0]) / denom
+        t_par = (ap0 * r1 - ap1 * r0) / denom
         u_par = (ap0 * s1 - ap1 * s0) / denom
     valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
         & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
@@ -335,9 +359,8 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)
     points = a + t_star[:, None] * s
     # snap onto the edge
-    pe, re = p[rows, first], r[rows, first]
-    d = points - pe
-    u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
-        / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
-    points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
+    pe0, pe1, re0, re1, re2 = mesh._edge_table[:, edge]
+    u = ((points[:, 0] - pe0) * re0 + (points[:, 1] - pe1) * re1) / re2
+    u = np.clip(u, 0.0, 1.0)
+    points = np.column_stack([pe0 + u * re0, pe1 + u * re1])
     return BoundaryHit(points, edge, mesh.boundary_tags[edge])

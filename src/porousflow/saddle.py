@@ -19,9 +19,10 @@ already eliminated, in one CSR conversion whose pattern also holds every
 element's mass-type entries (:func:`_step_matrix`): each triangle gives its
 216 entries row by row, with those on a fixed row or column sent to an
 extra row that is dropped, and the mass-type positions are looked up for
-the first velocity component and shifted for the second.  Each step
-scatters its element matrices into a copy of the constant data by those
-positions.  Its :meth:`StepSolver.solve` returns the step's velocity and
+the first velocity component and shifted for the second.  Each step sums
+its element matrices once per scalar pair at the first component's
+positions, copies those sums to the second component's and adds the
+constant data.  Its :meth:`StepSolver.solve` returns the step's velocity and
 pressure fields.  A :class:`SaddleSystem` is only a per-step front to that
 call.
 
@@ -166,14 +167,23 @@ class Constraints:
 
     def values(self, g, t: float | None = None) -> np.ndarray:
         """Values of the ``fixed`` unknowns from one ``g(points [, t])``
-        call, which must return one velocity per Dirichlet node, an array
-        shaped like ``points``; any other shape raises ``ValueError``."""
+        call, which must return one finite velocity per Dirichlet node, an
+        array shaped like ``points``; any other shape, or a NaN or infinite
+        value, raises ``ValueError``."""
         values = np.asarray(g(self.points) if t is None
                             else g(self.points, t), dtype=float)
         if values.shape != self.points.shape:
             raise ValueError(f"Dirichlet data of shape {values.shape} for "
                              f"{len(self.points)} nodes; expected "
                              f"{self.points.shape}")
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"Dirichlet data not finite at {bad.size} of "
+                f"{len(self.points)} nodes, first at node "
+                f"{self.fixed[2 * bad[0]] // 2} "
+                f"{self.points[bad[0]].tolist()}: "
+                f"{values[bad[0]].tolist()}")
         return values.ravel()
 
 
@@ -395,12 +405,13 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
-def _lu_solve(lu, perm, b):
+def _lu_solve(lu, perm, inverse, b):
     """``x`` with ``k x = b`` by the single-precision LU of
-    ``k[perm][:, perm]``."""
-    x = np.empty_like(b)
-    x[perm] = lu.solve(b[perm].astype(np.float32))
-    return x
+    ``k[perm][:, perm]``: the LU solves for ``b`` gathered by ``perm``, and
+    its solution, gathered by the inverse order ``inverse`` of ``perm``, is
+    ``x`` in float64."""
+    y = lu.solve(b.take(perm).astype(np.float32))
+    return y.take(inverse).astype(np.float64)
 
 
 def _factorize(k: sparse.csr_matrix, perm: np.ndarray):
@@ -431,9 +442,10 @@ class StepSolver:
     holds every element's mass-type entries on free rows and columns, whose
     positions in the data array are recorded, and the
     :func:`nested_dissection` order of the unknowns is computed.
-    :meth:`assemble` scatters the element matrices of ``M(w)`` into a copy of
-    the constant data and lifts the right-hand side by the fixed values
-    through the element matrices of the triangles that hold them.
+    :meth:`assemble` scatters the element matrices of ``M(w)``, summed once
+    per scalar pair, into a copy of the constant data and lifts the
+    right-hand side by the fixed values through the element matrices of the
+    triangles that hold them.
 
     The held factorization is keyed by the ``key`` of the solve that built
     it; start-up and general steps pass different keys because their mass
@@ -474,8 +486,21 @@ class StepSolver:
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
         # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
-        self._constant, self._pos = matrix.copy(), pos.copy()
-        del matrix, pos
+        self._constant = matrix.copy()
+        del matrix
+        # both components of a mass-type pair take the same element values in
+        # the same order, so each sum is formed once, at the first
+        # component's position (one past the end off the pattern), and
+        # copied to the second's, each pair of positions held once; the held
+        # indices stay int64, which take and bincount use without a
+        # conversion
+        pos = pos.reshape(-1, 2)
+        self._first = pos[:, 0].copy()
+        second = np.full(self._constant.nnz + 1, -1, dtype=np.int32)
+        second[self._first] = pos[:, 1]
+        self._second_from = np.flatnonzero(second[:-1] >= 0)
+        self._second_to = second[self._second_from].astype(np.int64)
+        del pos, second
         # the elements with a fixed unknown lift the right-hand side through
         # their constant blocks [A; B], (m, 15, 12), and their mass-type part
         touched = ~free[dofs[:, :12]].all(axis=1)
@@ -483,7 +508,10 @@ class StepSolver:
         self._lift_dofs = dofs[touched]
         self._lift_blocks = np.concatenate([a_elements[touched],
                                             b_elements[touched]], axis=1)
-        self._perm = nested_dissection(ctx, fixed, constraints.gauge)[0]
+        self._perm = perm = nested_dissection(ctx, fixed,
+                                              constraints.gauge)[0]
+        self._inverse = np.empty_like(perm)
+        self._inverse[perm] = np.arange(n)
         self._lu = None
         self._key = None
         self._factor_residual = 0.0    # reached by the solve that built the LU
@@ -497,12 +525,19 @@ class StepSolver:
                  values: np.ndarray):
         """Constrained matrix and right-hand side for the mass-type weight
         ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
-        fixed unknowns."""
+        fixed unknowns.
+
+        Each element's 36 scalar mass-type entries are summed once, by one
+        ``bincount`` over the positions of their first velocity component;
+        the second component takes the same values in the same order, so its
+        sums are copies, placed through the held position pairs, before the
+        constant data is added."""
         tables = self.ctx.tables
         local = (tables.wxarea * weight) @ tables.p2_products   # (nt, 36)
         const = self._constant
-        data = np.bincount(self._pos, np.repeat(local.ravel(), 2),
+        data = np.bincount(self._first, local.ravel(),
                            minlength=const.nnz + 1)[:const.nnz]
+        data[self._second_to] = data.take(self._second_from)
         data += const.data
         k = sparse.csr_matrix((data, const.indices, const.indptr),
                               shape=const.shape)
@@ -611,7 +646,7 @@ class StepSolver:
         Returns ``(x, iterations, residual norm)``, with ``x = None`` when
         the stop was missed.
         """
-        lu, perm = self._lu, self._perm
+        lu, perm, inverse = self._lu, self._perm, self._inverse
         m = KRYLOV_MAX_ITERATIONS
         stop = KRYLOV_RTOL if refine else min(RESIDUAL_BOUND, max(
             KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._factor_residual))
@@ -630,7 +665,7 @@ class StepSolver:
         g[0] = beta
         best = None   # with refine: (x, residual norm) of the best iterate
         for j in range(m):
-            z[j] = _lu_solve(lu, perm, v[j])
+            z[j] = _lu_solve(lu, perm, inverse, v[j])
             w = k @ z[j]
             for _ in range(2):   # classical Gram-Schmidt, reorthogonalized
                 c = v[:j + 1] @ w

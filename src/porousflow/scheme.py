@@ -205,14 +205,22 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     pressure, diagnostics)``.  All steps share one :class:`StepSolver`, built
     here from the constant blocks and the constraint table, so a
     factorization is reused across the general steps.  A failed step raises
-    :class:`SchemeDivergenceError` with the partial summary attached.
+    :class:`SchemeDivergenceError` with the partial summary attached; an
+    initial velocity that is NaN or infinite at a velocity node raises
+    ``ValueError`` before the solver is built.
     """
     n_steps = setup.n_steps
     t0 = time.perf_counter()
+    vspace = setup.ctx.vspace
+    u0_field = interpolate(vspace, setup.u_initial, None)
+    bad = np.flatnonzero(~np.isfinite(u0_field.node_values()).all(axis=1))
+    if bad.size:
+        raise ValueError(f"u_initial is not finite at {bad.size} of "
+                         f"{vspace.n_nodes} velocity nodes, first at node "
+                         f"{bad[0]} {vspace.node_coords[bad[0]].tolist()}")
+    u0_field.time_label = 0.0
     solver = StepSolver(setup.ctx, *setup.constant_blocks(),
                         setup.constraints)
-    u0_field = interpolate(setup.ctx.vspace, setup.u_initial, None)
-    u0_field.time_label = 0.0
     records: list[dict] = []
     summary = RunSummary(records, n_steps, 0.0)
 

@@ -17,14 +17,21 @@ halvings, the P2 midpoints numbered through ``np.unique``, the
 quadrature-point gradients by a five-dimensional broadcast, the step
 matrix from the masked dense element table with its mass-type positions by
 sparse fancy indexing, the nested dissection on unknowns with its bounds by
-``ufunc.at``, the GMRES start from one product with all held solutions and
+``ufunc.at``, the GMRES start from one product with all held solutions,
 the VTK snapshot written one line at a time (in ``snapshot_reference``,
-which the CLI tests share).  Kernels whose arithmetic is unchanged must
+which the CLI tests share), and the per-step kernels around the sparse LU
+before their numpy work was trimmed: the grid cell by a clipped search over
+all grid lines, point location with widths from the lines and barycentric
+columns stacked into rows, the boundary exit through gathered vertices,
+the P2 basis table by column assignments, the permutations of an LU
+solve by a scatter, and the mass-type scatter of both velocity components
+from one repeated table.  Kernels whose arithmetic is unchanged must
 agree bit for bit; those that sum in another order agree within a
 tolerance fixed from double precision.
 """
 
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +42,7 @@ from hypothesis import strategies as st
 
 import porousflow.characteristics as characteristics
 import porousflow.mesh as mesh_module
+import porousflow.saddle as saddle
 from porousflow import _mms_generated
 from porousflow.assembly import (
     _scatter_matrix,
@@ -49,6 +57,7 @@ from porousflow.fem import (
     P1_SCALAR,
     P2_VECTOR,
     FeField,
+    _p2_values,
     edge_quadrature,
     error_norm,
     eval_basis,
@@ -67,6 +76,9 @@ from porousflow.mesh import (
     BoundaryHit,
     BoundaryTag,
     LayerGrading,
+    _cell_index,
+    _cell_triangle,
+    _rises,
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
@@ -76,11 +88,13 @@ from porousflow.saddle import (
     DISSECTION_LEAF,
     Constraints,
     StepSolver,
+    _factorize,
+    _lu_solve,
     _step_matrix,
     element_dofs,
     nested_dissection,
 )
-from porousflow.scheme import run
+from porousflow.scheme import ProblemSetup, run
 from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
 from diagnostic_forms import gradient_products
@@ -633,6 +647,145 @@ def transport_boundary_reference(u, porosity, extents, n_divisions, degree):
     return boundary, mass
 
 
+# -- the per-step kernels before their numpy work was trimmed, verbatim
+# (``self`` read as ``mesh`` or ``solver``, the solver's mass-type positions
+# passed in) --------------------------------------------------------------
+
+def bary_columns_reference(mesh, tris, x, y):
+    """The three barycentric coordinates of the points ``(x, y)`` in
+    triangles ``tris``, as separate (m,) arrays."""
+    tris = np.asarray(tris, dtype=np.int64)
+    c = mesh._affine
+    dx, dy = x - c[4].take(tris), y - c[5].take(tris)
+    lam1 = c[0].take(tris) * dx + c[1].take(tris) * dy
+    lam2 = c[2].take(tris) * dx + c[3].take(tris) * dy
+    return 1.0 - lam1 - lam2, lam1, lam2
+
+
+def cell_index_clipped_reference(lines, v):
+    """Grid cell along one axis of each coordinate ``v``, clipped."""
+    return np.clip(np.searchsorted(lines, v, "right") - 1, 0, len(lines) - 2)
+
+
+def locate_many_clipped_reference(mesh, pts):
+    """Locate many points by grid arithmetic.
+
+    Returns ``(tri, bary, inside)`` where ``tri`` is -1 (and ``bary`` zero)
+    for points outside the closed domain.  A point on an edge or a vertex
+    is located in one of the triangles that share it.
+    """
+    xs, ys = mesh.xs, mesh.ys
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    x, y = pts[:, 0], pts[:, 1]
+    i, j = (cell_index_clipped_reference(xs, x),
+            cell_index_clipped_reference(ys, y))
+    x0, x1 = xs.take(i), xs[1:].take(i)
+    run = np.where(_rises(i, j), x - x0, x1 - x)
+    upper = (y - ys.take(j)) * (x1 - x0) > run * (ys[1:].take(j) - ys.take(j))
+    tri = _cell_triangle(i, j, len(xs) - 1, upper)
+    lam = bary_columns_reference(mesh, tri, x, y)
+    inside = np.minimum(np.minimum(lam[0], lam[1]), lam[2]) >= -INSIDE_TOL
+    bary = np.column_stack(lam)
+    if not inside.all():
+        outside = ~inside
+        tri[outside] = -1
+        bary[outside] = 0.0
+    return tri, bary, inside
+
+
+def boundary_exit_gather_reference(mesh, starts, ends):
+    """First intersections of the segments ``[starts[i], ends[i]]`` with the
+    boundary, through the vertices of the candidate edges."""
+    xs, ys = mesh.xs, mesh.ys
+    a = np.atleast_2d(np.asarray(starts, dtype=float))
+    s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
+    if np.any((s == 0.0).all(axis=1)):
+        raise ValueError("degenerate segment: start equals end")
+    # the crossing of each segment's line with the line of each side, and
+    # the side's boundary edge there: four candidates [axis, upper] a row
+    bounds = np.array([[xs[0], xs[-1]], [ys[0], ys[-1]]])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_side = (bounds - a[:, :, None]) / s[:, :, None]
+        along = a[:, ::-1, None] + t_side * s[:, ::-1, None]
+    cells = np.stack([cell_index_clipped_reference(ys, along[:, 0]),
+                      cell_index_clipped_reference(xs, along[:, 1])], axis=1)
+    edges = mesh.side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
+
+    p = mesh.vertices[mesh.boundary_edges[edges, 0]]
+    r = mesh.vertices[mesh.boundary_edges[edges, 1]] - p
+    ap0 = p[..., 0] - a[:, :1]
+    ap1 = p[..., 1] - a[:, 1:]
+    s0, s1 = s[:, :1], s[:, 1:]
+    denom = s0 * r[..., 1] - s1 * r[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_par = (ap0 * r[..., 1] - ap1 * r[..., 0]) / denom
+        u_par = (ap0 * s1 - ap1 * s0) / denom
+    valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
+        & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
+        & (t_par <= 1.0 + EXIT_TOL)
+    if not valid.any(axis=1).all():
+        raise ValueError("segment does not cross the boundary; is the end "
+                         "point outside the domain?")
+    t_all = np.where(valid, t_par, np.inf)
+    rows, first = np.arange(len(a)), np.argmin(t_all, axis=1)
+    edge = edges[rows, first]
+    t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)
+    points = a + t_star[:, None] * s
+    # snap onto the edge
+    pe, re = p[rows, first], r[rows, first]
+    d = points - pe
+    u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
+        / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
+    points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
+    return BoundaryHit(points, edge, mesh.boundary_tags[edge])
+
+
+def p2_values_reference(b: np.ndarray) -> np.ndarray:
+    """P2 nodal basis values at barycentric points ``b`` (m, 3), (m, 6)."""
+    vals = np.empty((len(b), 6))
+    for i in range(3):
+        vals[:, i] = b[:, i] * (2.0 * b[:, i] - 1.0)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        vals[:, 3 + k] = 4.0 * b[:, i] * b[:, j]
+    return vals
+
+
+def lu_solve_scatter_reference(lu, perm, b):
+    """``x`` with ``k x = b`` by the single-precision LU of
+    ``k[perm][:, perm]``."""
+    x = np.empty_like(b)
+    x[perm] = lu.solve(b[perm].astype(np.float32))
+    return x
+
+
+def assemble_repeat_reference(solver, pos, weight, rhs, values):
+    """Constrained matrix and right-hand side for the mass-type weight
+    ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
+    fixed unknowns, with ``pos`` the mass-type positions of
+    :func:`porousflow.saddle._step_matrix`."""
+    tables = solver.ctx.tables
+    local = (tables.wxarea * weight) @ tables.p2_products   # (nt, 36)
+    const = solver._constant
+    data = np.bincount(pos, np.repeat(local.ravel(), 2),
+                       minlength=const.nnz + 1)[:const.nnz]
+    data += const.data
+    k = sparse.csr_matrix((data, const.indices, const.indptr),
+                          shape=const.shape)
+    fixed = solver.constraints.fixed
+    if fixed.size:
+        lift = np.zeros(solver.ctx.vspace.dof_count)
+        lift[fixed] = values
+        x = lift[solver._lift_dofs[:, :12]]                     # (m, 12)
+        out = (solver._lift_blocks @ x[:, :, None])[:, :, 0]    # (m, 15)
+        out[:, :12] += (local[solver._lift_elems].reshape(-1, 6, 6)
+                        @ x.reshape(-1, 6, 2)).reshape(-1, 12)
+        rhs = rhs - np.bincount(solver._lift_dofs.ravel(), out.ravel(),
+                                minlength=len(rhs))
+        rhs[fixed] = values
+    return k, rhs
+
+
 def assert_rel(value, reference, rel):
     scale = np.abs(reference).max()
     assert np.abs(np.asarray(value) - reference).max() <= rel * scale
@@ -1159,3 +1312,257 @@ def test_krylov_start_is_bitwise_the_product_with_all_columns(monkeypatch):
     assert max(solves for solves, _, _ in starts) >= 5
     for _, x0, reference in starts:
         assert_same_bytes(x0, reference)
+
+
+# -- the trimmed per-step kernels ---------------------------------------------------------
+
+def line_values(lines):
+    """Coordinates at, just beside and far from the grid ``lines``, signed
+    zeros, infinities and NaN."""
+    span = lines[-1] - lines[0]
+    near = st.sampled_from(lines).flatmap(lambda v: st.sampled_from(
+        [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf)]))
+    return st.one_of(near,
+                     st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                     st.floats(lines[0] - span, lines[-1] + span),
+                     st.floats(allow_nan=True, allow_infinity=True))
+
+
+GRID_LINES = [MESHES[name].xs for name in sorted(MESHES)] \
+    + [MESHES[name].ys for name in sorted(MESHES)] \
+    + [np.array([0.0, 1.0]), np.array([-1.0, 0.0, 2.5])]
+
+
+@pytest.mark.parametrize("lines", GRID_LINES, ids=range(len(GRID_LINES)))
+@PROPERTY
+@given(data=st.data())
+def test_cell_index_is_the_clipped_search(lines, data):
+    v = np.array(data.draw(st.lists(line_values(lines), min_size=1,
+                                    max_size=40)))
+    got, ref = _cell_index(lines, v), cell_index_clipped_reference(lines, v)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("lines", GRID_LINES, ids=range(len(GRID_LINES)))
+def test_cell_index_at_signed_zeros_infinities_and_nan(lines):
+    v = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, lines[0], lines[-1],
+                  np.nextafter(lines[0], -np.inf),
+                  np.nextafter(lines[-1], np.inf)])
+    got = _cell_index(lines, v)
+    assert np.array_equal(got, cell_index_clipped_reference(lines, v))
+    last = len(lines) - 2
+    assert list(got[2:]) == [last, 0, last, 0, last, 0, last]
+
+
+def special_points(mesh):
+    """Vertices, points far outside, and points with an infinite or NaN
+    coordinate."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    far = st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)).map(
+        lambda f: tuple(lo + np.array(f) * (hi - lo)))
+    vertex = st.integers(0, mesh.n_vertices - 1).map(
+        lambda v: tuple(mesh.vertices[v]))
+    odd = st.tuples(st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+                    st.floats(lo[1], hi[1]))
+    return st.one_of(far, vertex, odd, odd.map(lambda p: p[::-1]))
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(data=st.data())
+def test_locate_many_is_bitwise_the_clipped_form(name, data):
+    """Points inside, on grid lines, cell diagonals and vertices, just and
+    far outside, and non-finite ones, given in either memory order."""
+    mesh = MESHES[name]
+    pts = np.array(data.draw(st.lists(
+        st.one_of(grid_points(mesh), special_points(mesh)), min_size=1,
+        max_size=40)))
+    with np.errstate(invalid="ignore"):
+        ref = locate_many_clipped_reference(mesh, pts)
+        for order in "CF":
+            tri, bary, inside = locate_many(mesh, np.asarray(pts, order=order))
+            assert tri.dtype == ref[0].dtype and np.array_equal(tri, ref[0])
+            assert bary.flags.f_contiguous
+            assert_same_bytes(np.ascontiguousarray(bary), ref[1])
+            assert np.array_equal(inside, ref[2])
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(*[st.one_of(
+    st.floats(-0.5, 1.5), st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf]))
+    for _ in range(3)]), min_size=1, max_size=40))
+def test_p2_values_are_bitwise_the_column_assignments(rows):
+    b = np.array(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = p2_values_reference(b)
+        for order in "CF":
+            assert_same_bytes(_p2_values(np.asarray(b, order=order)), ref)
+
+
+@st.composite
+def exit_segments(draw, mesh):
+    """Segments from a point of the closed domain (on a grid line, a
+    diagonal or a vertex, the boundary included) to a point just or far
+    outside it."""
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    start = draw(grid_points(mesh).filter(
+        lambda p: lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]))
+    end = draw(st.one_of(
+        grid_points(mesh),
+        st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)).map(
+            lambda f: tuple(lo + np.array(f) * (hi - lo)))))
+    return start + end
+
+
+def exit_outcome(kernel, mesh, starts, ends):
+    try:
+        return kernel(mesh, starts, ends)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@PROPERTY
+@given(data=st.data())
+def test_boundary_exit_is_bitwise_the_gather_form(name, data):
+    mesh = MESHES[name]
+    rows = np.array(data.draw(st.lists(exit_segments(mesh), min_size=1,
+                                       max_size=12)))
+    starts, ends = rows[:, :2], rows[:, 2:]
+    out = ~locate_many(mesh, ends)[2]
+    if not out.any():
+        return
+    got, ref = (exit_outcome(kernel, mesh, starts[out], ends[out])
+                for kernel in (boundary_exit_point,
+                               boundary_exit_gather_reference))
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert_same_bytes(got.points, ref.points)
+    assert_same_bytes(got.edges, ref.edges)
+    assert list(got.tags) == list(ref.tags)
+
+
+def step_context(kind, kinds, n):
+    return make_context(solver_mesh(kind, kinds, n),
+                        builtin_porosity("constant", value=0.6),
+                        get_case("two-layer").params)
+
+
+def mass_positions(ctx, table, a_elements, b_elements):
+    """The mass-type positions that a step solver's build places."""
+    free = np.ones(ctx.vspace.dof_count + ctx.pspace.dof_count
+                   + int(table.gauge), dtype=bool)
+    free[table.fixed] = False
+    return _step_matrix(a_elements, b_elements, element_dofs(ctx), free,
+                        ctx.volume_vector() if table.gauge else None)[1]
+
+
+def built_solver(ctx):
+    """The step solver of ``ctx`` under its tagged table, and the mass-type
+    positions its build placed."""
+    table = Constraints.build(ctx)
+    a, b = viscous_elements(ctx), divergence_elements(ctx)
+    return StepSolver(ctx, a, b, table), mass_positions(ctx, table, a, b)
+
+
+def signed_weights(rng, shape):
+    """Random weights with exact zeros of both signs."""
+    w = rng.normal(size=shape)
+    w[rng.random(shape) < 0.2] = 0.0
+    w[rng.random(shape) < 0.1] = -0.0
+    return w
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(layout=solver_meshes, n=st.integers(2, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assemble_is_bitwise_the_repeated_scatter(layout, n, seed):
+    ctx = step_context(*layout, n)
+    solver, pos = built_solver(ctx)
+    rng = np.random.default_rng(seed)
+    size = solver._constant.shape[0]
+    for _ in range(2):
+        weight = signed_weights(rng, ctx.tables.wxarea.shape)
+        rhs = rng.normal(size=size)
+        values = solver.constraints.values(
+            lambda p: rng.normal(size=(len(p), 2)))
+        (k, r), (k_ref, r_ref) = (
+            solver.assemble(weight, rhs, values),
+            assemble_repeat_reference(solver, pos, weight, rhs, values))
+        assert np.array_equal(k.indptr, k_ref.indptr)
+        assert np.array_equal(k.indices, k_ref.indices)
+        assert_same_bytes(k.data, k_ref.data)
+        assert_same_bytes(r, r_ref)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(layout=solver_meshes, n=st.integers(2, 10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lu_solve_is_bitwise_the_scatter_form(layout, n, seed):
+    ctx = step_context(*layout, n)
+    solver = built_solver(ctx)[0]
+    rng = np.random.default_rng(seed)
+    weight = 1.0 + rng.random(ctx.tables.wxarea.shape)
+    size = solver._constant.shape[0]
+    k = solver.assemble(weight, np.zeros(size),
+                        np.zeros(solver.constraints.fixed.size))[0]
+    lu = _factorize(k, solver._perm)
+    b = rng.normal(size=size)
+    b[rng.random(size) < 0.1] = -0.0
+    assert_same_bytes(_lu_solve(lu, solver._perm, solver._inverse, b),
+                      lu_solve_scatter_reference(lu, solver._perm, b))
+
+
+def step_digest(setup):
+    """SHA-256 over every step's velocity and pressure coefficients and
+    diagnostics."""
+    digest = hashlib.sha256()
+
+    def record(k, t, u, p, diag):
+        digest.update(u.coefficients.tobytes())
+        digest.update(p.coefficients.tobytes())
+        digest.update(repr(sorted(diag.items())).encode())
+
+    run(setup, [record])
+    return digest.hexdigest()
+
+
+def previous_kernels(monkeypatch, setup):
+    """Swap the replaced per-step kernels back into the run of ``setup``."""
+    pos = mass_positions(setup.ctx, setup.constraints,
+                         *setup.constant_blocks())
+    monkeypatch.setattr(characteristics, "locate_many",
+                        locate_many_clipped_reference)
+    monkeypatch.setattr(characteristics, "boundary_exit_point",
+                        boundary_exit_gather_reference)
+    monkeypatch.setattr(saddle, "_lu_solve", lambda lu, perm, inverse, b:
+                        lu_solve_scatter_reference(lu, perm, b))
+    monkeypatch.setattr(StepSolver, "assemble",
+                        lambda solver, weight, rhs, values:
+                        assemble_repeat_reference(solver, pos, weight, rhs,
+                                                  values))
+
+
+@pytest.mark.parametrize("which", ["two-layer", "mms"])
+def test_runs_are_bitwise_the_runs_with_the_replaced_kernels(which, mms_case,
+                                                             monkeypatch):
+    if which == "two-layer":
+        case = get_case("two-layer")
+        setup = build_setup(case, 12, t_final=5.5 * case.nominal_h(12))[2]
+    else:
+        mesh = generate_rect_mesh((0.0, math.pi), (0.0, math.pi), 8)
+        tau = math.pi / 8
+        setup = ProblemSetup(
+            ctx=make_context(mesh, mms_case.porosity, mms_case.params),
+            u_initial=lambda pts: mms_case.u(pts, 0.0),
+            dirichlet=mms_case.u, forcing=mms_case.f, tau=tau,
+            t_final=4.5 * tau)
+    clamped = []
+    setup_digest = step_digest(setup)
+    run(setup, [lambda k, t, u, p, d: clamped.append(d["clamped_feet"])])
+    previous_kernels(monkeypatch, setup)
+    assert step_digest(setup) == setup_digest
+    assert len(clamped) >= 4
+    # the graded channel's outlet clamps feet through the boundary exit
+    assert sum(clamped) > 0 or which == "mms"

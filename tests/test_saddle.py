@@ -226,6 +226,26 @@ def test_nan_rhs_rejected(unit_ctx):
                      solver.constraints.values(quad_velocity))
 
 
+def test_non_finite_dirichlet_data_rejected(unit_ctx):
+    # a NaN or infinite boundary velocity names its count and first node;
+    # unchecked it cost a factorization and a full restart cycle before
+    # failing as a singular system
+    table = Constraints.build(unit_ctx)
+    nd = len(table.points)
+    for bad in (np.nan, np.inf, -np.inf):
+        def g(p, t):
+            out = np.zeros((len(p), 2))
+            out[[3, nd - 1], 1] = bad
+            return out
+
+        node = table.fixed[6] // 2
+        with pytest.raises(ValueError,
+                           match=rf"^Dirichlet data not finite at 2 of {nd} "
+                                 rf"nodes, first at node {node} "):
+            table.values(g, 0.5)
+    assert np.array_equal(unit_ctx.vspace.node_coords[node], table.points[3])
+
+
 def _drag_solver(ctx, kind=StepSolver):
     """A run's solver, or its from-scratch stand-in, for the viscous block
     under the gauged table."""

@@ -234,6 +234,40 @@ def test_nan_forcing_aborts_with_step_index(params):
     assert len(exc_info.value.partial.steps) == 1  # step 1 was accepted
 
 
+def test_non_finite_dirichlet_data_abort_with_step_index(params):
+    def bad(p, t):
+        out = np.zeros((len(p), 2))
+        if t > 0.3:
+            out[0, 0] = np.nan
+        return out
+
+    setup = make_setup(params, g=bad)
+    with pytest.raises(SchemeDivergenceError,
+                       match="^step 2: Dirichlet data not finite at 1 of "
+                       ) as exc_info:
+        run(setup)
+    assert isinstance(exc_info.value.__cause__, ValueError)
+    assert len(exc_info.value.partial.steps) == 1
+
+
+def test_non_finite_initial_velocity_fails_before_the_solver(params,
+                                                             monkeypatch):
+    built = []
+    monkeypatch.setattr(scheme, "StepSolver", lambda *args: built.append(1))
+
+    def u0(p):
+        out = np.zeros((len(p), 2))
+        out[p[:, 0] > 0.5, 1] = np.nan
+        return out
+
+    setup = make_setup(params, u0=u0)
+    n_bad = int((setup.ctx.vspace.node_coords[:, 0] > 0.5).sum())
+    with pytest.raises(ValueError, match=f"^u_initial is not finite at "
+                                         f"{n_bad} of "):
+        run(setup)
+    assert not built
+
+
 def test_decaying_flow_is_stable(params, mms_case):
     # drag-dominated decay: no growth of the velocity norm
     phi = builtin_porosity("constant", value=0.5)
