@@ -22,6 +22,7 @@ from porousflow.fem import (
     FeField,
     QuadTables,
     SpaceDescriptor,
+    eval_function,
     pressure_space,
     quad_tables,
     velocity_space,
@@ -38,8 +39,11 @@ from porousflow.porous import (
 @dataclass
 class FormContext:
     """Mesh, spaces, porosity, constants, the mesh's quadrature tables (see
-    :func:`porousflow.fem.quad_tables`) and the porosity at their points,
-    with the quantities derived from them alone computed once."""
+    :func:`porousflow.fem.quad_tables`), the porosity at their points and
+    the drag factors there, (nt, nq) each and read-only: ``linear_drag``,
+    the linear weight ``mu*phi/K(phi)``, and ``quadratic_drag``, the
+    quadratic weight per unit speed, ``rho*F phi/sqrt(K)``.  A porosity
+    outside (0, 1] at a quadrature point raises ``ValueError``."""
 
     mesh: Mesh
     vspace: SpaceDescriptor
@@ -49,34 +53,21 @@ class FormContext:
 
     # shared with the mesh's norms and error norms
     tables: QuadTables = field(init=False, repr=False)
-    phi_q: np.ndarray = field(init=False, repr=False)      # (nt, nq)
-    _volume: np.ndarray | None = field(init=False, default=None, repr=False)
-    _drag: tuple | None = field(init=False, default=None, repr=False)
+    phi_q: np.ndarray = field(init=False, repr=False)           # (nt, nq)
+    linear_drag: np.ndarray = field(init=False, repr=False)     # (nt, nq)
+    quadratic_drag: np.ndarray = field(init=False, repr=False)  # (nt, nq)
 
     def __post_init__(self):
         self.tables = quad_tables(self.mesh)
         self.phi_q = np.asarray(
             self.porosity.value(self.tables.qpoints_flat),
             dtype=float).reshape(self.tables.wxarea.shape)
-
-    def volume_vector(self) -> np.ndarray:
-        """Pressure basis integrals (cached, see
-        :func:`pressure_volume_vector`)."""
-        if self._volume is None:
-            self._volume = pressure_volume_vector(self)
-        return self._volume
-
-    def drag_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The drag factors at the quadrature points, (nt, nq) each and
-        read-only (cached): the linear weight ``mu*phi/K(phi)`` and the
-        quadratic weight per unit speed, ``rho*F phi/sqrt(K)``."""
-        if self._drag is None:
-            self._drag = (
-                self.params.mu * linear_drag_coeff(self.phi_q, self.params),
-                self.params.rho * forchheimer_coeff(self.phi_q, self.params))
-            for factor in self._drag:
-                factor.flags.writeable = False
-        return self._drag
+        self.linear_drag = self.params.mu * linear_drag_coeff(self.phi_q,
+                                                              self.params)
+        self.quadratic_drag = self.params.rho * forchheimer_coeff(
+            self.phi_q, self.params)
+        self.linear_drag.flags.writeable = False
+        self.quadratic_drag.flags.writeable = False
 
 
 def make_context(mesh: Mesh, porosity: PorosityField,
@@ -192,12 +183,6 @@ def divergence_elements(ctx: FormContext) -> np.ndarray:
     return out.reshape(nt, 3, 12)
 
 
-def linear_drag_weight(ctx: FormContext) -> np.ndarray:
-    """Quadrature-point weight mu*phi/K(phi) of the linear drag form, the
-    context's cached, read-only array."""
-    return ctx.drag_factors()[0]
-
-
 def quadratic_drag_weight(theta_field: FeField,
                           ctx: FormContext) -> np.ndarray:
     """Quadrature-point weight rho*F phi/sqrt(K) |theta| of the linearized
@@ -207,7 +192,7 @@ def quadratic_drag_weight(theta_field: FeField,
             raise ValueError("theta_field must live on the velocity space")
     theta = ctx.tables.at_quad(theta_field)
     speed = np.sqrt(theta[..., 0] ** 2 + theta[..., 1] ** 2)
-    return ctx.drag_factors()[1] * speed
+    return ctx.quadratic_drag * speed
 
 
 def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
@@ -223,11 +208,10 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
 # -- right-hand sides --------------------------------------------------------------
 
 def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:
-    """Load vector (f(t), v) of an analytic ``f(points [, t])``."""
-    pts = ctx.tables.qpoints_flat
-    fv = f(pts) if t is None else f(pts, t)
-    return _velocity_load(ctx, np.asarray(fv, dtype=float).reshape(
-        *ctx.tables.wxarea.shape, 2))
+    """Load vector (f(t), v) of an analytic ``f(points [, t])``, which must
+    return ``(n, 2)`` values; another shape raises ``ValueError``."""
+    fv = eval_function(f, ctx.tables.qpoints_flat, t, (2,), "load")
+    return _velocity_load(ctx, fv.reshape(*ctx.tables.wxarea.shape, 2))
 
 
 def assemble_mass_phi_rhs(bracket: np.ndarray, ctx: FormContext,

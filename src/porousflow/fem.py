@@ -156,6 +156,12 @@ class SpaceDescriptor:
         return 2 if self.kind == P2_VECTOR else 1
 
     @property
+    def value_shape(self) -> tuple:
+        """Shape of one value: ``()`` for a scalar space, ``(2,)`` for a
+        vector one."""
+        return (2,) if self.kind == P2_VECTOR else ()
+
+    @property
     def n_nodes(self) -> int:
         return len(self.node_coords)
 
@@ -230,9 +236,19 @@ def zero_field(space: SpaceDescriptor, t: float | None = None) -> FeField:
     return FeField(space, np.zeros(space.dof_count), t)
 
 
-def _call(fn, pts, t):
-    vals = fn(pts) if t is None else fn(pts, t)
-    return np.asarray(vals, dtype=float)
+def eval_function(fn: Callable, points: np.ndarray, t: float | None,
+                  shape: tuple, what: str) -> np.ndarray:
+    """``fn(points [, t])`` as a float array, which must be shaped
+    ``(len(points),) + shape``: one value of ``shape`` per point.  Any other
+    shape, a transposed one included, raises ``ValueError`` naming ``what``
+    the function gives, the shape it returned and the one expected."""
+    values = np.asarray(fn(points) if t is None else fn(points, t),
+                        dtype=float)
+    expected = (len(points),) + shape
+    if values.shape != expected:
+        raise ValueError(f"{what} of shape {values.shape} for {len(points)} "
+                         f"points; expected {expected}")
+    return values
 
 
 def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) -> FeField:
@@ -240,11 +256,11 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
 
     ``fn(points [, t])`` must accept an ``(n, 2)`` array and return ``(n,)``
     values for scalar spaces or ``(n, 2)`` for vector spaces; values of
-    another size raise ``ValueError``.
+    another shape raise ``ValueError``.
     """
-    vals = _call(fn, space.node_coords, t)
-    coeff = vals.reshape(space.n_nodes, space.components).ravel()
-    return FeField(space, coeff, t)
+    vals = eval_function(fn, space.node_coords, t, space.value_shape,
+                         "interpolated function")
+    return FeField(space, vals.ravel(), t)
 
 
 def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:
@@ -379,8 +395,9 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
     """Norm of ``field - exact`` with the analytic field sampled at the
     points of the degree-5 quadrature.
 
-    ``exact(points [, t])`` returns values; for the H1 norm ``exact_grad``
-    must return ``(n, 2)`` (scalar) or ``(n, 2, 2)`` gradients.  With
+    ``exact(points [, t])`` returns ``(n,)`` (scalar) or ``(n, 2)`` values;
+    for the H1 norm ``exact_grad`` must return ``(n, 2)`` (scalar) or
+    ``(n, 2, 2)`` gradients; another shape raises ``ValueError``.  With
     ``zero_mean`` the mean of the difference is removed first, i.e. the error
     is measured in the quotient space of functions modulo constants.
     """
@@ -392,12 +409,15 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
     tables = quad_tables(sp.mesh)
     nt, nq = tables.wxarea.shape
     flat = tables.qpoints_flat
-    diff = tables.at_quad(field_) - _call(exact, flat, t).reshape(nt, nq, -1)
+    shape = sp.value_shape
+    diff = tables.at_quad(field_) - eval_function(
+        exact, flat, t, shape, "exact solution").reshape(nt, nq, -1)
     if zero_mean:
         diff = diff - tables.integrate(diff) / float(sp.mesh.areas.sum())
     total = float(tables.integrate(diff ** 2).sum())
     if kind == "H1":
-        ge = _call(exact_grad, flat, t).reshape(nt, nq, sp.components, 2)
+        ge = eval_function(exact_grad, flat, t, shape + (2,),
+                           "exact gradient").reshape(nt, nq, sp.components, 2)
         total += float(tables.integrate(
             (tables.grad_at_quad(field_) - ge) ** 2).sum())
     return float(np.sqrt(total))

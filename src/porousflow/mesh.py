@@ -21,6 +21,7 @@ TOG 3, 1984), whose grid lines give the crossed boundary edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -58,11 +59,19 @@ class LayerGrading:
 
     ``line`` must lie strictly inside the vertical extent.  Element heights
     grow geometrically away from the layer so that the total node count is
-    unchanged.
+    unchanged.  A ``size`` that is not positive and finite raises
+    ``ValueError``, as does, when the mesh is built, one too small for any
+    geometric growth to fill a side of the layer with its intervals or for
+    the grid lines next to the layer to differ.
     """
 
     line: float
     size: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.size) and self.size > 0.0):
+            raise ValueError(f"grading size must be positive and finite, "
+                             f"got {self.size}")
 
 
 class Mesh:
@@ -208,8 +217,13 @@ def _graded_interval(length: float, n: int, first: float) -> np.ndarray:
         return first * (r ** n - 1.0) / (r - 1.0)
 
     lo, hi = 1.0 + 1e-12, 2.0
-    while fill(hi) < length:
-        hi *= 2.0
+    try:
+        while fill(hi) < length:
+            hi *= 2.0
+    except OverflowError:
+        raise ValueError(f"grading size {first} is too small to fill "
+                         f"{length} with {n} geometrically growing "
+                         "intervals") from None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # no float lies between the ends: every further halving would give
@@ -237,6 +251,9 @@ def _graded_nodes(y0: float, y1: float, ny: int, grading: LayerGrading) -> np.nd
     above = grading.line + np.cumsum(hi)
     ys = np.concatenate([below[::-1], above])
     ys[0], ys[-1] = y0, y1
+    if not (np.diff(ys) > 0.0).all():
+        raise ValueError(f"grading size {grading.size} is too small to "
+                         f"separate the grid lines at {grading.line}")
     return ys
 
 

@@ -55,8 +55,8 @@ import scipy.sparse as sparse
 from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import splu
 
-from porousflow.assembly import FormContext
-from porousflow.fem import FeField, boundary_nodes
+from porousflow.assembly import FormContext, pressure_volume_vector
+from porousflow.fem import FeField, boundary_nodes, eval_function
 from porousflow.mesh import BoundaryTag
 
 # SuperLU settings.  The constrained step matrices are structurally
@@ -170,12 +170,7 @@ class Constraints:
         call, which must return one finite velocity per Dirichlet node, an
         array shaped like ``points``; any other shape, or a NaN or infinite
         value, raises ``ValueError``."""
-        values = np.asarray(g(self.points) if t is None
-                            else g(self.points, t), dtype=float)
-        if values.shape != self.points.shape:
-            raise ValueError(f"Dirichlet data of shape {values.shape} for "
-                             f"{len(self.points)} nodes; expected "
-                             f"{self.points.shape}")
+        values = eval_function(g, self.points, t, (2,), "Dirichlet data")
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if bad.size:
             raise ValueError(
@@ -480,9 +475,12 @@ class StepSolver:
         free = np.ones(n, dtype=bool)
         free[fixed] = False
         dofs = element_dofs(ctx)
-        matrix, pos = _step_matrix(
-            a_elements, b_elements, dofs, free,
-            ctx.volume_vector() if constraints.gauge else None)
+        # the pressure basis integrals: the gauge row, and the zero-mean
+        # shift of every solve's pressure
+        self._gauge_vector = (pressure_volume_vector(ctx)
+                              if constraints.gauge else None)
+        matrix, pos = _step_matrix(a_elements, b_elements, dofs, free,
+                                   self._gauge_vector)
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
         # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
@@ -579,8 +577,7 @@ class StepSolver:
         x[fixed] = values   # prescribed values, exactly
         u, p = x[:nv], x[nv:nv + nq]
         if self.constraints.gauge:
-            c = ctx.volume_vector()
-            p = p - (c @ p) / float(ctx.mesh.areas.sum())
+            p = p - (self._gauge_vector @ p) / float(ctx.mesh.areas.sum())
         div = self.b_elements @ u[ctx.vspace.cell_dofs][:, :, None]
         div = np.bincount(ctx.pspace.cell_dofs.ravel(), div.ravel(),
                           minlength=nq)

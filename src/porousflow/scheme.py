@@ -21,7 +21,6 @@ from porousflow.assembly import (
     assemble_load,
     assemble_mass_phi_rhs,
     divergence_elements,
-    linear_drag_weight,
     quadratic_drag_weight,
     viscous_elements,
 )
@@ -66,7 +65,6 @@ class ProblemSetup:
     forcing: Callable | None = None
     gauge: bool | None = None
     constraints: Constraints = field(init=False, repr=False)
-    _blocks: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for name in ("tau", "t_final"):
@@ -96,11 +94,8 @@ class ProblemSetup:
 
     def constant_blocks(self):
         """The element tables of the viscous block, (nt, 12, 12), and of the
-        divergence block, (nt, 3, 12)."""
-        if not self._blocks:
-            self._blocks["a"] = viscous_elements(self.ctx)
-            self._blocks["b"] = divergence_elements(self.ctx)
-        return self._blocks["a"], self._blocks["b"]
+        divergence block, (nt, 3, 12), built afresh on each call."""
+        return viscous_elements(self.ctx), divergence_elements(self.ctx)
 
 
 @dataclass
@@ -141,8 +136,7 @@ def _advance(setup: ProblemSetup, k: int, bracket: np.ndarray, clamped: int,
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, t)
-    weight = m_scale + linear_drag_weight(ctx) \
-        + quadratic_drag_weight(theta, ctx)
+    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(theta, ctx)
     system = SaddleSystem(solver, rhs, weight)
     system.apply_dirichlet(setup.dirichlet, t)
     u, p, report = system.solve("initial" if k == 1 else "general")
@@ -204,7 +198,9 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     Observers are called after every accepted step with ``(k, t, velocity,
     pressure, diagnostics)``.  All steps share one :class:`StepSolver`, built
     here from the constant blocks and the constraint table, so a
-    factorization is reused across the general steps.  A failed step raises
+    factorization is reused across the general steps; the element tables
+    of the constant blocks are built for it, and the viscous one is freed
+    once it is built.  A failed step raises
     :class:`SchemeDivergenceError` with the partial summary attached; an
     initial velocity that is NaN or infinite at a velocity node raises
     ``ValueError`` before the solver is built.

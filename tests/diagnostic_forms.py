@@ -17,7 +17,6 @@ from porousflow.assembly import (
     _scatter_matrix,
     _vector_mass,
     _vectorize_scalar_local,
-    linear_drag_weight,
 )
 from porousflow.fem import AnalyticVectorField
 from porousflow.saddle import Constraints
@@ -89,4 +88,4 @@ def mass_matrix(ctx: FormContext) -> sparse.csr_matrix:
 
 def assemble_c0(ctx: FormContext) -> sparse.csr_matrix:
     """Linear drag form mu*(phi/K(phi) u, v)."""
-    return _vector_mass(ctx, linear_drag_weight(ctx))
+    return _vector_mass(ctx, ctx.linear_drag)

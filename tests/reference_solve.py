@@ -19,6 +19,7 @@ from porousflow.assembly import (
     _scatter_matrix,
     _vector_mass,
     divergence_elements,
+    pressure_volume_vector,
     viscous_elements,
 )
 from porousflow.fem import FeField
@@ -159,7 +160,8 @@ class ReferenceSystem:
         a = self.A
         if self.mass_weight is not None:
             a = a + _vector_mass(self.ctx, self.mass_weight)
-        k = _stack(a, self.B, self.ctx.volume_vector() if self.gauge else None)
+        k = _stack(a, self.B, pressure_volume_vector(self.ctx) if self.gauge
+                   else None)
         if fixed.size:
             lift = np.zeros(k.shape[0])
             lift[fixed] = values
@@ -178,7 +180,7 @@ class ReferenceSystem:
         nv = self.ctx.vspace.dof_count
         u, p = x[:nv], x[nv:nv + self.ctx.pspace.dof_count]
         if self.gauge:
-            c = self.ctx.volume_vector()
+            c = pressure_volume_vector(self.ctx)
             p = p - (c @ p) / float(self.ctx.mesh.areas.sum())
         report = SolveReport(algebraic_residual=resid,
                              incompressibility_residual=float(

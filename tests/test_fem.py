@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from porousflow.assembly import assemble_load
 from porousflow.fem import (
     P1_SCALAR,
     P2_VECTOR,
@@ -26,6 +27,7 @@ from porousflow.mesh import (
     generate_rect_mesh,
     locate_many,
 )
+from porousflow.saddle import Constraints
 from test_kernel_references import adjacency_reference
 
 
@@ -331,3 +333,27 @@ def test_unknown_norm_kind_rejected(pi_mesh):
             norm(f, kind)
     with pytest.raises(ValueError):
         error_norm(f, lambda p, t: np.zeros(len(p)), "Linf", t=0.0)
+
+
+# every entry point that samples velocity data, each given a function of
+# the points and the time
+VELOCITY_DATA = {
+    "interpolate": lambda ctx, fn: interpolate(ctx.vspace, fn, 0.5),
+    "assemble_load": lambda ctx, fn: assemble_load(fn, ctx, 0.5),
+    "error_norm": lambda ctx, fn: error_norm(zero_field(ctx.vspace), fn,
+                                             t=0.5),
+    "Constraints.values": lambda ctx, fn: Constraints.build(ctx).values(
+        fn, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VELOCITY_DATA))
+def test_velocity_data_of_transposed_shape_rejected(unit_ctx, entry):
+    # (2, n) values hold as many numbers as (n, 2) ones; read as (n, 2) they
+    # would pair the x values of two points as one velocity
+    def transposed(points, t):
+        return np.vstack([points[:, 0], points[:, 1] * t])
+
+    with pytest.raises(ValueError, match=r"of shape \(2, (\d+)\) for \1 "
+                                         r"points; expected \(\1, 2\)$"):
+        VELOCITY_DATA[entry](unit_ctx, transposed)

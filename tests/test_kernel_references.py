@@ -50,6 +50,7 @@ from porousflow.assembly import (
     assemble_mass_phi_rhs,
     divergence_elements,
     make_context,
+    pressure_volume_vector,
     viscous_elements,
 )
 from porousflow.cases import build_case_mesh, build_setup, get_case
@@ -1034,7 +1035,7 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     free[table.fixed] = False
     args = (viscous_elements(ctx), divergence_elements(ctx),
             element_dofs(ctx), free,
-            ctx.volume_vector() if table.gauge else None)
+            pressure_volume_vector(ctx) if table.gauge else None)
     (k, pos), (k_ref, pos_ref) = (_step_matrix(*args),
                                   step_matrix_reference(*args))
     assert k.shape == k_ref.shape
@@ -1455,7 +1456,8 @@ def mass_positions(ctx, table, a_elements, b_elements):
                    + int(table.gauge), dtype=bool)
     free[table.fixed] = False
     return _step_matrix(a_elements, b_elements, element_dofs(ctx), free,
-                        ctx.volume_vector() if table.gauge else None)[1]
+                        pressure_volume_vector(ctx) if table.gauge
+                        else None)[1]
 
 
 def built_solver(ctx):

@@ -53,6 +53,27 @@ def test_graded_and_uniform_share_total_area():
                                                rel=1e-12)
 
 
+@pytest.mark.parametrize("size", [0.0, -0.01, math.inf, math.nan])
+def test_layer_grading_rejects_size_not_positive_and_finite(size):
+    with pytest.raises(ValueError, match="^grading size must be positive "
+                                         f"and finite, got {size}$"):
+        LayerGrading(0.5, size)
+
+
+@pytest.mark.parametrize("size, reason", [
+    (1e-300, "fill 0.5 with 2 geometrically growing intervals"),
+    (1e-30, "separate the grid lines at 0.5"),
+])
+def test_layer_grading_rejects_size_too_small_for_its_mesh(size, reason):
+    # below 1e-200 no growth factor fills a side of the layer without
+    # overflowing; below the spacing of floats at the line, the first grid
+    # line off it is the line itself
+    with pytest.raises(ValueError, match=f"^grading size {size} is too "
+                                         f"small to {reason}$"):
+        generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 12,
+                           grading=LayerGrading(0.5, size))
+
+
 def test_degenerate_extent_rejected():
     with pytest.raises(ValueError):
         generate_rect_mesh((0.0, 0.0), (0.0, 1.0), 4)

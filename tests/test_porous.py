@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from porousflow.assembly import (linear_drag_weight, make_context,
-                                 quadratic_drag_weight)
+from porousflow.assembly import make_context, quadratic_drag_weight
 from porousflow.fem import interpolate
 from porousflow.porous import (
     SINUSOIDAL_GAMMA,
@@ -91,7 +90,7 @@ def step_drag(porosity, u, mesh, params):
     ctx = make_context(mesh, porosity, params)
     field = interpolate(ctx.vspace, u)
     uq = ctx.tables.at_quad(field)
-    weight = linear_drag_weight(ctx) + quadratic_drag_weight(field, ctx)
+    weight = ctx.linear_drag + quadratic_drag_weight(field, ctx)
     return -weight[..., None] * uq, uq
 
 
@@ -100,12 +99,14 @@ def uniform(c):
 
 
 def test_drag_weights_are_computed_once_per_context(params, unit_mesh):
-    # the context-only factors are cached read-only, and the weights keep
-    # the arithmetic of the closed forms, so every step is bitwise the same
+    # the context-only factors are read-only attributes set with the
+    # context, and the weights keep the arithmetic of the closed forms, so
+    # every step is bitwise the same
     ctx = make_context(unit_mesh, builtin_porosity("sinusoidal"), params)
     field = interpolate(ctx.vspace, uniform([3.0, -2.0]))
-    linear = linear_drag_weight(ctx)
-    assert linear is linear_drag_weight(ctx) and not linear.flags.writeable
+    linear = ctx.linear_drag
+    assert linear is ctx.linear_drag and not linear.flags.writeable
+    assert not ctx.quadratic_drag.flags.writeable
     assert np.array_equal(linear, params.mu * linear_drag_coeff(ctx.phi_q,
                                                                  params))
     uq = ctx.tables.at_quad(field)
@@ -115,6 +116,18 @@ def test_drag_weights_are_computed_once_per_context(params, unit_mesh):
                           * speed)
     with pytest.raises(ValueError):
         linear[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.2, 1.5, np.nan])
+def test_porosity_outside_unit_interval_fails_at_the_context(params,
+                                                            unit_mesh, bad):
+    # the drag factors are set with the context, so a porosity outside
+    # (0, 1] at one quadrature point fails there rather than in a step
+    porosity = PorosityField(
+        "bad", lambda p: np.where(p[:, 0] > 0.9, bad, 0.5),
+        lambda p: np.zeros((len(p), 2)))
+    with pytest.raises(ValueError, match=r"^porosity must lie in \(0, 1\]$"):
+        make_context(unit_mesh, porosity, params)
 
 
 def test_drag_force_zero_cases(params, unit_mesh):

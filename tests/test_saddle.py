@@ -14,7 +14,6 @@ from porousflow import saddle
 from porousflow.assembly import (
     assemble_load,
     divergence_elements,
-    linear_drag_weight,
     make_context,
     pressure_volume_vector,
     quadratic_drag_weight,
@@ -519,7 +518,7 @@ def test_solver_at_parameter_extremes(kind, extreme):
     nv = ctx.vspace.dof_count
     for step in (1, 2):
         grown = lambda p: (1.0 + 0.1 * step) * _vortex(p)
-        weight = 1.5 * params.rho / setting["tau"] + linear_drag_weight(ctx) \
+        weight = 1.5 * params.rho / setting["tau"] + ctx.linear_drag \
             + quadratic_drag_weight(interpolate(ctx.vspace, grown), ctx)
         load = rng.normal(size=nv)
         values = table.values(grown)

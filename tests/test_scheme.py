@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from diagnostic_forms import assemble_c0, mass_matrix
 from porousflow import saddle, scheme
 from porousflow.assembly import (
     assemble_c1,
-    linear_drag_weight,
     make_context,
     quadratic_drag_weight,
 )
@@ -128,6 +128,28 @@ def test_run_builds_constraint_table_once(params, monkeypatch):
         [np.full(len(p), t), np.zeros(len(p))])))
     assert len(summary.steps) == 4
     assert calls == {"build": 1, "boundary_nodes": 1}
+
+
+def test_run_frees_viscous_table_before_factorizing(monkeypatch):
+    # only the solver's build reads the (nt, 12, 12) viscous table, so no
+    # reference to it is left once a step factorizes
+    tables, alive = [], []
+    build, factorize = scheme.viscous_elements, saddle.splu
+
+    def tracked(ctx):
+        table = build(ctx)
+        tables.append(weakref.ref(table))
+        return table
+
+    def checking(*args, **kwargs):
+        alive.append([ref() is not None for ref in tables])
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "viscous_elements", tracked)
+    monkeypatch.setattr(saddle, "splu", checking)
+    _, _, setup = build_setup(get_case("two-layer"), 12, t_final=0.6)
+    run(setup)
+    assert alive == [[False], [False]]
 
 
 def test_tau_exceeding_final_time_rejected(params):
@@ -429,8 +451,7 @@ def _step_system(setup, kind, t, theta, rhs):
     reference.apply_dirichlet(setup.dirichlet, t)
     if setup.gauge:
         reference.apply_gauge()
-    weight = m_scale + linear_drag_weight(ctx) \
-        + quadratic_drag_weight(theta, ctx)
+    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(theta, ctx)
     return reference, weight, setup.constraints.values(setup.dirichlet, t)
 
 
