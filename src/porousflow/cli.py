@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from porousflow import cases as case_lib
@@ -25,45 +25,61 @@ from porousflow.vtkio import SeriesWriter, write_snapshot
 SLOPE_BANDS = {"Er1": (1.7, 2.4), "Er2": (1.7, 2.6)}
 
 
+#: The keys a flag or a ``--config`` file can set, with their types; every
+#: other key that ``config.txt`` records is fixed by the case.
+SETTABLE = {"n": int, "tau": float, "t_final": float, "out_dir": str,
+            "snapshot_every": int}
+
+
 @dataclass
 class RunConfig:
-    """Resolved settings of one ``simulate`` run."""
+    """Settings of one ``simulate`` run: its case and the ``SETTABLE`` keys.
+    ``tau`` ``None`` takes the cell width along x at ``n`` cells."""
 
-    case: str
+    case: case_lib.CaseDefinition
     n: int
-    tau: float
     t_final: float
-    mu: float
-    rho: float
-    d_p: float
-    a: float
-    b: float
     out_dir: str
+    tau: float | None = None
     snapshot_every: int = 10
 
     def __post_init__(self):
-        for name in ("n", "tau", "t_final", "mu", "rho", "d_p", "a", "b",
-                     "snapshot_every"):
+        for name in ("n", "tau", "t_final", "snapshot_every"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"config field {name} must be positive and "
                                  f"finite, got {value}")
+        # the coarsest mesh generate_rect_mesh builds
+        if self.n < 2:
+            raise ValueError(f"config field n must be at least 2, "
+                             f"got {self.n}")
+        if self.tau is None:
+            self.tau = self.case.nominal_h(self.n)
 
-    def to_text(self, extra: dict | None = None) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)!r}"
-                 if isinstance(getattr(self, f.name), str)
-                 else f"{f.name} = {getattr(self, f.name)}"
-                 for f in fields(self)]
-        # every run writes diagnostics.jsonl; the line stays in the record
-        lines.append("diagnostics = True")
-        for key, value in (extra or {}).items():
-            lines.append(f"{key} = {value}")
-        return "\n".join(lines) + "\n"
+    def recorded(self) -> dict[str, str]:
+        """What ``config.txt`` records, key to text, in its order."""
+        case = self.case
+        values = {"case": case.name, "n": self.n, "tau": self.tau,
+                  "t_final": self.t_final, **asdict(case.params),
+                  "out_dir": self.out_dir,
+                  "snapshot_every": self.snapshot_every,
+                  # every run writes diagnostics.jsonl; the line stays in
+                  # the record
+                  "diagnostics": True,
+                  "x_extent": case.x_extent, "y_extent": case.y_extent,
+                  **case.constants}
+        return {key: repr(value) if isinstance(value, str) else str(value)
+                for key, value in values.items()}
+
+    def to_text(self) -> str:
+        return "".join(f"{key} = {text}\n"
+                       for key, text in self.recorded().items())
 
 
-def _parse_config_text(text: str) -> dict:
+def parse_config_file(path) -> dict:
+    """Flat ``key = value`` text; ``#`` starts a comment."""
     out: dict[str, str] = {}
-    for raw in text.splitlines():
+    for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -74,55 +90,30 @@ def _parse_config_text(text: str) -> dict:
     return out
 
 
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` text; ``#`` starts a comment."""
-    return _parse_config_text(Path(path).read_text())
-
-
 def resolve_run_config(args) -> RunConfig:
     """The run's settings: flags over ``--config`` file values over the
     case's defaults.  A file may hold only the keys ``config.txt`` records;
-    one that the file cannot set (the case, its extents, its physical
-    parameters and constants) must carry the value this run records, as
-    text, so a written ``config.txt`` can be fed back.  Anything else raises
-    ``ValueError``."""
+    one not in ``SETTABLE`` (the case, its extents, its physical parameters
+    and constants) must carry the text this run records, so a written
+    ``config.txt`` can be fed back.  Anything else raises ``ValueError``."""
     case = case_lib.get_case(args.case)
     file_cfg = parse_config_file(args.config) if args.config else {}
-    settable = set()
-
-    def pick(flag_value, key, default, cast):
-        settable.add(key)
-        if flag_value is not None:
-            return cast(flag_value)
-        if key in file_cfg:
-            return cast(file_cfg[key])
-        return default
-
-    n = pick(args.n, "n", case.default_n, int)
-    tau = pick(args.tau, "tau", None, float)
-    cfg = RunConfig(
-        case=case.name,
-        n=n,
-        tau=tau,
-        t_final=pick(args.t_final, "t_final", case.t_final, float),
-        mu=case.params.mu,
-        rho=case.params.rho,
-        d_p=case.params.d_p,
-        a=case.params.a,
-        b=case.params.b,
-        out_dir=pick(args.out_dir, "out_dir", f"out/{case.name}", str),
-        snapshot_every=pick(args.snapshot_every, "snapshot_every", 10, int),
-    )
-    if tau is None:
-        # the default step needs the n the config has just validated
-        cfg.tau = case.nominal_h(n)
-    recorded = _parse_config_text(cfg.to_text(_case_extras(case)))
+    settings = {"n": case.default_n, "t_final": case.t_final,
+                "out_dir": f"out/{case.name}"}
+    for key, cast in SETTABLE.items():
+        value = getattr(args, key)
+        value = file_cfg.get(key) if value is None else value
+        if value is not None:
+            settings[key] = cast(value)
+    cfg = RunConfig(case, **settings)
+    recorded = cfg.recorded()
     for key, value in file_cfg.items():
         if key not in recorded:
             raise ValueError(f"unknown config key {key!r}")
-        if key not in settable and value != recorded[key]:
+        text = recorded[key].strip("'\"")
+        if key not in SETTABLE and value != text:
             raise ValueError(f"config key {key!r} = {value!r} cannot be "
-                             f"set; this run records {recorded[key]!r}")
+                             f"set; this run records {text!r}")
     return cfg
 
 
@@ -160,26 +151,18 @@ def _cmd_eoc(args) -> int:
     return 0 if ok else 1
 
 
-def _case_extras(case) -> dict:
-    extras = {
-        "x_extent": f"({case.x_extent[0]}, {case.x_extent[1]})",
-        "y_extent": f"({case.y_extent[0]}, {case.y_extent[1]})",
-    }
-    extras.update(case.constants)
-    return extras
-
-
 def _cmd_simulate(args) -> int:
     cfg = resolve_run_config(args)
-    case = case_lib.get_case(cfg.case)
+    case = cfg.case
+    text = cfg.to_text()
     if args.show_config:
-        sys.stdout.write(cfg.to_text(_case_extras(case)))
+        sys.stdout.write(text)
         return 0
     # a set-up that cannot run (no steps) fails before anything is written
     mesh, ctx, setup = case_lib.build_setup(case, cfg.n, cfg.tau, cfg.t_final)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(cfg.to_text(_case_extras(case)))
+    (out_dir / "config.txt").write_text(text)
 
     report = validate_porosity_admissibility(
         case.porosity, case.params,
@@ -188,7 +171,7 @@ def _cmd_simulate(args) -> int:
     if not report.passed:
         print("note: the admissibility hypothesis fails for this porosity; "
               "the stability theory does not cover this run")
-    print(f"case {cfg.case}: N={cfg.n}, tau={cfg.tau:g}, T={cfg.t_final:g}, "
+    print(f"case {case.name}: N={cfg.n}, tau={cfg.tau:g}, T={cfg.t_final:g}, "
           f"{mesh.n_triangles} triangles, {setup.n_steps} steps")
 
     series = SeriesWriter()
@@ -196,13 +179,13 @@ def _cmd_simulate(args) -> int:
     u0 = interpolate(ctx.vspace, case.u_initial)
     p0 = zero_field(ctx.pspace, 0.0)
     write_snapshot(u0, p0, case.porosity, mesh, 0.0,
-                   out_dir / f"{cfg.case}_{0:06d}.vtk")
+                   out_dir / f"{case.name}_{0:06d}.vtk")
     series.add(0.0, u0, p0, norm(u0, "L2"), 0.0)
 
     def observer(k, t, u_field, p_field, diag):
         if k % cfg.snapshot_every == 0:
             write_snapshot(u_field, p_field, case.porosity, mesh, t,
-                           out_dir / f"{cfg.case}_{k:06d}.vtk")
+                           out_dir / f"{case.name}_{k:06d}.vtk")
             series.add(t, u_field, p_field, diag["velocity_l2"],
                        diag["pressure_l2"])
         diag_fh.write(json.dumps(diag, sort_keys=True) + "\n")

@@ -380,20 +380,15 @@ def quad_tables(mesh: Mesh) -> QuadTables:
 
 def norm(field_: FeField, kind: str = "L2") -> float:
     """Quadrature approximation of the L2 or H1 norm of a field."""
-    if kind not in ("L2", "H1"):
-        raise ValueError(f"unknown norm kind: {kind!r}")
-    tables = quad_tables(field_.space.mesh)
-    total = float(tables.integrate(tables.at_quad(field_) ** 2).sum())
-    if kind == "H1":
-        total += float(tables.integrate(tables.grad_at_quad(field_) ** 2).sum())
-    return float(np.sqrt(total))
+    return error_norm(field_, None, kind)
 
 
-def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
+def error_norm(field_: FeField, exact: Callable | None, kind: str = "L2",
                t: float | None = None, exact_grad: Callable | None = None,
                zero_mean: bool = False) -> float:
     """Norm of ``field - exact`` with the analytic field sampled at the
-    points of the degree-5 quadrature.
+    points of the degree-5 quadrature; ``exact`` ``None`` is the norm of the
+    field itself.
 
     ``exact(points [, t])`` returns ``(n,)`` (scalar) or ``(n, 2)`` values;
     for the H1 norm ``exact_grad`` must return ``(n, 2)`` (scalar) or
@@ -403,23 +398,27 @@ def error_norm(field_: FeField, exact: Callable, kind: str = "L2",
     """
     if kind not in ("L2", "H1"):
         raise ValueError(f"unknown norm kind: {kind!r}")
-    if kind == "H1" and exact_grad is None:
+    if kind == "H1" and exact is not None and exact_grad is None:
         raise ValueError("H1 error norm requires exact_grad")
     sp = field_.space
     tables = quad_tables(sp.mesh)
     nt, nq = tables.wxarea.shape
     flat = tables.qpoints_flat
     shape = sp.value_shape
-    diff = tables.at_quad(field_) - eval_function(
-        exact, flat, t, shape, "exact solution").reshape(nt, nq, -1)
+    diff = tables.at_quad(field_)
+    if exact is not None:
+        diff = diff - eval_function(exact, flat, t, shape,
+                                    "exact solution").reshape(nt, nq, -1)
     if zero_mean:
         diff = diff - tables.integrate(diff) / float(sp.mesh.areas.sum())
     total = float(tables.integrate(diff ** 2).sum())
     if kind == "H1":
-        ge = eval_function(exact_grad, flat, t, shape + (2,),
-                           "exact gradient").reshape(nt, nq, sp.components, 2)
-        total += float(tables.integrate(
-            (tables.grad_at_quad(field_) - ge) ** 2).sum())
+        grad = tables.grad_at_quad(field_)
+        if exact is not None:
+            grad = grad - eval_function(
+                exact_grad, flat, t, shape + (2,),
+                "exact gradient").reshape(nt, nq, sp.components, 2)
+        total += float(tables.integrate(grad ** 2).sum())
     return float(np.sqrt(total))
 
 

@@ -59,7 +59,9 @@ class LayerGrading:
 
     ``line`` must lie strictly inside the vertical extent.  Element heights
     grow geometrically away from the layer so that the total node count is
-    unchanged.  A ``size`` that is not positive and finite raises
+    unchanged.  A side of the layer that gets a single interval (every mesh
+    with two or three rows has one) is that interval, so ``size`` does not
+    act there.  A ``size`` that is not positive and finite raises
     ``ValueError``, as does, when the mesh is built, one too small for any
     geometric growth to fill a side of the layer with its intervals or for
     the grid lines next to the layer to differ.
@@ -209,7 +211,10 @@ class Mesh:
 
 def _graded_interval(length: float, n: int, first: float) -> np.ndarray:
     """Sizes of ``n`` sub-intervals filling ``length``, growing geometrically
-    from ``first`` outward.  Returns the sizes starting at the refined end."""
+    from ``first`` outward.  Returns the sizes starting at the refined end;
+    one interval is the whole side, whatever ``first``."""
+    if n == 1:
+        return np.array([length])
     if first * n >= length:
         return np.full(n, length / n)
 
@@ -263,8 +268,10 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
     """Structured crossed-triangle mesh of ``x_extent`` x ``y_extent``.
 
     ``n_divisions`` counts cells along x; the y-division is chosen so cells
-    are close to square.  Boundary edges are tagged by calling ``tag_rule``
-    on each edge midpoint (default: everything ``DIRICHLET``).
+    are close to square.  With a ``grading``, a side of its line that gets a
+    single row keeps that row whole, whatever the grading size.  Boundary
+    edges are tagged by calling ``tag_rule`` on each edge midpoint (default:
+    everything ``DIRICHLET``).
     """
     x0, x1 = (float(v) for v in x_extent)
     y0, y1 = (float(v) for v in y_extent)

@@ -18,6 +18,7 @@ from porousflow.assembly import (
     assemble_mass_phi_rhs,
     make_context,
     pressure_volume_vector,
+    quadratic_drag_weight,
 )
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
@@ -139,6 +140,19 @@ def test_c1_nonnegative(unit_mesh, params, rng):
     for _ in range(5):
         x = rng.normal(size=c1.shape[0])
         assert x @ (c1 @ x) >= -1e-12
+
+
+def test_drag_weight_rejects_a_field_of_another_space(unit_ctx, params):
+    # the (0,2)^2 mesh at n = 4 has as many velocity dofs (162) as the unit
+    # square's, so only the space itself tells the two apart
+    other = make_context(generate_rect_mesh((0.0, 2.0), (0.0, 2.0), 4),
+                         builtin_porosity("constant", value=1.0), params)
+    assert other.vspace.dof_count == unit_ctx.vspace.dof_count == 162
+    for theta in (const_velocity_coeffs(other, (1.0, 0.0)),
+                  interpolate(unit_ctx.pspace, lambda p: p[:, 0])):
+        with pytest.raises(ValueError, match="^theta_field must live on the "
+                                             "velocity space$"):
+            quadratic_drag_weight(theta, unit_ctx)
 
 
 def test_load_zero(unit_ctx):

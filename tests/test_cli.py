@@ -48,6 +48,61 @@ def test_show_config_sinusoidal(capsys):
     assert float(cfg["t_final"]) == 5.0
 
 
+CONFIG_TEXT = {
+    "two-layer": """\
+case = 'two-layer'
+n = 12
+tau = 0.25
+t_final = 1.0
+mu = 0.00889
+rho = 0.9951
+d_p = 0.05
+a = 150.0
+b = 1.75
+out_dir = {out_dir}
+snapshot_every = 10
+diagnostics = True
+x_extent = (0.0, 3.0)
+y_extent = (0.0, 1.0)
+eps = 0.002777777777777778
+""",
+    "sinusoidal": """\
+case = 'sinusoidal'
+n = 16
+tau = 0.5890486225480862
+t_final = 2.0
+mu = 0.00889
+rho = 0.9951
+d_p = 0.05
+a = 150.0
+b = 1.75
+out_dir = {out_dir}
+snapshot_every = 10
+diagnostics = True
+x_extent = (0.0, 9.42477796076938)
+y_extent = (0.0, 3.141592653589793)
+gamma0 = 0.15
+gamma1 = 0.65
+""",
+}
+
+
+@pytest.mark.parametrize("case, n, t_final", [("two-layer", "12", "1.0"),
+                                              ("sinusoidal", "16", "2.0")])
+def test_config_txt_is_the_recorded_text(tmp_path, capsys, case, n,
+                                         t_final):
+    # every key, in order; fed back, the file shows as itself
+    out = tmp_path / "run"
+    assert run_cli("simulate", case, "--n", n, "--t-final", t_final,
+                   "--out-dir", str(out)) == 0
+    capsys.readouterr()
+    expected = CONFIG_TEXT[case].format(out_dir=repr(str(out)))
+    assert (out / "config.txt").read_text() == expected
+    assert run_cli("simulate", case, "--config", str(out / "config.txt"),
+                   "--show-config") == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# defaults\nn = 24\nsnapshot_every = 5\n")
@@ -301,6 +356,24 @@ def test_simulate_rejects_non_positive_n(tmp_path, capsys, n):
     captured = capsys.readouterr()
     assert captured.err == (f"error: config field n must be positive and "
                             f"finite, got {n}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("show", [True, False])
+def test_simulate_rejects_n_below_the_coarsest_mesh(tmp_path, capsys, source,
+                                                    show):
+    # n = 1 is positive but below the coarsest mesh (n = 2), so not even
+    # --show-config may print it
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n = 1\n")
+    argv = ["simulate", "two-layer", "--tau", "0.1", "--out-dir", str(out)]
+    argv += ["--n", "1"] if source == "flag" else ["--config", str(cfg_file)]
+    assert run_cli(*argv, *(["--show-config"] if show else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: config field n must be at least 2, got 1\n"
     assert captured.out == ""
     assert not out.exists()
 

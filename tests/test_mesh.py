@@ -7,6 +7,7 @@ from porousflow.mesh import (
     BoundaryTag,
     LayerGrading,
     Mesh,
+    _graded_interval,
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
@@ -72,6 +73,27 @@ def test_layer_grading_rejects_size_too_small_for_its_mesh(size, reason):
                                          f"small to {reason}$"):
         generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 12,
                            grading=LayerGrading(0.5, size))
+
+
+@pytest.mark.parametrize("length, size", [
+    (0.25, 1e-300), (0.5, 1.0 / 720.0), (0.7, 0.01), (0.7, 0.3), (0.7, 5.0),
+])
+def test_graded_side_of_one_interval_is_the_side(length, size):
+    # one interval has the same size whatever the growth ratio, so no ratio
+    # is searched for: the side comes back exactly, not size * (length / size)
+    assert _graded_interval(length, 1, size).tolist() == [length]
+
+
+def test_one_row_side_of_a_graded_layer_stays_whole():
+    m = generate_rect_mesh((0.0, 1.0), (0.0, 0.5), 4,
+                           grading=LayerGrading(0.25, 0.01))
+    assert m.ys.tolist() == [0.0, 0.25, 0.5]
+    # two-layer at n = 8: two rows below the layer line, one above
+    m = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 8,
+                           grading=LayerGrading(0.5, 1.0 / 720.0))
+    assert len(m.ys) == 4
+    assert m.ys[1] == pytest.approx(0.4986, abs=1e-4)
+    assert m.ys[2:].tolist() == [0.5, 1.0]
 
 
 def test_degenerate_extent_rejected():
