@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -76,11 +77,15 @@ class RunConfig:
                        for key, text in self.recorded().items())
 
 
+# a line before its comment; an unclosed quote runs to the end of the line
+_UNCOMMENTED = re.compile(r"""(?:[^#'"]|'[^']*'?|"[^"]*"?)*""")
+
+
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` text; ``#`` starts a comment."""
+    """Flat ``key = value`` text; ``#`` outside quotes starts a comment."""
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:

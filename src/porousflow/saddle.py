@@ -14,29 +14,29 @@ tables of the constant blocks and the table: a run builds one, as does the
 steady solve of :func:`porousflow.verification.steady_stokes_solve` with a
 zero weight.  Between steps only the velocity mass-type block changes: the
 scaled mass, the linear drag and the linearized quadratic drag fold into one
-weight per quadrature point.  The solver places the constant element blocks,
-already eliminated, in one CSR conversion whose pattern also holds every
-element's mass-type entries (:func:`_step_matrix`): each triangle gives its
-216 entries row by row, with those on a fixed row or column sent to an
-extra row that is dropped, and the mass-type positions are looked up for
-the first velocity component and shifted for the second.  Each step sums
-its element matrices once per scalar pair at the first component's
-positions, copies those sums to the second component's and adds the
-constant data.  Its :meth:`StepSolver.solve` returns the step's velocity and
-pressure fields.  A :class:`SaddleSystem` is only a per-step front to that
-call.
+weight per quadrature point.
 
-Every matrix is factorized in single precision (:func:`_factorize`) in one
-fill-reducing order of its unknowns, :func:`nested_dissection` of the mesh
-geometry, computed once per solver on nodes rather than unknowns, each
-part's triangles kept in centroid order along both axes.  The solver holds
-at most one LU.  Every
-system is solved by right-preconditioned GMRES in float64 with that LU, one
-triangular solve per iteration: the system that built the LU down to
-``KRYLOV_RTOL`` or to where its true residual stops falling, which is
-iterative refinement by GMRES with a low-precision factor (Arioli & Duff,
-ETNA 33, 2009; Carson & Higham, SIAM J. Sci. Comput. 40, 2018), and a later
-system of the same kind down to the accuracy that first solve reached.
+The solver numbers the unknowns once, in the fill-reducing order of
+:func:`nested_dissection` (the mesh geometry split on nodes, each part's
+triangles kept in centroid order along both axes; fixed unknowns first, the
+gauge multiplier last), and works in that numbering only.  It holds the
+constant element blocks, already eliminated, as one CSC matrix whose
+pattern also holds every element's mass-type entries (:func:`_step_matrix`),
+looked up for the first velocity component and shifted for the second.
+Each step sums its element matrices once per scalar pair at the first
+component's positions, copies those sums to the second component's and adds
+the constant data.  :meth:`StepSolver.solve` places the load in that
+numbering and reads the step's velocity and pressure fields off the
+solution.  A :class:`SaddleSystem` is only a per-step front to that call.
+
+Every matrix is factorized in single precision (:func:`_factorize`) as it
+is numbered, and the solver holds at most one LU.  Every system is solved
+by right-preconditioned GMRES in float64 with that LU, one triangular solve
+per iteration: the system that built the LU down to ``KRYLOV_RTOL`` or to
+where its true residual stops falling, which is iterative refinement by
+GMRES with a low-precision factor (Arioli & Duff, ETNA 33, 2009; Carson &
+Higham, SIAM J. Sci. Comput. 40, 2018), and a later system of the same kind
+down to the accuracy that first solve reached.
 GMRES starts from the least-squares combination of the solver's last
 ``GUESS_HISTORY`` solutions, which takes no LU solve, so a start that
 already meets the stop returns after 0 iterations.  A system of another
@@ -209,23 +209,27 @@ _ENTRY_COLS = np.concatenate([np.tile(np.arange(15), 12),
                               np.tile(np.arange(12), 3)])
 
 
-def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
-    """The constrained step matrix without its mass-type part, by one
-    COO->CSR conversion: the element blocks ``[[A, B^T], [B, 0]]`` on free
-    rows and columns, the gauge border ``c`` and ``c^T`` when
-    ``gauge_vector`` is given, and ones on the diagonal of the fixed
-    unknowns.  Entries that cancel stay stored, so the pattern depends on
-    the mesh and the constraint table alone.
+def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector, position):
+    """The constrained step matrix without its mass-type part, as a CSC
+    matrix with unknown ``i`` at place ``position[i]``: the element blocks
+    ``[[A, B^T], [B, 0]]`` on free rows and columns, the gauge border ``c``
+    and ``c^T`` when ``gauge_vector`` is given, and ones on the diagonal of
+    the fixed unknowns.  Entries that cancel stay stored, so the pattern
+    depends on the mesh and the constraint table alone.
 
-    Every triangle gives its 216 entries in row-major order, so each row
-    receives its entries in the order of the triangles and, within one, of
-    the columns.  scipy sums duplicates in the order its per-row sort leaves
-    them, so that order fixes the data to the last bit.  Entries on a fixed
-    row or column, which only the triangles holding a fixed unknown have,
-    go to an extra row ``n``, dropped after the conversion; that leaves the
-    sequences of the other rows as they are.
+    The entries are summed by one COO->CSR conversion, each row at its
+    place and the columns numbered as in ``dofs``: every triangle gives its
+    216 entries in row-major order, so each row receives its entries in the
+    order of the triangles and, within one, of the columns.  scipy sums
+    duplicates in the order its per-row sort by column leaves them, so that
+    order, whatever place the row takes, fixes the data to the last bit.
+    Entries on a fixed row or column, which only the triangles holding a
+    fixed unknown have, go to an extra row ``n``, dropped after the
+    conversion; that leaves the sequences of the other rows as they are.
+    The columns then take their places, and the conversion to the CSC
+    lists each column's rows in order without a sort.
 
-    Returns the canonical CSR matrix and the position in its data array of
+    Returns the canonical CSC matrix and the position in its data array of
     each element's mass-type entries, those of the viscous block's
     same-component pairs, ``(nt, 6, 6, 2)`` flattened; entries on a fixed
     row or column point one past the end.
@@ -233,12 +237,14 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
     nt, n = len(dofs), len(free)
     # 32-bit indices, as scipy keeps them, halve the index traffic
     dofs = dofs.astype(np.int32)
+    position = position.astype(np.int32)
+    places = position[dofs]
     fixed = np.flatnonzero(~free).astype(np.int32)
-    tail = [(np.ones(fixed.size), fixed, fixed)]
+    tail = [(np.ones(fixed.size), position[fixed], fixed)]
     if gauge_vector is not None:
         pressure = np.arange(n - 1 - gauge_vector.size, n - 1, dtype=np.int32)
         border = np.full(gauge_vector.size, n - 1, dtype=np.int32)
-        tail += [(gauge_vector, pressure, border),
+        tail += [(gauge_vector, position[pressure], border),
                  (gauge_vector, border, pressure)]
     # the triplet arrays are allocated once and filled in place: below the
     # mmap threshold, copies of them held at once stay resident as heap
@@ -251,7 +257,8 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
     data[m:], r[m:], c[m:] = (np.concatenate(x) for x in zip(*tail))
     for x, (velocity, coupling, pressure) in (
             (data, (a_elements, b_elements.transpose(0, 2, 1), b_elements)),
-            (r, (dofs[:, :12, None], dofs[:, :12, None], dofs[:, 12:, None])),
+            (r, (places[:, :12, None], places[:, :12, None],
+                 places[:, 12:, None])),
             (c, (dofs[:, None, :12], dofs[:, None, 12:], dofs[:, None, :12]))):
         # views of x: each slice keeps its last axis contiguous, so
         # reshaping it copies nothing
@@ -268,23 +275,26 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector):
                              rows[touched], n)
     k = sparse.coo_matrix((data, (r, c)), shape=(n + 1, n)).tocsr()
     del data, r, c, rows
-    # row n's entries lie past the end of row n - 1; scipy prunes them
-    k = sparse.csr_matrix((k.data, k.indices, k.indptr[:-1]), shape=(n, n))
+    # row n's entries lie past the end of row n - 1; cutting indptr drops them
+    k = sparse.csr_matrix((k.data, position[k.indices], k.indptr[:-1]),
+                          shape=(n, n)).tocsc()
     # the mass-type pairs (2a, 2b) of a triangle's nodes, looked up in data
-    # numbered i - nnz (0 where not stored); 2b + 1 is stored on no even row
-    # when b is fixed, so such a pair is not found.  Both rows of a free node
-    # hold the same columns, so (2a + 1, 2b + 1) lies one row length and one
-    # further on.
+    # numbered i - nnz (0 where not stored) at (2a, 2b + 1) when b is fixed,
+    # whose column holds only its own row, so such a pair is not found.
+    # Both unknowns of a free node take places in turn and their columns
+    # hold the same rows, so (2a + 1, 2b + 1) lies one column length and
+    # one further on.
     first = dofs[:, 0:12:2]
-    ids = sparse.csr_matrix((np.arange(-k.nnz, 0, dtype=k.indices.dtype),
+    rows, cols = position[first], position[first + ~free[first]]
+    ids = sparse.csc_matrix((np.arange(-k.nnz, 0, dtype=k.indices.dtype),
                              k.indices, k.indptr), shape=k.shape)
-    found = np.asarray(ids[np.repeat(first, 6, axis=1).ravel(),
-                           np.tile(first + ~free[first], 6).ravel()])
+    found = np.asarray(ids[np.repeat(rows, 6, axis=1).ravel(),
+                           np.tile(cols, 6).ravel()])
     found = found.reshape(nt, 6, 6)
     pos = np.empty((nt, 6, 6, 2), dtype=np.int64)
     pos[..., 0] = found + k.nnz
     pos[..., 1] = pos[..., 0] + (found < 0) * (
-        np.diff(k.indptr)[first] + 1)[:, :, None]
+        np.diff(k.indptr)[rows] + 1)[:, None, :]
     return k, pos.ravel()
 
 
@@ -292,14 +302,14 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     """Nested-dissection order of the unknowns of a step system of ``ctx``
     (velocity, pressure, then the gauge multiplier when ``gauge``).
 
-    The ``fixed`` unknowns, decoupled by elimination, come first and the
-    gauge multiplier, coupled to every pressure, last.  The triangles are
-    split level by level: each part at the median centroid along its longer
-    extent.  The part's unplaced unknowns used by triangles on both sides
-    form its separator, ordered after the left and the right part; a part of
-    at most ``DISSECTION_LEAF`` unknowns is a leaf, in index order.  Element
-    matrices couple only unknowns of one triangle, so no entry of the step
-    matrix joins a left part to its right part.
+    The ``fixed`` unknowns, decoupled by elimination, come first in their
+    order and the gauge multiplier, coupled to every pressure, last.  The
+    triangles are split level by level: each part at the median centroid
+    along its longer extent.  The part's unplaced unknowns used by triangles
+    on both sides form its separator, ordered after the left and the right
+    part; a part of at most ``DISSECTION_LEAF`` unknowns is a leaf, in index
+    order.  Element matrices couple only unknowns of one triangle, so no
+    entry of the step matrix joins a left part to its right part.
 
     The split runs on nodes: the two velocity unknowns of a free node and
     the pressure unknown of a vertex are used by that node's triangles, so
@@ -309,10 +319,11 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     orders stably.  An item's group (leaf or separator) is recorded when it
     is placed; one stable sort by group start then numbers the unknowns.
 
-    Returns ``(perm, splits)``: ``k[perm][:, perm]`` is ``k`` in this order,
-    and each row ``(start, middle, separator)`` of ``splits`` says that one
-    split put its left part at positions ``start:middle``, its right part at
-    ``middle:separator`` and its separator after them.
+    Returns ``(position, splits)``: unknown ``i`` takes place
+    ``position[i]``, and each row ``(start, middle, separator)`` of
+    ``splits`` says that one split put its left part at places
+    ``start:middle``, its right part at ``middle:separator`` and its
+    separator after them.
     """
     nv, nq = ctx.vspace.dof_count, ctx.pspace.dof_count
     n = nv + nq + int(gauge)
@@ -395,28 +406,15 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     pos[2 * velocity] = item_pos[:velocity.size]
     pos[2 * velocity + 1] = item_pos[:velocity.size] + 1
     pos[nv:nv + nq] = item_pos[velocity.size:]
-    perm = np.empty(n, dtype=np.int64)
-    perm[pos] = np.arange(n)
-    return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])
+    return pos, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
-def _lu_solve(lu, perm, inverse, b):
-    """``x`` with ``k x = b`` by the single-precision LU of
-    ``k[perm][:, perm]``: the LU solves for ``b`` gathered by ``perm``, and
-    its solution, gathered by the inverse order ``inverse`` of ``perm``, is
-    ``x`` in float64."""
-    y = lu.solve(b.take(perm).astype(np.float32))
-    return y.take(inverse).astype(np.float64)
-
-
-def _factorize(k: sparse.csr_matrix, perm: np.ndarray):
-    """The single-precision sparse LU of ``k`` in the order ``perm`` of its
-    unknowns (a :func:`nested_dissection` order), that is of
-    ``k[perm][:, perm]``, by the module's ``splu``; raises
+def _factorize(k: sparse.csc_matrix):
+    """The single-precision sparse LU of ``k`` in the order of its unknowns,
+    its :func:`nested_dissection` order, by the module's ``splu``; raises
     :class:`SingularSystemError` when the factorization fails."""
     try:
-        return splu(k.astype(np.float32)[perm][:, perm].tocsc(),
-                    permc_spec="NATURAL",
+        return splu(k.astype(np.float32), permc_spec="NATURAL",
                     diag_pivot_thresh=DIAG_PIVOT_THRESH,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:
@@ -432,15 +430,16 @@ class StepSolver:
     ``b_elements`` (nt, 3, 12) over each triangle's velocity and pressure
     unknowns (:func:`element_dofs`).  ``M(w)`` is the velocity mass matrix
     weighted by ``w`` at the quadrature points, the only part that changes
-    between steps.  At construction the constant blocks are placed and
-    eliminated at once (:func:`_step_matrix`), in a CSR pattern that also
-    holds every element's mass-type entries on free rows and columns, whose
-    positions in the data array are recorded, and the
-    :func:`nested_dissection` order of the unknowns is computed.
+    between steps.  The solver works in the :func:`nested_dissection`
+    numbering of the unknowns, computed at construction, in which the
+    constant blocks are placed and eliminated at once (:func:`_step_matrix`)
+    as a CSC pattern that also holds every element's mass-type entries on
+    free rows and columns, whose positions in the data array are recorded.
     :meth:`assemble` scatters the element matrices of ``M(w)``, summed once
     per scalar pair, into a copy of the constant data and lifts the
     right-hand side by the fixed values through the element matrices of the
-    triangles that hold them.
+    triangles that hold them; only :meth:`solve` crosses numberings, to
+    place the load and to read the fields off the solution.
 
     The held factorization is keyed by the ``key`` of the solve that built
     it; start-up and general steps pass different keys because their mass
@@ -469,18 +468,17 @@ class StepSolver:
         self.ctx = ctx
         self.b_elements = b_elements
         self.constraints = constraints
-        fixed = constraints.fixed
-        n = (ctx.vspace.dof_count + ctx.pspace.dof_count
-             + int(constraints.gauge))
-        free = np.ones(n, dtype=bool)
-        free[fixed] = False
         dofs = element_dofs(ctx)
+        # each unknown's place in the step system, the fixed ones first
+        self._position = position = nested_dissection(
+            ctx, constraints.fixed, constraints.gauge)[0]
+        free = position >= constraints.fixed.size
         # the pressure basis integrals: the gauge row, and the zero-mean
         # shift of every solve's pressure
         self._gauge_vector = (pressure_volume_vector(ctx)
                               if constraints.gauge else None)
         matrix, pos = _step_matrix(a_elements, b_elements, dofs, free,
-                                   self._gauge_vector)
+                                   self._gauge_vector, position)
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
         # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
@@ -503,27 +501,23 @@ class StepSolver:
         # their constant blocks [A; B], (m, 15, 12), and their mass-type part
         touched = ~free[dofs[:, :12]].all(axis=1)
         self._lift_elems = np.flatnonzero(touched)
-        self._lift_dofs = dofs[touched]
+        self._lift_dofs = position[dofs[touched]]
         self._lift_blocks = np.concatenate([a_elements[touched],
                                             b_elements[touched]], axis=1)
-        self._perm = perm = nested_dissection(ctx, fixed,
-                                              constraints.gauge)[0]
-        self._inverse = np.empty_like(perm)
-        self._inverse[perm] = np.arange(n)
         self._lu = None
         self._key = None
         self._factor_residual = 0.0    # reached by the solve that built the LU
         # the raw solutions of the last solves, in turn, and the solve count;
         # held in one block from the start, since a copy kept per step left
         # two-layer n=60 about 1 MB higher in peak RSS
-        self._past = np.empty((GUESS_HISTORY, n))
+        self._past = np.empty((GUESS_HISTORY, len(position)))
         self._solves = 0
 
     def assemble(self, weight: np.ndarray, rhs: np.ndarray,
                  values: np.ndarray):
         """Constrained matrix and right-hand side for the mass-type weight
         ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
-        fixed unknowns.
+        fixed unknowns, all in the solver's numbering.
 
         Each element's 36 scalar mass-type entries are summed once, by one
         ``bincount`` over the positions of their first velocity component;
@@ -537,19 +531,19 @@ class StepSolver:
                            minlength=const.nnz + 1)[:const.nnz]
         data[self._second_to] = data.take(self._second_from)
         data += const.data
-        k = sparse.csr_matrix((data, const.indices, const.indptr),
+        k = sparse.csc_matrix((data, const.indices, const.indptr),
                               shape=const.shape)
-        fixed = self.constraints.fixed
-        if fixed.size:
-            lift = np.zeros(self.ctx.vspace.dof_count)
-            lift[fixed] = values
+        n_fixed = self.constraints.fixed.size   # at places 0, 1, ...
+        if n_fixed:
+            lift = np.zeros(len(rhs))
+            lift[:n_fixed] = values
             x = lift[self._lift_dofs[:, :12]]                     # (m, 12)
             out = (self._lift_blocks @ x[:, :, None])[:, :, 0]    # (m, 15)
             out[:, :12] += (local[self._lift_elems].reshape(-1, 6, 6)
                             @ x.reshape(-1, 6, 2)).reshape(-1, 12)
             rhs = rhs - np.bincount(self._lift_dofs.ravel(), out.ravel(),
                                     minlength=len(rhs))
-            rhs[fixed] = values
+            rhs[:n_fixed] = values
         return k, rhs
 
     def solve(self, weight: np.ndarray, load: np.ndarray, values: np.ndarray,
@@ -567,15 +561,16 @@ class StepSolver:
         """
         if not np.isfinite(load).all():
             raise SolverError("right-hand side contains NaN or Inf")
-        ctx, fixed = self.ctx, self.constraints.fixed
+        ctx, position = self.ctx, self._position
         nv, nq = ctx.vspace.dof_count, ctx.pspace.dof_count
-        rhs = np.concatenate([load, np.zeros(self._constant.shape[0] - nv)])
+        rhs = np.zeros(len(position))
+        rhs[position[:nv]] = load
         k, rhs = self.assemble(weight, rhs, values)
         x, resid, iterations, factorized = self._solve(k, rhs, key)
         self._past[self._solves % GUESS_HISTORY] = x
         self._solves += 1
-        x[fixed] = values   # prescribed values, exactly
-        u, p = x[:nv], x[nv:nv + nq]
+        x[:self.constraints.fixed.size] = values   # prescribed, exactly
+        u, p = x[position[:nv]], x[position[nv:nv + nq]]
         if self.constraints.gauge:
             p = p - (self._gauge_vector @ p) / float(ctx.mesh.areas.sum())
         div = self.b_elements @ u[ctx.vspace.cell_dofs][:, :, None]
@@ -598,7 +593,7 @@ class StepSolver:
             if x is not None:
                 return x, r_norm / rhs_norm, iterations, False
         self._lu = None
-        self._lu = _factorize(k, self._perm)
+        self._lu = _factorize(k)
         x, iterations, r_norm = self._krylov(k, rhs, rhs_norm, refine=True)
         if x is None or not r_norm <= RESIDUAL_BOUND * rhs_norm:   # or NaN
             self._lu = None
@@ -643,8 +638,7 @@ class StepSolver:
         Returns ``(x, iterations, residual norm)``, with ``x = None`` when
         the stop was missed.
         """
-        lu, perm, inverse = self._lu, self._perm, self._inverse
-        m = KRYLOV_MAX_ITERATIONS
+        lu, m = self._lu, KRYLOV_MAX_ITERATIONS
         stop = KRYLOV_RTOL if refine else min(RESIDUAL_BOUND, max(
             KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._factor_residual))
         target = stop * rhs_norm
@@ -662,7 +656,7 @@ class StepSolver:
         g[0] = beta
         best = None   # with refine: (x, residual norm) of the best iterate
         for j in range(m):
-            z[j] = _lu_solve(lu, perm, inverse, v[j])
+            z[j] = lu.solve(v[j].astype(np.float32))
             w = k @ z[j]
             for _ in range(2):   # classical Gram-Schmidt, reorthogonalized
                 c = v[:j + 1] @ w

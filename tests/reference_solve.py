@@ -34,22 +34,32 @@ from porousflow.saddle import (
 )
 
 
-def direct_solve(k: sparse.csr_matrix, rhs: np.ndarray, perm: np.ndarray):
-    """Solve ``k x = rhs`` by a float64 sparse LU of ``k`` in the order
-    ``perm`` of its unknowns (a :func:`nested_dissection` order).
+def renumbered(k: sparse.spmatrix, position: np.ndarray) -> sparse.csc_matrix:
+    """``k`` with unknown ``i`` at place ``position[i]``, as a CSC matrix."""
+    k = k.tocoo()
+    return sparse.csc_matrix((k.data, (position[k.row], position[k.col])),
+                             shape=k.shape)
+
+
+def direct_solve(k: sparse.csr_matrix, rhs: np.ndarray,
+                 position: np.ndarray):
+    """Solve ``k x = rhs`` by a float64 sparse LU of ``k`` in the order of
+    its unknowns that puts unknown ``i`` at place ``position[i]`` (a
+    :func:`nested_dissection` order).
 
     Returns ``x`` and its relative residual; raises
     :class:`SingularSystemError` when the factorization fails or that
     residual exceeds ``RESIDUAL_BOUND``.
     """
     try:
-        lu = splu(k[perm][:, perm].tocsc(), permc_spec="NATURAL",
+        lu = splu(renumbered(k, position), permc_spec="NATURAL",
                   diag_pivot_thresh=DIAG_PIVOT_THRESH,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
-    x = np.empty_like(rhs)
-    x[perm] = lu.solve(rhs[perm])
+    b = np.empty_like(rhs)
+    b[position] = rhs
+    x = lu.solve(b)[position]
     resid = float(np.linalg.norm(k @ x - rhs)) \
         / max(float(np.linalg.norm(rhs)), 1e-30)
     if not resid <= RESIDUAL_BOUND:   # also rejects NaN
@@ -174,8 +184,8 @@ class ReferenceSystem:
         """Velocity field, pressure field and report of a direct solve of
         :meth:`constrained`, zero-mean pressure when gauged."""
         k, rhs, fixed, values = self.constrained()
-        perm = nested_dissection(self.ctx, fixed, self.gauge)[0]
-        x, resid = direct_solve(k, rhs, perm)
+        position = nested_dissection(self.ctx, fixed, self.gauge)[0]
+        x, resid = direct_solve(k, rhs, position)
         x[fixed] = values
         nv = self.ctx.vspace.dof_count
         u, p = x[:nv], x[nv:nv + self.ctx.pspace.dof_count]

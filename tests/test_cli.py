@@ -144,6 +144,23 @@ def test_written_config_feeds_back(tmp_path, capsys):
     assert capsys.readouterr().out == written
 
 
+@pytest.mark.parametrize("quoted", ["'runs/#3'", '"runs/#3"'])
+def test_hash_in_a_quoted_value_is_no_comment(tmp_path, capsys, quoted):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"out_dir = {quoted}  # a comment\n"
+                        "n = 12 # 24\n")
+    assert parse_config_file(cfg_file) == {"out_dir": "runs/#3", "n": "12"}
+    # the shown configuration feeds back as itself
+    assert run_cli("simulate", "two-layer", "--out-dir", "runs/#3",
+                   "--show-config") == 0
+    shown = capsys.readouterr().out
+    assert "out_dir = 'runs/#3'\n" in shown
+    cfg_file.write_text(shown)
+    assert run_cli("simulate", "two-layer", "--config", str(cfg_file),
+                   "--show-config") == 0
+    assert capsys.readouterr().out == shown
+
+
 def test_parse_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("this is not a key value line\n")

@@ -24,7 +24,8 @@ before their numpy work was trimmed: the grid cell by a clipped search over
 all grid lines, point location with widths from the lines and barycentric
 columns stacked into rows, the boundary exit through gathered vertices,
 the P2 basis table by column assignments, the permutations of an LU
-solve by a scatter, and the mass-type scatter of both velocity components
+solve by a scatter, the factor input by the row and column gathers each
+factorization made, and the mass-type scatter of both velocity components
 from one repeated table.  Kernels whose arithmetic is unchanged must
 agree bit for bit; those that sum in another order agree within a
 tolerance fixed from double precision.
@@ -42,7 +43,6 @@ from hypothesis import strategies as st
 
 import porousflow.characteristics as characteristics
 import porousflow.mesh as mesh_module
-import porousflow.saddle as saddle
 from porousflow import _mms_generated
 from porousflow.assembly import (
     _scatter_matrix,
@@ -90,7 +90,6 @@ from porousflow.saddle import (
     Constraints,
     StepSolver,
     _factorize,
-    _lu_solve,
     _step_matrix,
     element_dofs,
     nested_dissection,
@@ -473,9 +472,7 @@ def nested_dissection_reference(ctx, fixed, gauge):
         tri_part[:] = -1
         tri_part[tris] = 2 * tp + side
         start = np.column_stack([start, middle]).ravel()
-    perm = np.empty(n, dtype=np.int64)
-    perm[pos] = np.arange(n)
-    return perm, np.concatenate(splits or [np.empty((0, 3), np.int64)])
+    return pos, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
 def rect_mesh_reference(x_extent, y_extent, n_divisions):
@@ -760,30 +757,52 @@ def lu_solve_scatter_reference(lu, perm, b):
     return x
 
 
+def dissection_order_reference(k, position, pos=None):
+    """The CSR matrix ``k`` with unknown ``i`` at place ``position[i]``, by
+    the gathers each factorization made, ``k[perm][:, perm].tocsc()`` with
+    ``perm`` the unknown at each place; with ``pos``, also those positions
+    in ``k.data`` moved to the CSC's (one past the end stays so)."""
+    perm = np.argsort(position)
+    ordered = k[perm][:, perm].tocsc()
+    if pos is None:
+        return ordered
+    ids = sparse.csr_matrix((np.arange(1.0, k.nnz + 1), k.indices, k.indptr),
+                            shape=k.shape)[perm][:, perm].tocsc()
+    moved = np.full(k.nnz + 1, k.nnz)
+    moved[ids.data.astype(np.int64) - 1] = np.arange(k.nnz)
+    return ordered, moved[pos]
+
+
+def mass_weighted_reference(k, pos, local):
+    """``k`` with the element matrices ``local`` (nt, 36) of the mass-type
+    weight scattered, both velocity components from one repeated table, at
+    the mass-type positions ``pos`` of :func:`porousflow.saddle._step_matrix`
+    in ``k.data``."""
+    data = np.bincount(pos, np.repeat(local.ravel(), 2),
+                       minlength=k.nnz + 1)[:k.nnz]
+    data += k.data
+    return type(k)((data, k.indices, k.indptr), shape=k.shape)
+
+
 def assemble_repeat_reference(solver, pos, weight, rhs, values):
     """Constrained matrix and right-hand side for the mass-type weight
     ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
-    fixed unknowns, with ``pos`` the mass-type positions of
-    :func:`porousflow.saddle._step_matrix`."""
+    fixed unknowns, in the solver's numbering, with ``pos`` the mass-type
+    positions of :func:`porousflow.saddle._step_matrix`."""
     tables = solver.ctx.tables
     local = (tables.wxarea * weight) @ tables.p2_products   # (nt, 36)
-    const = solver._constant
-    data = np.bincount(pos, np.repeat(local.ravel(), 2),
-                       minlength=const.nnz + 1)[:const.nnz]
-    data += const.data
-    k = sparse.csr_matrix((data, const.indices, const.indptr),
-                          shape=const.shape)
-    fixed = solver.constraints.fixed
-    if fixed.size:
-        lift = np.zeros(solver.ctx.vspace.dof_count)
-        lift[fixed] = values
+    k = mass_weighted_reference(solver._constant, pos, local)
+    n_fixed = solver.constraints.fixed.size
+    if n_fixed:
+        lift = np.zeros(len(rhs))
+        lift[:n_fixed] = values
         x = lift[solver._lift_dofs[:, :12]]                     # (m, 12)
         out = (solver._lift_blocks @ x[:, :, None])[:, :, 0]    # (m, 15)
         out[:, :12] += (local[solver._lift_elems].reshape(-1, 6, 6)
                         @ x.reshape(-1, 6, 2)).reshape(-1, 12)
         rhs = rhs - np.bincount(solver._lift_dofs.ravel(), out.ravel(),
                                 minlength=len(rhs))
-        rhs[fixed] = values
+        rhs[:n_fixed] = values
     return k, rhs
 
 
@@ -1023,31 +1042,29 @@ def solver_mesh(kind, kinds, n):
 @settings(max_examples=60, deadline=None, database=None)
 @given(layout=solver_meshes, n=st.integers(2, 16))
 def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
-    # the same pattern, mass-type positions and dissection order, and the
+    # the same dissection order, pattern and mass-type positions, and the
     # same constant data to the last bit: each row takes its entries in the
-    # same sequence through the same conversion
+    # same sequence through the same conversion, and the reference's sums,
+    # renumbered by the gathers each factorization made, are the CSC's
     ctx = make_context(solver_mesh(*layout, n),
                        builtin_porosity("constant", value=0.6),
                        get_case("two-layer").params)
     table = Constraints.build(ctx)
-    size = ctx.vspace.dof_count + ctx.pspace.dof_count + int(table.gauge)
-    free = np.ones(size, dtype=bool)
-    free[table.fixed] = False
-    args = (viscous_elements(ctx), divergence_elements(ctx),
-            element_dofs(ctx), free,
-            pressure_volume_vector(ctx) if table.gauge else None)
-    (k, pos), (k_ref, pos_ref) = (_step_matrix(*args),
-                                  step_matrix_reference(*args))
-    assert k.shape == k_ref.shape
+    args = step_matrix_args(ctx, table, viscous_elements(ctx),
+                            divergence_elements(ctx))
+    (position, splits), (position_ref, splits_ref) = (
+        nested_dissection(ctx, table.fixed, table.gauge),
+        nested_dissection_reference(ctx, table.fixed, table.gauge))
+    assert np.array_equal(position, position_ref)
+    assert np.array_equal(splits, splits_ref)
+    k, pos = _step_matrix(*args, position)
+    k_ref, pos_ref = step_matrix_reference(*args)
+    k_ref, pos_ref = dissection_order_reference(k_ref, position, pos_ref)
+    assert k.format == "csc" and k.shape == k_ref.shape
     assert np.array_equal(k.indptr, k_ref.indptr)
     assert np.array_equal(k.indices, k_ref.indices)
     assert k.data.tobytes() == k_ref.data.tobytes()
     assert np.array_equal(pos, pos_ref) and pos.dtype == pos_ref.dtype
-    (perm, splits), (perm_ref, splits_ref) = (
-        nested_dissection(ctx, table.fixed, table.gauge),
-        nested_dissection_reference(ctx, table.fixed, table.gauge))
-    assert np.array_equal(perm, perm_ref)
-    assert np.array_equal(splits, splits_ref)
     assert splits.dtype == splits_ref.dtype
 
 
@@ -1450,14 +1467,21 @@ def step_context(kind, kinds, n):
                         get_case("two-layer").params)
 
 
-def mass_positions(ctx, table, a_elements, b_elements):
-    """The mass-type positions that a step solver's build places."""
+def step_matrix_args(ctx, table, a_elements, b_elements):
+    """The arguments of :func:`porousflow.saddle._step_matrix` but the
+    dissection order, as a step solver's build passes them."""
     free = np.ones(ctx.vspace.dof_count + ctx.pspace.dof_count
                    + int(table.gauge), dtype=bool)
     free[table.fixed] = False
-    return _step_matrix(a_elements, b_elements, element_dofs(ctx), free,
-                        pressure_volume_vector(ctx) if table.gauge
-                        else None)[1]
+    return (a_elements, b_elements, element_dofs(ctx), free,
+            pressure_volume_vector(ctx) if table.gauge else None)
+
+
+def mass_positions(ctx, table, a_elements, b_elements):
+    """The mass-type positions that a step solver's build places."""
+    return _step_matrix(*step_matrix_args(ctx, table, a_elements,
+                                          b_elements),
+                        nested_dissection(ctx, table.fixed, table.gauge)[0])[1]
 
 
 def built_solver(ctx):
@@ -1502,18 +1526,36 @@ def test_assemble_is_bitwise_the_repeated_scatter(layout, n, seed):
 @given(layout=solver_meshes, n=st.integers(2, 10),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_lu_solve_is_bitwise_the_scatter_form(layout, n, seed):
+    # the factor input is, bit for bit, what the gathers of each
+    # factorization made of the matrix summed in the numbering of the
+    # element dofs, and an LU solve in the dissection numbering is the
+    # scatter form's solve of that matrix's system
     ctx = step_context(*layout, n)
-    solver = built_solver(ctx)[0]
+    table = Constraints.build(ctx)
+    a, b = viscous_elements(ctx), divergence_elements(ctx)
+    solver = StepSolver(ctx, a, b, table)
     rng = np.random.default_rng(seed)
     weight = 1.0 + rng.random(ctx.tables.wxarea.shape)
     size = solver._constant.shape[0]
-    k = solver.assemble(weight, np.zeros(size),
-                        np.zeros(solver.constraints.fixed.size))[0]
-    lu = _factorize(k, solver._perm)
-    b = rng.normal(size=size)
-    b[rng.random(size) < 0.1] = -0.0
-    assert_same_bytes(_lu_solve(lu, solver._perm, solver._inverse, b),
-                      lu_solve_scatter_reference(lu, solver._perm, b))
+    k = solver.assemble(weight, np.zeros(size), np.zeros(table.fixed.size))[0]
+    local = (ctx.tables.wxarea * weight) @ ctx.tables.p2_products
+    k_ref = mass_weighted_reference(
+        *step_matrix_reference(*step_matrix_args(ctx, table, a, b)), local)
+    position = nested_dissection(ctx, table.fixed, table.gauge)[0]
+    factor_input = dissection_order_reference(k_ref.astype(np.float32),
+                                              position)
+    k32 = k.astype(np.float32)
+    assert np.array_equal(k32.indptr, factor_input.indptr)
+    assert np.array_equal(k32.indices, factor_input.indices)
+    assert_same_bytes(k32.data, factor_input.data)
+    lu = _factorize(k)
+    rhs = rng.normal(size=size)
+    rhs[rng.random(size) < 0.1] = -0.0
+    x = np.empty(size)
+    x[:] = lu.solve(rhs.astype(np.float32))   # as GMRES stores it
+    assert_same_bytes(x[position],
+                      lu_solve_scatter_reference(lu, np.argsort(position),
+                                                 rhs[position]))
 
 
 def step_digest(setup):
@@ -1538,8 +1580,6 @@ def previous_kernels(monkeypatch, setup):
                         locate_many_clipped_reference)
     monkeypatch.setattr(characteristics, "boundary_exit_point",
                         boundary_exit_gather_reference)
-    monkeypatch.setattr(saddle, "_lu_solve", lambda lu, perm, inverse, b:
-                        lu_solve_scatter_reference(lu, perm, b))
     monkeypatch.setattr(StepSolver, "assemble",
                         lambda solver, weight, rhs, values:
                         assemble_repeat_reference(solver, pos, weight, rhs,

@@ -33,7 +33,7 @@ from porousflow.saddle import (
 from porousflow.scheme import ProblemSetup
 from porousflow.verification import steady_stokes_solve
 from reference_solve import (FreshSolver, ReferenceSystem, assemble_a0,
-                             assemble_b, direct_solve)
+                             assemble_b, direct_solve, renumbered)
 
 
 def quad_velocity(p):
@@ -422,12 +422,13 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
     k, rhs, fixed, _ = system.apply_dirichlet(
         lambda p: rng.normal(size=(len(p), 2))).constrained()
     size = k.shape[0]
-    perm, splits = nested_dissection(ctx, table.fixed, gauge)
-    assert np.array_equal(np.sort(perm), np.arange(size))
-    assert np.array_equal(np.sort(perm[:fixed.size]), fixed)
+    position, splits = nested_dissection(ctx, table.fixed, gauge)
+    assert np.array_equal(np.sort(position), np.arange(size))
+    # the fixed unknowns first, in the table's order
+    assert np.array_equal(position[fixed], np.arange(fixed.size))
     if gauge:
-        assert perm[-1] == size - 1
-    ordered = k[perm][:, perm].tocsr()
+        assert position[-1] == size - 1
+    ordered = renumbered(k, position).tocsr()
     assert len(splits)
     for start, middle, separator in splits:
         assert start <= middle <= separator <= size
@@ -435,7 +436,7 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
         assert np.count_nonzero(left_right.data) == 0
         assert np.count_nonzero(ordered[middle:separator,
                                         start:middle].data) == 0
-    x, resid = direct_solve(k, rhs, perm)
+    x, resid = direct_solve(k, rhs, position)
     reference = splu(k.tocsc(), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=saddle.DIAG_PIVOT_THRESH,
                      options={"SymmetricMode": True}).solve(rhs)
