@@ -183,14 +183,18 @@ def divergence_elements(ctx: FormContext) -> np.ndarray:
     return out.reshape(nt, 3, 12)
 
 
-def quadratic_drag_weight(theta_field: FeField,
+def quadratic_drag_weight(theta_at: np.ndarray,
                           ctx: FormContext) -> np.ndarray:
     """Quadrature-point weight rho*F phi/sqrt(K) |theta| of the linearized
-    quadratic drag form; ``theta_field`` must live on ``ctx.vspace``."""
-    if theta_field.space is not ctx.vspace:
-        raise ValueError("theta_field must live on the velocity space")
-    theta = ctx.tables.at_quad(theta_field)
-    speed = np.sqrt(theta[..., 0] ** 2 + theta[..., 1] ** 2)
+    quadratic drag form, from the velocity ``theta``'s values at the
+    context's quadrature points, (nt, nq, 2); another shape raises
+    ``ValueError``."""
+    expected = ctx.quadratic_drag.shape + (2,)
+    if np.shape(theta_at) != expected:
+        raise ValueError(f"theta values of shape {np.shape(theta_at)}; "
+                         f"expected {expected}, one velocity per "
+                         "quadrature point")
+    speed = np.sqrt(theta_at[..., 0] ** 2 + theta_at[..., 1] ** 2)
     return ctx.quadratic_drag * speed
 
 
@@ -199,9 +203,12 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
 
     ``theta_field`` is the velocity field whose pointwise magnitude weights
     the form (the extrapolated velocity in the general step, the initial
-    velocity in the start-up step).
+    velocity in the start-up step); it must live on ``ctx.vspace``.
     """
-    return _vector_mass(ctx, quadratic_drag_weight(theta_field, ctx))
+    if theta_field.space is not ctx.vspace:
+        raise ValueError("theta_field must live on the velocity space")
+    return _vector_mass(ctx, quadratic_drag_weight(
+        ctx.tables.at_quad(theta_field), ctx))
 
 
 # -- right-hand sides --------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The integrator follows the characteristics of the average velocity ``w =
 u/phi``.  At a quadrature point ``x`` the upwind foot is ``x - w*(x) tau``
-for the extrapolated advecting velocity ``w*``; previous velocity fields are
+for ``w* = theta/phi``, from the values ``theta_at`` at the points of the
+velocity the scheme also linearizes the drag around (the initial velocity,
+then the extrapolation ``2 u_prev - u_prev2``); previous velocity fields are
 evaluated there by finite element interpolation, dividing by the analytic
 porosity at the evaluation point.  All feet of a batch of points are handled
 together: one point location, one boundary-exit call, one field evaluation
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from porousflow.fem import FeField, eval_field_many
+from porousflow.fem import FeField, eval_field_many, eval_function
 from porousflow.mesh import BoundaryTag, boundary_exit_point, locate_many
 from porousflow.porous import PorosityField
 
@@ -46,23 +48,23 @@ def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
             on_dirichlet = outside[hit.tags == BoundaryTag.DIRICHLET]
     vals = eval_field_many(field, tri, bary)
     if on_dirichlet.size:
-        vals[on_dirichlet] = g(feet[on_dirichlet])
+        vals[on_dirichlet] = eval_function(g, feet[on_dirichlet], None, (2,),
+                                           "Dirichlet data")
     return vals / np.asarray(porosity.value(feet))[:, None], len(outside)
 
 
 def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
                        porosity: PorosityField, tau: float, points,
-                       u_prev_at, u_prev2_at, phi_at, g_prev=None,
-                       g_prev2=None):
+                       theta_at, phi_at, g_prev=None, g_prev2=None):
     """Known part of the two-step material-derivative bracket at many points.
 
     Returns ``phi(x) * [4 (w_prev o X1(w*, tau))(x) - (w_prev2 o X1(w*,
-    2 tau))(x)]`` and the clamped-feet count, where ``w* = (2 u_prev -
-    u_prev2)/phi`` is evaluated at the points themselves from the fields'
-    values there, ``u_prev_at`` and ``u_prev2_at``, and the porosity there,
-    ``phi_at`` (m,).
+    2 tau))(x)]`` and the clamped-feet count, where ``w* = theta/phi`` is
+    evaluated at the points themselves from the extrapolated velocity's
+    values there, ``theta_at`` (m, 2), the values of ``2 u_prev - u_prev2``,
+    and the porosity there, ``phi_at`` (m,).
     """
-    w_star = (2.0 * u_prev_at - u_prev2_at) / phi_at[:, None]
+    w_star = theta_at / phi_at[:, None]
     w1, c1 = _composed_average_velocity(points, u_prev, porosity, w_star,
                                         tau, g_prev)
     w2, c2 = _composed_average_velocity(points, u_prev2, porosity, w_star,
@@ -71,10 +73,12 @@ def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
 
 
 def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
-                       points, u0_at, phi_at, g0=None):
+                       points, theta_at, phi_at, g0=None):
     """First-order composed term ``phi(x) * (w0 o X1(w0, tau))(x)`` at many
-    points, with ``w0 = u0/phi`` from the field's values ``u0_at`` and the
-    porosity ``phi_at`` there; used only for the start-up step."""
+    points, with ``w0 = theta/phi`` from the values ``theta_at`` (m, 2) of
+    ``u0`` there and the porosity ``phi_at`` there; used only for the
+    start-up step."""
     w, clamped = _composed_average_velocity(points, u0, porosity,
-                                            u0_at / phi_at[:, None], tau, g0)
+                                            theta_at / phi_at[:, None], tau,
+                                            g0)
     return phi_at[:, None] * w, clamped

@@ -123,26 +123,6 @@ class GaugeError(ValueError):
     for."""
 
 
-@dataclass
-class SolveReport:
-    """Algebraic quality measures of one solve: the relative residual of
-    the constrained system, the largest entry of ``B u``, the GMRES
-    iterations taken and whether the solve built a new factorization.  Every
-    solve takes one LU solve per GMRES iteration and none for its start, 0
-    iterations when the start projected on past solutions already meets the
-    stop; a factorizing solve counts the iterations that refined its
-    solution with the new single-precision LU: measured 2-5 on the bundled
-    cases and the manufactured solution, 7 at ``mu = 1e3`` and 9 at ``tau =
-    1e-7`` (manufactured solution, N=32).
-    The clamped feet of a step are counted by the scheme, in
-    ``StepResult.clamped``."""
-
-    algebraic_residual: float
-    incompressibility_residual: float
-    krylov_iterations: int
-    factorized: bool
-
-
 @dataclass(frozen=True, eq=False)
 class Constraints:
     """The fixed velocity unknowns of one boundary configuration: both
@@ -413,8 +393,12 @@ def _factorize(k: sparse.csc_matrix):
     """The single-precision sparse LU of ``k`` in the order of its unknowns,
     its :func:`nested_dissection` order, by the module's ``splu``; raises
     :class:`SingularSystemError` when the factorization fails."""
+    # only the data is converted: the factor input shares k's index arrays,
+    # which a copy would duplicate where a run's memory peaks
+    single = sparse.csc_matrix((k.data.astype(np.float32), k.indices,
+                                k.indptr), shape=k.shape)
     try:
-        return splu(k.astype(np.float32), permc_spec="NATURAL",
+        return splu(single, permc_spec="NATURAL",
                     diag_pivot_thresh=DIAG_PIVOT_THRESH,
                     options={"SymmetricMode": True})
     except RuntimeError as exc:
@@ -554,10 +538,20 @@ class StepSolver:
 
         Returns the velocity and pressure fields, with the fixed unknowns
         set to their values exactly and, when gauged, the pressure shifted
-        to zero mean, and the :class:`SolveReport`.  Raises
-        :class:`SolverError` for a load that is not finite and
-        :class:`SingularSystemError` when the factorization fails or GMRES
-        with the new LU misses its stop (see :class:`StepSolver`).
+        to zero mean, and the solve's diagnostics as a dict: the largest
+        entry of ``B u``, ``incompressibility_residual``; the relative
+        residual of the constrained system, ``algebraic_residual``; the
+        GMRES iterations taken, ``krylov_iterations``; and whether the solve
+        built a new factorization, ``factorized``.  Every solve takes one LU
+        solve per GMRES iteration and none for its start, 0 iterations when
+        the start projected on past solutions already meets the stop; a
+        factorizing solve counts the iterations that refined its solution
+        with the new single-precision LU: measured 2-5 on the bundled cases
+        and the manufactured solution, 7 at ``mu = 1e3`` and 9 at ``tau =
+        1e-7`` (manufactured solution, N=32).  Raises :class:`SolverError`
+        for a load that is not finite and :class:`SingularSystemError` when
+        the factorization fails or GMRES with the new LU misses its stop
+        (see :class:`StepSolver`).
         """
         if not np.isfinite(load).all():
             raise SolverError("right-hand side contains NaN or Inf")
@@ -576,12 +570,11 @@ class StepSolver:
         div = self.b_elements @ u[ctx.vspace.cell_dofs][:, :, None]
         div = np.bincount(ctx.pspace.cell_dofs.ravel(), div.ravel(),
                           minlength=nq)
-        report = SolveReport(algebraic_residual=resid,
-                             incompressibility_residual=float(
-                                 np.abs(div).max()),
-                             krylov_iterations=iterations,
-                             factorized=factorized)
-        return FeField(ctx.vspace, u), FeField(ctx.pspace, p), report
+        return FeField(ctx.vspace, u), FeField(ctx.pspace, p), {
+            "incompressibility_residual": float(np.abs(div).max()),
+            "algebraic_residual": resid,
+            "krylov_iterations": iterations,
+            "factorized": factorized}
 
     def _solve(self, k, rhs, key):
         """``(x, residual, krylov_iterations, factorized)`` for the

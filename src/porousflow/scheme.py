@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from porousflow.assembly import (
 from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate, norm
-from porousflow.saddle import (Constraints, GaugeError, SaddleSystem,
-                               SolveReport, StepSolver)
+from porousflow.saddle import Constraints, GaugeError, SaddleSystem, StepSolver
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -111,73 +110,74 @@ class SchemeState:
             raise ValueError("steps beyond the first need two history fields")
 
 
-class StepResult(NamedTuple):
-    u: FeField
-    p: FeField
-    report: SolveReport
-    clamped: int   # feet clamped to the boundary by the step's bracket
-
-
 def _bound_dirichlet(setup: ProblemSetup, t: float):
     return lambda pts: setup.dirichlet(pts, t)
 
 
 def _advance(setup: ProblemSetup, k: int, bracket: np.ndarray, clamped: int,
-             theta: FeField, m_scale: float, r_scale: float,
-             solver: StepSolver) -> StepResult:
+             theta_at: np.ndarray, m_scale: float, r_scale: float,
+             solver: StepSolver):
     """Solve step ``k``: the mass matrix enters times ``m_scale``, the
     transport ``bracket`` (values at the context's quadrature points) the
     right-hand side times ``r_scale`` beside the forcing at ``k tau``, and
-    the quadratic drag is linearized around ``theta``; the scaled mass and
-    both drag forms enter the velocity block as one quadrature-point weight.
+    the quadratic drag is linearized around the velocity whose values at the
+    quadrature points are ``theta_at``; the scaled mass and both drag forms
+    enter the velocity block as one quadrature-point weight.
+
+    Returns the velocity, the pressure and the step's record: the solver's
+    diagnostics and ``clamped_feet``, the feet the bracket clamped.
     """
     ctx = setup.ctx
     t = k * setup.tau
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, t)
-    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(theta, ctx)
+    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(theta_at, ctx)
     system = SaddleSystem(solver, rhs, weight)
     system.apply_dirichlet(setup.dirichlet, t)
-    u, p, report = system.solve("initial" if k == 1 else "general")
-    u.time_label = t
-    p.time_label = t
-    return StepResult(u, p, report, clamped)
+    u, p, record = system.solve("initial" if k == 1 else "general")
+    record["clamped_feet"] = clamped
+    return u, p, record
 
 
 def initial_step(setup: ProblemSetup, u0_field: FeField,
-                 solver: StepSolver) -> StepResult:
+                 solver: StepSolver):
     """First-order start-up step producing the fields at t = tau with the
-    run's ``solver``: mass and right-hand-side scales ``rho/tau``."""
+    run's ``solver``: mass and right-hand-side scales ``rho/tau``, the feet
+    and the drag both from the initial velocity.  Returns ``(u, p,
+    record)`` as :func:`_advance` does."""
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
+    theta_at = ctx.tables.at_quad(u0_field)
     bracket, clamped = lg1_material_terms(
         u0_field, ctx.porosity, tau, ctx.tables.qpoints_flat,
-        u0_at=ctx.tables.at_quad(u0_field).reshape(-1, 2),
-        phi_at=ctx.phi_q.ravel(), g0=_bound_dirichlet(setup, 0.0))
-    return _advance(setup, 1, bracket, clamped, u0_field, rho / tau,
+        theta_at=theta_at.reshape(-1, 2), phi_at=ctx.phi_q.ravel(),
+        g0=_bound_dirichlet(setup, 0.0))
+    return _advance(setup, 1, bracket, clamped, theta_at, rho / tau,
                     rho / tau, solver)
 
 
 def general_step(setup: ProblemSetup, state: SchemeState,
-                 solver: StepSolver) -> StepResult:
+                 solver: StepSolver):
     """Second-order step k >= 2 from the two stored history fields, with the
     run's ``solver``: mass scale ``3 rho/(2 tau)``, right-hand-side scale
-    ``rho/(2 tau)``."""
+    ``rho/(2 tau)``.  The extrapolated velocity ``2 u_prev - u_prev2`` is
+    evaluated at the quadrature points once, and those values give both the
+    feet of the characteristics and the drag linearization.  Returns ``(u,
+    p, record)`` as :func:`_advance` does."""
     if state.k < 2:
         raise ValueError("general steps start at k = 2")
     ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
     t_k = state.k * tau
+    theta_at = ctx.tables.at_quad(FeField(
+        ctx.vspace,
+        2.0 * state.u_prev.coefficients - state.u_prev2.coefficients))
     bracket, clamped = ab2_material_terms(
         state.u_prev, state.u_prev2, ctx.porosity, tau,
-        ctx.tables.qpoints_flat,
-        u_prev_at=ctx.tables.at_quad(state.u_prev).reshape(-1, 2),
-        u_prev2_at=ctx.tables.at_quad(state.u_prev2).reshape(-1, 2),
+        ctx.tables.qpoints_flat, theta_at=theta_at.reshape(-1, 2),
         phi_at=ctx.phi_q.ravel(), g_prev=_bound_dirichlet(setup, t_k - tau),
         g_prev2=_bound_dirichlet(setup, t_k - 2.0 * tau))
-    theta = FeField(ctx.vspace,
-                    2.0 * state.u_prev.coefficients - state.u_prev2.coefficients)
-    return _advance(setup, state.k, bracket, clamped, theta, 1.5 * rho / tau,
-                    0.5 * rho / tau, solver)
+    return _advance(setup, state.k, bracket, clamped, theta_at,
+                    1.5 * rho / tau, 0.5 * rho / tau, solver)
 
 
 @dataclass
@@ -196,8 +196,11 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     """Execute the start-up step and all general steps up to the final time.
 
     Observers are called after every accepted step with ``(k, t, velocity,
-    pressure, diagnostics)``.  All steps share one :class:`StepSolver`, built
-    here from the constant blocks and the constraint table, so a
+    pressure, diagnostics)``, the step's record as the summary lists it:
+    ``step``, ``t`` and the L2 norms ``velocity_l2`` and ``pressure_l2``
+    before the record of :func:`_advance`.  All steps share one
+    :class:`StepSolver`, built here from the constant blocks and the
+    constraint table, so a
     factorization is reused across the general steps; the element tables
     of the constant blocks are built for it, and the viscous one is freed
     once it is built.  A failed step raises
@@ -214,7 +217,6 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
         raise ValueError(f"u_initial is not finite at {bad.size} of "
                          f"{vspace.n_nodes} velocity nodes, first at node "
                          f"{bad[0]} {vspace.node_coords[bad[0]].tolist()}")
-    u0_field.time_label = 0.0
     solver = StepSolver(setup.ctx, *setup.constant_blocks(),
                         setup.constraints)
     records: list[dict] = []
@@ -224,28 +226,18 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     for k in range(1, n_steps + 1):
         try:
             if k == 1:
-                result = initial_step(setup, u0_field, solver)
+                u, p, record = initial_step(setup, u0_field, solver)
             else:
-                result = general_step(setup, state, solver)
+                u, p, record = general_step(setup, state, solver)
         except Exception as exc:
             summary.wall_time = time.perf_counter() - t0
             raise SchemeDivergenceError(k, str(exc), summary) from exc
         t_k = k * setup.tau
-        diag = {
-            "step": k,
-            "t": t_k,
-            "velocity_l2": norm(result.u, "L2"),
-            "pressure_l2": norm(result.p, "L2"),
-            "incompressibility_residual":
-                result.report.incompressibility_residual,
-            "algebraic_residual": result.report.algebraic_residual,
-            "clamped_feet": result.clamped,
-            "krylov_iterations": result.report.krylov_iterations,
-            "factorized": result.report.factorized,
-        }
+        diag = {"step": k, "t": t_k, "velocity_l2": norm(u, "L2"),
+                "pressure_l2": norm(p, "L2"), **record}
         records.append(diag)
         for obs in observers:
-            obs(k, t_k, result.u, result.p, diag)
-        state = SchemeState(u_prev=result.u, k=k + 1, u_prev2=state.u_prev)
+            obs(k, t_k, u, p, diag)
+        state = SchemeState(u_prev=u, k=k + 1, u_prev2=state.u_prev)
     summary.wall_time = time.perf_counter() - t0
     return summary

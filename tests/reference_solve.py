@@ -28,7 +28,6 @@ from porousflow.saddle import (
     RESIDUAL_BOUND,
     Constraints,
     SingularSystemError,
-    SolveReport,
     SolverError,
     nested_dissection,
 )
@@ -181,7 +180,7 @@ class ReferenceSystem:
         return k, rhs, fixed, values
 
     def solve(self):
-        """Velocity field, pressure field and report of a direct solve of
+        """Velocity field, pressure field and diagnostics of a direct solve of
         :meth:`constrained`, zero-mean pressure when gauged."""
         k, rhs, fixed, values = self.constrained()
         position = nested_dissection(self.ctx, fixed, self.gauge)[0]
@@ -192,11 +191,11 @@ class ReferenceSystem:
         if self.gauge:
             c = pressure_volume_vector(self.ctx)
             p = p - (c @ p) / float(self.ctx.mesh.areas.sum())
-        report = SolveReport(algebraic_residual=resid,
-                             incompressibility_residual=float(
-                                 np.abs(self.B @ u).max()),
-                             krylov_iterations=0, factorized=True)
-        return FeField(self.ctx.vspace, u), FeField(self.ctx.pspace, p), report
+        return FeField(self.ctx.vspace, u), FeField(self.ctx.pspace, p), {
+            "incompressibility_residual": float(np.abs(self.B @ u).max()),
+            "algebraic_residual": resid,
+            "krylov_iterations": 0,
+            "factorized": True}
 
 
 class FreshSolver:

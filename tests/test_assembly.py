@@ -152,7 +152,18 @@ def test_drag_weight_rejects_a_field_of_another_space(unit_ctx, params):
                   interpolate(unit_ctx.pspace, lambda p: p[:, 0])):
         with pytest.raises(ValueError, match="^theta_field must live on the "
                                              "velocity space$"):
-            quadratic_drag_weight(theta, unit_ctx)
+            assemble_c1(theta, unit_ctx)
+    # the weight itself takes one velocity per quadrature point, (nt, nq, 2)
+    tables = unit_ctx.tables
+    values = tables.at_quad(const_velocity_coeffs(unit_ctx, (1.0, 0.0)))
+    assert values.shape == (32, 7, 2)
+    assert np.array_equal(quadratic_drag_weight(values, unit_ctx),
+                          unit_ctx.quadratic_drag)
+    pressure = tables.at_quad(interpolate(unit_ctx.pspace, lambda p: p[:, 0]))
+    for bad in (values.reshape(-1, 2), values.transpose(2, 0, 1),
+                values[..., :1], values[:-1], pressure, 1.0):
+        with pytest.raises(ValueError, match=r"expected \(32, 7, 2\)"):
+            quadratic_drag_weight(bad, unit_ctx)
 
 
 def test_load_zero(unit_ctx):
@@ -254,7 +265,7 @@ def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params, monkeypatch):
     u_at = ctx.tables.at_quad(u).reshape(-1, 2)
     bracket, _ = ab2_material_terms(
         u, u, ctx.porosity, 0.1, ctx.tables.qpoints_flat,
-        u_prev_at=u_at, u_prev2_at=u_at, phi_at=ctx.phi_q.ravel(),
+        theta_at=2.0 * u_at - u_at, phi_at=ctx.phi_q.ravel(),
         g_prev=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy(),
         g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)

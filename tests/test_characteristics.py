@@ -40,10 +40,10 @@ def lg1_at(u0, phi, tau, x, g0=None):
 def ab2_at(u_prev, u_prev2, phi, tau, x, g_prev=None, g_prev2=None):
     """Two-step bracket and clamped-feet count at the single point ``x``."""
     pts = np.asarray(x, dtype=float)[None, :]
-    val, clamped = ab2_material_terms(u_prev, u_prev2, phi, tau, pts,
-                                      field_at(u_prev, pts),
-                                      field_at(u_prev2, pts), phi.value(pts),
-                                      g_prev=g_prev, g_prev2=g_prev2)
+    theta = 2.0 * field_at(u_prev, pts) - field_at(u_prev2, pts)
+    val, clamped = ab2_material_terms(u_prev, u_prev2, phi, tau, pts, theta,
+                                      phi.value(pts), g_prev=g_prev,
+                                      g_prev2=g_prev2)
     return val[0], clamped
 
 
@@ -159,6 +159,34 @@ def test_clamped_feet_are_evaluated_at_the_clamped_point():
     assert val == pytest.approx(expected, abs=1e-10)
 
 
+def test_dirichlet_data_at_clamped_feet_is_shape_checked(unit_mesh):
+    # the data at feet clamped on a Dirichlet edge must be one velocity per
+    # foot, as everywhere else; a scalar per foot or a single velocity used
+    # to be broadcast over the feet without an error
+    u0 = constant_field(velocity_space(unit_mesh), (1.0, 0.0))
+    two = np.array([[0.05, 0.3], [0.05, 0.6]])
+    three = np.vstack([two, [[0.05, 0.8]]])
+
+    def terms(x, g):
+        return lg1_material_terms(u0, UNIT_POROSITY, 0.2, x, field_at(u0, x),
+                                  UNIT_POROSITY.value(x), g0=g)
+
+    val, clamped = terms(two, lambda p: np.column_stack(
+        [np.full(len(p), 7.0), p[:, 1]]))
+    assert clamped == 2
+    assert np.array_equal(val, [[7.0, 0.3], [7.0, 0.6]])
+    for x, g, shape in (
+            (two, lambda p: p[:, 1],
+             r"\(2,\) for 2 points; expected \(2, 2\)"),
+            (three, lambda p: np.array([[7.0, 0.0]]),
+             r"\(1, 2\) for 3 points; expected \(3, 2\)"),
+            (three, lambda p: np.array([np.full(len(p), 7.0), p[:, 1]]),
+             r"\(2, 3\) for 3 points; expected \(3, 2\)")):
+        with pytest.raises(ValueError,
+                           match="^Dirichlet data of shape " + shape + "$"):
+            terms(x, g)
+
+
 def test_clamped_points_stay_in_domain(unit_mesh, rng):
     x = rng.uniform(0.05, 0.95, (30, 2))
     feet = x - 0.5 * rng.normal(0, 1, (30, 2)) * 20.0
@@ -234,16 +262,17 @@ def test_ab2_batched_matches_scalar(rng):
         np.column_stack([rng.uniform(0.97, 0.995, 10),
                          rng.uniform(0.1, 0.9, 10)]),
     ])
-    batched, clamped = ab2_material_terms(u1, u2, phi, 0.05, pts,
-                                          field_at(u1, pts),
-                                          field_at(u2, pts), phi.value(pts),
-                                          g_prev=g1, g_prev2=g2)
+    def theta(x):
+        return 2.0 * field_at(u1, x) - field_at(u2, x)
+
+    batched, clamped = ab2_material_terms(u1, u2, phi, 0.05, pts, theta(pts),
+                                          phi.value(pts), g_prev=g1,
+                                          g_prev2=g2)
     total = 0
     for i in range(len(pts)):
         one = pts[i:i + 1]
         single, count = ab2_material_terms(u1, u2, phi, 0.05, one,
-                                           field_at(u1, one),
-                                           field_at(u2, one), phi.value(one),
+                                           theta(one), phi.value(one),
                                            g_prev=g1, g_prev2=g2)
         assert batched[i] == pytest.approx(single[0], abs=1e-14)
         total += count

@@ -189,6 +189,13 @@ def test_simulate_writes_outputs(tmp_path, capsys):
     assert all(d["incompressibility_residual"] <= 1e-10 for d in diag)
     assert all(isinstance(d["krylov_iterations"], int) for d in diag)
     assert all(isinstance(d["factorized"], bool) for d in diag)
+    # one record per step, with exactly these keys and value types
+    schema = {"step": int, "t": float, "velocity_l2": float,
+              "pressure_l2": float, "incompressibility_residual": float,
+              "algebraic_residual": float, "clamped_feet": int,
+              "krylov_iterations": int, "factorized": bool}
+    for d in diag:
+        assert {key: type(value) for key, value in d.items()} == schema
 
 
 def simulate_two_layer_12(out):

@@ -90,7 +90,7 @@ def step_drag(porosity, u, mesh, params):
     ctx = make_context(mesh, porosity, params)
     field = interpolate(ctx.vspace, u)
     uq = ctx.tables.at_quad(field)
-    weight = ctx.linear_drag + quadratic_drag_weight(field, ctx)
+    weight = ctx.linear_drag + quadratic_drag_weight(uq, ctx)
     return -weight[..., None] * uq, uq
 
 
@@ -111,7 +111,7 @@ def test_drag_weights_are_computed_once_per_context(params, unit_mesh):
                                                                  params))
     uq = ctx.tables.at_quad(field)
     speed = np.sqrt(uq[..., 0] ** 2 + uq[..., 1] ** 2)
-    assert np.array_equal(quadratic_drag_weight(field, ctx),
+    assert np.array_equal(quadratic_drag_weight(uq, ctx),
                           params.rho * forchheimer_coeff(ctx.phi_q, params)
                           * speed)
     with pytest.raises(ValueError):

@@ -64,8 +64,8 @@ def test_patch_test_polynomial_exactness(unit_ctx, params):
     p_err = np.abs(p.coefficients - (p_exact.coefficients - shift)).max()
     assert u_err <= 1e-10
     assert p_err <= 1e-10
-    assert rep.algebraic_residual <= 1e-10
-    assert rep.incompressibility_residual <= 1e-10
+    assert rep["algebraic_residual"] <= 1e-10
+    assert rep["incompressibility_residual"] <= 1e-10
 
 
 def test_zero_dirichlet_gives_exact_zeros(unit_ctx):
@@ -152,11 +152,11 @@ def test_steady_stokes_solve_matches_the_reference(unit_ctx, params, outlet):
                                               None),
                                 constraints=Constraints.build(ctx))
     u_ref, p_ref, ref = reference.apply_dirichlet(quad_velocity).solve()
-    assert rep.factorized and 1 <= rep.krylov_iterations <= 5
+    assert rep["factorized"] and 1 <= rep["krylov_iterations"] <= 5
     for got, want in ((u, u_ref), (p, p_ref)):
         assert np.abs(got.coefficients - want.coefficients).max() \
             <= 1e-12 * np.abs(want.coefficients).max()
-    assert rep.incompressibility_residual <= 1e-10
+    assert rep["incompressibility_residual"] <= 1e-10
 
 
 def test_steady_stokes_solve_gauges_without_stress_free_edge(params):
@@ -265,10 +265,10 @@ def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     u, p, rep = _drag_solve(solver, 1.3, rhs, "general")
     u_ref, p_ref, ref = _drag_solve(_drag_solver(unit_ctx, FreshSolver), 1.3,
                                     rhs)
-    assert first.factorized and 1 <= first.krylov_iterations <= 5
-    assert not rep.factorized and rep.krylov_iterations > 0
-    assert ref.factorized and ref.krylov_iterations == 0
-    assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
+    assert first["factorized"] and 1 <= first["krylov_iterations"] <= 5
+    assert not rep["factorized"] and rep["krylov_iterations"] > 0
+    assert ref["factorized"] and ref["krylov_iterations"] == 0
+    assert rep["algebraic_residual"] <= saddle.KRYLOV_RTOL
     assert np.abs(u.coefficients - u_ref.coefficients).max() \
         <= 1e-12 * np.abs(u_ref.coefficients).max()
     assert np.abs(p.coefficients - p_ref.coefficients).max() \
@@ -277,7 +277,37 @@ def test_step_solver_reuses_lu_for_same_key(unit_ctx, params):
     # system, so the start projected on past solutions already meets the
     # stop of the new factor's refinement
     _, _, other = _drag_solve(solver, 1.3, rhs, "initial")
-    assert other.factorized and other.krylov_iterations == 0
+    assert other["factorized"] and other["krylov_iterations"] == 0
+
+
+def test_factor_input_shares_the_held_index_arrays(unit_ctx, params,
+                                                   monkeypatch):
+    # only the data is converted to single precision: the factor input
+    # shares the held matrix's index arrays, which splu leaves as they are
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = _drag_solver(unit_ctx)
+    held = solver._constant
+    indices, indptr = held.indices.copy(), held.indptr.copy()
+    inputs = []
+    splu = saddle.splu
+
+    def recording_splu(a, *args, **kwargs):
+        inputs.append(a)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(saddle, "splu", recording_splu)
+    _, _, rep = _drag_solve(solver, 1.0, rhs, "general")
+    assert rep["factorized"] and len(inputs) == 1
+    single = inputs[0]
+    assert np.shares_memory(single.indices, held.indices)
+    assert np.shares_memory(single.indptr, held.indptr)
+    assert np.array_equal(held.indices, indices)
+    assert np.array_equal(held.indptr, indptr)
+    k, _ = solver.assemble(np.full(unit_ctx.tables.wxarea.shape, 1.0),
+                           np.zeros(held.shape[0]),
+                           solver.constraints.values(quad_velocity))
+    assert single.dtype == np.float32
+    assert np.array_equal(single.data, k.data.astype(np.float32))
 
 
 def identity_lu(solver):
@@ -304,10 +334,10 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
     u, p, rep = _drag_solve(solver, 3.0, rhs, "general")
     u_ref, p_ref, _ = _drag_solve(_drag_solver(unit_ctx, FreshSolver), 3.0,
                                   rhs)
-    assert rep.factorized and 1 <= rep.krylov_iterations <= 5
+    assert rep["factorized"] and 1 <= rep["krylov_iterations"] <= 5
     assert held_at_factorization == [None]   # the old factor was dropped
     assert solver._lu is not None and solver._lu is not held
-    assert rep.algebraic_residual <= 1e-12
+    assert rep["algebraic_residual"] <= 1e-12
     for got, want in ((u, u_ref), (p, p_ref)):
         assert np.abs(got.coefficients - want.coefficients).max() \
             <= 1e-12 * np.abs(want.coefficients).max()
@@ -354,11 +384,11 @@ def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
     _drag_solve(solver, 1.0, rhs, "general")
     solver._lu = counting = _CountingLU(solver._lu)
     _, _, rep = _drag_solve(solver, 1.3, rhs, "general")
-    assert not rep.factorized and rep.krylov_iterations > 0
+    assert not rep["factorized"] and rep["krylov_iterations"] > 0
     # the start, projected on past solutions, takes no LU solve; then one
     # preconditioned direction each
-    assert counting.calls == rep.krylov_iterations
-    assert rep.algebraic_residual <= saddle.KRYLOV_RTOL
+    assert counting.calls == rep["krylov_iterations"]
+    assert rep["algebraic_residual"] <= saddle.KRYLOV_RTOL
 
 
 def test_step_solver_repeated_system_needs_no_iteration(unit_ctx, params):
@@ -368,8 +398,8 @@ def test_step_solver_repeated_system_needs_no_iteration(unit_ctx, params):
     solver._lu = counting = _CountingLU(solver._lu)
     u, p, rep = _drag_solve(solver, 1.3, rhs, "general")
     # the past solution already meets the stop
-    assert first.factorized and not rep.factorized
-    assert rep.krylov_iterations == 0 and counting.calls == 0
+    assert first["factorized"] and not rep["factorized"]
+    assert rep["krylov_iterations"] == 0 and counting.calls == 0
     for got, want in ((u, u0), (p, p0)):
         assert np.abs(got.coefficients - want.coefficients).max() \
             <= 1e-12 * np.abs(want.coefficients).max()
@@ -462,7 +492,7 @@ def test_first_solve_matches_the_float64_reference(kind, n, seed):
     u, p, rep = StepSolver(ctx, *blocks, table).solve(weight, load, values)
     u_ref, p_ref, _ = FreshSolver(ctx, *blocks, table).solve(weight, load,
                                                             values)
-    assert rep.factorized and 1 <= rep.krylov_iterations <= 5
+    assert rep["factorized"] and 1 <= rep["krylov_iterations"] <= 5
     for got, want in ((u, u_ref), (p, p_ref)):
         assert np.abs(got.coefficients - want.coefficients).max() \
             <= 1e-12 * np.abs(want.coefficients).max()
@@ -520,14 +550,15 @@ def test_solver_at_parameter_extremes(kind, extreme):
     for step in (1, 2):
         grown = lambda p: (1.0 + 0.1 * step) * _vortex(p)
         weight = 1.5 * params.rho / setting["tau"] + ctx.linear_drag \
-            + quadratic_drag_weight(interpolate(ctx.vspace, grown), ctx)
+            + quadratic_drag_weight(
+                ctx.tables.at_quad(interpolate(ctx.vspace, grown)), ctx)
         load = rng.normal(size=nv)
         values = table.values(grown)
         try:
             u, p, rep = solver.solve(weight, load, values, "general")
         except SingularSystemError:
             return   # loud, and the next solve would factorize again
-        assert rep.factorized == (step == 1)
+        assert rep["factorized"] == (step == 1)
         u_ref, p_ref, _ = fresh.solve(weight, load, values)
         for got, want in ((u, u_ref), (p, p_ref)):
             assert np.abs(got.coefficients - want.coefficients).max() \
@@ -644,7 +675,7 @@ def test_step_solver_orders_once_per_table(unit_ctx, params, monkeypatch):
     solver = _drag_solver(unit_ctx)
     for kind in ("initial", "general", "initial"):
         _, _, rep = _drag_solve(solver, 1.0, rhs, kind)
-        assert rep.factorized
+        assert rep["factorized"]
     assert len(calls) == 1 and calls[0] is solver.constraints.fixed
 
 

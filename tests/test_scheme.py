@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -12,7 +13,8 @@ from porousflow.assembly import (
     quadratic_drag_weight,
 )
 from porousflow.cases import build_case_mesh, build_setup, get_case
-from porousflow.fem import FeField, field_mean, interpolate, norm
+from porousflow.fem import (FeField, QuadTables, field_mean, interpolate,
+                            norm)
 from porousflow.mesh import BoundaryTag, generate_rect_mesh
 from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
@@ -212,9 +214,9 @@ def test_initial_step_linearity_in_forcing(params):
         setup = make_setup(params, forcing=forcing)
         u0 = interpolate(setup.ctx.vspace, setup.u_initial)
         results.append(initial_step(setup, u0, step_solver(setup)))
-    r1, r2 = results
-    scale = np.abs(r1.u.coefficients).max()
-    assert np.abs(r2.u.coefficients - 2.0 * r1.u.coefficients).max() \
+    (u1, _, _), (u2, _, _) = results
+    scale = np.abs(u1.coefficients).max()
+    assert np.abs(u2.coefficients - 2.0 * u1.coefficients).max() \
         < 1e-9 * max(scale, 1.0)
 
 
@@ -358,10 +360,10 @@ def _fresh_steps(setup):
     u0 = interpolate(setup.ctx.vspace, setup.u_initial)
     solver = step_solver(setup, FreshSolver)
     results = [initial_step(setup, u0, solver)]
-    state = SchemeState(u_prev=results[0].u, k=2, u_prev2=u0)
+    state = SchemeState(u_prev=results[0][0], k=2, u_prev2=u0)
     for k in range(2, setup.n_steps + 1):
         results.append(general_step(setup, state, solver))
-        state = SchemeState(u_prev=results[-1].u, k=k + 1,
+        state = SchemeState(u_prev=results[-1][0], k=k + 1,
                             u_prev2=state.u_prev)
     return results
 
@@ -374,8 +376,8 @@ def _run_steps(setup):
 
 def _assert_same_fields(steps, fresh):
     assert len(steps) == len(fresh)
-    for (u, p, _), ref in zip(steps, fresh):
-        for got, want in ((u, ref.u), (p, ref.p)):
+    for (u, p, _), (u_ref, p_ref, _) in zip(steps, fresh):
+        for got, want in ((u, u_ref), (p, p_ref)):
             scale = np.abs(want.coefficients).max()
             assert np.abs(got.coefficients - want.coefficients).max() \
                 <= 1e-12 * scale
@@ -388,7 +390,7 @@ def _assert_same_fields(steps, fresh):
 def test_run_reuses_factorization_and_matches_fresh_solves(mms_case, make):
     setup = make(mms_case)
     fresh = _fresh_steps(setup)
-    assert all(r.report.factorized for r in fresh)
+    assert all(record["factorized"] for _, _, record in fresh)
     steps = _run_steps(setup)
     _assert_same_fields(steps, fresh)
     diags = [d for _, _, d in steps]
@@ -412,6 +414,64 @@ def test_sinusoidal_general_steps_reuse_the_lu(mms_case):
         assert 0 < d["krylov_iterations"] < saddle.KRYLOV_MAX_ITERATIONS
         assert d["algebraic_residual"] \
             <= saddle.DIRECT_RESIDUAL_MARGIN * direct
+
+
+def test_each_step_evaluates_three_fields_at_the_quadrature_points(
+        mms_case, monkeypatch):
+    # the velocity the step linearizes around, then the two norms of the
+    # step's fields; the feet and the drag share the first
+    setup = _two_layer_setup(mms_case)
+    kinds = []
+    at_quad = QuadTables.at_quad
+
+    def counting(self, field_):
+        kinds.append(field_.space.kind)
+        return at_quad(self, field_)
+
+    monkeypatch.setattr(QuadTables, "at_quad", counting)
+    per_step = []
+
+    def step_done(k, t, u, p, d):
+        per_step.append(kinds[:])
+        kinds.clear()
+
+    run(setup, observers=[step_done])
+    assert len(per_step) == setup.n_steps == 6
+    velocity, pressure = setup.ctx.vspace.kind, setup.ctx.pspace.kind
+    assert per_step == [[velocity, velocity, pressure]] * 6
+
+
+def test_one_theta_gives_the_feet_and_the_drag(mms_case, monkeypatch):
+    setup = _two_layer_setup(mms_case)
+    ctx = setup.ctx
+    feet, drag = [], []
+
+    def recording(name, store):
+        original = getattr(scheme, name)
+
+        def wrapped(*args, **kwargs):
+            store.append(kwargs["theta_at"] if store is feet else args[0])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(scheme, name, wrapped)
+
+    recording("lg1_material_terms", feet)
+    recording("ab2_material_terms", feet)
+    recording("quadratic_drag_weight", drag)
+    fields = [interpolate(ctx.vspace, setup.u_initial)]
+    run(dataclasses.replace(setup, t_final=3.5 * setup.tau),
+        observers=[lambda k, t, u, p, d: fields.append(u)])
+    assert len(feet) == len(drag) == 3
+    nt, nq = ctx.tables.wxarea.shape
+    for k in range(3):
+        # one evaluation: the feet see a view of the drag's values
+        assert drag[k].shape == (nt, nq, 2)
+        assert np.shares_memory(feet[k], drag[k])
+        assert np.array_equal(feet[k], drag[k].reshape(-1, 2))
+        # of the initial velocity, then of 2 u_prev - u_prev2
+        theta = fields[0] if k == 0 else FeField(
+            ctx.vspace,
+            2.0 * fields[k].coefficients - fields[k - 1].coefficients)
+        assert np.array_equal(drag[k], ctx.tables.at_quad(theta))
 
 
 class _StaleLUSolver(StepSolver):
@@ -463,7 +523,8 @@ def _step_system(setup, kind, t, theta, rhs):
     reference.apply_dirichlet(setup.dirichlet, t)
     if setup.gauge:
         reference.apply_gauge()
-    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(theta, ctx)
+    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(
+        ctx.tables.at_quad(theta), ctx)
     return reference, weight, setup.constraints.values(setup.dirichlet, t)
 
 
