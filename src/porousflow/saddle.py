@@ -20,32 +20,33 @@ weight per quadrature point.
 The solver numbers the unknowns once, in the fill-reducing order of
 :func:`nested_dissection` (the mesh geometry split on nodes, each part's
 triangles kept in centroid order along both axes; fixed unknowns first, the
-gauge multiplier last), and works in that numbering only.  It holds the
-constant element blocks, already eliminated, as one CSC matrix whose
-pattern also holds every element's mass-type entries (:func:`_step_matrix`),
-looked up for the first velocity component and shifted for the second, with
-its data made exactly symmetric once.  Each step sums its element matrices
-once per scalar pair at the first component's positions, copies those sums
-to the second component's and adds the constant data, so every step matrix
-equals its transpose bit for bit.  :meth:`StepSolver.solve` places the load
-in that numbering and reads the step's velocity and pressure fields off the
-solution.  A :class:`SaddleSystem` is only a per-step front to that call.
+gauge multiplier last), and works in that numbering only.  The build
+(:func:`_step_matrix`) sums the transpose ``K^T`` of the constant step
+matrix ``K``, the constant element blocks already eliminated, into one CSC
+matrix whose pattern also holds every element's mass-type entries, looked up
+for the first velocity component and shifted for the second; the arrays of
+that CSC are ``K``'s CSR, which the solver holds.  Each step sums its
+element matrices once per scalar pair at the first component's positions,
+copies those sums to the second component's and adds the constant data.
+:meth:`StepSolver.solve` places the load in that numbering and reads the
+step's velocity and pressure fields off the solution.  A
+:class:`SaddleSystem` is only a per-step front to that call.
 
 Every matrix is factorized in single precision (:func:`_factorize`) as it
-is numbered, and the solver holds at most one LU.  Every system is solved
-by right-preconditioned GMRES in float64 with that LU, one triangular solve
-per iteration, the LU applied transposed and every product taken through
-the CSR view of the matrix, both of which its symmetry allows: the system
-that built the LU down to ``KRYLOV_RTOL`` or to where its true residual
-stops falling, which is iterative refinement by GMRES with a low-precision
-factor (Arioli & Duff, ETNA 33, 2009; Carson & Higham, SIAM J. Sci. Comput.
-40, 2018), and a later system of the same kind down to the accuracy that
-first solve reached.  GMRES starts from the least-squares combination of
-the solver's last ``GUESS_HISTORY`` solutions, which takes no LU solve, so
-a start that already meets the stop returns after 0 iterations.  A system
-of another kind, or one on which GMRES misses that stop within one restart
-cycle, is factorized afresh, so one factorization serves every general
-step.
+is numbered: the CSR's arrays, read as a CSC, give the LU of ``K^T``.  The
+solver holds at most one LU.  Every system is solved by right-preconditioned
+GMRES in float64 with that LU applied transposed, which solves with ``K``,
+one triangular solve per iteration, and every product taken with the CSR:
+the system that built the LU down to ``KRYLOV_RTOL`` or to where its true
+residual stops falling, which is iterative refinement by GMRES with a
+low-precision factor (Arioli & Duff, ETNA 33, 2009; Carson & Higham, SIAM J.
+Sci. Comput. 40, 2018), and a later system of the same kind down to the
+accuracy that first solve reached.  GMRES starts from the least-squares
+combination of the solver's last ``GUESS_HISTORY`` solutions, which takes
+no LU solve, so a start that already meets the stop returns after 0
+iterations.  A system of another kind, or one on which GMRES misses that
+stop within one restart cycle, is factorized afresh, so one factorization
+serves every general step.
 """
 
 from __future__ import annotations
@@ -194,12 +195,14 @@ _ENTRY_COLS = np.concatenate([np.tile(np.arange(15), 12),
 
 
 def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector, position):
-    """The constrained step matrix without its mass-type part, as a CSC
-    matrix with unknown ``i`` at place ``position[i]``: the element blocks
-    ``[[A, B^T], [B, 0]]`` on free rows and columns, the gauge border ``c``
-    and ``c^T`` when ``gauge_vector`` is given, and ones on the diagonal of
-    the fixed unknowns.  Entries that cancel stay stored, so the pattern
-    depends on the mesh and the constraint table alone.
+    """The transpose of the constrained step matrix without its mass-type
+    part, as a CSC matrix with unknown ``i`` at place ``position[i]``: the
+    element blocks ``[[A^T, B^T], [B, 0]]``, each triangle's viscous block
+    transposed, on free rows and columns, the gauge border ``c`` and ``c^T``
+    when ``gauge_vector`` is given, and ones on the diagonal of the fixed
+    unknowns.  Its arrays are the step matrix's CSR.  Entries that cancel
+    stay stored, so the pattern depends on the mesh and the constraint table
+    alone.
 
     The entries are summed by one COO->CSR conversion, each row at its
     place and the columns numbered as in ``dofs``: every triangle gives its
@@ -240,7 +243,8 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector, position):
                   np.empty(size, np.int32))
     data[m:], r[m:], c[m:] = (np.concatenate(x) for x in zip(*tail))
     for x, (velocity, coupling, pressure) in (
-            (data, (a_elements, b_elements.transpose(0, 2, 1), b_elements)),
+            (data, (a_elements.transpose(0, 2, 1),
+                    b_elements.transpose(0, 2, 1), b_elements)),
             (r, (places[:, :12, None], places[:, :12, None],
                  places[:, 12:, None])),
             (c, (dofs[:, None, :12], dofs[:, None, 12:], dofs[:, None, :12]))):
@@ -393,15 +397,15 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     return pos, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
-def _factorize(k: sparse.csc_matrix):
-    """The single-precision sparse LU of ``k`` in the order of its unknowns,
-    its :func:`nested_dissection` order, by the module's ``splu``; raises
+def _factorize(k: sparse.csr_matrix):
+    """The single-precision sparse LU of ``k.T``, the CSR ``k``'s arrays
+    read as a CSC, in the order of its unknowns, its
+    :func:`nested_dissection` order, by the module's ``splu``; raises
     :class:`SingularSystemError` when the factorization fails.
 
-    A step matrix equals its transpose bit for bit, and so does its float32
-    copy, so the LU applied transposed (``solve(..., trans="T")``) is an LU
-    of ``k`` as well; :meth:`StepSolver._krylov` applies it so, through
-    SuperLU's faster transposed triangular solves."""
+    Applied transposed (``solve(..., trans="T")``), as
+    :meth:`StepSolver._krylov` applies it, that LU solves with ``k``,
+    through SuperLU's faster transposed triangular solves."""
     # only the data is converted: the factor input shares k's index arrays,
     # which a copy would duplicate where a run's memory peaks
     single = sparse.csc_matrix((k.data.astype(np.float32), k.indices,
@@ -425,15 +429,14 @@ class StepSolver:
     weighted by ``w`` at the quadrature points, the only part that changes
     between steps.  The solver works in the :func:`nested_dissection`
     numbering of the unknowns, computed at construction, in which the
-    constant blocks are placed and eliminated at once (:func:`_step_matrix`)
-    as a CSC pattern that also holds every element's mass-type entries on
-    free rows and columns, whose positions in the data array are recorded;
-    each stored pair ``(i, j)``, ``(j, i)`` of the constant data is then
-    replaced by its mean.  :meth:`assemble` scatters the element matrices of
-    ``M(w)``, summed once per scalar pair and symmetric bit for bit, into a
-    copy of the constant data, so every step matrix equals its transpose
-    exactly, and lifts the right-hand side by the fixed values through the
-    element matrices of the triangles that hold them; only :meth:`solve`
+    constant blocks are placed and eliminated at once (:func:`_step_matrix`):
+    the build sums their transpose ``K^T`` in a CSC pattern that also holds
+    every element's mass-type entries on free rows and columns, whose
+    positions in the data array are recorded, and the solver holds that
+    CSC's arrays as ``K``'s CSR.  :meth:`assemble` scatters the element
+    matrices of ``M(w)``, summed once per scalar pair, into a copy of the
+    constant data and lifts the right-hand side by the fixed values through
+    the element matrices of the triangles that hold them; only :meth:`solve`
     crosses numberings, to place the load and to read the fields off the
     solution.
 
@@ -443,9 +446,9 @@ class StepSolver:
     solutions of its last ``GUESS_HISTORY`` solves, the factorizing ones
     included, so a solve with the held key, which always follows the solve
     that built the LU, has at least one.  Every solve runs GMRES in float64
-    on its own matrix, every product through the matrix's CSR view,
-    right-preconditioned by the held single-precision LU applied transposed
-    and started from the combination ``P c`` of those solutions ``P`` that
+    on its own matrix, every product with its CSR, right-preconditioned by
+    the held single-precision LU of its transpose applied transposed and
+    started from the combination ``P c`` of those solutions ``P`` that
     minimizes ``|rhs - K P c|`` (0 iterations when that start meets the
     stop).  A solve with the held key stops at ``KRYLOV_RTOL`` or
     ``DIRECT_RESIDUAL_MARGIN`` times the relative residual the solve that
@@ -476,18 +479,11 @@ class StepSolver:
                               if constraints.gauge else None)
         matrix, pos = _step_matrix(a_elements, b_elements, dofs, free,
                                    self._gauge_vector, position)
-        # each stored pair (i, j), (j, i) takes its mean: the build sums the
-        # two in unrelated orders (up to 2.6e-18 of max|K| apart at
-        # two-layer n=60), and the mass-type sums of a step are symmetric
-        # bit for bit, so every step matrix equals its transpose exactly.
-        # The pattern is symmetric, so the transpose's CSC has the same
-        # indices and only its data is read.
-        matrix.data += matrix.T.tocsc().data
-        matrix.data *= 0.5
+        # the CSC of K^T is, array for array, K's CSR, which is held;
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
-        # (two-layer-60 peak RSS: 108.2-112.2 MB, uncopied 113.4-114.5 MB)
-        self._constant = matrix.copy()
+        # (two-layer n=120 peak RSS: 174.5-174.9 MB, uncopied 176.3-177.1 MB)
+        self._constant = matrix.T.copy()
         del matrix
         # both components of a mass-type pair take the same element values in
         # the same order, so each sum is formed once, at the first
@@ -520,9 +516,10 @@ class StepSolver:
 
     def assemble(self, weight: np.ndarray, rhs: np.ndarray,
                  values: np.ndarray):
-        """Constrained matrix and right-hand side for the mass-type weight
-        ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
-        fixed unknowns, all in the solver's numbering.
+        """Constrained matrix, a CSR sharing the held index arrays, and
+        right-hand side for the mass-type weight ``weight`` (nt, nq), the
+        unconstrained ``rhs`` and the values of the fixed unknowns, all in
+        the solver's numbering.
 
         Each element's 36 scalar mass-type entries are summed once, by one
         ``bincount`` over the positions of their first velocity component;
@@ -536,7 +533,7 @@ class StepSolver:
                            minlength=const.nnz + 1)[:const.nnz]
         data[self._second_to] = data.take(self._second_from)
         data += const.data
-        k = sparse.csc_matrix((data, const.indices, const.indptr),
+        k = sparse.csr_matrix((data, const.indices, const.indptr),
                               shape=const.shape)
         n_fixed = self.constraints.fixed.size   # at places 0, 1, ...
         if n_fixed:
@@ -620,11 +617,11 @@ class StepSolver:
 
     def _start(self, k, rhs):
         """The start ``x0 = P c`` of :meth:`_krylov`, ``x0 = 0`` before the
-        first solve, with ``k`` the CSR view of the step matrix.  ``k P`` is
-        formed by one product per held solution, each a contiguous row of
-        the ring, written into the columns of an F-ordered array: every row
-        of ``k`` is summed in the order of the product with all columns at
-        once, without its copy of ``P``."""
+        first solve, with ``k`` the step matrix's CSR.  ``k P`` is formed
+        by one product per held solution, each a contiguous row of the ring,
+        written into the columns of an F-ordered array: every row of ``k``
+        is summed in the order of the product with all columns at once,
+        without its copy of ``P``."""
         past = self._past[:self._solves]
         kp = np.empty((len(rhs), len(past)), order="F")
         for i, p in enumerate(past):
@@ -639,13 +636,12 @@ class StepSolver:
         dependent columns (``x0 = 0`` before the first solve).  A start that
         meets the stop is returned after 0 iterations.
 
-        The step matrix equals its transpose bit for bit, so every product
-        goes through ``k.T``, the CSR view of the same arrays, which sums
-        each row in the order of the CSC product and runs faster, and the
-        held LU of ``k`` is applied transposed (``trans="T"``), an LU of
-        ``k^T = k`` through SuperLU's faster transposed triangular solves
-        (per call on a general step matrix of two-layer n=60, interleaved:
-        product 0.35 against 0.41 ms, LU solve 2.11 against 2.73 ms).
+        Every product is taken with ``k``, the step matrix's CSR, and the
+        held LU of ``k^T`` is applied transposed (``trans="T"``), which
+        solves with ``k`` through SuperLU's faster transposed triangular
+        solves (per call on a general step matrix of two-layer n=60,
+        interleaved: a CSR product 0.35 against a CSC's 0.41 ms, an LU solve
+        applied transposed 2.11 against 2.73 ms as built).
         The preconditioned directions ``Z = LU^{-1} V`` are stored in
         float64, so each iteration solves with the LU once, and the
         least-squares residual of the Hessenberg system is the residual of
@@ -660,7 +656,7 @@ class StepSolver:
         Returns ``(x, iterations, residual norm)``, with ``x = None`` when
         the stop was missed.
         """
-        lu, m, k = self._lu, KRYLOV_MAX_ITERATIONS, k.T
+        lu, m = self._lu, KRYLOV_MAX_ITERATIONS
         stop = KRYLOV_RTOL if refine else min(RESIDUAL_BOUND, max(
             KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._factor_residual))
         target = stop * rhs_norm

@@ -25,9 +25,8 @@ all grid lines, point location with widths from the lines and barycentric
 columns stacked into rows, the boundary exit through gathered vertices,
 the P2 basis table by column assignments, the permutations of an LU
 solve by a scatter, the factor input by the row and column gathers each
-factorization made, the symmetrized constant data by a lookup of each
-entry's transposed entry, and the mass-type scatter of both velocity
-components from one repeated table.  Kernels whose arithmetic is unchanged
+factorization made, and the mass-type scatter of both velocity components
+from one repeated table.  Kernels whose arithmetic is unchanged
 must agree bit for bit; those that sum in another order agree within a
 tolerance fixed from double precision.
 """
@@ -754,21 +753,10 @@ def p2_values_reference(b: np.ndarray) -> np.ndarray:
 
 def lu_solve_scatter_reference(lu, perm, b):
     """``x`` with ``k x = b`` by the single-precision LU of
-    ``k[perm][:, perm]``, applied transposed as the symmetric ``k``
-    allows."""
+    ``k^T[perm][:, perm]``, applied transposed."""
     x = np.empty_like(b)
     x[perm] = lu.solve(b[perm].astype(np.float32), trans="T")
     return x
-
-
-def symmetrized_reference(k):
-    """The canonical CSR matrix ``k``, whose pattern is symmetric, with
-    each stored entry replaced by the mean of it and its transposed entry,
-    looked up by sparse fancy indexing."""
-    coo = k.tocoo()
-    mirror = np.asarray(k[coo.col, coo.row]).ravel()
-    return type(k)((0.5 * (k.data + mirror), k.indices, k.indptr),
-                   shape=k.shape)
 
 
 def dissection_order_reference(k, position, pos=None):
@@ -1058,8 +1046,10 @@ def solver_mesh(kind, kinds, n):
 def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     # the same dissection order, pattern and mass-type positions, and the
     # same constant data to the last bit: each row takes its entries in the
-    # same sequence through the same conversion, and the reference's sums,
-    # renumbered by the gathers each factorization made, are the CSC's
+    # same sequence through the same conversion, and the reference's sums
+    # of the transposed matrix, whose viscous blocks are the transposed
+    # table's, renumbered by the gathers each factorization made, are the
+    # CSC's
     ctx = make_context(solver_mesh(*layout, n),
                        builtin_porosity("constant", value=0.6),
                        get_case("two-layer").params)
@@ -1072,7 +1062,8 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     assert np.array_equal(position, position_ref)
     assert np.array_equal(splits, splits_ref)
     k, pos = _step_matrix(*args, position)
-    k_ref, pos_ref = step_matrix_reference(*args)
+    k_ref, pos_ref = step_matrix_reference(args[0].transpose(0, 2, 1),
+                                           *args[1:])
     k_ref, pos_ref = dissection_order_reference(k_ref, position, pos_ref)
     assert k.format == "csc" and k.shape == k_ref.shape
     assert np.array_equal(k.indptr, k_ref.indptr)
@@ -1544,10 +1535,10 @@ def test_assemble_is_bitwise_the_repeated_scatter(layout, n, seed):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_lu_solve_is_bitwise_the_scatter_form(layout, n, seed):
     # the factor input is, bit for bit, what the gathers of each
-    # factorization made of the matrix summed in the numbering of the
-    # element dofs with each stored pair replaced by its mean, and an LU
-    # solve in the dissection numbering, transposed as GMRES applies it, is
-    # the scatter form's solve of that matrix's system
+    # factorization made of the transposed matrix summed in the numbering of
+    # the element dofs, and an LU solve in the dissection numbering,
+    # transposed as GMRES applies it, is the scatter form's solve of the
+    # step system
     ctx = step_context(*layout, n)
     table = Constraints.build(ctx)
     a, b = viscous_elements(ctx), divergence_elements(ctx)
@@ -1557,8 +1548,9 @@ def test_lu_solve_is_bitwise_the_scatter_form(layout, n, seed):
     size = solver._constant.shape[0]
     k = solver.assemble(weight, np.zeros(size), np.zeros(table.fixed.size))[0]
     local = (ctx.tables.wxarea * weight) @ ctx.tables.p2_products
-    k_ref, pos = step_matrix_reference(*step_matrix_args(ctx, table, a, b))
-    k_ref = mass_weighted_reference(symmetrized_reference(k_ref), pos, local)
+    k_ref, pos = step_matrix_reference(
+        *step_matrix_args(ctx, table, a.transpose(0, 2, 1), b))
+    k_ref = mass_weighted_reference(k_ref, pos, local)
     position = nested_dissection(ctx, table.fixed, table.gauge)[0]
     factor_input = dissection_order_reference(k_ref.astype(np.float32),
                                               position)
