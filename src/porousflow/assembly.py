@@ -215,7 +215,9 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
 
 def assemble_load(f, ctx: FormContext, t: float | None = None) -> np.ndarray:
     """Load vector (f(t), v) of an analytic ``f(points [, t])``, which must
-    return ``(n, 2)`` values; another shape raises ``ValueError``."""
+    return ``(n, 2)`` finite values; another shape, or a NaN or infinite
+    value, raises the ``ValueError`` of :func:`~porousflow.fem.eval_function`
+    naming the ``load``."""
     fv = eval_function(f, ctx.tables.qpoints_flat, t, (2,), "load")
     return _velocity_load(ctx, fv.reshape(*ctx.tables.wxarea.shape, 2))
 

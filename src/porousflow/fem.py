@@ -239,15 +239,32 @@ def zero_field(space: SpaceDescriptor, t: float | None = None) -> FeField:
 def eval_function(fn: Callable, points: np.ndarray, t: float | None,
                   shape: tuple, what: str) -> np.ndarray:
     """``fn(points [, t])`` as a float array, which must be shaped
-    ``(len(points),) + shape``: one value of ``shape`` per point.  Any other
-    shape, a transposed one included, raises ``ValueError`` naming ``what``
-    the function gives, the shape it returned and the one expected."""
-    values = np.asarray(fn(points) if t is None else fn(points, t),
-                        dtype=float)
-    expected = (len(points),) + shape
-    if values.shape != expected:
-        raise ValueError(f"{what} of shape {values.shape} for {len(points)} "
-                         f"points; expected {expected}")
+    ``(len(points),) + shape``, one finite value of ``shape`` per point;
+    this is the one check of every analytic function the program reads.
+
+    Any other shape raises ``ValueError`` naming ``what`` the function
+    gives, the shape it returned and the one expected.  A transposed result
+    has the expected shape at exactly two points, so there the first point
+    is also evaluated alone and its shape checked.  A NaN or infinite value
+    raises ``ValueError`` with the count of bad points and the first of
+    them with its value."""
+    def shaped(at):
+        values = np.asarray(fn(at) if t is None else fn(at, t), dtype=float)
+        expected = (len(at),) + shape
+        if values.shape != expected:
+            raise ValueError(f"{what} of shape {values.shape} for "
+                             f"{len(at)} points; expected {expected}")
+        return values
+
+    values = shaped(points)
+    n = len(points)
+    if n == 2:
+        shaped(points[:1])
+    if not np.isfinite(values).all():
+        bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1))
+        raise ValueError(f"{what} not finite at {bad.size} of {n} points, "
+                         f"first at {points[bad[0]].tolist()}: "
+                         f"{values[bad[0]].tolist()}")
     return values
 
 
@@ -255,8 +272,9 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
     """Nodal interpolant of an analytic function.
 
     ``fn(points [, t])`` must accept an ``(n, 2)`` array and return ``(n,)``
-    values for scalar spaces or ``(n, 2)`` for vector spaces; values of
-    another shape raise ``ValueError``.
+    finite values for scalar spaces or ``(n, 2)`` for vector spaces; values
+    of another shape, or NaN or infinite ones, raise the ``ValueError`` of
+    :func:`eval_function`, naming the ``interpolated function``.
     """
     vals = eval_function(fn, space.node_coords, t, space.value_shape,
                          "interpolated function")
@@ -392,7 +410,9 @@ def error_norm(field_: FeField, exact: Callable | None, kind: str = "L2",
 
     ``exact(points [, t])`` returns ``(n,)`` (scalar) or ``(n, 2)`` values;
     for the H1 norm ``exact_grad`` must return ``(n, 2)`` (scalar) or
-    ``(n, 2, 2)`` gradients; another shape raises ``ValueError``.  With
+    ``(n, 2, 2)`` gradients.  Another shape, or a NaN or infinite value,
+    raises the ``ValueError`` of :func:`eval_function`, naming the
+    ``exact solution`` or the ``exact gradient``.  With
     ``zero_mean`` the mean of the difference is removed first, i.e. the error
     is measured in the quotient space of functions modulo constants.
     """

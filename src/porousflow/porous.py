@@ -83,11 +83,7 @@ class AdmissibilityReport:
     violation_extent: tuple[float, float] | None  # y-range of violations
 
     def to_json(self) -> str:
-        d = dict(self.__dict__)
-        d["argmax"] = list(self.argmax)
-        if d["violation_extent"] is not None:
-            d["violation_extent"] = list(d["violation_extent"])
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
     def summary(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -109,9 +109,11 @@ GUESS_HISTORY = 3
 RESIDUAL_BOUND = 1e-6
 # glibc raises its mmap threshold to each freed mapped block (up to 32 MiB),
 # so later factors are carved from the heap among the step temporaries and a
-# run's peak RSS follows how that heap fragments (perfbench two-layer-60,
-# five runs each: 108.2-112.2 MB fixed, 116.5-119.2 MB not).  Fixed, blocks
-# of MMAP_THRESHOLD bytes or more get mappings of their own, freed at once.
+# run's peak RSS follows how that heap fragments.  Fixed, blocks of
+# MMAP_THRESHOLD bytes or more get mappings of their own, freed at once.
+# Peak RSS of two-layer n=120: 174.5-174.9 MB fixed, 183-194 MB not; at
+# n=60 (perfbench two-layer-60) it does not pay: 95.7-96.4 MB fixed (20
+# runs), 92.6-96.4 MB not (10 runs).
 MMAP_THRESHOLD = 4 << 20
 
 
@@ -121,11 +123,6 @@ class SolverError(RuntimeError):
 
 class SingularSystemError(SolverError):
     """The constrained system is (numerically) singular."""
-
-
-class GaugeError(ValueError):
-    """A pressure gauge other than the one the boundary needs was asked
-    for."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,20 +148,12 @@ class Constraints:
                    .any())
 
     def values(self, g, t: float | None = None) -> np.ndarray:
-        """Values of the ``fixed`` unknowns from one ``g(points [, t])``
-        call, which must return one finite velocity per Dirichlet node, an
-        array shaped like ``points``; any other shape, or a NaN or infinite
-        value, raises ``ValueError``."""
-        values = eval_function(g, self.points, t, (2,), "Dirichlet data")
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            raise ValueError(
-                f"Dirichlet data not finite at {bad.size} of "
-                f"{len(self.points)} nodes, first at node "
-                f"{self.fixed[2 * bad[0]] // 2} "
-                f"{self.points[bad[0]].tolist()}: "
-                f"{values[bad[0]].tolist()}")
-        return values.ravel()
+        """Values of the ``fixed`` unknowns from ``g(points [, t])``, which
+        :func:`~porousflow.fem.eval_function` checks: one finite velocity
+        per Dirichlet node, an array shaped like ``points``; any other
+        shape, or a NaN or infinite value, raises ``ValueError`` naming
+        ``Dirichlet data``."""
+        return eval_function(g, self.points, t, (2,), "Dirichlet data").ravel()
 
 
 def _fix_malloc_thresholds() -> None:
@@ -234,9 +223,8 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector, position):
         tail += [(gauge_vector, position[pressure], border),
                  (gauge_vector, border, pressure)]
     # the triplet arrays are allocated once and filled in place: below the
-    # mmap threshold, copies of them held at once stay resident as heap
-    # holes after the build (two-layer-60 peak RSS: 119.5 MB when the
-    # masked copies were concatenated, 108.6 MB filled in place)
+    # mmap threshold, copies of them held at once would stay resident as
+    # heap holes after the build
     m = 216 * nt
     size = m + sum(part[0].size for part in tail)
     data, r, c = (np.empty(size), np.empty(size, np.int32),

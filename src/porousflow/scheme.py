@@ -29,7 +29,7 @@ from porousflow.assembly import (
 from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, interpolate, norm
-from porousflow.saddle import Constraints, GaugeError, SaddleSystem, StepSolver
+from porousflow.saddle import Constraints, SaddleSystem, StepSolver
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -52,8 +52,10 @@ class ProblemSetup:
     edge is Dirichlet or stress-free, and an all-stress-free boundary raises
     ``ValueError``.  The table carries the zero-mean pressure gauge exactly
     when no boundary edge is stress-free; ``gauge`` is set to that value,
-    and a ``gauge`` given otherwise raises :class:`GaugeError` (a
-    ``ValueError``).
+    and a ``gauge`` given otherwise raises ``ValueError``.  The
+    analytic data is checked where it is read, by
+    :func:`~porousflow.fem.eval_function`: a value of the wrong shape or a
+    NaN or infinite one raises ``ValueError`` naming the data.
     """
 
     ctx: FormContext
@@ -78,7 +80,7 @@ class ProblemSetup:
         # so that one asking for a gauge beside a stress-free edge, or for
         # none where the pressure level would be undetermined, fails loudly
         if self.gauge is not None and self.gauge != table.gauge:
-            raise GaugeError(f"gauge={self.gauge} contradicts the boundary: "
+            raise ValueError(f"gauge={self.gauge} contradicts the boundary: "
                              "the zero-mean pressure gauge is on exactly "
                              "when no edge is stress-free")
         self.gauge = table.gauge
@@ -206,17 +208,12 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     once it is built.  A failed step raises
     :class:`SchemeDivergenceError` with the partial summary attached; an
     initial velocity that is NaN or infinite at a velocity node raises
-    ``ValueError`` before the solver is built.
+    ``ValueError`` from :func:`~porousflow.fem.interpolate` before the
+    solver is built.
     """
     n_steps = setup.n_steps
     t0 = time.perf_counter()
-    vspace = setup.ctx.vspace
-    u0_field = interpolate(vspace, setup.u_initial, None)
-    bad = np.flatnonzero(~np.isfinite(u0_field.node_values()).all(axis=1))
-    if bad.size:
-        raise ValueError(f"u_initial is not finite at {bad.size} of "
-                         f"{vspace.n_nodes} velocity nodes, first at node "
-                         f"{bad[0]} {vspace.node_coords[bad[0]].tolist()}")
+    u0_field = interpolate(setup.ctx.vspace, setup.u_initial, None)
     solver = StepSolver(setup.ctx, *setup.constant_blocks(),
                         setup.constraints)
     records: list[dict] = []

@@ -178,6 +178,9 @@ def test_dirichlet_data_at_clamped_feet_is_shape_checked(unit_mesh):
     for x, g, shape in (
             (two, lambda p: p[:, 1],
              r"\(2,\) for 2 points; expected \(2, 2\)"),
+            # transposed: the expected shape at two feet, not at one
+            (two, lambda p: np.array([np.full(len(p), 7.0), p[:, 1]]),
+             r"\(2, 1\) for 1 points; expected \(1, 2\)"),
             (three, lambda p: np.array([[7.0, 0.0]]),
              r"\(1, 2\) for 3 points; expected \(3, 2\)"),
             (three, lambda p: np.array([np.full(len(p), 7.0), p[:, 1]]),
@@ -185,6 +188,24 @@ def test_dirichlet_data_at_clamped_feet_is_shape_checked(unit_mesh):
         with pytest.raises(ValueError,
                            match="^Dirichlet data of shape " + shape + "$"):
             terms(x, g)
+
+
+def test_non_finite_dirichlet_data_at_clamped_feet_rejected(unit_mesh):
+    # a NaN boundary velocity at a clamped foot names its count and the
+    # foot, where it enters, instead of reaching the solve's right-hand side
+    u0 = constant_field(velocity_space(unit_mesh), (1.0, 0.0))
+    two = np.array([[0.05, 0.3], [0.05, 0.6]])
+
+    def g(p):
+        out = np.zeros((len(p), 2))
+        out[p[:, 1] > 0.5] = np.nan
+        return out
+
+    with pytest.raises(ValueError,
+                       match=r"^Dirichlet data not finite at 1 of 2 points, "
+                             r"first at \[0\.0, 0\.6\]: \[nan, nan\]$"):
+        lg1_material_terms(u0, UNIT_POROSITY, 0.2, two, field_at(u0, two),
+                           UNIT_POROSITY.value(two), g0=g)
 
 
 def test_clamped_points_stay_in_domain(unit_mesh, rng):

@@ -11,6 +11,7 @@ from porousflow.fem import (
     boundary_nodes,
     error_norm,
     eval_basis,
+    eval_function,
     eval_field_many,
     field_mean,
     interpolate,
@@ -357,3 +358,63 @@ def test_velocity_data_of_transposed_shape_rejected(unit_ctx, entry):
     with pytest.raises(ValueError, match=r"of shape \(2, (\d+)\) for \1 "
                                          r"points; expected \(\1, 2\)$"):
         VELOCITY_DATA[entry](unit_ctx, transposed)
+
+
+# what each entry point names its data in the errors of eval_function
+VELOCITY_DATA_NAME = {
+    "interpolate": "interpolated function",
+    "assemble_load": "load",
+    "error_norm": "exact solution",
+    "Constraints.values": "Dirichlet data",
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VELOCITY_DATA))
+def test_non_finite_velocity_data_rejected(unit_ctx, entry):
+    # a NaN or infinite value fails where it enters, naming the data, the
+    # count of bad points and the first of them with its value
+    for bad in (np.nan, np.inf):
+        def data(points, t):
+            out = np.zeros((len(points), 2))
+            out[points[:, 0] > 0.5, 1] = bad
+            return out
+
+        with pytest.raises(ValueError,
+                           match=rf"^{VELOCITY_DATA_NAME[entry]} not finite "
+                                 rf"at \d+ of \d+ points, first at "
+                                 rf"\[[\d.e-]+, [\d.e-]+\]: "
+                                 rf"\[0\.0, {bad}\]$"):
+            VELOCITY_DATA[entry](unit_ctx, data)
+
+
+def test_non_finite_exact_gradient_rejected(unit_ctx):
+    # a NaN gradient used to give a NaN H1 error norm without an error
+    def grad(points, t):
+        out = np.zeros((len(points), 2, 2))
+        out[-1] = np.nan
+        return out
+
+    n = unit_ctx.tables.qpoints_flat.shape[0]
+    with pytest.raises(ValueError, match=rf"^exact gradient not finite at 1 "
+                                         rf"of {n} points, first at "):
+        error_norm(zero_field(unit_ctx.vspace),
+                   lambda p, t: np.zeros((len(p), 2)), "H1", t=0.5,
+                   exact_grad=grad)
+
+
+def test_eval_function_checks_one_point_of_two():
+    # at two points a transposed (2, 2) gradient has the expected shape;
+    # the first point alone does not
+    two = np.array([[0.1, 0.2], [0.3, 0.4]])
+
+    def transposed_grad(points):
+        return np.stack([np.ones((2, len(points))), points.T])
+
+    with pytest.raises(ValueError, match=r"^exact gradient of shape "
+                                         r"\(2, 2, 1\) for 1 points; "
+                                         r"expected \(1, 2, 2\)$"):
+        eval_function(transposed_grad, two, None, (2, 2), "exact gradient")
+    grad = eval_function(lambda p: p[:, :, None] * [1.0, 2.0], two, None,
+                         (2, 2), "exact gradient")
+    assert np.array_equal(grad, [[[0.1, 0.2], [0.2, 0.4]],
+                                 [[0.3, 0.6], [0.4, 0.8]]])
