@@ -11,32 +11,46 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import ClassVar
 
 import numpy as np
 
 from porousflow.assembly import make_context
-from porousflow.mesh import BoundaryTag, LayerGrading, Mesh, generate_rect_mesh
+from porousflow.mesh import LayerGrading, Mesh, generate_rect_mesh
 from porousflow.porous import (SINUSOIDAL_GAMMA, TWO_LAYER_EPS, PhysicalParams,
                                PorosityField, builtin_porosity)
 from porousflow.scheme import ProblemSetup
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseDefinition:
-    """Domain, data, and defaults of one experiment."""
+    """One channel experiment: its domain, the scale of its inflow profile,
+    its porosity and its defaults.  The right edge is the stress-free
+    outlet, and every case runs to ``t_final`` with ``params``."""
 
     name: str
     x_extent: tuple
     y_extent: tuple
-    tag_rule: Callable
+    inflow_scale: float
     porosity: PorosityField
-    u_initial: Callable
-    t_final: float
     default_n: int
-    params: PhysicalParams
     grading: LayerGrading | None = None
     constants: dict = field(default_factory=dict)
+
+    t_final: ClassVar[float] = 5.0
+    # d_p is not stated for either case; the default 5e-2 cm is used
+    params: ClassVar[PhysicalParams] = PhysicalParams()
+
+    def u_initial(self, pts) -> np.ndarray:
+        """The parabolic inflow profile across the channel, ``inflow_scale``
+        times its squared half-height at the centre line, under the
+        :func:`inflow_window` along x; the vertical velocity is zero."""
+        pts = np.asarray(pts, dtype=float)
+        y0, y1 = self.y_extent
+        prof = self.inflow_scale * (((y1 - y0) / 2.0) ** 2
+                                    - (pts[:, 1] - (y0 + y1) / 2.0) ** 2)
+        return np.column_stack([inflow_window(pts[:, 0]) * prof,
+                                np.zeros(len(pts))])
 
     def nominal_h(self, n: int | None = None) -> float:
         """The cell width along x at ``n`` cells (``default_n`` when
@@ -55,71 +69,25 @@ def inflow_window(x1):
     return np.where(x1 <= 0.5, np.cos(np.pi * x1), 0.0)
 
 
-def _channel_tag_rule(x_right: float):
-    def rule(mid):
-        if mid[0] >= x_right - 1e-9:
-            return BoundaryTag.STRESS_FREE
-        return BoundaryTag.DIRICHLET
-    return rule
-
-
-def case_two_layer() -> CaseDefinition:
-    """Channel (0,3)x(0,1) with porosity 0.4 below mid-height, 0.8 above."""
-
-    def u0(pts):
-        pts = np.asarray(pts, dtype=float)
-        prof = 0.25 - (pts[:, 1] - 0.5) ** 2
-        return np.column_stack([inflow_window(pts[:, 0]) * prof,
-                                np.zeros(len(pts))])
-
-    return CaseDefinition(
-        name="two-layer",
-        x_extent=(0.0, 3.0),
-        y_extent=(0.0, 1.0),
-        tag_rule=_channel_tag_rule(3.0),
-        porosity=builtin_porosity("two-layer"),
-        u_initial=u0,
-        t_final=5.0,
-        default_n=120,
-        # d_p defaulted to 5e-2 cm (not stated for this case)
-        params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
-        grading=LayerGrading(line=0.5, size=1.0 / 720.0),
-        constants={"eps": TWO_LAYER_EPS},
-    )
-
-
-def case_sinusoidal() -> CaseDefinition:
-    """Channel (0,3pi)x(0,pi) with porosity oscillating in both directions."""
-
-    def u0(pts):
-        pts = np.asarray(pts, dtype=float)
-        prof = 0.01 * (math.pi ** 2 / 4.0 - (pts[:, 1] - math.pi / 2.0) ** 2)
-        return np.column_stack([inflow_window(pts[:, 0]) * prof,
-                                np.zeros(len(pts))])
-
-    return CaseDefinition(
-        name="sinusoidal",
-        x_extent=(0.0, 3.0 * math.pi),
-        y_extent=(0.0, math.pi),
-        # d_p and the boundary decomposition are defaults: stress-free outlet
-        # at the right edge, Dirichlet elsewhere
-        tag_rule=_channel_tag_rule(3.0 * math.pi),
-        porosity=builtin_porosity("sinusoidal"),
-        u_initial=u0,
-        t_final=5.0,
-        default_n=300,
-        params=PhysicalParams(mu=8.89e-3, rho=9.951e-1, d_p=5e-2),
-        constants={"gamma0": SINUSOIDAL_GAMMA[0],
-                   "gamma1": SINUSOIDAL_GAMMA[1]},
-    )
-
-
-_CASES = {"two-layer": case_two_layer, "sinusoidal": case_sinusoidal}
+_CASES = {case.name: case for case in (
+    # channel (0,3)x(0,1), porosity 0.4 below mid-height and 0.8 above
+    CaseDefinition(name="two-layer", x_extent=(0.0, 3.0),
+                   y_extent=(0.0, 1.0), inflow_scale=1.0,
+                   porosity=builtin_porosity("two-layer"), default_n=120,
+                   grading=LayerGrading(line=0.5, size=1.0 / 720.0),
+                   constants={"eps": TWO_LAYER_EPS}),
+    # channel (0,3pi)x(0,pi), porosity oscillating in both directions
+    CaseDefinition(name="sinusoidal", x_extent=(0.0, 3.0 * math.pi),
+                   y_extent=(0.0, math.pi), inflow_scale=0.01,
+                   porosity=builtin_porosity("sinusoidal"), default_n=300,
+                   constants={"gamma0": SINUSOIDAL_GAMMA[0],
+                              "gamma1": SINUSOIDAL_GAMMA[1]}),
+)}
 
 
 def get_case(name: str) -> CaseDefinition:
     try:
-        return _CASES[name]()
+        return _CASES[name]
     except KeyError:
         raise ValueError(f"unknown case {name!r}; available: "
                          f"{sorted(_CASES)}") from None
@@ -135,7 +103,7 @@ def build_case_mesh(case: CaseDefinition, n: int | None = None) -> Mesh:
     return generate_rect_mesh(case.x_extent, case.y_extent,
                               case.default_n if n is None else n,
                               grading=case.grading,
-                              tag_rule=case.tag_rule)
+                              stress_free=("right",))
 
 
 def build_setup(case: CaseDefinition, n: int | None = None,

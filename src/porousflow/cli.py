@@ -17,8 +17,17 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from porousflow import cases as case_lib
-from porousflow.porous import validate_porosity_admissibility
-from porousflow.verification import run_eoc, write_eoc_csv
+from porousflow import fem
+from porousflow.assembly import make_context
+from porousflow.mesh import generate_rect_mesh
+from porousflow.porous import (PhysicalParams, builtin_porosity,
+                               validate_porosity_admissibility)
+from porousflow.scheme import SchemeDivergenceError, run
+from porousflow.verification import (ab2_consistency_check, build_mms_case,
+                                     default_consistency_field,
+                                     drag_equivalence_check,
+                                     polynomial_exactness_check, run_eoc,
+                                     transport_identity_check, write_eoc_csv)
 from porousflow.vtkio import SeriesWriter, write_snapshot
 
 # expected slope ranges for refinement pairs with N >= 16, those of
@@ -180,12 +189,11 @@ def _cmd_simulate(args) -> int:
           f"{mesh.n_triangles} triangles, {setup.n_steps} steps")
 
     series = SeriesWriter()
-    from porousflow.fem import interpolate, norm, zero_field
-    u0 = interpolate(ctx.vspace, case.u_initial)
-    p0 = zero_field(ctx.pspace, 0.0)
+    u0 = fem.interpolate(ctx.vspace, case.u_initial)
+    p0 = fem.zero_field(ctx.pspace, 0.0)
     write_snapshot(u0, p0, case.porosity, mesh, 0.0,
                    out_dir / f"{case.name}_{0:06d}.vtk")
-    series.add(0.0, u0, p0, norm(u0, "L2"), 0.0)
+    series.add(0.0, u0, p0, fem.norm(u0, "L2"), 0.0)
 
     def observer(k, t, u_field, p_field, diag):
         if k % cfg.snapshot_every == 0:
@@ -195,7 +203,6 @@ def _cmd_simulate(args) -> int:
                        diag["pressure_l2"])
         diag_fh.write(json.dumps(diag, sort_keys=True) + "\n")
 
-    from porousflow.scheme import SchemeDivergenceError, run
     with open(out_dir / "diagnostics.jsonl", "w") as diag_fh:
         try:
             summary = run(setup, observers=[observer])
@@ -223,17 +230,6 @@ def _cmd_validate_porosity(args) -> int:
 
 def _cmd_check(args) -> int:
     """Quick invariant suite over the numerical kernels."""
-    import porousflow.fem as fem
-    from porousflow.assembly import make_context
-    from porousflow.mesh import generate_rect_mesh
-    from porousflow.porous import PhysicalParams, builtin_porosity
-    from porousflow.verification import (ab2_consistency_check,
-                                         build_mms_case,
-                                         default_consistency_field,
-                                         drag_equivalence_check,
-                                         polynomial_exactness_check,
-                                         transport_identity_check)
-
     failures = 0
 
     def check(name, ok, detail=""):

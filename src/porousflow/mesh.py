@@ -1,12 +1,12 @@
 """Triangulations of axis-aligned rectangles with tagged boundaries.
 
 Every mesh is a structured crossed-triangle grid, built from its grid lines
-and a tag rule: every grid cell is split into two triangles with the diagonal
-alternating from cell to cell.  The layout is fully deterministic, which
-keeps convergence runs reproducible.  An optional ``LayerGrading``
-concentrates the horizontal mesh lines around a given ``y``-line, e.g. to
-resolve a thin porosity transition layer.  Every boundary edge lies on a side
-of the rectangle, so it is axis-aligned.
+and the names of its stress-free sides: every grid cell is split into two
+triangles with the diagonal alternating from cell to cell.  The layout is
+fully deterministic, which keeps convergence runs reproducible.  An optional
+``LayerGrading`` concentrates the horizontal mesh lines around a given
+``y``-line, e.g. to resolve a thin porosity transition layer.  Every
+boundary edge lies on a side of the rectangle, so it is axis-aligned.
 
 A point is located by index arithmetic on the grid lines: one
 ``searchsorted`` per axis on the interior grid lines finds its cell, one
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,9 @@ class BoundaryTag(Enum):
     STRESS_FREE = 1  # zero normal stress (typically an outflow)
 
 
-TagRule = Callable[[np.ndarray], BoundaryTag]
+#: The sides of the rectangle, in the ``[axis, upper]`` order of
+#: ``Mesh.side_edges``.
+SIDES = ("left", "right", "bottom", "top")
 
 
 class BoundaryHit(NamedTuple):
@@ -83,9 +85,9 @@ class Mesh:
     ----------
     xs, ys : strictly increasing grid lines along x and y, at least two
         each; the rectangle is ``[xs[0], xs[-1]] x [ys[0], ys[-1]]``
-    tag_rule : the ``BoundaryTag`` of a boundary edge from its midpoint
-        (default: everything ``DIRICHLET``); any other value raises
-        ``ValueError``
+    stress_free : the names in ``SIDES`` of the sides whose edges are
+        ``STRESS_FREE``; every other edge is ``DIRICHLET``.  A bare string
+        or a name not in ``SIDES`` raises ``ValueError``
 
     Every grid cell is split into two counterclockwise triangles along a
     diagonal that alternates from cell to cell.  ``boundary_edges`` (nbe, 2)
@@ -96,7 +98,11 @@ class Mesh:
     upper side, cell along the side].
     """
 
-    def __init__(self, xs, ys, tag_rule: TagRule | None = None):
+    def __init__(self, xs, ys, stress_free=()):
+        free = set(stress_free)
+        if isinstance(stress_free, str) or not free <= set(SIDES):
+            raise ValueError(f"stress_free must name sides among {SIDES}, "
+                             f"got {stress_free!r}")
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if not all(len(v) >= 2 and (np.diff(v) > 0.0).all() for v in (xs, ys)):
             raise ValueError("grid lines must number at least two per axis "
@@ -133,15 +139,8 @@ class Mesh:
         owned = np.flatnonzero(on_side.any(axis=1))
         self.boundary_edges = ends[owned]
         self.boundary_edge_tri = near[owned // 3]
-        rule = tag_rule or (lambda mid: BoundaryTag.DIRICHLET)
         mids = 0.5 * (vertices[self.boundary_edges[:, 0]]
                       + vertices[self.boundary_edges[:, 1]])
-        tags = [rule(m) for m in mids]
-        for mid, tag in zip(mids, tags):
-            if not isinstance(tag, BoundaryTag):
-                raise ValueError(f"tag_rule returned {tag!r} for the boundary "
-                                 f"edge at {mid.tolist()}, not a BoundaryTag")
-        self.boundary_tags = np.array(tags, dtype=object)
         # per boundary edge: its start, its direction (end minus start) and
         # that direction's squared length, one row per coordinate
         start, end = vertices[self.boundary_edges.T]
@@ -149,11 +148,15 @@ class Mesh:
         self._edge_table = np.vstack([start.T, d.T,
                                       d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]])
         self.side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
+        self.boundary_tags = np.full(len(owned), BoundaryTag.DIRICHLET,
+                                     dtype=object)
         for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
             for upper, value in enumerate((lines[0], lines[-1])):
                 on = np.flatnonzero(mids[:, axis] == value)
                 self.side_edges[axis, upper,
                                 _cell_index(along, mids[on, 1 - axis])] = on
+                if SIDES[2 * axis + upper] in free:
+                    self.boundary_tags[on] = BoundaryTag.STRESS_FREE
 
         # the corners' coordinates, (3, nt) per axis
         cx, cy = vertices[:, 0].take(tris.T), vertices[:, 1].take(tris.T)
@@ -264,14 +267,14 @@ def _graded_nodes(y0: float, y1: float, ny: int, grading: LayerGrading) -> np.nd
 
 def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
                        grading: LayerGrading | None = None,
-                       tag_rule: TagRule | None = None) -> Mesh:
+                       stress_free=()) -> Mesh:
     """Structured crossed-triangle mesh of ``x_extent`` x ``y_extent``.
 
     ``n_divisions`` counts cells along x; the y-division is chosen so cells
     are close to square.  With a ``grading``, a side of its line that gets a
-    single row keeps that row whole, whatever the grading size.  Boundary
-    edges are tagged by calling ``tag_rule`` on each edge midpoint (default:
-    everything ``DIRICHLET``).
+    single row keeps that row whole, whatever the grading size.  The edges of
+    the sides named in ``stress_free`` are ``STRESS_FREE``, every other
+    boundary edge ``DIRICHLET``, as :class:`Mesh` takes them.
     """
     x0, x1 = (float(v) for v in x_extent)
     y0, y1 = (float(v) for v in y_extent)
@@ -286,7 +289,7 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
         ys = np.linspace(y0, y1, ny + 1)
     else:
         ys = _graded_nodes(y0, y1, ny, grading)
-    return Mesh(xs, ys, tag_rule)
+    return Mesh(xs, ys, stress_free)
 
 
 def _rises(i, j):

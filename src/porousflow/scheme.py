@@ -28,7 +28,7 @@ from porousflow.assembly import (
 # importable here because perfbench/tracer.py hooks porousflow.scheme's names
 from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
-from porousflow.fem import FeField, interpolate, norm
+from porousflow.fem import FeField, eval_function, norm
 from porousflow.saddle import Constraints, SaddleSystem, StepSolver
 
 
@@ -207,13 +207,16 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
     of the constant blocks are built for it, and the viscous one is freed
     once it is built.  A failed step raises
     :class:`SchemeDivergenceError` with the partial summary attached; an
-    initial velocity that is NaN or infinite at a velocity node raises
-    ``ValueError`` from :func:`~porousflow.fem.interpolate` before the
-    solver is built.
+    initial velocity that is NaN or infinite at a velocity node raises the
+    ``ValueError`` of :func:`~porousflow.fem.eval_function`, naming the
+    ``initial velocity``, before the solver is built.
     """
     n_steps = setup.n_steps
     t0 = time.perf_counter()
-    u0_field = interpolate(setup.ctx.vspace, setup.u_initial, None)
+    vspace = setup.ctx.vspace
+    u0_field = FeField(vspace, eval_function(
+        setup.u_initial, vspace.node_coords, None, (2,),
+        "initial velocity").ravel())
     solver = StepSolver(setup.ctx, *setup.constant_blocks(),
                         setup.constraints)
     records: list[dict] = []

@@ -30,8 +30,39 @@ def test_inflow_window_continuous_at_cutoff():
     assert case_lib.inflow_window(np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_boundary_tags_cover_and_split():
-    case = case_lib.get_case("two-layer")
+def _two_layer_u0(pts):
+    prof = 0.25 - (pts[:, 1] - 0.5) ** 2
+    return np.column_stack([case_lib.inflow_window(pts[:, 0]) * prof,
+                            np.zeros(len(pts))])
+
+
+def _sinusoidal_u0(pts):
+    prof = 0.01 * (math.pi ** 2 / 4.0 - (pts[:, 1] - math.pi / 2.0) ** 2)
+    return np.column_stack([case_lib.inflow_window(pts[:, 0]) * prof,
+                            np.zeros(len(pts))])
+
+
+@pytest.mark.parametrize("name, formula", [("two-layer", _two_layer_u0),
+                                           ("sinusoidal", _sinusoidal_u0)],
+                         ids=["two-layer", "sinusoidal"])
+def test_initial_velocity_is_bitwise_the_case_formula(name, formula):
+    # the one channel profile, scaled, gives each case's own formula to the
+    # last bit, inside the channel and around it
+    case = case_lib.get_case(name)
+    rng = np.random.default_rng(5)
+    (x0, x1), (y0, y1) = case.x_extent, case.y_extent
+    pts = np.column_stack([rng.uniform(x0 - 0.1, x1 + 0.1, 20000),
+                           rng.uniform(y0 - 0.1, y1 + 0.1, 20000)])
+    pts = np.vstack([pts, [[0.0, y0], [0.0, y1], [0.0, 0.5 * (y0 + y1)],
+                           [0.5, 0.3 * y1]]])
+    assert case.u_initial(pts).tobytes() == formula(pts).tobytes()
+
+
+@pytest.mark.parametrize("name, x_right", [("two-layer", 3.0),
+                                           ("sinusoidal", 3.0 * math.pi)],
+                         ids=["two-layer", "sinusoidal"])
+def test_boundary_tags_cover_and_split(name, x_right):
+    case = case_lib.get_case(name)
     mesh = case_lib.build_case_mesh(case, n=12)
     outflow = np.flatnonzero(mesh.boundary_tags == BoundaryTag.STRESS_FREE)
     n_outflow = len(outflow)
@@ -39,10 +70,11 @@ def test_boundary_tags_cover_and_split():
     assert n_outflow > 0
     assert n_outflow + n_wall == len(mesh.boundary_edges)
     # the outflow edges are exactly the right edge
+    assert n_outflow == len(mesh.ys) - 1
     for e in outflow:
         a, b = mesh.boundary_edges[e]
-        assert mesh.vertices[a][0] == pytest.approx(3.0)
-        assert mesh.vertices[b][0] == pytest.approx(3.0)
+        assert mesh.vertices[a][0] == pytest.approx(x_right)
+        assert mesh.vertices[b][0] == pytest.approx(x_right)
 
 
 def test_initial_data_matches_dirichlet_trace():

@@ -121,8 +121,7 @@ def test_eval_at_upwind_clamps_to_dirichlet_data(unit_mesh):
 def test_eval_at_upwind_clamps_to_field_on_outflow():
     mesh = generate_rect_mesh(
         (0.0, 1.0), (0.0, 1.0), 4,
-        tag_rule=lambda mid: BoundaryTag.STRESS_FREE if mid[0] >= 1 - 1e-9
-        else BoundaryTag.DIRICHLET)
+        stress_free=("right",))
     space = velocity_space(mesh)
     f = interpolate(space, lambda p: np.column_stack(
         [p[:, 0] - 2.0, np.zeros(len(p))]))
@@ -144,8 +143,7 @@ def test_clamped_feet_are_evaluated_at_the_clamped_point():
     # clamped on the boundary, not at the foot outside the domain
     mesh = generate_rect_mesh(
         (0.0, 1.0), (0.0, 1.0), 4,
-        tag_rule=lambda mid: BoundaryTag.STRESS_FREE if mid[0] >= 1 - 1e-9
-        else BoundaryTag.DIRICHLET)
+        stress_free=("right",))
     phi = builtin_porosity("sinusoidal")
     u0 = interpolate(velocity_space(mesh), lambda p: np.column_stack(
         [4.0 * (0.5 - p[:, 0]), np.zeros(len(p))]))
@@ -266,8 +264,7 @@ def test_ab2_batched_matches_scalar(rng):
     # edge, with points close enough to both that their feet leave there
     mesh = generate_rect_mesh(
         (0.0, 1.0), (0.0, 1.0), 4,
-        tag_rule=lambda mid: BoundaryTag.STRESS_FREE if mid[0] >= 1 - 1e-9
-        else BoundaryTag.DIRICHLET)
+        stress_free=("right",))
     phi = builtin_porosity("constant", value=0.8)
     space = velocity_space(mesh)
     u1 = interpolate(space, lambda p: np.column_stack(

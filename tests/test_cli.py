@@ -347,8 +347,7 @@ def test_check_output_is_the_recorded_text(capsys):
 
 
 def test_check_fails_on_the_pressure_error(capsys, monkeypatch):
-    from porousflow import verification
-    monkeypatch.setattr(verification, "polynomial_exactness_check",
+    monkeypatch.setattr(cli, "polynomial_exactness_check",
                         lambda ctx: (0.0, 1.0))
     assert run_cli("check") == 1
     lines = capsys.readouterr().out.splitlines()

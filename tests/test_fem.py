@@ -231,12 +231,8 @@ def test_l2_norm_of_constant(pi_mesh):
 def test_velocity_space_on_two_triangles():
     # two triangles per cell of a 2 x 2 grid on the unit square: left and
     # bottom Dirichlet, top and right stress-free
-    def tags(mid):
-        if mid[0] >= 1.0 - 1e-9 or mid[1] >= 1.0 - 1e-9:
-            return BoundaryTag.STRESS_FREE
-        return BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 2, tag_rule=tags)
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 2,
+                              stress_free=("right", "top"))
     space = velocity_space(mesh)
     # midpoints numbered as their edges first appear in the triangles
     cell_nodes, coords, midpoints = _velocity_nodes_by_loop(mesh)

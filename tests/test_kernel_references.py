@@ -100,7 +100,7 @@ from porousflow.vtkio import write_snapshot
 from diagnostic_forms import gradient_products
 from reference_solve import assemble_a0, assemble_b
 from snapshot_reference import snapshot_text_reference
-from test_saddle import ORDERING_MESHES, _side_rule
+from test_saddle import ORDERING_MESHES, _stress_free
 
 MESHES = {
     "graded-two-layer": build_case_mesh(get_case("two-layer"), n=12),
@@ -1038,7 +1038,7 @@ def solver_mesh(kind, kinds, n):
                           else ((0.0, 1.0), (0.0, 1.0)))
     return generate_rect_mesh(x_extent, y_extent, n,
                               grading=case.grading if graded else None,
-                              tag_rule=_side_rule(kinds, x_extent, y_extent))
+                              stress_free=_stress_free(kinds))
 
 
 @settings(max_examples=60, deadline=None, database=None)

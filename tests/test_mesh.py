@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from porousflow.mesh import (
+    SIDES,
     BoundaryTag,
     LayerGrading,
     Mesh,
@@ -154,10 +155,8 @@ def test_quadrature_points_locate_home():
 
 
 def test_boundary_edges_count_and_tags():
-    tagged = generate_rect_mesh(
-        (0.0, 3.0), (0.0, 1.0), 6,
-        tag_rule=lambda mid: BoundaryTag.STRESS_FREE if mid[0] >= 3 - 1e-9
-        else BoundaryTag.DIRICHLET)
+    tagged = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6,
+                                stress_free=("right",))
     nx, ny = 6, 2
     assert len(tagged.boundary_edges) == 2 * (nx + ny)
     right = np.flatnonzero(tagged.boundary_tags == BoundaryTag.STRESS_FREE)
@@ -166,34 +165,33 @@ def test_boundary_edges_count_and_tags():
         == 2 * (nx + ny) - ny
 
 
-def _wall_on_top(mid):
-    """Real tags on three sides, a string on the top side."""
-    if mid[1] >= 1.0 - 1e-9:
-        return "wall"
-    return BoundaryTag.STRESS_FREE if mid[0] >= 1.0 - 1e-9 \
-        else BoundaryTag.DIRICHLET
+@pytest.mark.parametrize("side, axis, line", [("left", 0, -1.0),
+                                              ("right", 0, 2.0),
+                                              ("bottom", 1, 0.5),
+                                              ("top", 1, 2.0)])
+def test_stress_free_side_is_that_side(side, axis, line):
+    # exactly the edges with both ends on the named side's line
+    mesh = generate_rect_mesh((-1.0, 2.0), (0.5, 2.0), 6, stress_free=(side,))
+    ends = mesh.vertices[mesh.boundary_edges]
+    on_line = (ends[:, :, axis] == line).all(axis=1)
+    assert on_line.sum() == len((mesh.ys, mesh.xs)[axis]) - 1
+    assert np.array_equal(mesh.boundary_tags == BoundaryTag.STRESS_FREE,
+                          on_line)
 
 
-@pytest.mark.parametrize("rule", [lambda mid: "wall", lambda mid: None,
-                                  _wall_on_top],
-                         ids=["string", "none", "mixed"])
-def test_tag_rule_must_return_a_boundary_tag(rule):
-    # the error names the first boundary edge whose tag is not a
-    # BoundaryTag, by its midpoint, and the value the rule returned there
-    valid = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4)
-    ends = valid.vertices[valid.boundary_edges]
-    mids = 0.5 * (ends[:, 0] + ends[:, 1])
-    mid = next(m for m in mids if not isinstance(rule(m), BoundaryTag))
+@pytest.mark.parametrize("stress_free", [("east",),
+                                         (BoundaryTag.STRESS_FREE,), "right"],
+                         ids=["unknown-side", "tag", "bare-string"])
+def test_stress_free_must_name_sides(stress_free):
+    # a bare string is rejected too, rather than read as its letters
     with pytest.raises(ValueError) as info:
-        generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=rule)
+        generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, stress_free=stress_free)
     assert str(info.value) == (
-        f"tag_rule returned {rule(mid)!r} for the boundary edge at "
-        f"{mid.tolist()}, not a BoundaryTag")
+        f"stress_free must name sides among {SIDES}, got {stress_free!r}")
 
 
 def test_boundary_exit_left_edge():
-    mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6,
-                              tag_rule=lambda mid: BoundaryTag.DIRICHLET)
+    mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6)
     hit = boundary_exit_point(mesh, [(0.05, 0.5)], [(-0.05, 0.5)])
     assert hit.points[0] == pytest.approx([0.0, 0.5], abs=1e-12)
     assert hit.tags[0] is BoundaryTag.DIRICHLET

@@ -22,7 +22,7 @@ from porousflow.assembly import (
 )
 from porousflow.cases import build_case_mesh, get_case
 from porousflow.fem import boundary_nodes, interpolate
-from porousflow.mesh import BoundaryTag, generate_rect_mesh
+from porousflow.mesh import SIDES, BoundaryTag, generate_rect_mesh
 from porousflow.porous import PhysicalParams, builtin_porosity
 from porousflow.saddle import (
     Constraints,
@@ -104,7 +104,8 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
 def _outlet_ctx(params):
     """The unit square with a stress-free right edge, Dirichlet
     elsewhere."""
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=_outlet_tags)
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4,
+                              stress_free=("right",))
     return make_context(mesh, builtin_porosity("constant", value=1.0), params)
 
 
@@ -435,11 +436,6 @@ def test_step_solver_keeps_its_pattern(unit_ctx, params):
     assert solver._constant is pattern
 
 
-def _outlet_tags(mid):
-    return BoundaryTag.STRESS_FREE if mid[0] >= 1.0 - 1e-9 \
-        else BoundaryTag.DIRICHLET
-
-
 # (mesh of resolution n, gauge): a stress-free outlet fixes the pressure
 # level, a fully Dirichlet boundary needs the gauge
 ORDERING_MESHES = {
@@ -448,7 +444,7 @@ ORDERING_MESHES = {
     "uniform-gauged": (lambda n: generate_rect_mesh((0.0, 1.0), (0.0, 1.0),
                                                     n), True),
     "uniform-outlet": (lambda n: generate_rect_mesh(
-        (0.0, 1.0), (0.0, 1.0), n, tag_rule=_outlet_tags), False),
+        (0.0, 1.0), (0.0, 1.0), n, stress_free=("right",)), False),
 }
 
 
@@ -699,17 +695,11 @@ def test_step_pattern_depends_on_the_mesh_alone(kind, n, seed):
     assert fill == fill_p
 
 
-def _side_rule(kinds, x_extent, y_extent):
-    """The tag rule giving each side of the rectangle its kind in
-    ``kinds``, in the order left, right, bottom, top."""
-    def rule(mid):
-        for kind, value, line in zip(
-                kinds, (mid[0], mid[0], mid[1], mid[1]),
-                (*x_extent, *y_extent)):
-            if abs(value - line) <= 1e-9:
-                return kind
-        raise AssertionError(f"{mid} lies on no side")
-    return rule
+def _stress_free(kinds):
+    """The sides whose kind in ``kinds``, in the order of ``SIDES``, is
+    ``STRESS_FREE``."""
+    return tuple(side for side, kind in zip(SIDES, kinds)
+                 if kind is BoundaryTag.STRESS_FREE)
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -723,7 +713,7 @@ def test_constraint_table_of_any_side_tagging(graded, n, kinds):
                           else ((0.0, 1.0), (0.0, 1.0)))
     mesh = generate_rect_mesh(x_extent, y_extent, n,
                               grading=case.grading if graded else None,
-                              tag_rule=_side_rule(kinds, x_extent, y_extent))
+                              stress_free=_stress_free(kinds))
     ctx = make_context(mesh, builtin_porosity("constant", value=0.6),
                        case.params)
     table = Constraints.build(ctx)

@@ -82,12 +82,8 @@ def test_zero_data_gives_zero_solution(params):
 
 
 def test_setup_rejects_gauge_with_stress_free_edge(params):
-    def tags(mid):
-        if mid[0] >= 1 - 1e-9:
-            return BoundaryTag.STRESS_FREE
-        return BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, tag_rule=tags)
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4,
+                              stress_free=("right",))
     ctx = make_context(mesh, builtin_porosity("constant", value=1.0), params)
     with pytest.raises(ValueError, match="contradicts the boundary"):
         ProblemSetup(ctx=ctx, u_initial=zero_vec, dirichlet=zero_vec,
@@ -224,13 +220,8 @@ def test_dirichlet_trace_matches_data_every_step(params):
     case_g = lambda p, t: np.column_stack(
         [0.1 * np.sin(math.pi * p[:, 1]) * (1.0 + 0.5 * t),
          np.zeros(len(p))])
-
-    def tags(mid):
-        if mid[0] >= 1 - 1e-9:
-            return BoundaryTag.STRESS_FREE
-        return BoundaryTag.DIRICHLET
-
-    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 5, tag_rule=tags)
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 5,
+                              stress_free=("right",))
     ctx = make_context(mesh, builtin_porosity("constant", value=0.8), params)
     setup = ProblemSetup(ctx=ctx, u_initial=lambda p: case_g(p, 0.0),
                          dirichlet=case_g, forcing=None, tau=0.25,
@@ -306,7 +297,7 @@ def test_non_finite_initial_velocity_fails_before_the_solver(params,
     n_bad = int((coords[:, 0] > 0.5).sum())
     first = coords[np.flatnonzero(coords[:, 0] > 0.5)[0]].tolist()
     with pytest.raises(ValueError,
-                       match=re.escape(f"interpolated function not finite at "
+                       match=re.escape(f"initial velocity not finite at "
                                        f"{n_bad} of {len(coords)} points, "
                                        f"first at {first}: ")):
         run(setup)
