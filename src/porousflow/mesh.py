@@ -15,8 +15,11 @@ triangle.  Each triangle's affine inverse and origin are kept as six
 contiguous per-coefficient columns, so the barycentric coordinates of a batch
 gather six 1-D columns into the columns of an F-ordered (m, 3) array, and the
 containment test and the basis evaluation read whole columns.
-Segments are clipped against the sides of the rectangle (Liang & Barsky, ACM
-TOG 3, 1984), whose grid lines give the crossed boundary edge.
+A segment that leaves the domain is clipped against the four side lines of
+the rectangle (Liang & Barsky, ACM TOG 3, 1984): a crossing counts within a
+slack of ``EXIT_TOL`` of the segment and, along the side, of its end cells,
+the first one wins, and the grid lines along that side give the crossed
+boundary edge.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 #: Barycentric slack used to decide containment.
 INSIDE_TOL = 1e-12
 
-#: Parametric slack of a segment/boundary-edge crossing.
+#: Relative slack of a boundary crossing: of its parameter along the
+#: segment, and of its place along the side, in widths of the end cells.
 EXIT_TOL = 1e-12
 
 
@@ -141,12 +145,6 @@ class Mesh:
         self.boundary_edge_tri = near[owned // 3]
         mids = 0.5 * (vertices[self.boundary_edges[:, 0]]
                       + vertices[self.boundary_edges[:, 1]])
-        # per boundary edge: its start, its direction (end minus start) and
-        # that direction's squared length, one row per coordinate
-        start, end = vertices[self.boundary_edges.T]
-        d = end - start
-        self._edge_table = np.vstack([start.T, d.T,
-                                      d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]])
         self.side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
         self.boundary_tags = np.full(len(owned), BoundaryTag.DIRICHLET,
                                      dtype=object)
@@ -329,7 +327,10 @@ def locate_many(mesh: Mesh, pts: np.ndarray):
     run = np.where(_rises(i, j), x - x0, x1 - x)
     upper = (y - ys.take(j)) * dx.take(i) > run * dy.take(j)
     tri = _cell_triangle(i, j, len(xs) - 1, upper)
-    bary = mesh._barycentric(tri, x, y)
+    # an infinite point gets NaN or infinite barycentric coordinates, which
+    # read as outside
+    with np.errstate(invalid="ignore"):
+        bary = mesh._barycentric(tri, x, y)
     lam0, lam1, lam2 = bary.T
     inside = np.minimum(np.minimum(lam0, lam1), lam2) >= -INSIDE_TOL
     if not inside.all():
@@ -341,53 +342,63 @@ def locate_many(mesh: Mesh, pts: np.ndarray):
 
 def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     """First intersections of the segments ``[starts[i], ends[i]]`` with the
-    boundary; ``starts`` and ``ends`` are ``(m, 2)`` arrays.
+    boundary; ``starts`` and ``ends`` are finite ``(m, 2)`` arrays.
 
     Every start must lie inside the closed domain and every end outside.
-    Each segment is clipped against the four sides, the grid lines of a side
-    giving the one edge it can cross there; the first crossing within a
-    parametric slack of ``EXIT_TOL`` wins.  It is nudged by ``EXIT_TOL``
-    toward the start and snapped onto its edge, so it lies in the domain.
-    The four candidate edges of every segment are read from the mesh's
-    per-edge table in one gather.
+    Each segment is clipped against the four side lines.  A side's crossing
+    counts when its parameter along the segment lies in ``[-EXIT_TOL, 1 +
+    EXIT_TOL]`` and its coordinate along the side within the side widened
+    at each end by ``EXIT_TOL`` times that end cell's width, so a start on
+    a side exits there; the smallest parameter wins, ties going to the
+    first side in ``SIDES``.  The crossed edge is the side's edge at that
+    coordinate.  The parameter is the start's distance to the side line
+    over the segment's extent across it, both multiplied by the crossed
+    edge's length as a segment/edge intersection multiplies them, so a
+    start whose distance underflows in that product lies on the side.  The
+    hit is the crossing moved ``EXIT_TOL`` of the segment back toward the
+    start and clipped onto that edge, so it lies on the side line, on the
+    edge and in the domain.  A start or end that is not finite, a start
+    equal to its end and a segment that crosses no side raise
+    ``ValueError``.
     """
-    xs, ys = mesh.xs, mesh.ys
     a = np.atleast_2d(np.asarray(starts, dtype=float))
-    s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
+    b = np.atleast_2d(np.asarray(ends, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(np.hstack([a, b])).all(axis=1))
+    if bad.size:
+        raise ValueError(f"segment start or end not finite in {bad.size} "
+                         f"of {len(a)} rows, first row {bad[0]}: "
+                         f"{a[bad[0]]} to {b[bad[0]]}")
+    s = b - a
     if np.any((s == 0.0).all(axis=1)):
         raise ValueError("degenerate segment: start equals end")
-    a0, a1, s0, s1 = a[:, :1], a[:, 1:], s[:, :1], s[:, 1:]
-    # the crossing of each segment's line with the line of each side, and
-    # the side's boundary edge there: four candidates [axis, upper] a row
+    xs, ys = mesh.xs, mesh.ys
+    dx, dy = mesh._widths
+    # the crossing of each segment's line with the line of each side, its
+    # coordinate along the side and the cell there, [axis, upper] a row, and
+    # its parameter, both terms scaled by the width of that cell
     bounds = np.array([[xs[0], xs[-1]], [ys[0], ys[-1]]])
+    gap, step = bounds - a[:, :, None], s[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_side = (bounds - a[:, :, None]) / s[:, :, None]
-        along = a[:, ::-1, None] + t_side * s[:, ::-1, None]
-    cells = np.stack([_cell_index(ys, along[:, 0]),
-                      _cell_index(xs, along[:, 1])], axis=1)
-    edges = mesh.side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
-    # start, direction and squared length of each candidate, (m, 4) each
-    p0, p1, r0, r1, _ = mesh._edge_table[:, edges]
-    ap0 = p0 - a0
-    ap1 = p1 - a1
-    denom = s0 * r1 - s1 * r0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_par = (ap0 * r1 - ap1 * r0) / denom
-        u_par = (ap0 * s1 - ap1 * s0) / denom
-    valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
-        & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
-        & (t_par <= 1.0 + EXIT_TOL)
-    if not valid.any(axis=1).all():
+        along = a[:, ::-1, None] + gap / step * s[:, ::-1, None]
+        cells = np.stack([_cell_index(ys, along[:, 0]),
+                          _cell_index(xs, along[:, 1])], axis=1)
+        width = np.stack([dy.take(cells[:, 0]), dx.take(cells[:, 1])], axis=1)
+        t_side = gap * width / (step * width)
+    # the sides, widened at each end by EXIT_TOL of the end cell's width
+    reach = np.array([[v[0] - EXIT_TOL * (v[1] - v[0]),
+                       v[-1] + EXIT_TOL * (v[-1] - v[-2])] for v in (ys, xs)])
+    valid = (t_side >= -EXIT_TOL) & (t_side <= 1.0 + EXIT_TOL) \
+        & (along >= reach[:, :1]) & (along <= reach[:, 1:])
+    if not valid.any(axis=(1, 2)).all():
         raise ValueError("segment does not cross the boundary; is the end "
                          "point outside the domain?")
-    t_all = np.where(valid, t_par, np.inf)
+    t_all = np.where(valid, t_side, np.inf).reshape(len(a), 4)
     rows, first = np.arange(len(a)), np.argmin(t_all, axis=1)
-    edge = edges[rows, first]
+    axis, upper = np.divmod(first, 2)
+    edge = mesh.side_edges[axis, upper, cells[rows, axis, upper]]
+    # an axis-aligned edge is the box of its ends
+    p, q = mesh.vertices[mesh.boundary_edges[edge].T]
     t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)
-    points = a + t_star[:, None] * s
-    # snap onto the edge
-    pe0, pe1, re0, re1, re2 = mesh._edge_table[:, edge]
-    u = ((points[:, 0] - pe0) * re0 + (points[:, 1] - pe1) * re1) / re2
-    u = np.clip(u, 0.0, 1.0)
-    points = np.column_stack([pe0 + u * re0, pe1 + u * re1])
+    points = np.clip(a + t_star[:, None] * s, np.minimum(p, q),
+                     np.maximum(p, q))
     return BoundaryHit(points, edge, mesh.boundary_tags[edge])

@@ -27,6 +27,29 @@ segments = st.lists(st.tuples(fraction, fraction, displacement, displacement),
 PROPERTY = settings(max_examples=80, deadline=None, database=None)
 # segments through the bottom-left corner (0, 0), where two edges tie
 CORNER = [(0.5, 0.5, -1.0, -1.0)]
+# from the centre through each of the four corners
+CORNERS = [(0.5, 0.5, dx, dy) for dx in (-1.0, 1.0) for dy in (-1.0, 1.0)]
+# from a point on each side line (left, right, bottom, top) across the
+# domain and out through the opposite side: the start is the exit
+SIDE_STARTS = [(0.0, 0.5, 2.0, 0.25), (1.0, 0.5, -2.0, -0.25),
+               (0.5, 0.0, 0.25, 2.0), (0.5, 1.0, -0.25, -2.0)]
+# parallel to the bottom and top, and along the left and the bottom side
+# lines out through a corner
+PARALLEL = [(0.5, 0.5, 1.0, 0.0), (0.0, 0.5, 0.0, 1.0), (0.5, 0.0, 1.0, 0.0)]
+# starts a few subnormals inside the left and the bottom side; the second
+# crosses the bottom line just before it starts, and the last two move away
+# from their side at a subnormal slope, their distance to it underflowing
+# when scaled by an edge's length, so they exit there
+NEAR_SIDE = [(5e-324, 0.5, 5e-324, 1.0), (0.5, 5e-324, 1.0, 1.0),
+             (0.5, 5e-324, 1.0, 2.2250738585e-313),
+             (5e-324, 0.5, 2.2250738585e-313, 1.0)]
+# through the bottom-left corner of the uniform and of the graded mesh, the
+# crossing of each side line rounded just beyond the other side
+ROUNDED_CORNER = [
+    (0.9658509332922315, 0.940867674550585, -1.4487763999383472,
+     -1.4113015118258774),
+    (0.3013417651116296, 0.9798438318517214, -0.9040252953348887,
+     -2.939531495555164)]
 
 
 def inside_starts_outside_ends(mesh, rows):
@@ -72,6 +95,15 @@ def first_crossing(mesh, a, b):
 @given(st.sampled_from(sorted(MESHES)), segments)
 @example("uniform-crossed", CORNER)
 @example("graded-two-layer", CORNER)
+@example("uniform-crossed", CORNERS)
+@example("graded-two-layer", CORNERS)
+@example("uniform-crossed", SIDE_STARTS)
+@example("graded-two-layer", SIDE_STARTS)
+@example("uniform-crossed", PARALLEL)
+@example("graded-two-layer", PARALLEL)
+@example("graded-two-layer", NEAR_SIDE)
+@example("uniform-crossed", ROUNDED_CORNER)
+@example("graded-two-layer", ROUNDED_CORNER)
 def test_exit_matches_brute_force_scan(mesh_name, rows):
     mesh = MESHES[mesh_name]
     starts, ends = inside_starts_outside_ends(mesh, rows)
@@ -97,6 +129,9 @@ def test_exit_matches_brute_force_scan(mesh_name, rows):
 @settings(PROPERTY)
 @given(st.sampled_from(sorted(MESHES)), segments)
 @example("uniform-crossed", CORNER)
+@example("uniform-crossed", ROUNDED_CORNER)
+@example("graded-two-layer",
+         CORNERS + SIDE_STARTS + PARALLEL + NEAR_SIDE + ROUNDED_CORNER)
 def test_exit_batch_matches_one_row_calls(mesh_name, rows):
     mesh = MESHES[mesh_name]
     starts, ends = inside_starts_outside_ends(mesh, rows)

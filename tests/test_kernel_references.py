@@ -5,12 +5,11 @@ substance: ``einsum`` contractions over gathered node values, ``np.add.at``
 scatters, per-expression ``lambdify``, the loop-built mesh and its adjacency,
 the adjacency walk for point location, the row-gather barycentric
 coordinates and grid location, the smooth step evaluated everywhere, the
-segment/boundary-edge table for the boundary exit, the per-edge loop of the
-transport identity's contour integral, the viscous and divergence blocks
-from the physical gradient table, the viscous element table as a sum with a
-zero-filled component expansion of the five-operand gradient-product
-``einsum`` and the divergence table as a negated reshape of one
-``einsum``, the quadrature points by one ``einsum`` over the gathered
+per-edge loop of the transport identity's contour integral, the viscous and
+divergence blocks from the physical gradient table, the viscous element
+table as a sum with a zero-filled component expansion of the five-operand
+gradient-product ``einsum`` and the divergence table as a negated reshape of
+one ``einsum``, the quadrature points by one ``einsum`` over the gathered
 vertices, the boundary edges from a scan of every triangle with the affine
 columns through stacked inverses, the grading ratio after all 200
 halvings, the P2 midpoints numbered through ``np.unique``, the
@@ -22,13 +21,12 @@ the VTK snapshot written one line at a time (in ``snapshot_reference``,
 which the CLI tests share), and the per-step kernels around the sparse LU
 before their numpy work was trimmed: the grid cell by a clipped search over
 all grid lines, point location with widths from the lines and barycentric
-columns stacked into rows, the boundary exit through gathered vertices,
-the P2 basis table by column assignments, the permutations of an LU
-solve by a scatter, the factor input by the row and column gathers each
-factorization made, and the mass-type scatter of both velocity components
-from one repeated table.  Kernels whose arithmetic is unchanged
-must agree bit for bit; those that sum in another order agree within a
-tolerance fixed from double precision.
+columns stacked into rows, the P2 basis table by column assignments, the
+permutations of an LU solve by a scatter, the factor input by the row and
+column gathers each factorization made, and the mass-type scatter of both
+velocity components from one repeated table.  Kernels whose arithmetic is
+unchanged must agree bit for bit; those that sum in another order agree
+within a tolerance fixed from double precision.
 """
 
 import functools
@@ -72,15 +70,12 @@ from porousflow.fem import (
     velocity_space,
 )
 from porousflow.mesh import (
-    EXIT_TOL,
     INSIDE_TOL,
-    BoundaryHit,
     BoundaryTag,
     LayerGrading,
     _cell_index,
     _cell_triangle,
     _rises,
-    boundary_exit_point,
     generate_rect_mesh,
     locate_many,
 )
@@ -582,38 +577,6 @@ def walk_reference(mesh, pts, hints=None):
     return tri_out, bary_out, inside
 
 
-def exit_table_reference(mesh, starts, ends):
-    """First boundary crossings from one table of every segment against
-    every boundary edge; returns them and the table of crossing parameters
-    (``inf`` where a segment misses an edge)."""
-    a = np.atleast_2d(np.asarray(starts, dtype=float))
-    s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
-    p = mesh.vertices[mesh.boundary_edges[:, 0]]
-    r = mesh.vertices[mesh.boundary_edges[:, 1]] - p
-    s0, s1 = s[:, :1], s[:, 1:]
-    ap0 = p[:, 0] - a[:, :1]
-    ap1 = p[:, 1] - a[:, 1:]
-    denom = s0 * r[:, 1] - s1 * r[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_par = (ap0 * r[:, 1] - ap1 * r[:, 0]) / denom
-        u_par = (ap0 * s1 - ap1 * s0) / denom
-    valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
-        & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
-        & (t_par <= 1.0 + EXIT_TOL)
-    assert valid.any(axis=1).all()
-    t_all = np.where(valid, t_par, np.inf)
-    edge = np.argmin(t_all, axis=1)
-    t_star = np.maximum(t_all[np.arange(len(edge)), edge] - EXIT_TOL, 0.0)
-    points = a + t_star[:, None] * s
-    pe, re = p[edge], r[edge]
-    d = points - pe
-    u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
-        / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
-    points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
-    tags = np.array(mesh.boundary_tags, dtype=object)[edge]
-    return BoundaryHit(points, edge, tags), t_all
-
-
 def lambdify_reference(args, exprs, shape):
     import sympy as sp
     fns = [sp.lambdify(args, e, modules="numpy") for e in exprs]
@@ -691,53 +654,6 @@ def locate_many_clipped_reference(mesh, pts):
         tri[outside] = -1
         bary[outside] = 0.0
     return tri, bary, inside
-
-
-def boundary_exit_gather_reference(mesh, starts, ends):
-    """First intersections of the segments ``[starts[i], ends[i]]`` with the
-    boundary, through the vertices of the candidate edges."""
-    xs, ys = mesh.xs, mesh.ys
-    a = np.atleast_2d(np.asarray(starts, dtype=float))
-    s = np.atleast_2d(np.asarray(ends, dtype=float)) - a
-    if np.any((s == 0.0).all(axis=1)):
-        raise ValueError("degenerate segment: start equals end")
-    # the crossing of each segment's line with the line of each side, and
-    # the side's boundary edge there: four candidates [axis, upper] a row
-    bounds = np.array([[xs[0], xs[-1]], [ys[0], ys[-1]]])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_side = (bounds - a[:, :, None]) / s[:, :, None]
-        along = a[:, ::-1, None] + t_side * s[:, ::-1, None]
-    cells = np.stack([cell_index_clipped_reference(ys, along[:, 0]),
-                      cell_index_clipped_reference(xs, along[:, 1])], axis=1)
-    edges = mesh.side_edges[[[0], [1]], [0, 1], cells].reshape(len(a), 4)
-
-    p = mesh.vertices[mesh.boundary_edges[edges, 0]]
-    r = mesh.vertices[mesh.boundary_edges[edges, 1]] - p
-    ap0 = p[..., 0] - a[:, :1]
-    ap1 = p[..., 1] - a[:, 1:]
-    s0, s1 = s[:, :1], s[:, 1:]
-    denom = s0 * r[..., 1] - s1 * r[..., 0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_par = (ap0 * r[..., 1] - ap1 * r[..., 0]) / denom
-        u_par = (ap0 * s1 - ap1 * s0) / denom
-    valid = (np.abs(denom) > 0.0) & (u_par >= -EXIT_TOL) \
-        & (u_par <= 1.0 + EXIT_TOL) & (t_par >= -EXIT_TOL) \
-        & (t_par <= 1.0 + EXIT_TOL)
-    if not valid.any(axis=1).all():
-        raise ValueError("segment does not cross the boundary; is the end "
-                         "point outside the domain?")
-    t_all = np.where(valid, t_par, np.inf)
-    rows, first = np.arange(len(a)), np.argmin(t_all, axis=1)
-    edge = edges[rows, first]
-    t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)
-    points = a + t_star[:, None] * s
-    # snap onto the edge
-    pe, re = p[rows, first], r[rows, first]
-    d = points - pe
-    u = (d[:, 0] * re[:, 0] + d[:, 1] * re[:, 1]) \
-        / (re[:, 0] * re[:, 0] + re[:, 1] * re[:, 1])
-    points = pe + np.clip(u, 0.0, 1.0)[:, None] * re
-    return BoundaryHit(points, edge, mesh.boundary_tags[edge])
 
 
 def p2_values_reference(b: np.ndarray) -> np.ndarray:
@@ -972,35 +888,6 @@ def test_smooth_step_at_the_band_edges_and_non_finite_values():
     for v in EDGES_OF_THE_BAND:  # 0-d input keeps its shape
         assert np.array_equal(_smooth_step(v, eps),
                               smooth_step_reference(v, eps), equal_nan=True)
-
-
-fraction_segments = st.lists(
-    st.tuples(fraction, fraction, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
-    min_size=1, max_size=12)
-
-
-@pytest.mark.parametrize("name", sorted(MESHES))
-@PROPERTY
-@given(rows=fraction_segments)
-def test_exit_matches_the_table(name, rows):
-    mesh = MESHES[name]
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    rows = np.array(rows)
-    starts = lo + rows[:, :2] * (hi - lo)
-    ends = starts + rows[:, 2:] * (hi - lo)
-    out = ~walk_reference(mesh, ends)[2]
-    if not out.any():
-        return
-    hit = boundary_exit_point(mesh, starts[out], ends[out])
-    ref, t_all = exit_table_reference(mesh, starts[out], ends[out])
-    same = hit.edges == ref.edges
-    assert np.array_equal(hit.points[same], ref.points[same])
-    assert list(hit.tags[same]) == list(ref.tags[same])
-    # elsewhere a tie at a vertex: the other edge is crossed at the same
-    # parameter
-    rows = np.arange(len(ref.edges))
-    assert np.abs(t_all[rows, hit.edges] - t_all[rows, ref.edges]).max() \
-        <= 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -1398,19 +1285,20 @@ def special_points(mesh):
 @given(data=st.data())
 def test_locate_many_is_bitwise_the_clipped_form(name, data):
     """Points inside, on grid lines, cell diagonals and vertices, just and
-    far outside, and non-finite ones, given in either memory order."""
+    far outside, and non-finite ones, given in either memory order; the
+    kernel locates the non-finite ones without a warning."""
     mesh = MESHES[name]
     pts = np.array(data.draw(st.lists(
         st.one_of(grid_points(mesh), special_points(mesh)), min_size=1,
         max_size=40)))
     with np.errstate(invalid="ignore"):
         ref = locate_many_clipped_reference(mesh, pts)
-        for order in "CF":
-            tri, bary, inside = locate_many(mesh, np.asarray(pts, order=order))
-            assert tri.dtype == ref[0].dtype and np.array_equal(tri, ref[0])
-            assert bary.flags.f_contiguous
-            assert_same_bytes(np.ascontiguousarray(bary), ref[1])
-            assert np.array_equal(inside, ref[2])
+    for order in "CF":
+        tri, bary, inside = locate_many(mesh, np.asarray(pts, order=order))
+        assert tri.dtype == ref[0].dtype and np.array_equal(tri, ref[0])
+        assert bary.flags.f_contiguous
+        assert_same_bytes(np.ascontiguousarray(bary), ref[1])
+        assert np.array_equal(inside, ref[2])
 
 
 @PROPERTY
@@ -1423,50 +1311,6 @@ def test_p2_values_are_bitwise_the_column_assignments(rows):
         ref = p2_values_reference(b)
         for order in "CF":
             assert_same_bytes(_p2_values(np.asarray(b, order=order)), ref)
-
-
-@st.composite
-def exit_segments(draw, mesh):
-    """Segments from a point of the closed domain (on a grid line, a
-    diagonal or a vertex, the boundary included) to a point just or far
-    outside it."""
-    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
-    start = draw(grid_points(mesh).filter(
-        lambda p: lo[0] <= p[0] <= hi[0] and lo[1] <= p[1] <= hi[1]))
-    end = draw(st.one_of(
-        grid_points(mesh),
-        st.tuples(st.floats(-2.0, 3.0), st.floats(-2.0, 3.0)).map(
-            lambda f: tuple(lo + np.array(f) * (hi - lo)))))
-    return start + end
-
-
-def exit_outcome(kernel, mesh, starts, ends):
-    try:
-        return kernel(mesh, starts, ends)
-    except ValueError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("name", sorted(MESHES))
-@PROPERTY
-@given(data=st.data())
-def test_boundary_exit_is_bitwise_the_gather_form(name, data):
-    mesh = MESHES[name]
-    rows = np.array(data.draw(st.lists(exit_segments(mesh), min_size=1,
-                                       max_size=12)))
-    starts, ends = rows[:, :2], rows[:, 2:]
-    out = ~locate_many(mesh, ends)[2]
-    if not out.any():
-        return
-    got, ref = (exit_outcome(kernel, mesh, starts[out], ends[out])
-                for kernel in (boundary_exit_point,
-                               boundary_exit_gather_reference))
-    if isinstance(ref, str):
-        assert got == ref
-        return
-    assert_same_bytes(got.points, ref.points)
-    assert_same_bytes(got.edges, ref.edges)
-    assert list(got.tags) == list(ref.tags)
 
 
 def step_context(kind, kinds, n):
@@ -1588,8 +1432,6 @@ def previous_kernels(monkeypatch, setup):
                          *setup.constant_blocks())
     monkeypatch.setattr(characteristics, "locate_many",
                         locate_many_clipped_reference)
-    monkeypatch.setattr(characteristics, "boundary_exit_point",
-                        boundary_exit_gather_reference)
     monkeypatch.setattr(StepSolver, "assemble",
                         lambda solver, weight, rhs, values:
                         assemble_repeat_reference(solver, pos, weight, rhs,

@@ -126,6 +126,15 @@ def test_locate_outside_returns_none(unit_mesh):
         assert not inside[0] and tri[0] == -1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_locate_non_finite_points_are_outside(unit_mesh, bad):
+    # quietly: the suite raises every RuntimeWarning as an error
+    pts = np.array([[bad, 0.5], [0.5, bad], [bad, bad], [0.5, 0.5]])
+    tri, bary, inside = locate_many(unit_mesh, pts)
+    assert list(inside) == [False, False, False, True]
+    assert (tri[:3] == -1).all() and (bary[:3] == 0.0).all()
+
+
 def test_locate_hint_agrees_with_exhaustive(rng):
     mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 12,
                               grading=LayerGrading(0.5, 0.01))
@@ -213,6 +222,20 @@ def test_boundary_exit_needs_a_crossing(unit_mesh):
     with pytest.raises(ValueError, match="does not cross"):
         boundary_exit_point(unit_mesh, [(0.2, 0.2), (0.5, 0.5)],
                             [(-1.0, 0.2), (0.6, 0.5)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)],
+                         ids=["start-x", "start-y", "end-x", "end-y"])
+def test_boundary_exit_rejects_non_finite_segments(unit_mesh, bad, where):
+    # the second and third rows are bad, so the count and the first row show
+    rows = np.array([[[0.5, 0.5], [1.5, 0.5]]] * 4)
+    rows[1:3, where[0], where[1]] = bad
+    with pytest.raises(ValueError) as info:
+        boundary_exit_point(unit_mesh, rows[:, 0], rows[:, 1])
+    assert str(info.value) == (
+        f"segment start or end not finite in 2 of 4 rows, first row 1: "
+        f"{rows[1, 0]} to {rows[1, 1]}")
 
 
 def test_boundary_exit_point_stays_in_domain(unit_mesh, rng):
