@@ -6,7 +6,10 @@ triangles with the diagonal alternating from cell to cell.  The layout is
 fully deterministic, which keeps convergence runs reproducible.  An optional
 ``LayerGrading`` concentrates the horizontal mesh lines around a given
 ``y``-line, e.g. to resolve a thin porosity transition layer.  Every
-boundary edge lies on a side of the rectangle, so it is axis-aligned.
+boundary edge lies on a side of the rectangle, so it is axis-aligned, and
+the edges are numbered from the grid: side by side in ``SIDES`` order, and
+along each side by grid cell, so a side's edge at cell ``k`` is its first
+edge plus ``k``.
 
 A point is located by index arithmetic on the grid lines: one
 ``searchsorted`` per axis on the interior grid lines finds its cell, one
@@ -18,7 +21,7 @@ containment test and the basis evaluation read whole columns.
 A segment that leaves the domain is clipped against the four side lines of
 the rectangle (Liang & Barsky, ACM TOG 3, 1984): a crossing counts within a
 slack of ``EXIT_TOL`` of the segment and, along the side, of its end cells,
-the first one wins, and the grid lines along that side give the crossed
+the first one wins, and the cell along that side gives the crossed
 boundary edge.
 """
 
@@ -46,8 +49,8 @@ class BoundaryTag(Enum):
     STRESS_FREE = 1  # zero normal stress (typically an outflow)
 
 
-#: The sides of the rectangle, in the ``[axis, upper]`` order of
-#: ``Mesh.side_edges``.
+#: The sides of the rectangle, ``[axis, upper]`` in row-major order: the
+#: order of their edges in ``Mesh.boundary_edges``.
 SIDES = ("left", "right", "bottom", "top")
 
 
@@ -95,11 +98,13 @@ class Mesh:
 
     Every grid cell is split into two counterclockwise triangles along a
     diagonal that alternates from cell to cell.  ``boundary_edges`` (nbe, 2)
-    are oriented as they appear in their owning triangles
-    ``boundary_edge_tri``, so the outward normal is the edge direction
-    rotated clockwise by 90 degrees; ``boundary_tags`` is the object array
-    of their tags, and ``side_edges`` the edge of each side by [normal axis,
-    upper side, cell along the side].
+    are numbered side by side in ``SIDES`` order, ``ny``, ``ny``, ``nx`` and
+    ``nx`` edges, each side's by grid cell along it.  With a, b, c, d a
+    cell's corners counterclockwise from its lower left, the edges run d->a
+    (left), b->c (right), a->b (bottom) and c->d (top), as in their owning
+    triangles ``boundary_edge_tri``, so the outward normal is the edge
+    direction rotated clockwise by 90 degrees; ``boundary_tags`` is the
+    object array of their tags.
     """
 
     def __init__(self, xs, ys, stress_free=()):
@@ -130,31 +135,23 @@ class Mesh:
         tris[_cell_triangle(i, j, nx, 1)] = np.where(
             rises, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
 
-        # boundary edges (those with both ends on one side of the rectangle),
-        # oriented counterclockwise around it as they appear in their owning
-        # triangle, in (triangle, local edge) order; only the triangles of
-        # the grid cells along the sides can own one
-        border = np.flatnonzero((i == 0) | (i == nx - 1) | (j == 0)
-                                | (j == ny - 1))
-        near = (2 * border[:, None] + np.arange(2)).ravel()
-        ends = tris[near][:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2)
-        p, q = vertices[ends[:, 0]], vertices[ends[:, 1]]
-        on_side = (p == q) & ((p == vertices[0]) | (p == vertices[-1]))
-        owned = np.flatnonzero(on_side.any(axis=1))
-        self.boundary_edges = ends[owned]
-        self.boundary_edge_tri = near[owned // 3]
-        mids = 0.5 * (vertices[self.boundary_edges[:, 0]]
-                      + vertices[self.boundary_edges[:, 1]])
-        self.side_edges = np.full((2, 2, max(nx, ny)), -1, dtype=np.int64)
-        self.boundary_tags = np.full(len(owned), BoundaryTag.DIRICHLET,
-                                     dtype=object)
-        for axis, (lines, along) in enumerate(((xs, ys), (ys, xs))):
-            for upper, value in enumerate((lines[0], lines[-1])):
-                on = np.flatnonzero(mids[:, axis] == value)
-                self.side_edges[axis, upper,
-                                _cell_index(along, mids[on, 1 - axis])] = on
-                if SIDES[2 * axis + upper] in free:
-                    self.boundary_tags[on] = BoundaryTag.STRESS_FREE
+        # the boundary edges, side by side in SIDES order and by cell along
+        # each side, each oriented as in its owner triangle, the one of the
+        # cell's two that holds both ends
+        rows, cols = np.arange(ny), np.arange(nx)
+        ends, owners = [], []
+        for ci, cj, p, q, upper in (
+                (0, rows, d, a, _rises(0, rows)),
+                (nx - 1, rows, b, c, ~_rises(nx - 1, rows)),
+                (cols, 0, a, b, 0), (cols, ny - 1, c, d, 1)):
+            cell = cj * nx + ci
+            ends.append(np.column_stack([p[cell], q[cell]]))
+            owners.append(_cell_triangle(ci, cj, nx, upper))
+        self.boundary_edges = np.concatenate(ends)
+        self.boundary_edge_tri = np.concatenate(owners)
+        self.boundary_tags = np.repeat(np.array(
+            [BoundaryTag.STRESS_FREE if side in free else BoundaryTag.DIRICHLET
+             for side in SIDES], dtype=object), [ny, ny, nx, nx])
 
         # the corners' coordinates, (3, nt) per axis
         cx, cy = vertices[:, 0].take(tris.T), vertices[:, 1].take(tris.T)
@@ -395,7 +392,9 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     t_all = np.where(valid, t_side, np.inf).reshape(len(a), 4)
     rows, first = np.arange(len(a)), np.argmin(t_all, axis=1)
     axis, upper = np.divmod(first, 2)
-    edge = mesh.side_edges[axis, upper, cells[rows, axis, upper]]
+    # the side's first edge, then one edge per cell along it
+    edge = np.cumsum([0, len(dy), len(dy), len(dx)])[first] \
+        + cells[rows, axis, upper]
     # an axis-aligned edge is the box of its ends
     p, q = mesh.vertices[mesh.boundary_edges[edge].T]
     t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)

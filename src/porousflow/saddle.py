@@ -295,11 +295,7 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     orders stably.  An item's group (leaf or separator) is recorded when it
     is placed; one stable sort by group start then numbers the unknowns.
 
-    Returns ``(position, splits)``: unknown ``i`` takes place
-    ``position[i]``, and each row ``(start, middle, separator)`` of
-    ``splits`` says that one split put its left part at places
-    ``start:middle``, its right part at ``middle:separator`` and its
-    separator after them.
+    Returns ``position``: unknown ``i`` takes place ``position[i]``.
     """
     nv, nq = ctx.vspace.dof_count, ctx.pspace.dof_count
     n = nv + nq + int(gauge)
@@ -320,7 +316,6 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     live = np.arange(item_node.size)     # the unplaced items, ascending,
     part = np.zeros(live.size, dtype=np.int64)   # and their parts
     side = np.empty(len(centroids), dtype=np.int64)   # 1: right
-    splits = []
     while True:
         big = size > DISSECTION_LEAF
         keep = big[part]
@@ -355,7 +350,6 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
         middle = start + sizes[0::2]
         separator = middle + sizes[1::2]
         group[live[sep]] = separator[part[sep]]
-        splits.append(np.column_stack([start, middle, separator]))
         # each part's left triangles, then its right ones, in the same order
         for d, o in enumerate(orders):
             right = side[o]
@@ -382,7 +376,7 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     pos[2 * velocity] = item_pos[:velocity.size]
     pos[2 * velocity + 1] = item_pos[:velocity.size] + 1
     pos[nv:nv + nq] = item_pos[velocity.size:]
-    return pos, np.concatenate(splits or [np.empty((0, 3), np.int64)])
+    return pos
 
 
 def _factorize(k: sparse.csr_matrix):
@@ -459,7 +453,7 @@ class StepSolver:
         dofs = element_dofs(ctx)
         # each unknown's place in the step system, the fixed ones first
         self._position = position = nested_dissection(
-            ctx, constraints.fixed, constraints.gauge)[0]
+            ctx, constraints.fixed, constraints.gauge)
         free = position >= constraints.fixed.size
         # the pressure basis integrals: the gauge row, and the zero-mean
         # shift of every solve's pressure

@@ -47,7 +47,9 @@ class ProblemSetup:
 
     ``u_initial(points)`` gives the initial velocity; ``dirichlet(points, t)``
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
-    force (or ``None``).  The run's :class:`Constraints` table is built
+    force (or ``None``).  ``tau`` and ``t_final`` must be positive and
+    finite, with a finite ratio that gives at least one step, or
+    ``ValueError`` names them.  The run's :class:`Constraints` table is built
     here from the mesh's tags, so a bad boundary fails early: every boundary
     edge is Dirichlet or stress-free, and an all-stress-free boundary raises
     ``ValueError``.  The table carries the zero-mean pressure gauge exactly
@@ -73,6 +75,9 @@ class ProblemSetup:
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value}")
+        if math.isinf(float(self.t_final) / float(self.tau)):
+            raise ValueError(f"t_final = {self.t_final} over tau = "
+                             f"{self.tau} overflows; no step count")
         if self.n_steps < 1:
             raise ValueError("tau exceeds the final time; no steps to take")
         self.constraints = table = Constraints.build(self.ctx)

@@ -8,6 +8,8 @@ from the run's factor path.  The run's
 :class:`porousflow.saddle.StepSolver`, which places the element tables in
 its step matrix once, factorizes it in single precision, refines every
 solution by GMRES and reuses its factorization, is compared against it.
+:func:`nested_dissection_reference` numbers the unknowns as the run does
+and records where each split put its parts.
 """
 
 import numpy as np
@@ -25,10 +27,12 @@ from porousflow.assembly import (
 from porousflow.fem import FeField
 from porousflow.saddle import (
     DIAG_PIVOT_THRESH,
+    DISSECTION_LEAF,
     RESIDUAL_BOUND,
     Constraints,
     SingularSystemError,
     SolverError,
+    element_dofs,
     nested_dissection,
 )
 
@@ -38,6 +42,81 @@ def renumbered(k: sparse.spmatrix, position: np.ndarray) -> sparse.csc_matrix:
     k = k.tocoo()
     return sparse.csc_matrix((k.data, (position[k.row], position[k.col])),
                              shape=k.shape)
+
+
+def _place_reference(pos, unknowns, groups, first):
+    order = np.argsort(groups, kind="stable")
+    unknowns, groups = unknowns[order], groups[order]
+    rank = np.arange(len(groups)) - np.searchsorted(groups, groups)
+    pos[unknowns] = first[groups] + rank
+
+
+def nested_dissection_reference(ctx, fixed, gauge):
+    """The dissection on every unknown, each part's bounds by
+    ``np.minimum.at``/``np.maximum.at`` and its median by one ``lexsort``
+    along its longer extent, each group placed as it forms.
+
+    Returns ``(position, splits)``: unknown ``i`` takes place
+    ``position[i]``, as :func:`nested_dissection` places it, and each row
+    ``(start, middle, separator)`` of ``splits`` says that one split put its
+    left part at places ``start:middle``, its right part at
+    ``middle:separator`` and its separator after them."""
+    n = ctx.vspace.dof_count + ctx.pspace.dof_count + int(gauge)
+    cell_dofs = element_dofs(ctx)
+    centroids = ctx.mesh.vertices[ctx.mesh.triangles].mean(axis=1)
+    pos = np.full(n, -1)
+    pos[fixed] = np.arange(fixed.size)
+    if gauge:
+        pos[-1] = n - 1
+    part = np.where(pos < 0, 0, -1)
+    tri_part = np.zeros(len(centroids), dtype=np.int64)
+    start = np.array([fixed.size])
+    splits = []
+    while True:
+        live = np.flatnonzero(part >= 0)
+        size = np.bincount(part[live], minlength=len(start))
+        big = size > DISSECTION_LEAF
+        leaf = live[~big[part[live]]]
+        _place_reference(pos, leaf, part[leaf], start)
+        tris = np.flatnonzero(tri_part >= 0)
+        tris = tris[big[tri_part[tris]]]
+        if not tris.size:
+            break
+        renumber = np.cumsum(big) - 1
+        tp = renumber[tri_part[tris]]
+        live = live[big[part[live]]]
+        up = renumber[part[live]]
+        start = start[big]
+        parts = len(start)
+        c = centroids[tris]
+        low = np.full((parts, 2), np.inf)
+        high = np.full((parts, 2), -np.inf)
+        np.minimum.at(low, tp, c)
+        np.maximum.at(high, tp, c)
+        axis = np.argmax(high - low, axis=1)
+        order = np.lexsort((c[np.arange(len(tris)), axis[tp]], tp))
+        sorted_tp = tp[order]
+        rank = np.empty(len(tris), dtype=np.int64)
+        rank[order] = np.arange(len(tris)) - np.searchsorted(sorted_tp,
+                                                            sorted_tp)
+        side = (rank >= np.bincount(tp, minlength=parts)[tp] // 2) * 1
+        used = np.zeros((2, n), dtype=bool)
+        used[np.repeat(side, cell_dofs.shape[1]),
+             cell_dofs[tris].ravel()] = True
+        on_left, on_right = used[:, live]
+        sep = on_left & on_right
+        child = 2 * up + on_right
+        sizes = np.bincount(child[~sep], minlength=2 * parts)
+        middle = start + sizes[0::2]
+        separator = middle + sizes[1::2]
+        _place_reference(pos, live[sep], up[sep], separator)
+        splits.append(np.column_stack([start, middle, separator]))
+        part[:] = -1
+        part[live[~sep]] = child[~sep]
+        tri_part[:] = -1
+        tri_part[tris] = 2 * tp + side
+        start = np.column_stack([start, middle]).ravel()
+    return pos, np.concatenate(splits or [np.empty((0, 3), np.int64)])
 
 
 def direct_solve(k: sparse.csr_matrix, rhs: np.ndarray,
@@ -183,7 +262,7 @@ class ReferenceSystem:
         """Velocity field, pressure field and diagnostics of a direct solve of
         :meth:`constrained`, zero-mean pressure when gauged."""
         k, rhs, fixed, values = self.constrained()
-        position = nested_dissection(self.ctx, fixed, self.gauge)[0]
+        position = nested_dissection(self.ctx, fixed, self.gauge)
         x, resid = direct_solve(k, rhs, position)
         x[fixed] = values
         nv = self.ctx.vspace.dof_count

@@ -412,6 +412,19 @@ def test_simulate_without_steps_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_with_overflowing_step_count_writes_nothing(tmp_path,
+                                                             capsys):
+    # t_final / tau overflows to inf
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--n", "4", "--tau", "1e-308",
+                   "--t-final", "1e308", "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: t_final = 1e+308 over tau = 1e-308 "
+                            "overflows; no step count\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--n-list", "8", "--t-final", "inf"),
      "error: t_final must be positive and finite, got inf"),

@@ -10,13 +10,15 @@ divergence blocks from the physical gradient table, the viscous element
 table as a sum with a zero-filled component expansion of the five-operand
 gradient-product ``einsum`` and the divergence table as a negated reshape of
 one ``einsum``, the quadrature points by one ``einsum`` over the gathered
-vertices, the boundary edges from a scan of every triangle with the affine
+vertices, the boundary edges from a scan of every triangle (compared as
+a set, since the mesh numbers them side by side) with the affine
 columns through stacked inverses, the grading ratio after all 200
 halvings, the P2 midpoints numbered through ``np.unique``, the
 quadrature-point gradients by a five-dimensional broadcast, the step
 matrix from the masked dense element table with its mass-type positions by
 sparse fancy indexing, the nested dissection on unknowns with its bounds by
-``ufunc.at``, the GMRES start from one product with all held solutions,
+``ufunc.at`` (in ``reference_solve``, which the solver tests share), the
+GMRES start from one product with all held solutions,
 the VTK snapshot written one line at a time (in ``snapshot_reference``,
 which the CLI tests share), and the per-step kernels around the sparse LU
 before their numpy work was trimmed: the grid cell by a clipped search over
@@ -81,7 +83,6 @@ from porousflow.mesh import (
 )
 from porousflow.porous import TWO_LAYER_EPS, _smooth_step, builtin_porosity
 from porousflow.saddle import (
-    DISSECTION_LEAF,
     Constraints,
     StepSolver,
     _factorize,
@@ -93,7 +94,8 @@ from porousflow.scheme import ProblemSetup, run
 from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
 from diagnostic_forms import gradient_products
-from reference_solve import assemble_a0, assemble_b
+from reference_solve import (assemble_a0, assemble_b,
+                             nested_dissection_reference)
 from snapshot_reference import snapshot_text_reference
 from test_saddle import ORDERING_MESHES, _stress_free
 
@@ -403,75 +405,6 @@ def step_matrix_reference(a_elements, b_elements, dofs, free, gauge_vector):
     return k, pos
 
 
-def _place_reference(pos, unknowns, groups, first):
-    order = np.argsort(groups, kind="stable")
-    unknowns, groups = unknowns[order], groups[order]
-    rank = np.arange(len(groups)) - np.searchsorted(groups, groups)
-    pos[unknowns] = first[groups] + rank
-
-
-def nested_dissection_reference(ctx, fixed, gauge):
-    """The dissection on every unknown, each part's bounds by
-    ``np.minimum.at``/``np.maximum.at`` and its median by one ``lexsort``
-    along its longer extent, each group placed as it forms."""
-    n = ctx.vspace.dof_count + ctx.pspace.dof_count + int(gauge)
-    cell_dofs = element_dofs(ctx)
-    centroids = ctx.mesh.vertices[ctx.mesh.triangles].mean(axis=1)
-    pos = np.full(n, -1)
-    pos[fixed] = np.arange(fixed.size)
-    if gauge:
-        pos[-1] = n - 1
-    part = np.where(pos < 0, 0, -1)
-    tri_part = np.zeros(len(centroids), dtype=np.int64)
-    start = np.array([fixed.size])
-    splits = []
-    while True:
-        live = np.flatnonzero(part >= 0)
-        size = np.bincount(part[live], minlength=len(start))
-        big = size > DISSECTION_LEAF
-        leaf = live[~big[part[live]]]
-        _place_reference(pos, leaf, part[leaf], start)
-        tris = np.flatnonzero(tri_part >= 0)
-        tris = tris[big[tri_part[tris]]]
-        if not tris.size:
-            break
-        renumber = np.cumsum(big) - 1
-        tp = renumber[tri_part[tris]]
-        live = live[big[part[live]]]
-        up = renumber[part[live]]
-        start = start[big]
-        parts = len(start)
-        c = centroids[tris]
-        low = np.full((parts, 2), np.inf)
-        high = np.full((parts, 2), -np.inf)
-        np.minimum.at(low, tp, c)
-        np.maximum.at(high, tp, c)
-        axis = np.argmax(high - low, axis=1)
-        order = np.lexsort((c[np.arange(len(tris)), axis[tp]], tp))
-        sorted_tp = tp[order]
-        rank = np.empty(len(tris), dtype=np.int64)
-        rank[order] = np.arange(len(tris)) - np.searchsorted(sorted_tp,
-                                                            sorted_tp)
-        side = (rank >= np.bincount(tp, minlength=parts)[tp] // 2) * 1
-        used = np.zeros((2, n), dtype=bool)
-        used[np.repeat(side, cell_dofs.shape[1]),
-             cell_dofs[tris].ravel()] = True
-        on_left, on_right = used[:, live]
-        sep = on_left & on_right
-        child = 2 * up + on_right
-        sizes = np.bincount(child[~sep], minlength=2 * parts)
-        middle = start + sizes[0::2]
-        separator = middle + sizes[1::2]
-        _place_reference(pos, live[sep], up[sep], separator)
-        splits.append(np.column_stack([start, middle, separator]))
-        part[:] = -1
-        part[live[~sep]] = child[~sep]
-        tri_part[:] = -1
-        tri_part[tris] = 2 * tp + side
-        start = np.column_stack([start, middle]).ravel()
-    return pos, np.concatenate(splits or [np.empty((0, 3), np.int64)])
-
-
 def rect_mesh_reference(x_extent, y_extent, n_divisions):
     """Triangles and boundary edges of the crossed grid from Python loops."""
     nx = n_divisions
@@ -736,6 +669,22 @@ def assert_same_bytes(value, reference):
     assert value.tobytes() == reference.tobytes()
 
 
+def assert_same_boundary(edges, owners, ref_edges, ref_owners):
+    """The same boundary edges in any order, each oriented the same way and
+    owned by the same triangle: the (edge, owner) pairs keyed by the
+    edge's sorted ends, index arrays with their dtype."""
+    for value, reference in ((edges, ref_edges), (owners, ref_owners)):
+        assert value.shape == reference.shape
+        assert value.dtype == reference.dtype
+
+    def keyed(ends, tris):
+        return {tuple(sorted(e)): (tuple(e), t)
+                for e, t in zip(ends.tolist(), tris.tolist())}
+
+    pairs = keyed(edges, owners)
+    assert len(pairs) == len(edges) and pairs == keyed(ref_edges, ref_owners)
+
+
 # -- bitwise kernels ----------------------------------------------------------------
 
 def located(mesh, rows):
@@ -784,8 +733,8 @@ def test_rect_mesh_matches_the_loop_construction(x_extent, y_extent, n,
     m = generate_rect_mesh(x_extent, y_extent, n, grading)
     tris, b_edges, b_tris = rect_mesh_reference(x_extent, y_extent, n)
     assert np.array_equal(m.triangles, tris)
-    assert np.array_equal(m.boundary_edges, b_edges)
-    assert np.array_equal(m.boundary_edge_tri, b_tris)
+    assert_same_boundary(m.boundary_edges, m.boundary_edge_tri, b_edges,
+                         b_tris)
 
 
 @st.composite
@@ -943,11 +892,9 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     table = Constraints.build(ctx)
     args = step_matrix_args(ctx, table, viscous_elements(ctx),
                             divergence_elements(ctx))
-    (position, splits), (position_ref, splits_ref) = (
-        nested_dissection(ctx, table.fixed, table.gauge),
-        nested_dissection_reference(ctx, table.fixed, table.gauge))
-    assert np.array_equal(position, position_ref)
-    assert np.array_equal(splits, splits_ref)
+    position = nested_dissection(ctx, table.fixed, table.gauge)
+    assert np.array_equal(position, nested_dissection_reference(
+        ctx, table.fixed, table.gauge)[0])
     k, pos = _step_matrix(*args, position)
     k_ref, pos_ref = step_matrix_reference(args[0].transpose(0, 2, 1),
                                            *args[1:])
@@ -957,7 +904,6 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     assert np.array_equal(k.indices, k_ref.indices)
     assert k.data.tobytes() == k_ref.data.tobytes()
     assert np.array_equal(pos, pos_ref) and pos.dtype == pos_ref.dtype
-    assert splits.dtype == splits_ref.dtype
 
 
 def assert_element_tables_are_the_expanded_forms(ctx):
@@ -968,8 +914,14 @@ def assert_element_tables_are_the_expanded_forms(ctx):
 
 def assert_set_up_arrays_are_the_parent_forms(mesh):
     # the mesh's geometry, the velocity space's nodes and the quadrature
-    # points, each to the last bit, index arrays with their dtype
-    for name, reference in mesh_geometry_reference(mesh).items():
+    # points, each to the last bit, index arrays with their dtype; the
+    # boundary edges, numbered side by side where the scan numbers them by
+    # triangle, as (edge, owner) pairs in any order
+    geometry = mesh_geometry_reference(mesh)
+    assert_same_boundary(mesh.boundary_edges, mesh.boundary_edge_tri,
+                         geometry.pop("boundary_edges"),
+                         geometry.pop("boundary_edge_tri"))
+    for name, reference in geometry.items():
         assert_same_bytes(getattr(mesh, name), reference)
     space = velocity_space(mesh)
     for value, reference in zip((space.node_coords, space.cell_nodes,
@@ -1333,7 +1285,7 @@ def mass_positions(ctx, table, a_elements, b_elements):
     """The mass-type positions that a step solver's build places."""
     return _step_matrix(*step_matrix_args(ctx, table, a_elements,
                                           b_elements),
-                        nested_dissection(ctx, table.fixed, table.gauge)[0])[1]
+                        nested_dissection(ctx, table.fixed, table.gauge))[1]
 
 
 def built_solver(ctx):
@@ -1395,7 +1347,7 @@ def test_lu_solve_is_bitwise_the_scatter_form(layout, n, seed):
     k_ref, pos = step_matrix_reference(
         *step_matrix_args(ctx, table, a.transpose(0, 2, 1), b))
     k_ref = mass_weighted_reference(k_ref, pos, local)
-    position = nested_dissection(ctx, table.fixed, table.gauge)[0]
+    position = nested_dissection(ctx, table.fixed, table.gauge)
     factor_input = dissection_order_reference(k_ref.astype(np.float32),
                                               position)
     k32 = k.astype(np.float32)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porousflow.mesh import (
     SIDES,
@@ -197,6 +199,49 @@ def test_stress_free_must_name_sides(stress_free):
         generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, stress_free=stress_free)
     assert str(info.value) == (
         f"stress_free must name sides among {SIDES}, got {stress_free!r}")
+
+
+# strictly increasing grid lines, 1-12 cells, from a start and the widths
+grid_lines = st.builds(lambda start, widths: start + np.cumsum([0.0] + widths),
+                       st.floats(-1e3, 1e3),
+                       st.lists(st.floats(1e-3, 1e3), min_size=1,
+                                max_size=12))
+# the 16 subsets of the sides, each in SIDES order
+SIDE_LAYOUTS = [tuple(side for k, side in enumerate(SIDES) if mask >> k & 1)
+                for mask in range(16)]
+
+
+@pytest.mark.parametrize("stress_free", SIDE_LAYOUTS,
+                         ids=lambda free: "+".join(free) or "none")
+@settings(max_examples=25, deadline=None, database=None)
+@given(xs=grid_lines, ys=grid_lines)
+def test_boundary_edges_are_numbered_side_by_side(stress_free, xs, ys):
+    # side k's edge at cell c along it is edge first[k] + c: the left and
+    # right sides have ny edges, the bottom and top nx
+    mesh = Mesh(xs, ys, stress_free)
+    nx, ny = len(xs) - 1, len(ys) - 1
+    first = np.cumsum([0, ny, ny, nx])
+    assert len(mesh.boundary_edges) == first[-1] + nx
+    for k, (side, (axis, upper)) in enumerate(zip(SIDES, np.ndindex(2, 2))):
+        line = (xs, ys)[axis][-1 if upper else 0]
+        along = (ys, xs)[axis]
+        outward = np.zeros(2)
+        outward[axis] = 1.0 if upper else -1.0
+        for cell in range(len(along) - 1):
+            edge = first[k] + cell
+            p, q = mesh.boundary_edges[edge].tolist()
+            ends = mesh.vertices[[p, q]]
+            # on the side, between grid lines cell and cell + 1
+            assert (ends[:, axis] == line).all()
+            assert sorted(ends[:, 1 - axis]) == [along[cell], along[cell + 1]]
+            # an edge of its owner triangle, in the same direction
+            a, b, c = mesh.triangles[mesh.boundary_edge_tri[edge]].tolist()
+            assert (p, q) in {(a, b), (b, c), (c, a)}
+            # the direction rotated clockwise points away from the rectangle
+            dx, dy = ends[1] - ends[0]
+            assert np.array_equal(np.sign([dy, -dx]), outward)
+            assert (mesh.boundary_tags[edge] is BoundaryTag.STRESS_FREE) \
+                == (side in stress_free)
 
 
 def test_boundary_exit_left_edge():

@@ -34,7 +34,8 @@ from porousflow.saddle import (
 from porousflow.scheme import ProblemSetup
 from porousflow.verification import steady_stokes_solve
 from reference_solve import (FreshSolver, ReferenceSystem, assemble_a0,
-                             assemble_b, direct_solve, renumbered)
+                             assemble_b, direct_solve,
+                             nested_dissection_reference, renumbered)
 
 
 def quad_velocity(p):
@@ -467,7 +468,12 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
     k, rhs, fixed, _ = system.apply_dirichlet(
         lambda p: rng.normal(size=(len(p), 2))).constrained()
     size = k.shape[0]
-    position, splits = nested_dissection(ctx, table.fixed, gauge)
+    position = nested_dissection(ctx, table.fixed, gauge)
+    # the reference dissection places every unknown the same way and
+    # records its splits
+    position_ref, splits = nested_dissection_reference(ctx, table.fixed,
+                                                       gauge)
+    assert np.array_equal(position, position_ref)
     assert np.array_equal(np.sort(position), np.arange(size))
     # the fixed unknowns first, in the table's order
     assert np.array_equal(position[fixed], np.arange(fixed.size))

@@ -166,6 +166,13 @@ def test_tau_exceeding_final_time_rejected(params):
         make_setup(params, tau=2.0, t_final=1.0)
 
 
+def test_step_count_overflow_rejected(params):
+    # t_final / tau is inf, which no step count holds
+    with pytest.raises(ValueError, match=r"^t_final = 1e\+308 over tau = "
+                                         r"1e-308 overflows; no step count$"):
+        make_setup(params, tau=1e-308, t_final=1e308)
+
+
 @pytest.mark.parametrize("name, value", [("tau", math.nan),
                                          ("t_final", math.inf),
                                          ("tau", -math.inf),
@@ -544,7 +551,7 @@ def test_step_operator_matches_reference_elimination(mms_case, make, rng):
     # the solver numbers the unknowns in their dissection order: the
     # reference system is renumbered the same way
     position = nested_dissection(ctx, setup.constraints.fixed,
-                                 setup.constraints.gauge)[0]
+                                 setup.constraints.gauge)
     order = np.argsort(position)   # the unknown at each place
     # both step kinds, at two times of the time-dependent Dirichlet data
     for kind, t, field in (("initial", tau, u0), ("general", 3 * tau, theta)):
