@@ -8,7 +8,6 @@ and quadratic resistance terms.
 """
 
 from porousflow.mesh import (
-    BoundaryTag,
     LayerGrading,
     Mesh,
     boundary_exit_point,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticVectorField",
-    "BoundaryTag",
     "FeField",
     "LayerGrading",
     "Mesh",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from porousflow.fem import FeField, eval_field_many, eval_function
-from porousflow.mesh import BoundaryTag, boundary_exit_point, locate_many
+from porousflow.mesh import boundary_exit_point, locate_many
 from porousflow.porous import PorosityField
 
 
@@ -45,7 +45,7 @@ def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
         tri[outside] = mesh.boundary_edge_tri[hit.edges]
         bary[outside] = mesh.barycentric(tri[outside], hit.points)
         if g is not None:
-            on_dirichlet = outside[hit.tags == BoundaryTag.DIRICHLET]
+            on_dirichlet = outside[mesh.boundary_dirichlet[hit.edges]]
     vals = eval_field_many(field, tri, bary)
     if on_dirichlet.size:
         vals[on_dirichlet] = eval_function(g, feet[on_dirichlet], None, (2,),

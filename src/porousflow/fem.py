@@ -459,10 +459,10 @@ class AnalyticVectorField:
     grad: Callable    # (n, 2) -> (n, 2, 2)
 
 
-def boundary_nodes(space: SpaceDescriptor, tags) -> np.ndarray:
-    """Sorted scalar node ids lying on boundary edges with the given tags."""
+def boundary_nodes(space: SpaceDescriptor) -> np.ndarray:
+    """Sorted scalar node ids lying on Dirichlet boundary edges."""
     mesh = space.mesh
     nodes = mesh.boundary_edges
     if space.boundary_midpoints is not None:
         nodes = np.column_stack([nodes, space.boundary_midpoints])
-    return np.unique(nodes[np.isin(mesh.boundary_tags, list(tags))])
+    return np.unique(nodes[mesh.boundary_dirichlet])

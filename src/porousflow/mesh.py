@@ -1,4 +1,5 @@
-"""Triangulations of axis-aligned rectangles with tagged boundaries.
+"""Triangulations of axis-aligned rectangles with Dirichlet or stress-free
+boundary sides.
 
 Every mesh is a structured crossed-triangle grid, built from its grid lines
 and the names of its stress-free sides: every grid cell is split into two
@@ -9,7 +10,8 @@ fully deterministic, which keeps convergence runs reproducible.  An optional
 boundary edge lies on a side of the rectangle, so it is axis-aligned, and
 the edges are numbered from the grid: side by side in ``SIDES`` order, and
 along each side by grid cell, so a side's edge at cell ``k`` is its first
-edge plus ``k``.
+edge plus ``k``.  The kind of each edge is one boolean, whether it is
+Dirichlet, in ``Mesh.boundary_dirichlet``; every other edge is stress-free.
 
 A point is located by index arithmetic on the grid lines: one
 ``searchsorted`` per axis on the interior grid lines finds its cell, one
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -42,24 +43,17 @@ INSIDE_TOL = 1e-12
 EXIT_TOL = 1e-12
 
 
-class BoundaryTag(Enum):
-    """Physical role of a boundary edge."""
-
-    DIRICHLET = 0    # prescribed velocity
-    STRESS_FREE = 1  # zero normal stress (typically an outflow)
-
-
 #: The sides of the rectangle, ``[axis, upper]`` in row-major order: the
 #: order of their edges in ``Mesh.boundary_edges``.
 SIDES = ("left", "right", "bottom", "top")
 
 
 class BoundaryHit(NamedTuple):
-    """First intersections of ``m`` segments with the boundary."""
+    """First intersections of ``m`` segments with the boundary; whether each
+    crossed edge is Dirichlet is ``mesh.boundary_dirichlet[edges]``."""
 
     points: np.ndarray  # (m, 2), each on its crossed edge
     edges: np.ndarray   # (m,) crossed boundary edge indices
-    tags: np.ndarray    # (m,) object array, the BoundaryTag of each edge
 
 
 @dataclass(frozen=True)
@@ -86,14 +80,15 @@ class LayerGrading:
 
 
 class Mesh:
-    """Crossed-triangle grid of a rectangle with tagged boundary edges.
+    """Crossed-triangle grid of a rectangle with Dirichlet or stress-free
+    boundary edges.
 
     Parameters
     ----------
     xs, ys : strictly increasing grid lines along x and y, at least two
         each; the rectangle is ``[xs[0], xs[-1]] x [ys[0], ys[-1]]``
     stress_free : the names in ``SIDES`` of the sides whose edges are
-        ``STRESS_FREE``; every other edge is ``DIRICHLET``.  A bare string
+        stress-free; every other edge is Dirichlet.  A bare string
         or a name not in ``SIDES`` raises ``ValueError``
 
     Every grid cell is split into two counterclockwise triangles along a
@@ -103,8 +98,9 @@ class Mesh:
     cell's corners counterclockwise from its lower left, the edges run d->a
     (left), b->c (right), a->b (bottom) and c->d (top), as in their owning
     triangles ``boundary_edge_tri``, so the outward normal is the edge
-    direction rotated clockwise by 90 degrees; ``boundary_tags`` is the
-    object array of their tags.
+    direction rotated clockwise by 90 degrees; ``boundary_dirichlet`` (nbe,)
+    says of each whether it is Dirichlet, ``False`` on the stress-free
+    sides.
     """
 
     def __init__(self, xs, ys, stress_free=()):
@@ -149,9 +145,8 @@ class Mesh:
             owners.append(_cell_triangle(ci, cj, nx, upper))
         self.boundary_edges = np.concatenate(ends)
         self.boundary_edge_tri = np.concatenate(owners)
-        self.boundary_tags = np.repeat(np.array(
-            [BoundaryTag.STRESS_FREE if side in free else BoundaryTag.DIRICHLET
-             for side in SIDES], dtype=object), [ny, ny, nx, nx])
+        self.boundary_dirichlet = np.repeat(
+            [side not in free for side in SIDES], [ny, ny, nx, nx])
 
         # the corners' coordinates, (3, nt) per axis
         cx, cy = vertices[:, 0].take(tris.T), vertices[:, 1].take(tris.T)
@@ -265,18 +260,20 @@ def generate_rect_mesh(x_extent, y_extent, n_divisions: int,
                        stress_free=()) -> Mesh:
     """Structured crossed-triangle mesh of ``x_extent`` x ``y_extent``.
 
-    ``n_divisions`` counts cells along x; the y-division is chosen so cells
-    are close to square.  With a ``grading``, a side of its line that gets a
-    single row keeps that row whole, whatever the grading size.  The edges of
-    the sides named in ``stress_free`` are ``STRESS_FREE``, every other
-    boundary edge ``DIRICHLET``, as :class:`Mesh` takes them.
+    ``n_divisions`` counts cells along x, an integer of at least 2, or
+    ``ValueError`` names it (a fraction is not truncated); the y-division is
+    chosen so cells are close to square.  With a ``grading``, a side of its line that gets a single row
+    keeps that row whole, whatever the grading size.  The edges of the sides
+    named in ``stress_free`` are stress-free, every other boundary edge
+    Dirichlet, as :class:`Mesh` takes them.
     """
     x0, x1 = (float(v) for v in x_extent)
     y0, y1 = (float(v) for v in y_extent)
     if not (x1 > x0 and y1 > y0):
         raise ValueError("degenerate extent")
-    if n_divisions < 2:
-        raise ValueError("n_divisions must be at least 2")
+    if not isinstance(n_divisions, (int, np.integer)) or n_divisions < 2:
+        raise ValueError(f"n_divisions must be at least 2 and an integer, "
+                         f"got {n_divisions}")
     nx = int(n_divisions)
     ny = max(2, round(nx * (y1 - y0) / (x1 - x0)))
     xs = np.linspace(x0, x1, nx + 1)
@@ -348,10 +345,12 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     at each end by ``EXIT_TOL`` times that end cell's width, so a start on
     a side exits there; the smallest parameter wins, ties going to the
     first side in ``SIDES``.  The crossed edge is the side's edge at that
-    coordinate.  The parameter is the start's distance to the side line
-    over the segment's extent across it, both multiplied by the crossed
-    edge's length as a segment/edge intersection multiplies them, so a
-    start whose distance underflows in that product lies on the side.  The
+    coordinate, so a corner crossing takes that side's kind in
+    ``mesh.boundary_dirichlet``.  The parameter is the start's distance to
+    the side line over the segment's extent across it, both multiplied by
+    the crossed edge's length as a segment/edge intersection multiplies
+    them, so a start whose distance underflows in that product lies on the
+    side.  The
     hit is the crossing moved ``EXIT_TOL`` of the segment back toward the
     start and clipped onto that edge, so it lies on the side line, on the
     edge and in the domain.  A start or end that is not finite, a start
@@ -400,4 +399,4 @@ def boundary_exit_point(mesh: Mesh, starts, ends) -> BoundaryHit:
     t_star = np.maximum(t_all[rows, first] - EXIT_TOL, 0.0)
     points = np.clip(a + t_star[:, None] * s, np.minimum(p, q),
                      np.maximum(p, q))
-    return BoundaryHit(points, edge, mesh.boundary_tags[edge])
+    return BoundaryHit(points, edge)

@@ -3,11 +3,12 @@
 A system couples the velocity block (mass + viscous + drag contributions)
 with the divergence constraint, ``[[A + M(w), B^T], [B, 0]]``, which is
 symmetric: the characteristics move transport to the right-hand side.  One
-:class:`Constraints` table per run, read off the mesh's boundary tags,
-fixes both velocity components on Dirichlet edges and says whether the
-pressure level is fixed through a single zero-mean Lagrange multiplier:
-exactly when no boundary edge is stress-free, since only a stress-free edge
-fixes it otherwise; per system only the values change.  Fixed unknowns are
+:class:`Constraints` table per run, read off the mesh's Dirichlet mask
+``boundary_dirichlet``, fixes both velocity components on Dirichlet edges
+and says whether the pressure level is fixed through a single zero-mean
+Lagrange multiplier: exactly when no boundary edge is stress-free, since
+only a stress-free edge fixes it otherwise; per system only the values
+change.  Fixed unknowns are
 imposed by symmetric row/column elimination with right-hand-side lifting.
 
 Every solve goes through one :class:`StepSolver`, built from the element
@@ -62,7 +63,6 @@ from scipy.sparse.linalg import splu
 
 from porousflow.assembly import FormContext, pressure_volume_vector
 from porousflow.fem import FeField, boundary_nodes, eval_function
-from porousflow.mesh import BoundaryTag
 
 # SuperLU settings.  The constrained step matrices are structurally
 # symmetric, and SuperLU factors them in symmetric mode, in the order of
@@ -72,12 +72,13 @@ from porousflow.mesh import BoundaryTag
 # core), it cuts the factor of two-layer n=60 from 2.05M entries (L+U) and
 # 0.28 s to 1.43M and 0.10 s, of MMS N=32 from 2.77M to 1.33M entries, and of
 # sinusoidal n=150 from 30.9M entries and 9.0 s to 12.2M and 0.96 s, with
-# its triangular solve 62 -> 31 ms.  The factor is kept in float32: against
-# float64, on the same general step matrices, its factorization is 20% (n=60,
-# MMS N=32) and 24% (n=150) faster, one triangular solve 37%, 9% and 33%,
-# and its values take half the memory.
+# its triangular solve 62 -> 31 ms.  The factor is kept in FACTOR_DTYPE,
+# float32: against float64, on the same general step matrices, its
+# factorization is 20% (n=60, MMS N=32) and 24% (n=150) faster, one
+# triangular solve 37%, 9% and 33%, and its values take half the memory.
 DIAG_PIVOT_THRESH = 0.01
 DISSECTION_LEAF = 32
+FACTOR_DTYPE = np.float32
 # GMRES with a held factor as preconditioner must reach this relative residual
 # (of the unpreconditioned system) within one restart cycle of
 # KRYLOV_MAX_ITERATIONS iterations; otherwise the factor is replaced.  The
@@ -140,12 +141,12 @@ class Constraints:
 
     @classmethod
     def build(cls, ctx: FormContext) -> "Constraints":
-        """The table of ``ctx``'s tagged boundary."""
-        nodes = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
+        """The table of ``ctx``'s boundary, read off its mesh's
+        ``boundary_dirichlet``."""
+        nodes = boundary_nodes(ctx.vspace)
         return cls((2 * nodes[:, None] + np.arange(2)).ravel(),
                    ctx.vspace.node_coords[nodes],
-                   not (ctx.mesh.boundary_tags == BoundaryTag.STRESS_FREE)
-                   .any())
+                   bool(ctx.mesh.boundary_dirichlet.all()))
 
     def values(self, g, t: float | None = None) -> np.ndarray:
         """Values of the ``fixed`` unknowns from ``g(points [, t])``, which
@@ -390,7 +391,7 @@ def _factorize(k: sparse.csr_matrix):
     through SuperLU's faster transposed triangular solves."""
     # only the data is converted: the factor input shares k's index arrays,
     # which a copy would duplicate where a run's memory peaks
-    single = sparse.csc_matrix((k.data.astype(np.float32), k.indices,
+    single = sparse.csc_matrix((k.data.astype(FACTOR_DTYPE), k.indices,
                                 k.indptr), shape=k.shape)
     try:
         return splu(single, permc_spec="NATURAL",
@@ -656,7 +657,7 @@ class StepSolver:
         g[0] = beta
         best = None   # with refine: (x, residual norm) of the best iterate
         for j in range(m):
-            z[j] = lu.solve(v[j].astype(np.float32), trans="T")
+            z[j] = lu.solve(v[j].astype(FACTOR_DTYPE), trans="T")
             w = k @ z[j]
             for _ in range(2):   # classical Gram-Schmidt, reorthogonalized
                 c = v[:j + 1] @ w

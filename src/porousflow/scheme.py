@@ -29,7 +29,8 @@ from porousflow.assembly import (
 from porousflow.assembly import assemble_c1  # noqa: F401
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import FeField, eval_function, norm
-from porousflow.saddle import Constraints, SaddleSystem, StepSolver
+from porousflow.saddle import (FACTOR_DTYPE, Constraints, SaddleSystem,
+                               StepSolver)
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -49,13 +50,15 @@ class ProblemSetup:
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
     force (or ``None``).  ``tau`` and ``t_final`` must be positive and
     finite, with a finite ratio that gives at least one step, or
-    ``ValueError`` names them.  The run's :class:`Constraints` table is built
-    here from the mesh's tags, so a bad boundary fails early: every boundary
-    edge is Dirichlet or stress-free, and an all-stress-free boundary raises
-    ``ValueError``.  The table carries the zero-mean pressure gauge exactly
-    when no boundary edge is stress-free; ``gauge`` is set to that value,
-    and a ``gauge`` given otherwise raises ``ValueError``.  The
-    analytic data is checked where it is read, by
+    ``ValueError`` names them; so does a ``tau`` whose general steps' mass
+    weight ``1.5 rho / tau`` exceeds the range of the step factor's
+    ``FACTOR_DTYPE``.  The run's :class:`Constraints` table is built here
+    from the mesh's Dirichlet mask ``boundary_dirichlet``, so a bad boundary
+    fails early: every boundary edge is Dirichlet or stress-free, and an
+    all-stress-free boundary raises ``ValueError``.  The table carries the
+    zero-mean pressure gauge exactly when no boundary edge is stress-free;
+    ``gauge`` is set to that value, and a ``gauge`` given otherwise raises
+    ``ValueError``.  The analytic data is checked where it is read, by
     :func:`~porousflow.fem.eval_function`: a value of the wrong shape or a
     NaN or infinite one raises ``ValueError`` naming the data.
     """
@@ -78,12 +81,18 @@ class ProblemSetup:
         if math.isinf(float(self.t_final) / float(self.tau)):
             raise ValueError(f"t_final = {self.t_final} over tau = "
                              f"{self.tau} overflows; no step count")
+        weight = 1.5 * self.ctx.params.rho / self.tau
+        if weight > float(np.finfo(FACTOR_DTYPE).max):
+            raise ValueError(f"tau = {self.tau} gives the mass weight 1.5 rho "
+                             f"/ tau = {weight:.3g}, beyond the range of the "
+                             f"step factor's {np.dtype(FACTOR_DTYPE)}")
         if self.n_steps < 1:
             raise ValueError("tau exceeds the final time; no steps to take")
         self.constraints = table = Constraints.build(self.ctx)
-        # the gauge follows from the tags; a caller's value is only checked,
-        # so that one asking for a gauge beside a stress-free edge, or for
-        # none where the pressure level would be undetermined, fails loudly
+        # the gauge follows from the Dirichlet mask; a caller's value is only
+        # checked, so that one asking for a gauge beside a stress-free edge,
+        # or for none where the pressure level would be undetermined, fails
+        # loudly
         if self.gauge is not None and self.gauge != table.gauge:
             raise ValueError(f"gauge={self.gauge} contradicts the boundary: "
                              "the zero-mean pressure gauge is on exactly "
@@ -92,7 +101,7 @@ class ProblemSetup:
         if not len(table.points):
             raise ValueError("a Dirichlet part of the boundary is required")
         if self.dirichlet is None:
-            raise ValueError("dirichlet data is required on tagged edges")
+            raise ValueError("dirichlet data is required on Dirichlet edges")
 
     @property
     def n_steps(self) -> int:

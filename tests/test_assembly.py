@@ -279,8 +279,7 @@ def test_korn_estimate_positive_and_bounds(unit_ctx, params, rng):
     a0 = assemble_a0(unit_ctx)
     h1 = mass_matrix(unit_ctx) + vector_gradient_gram(unit_ctx)
     from porousflow.fem import boundary_nodes
-    from porousflow.mesh import BoundaryTag
-    fixed_nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
+    fixed_nodes = boundary_nodes(unit_ctx.vspace)
     fixed = np.concatenate([2 * fixed_nodes, 2 * fixed_nodes + 1])
     for _ in range(10):
         x = rng.normal(size=a0.shape[0])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from porousflow import cases as case_lib
-from porousflow.mesh import BoundaryTag
 
 
 def test_two_layer_initial_profile_values():
@@ -61,12 +60,12 @@ def test_initial_velocity_is_bitwise_the_case_formula(name, formula):
 @pytest.mark.parametrize("name, x_right", [("two-layer", 3.0),
                                            ("sinusoidal", 3.0 * math.pi)],
                          ids=["two-layer", "sinusoidal"])
-def test_boundary_tags_cover_and_split(name, x_right):
+def test_boundary_kinds_cover_and_split(name, x_right):
     case = case_lib.get_case(name)
     mesh = case_lib.build_case_mesh(case, n=12)
-    outflow = np.flatnonzero(mesh.boundary_tags == BoundaryTag.STRESS_FREE)
+    outflow = np.flatnonzero(~mesh.boundary_dirichlet)
     n_outflow = len(outflow)
-    n_wall = len(np.flatnonzero(mesh.boundary_tags == BoundaryTag.DIRICHLET))
+    n_wall = len(np.flatnonzero(mesh.boundary_dirichlet))
     assert n_outflow > 0
     assert n_outflow + n_wall == len(mesh.boundary_edges)
     # the outflow edges are exactly the right edge
@@ -82,8 +81,7 @@ def test_initial_data_matches_dirichlet_trace():
         case = case_lib.get_case(name)
         mesh, _, setup = case_lib.build_setup(case, n=12)
         wall = [mesh.boundary_edges[e]
-                for e in np.flatnonzero(
-                    mesh.boundary_tags == BoundaryTag.DIRICHLET)]
+                for e in np.flatnonzero(mesh.boundary_dirichlet)]
         pts = mesh.vertices[np.unique(np.concatenate(wall))]
         assert setup.dirichlet(pts, 0.0) == pytest.approx(case.u_initial(pts))
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from porousflow.cases import build_case_mesh, get_case
 from porousflow.characteristics import ab2_material_terms, lg1_material_terms
 from porousflow.fem import (FeField, eval_field_many, interpolate,
                             velocity_space)
 from porousflow.mesh import (
-    BoundaryTag,
     boundary_exit_point,
     generate_rect_mesh,
     locate_many,
@@ -114,8 +114,40 @@ def test_eval_at_upwind_clamps_to_dirichlet_data(unit_mesh):
     assert val == pytest.approx([0.0, 0.0], abs=0.0)
     foot = x[None] - 0.2 * field_at(f, x[None])
     hit = boundary_exit_point(unit_mesh, x[None], foot)
-    assert hit.tags[0] is BoundaryTag.DIRICHLET
+    assert unit_mesh.boundary_dirichlet[hit.edges[0]]
     assert hit.points[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_corner_exits_take_the_kind_of_the_reported_side():
+    # feet that leave the two-layer channel (0, 3) x (0, 1) exactly through
+    # its corners: a tie that boundary_exit_point gives to the first side in
+    # SIDES, so to right at the outlet corners (3, 0) and (3, 1), which is
+    # stress-free, and to left at the inlet corners, Dirichlet like the
+    # bottom and top
+    mesh = build_case_mesh(get_case("two-layer"), n=12)
+    f = interpolate(velocity_space(mesh), lambda p: np.column_stack(
+        [p[:, 0] - 2.0, p[:, 1]]))
+    g = lambda pts: np.full((len(pts), 2), 9.0)
+    corners = np.array([[3.0, 0.0], [3.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
+    outward = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0]])
+    pts = corners - 0.25 * outward
+    # unit porosity and tau, so each foot is the corner + 0.25 outward
+    w = -0.5 * outward
+    val, clamped = lg1_material_terms(f, UNIT_POROSITY, 1.0, pts, w,
+                                      np.ones(len(pts)), g0=g)
+    assert clamped == 4
+    hit = boundary_exit_point(mesh, pts, pts - w)
+    assert hit.points == pytest.approx(corners, abs=1e-12)
+    ny = len(mesh.ys) - 1
+    # the right side's edges, then the left side's
+    assert ((hit.edges[:2] >= ny) & (hit.edges[:2] < 2 * ny)).all()
+    assert (hit.edges[2:] < ny).all()
+    assert mesh.boundary_dirichlet[hit.edges].tolist() \
+        == [False, False, True, True]
+    # the field at the outlet corners, the data at the inlet corners
+    assert val[:2] == pytest.approx(np.array([[1.0, 0.0], [1.0, 1.0]]),
+                                    abs=1e-12)
+    assert np.array_equal(val[2:], np.full((2, 2), 9.0))
 
 
 def test_eval_at_upwind_clamps_to_field_on_outflow():
@@ -134,7 +166,7 @@ def test_eval_at_upwind_clamps_to_field_on_outflow():
     assert val == pytest.approx([-1.0, 0.0], abs=1e-12)
     foot = x[None] - 0.2 * field_at(f, x[None])
     hit = boundary_exit_point(mesh, x[None], foot)
-    assert hit.tags[0] is BoundaryTag.STRESS_FREE
+    assert not mesh.boundary_dirichlet[hit.edges[0]]
     assert hit.points[0] == pytest.approx([1.0, 0.5], abs=1e-12)
 
 
@@ -300,7 +332,7 @@ def test_ab2_batched_matches_scalar(rng):
     feet = pts - 0.05 * w_star
     outside = ~locate_many(mesh, feet)[2]
     hit = boundary_exit_point(mesh, pts[outside], feet[outside])
-    assert {BoundaryTag.DIRICHLET, BoundaryTag.STRESS_FREE} <= set(hit.tags)
+    assert {True, False} <= set(mesh.boundary_dirichlet[hit.edges].tolist())
 
 
 def test_lg1_zero_field(unit_mesh):

@@ -425,6 +425,20 @@ def test_simulate_with_overflowing_step_count_writes_nothing(tmp_path,
     assert not out.exists()
 
 
+def test_simulate_with_a_mass_weight_beyond_the_factor_writes_nothing(
+        tmp_path, capsys):
+    # 1.5 rho / tau overflows the float32 step factor
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--n", "4", "--tau", "1e-300",
+                   "--t-final", "1", "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: tau = 1e-300 gives the mass weight "
+                            "1.5 rho / tau = 1.49e+300, beyond the range of "
+                            "the step factor's float32\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--n-list", "8", "--t-final", "inf"),
      "error: t_final must be positive and finite, got inf"),

@@ -23,7 +23,6 @@ from porousflow.fem import (
     zero_field,
 )
 from porousflow.mesh import (
-    BoundaryTag,
     LayerGrading,
     generate_rect_mesh,
     locate_many,
@@ -245,17 +244,16 @@ def test_velocity_space_on_two_triangles():
     ends = mesh.vertices[mesh.boundary_edges]
     assert np.array_equal(space.node_coords[space.boundary_midpoints],
                           0.5 * (ends[:, 0] + ends[:, 1]))
-    for wanted in ({BoundaryTag.DIRICHLET}, {BoundaryTag.STRESS_FREE},
-                   {BoundaryTag.DIRICHLET, BoundaryTag.STRESS_FREE}):
-        for sp, mids in ((space, space.boundary_midpoints),
-                         (pressure_space(mesh), None)):
-            scan = set()
-            for e, tag in enumerate(mesh.boundary_tags):
-                if tag in wanted:
-                    scan.update(mesh.boundary_edges[e].tolist())
-                    if mids is not None:
-                        scan.add(int(mids[e]))
-            assert boundary_nodes(sp, wanted).tolist() == sorted(scan)
+    # the nodes of the Dirichlet edges, the left and bottom ones
+    for sp, mids in ((space, space.boundary_midpoints),
+                     (pressure_space(mesh), None)):
+        scan = set()
+        for e, on_dirichlet in enumerate(mesh.boundary_dirichlet):
+            if on_dirichlet:
+                scan.update(mesh.boundary_edges[e].tolist())
+                if mids is not None:
+                    scan.add(int(mids[e]))
+        assert boundary_nodes(sp).tolist() == sorted(scan)
 
 
 def _velocity_nodes_by_loop(mesh):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from porousflow.mesh import (
     SIDES,
-    BoundaryTag,
     LayerGrading,
     Mesh,
     _graded_interval,
@@ -24,6 +23,16 @@ def test_structured_counts_and_hmax():
     edges = m.vertices[m.triangles[:, [1, 2, 0]]] - m.vertices[m.triangles]
     h_max = np.sqrt((edges ** 2).sum(-1)).max()
     assert h_max == pytest.approx(math.sqrt(2.0) * math.pi / 4.0, rel=1e-14)
+
+
+def test_cell_count_must_be_an_integer():
+    # a fractional count is not truncated; numpy integers are counts too
+    with pytest.raises(ValueError, match=r"^n_divisions must be at least 2 "
+                                         r"and an integer, got 2\.5$"):
+        generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 2.5)
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), np.int64(4))
+    assert np.array_equal(mesh.xs, np.linspace(0.0, 1.0, 5))
+    assert mesh.n_triangles == 32
 
 
 def test_area_tiling_unit_square():
@@ -166,13 +175,15 @@ def test_quadrature_points_locate_home():
 
 
 def test_boundary_edges_count_and_tags():
-    tagged = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6,
+    outlet = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6,
                                 stress_free=("right",))
     nx, ny = 6, 2
-    assert len(tagged.boundary_edges) == 2 * (nx + ny)
-    right = np.flatnonzero(tagged.boundary_tags == BoundaryTag.STRESS_FREE)
+    assert len(outlet.boundary_edges) == 2 * (nx + ny)
+    assert outlet.boundary_dirichlet.shape == (2 * (nx + ny),)
+    assert outlet.boundary_dirichlet.dtype == bool
+    right = np.flatnonzero(~outlet.boundary_dirichlet)
     assert len(right) == ny
-    assert len(np.flatnonzero(tagged.boundary_tags == BoundaryTag.DIRICHLET)) \
+    assert len(np.flatnonzero(outlet.boundary_dirichlet)) \
         == 2 * (nx + ny) - ny
 
 
@@ -186,15 +197,14 @@ def test_stress_free_side_is_that_side(side, axis, line):
     ends = mesh.vertices[mesh.boundary_edges]
     on_line = (ends[:, :, axis] == line).all(axis=1)
     assert on_line.sum() == len((mesh.ys, mesh.xs)[axis]) - 1
-    assert np.array_equal(mesh.boundary_tags == BoundaryTag.STRESS_FREE,
-                          on_line)
+    assert np.array_equal(~mesh.boundary_dirichlet, on_line)
 
 
-@pytest.mark.parametrize("stress_free", [("east",),
-                                         (BoundaryTag.STRESS_FREE,), "right"],
+@pytest.mark.parametrize("stress_free", [("east",), (False,), "right"],
                          ids=["unknown-side", "tag", "bare-string"])
 def test_stress_free_must_name_sides(stress_free):
-    # a bare string is rejected too, rather than read as its letters
+    # a kind in place of a side name is rejected, and a bare string too,
+    # rather than read as its letters
     with pytest.raises(ValueError) as info:
         generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 4, stress_free=stress_free)
     assert str(info.value) == (
@@ -240,7 +250,7 @@ def test_boundary_edges_are_numbered_side_by_side(stress_free, xs, ys):
             # the direction rotated clockwise points away from the rectangle
             dx, dy = ends[1] - ends[0]
             assert np.array_equal(np.sign([dy, -dx]), outward)
-            assert (mesh.boundary_tags[edge] is BoundaryTag.STRESS_FREE) \
+            assert (not mesh.boundary_dirichlet[edge]) \
                 == (side in stress_free)
 
 
@@ -248,7 +258,7 @@ def test_boundary_exit_left_edge():
     mesh = generate_rect_mesh((0.0, 3.0), (0.0, 1.0), 6)
     hit = boundary_exit_point(mesh, [(0.05, 0.5)], [(-0.05, 0.5)])
     assert hit.points[0] == pytest.approx([0.0, 0.5], abs=1e-12)
-    assert hit.tags[0] is BoundaryTag.DIRICHLET
+    assert mesh.boundary_dirichlet[hit.edges[0]]
 
 
 def test_boundary_exit_top_edge():

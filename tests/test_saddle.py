@@ -22,7 +22,7 @@ from porousflow.assembly import (
 )
 from porousflow.cases import build_case_mesh, get_case
 from porousflow.fem import boundary_nodes, interpolate
-from porousflow.mesh import SIDES, BoundaryTag, generate_rect_mesh
+from porousflow.mesh import SIDES, generate_rect_mesh
 from porousflow.porous import PhysicalParams, builtin_porosity
 from porousflow.saddle import (
     Constraints,
@@ -73,7 +73,7 @@ def test_patch_test_polynomial_exactness(unit_ctx, params):
 def test_zero_dirichlet_gives_exact_zeros(unit_ctx):
     zero = lambda p: np.zeros((len(p), 2))
     u, p, rep = steady_stokes_solve(unit_ctx, zero, zero)
-    nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
+    nodes = boundary_nodes(unit_ctx.vspace)
     vals = u.node_values()[nodes]
     assert (vals == 0.0).all()
 
@@ -96,7 +96,7 @@ def test_dirichlet_values_bit_for_bit(unit_ctx):
     u, p, rep = solver.solve(np.ones_like(unit_ctx.tables.wxarea),
                              np.zeros(unit_ctx.vspace.dof_count),
                              table.values(g))
-    nodes = boundary_nodes(unit_ctx.vspace, {BoundaryTag.DIRICHLET})
+    nodes = boundary_nodes(unit_ctx.vspace)
     expected = g(unit_ctx.vspace.node_coords[nodes])
     got = u.node_values()[nodes]
     assert (got == expected).all()  # exactly the prescribed values
@@ -121,7 +121,7 @@ def test_constraint_table_matches_the_tagged_nodes(unit_ctx, params):
     ctx = _outlet_ctx(params)
     table = Constraints.build(ctx)
     coords = ctx.vspace.node_coords
-    dirichlet = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
+    dirichlet = boundary_nodes(ctx.vspace)
     # the left, bottom and top sides, the outlet's corners included
     on_wall = (np.abs(coords[:, 0]) < 1e-12) \
         | (np.abs(coords[:, 1] - 0.5) > 0.5 - 1e-12)
@@ -701,40 +701,37 @@ def test_step_pattern_depends_on_the_mesh_alone(kind, n, seed):
     assert fill == fill_p
 
 
-def _stress_free(kinds):
-    """The sides whose kind in ``kinds``, in the order of ``SIDES``, is
-    ``STRESS_FREE``."""
-    return tuple(side for side, kind in zip(SIDES, kinds)
-                 if kind is BoundaryTag.STRESS_FREE)
+def _stress_free(dirichlet):
+    """The sides whose entry in ``dirichlet``, in the order of ``SIDES``, is
+    ``False``."""
+    return tuple(side for side, kind in zip(SIDES, dirichlet) if not kind)
 
 
 @settings(max_examples=40, deadline=None, database=None)
 @given(graded=st.booleans(), n=st.integers(2, 12),
-       kinds=st.lists(st.sampled_from([BoundaryTag.DIRICHLET,
-                                       BoundaryTag.STRESS_FREE]),
-                      min_size=4, max_size=4))
-def test_constraint_table_of_any_side_tagging(graded, n, kinds):
+       dirichlet=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_constraint_table_of_any_side_tagging(graded, n, dirichlet):
     case = get_case("two-layer")
     x_extent, y_extent = ((case.x_extent, case.y_extent) if graded
                           else ((0.0, 1.0), (0.0, 1.0)))
     mesh = generate_rect_mesh(x_extent, y_extent, n,
                               grading=case.grading if graded else None,
-                              stress_free=_stress_free(kinds))
+                              stress_free=_stress_free(dirichlet))
     ctx = make_context(mesh, builtin_porosity("constant", value=0.6),
                        case.params)
     table = Constraints.build(ctx)
     # the Dirichlet nodes by a loop over the boundary edges: both ends and
     # the midpoint node of each Dirichlet edge
     nodes = set()
-    for e, tag in enumerate(mesh.boundary_tags):
-        if tag is BoundaryTag.DIRICHLET:
+    for e, on_dirichlet in enumerate(mesh.boundary_dirichlet):
+        if on_dirichlet:
             nodes.update(mesh.boundary_edges[e].tolist())
             nodes.add(int(ctx.vspace.boundary_midpoints[e]))
     nodes = sorted(nodes)
     assert table.fixed.tolist() == [2 * i + c for i in nodes for c in (0, 1)]
     assert np.array_equal(table.points,
                           ctx.vspace.node_coords[nodes].reshape(-1, 2))
-    assert table.gauge == (BoundaryTag.STRESS_FREE not in kinds)
+    assert table.gauge == all(dirichlet)
     nd = len(nodes)
     zero = lambda p, t=None: np.zeros((len(p), 2))
     if not nd:

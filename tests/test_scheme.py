@@ -16,7 +16,7 @@ from porousflow.assembly import (
 from porousflow.cases import build_case_mesh, build_setup, get_case
 from porousflow.fem import (FeField, QuadTables, field_mean, interpolate,
                             norm)
-from porousflow.mesh import BoundaryTag, generate_rect_mesh
+from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import builtin_porosity
 from porousflow.saddle import (
     Constraints,
@@ -173,6 +173,15 @@ def test_step_count_overflow_rejected(params):
         make_setup(params, tau=1e-308, t_final=1e308)
 
 
+def test_mass_weight_beyond_the_factor_range_rejected(params):
+    # 1.5 rho / tau of the general steps would overflow the float32 factor
+    with pytest.raises(ValueError, match=r"^tau = 1e-300 gives the mass "
+                                         r"weight 1\.5 rho / tau = "
+                                         r"1\.49e\+300, beyond the range "
+                                         r"of the step factor's float32$"):
+        make_setup(params, tau=1e-300, t_final=1.0)
+
+
 @pytest.mark.parametrize("name, value", [("tau", math.nan),
                                          ("t_final", math.inf),
                                          ("tau", -math.inf),
@@ -234,7 +243,7 @@ def test_dirichlet_trace_matches_data_every_step(params):
                          dirichlet=case_g, forcing=None, tau=0.25,
                          t_final=0.75)
     from porousflow.fem import boundary_nodes
-    nodes = boundary_nodes(ctx.vspace, {BoundaryTag.DIRICHLET})
+    nodes = boundary_nodes(ctx.vspace)
 
     def check(k, t, u, p, d):
         expected = case_g(ctx.vspace.node_coords[nodes], t)

@@ -309,6 +309,15 @@ def test_run_eoc_rejects_a_repeated_resolution_before_any_level():
     assert levels == []
 
 
+def test_run_eoc_rejects_a_fractional_resolution_before_any_level():
+    # a 4.5-cell level would run on 4 cells and record h = pi/4.5
+    levels = []
+    with pytest.raises(ValueError, match=r"^n_divisions must be at least 2 "
+                                         r"and an integer, got 4\.5$"):
+        run_eoc([4.5, 8.5], progress=levels.append)
+    assert levels == []
+
+
 def test_general_steps_are_second_order_in_time(mms_case):
     # the manufactured solution at N=64 to t = 1 with tau = 1/8, 1/16 and
     # 1/32: the final-time L2 errors of the velocity and of the zero-mean
