@@ -13,6 +13,7 @@ import json
 import math
 import re
 import sys
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -91,15 +92,21 @@ _UNCOMMENTED = re.compile(r"""(?:[^#'"]|'[^']*'?|"[^"]*"?)*""")
 
 
 def parse_config_file(path) -> dict:
-    """Flat ``key = value`` text; ``#`` outside quotes starts a comment."""
+    """Flat ``key = value`` text; ``#`` outside quotes starts a comment.
+    A key given twice raises ``ValueError`` naming it and both lines."""
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    line_of: dict[str, int] = {}
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = _UNCOMMENTED.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ValueError(f"config key {key!r} is set on line "
+                             f"{line_of[key]} and again on line {number}")
+        line_of[key] = number
         out[key] = value.strip("'\"")
     return out
 
@@ -109,7 +116,8 @@ def resolve_run_config(args) -> RunConfig:
     case's defaults.  A file may hold only the keys ``config.txt`` records;
     one not in ``SETTABLE`` (the case, its extents, its physical parameters
     and constants) must carry the text this run records, so a written
-    ``config.txt`` can be fed back.  Anything else raises ``ValueError``."""
+    ``config.txt`` can be fed back.  Anything else, or a value its key's
+    type cannot read, raises ``ValueError`` naming the key."""
     case = case_lib.get_case(args.case)
     file_cfg = parse_config_file(args.config) if args.config else {}
     settings = {"n": case.default_n, "t_final": case.t_final,
@@ -118,7 +126,12 @@ def resolve_run_config(args) -> RunConfig:
         value = getattr(args, key)
         value = file_cfg.get(key) if value is None else value
         if value is not None:
-            settings[key] = cast(value)
+            try:
+                settings[key] = cast(value)
+            except ValueError:
+                article = "an" if cast is int else "a"
+                raise ValueError(f"config key {key!r} = {value!r} is not "
+                                 f"{article} {cast.__name__}") from None
     cfg = RunConfig(case, **settings)
     recorded = cfg.recorded()
     for key, value in file_cfg.items():
@@ -132,7 +145,11 @@ def resolve_run_config(args) -> RunConfig:
 
 
 def _cmd_eoc(args) -> int:
-    n_list = [int(v) for v in args.n_list.split(",") if v]
+    try:
+        n_list = [int(v) for v in args.n_list.split(",") if v]
+    except ValueError:
+        raise ValueError(f"--n-list {args.n_list!r} is not a comma-separated "
+                         "list of ints") from None
     records = run_eoc(n_list, t_final=args.t_final,
                       progress=lambda msg: print(msg, flush=True))
     out_dir = Path(args.out_dir or "out/eoc")
@@ -204,13 +221,15 @@ def _cmd_simulate(args) -> int:
         diag_fh.write(json.dumps(diag, sort_keys=True) + "\n")
 
     with open(out_dir / "diagnostics.jsonl", "w") as diag_fh:
+        t0 = time.perf_counter()
         try:
-            summary = run(setup, observers=[observer])
+            run(setup, observers=[observer])
         except SchemeDivergenceError as exc:
             print(f"run aborted: {exc}", file=sys.stderr)
             return 1
+        wall_time = time.perf_counter() - t0
     series.write(out_dir / "series.csv")
-    print(f"finished {summary.n_steps} steps in {summary.wall_time:.1f} s; "
+    print(f"finished {setup.n_steps} steps in {wall_time:.1f} s; "
           f"outputs in {out_dir}")
     return 0
 

@@ -10,7 +10,6 @@ no step requires a nonlinear iteration.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -34,12 +33,8 @@ from porousflow.saddle import (FACTOR_DTYPE, Constraints, SaddleSystem,
 
 
 class SchemeDivergenceError(RuntimeError):
-    """A step produced no usable solution; carries the failing step index."""
-
-    def __init__(self, step: int, message: str, partial=None):
-        super().__init__(f"step {step}: {message}")
-        self.step = step
-        self.partial = partial
+    """A step produced no usable solution; the message starts with ``step
+    k: `` and the step's own exception is the cause."""
 
 
 @dataclass
@@ -196,62 +191,44 @@ def general_step(setup: ProblemSetup, state: SchemeState,
                     1.5 * rho / tau, 0.5 * rho / tau, solver)
 
 
-@dataclass
-class RunSummary:
-    """Per-step diagnostics of a completed (or aborted) run."""
-
-    steps: list
-    n_steps: int
-    wall_time: float
-
-
 Observer = Callable[[int, float, FeField, FeField, dict], None]
 
 
-def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> RunSummary:
+def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> None:
     """Execute the start-up step and all general steps up to the final time.
 
-    Observers are called after every accepted step with ``(k, t, velocity,
-    pressure, diagnostics)``, the step's record as the summary lists it:
-    ``step``, ``t`` and the L2 norms ``velocity_l2`` and ``pressure_l2``
-    before the record of :func:`_advance`.  All steps share one
-    :class:`StepSolver`, built here from the constant blocks and the
-    constraint table, so a
-    factorization is reused across the general steps; the element tables
-    of the constant blocks are built for it, and the viscous one is freed
-    once it is built.  A failed step raises
-    :class:`SchemeDivergenceError` with the partial summary attached; an
-    initial velocity that is NaN or infinite at a velocity node raises the
-    ``ValueError`` of :func:`~porousflow.fem.eval_function`, naming the
-    ``initial velocity``, before the solver is built.
+    The observers are the only way a step's results leave the run: each is
+    called after every accepted step with ``(k, t, velocity, pressure,
+    diagnostics)``, the step's record being ``step``, ``t`` and the L2
+    norms ``velocity_l2`` and ``pressure_l2`` before the record of
+    :func:`_advance`.  An observer's exception stops the run and propagates
+    as itself.  All steps share one :class:`StepSolver`, built here from
+    the constant blocks and the constraint table, so a factorization is
+    reused across the general steps; the element tables of the constant
+    blocks are built for it, and the viscous one is freed once it is
+    built.  A failed step raises :class:`SchemeDivergenceError` naming the
+    step; an initial velocity that is NaN or infinite at a velocity node
+    raises the ``ValueError`` of :func:`~porousflow.fem.eval_function`,
+    naming the ``initial velocity``, before the solver is built.
     """
-    n_steps = setup.n_steps
-    t0 = time.perf_counter()
     vspace = setup.ctx.vspace
     u0_field = FeField(vspace, eval_function(
         setup.u_initial, vspace.node_coords, None, (2,),
         "initial velocity").ravel())
     solver = StepSolver(setup.ctx, *setup.constant_blocks(),
                         setup.constraints)
-    records: list[dict] = []
-    summary = RunSummary(records, n_steps, 0.0)
-
     state = SchemeState(u_prev=u0_field, k=1)
-    for k in range(1, n_steps + 1):
+    for k in range(1, setup.n_steps + 1):
         try:
             if k == 1:
                 u, p, record = initial_step(setup, u0_field, solver)
             else:
                 u, p, record = general_step(setup, state, solver)
         except Exception as exc:
-            summary.wall_time = time.perf_counter() - t0
-            raise SchemeDivergenceError(k, str(exc), summary) from exc
+            raise SchemeDivergenceError(f"step {k}: {exc}") from exc
         t_k = k * setup.tau
         diag = {"step": k, "t": t_k, "velocity_l2": norm(u, "L2"),
                 "pressure_l2": norm(p, "L2"), **record}
-        records.append(diag)
         for obs in observers:
             obs(k, t_k, u, p, diag)
         state = SchemeState(u_prev=u, k=k + 1, u_prev2=state.u_prev)
-    summary.wall_time = time.perf_counter() - t0
-    return summary

@@ -133,6 +133,27 @@ def test_config_file_rejects_keys_it_cannot_set(tmp_path, capsys, text,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n = 8.0\n", "error: config key 'n' = '8.0' is not an int\n"),
+    ("tau = abc\n", "error: config key 'tau' = 'abc' is not a float\n"),
+    ("snapshot_every = 2.5\n",
+     "error: config key 'snapshot_every' = '2.5' is not an int\n"),
+    ("n = 8\ntau = 0.1\n# again\nn = 12\n",
+     "error: config key 'n' is set on line 1 and again on line 4\n"),
+])
+def test_config_file_value_that_cannot_be_read_writes_nothing(
+        tmp_path, capsys, text, message):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli("simulate", "two-layer", "--config", str(cfg_file),
+                   "--t-final", "0.5", "--out-dir", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_written_config_feeds_back(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("simulate", "two-layer", "--n", "8", "--t-final", "0.4",
@@ -451,6 +472,8 @@ def test_simulate_with_a_mass_weight_beyond_the_factor_writes_nothing(
     (("--n-list", "1,2", "--t-final", "4"),
      "error: resolutions must be positive cell counts of at least 2, got "
      "[1, 2]"),
+    (("--n-list", "8,x"),
+     "error: --n-list '8,x' is not a comma-separated list of ints\n"),
 ])
 def test_eoc_rejects_bad_inputs_before_writing(tmp_path, capsys, argv,
                                                message):

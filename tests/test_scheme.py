@@ -64,19 +64,31 @@ def make_setup(params, n=6, tau=0.25, t_final=1.0, phi=None, u0=None, g=None,
     )
 
 
+def run_records(setup):
+    """Every step's record of a run of ``setup``, as its observers see
+    them."""
+    records = []
+    run(setup, observers=[lambda k, t, u, p, d: records.append(d)])
+    return records
+
+
 def run_to_end(setup):
-    """The summary of a run of ``setup`` and its last velocity and pressure,
-    as an observer sees them."""
-    last = {}
-    summary = run(setup, observers=[
-        lambda k, t, u, p, d: last.update(u=u, p=p)])
-    return summary, last["u"], last["p"]
+    """The step records of a run of ``setup`` and its last velocity and
+    pressure, as an observer sees them."""
+    records, last = [], {}
+
+    def observe(k, t, u, p, d):
+        records.append(d)
+        last.update(u=u, p=p)
+
+    run(setup, observers=[observe])
+    return records, last["u"], last["p"]
 
 
 def test_zero_data_gives_zero_solution(params):
     setup = make_setup(params)
-    summary, u, p = run_to_end(setup)
-    assert len(summary.steps) == 4
+    records, u, p = run_to_end(setup)
+    assert len(records) == 4
     assert np.abs(u.coefficients).max() == 0.0
     assert np.abs(p.coefficients).max() < 1e-14
 
@@ -132,9 +144,9 @@ def test_run_builds_constraint_table_once(params, monkeypatch):
 
     monkeypatch.setattr(Constraints, "build", classmethod(counting_build))
     monkeypatch.setattr(saddle, "boundary_nodes", counting_nodes)
-    summary = run(make_setup(params, g=lambda p, t: np.column_stack(
+    records = run_records(make_setup(params, g=lambda p, t: np.column_stack(
         [np.full(len(p), t), np.zeros(len(p))])))
-    assert len(summary.steps) == 4
+    assert len(records) == 4
     assert calls == {"build": 1, "boundary_nodes": 1}
 
 
@@ -204,9 +216,9 @@ def test_constant_state_preserved(params):
     c = np.array([0.7, -0.3])
     const = lambda p, t=None: np.broadcast_to(c, (len(p), 2)).copy()
     setup = make_setup(params, u0=lambda p: const(p), g=const)
-    summary, u, _ = run_to_end(setup)
+    records, u, _ = run_to_end(setup)
     assert np.abs(u.node_values() - c).max() < 1e-9
-    for rec in summary.steps:
+    for rec in records:
         assert rec["incompressibility_residual"] <= 1e-10
         assert rec["algebraic_residual"] <= 1e-10
 
@@ -270,12 +282,11 @@ def test_nan_forcing_aborts_with_step_index(params):
         return out
 
     setup = make_setup(params, forcing=bad)
+    records = []
     with pytest.raises(SchemeDivergenceError,
                        match="^step 2: load not finite at ") as exc_info:
-        run(setup)
-    assert exc_info.value.step == 2
-    assert exc_info.value.partial is not None
-    assert len(exc_info.value.partial.steps) == 1  # step 1 was accepted
+        run(setup, observers=[lambda k, t, u, p, d: records.append(d)])
+    assert len(records) == 1  # step 1 was accepted
     # the load's own check names it, before the solver sees the right-hand
     # side
     assert isinstance(exc_info.value.__cause__, ValueError)
@@ -290,12 +301,33 @@ def test_non_finite_dirichlet_data_abort_with_step_index(params):
         return out
 
     setup = make_setup(params, g=bad)
+    records = []
     with pytest.raises(SchemeDivergenceError,
                        match="^step 2: Dirichlet data not finite at 1 of "
                        ) as exc_info:
-        run(setup)
+        run(setup, observers=[lambda k, t, u, p, d: records.append(d)])
     assert isinstance(exc_info.value.__cause__, ValueError)
-    assert len(exc_info.value.partial.steps) == 1
+    assert len(records) == 1
+
+
+def test_observer_error_stops_the_run_as_itself(params, monkeypatch):
+    # the observers run outside the step's try, so a failed write of an
+    # observer (the command line's snapshots) is not a divergence
+    steps = []
+    general = scheme.general_step
+
+    def counting(setup, state, solver):
+        steps.append(state.k)
+        return general(setup, state, solver)
+
+    def failing(k, t, u, p, d):
+        if k == 2:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(scheme, "general_step", counting)
+    with pytest.raises(OSError, match="^disk full$"):
+        run(make_setup(params), observers=[failing])
+    assert steps == [2]
 
 
 def test_non_finite_initial_velocity_fails_before_the_solver(params,
@@ -329,11 +361,11 @@ def test_decaying_flow_is_stable(params, mms_case):
                          u_initial=lambda p: mms_case.u(p, 0.0),
                          dirichlet=zero_vec, forcing=None,
                          tau=math.pi / 12, t_final=1.0, gauge=True)
-    summary = run(setup)
+    records = run_records(setup)
     from porousflow.fem import interpolate, norm
     u0 = interpolate(ctx.vspace, setup.u_initial)
     n0 = norm(u0, "L2")
-    norms = [rec["velocity_l2"] for rec in summary.steps]
+    norms = [rec["velocity_l2"] for rec in records]
     assert max(norms) <= 2.0 * n0
     assert norms[-1] < n0
 

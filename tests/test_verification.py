@@ -271,7 +271,8 @@ _NO_SCIPY_SPECIAL_SCRIPT = textwrap.dedent("""
     from porousflow.verification import run_eoc
 
     _, _, setup = build_setup(get_case("two-layer"), 12, t_final=0.3)
-    steps = scheme.run(setup).steps
+    steps = []
+    scheme.run(setup, observers=[lambda k, t, u, p, d: steps.append(d)])
     records = [dataclasses.asdict(r) for r in run_eoc([2, 4], t_final=2.0)]
     del sys.modules["scipy.special"]      # lift the block
     print(json.dumps([steps, records, tri_quadrature(9).weights.tolist()]))
@@ -289,7 +290,8 @@ def test_runs_and_study_without_scipy_special():
                          env=env, capture_output=True, text=True, check=True)
     steps, records, weights = json.loads(out.stdout)
     _, _, setup = build_setup(get_case("two-layer"), 12, t_final=0.3)
-    expected = scheme.run(setup).steps
+    expected = []
+    scheme.run(setup, observers=[lambda k, t, u, p, d: expected.append(d)])
     assert len(expected) == 1
     assert steps == json.loads(json.dumps(expected))
     assert records == [dataclasses.asdict(r)
