@@ -8,11 +8,12 @@ then the extrapolation ``2 u_prev - u_prev2``); previous velocity fields are
 evaluated there by finite element interpolation, dividing by the analytic
 porosity at the evaluation point.  All feet of a batch of points are handled
 together: one point location, one boundary-exit call, one field evaluation
-and one porosity evaluation per foot set.  The two-step bracket does this
-twice, for the ``tau`` feet and for the ``2 tau`` feet, which lie twice as
-far along the same direction.  The porosity at the points themselves is the
-caller's ``phi_at``; the scheme passes the form context's table of it at the
-quadrature points, so no step evaluates it again.
+and one porosity evaluation per foot set.  A step's bracket takes one foot
+set per history field: the start-up step its ``tau`` feet, a general step
+also its ``2 tau`` feet, which lie twice as far along the same direction.
+The porosity at the points themselves is the caller's ``phi_at``; the
+scheme passes the form context's table of it at the quadrature points, so
+no step evaluates it again.
 
 Feet that leave the domain are clamped to the first boundary intersection of
 the backtracking segment.  When that crossing is through a Dirichlet edge the
@@ -53,32 +54,25 @@ def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
     return vals / np.asarray(porosity.value(feet))[:, None], len(outside)
 
 
-def ab2_material_terms(u_prev: FeField, u_prev2: FeField,
-                       porosity: PorosityField, tau: float, points,
-                       theta_at, phi_at, g_prev=None, g_prev2=None):
-    """Known part of the two-step material-derivative bracket at many points.
+def material_terms(history, porosity: PorosityField, tau: float, points,
+                   theta_at, phi_at):
+    """Known part of a step's material-derivative bracket at many points.
 
-    Returns ``phi(x) * [4 (w_prev o X1(w*, tau))(x) - (w_prev2 o X1(w*,
-    2 tau))(x)]`` and the clamped-feet count, where ``w* = theta/phi`` is
-    evaluated at the points themselves from the extrapolated velocity's
-    values there, ``theta_at`` (m, 2), the values of ``2 u_prev - u_prev2``,
-    and the porosity there, ``phi_at`` (m,).
+    ``history`` holds one ``(field, m, c, g)`` entry per previous velocity:
+    its field, foot multiple, bracket coefficient and Dirichlet data (or
+    ``None``).  Returns ``phi(x) * sum c (field/phi o X1(w*, m tau))(x)``
+    and the total of clamped feet, where ``w* = theta/phi`` is evaluated at
+    the points themselves from the linearization velocity's values there,
+    ``theta_at`` (m, 2), and the porosity there, ``phi_at`` (m,).  The sum
+    starts from its first term, as ``0.0 + (-0.0)`` is ``+0.0``; so the
+    coefficients ``(1,)`` give ``w1`` and ``(4, -1)`` give ``4 w1 - w2`` bit
+    for bit.
     """
     w_star = theta_at / phi_at[:, None]
-    w1, c1 = _composed_average_velocity(points, u_prev, porosity, w_star,
-                                        tau, g_prev)
-    w2, c2 = _composed_average_velocity(points, u_prev2, porosity, w_star,
-                                        2.0 * tau, g_prev2)
-    return phi_at[:, None] * (4.0 * w1 - w2), c1 + c2
-
-
-def lg1_material_terms(u0: FeField, porosity: PorosityField, tau: float,
-                       points, theta_at, phi_at, g0=None):
-    """First-order composed term ``phi(x) * (w0 o X1(w0, tau))(x)`` at many
-    points, with ``w0 = theta/phi`` from the values ``theta_at`` (m, 2) of
-    ``u0`` there and the porosity ``phi_at`` there; used only for the
-    start-up step."""
-    w, clamped = _composed_average_velocity(points, u0, porosity,
-                                            theta_at / phi_at[:, None], tau,
-                                            g0)
-    return phi_at[:, None] * w, clamped
+    total, clamped = None, 0
+    for field, m, c, g in history:
+        w, n = _composed_average_velocity(points, field, porosity, w_star,
+                                          m * tau, g)
+        total = c * w if total is None else total + c * w
+        clamped += n
+    return phi_at[:, None] * total, clamped

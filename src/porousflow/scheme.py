@@ -1,17 +1,22 @@
 """Time integration: a first-order start-up step followed by two-step,
 second-order general steps along the characteristics of the average velocity.
 
-Every step solves one linear saddle-point system: the transport term enters
-through the composed upwind values of the two previous velocities, and the
-quadratic drag is linearized around the extrapolated velocity magnitude, so
-no step requires a nonlinear iteration.
+Both kinds of step are one formula, solved by one routine, :func:`_step`,
+from the data of its kind: the foot multiples of the history fields, their
+coefficients in the transport bracket and in the velocity the step
+linearizes around, and the mass and right-hand-side scales (``STARTUP`` and
+``GENERAL``).  Every step solves one linear saddle-point system: the
+transport term enters through the composed upwind values of the previous
+velocities, and the quadratic drag is linearized around the extrapolated
+velocity magnitude, so no step requires a nonlinear iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import reduce
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,13 +28,39 @@ from porousflow.assembly import (
     quadratic_drag_weight,
     viscous_elements,
 )
-# the steps fold the drag into the step solver's weight; assemble_c1 stays
-# importable here because perfbench/tracer.py hooks porousflow.scheme's names
-from porousflow.assembly import assemble_c1  # noqa: F401
-from porousflow.characteristics import ab2_material_terms, lg1_material_terms
+from porousflow.characteristics import material_terms
 from porousflow.fem import FeField, eval_function, norm
 from porousflow.saddle import (FACTOR_DTYPE, Constraints, SaddleSystem,
                                StepSolver)
+
+# Names kept only because perfbench/tracer.py hooks them on this module:
+# assemble_c1, which no step calls since the drag is folded into the step
+# solver's weight; the entry points initial_step and general_step; and one
+# alias of the bracket per kind of step, looked up when the step is taken,
+# so that each hook fires once per step.  They go with ROADMAP item 13.
+from porousflow.assembly import assemble_c1  # noqa: F401
+lg1_material_terms = ab2_material_terms = material_terms
+
+
+class StepKind(NamedTuple):
+    """What sets one kind of step apart.  Per history field, newest first:
+    the multiple of ``tau`` its feet lie back (``feet``), its coefficient in
+    the transport bracket (``bracket``) and in the velocity the step
+    linearizes around (``velocity``).  Then the mass and right-hand-side
+    scales over ``rho / tau``, and the solver's factorization ``key``."""
+
+    feet: tuple
+    bracket: tuple
+    velocity: tuple
+    mass: float
+    rhs: float
+    key: str
+
+
+# the start-up step from u0; the general steps from (u_prev, u_prev2), whose
+# discrete material derivative is (3 u - 4 u_prev o X1 + u_prev2 o X2)/2 tau
+STARTUP = StepKind((1,), (1.0,), (1.0,), 1.0, 1.0, "initial")
+GENERAL = StepKind((1, 2), (4.0, -1.0), (2.0, -1.0), 1.5, 0.5, "general")
 
 
 class SchemeDivergenceError(RuntimeError):
@@ -125,70 +156,61 @@ def _bound_dirichlet(setup: ProblemSetup, t: float):
     return lambda pts: setup.dirichlet(pts, t)
 
 
-def _advance(setup: ProblemSetup, k: int, bracket: np.ndarray, clamped: int,
-             theta_at: np.ndarray, m_scale: float, r_scale: float,
-             solver: StepSolver):
-    """Solve step ``k``: the mass matrix enters times ``m_scale``, the
-    transport ``bracket`` (values at the context's quadrature points) the
-    right-hand side times ``r_scale`` beside the forcing at ``k tau``, and
-    the quadratic drag is linearized around the velocity whose values at the
-    quadrature points are ``theta_at``; the scaled mass and both drag forms
-    enter the velocity block as one quadrature-point weight.
+def _step(setup: ProblemSetup, kind: StepKind, state: SchemeState,
+          solver: StepSolver, bracket: Callable):
+    """Solve step ``state.k`` of ``kind`` with the run's ``solver``.
+
+    The history fields are ``state.u_prev`` and, for a general step,
+    ``state.u_prev2``.  Their combination with ``kind.velocity``, evaluated
+    at the quadrature points once, gives both the feet of the
+    characteristics and the drag linearization.  ``bracket`` (a
+    :func:`~porousflow.characteristics.material_terms`) sums the history
+    fields at their feet with ``kind.bracket``, each under the Dirichlet
+    data of its own time; that sum enters the right-hand side times
+    ``kind.rhs rho / tau`` beside the forcing at ``k tau``, and the mass
+    matrix times ``kind.mass rho / tau``.  The scaled mass and both drag
+    forms enter the velocity block as one quadrature-point weight.
 
     Returns the velocity, the pressure and the step's record: the solver's
     diagnostics and ``clamped_feet``, the feet the bracket clamped.
     """
-    ctx = setup.ctx
-    t = k * setup.tau
-    rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
+    if state.k < len(kind.feet):
+        raise ValueError(f"{kind.key} steps start at k = {len(kind.feet)}")
+    ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
+    t = state.k * tau
+    history = (state.u_prev, state.u_prev2)[:len(kind.feet)]
+    theta_at = ctx.tables.at_quad(FeField(ctx.vspace, reduce(np.add, (
+        c * f.coefficients for c, f in zip(kind.velocity, history)))))
+    terms, clamped = bracket(
+        [(f, m, c, _bound_dirichlet(setup, t - m * tau))
+         for f, m, c in zip(history, kind.feet, kind.bracket)],
+        ctx.porosity, tau, ctx.tables.qpoints_flat, theta_at.reshape(-1, 2),
+        ctx.phi_q.ravel())
+    rhs = assemble_mass_phi_rhs(terms, ctx, kind.rhs * rho / tau)
     if setup.forcing is not None:
         rhs = rhs + assemble_load(setup.forcing, ctx, t)
-    weight = m_scale + ctx.linear_drag + quadratic_drag_weight(theta_at, ctx)
+    weight = (kind.mass * rho / tau + ctx.linear_drag
+              + quadratic_drag_weight(theta_at, ctx))
     system = SaddleSystem(solver, rhs, weight)
     system.apply_dirichlet(setup.dirichlet, t)
-    u, p, record = system.solve("initial" if k == 1 else "general")
+    u, p, record = system.solve(kind.key)
     record["clamped_feet"] = clamped
     return u, p, record
 
 
 def initial_step(setup: ProblemSetup, u0_field: FeField,
                  solver: StepSolver):
-    """First-order start-up step producing the fields at t = tau with the
-    run's ``solver``: mass and right-hand-side scales ``rho/tau``, the feet
-    and the drag both from the initial velocity.  Returns ``(u, p,
-    record)`` as :func:`_advance` does."""
-    ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
-    theta_at = ctx.tables.at_quad(u0_field)
-    bracket, clamped = lg1_material_terms(
-        u0_field, ctx.porosity, tau, ctx.tables.qpoints_flat,
-        theta_at=theta_at.reshape(-1, 2), phi_at=ctx.phi_q.ravel(),
-        g0=_bound_dirichlet(setup, 0.0))
-    return _advance(setup, 1, bracket, clamped, theta_at, rho / tau,
-                    rho / tau, solver)
+    """First-order start-up step producing the fields at t = tau from the
+    initial velocity; :func:`_step` of ``STARTUP``."""
+    return _step(setup, STARTUP, SchemeState(u0_field, 1), solver,
+                 lg1_material_terms)
 
 
 def general_step(setup: ProblemSetup, state: SchemeState,
                  solver: StepSolver):
-    """Second-order step k >= 2 from the two stored history fields, with the
-    run's ``solver``: mass scale ``3 rho/(2 tau)``, right-hand-side scale
-    ``rho/(2 tau)``.  The extrapolated velocity ``2 u_prev - u_prev2`` is
-    evaluated at the quadrature points once, and those values give both the
-    feet of the characteristics and the drag linearization.  Returns ``(u,
-    p, record)`` as :func:`_advance` does."""
-    if state.k < 2:
-        raise ValueError("general steps start at k = 2")
-    ctx, rho, tau = setup.ctx, setup.ctx.params.rho, setup.tau
-    t_k = state.k * tau
-    theta_at = ctx.tables.at_quad(FeField(
-        ctx.vspace,
-        2.0 * state.u_prev.coefficients - state.u_prev2.coefficients))
-    bracket, clamped = ab2_material_terms(
-        state.u_prev, state.u_prev2, ctx.porosity, tau,
-        ctx.tables.qpoints_flat, theta_at=theta_at.reshape(-1, 2),
-        phi_at=ctx.phi_q.ravel(), g_prev=_bound_dirichlet(setup, t_k - tau),
-        g_prev2=_bound_dirichlet(setup, t_k - 2.0 * tau))
-    return _advance(setup, state.k, bracket, clamped, theta_at,
-                    1.5 * rho / tau, 0.5 * rho / tau, solver)
+    """Second-order step k >= 2 from the two stored history fields;
+    :func:`_step` of ``GENERAL``."""
+    return _step(setup, GENERAL, state, solver, ab2_material_terms)
 
 
 Observer = Callable[[int, float, FeField, FeField, dict], None]
@@ -201,7 +223,7 @@ def run(setup: ProblemSetup, observers: Sequence[Observer] = ()) -> None:
     called after every accepted step with ``(k, t, velocity, pressure,
     diagnostics)``, the step's record being ``step``, ``t`` and the L2
     norms ``velocity_l2`` and ``pressure_l2`` before the record of
-    :func:`_advance`.  An observer's exception stops the run and propagates
+    :func:`_step`.  An observer's exception stops the run and propagates
     as itself.  All steps share one :class:`StepSolver`, built here from
     the constant blocks and the constraint table, so a factorization is
     reused across the general steps; the element tables of the constant

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from porousflow.porous import (
     linear_drag_coeff,
 )
 from porousflow.saddle import Constraints, StepSolver
-from porousflow.scheme import ProblemSetup, run
+from porousflow.scheme import GENERAL, ProblemSetup, run
 
 
 # -- manufactured solution --------------------------------------------------------
@@ -369,30 +370,38 @@ def default_consistency_field():
 def ab2_consistency_check(
         w: Callable, material: Callable,
         taus: Sequence[float] = (0.1, 0.05, 0.025, 0.0125)) -> Ab2Report:
-    """Observed temporal order of the two-step material-derivative formula.
+    """Observed temporal order of the general steps' material-derivative
+    formula, with the foot multiples ``m`` and the coefficients of
+    :data:`porousflow.scheme.GENERAL`.
 
-    Evaluates ``(1/2 tau)[3 w(x, t) - 4 w(x - tau w*, t - tau) + w(x - 2 tau
-    w*, t - 2 tau)]`` with ``w* = 2 w(x, t - tau) - w(x, t - 2 tau)`` against
-    the analytic material derivative at ``t = 1`` on a 7 x 7 grid of
-    ``[0.4, 2.6]^2``, and fits the error decay under tau halving.
+    Evaluates ``[mass w(x, t) - rhs sum c w(x - m tau w*, t - m tau)] /
+    tau`` with ``w* = sum v w(x, t - m tau)``, the sums over the table's
+    history entries with their bracket coefficients ``c`` and velocity
+    coefficients ``v``: ``(1/2 tau)[3 w(x, t) - 4 w(x - tau w*, t - tau) +
+    w(x - 2 tau w*, t - 2 tau)]`` with ``w* = 2 w(x, t - tau) - w(x, t - 2
+    tau)``.  It is compared with the analytic material derivative at ``t =
+    1`` on a 7 x 7 grid of ``[0.4, 2.6]^2``, and the error decay under tau
+    halving gives the order.
     """
     t_eval = 1.0
     g = np.linspace(0.4, 2.6, 7)
     gx, gy = np.meshgrid(g, g, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
     exact = np.asarray(material(points, t_eval), dtype=float)
+
+    def at(pts, t):
+        return np.asarray(w(pts, t), dtype=float)
+
     errors = []
     for tau in taus:
-        w_k = np.asarray(w(points, t_eval), dtype=float)
-        w_star = (2.0 * np.asarray(w(points, t_eval - tau), dtype=float)
-                  - np.asarray(w(points, t_eval - 2.0 * tau), dtype=float))
-        f1 = points - tau * w_star
-        f2 = points - 2.0 * tau * w_star
-        comp = (3.0 * w_k
-                - 4.0 * np.asarray(w(f1, t_eval - tau), dtype=float)
-                + np.asarray(w(f2, t_eval - 2.0 * tau), dtype=float))
-        err = np.abs(comp / (2.0 * tau) - exact).max()
-        errors.append(float(err))
+        w_star = reduce(np.add, (
+            v * at(points, t_eval - m * tau)
+            for m, v in zip(GENERAL.feet, GENERAL.velocity)))
+        bracket = reduce(np.add, (
+            c * at(points - m * tau * w_star, t_eval - m * tau)
+            for m, c in zip(GENERAL.feet, GENERAL.bracket)))
+        comp = GENERAL.mass * at(points, t_eval) - GENERAL.rhs * bracket
+        errors.append(float(np.abs(comp / tau - exact).max()))
     log_t = np.log(np.asarray(taus))
     log_e = np.log(np.maximum(errors, 1e-300))
     order = float(np.polyfit(log_t, log_e, 1)[0]) if max(errors) > 0 else np.inf

@@ -20,6 +20,7 @@ from porousflow.assembly import (
     pressure_volume_vector,
     quadratic_drag_weight,
 )
+from porousflow.characteristics import material_terms
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import builtin_porosity, linear_drag_coeff
@@ -215,15 +216,12 @@ def test_trilinear_value(unit_ctx, params):
     assert val == pytest.approx(params.rho * 0.5, rel=1e-12)
 
 
-def step_scales(ctx, tau, monkeypatch):
-    """``(mass scale, right-hand-side scale)`` that the start-up step and a
-    general step of ``scheme`` pass to the step solve, with zero data."""
-    seen = {}
-
-    def capture(setup, k, bracket, clamped, theta, m_scale, r_scale, solver):
-        seen[k] = (m_scale, r_scale)
-
-    monkeypatch.setattr(scheme, "_advance", capture)
+def step_kinds(ctx, tau, monkeypatch):
+    """The kinds of step that ``scheme``'s start-up and general entry points
+    hand to the step routine, with zero data."""
+    seen = []
+    monkeypatch.setattr(scheme, "_step",
+                        lambda setup, kind, *args: seen.append(kind))
     zero = lambda pts, t=None: np.zeros((len(pts), 2))
     setup = scheme.ProblemSetup(ctx=ctx, u_initial=zero, dirichlet=zero,
                                 tau=tau, t_final=1.0)
@@ -231,7 +229,16 @@ def step_scales(ctx, tau, monkeypatch):
     # the captured step routine never solves, so no solver is built
     scheme.initial_step(setup, u0, None)
     scheme.general_step(setup, scheme.SchemeState(u0, 2, u0), None)
-    return seen[1], seen[2]
+    return seen
+
+
+def step_scales(ctx, tau, monkeypatch):
+    """``(mass scale, right-hand-side scale)`` of the start-up step and of a
+    general step: their kinds' scales times ``rho / tau``, as the step
+    routine forms them."""
+    rho = ctx.params.rho
+    return [(kind.mass * rho / tau, kind.rhs * rho / tau)
+            for kind in step_kinds(ctx, tau, monkeypatch)]
 
 
 def test_mass_phi_rhs_zero_history(unit_ctx, monkeypatch):
@@ -254,20 +261,25 @@ def test_mass_scaling_ratio(unit_ctx, monkeypatch):
     assert r_gen == pytest.approx(0.5 * rho_tau, rel=1e-15)
 
 
-def test_mass_phi_rhs_uniform_fixed_point(unit_mesh, params, monkeypatch):
-    from porousflow.characteristics import ab2_material_terms
+@pytest.mark.parametrize("index", [0, 1], ids=["start-up", "general"])
+def test_mass_phi_rhs_uniform_fixed_point(index, unit_mesh, params,
+                                          monkeypatch):
+    # a uniform state is a fixed point of both kinds of step: the mass scale
+    # is the right-hand-side scale times the sum of the bracket coefficients
     phi_bar = 0.7
     ctx = make_context(unit_mesh, builtin_porosity("constant", value=phi_bar),
                        params)
-    _, (m_scale, r_scale) = step_scales(ctx, 0.1, monkeypatch)
+    kind = step_kinds(ctx, 0.1, monkeypatch)[index]
+    m_scale, r_scale = step_scales(ctx, 0.1, monkeypatch)[index]
+    assert m_scale == pytest.approx(r_scale * sum(kind.bracket), rel=1e-15)
     c = np.array([0.4, -0.2])
     u = const_velocity_coeffs(ctx, phi_bar * c)
     u_at = ctx.tables.at_quad(u).reshape(-1, 2)
-    bracket, _ = ab2_material_terms(
-        u, u, ctx.porosity, 0.1, ctx.tables.qpoints_flat,
-        theta_at=2.0 * u_at - u_at, phi_at=ctx.phi_q.ravel(),
-        g_prev=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy(),
-        g_prev2=lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy())
+    g = lambda p: np.broadcast_to(phi_bar * c, (len(p), 2)).copy()
+    bracket, _ = material_terms(
+        [(u, m, b, g) for m, b in zip(kind.feet, kind.bracket)],
+        ctx.porosity, 0.1, ctx.tables.qpoints_flat,
+        theta_at=sum(kind.velocity) * u_at, phi_at=ctx.phi_q.ravel())
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
     residual = m_scale * (mass_matrix(ctx) @ u.coefficients) - rhs
     assert np.abs(residual).max() < 1e-10

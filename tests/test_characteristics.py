@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from porousflow.cases import build_case_mesh, get_case
-from porousflow.characteristics import ab2_material_terms, lg1_material_terms
+from porousflow.characteristics import material_terms
 from porousflow.fem import (FeField, eval_field_many, interpolate,
                             velocity_space)
 from porousflow.mesh import (
@@ -11,6 +11,7 @@ from porousflow.mesh import (
     locate_many,
 )
 from porousflow.porous import builtin_porosity
+from porousflow.scheme import GENERAL, STARTUP
 
 
 def constant_field(space, c):
@@ -29,11 +30,30 @@ def field_at(f, pts):
     return eval_field_many(f, tri, bary)
 
 
+def history(kind, fields, data):
+    """The bracket's history entries of a step of ``kind``."""
+    return list(zip(fields, kind.feet, kind.bracket, data))
+
+
+def lg1(u0, phi, tau, pts, theta_at, phi_at, g0=None):
+    """The start-up step's bracket, with the scheme's ``STARTUP`` data."""
+    return material_terms(history(STARTUP, [u0], [g0]), phi, tau, pts,
+                          theta_at, phi_at)
+
+
+def ab2(u_prev, u_prev2, phi, tau, pts, theta_at, phi_at, g_prev=None,
+        g_prev2=None):
+    """A general step's bracket, with the scheme's ``GENERAL`` data."""
+    return material_terms(history(GENERAL, [u_prev, u_prev2],
+                                  [g_prev, g_prev2]),
+                          phi, tau, pts, theta_at, phi_at)
+
+
 def lg1_at(u0, phi, tau, x, g0=None):
     """Start-up term and clamped-feet count at the single point ``x``."""
     pts = np.asarray(x, dtype=float)[None, :]
-    val, clamped = lg1_material_terms(u0, phi, tau, pts, field_at(u0, pts),
-                                      phi.value(pts), g0=g0)
+    val, clamped = lg1(u0, phi, tau, pts, field_at(u0, pts), phi.value(pts),
+                       g0=g0)
     return val[0], clamped
 
 
@@ -41,9 +61,8 @@ def ab2_at(u_prev, u_prev2, phi, tau, x, g_prev=None, g_prev2=None):
     """Two-step bracket and clamped-feet count at the single point ``x``."""
     pts = np.asarray(x, dtype=float)[None, :]
     theta = 2.0 * field_at(u_prev, pts) - field_at(u_prev2, pts)
-    val, clamped = ab2_material_terms(u_prev, u_prev2, phi, tau, pts, theta,
-                                      phi.value(pts), g_prev=g_prev,
-                                      g_prev2=g_prev2)
+    val, clamped = ab2(u_prev, u_prev2, phi, tau, pts, theta, phi.value(pts),
+                       g_prev=g_prev, g_prev2=g_prev2)
     return val[0], clamped
 
 
@@ -133,8 +152,8 @@ def test_corner_exits_take_the_kind_of_the_reported_side():
     pts = corners - 0.25 * outward
     # unit porosity and tau, so each foot is the corner + 0.25 outward
     w = -0.5 * outward
-    val, clamped = lg1_material_terms(f, UNIT_POROSITY, 1.0, pts, w,
-                                      np.ones(len(pts)), g0=g)
+    val, clamped = lg1(f, UNIT_POROSITY, 1.0, pts, w, np.ones(len(pts)),
+                       g0=g)
     assert clamped == 4
     hit = boundary_exit_point(mesh, pts, pts - w)
     assert hit.points == pytest.approx(corners, abs=1e-12)
@@ -180,8 +199,8 @@ def test_clamped_feet_are_evaluated_at_the_clamped_point():
     u0 = interpolate(velocity_space(mesh), lambda p: np.column_stack(
         [4.0 * (0.5 - p[:, 0]), np.zeros(len(p))]))
     x = np.array([[0.05, 0.5], [0.95, 0.3]])
-    val, clamped = lg1_material_terms(u0, phi, 0.2, x, field_at(u0, x),
-                                      phi.value(x), g0=lambda pts: pts + 1.0)
+    val, clamped = lg1(u0, phi, 0.2, x, field_at(u0, x), phi.value(x),
+                       g0=lambda pts: pts + 1.0)
     assert clamped == 2
     clamp = np.array([[0.0, 0.5], [1.0, 0.3]])
     at_clamp = np.array([clamp[0] + 1.0, [-2.0, 0.0]])  # g, then the field
@@ -198,8 +217,8 @@ def test_dirichlet_data_at_clamped_feet_is_shape_checked(unit_mesh):
     three = np.vstack([two, [[0.05, 0.8]]])
 
     def terms(x, g):
-        return lg1_material_terms(u0, UNIT_POROSITY, 0.2, x, field_at(u0, x),
-                                  UNIT_POROSITY.value(x), g0=g)
+        return lg1(u0, UNIT_POROSITY, 0.2, x, field_at(u0, x),
+                   UNIT_POROSITY.value(x), g0=g)
 
     val, clamped = terms(two, lambda p: np.column_stack(
         [np.full(len(p), 7.0), p[:, 1]]))
@@ -234,8 +253,8 @@ def test_non_finite_dirichlet_data_at_clamped_feet_rejected(unit_mesh):
     with pytest.raises(ValueError,
                        match=r"^Dirichlet data not finite at 1 of 2 points, "
                              r"first at \[0\.0, 0\.6\]: \[nan, nan\]$"):
-        lg1_material_terms(u0, UNIT_POROSITY, 0.2, two, field_at(u0, two),
-                           UNIT_POROSITY.value(two), g0=g)
+        lg1(u0, UNIT_POROSITY, 0.2, two, field_at(u0, two),
+            UNIT_POROSITY.value(two), g0=g)
 
 
 def test_clamped_points_stay_in_domain(unit_mesh, rng):
@@ -315,15 +334,13 @@ def test_ab2_batched_matches_scalar(rng):
     def theta(x):
         return 2.0 * field_at(u1, x) - field_at(u2, x)
 
-    batched, clamped = ab2_material_terms(u1, u2, phi, 0.05, pts, theta(pts),
-                                          phi.value(pts), g_prev=g1,
-                                          g_prev2=g2)
+    batched, clamped = ab2(u1, u2, phi, 0.05, pts, theta(pts),
+                           phi.value(pts), g_prev=g1, g_prev2=g2)
     total = 0
     for i in range(len(pts)):
         one = pts[i:i + 1]
-        single, count = ab2_material_terms(u1, u2, phi, 0.05, one,
-                                           theta(one), phi.value(one),
-                                           g_prev=g1, g_prev2=g2)
+        single, count = ab2(u1, u2, phi, 0.05, one, theta(one),
+                            phi.value(one), g_prev=g1, g_prev2=g2)
         assert batched[i] == pytest.approx(single[0], abs=1e-14)
         total += count
     assert clamped == total

@@ -25,10 +25,11 @@ before their numpy work was trimmed: the grid cell by a clipped search over
 all grid lines, point location with widths from the lines and barycentric
 columns stacked into rows, the P2 basis table by column assignments, the
 permutations of an LU solve by a scatter, the factor input by the row and
-column gathers each factorization made, and the mass-type scatter of both
-velocity components from one repeated table.  Kernels whose arithmetic is
-unchanged must agree bit for bit; those that sum in another order agree
-within a tolerance fixed from double precision.
+column gathers each factorization made, the mass-type scatter of both
+velocity components from one repeated table, and the start-up and two-step
+brackets as two functions with their coefficients written out.  Kernels
+whose arithmetic is unchanged must agree bit for bit; those that sum in
+another order agree within a tolerance fixed from double precision.
 """
 
 import functools
@@ -96,6 +97,7 @@ from diagnostic_forms import gradient_products
 from reference_solve import (assemble_a0, assemble_b,
                              nested_dissection_reference)
 from snapshot_reference import snapshot_text_reference
+from test_characteristics import ab2, lg1
 from test_saddle import ORDERING_MESHES, _stress_free
 
 MESHES = {
@@ -656,6 +658,30 @@ def assemble_repeat_reference(solver, pos, weight, rhs, values):
     return k, rhs
 
 
+def lg1_material_terms_reference(u0, porosity, tau, points, theta_at,
+                                 phi_at, g0=None):
+    """The start-up step's composed term ``phi(x) (w0 o X1(w0, tau))(x)``,
+    ``w0 = theta/phi`` from the values ``theta_at`` of ``u0`` at the
+    points, as its own function."""
+    w, clamped = characteristics._composed_average_velocity(
+        points, u0, porosity, theta_at / phi_at[:, None], tau, g0)
+    return phi_at[:, None] * w, clamped
+
+
+def ab2_material_terms_reference(u_prev, u_prev2, porosity, tau, points,
+                                 theta_at, phi_at, g_prev=None,
+                                 g_prev2=None):
+    """A general step's bracket ``phi(x) [4 (w_prev o X1(w*, tau))(x) -
+    (w_prev2 o X1(w*, 2 tau))(x)]``, as its own function with its
+    coefficients written out."""
+    w_star = theta_at / phi_at[:, None]
+    w1, c1 = characteristics._composed_average_velocity(
+        points, u_prev, porosity, w_star, tau, g_prev)
+    w2, c2 = characteristics._composed_average_velocity(
+        points, u_prev2, porosity, w_star, 2.0 * tau, g_prev2)
+    return phi_at[:, None] * (4.0 * w1 - w2), c1 + c2
+
+
 def assert_rel(value, reference, rel):
     scale = np.abs(reference).max()
     assert np.abs(np.asarray(value) - reference).max() <= rel * scale
@@ -1122,6 +1148,45 @@ def test_mms_stacks_match_per_expression_lambdify(mms_case):
             value = getattr(mms_case, name)(pts, t)
             assert value.shape == (len(pts),) + shape
             assert_rel(value, ref(pts, t), 1e-13)
+
+
+# -- material terms --------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_material_terms_are_bitwise_the_per_kind_brackets(seed):
+    """The bracket of both kinds of step, through ``material_terms`` with
+    the scheme's tables, equals the former start-up and two-step functions
+    bit for bit on random fields, feet clamped on Dirichlet and on
+    stress-free edges included."""
+    rng = np.random.default_rng(seed)
+    mesh = generate_rect_mesh((0.0, 1.0), (0.0, 1.0), 6,
+                              stress_free=("right",))
+    phi = builtin_porosity("sinusoidal")
+    space = velocity_space(mesh)
+    u1, u2 = (FeField(space, rng.normal(size=space.dof_count))
+              for _ in range(2))
+    # -0.0 at the Dirichlet feet: a sum started from 0.0 would give +0.0
+    g1 = lambda pts: np.column_stack([-0.0 * pts[:, 0], pts[:, 1] + 5.0])
+    g2 = lambda pts: np.column_stack([-pts[:, 1], pts[:, 0]]) - 5.0
+    pts = rng.uniform(0.0, 1.0, (300, 2))
+    theta = rng.normal(size=(300, 2))
+    phi_at = np.asarray(phi.value(pts))
+    for value, reference in (
+            (lg1(u1, phi, 0.1, pts, theta, phi_at, g0=g1),
+             lg1_material_terms_reference(u1, phi, 0.1, pts, theta, phi_at,
+                                          g0=g1)),
+            (ab2(u1, u2, phi, 0.1, pts, theta, phi_at, g_prev=g1,
+                 g_prev2=g2),
+             ab2_material_terms_reference(u1, u2, phi, 0.1, pts, theta,
+                                          phi_at, g_prev=g1, g_prev2=g2))):
+        assert_same_bytes(value[0], reference[0])
+        assert value[1] == reference[1] > 0
+    # the 2 tau feet leave through both kinds of edge
+    feet = pts - 0.2 * theta / phi_at[:, None]
+    outside = ~locate_many(mesh, feet)[2]
+    hit = characteristics.boundary_exit_point(mesh, pts[outside],
+                                              feet[outside])
+    assert {True, False} <= set(mesh.boundary_dirichlet[hit.edges].tolist())
 
 
 # -- location in a run ---------------------------------------------------------------------

@@ -498,7 +498,8 @@ def test_one_theta_gives_the_feet_and_the_drag(mms_case, monkeypatch):
         original = getattr(scheme, name)
 
         def wrapped(*args, **kwargs):
-            store.append(kwargs["theta_at"] if store is feet else args[0])
+            # material_terms(history, porosity, tau, points, theta_at, ...)
+            store.append(args[4] if store is feet else args[0])
             return original(*args, **kwargs)
         monkeypatch.setattr(scheme, name, wrapped)
 
@@ -520,6 +521,27 @@ def test_one_theta_gives_the_feet_and_the_drag(mms_case, monkeypatch):
             ctx.vspace,
             2.0 * fields[k].coefficients - fields[k - 1].coefficients)
         assert np.array_equal(drag[k], ctx.tables.at_quad(theta))
+
+
+def test_each_history_field_takes_the_data_of_its_own_time(params,
+                                                          monkeypatch):
+    # the bracket's entry for the field m steps back carries its foot
+    # multiple, its coefficient and the Dirichlet data at t_k - m tau; with
+    # tau = 0.1 that differs in its last bits from (k - m) tau
+    tau, seen = 0.1, []
+    setup = make_setup(params, tau=tau, t_final=4.5 * tau,
+                       g=lambda p, t: np.full((len(p), 2), t))
+    for name in ("lg1_material_terms", "ab2_material_terms"):
+        def recording(history, *args, original=getattr(scheme, name)):
+            seen.append([(m, c, g(np.zeros((1, 2)))[0, 0])
+                         for _, m, c, g in history])
+            return original(history, *args)
+        monkeypatch.setattr(scheme, name, recording)
+    run(setup)
+    assert seen == [[(1, 1.0, 0.0)]] + [
+        [(1, 4.0, k * tau - tau), (2, -1.0, k * tau - 2 * tau)]
+        for k in range(2, 5)]
+    assert 3 * tau - 2 * tau != (3 - 2) * tau
 
 
 class _StaleLUSolver(StepSolver):
