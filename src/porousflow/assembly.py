@@ -2,9 +2,10 @@
 
 All element loops are vectorized: local matrices are built for every element
 at once.  The constant viscous and divergence forms stay per-element tables,
-which :class:`porousflow.saddle.StepSolver` places in the step matrix; the
-other forms are scattered into COO triplets, letting scipy merge
-duplicates.
+which :class:`porousflow.saddle.StepSolver` places in the step matrix, and
+the loads are summed by ``bincount``; only :func:`assemble_c1`, which no
+step calls, still scatters a global matrix, from COO triplets whose
+duplicates scipy merges.
 Coefficient weights (porosity, drag factors, linearized speeds) are evaluated
 at the physical quadrature points from the analytic porosity rather than
 interpolated, so the only discretization error in the coefficients is the
@@ -78,12 +79,6 @@ def make_context(mesh: Mesh, porosity: PorosityField,
 
 # -- scatter helpers -------------------------------------------------------------
 
-def _scatter_matrix(rows_dofs, cols_dofs, local, shape) -> sparse.csr_matrix:
-    r = np.broadcast_to(rows_dofs[:, :, None], local.shape).ravel()
-    c = np.broadcast_to(cols_dofs[:, None, :], local.shape).ravel()
-    return sparse.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
-
-
 def _scatter_vector(dofs, local, size) -> np.ndarray:
     return np.bincount(dofs.ravel(), weights=local.ravel(), minlength=size)
 
@@ -94,25 +89,6 @@ def _velocity_load(ctx: FormContext, values: np.ndarray) -> np.ndarray:
     local = (ctx.tables.wxarea[:, :, None] * values).reshape(len(values), -1) \
         @ ctx.tables.p2_table.T                               # (nt, 12)
     return _scatter_vector(ctx.vspace.cell_dofs, local, ctx.vspace.dof_count)
-
-
-def _vectorize_scalar_local(s_local: np.ndarray) -> np.ndarray:
-    """Expand scalar-node local matrices to both velocity components."""
-    nt, nl, _ = s_local.shape
-    out = np.zeros((nt, 2 * nl, 2 * nl))
-    out[:, 0::2, 0::2] = s_local
-    out[:, 1::2, 1::2] = s_local
-    return out
-
-
-def _vector_mass(ctx: FormContext, weight: np.ndarray) -> sparse.csr_matrix:
-    """Velocity mass matrix with a per-quadrature-point scalar weight."""
-    v = ctx.tables.p2_vals
-    s_local = np.einsum("tq,qn,qm->tnm", ctx.tables.wxarea * weight, v, v)
-    local = _vectorize_scalar_local(s_local)
-    dofs = ctx.vspace.cell_dofs
-    n = ctx.vspace.dof_count
-    return _scatter_matrix(dofs, dofs, local, (n, n))
 
 
 # -- bilinear forms ---------------------------------------------------------------
@@ -202,13 +178,23 @@ def assemble_c1(theta_field: FeField, ctx: FormContext) -> sparse.csr_matrix:
     """Linearized quadratic drag rho*(F phi/sqrt(K) |theta| u, v).
 
     ``theta_field`` is the velocity field whose pointwise magnitude weights
-    the form (the extrapolated velocity in the general step, the initial
-    velocity in the start-up step); it must live on ``ctx.vspace``.
+    the form; it must live on ``ctx.vspace``.  No step calls this: a step
+    adds the weight to the step solver's mass-type weight, whose
+    contraction ``(wxarea * weight) @ p2_products`` gives the element
+    matrices here too, placed on both velocity components by one COO.
     """
     if theta_field.space is not ctx.vspace:
         raise ValueError("theta_field must live on the velocity space")
-    return _vector_mass(ctx, quadratic_drag_weight(
-        ctx.tables.at_quad(theta_field), ctx))
+    tables = ctx.tables
+    weight = quadratic_drag_weight(tables.at_quad(theta_field), ctx)
+    nt = len(weight)
+    local = ((tables.wxarea * weight) @ tables.p2_products).reshape(nt, 6, 6)
+    dofs = ctx.vspace.cell_dofs.reshape(nt, 6, 2).transpose(2, 0, 1)
+    rows, cols, data = np.broadcast_arrays(dofs[..., None], dofs[:, :, None],
+                                           local)   # (component, nt, 6, 6)
+    n = ctx.vspace.dof_count
+    return sparse.coo_matrix((data.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(n, n)).tocsr()
 
 
 # -- right-hand sides --------------------------------------------------------------

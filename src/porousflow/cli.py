@@ -207,7 +207,7 @@ def _cmd_simulate(args) -> int:
 
     series = SeriesWriter()
     u0 = fem.interpolate(ctx.vspace, case.u_initial)
-    p0 = fem.zero_field(ctx.pspace, 0.0)
+    p0 = fem.zero_field(ctx.pspace)
     write_snapshot(u0, p0, case.porosity, mesh, 0.0,
                    out_dir / f"{case.name}_{0:06d}.vtk")
     series.add(0.0, u0, p0, fem.norm(u0, "L2"), 0.0)

@@ -216,11 +216,10 @@ def pressure_space(mesh: Mesh) -> SpaceDescriptor:
 
 @dataclass
 class FeField:
-    """Coefficient vector over a space, with an optional time stamp."""
+    """Coefficient vector over a space."""
 
     space: SpaceDescriptor
     coefficients: np.ndarray
-    time_label: float | None = None
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=float)
@@ -232,8 +231,10 @@ class FeField:
         return self.coefficients.reshape(-1, self.space.components)
 
 
+# t is read nowhere; it stays only because perfbench/workloads.py passes a
+# time, and goes with ROADMAP item 13
 def zero_field(space: SpaceDescriptor, t: float | None = None) -> FeField:
-    return FeField(space, np.zeros(space.dof_count), t)
+    return FeField(space, np.zeros(space.dof_count))
 
 
 def eval_function(fn: Callable, points: np.ndarray, t: float | None,
@@ -278,7 +279,7 @@ def interpolate(space: SpaceDescriptor, fn: Callable, t: float | None = None) ->
     """
     vals = eval_function(fn, space.node_coords, t, space.value_shape,
                          "interpolated function")
-    return FeField(space, vals.ravel(), t)
+    return FeField(space, vals.ravel())
 
 
 def eval_field_many(field_: FeField, tris, bary) -> np.ndarray:

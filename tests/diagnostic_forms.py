@@ -12,15 +12,15 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import eigsh
 
-from porousflow.assembly import (
-    FormContext,
+from porousflow.assembly import FormContext
+from porousflow.fem import AnalyticVectorField
+from porousflow.saddle import Constraints
+from reference_solve import (
     _scatter_matrix,
     _vector_mass,
     _vectorize_scalar_local,
+    assemble_a0,
 )
-from porousflow.fem import AnalyticVectorField
-from porousflow.saddle import Constraints
-from reference_solve import assemble_a0
 
 
 def gradient_products(ctx: FormContext) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The from-scratch reference solve of one step system.
 
-The element tables of the constant blocks are scattered into global
+The element tables of the constant blocks, and the mass-type matrix formed
+by one ``einsum`` apart from the run's contraction, are scattered into global
 matrices, the blocks stacked, the fixed unknowns eliminated with diagonal
 masks after lifting the right-hand side, and the result solved on its own by
 :func:`direct_solve`, a float64 SuperLU factorization called here, apart
@@ -18,8 +19,6 @@ from scipy.sparse.linalg import splu
 
 from porousflow.assembly import (
     FormContext,
-    _scatter_matrix,
-    _vector_mass,
     divergence_elements,
     pressure_volume_vector,
     viscous_elements,
@@ -35,6 +34,35 @@ from porousflow.saddle import (
     element_dofs,
     nested_dissection,
 )
+
+
+def _scatter_matrix(rows_dofs, cols_dofs, local, shape) -> sparse.csr_matrix:
+    """Global matrix of the element matrices ``local`` (nt, rows, cols)
+    placed at their unknowns ``rows_dofs`` and ``cols_dofs`` by one COO."""
+    r = np.broadcast_to(rows_dofs[:, :, None], local.shape).ravel()
+    c = np.broadcast_to(cols_dofs[:, None, :], local.shape).ravel()
+    return sparse.coo_matrix((local.ravel(), (r, c)), shape=shape).tocsr()
+
+
+def _vectorize_scalar_local(s_local: np.ndarray) -> np.ndarray:
+    """Expand scalar-node local matrices to both velocity components."""
+    nt, nl, _ = s_local.shape
+    out = np.zeros((nt, 2 * nl, 2 * nl))
+    out[:, 0::2, 0::2] = s_local
+    out[:, 1::2, 1::2] = s_local
+    return out
+
+
+def _vector_mass(ctx: FormContext, weight: np.ndarray) -> sparse.csr_matrix:
+    """Velocity mass matrix with a per-quadrature-point scalar weight, by
+    one ``einsum`` over the P2 values rather than the run's contraction
+    with ``p2_products``."""
+    v = ctx.tables.p2_vals
+    s_local = np.einsum("tq,qn,qm->tnm", ctx.tables.wxarea * weight, v, v)
+    local = _vectorize_scalar_local(s_local)
+    dofs = ctx.vspace.cell_dofs
+    n = ctx.vspace.dof_count
+    return _scatter_matrix(dofs, dofs, local, (n, n))
 
 
 def renumbered(k: sparse.spmatrix, position: np.ndarray) -> sparse.csc_matrix:

@@ -24,8 +24,9 @@ from porousflow.characteristics import material_terms
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
 from porousflow.porous import builtin_porosity, linear_drag_coeff
-from reference_solve import assemble_a0, assemble_b
+from reference_solve import _vector_mass, assemble_a0, assemble_b
 from test_porous import POROSITY_RANGES
+from test_saddle import ORDERING_MESHES
 
 
 def const_velocity_coeffs(ctx, c):
@@ -141,6 +142,21 @@ def test_c1_nonnegative(unit_mesh, params, rng):
     for _ in range(5):
         x = rng.normal(size=c1.shape[0])
         assert x @ (c1 @ x) >= -1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(ORDERING_MESHES))
+def test_c1_matches_the_einsum_mass_matrix(kind, params):
+    # the P2-product contraction of the step solver against the tests' own
+    # einsum over the P2 values, which sums in another order
+    ctx = make_context(ORDERING_MESHES[kind][0](12),
+                       builtin_porosity("mms-sine"), params)
+    rng = np.random.default_rng(11)
+    theta = interpolate(ctx.vspace, lambda p: rng.normal(size=(len(p), 2)))
+    c1 = assemble_c1(theta, ctx)
+    reference = _vector_mass(ctx, quadratic_drag_weight(
+        ctx.tables.at_quad(theta), ctx))
+    assert c1.shape == reference.shape
+    assert abs(c1 - reference).max() <= 1e-13 * abs(reference).max()
 
 
 def test_drag_weight_rejects_a_field_of_another_space(unit_ctx, params):

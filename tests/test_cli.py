@@ -252,7 +252,7 @@ def test_snapshot_initial_state_parseable(tmp_path):
     case = simulate_two_layer_12(out)
     mesh, ctx, _ = cases.build_setup(case, 12, t_final=0.25)
     u0 = interpolate(ctx.vspace, case.u_initial)
-    p0 = zero_field(ctx.pspace, 0.0)
+    p0 = zero_field(ctx.pspace)
     assert (out / "two-layer_000000.vtk").read_text() \
         == snapshot_text_reference(u0, p0, case.porosity, mesh, 0.0)
     assert p0.coefficients == pytest.approx(np.zeros(ctx.pspace.dof_count))

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from compare_parent import (compare_steps, compare_trees, format_summary,
-                            mask_seconds, record_key, runs_agree)
+from compare_parent import (README_COUNTS, compare_steps, compare_trees,
+                            format_summary, mask_seconds, readme_summary,
+                            record_key, repeat_counts, runs_agree)
 
 
 def steps(n, clamped=3):
@@ -88,3 +89,45 @@ def test_only_the_seconds_of_the_finished_line_are_masked():
     assert mask_seconds(one.replace(b"10 steps", b"11 steps")) \
         != mask_seconds(other)
     assert mask_seconds(b"finished in 1.3 s\n") == b"finished in 1.3 s\n"
+
+
+def test_repeats_and_steps_fixed_by_their_inputs():
+    # steps 1-9 give a b c c c c c d d: steps 4-7 and 9 repeat the step
+    # before, and steps 7 and 8 follow four equal results
+    assert repeat_counts(list("abcccccdd")) == {
+        "bitwise_repeats": 5, "repeats_from": 4,
+        "fixed_by_inputs": 2, "fixed_from": 7}
+    assert repeat_counts(list("abcab")) == {
+        "bitwise_repeats": 0, "repeats_from": None,
+        "fixed_by_inputs": 0, "fixed_from": None}
+    assert repeat_counts([]) == repeat_counts(list("abcab"))
+    # four equal results make the fifth step fixed, whatever its own
+    assert repeat_counts(list("aaaab"))["fixed_by_inputs"] == 1
+
+
+def readme_record(run_s, rss, keys, **counts):
+    record = {key: 0 for key in README_COUNTS}
+    return {**record, **counts, "run_s": run_s, "ru_maxrss": rss,
+            "keys": keys}
+
+
+def test_readme_summary_of_interleaved_pairs():
+    parent = [readme_record(t, 100 + i, list("abcc"), steps=4, lu_solves=9)
+              for i, t in enumerate((10.0, 12.0, 11.0))]
+    child = [readme_record(t, 90, list("abdd"), steps=4,
+                           lu_solves=9 if i else 8)
+             for i, t in enumerate((5.0, 12.5, 5.5))]
+    summary = readme_summary(parent, child)
+    assert summary["pairs"] == 3
+    assert summary["run_s_median"] == [11.0, 5.5]
+    assert summary["ratio_median"] == 0.5
+    assert summary["child_faster"] == 2
+    assert summary["ru_maxrss_max"] == [102, 90]
+    # a count that every repetition of a side repeats is one value, else
+    # the side's values in pair order
+    assert summary["counts"]["steps"] == [4, 4]
+    assert summary["counts"]["lu_solves"] == [9, [8, 9, 9]]
+    assert summary["counts"]["fixed_from"] == [0, 0]
+    assert set(summary["counts"]) == set(README_COUNTS)
+    # steps 1 and 2 of the first repetitions are equal, steps 3 and 4 not
+    assert summary["bitwise_equal_steps"] == 2

@@ -46,7 +46,6 @@ import porousflow.characteristics as characteristics
 import porousflow.mesh as mesh_module
 from porousflow import _mms_generated
 from porousflow.assembly import (
-    _scatter_matrix,
     assemble_load,
     assemble_mass_phi_rhs,
     divergence_elements,
@@ -94,7 +93,7 @@ from porousflow.scheme import ProblemSetup, run
 from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
 from diagnostic_forms import gradient_products
-from reference_solve import (assemble_a0, assemble_b,
+from reference_solve import (_scatter_matrix, assemble_a0, assemble_b,
                              nested_dissection_reference)
 from snapshot_reference import snapshot_text_reference
 from test_characteristics import ab2, lg1
