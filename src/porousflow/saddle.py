@@ -25,10 +25,11 @@ gauge multiplier last), and works in that numbering only.  The build
 (:func:`_step_matrix`) sums the transpose ``K^T`` of the constant step
 matrix ``K``, the constant element blocks already eliminated, into one CSC
 matrix whose pattern also holds every element's mass-type entries, looked up
-for the first velocity component and shifted for the second; the arrays of
-that CSC are ``K``'s CSR, which the solver holds.  Each step sums its
-element matrices once per scalar pair at the first component's positions,
-copies those sums to the second component's and adds the constant data.
+for the first velocity component; the arrays of that CSC are ``K``'s CSR,
+which the solver holds, and the second component's positions are read off
+its rows.  Each step sums its element matrices once per scalar pair at the
+first component's positions, copies those sums to the second component's
+and adds the constant data.
 :meth:`StepSolver.solve` places the load in that numbering and reads the
 step's velocity and pressure fields off the solution.  A
 :class:`SaddleSystem` is only a per-step front to that call.
@@ -206,10 +207,11 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector, position):
     The columns then take their places, and the conversion to the CSC
     lists each column's rows in order without a sort.
 
-    Returns the canonical CSC matrix and the position in its data array of
-    each element's mass-type entries, those of the viscous block's
-    same-component pairs, ``(nt, 6, 6, 2)`` flattened; entries on a fixed
-    row or column point one past the end.
+    Returns the canonical CSC matrix and the int64 position in its data
+    array of each element's first-component mass-type entries, those of the
+    viscous block's pairs ``(2a, 2b)`` of the triangle's nodes ``a`` and
+    ``b``, ``(nt, 6, 6)`` flattened; entries on a fixed row or column point
+    one past the end.
     """
     nt, n = len(dofs), len(free)
     # 32-bit indices, as scipy keeps them, halve the index traffic
@@ -257,22 +259,14 @@ def _step_matrix(a_elements, b_elements, dofs, free, gauge_vector, position):
                           shape=(n, n)).tocsc()
     # the mass-type pairs (2a, 2b) of a triangle's nodes, looked up in data
     # numbered i - nnz (0 where not stored) at (2a, 2b + 1) when b is fixed,
-    # whose column holds only its own row, so such a pair is not found.
-    # Both unknowns of a free node take places in turn and their columns
-    # hold the same rows, so (2a + 1, 2b + 1) lies one column length and
-    # one further on.
+    # whose column holds only its own row, so such a pair is not found
     first = dofs[:, 0:12:2]
     rows, cols = position[first], position[first + ~free[first]]
     ids = sparse.csc_matrix((np.arange(-k.nnz, 0, dtype=k.indices.dtype),
                              k.indices, k.indptr), shape=k.shape)
     found = np.asarray(ids[np.repeat(rows, 6, axis=1).ravel(),
                            np.tile(cols, 6).ravel()])
-    found = found.reshape(nt, 6, 6)
-    pos = np.empty((nt, 6, 6, 2), dtype=np.int64)
-    pos[..., 0] = found + k.nnz
-    pos[..., 1] = pos[..., 0] + (found < 0) * (
-        np.diff(k.indptr)[rows] + 1)[:, None, :]
-    return k, pos.ravel()
+    return k, found.ravel().astype(np.int64) + k.nnz
 
 
 def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
@@ -414,9 +408,10 @@ class StepSolver:
     numbering of the unknowns, computed at construction, in which the
     constant blocks are placed and eliminated at once (:func:`_step_matrix`):
     the build sums their transpose ``K^T`` in a CSC pattern that also holds
-    every element's mass-type entries on free rows and columns, whose
-    positions in the data array are recorded, and the solver holds that
-    CSC's arrays as ``K``'s CSR.  :meth:`assemble` scatters the element
+    every element's mass-type entries on free rows and columns, records the
+    first velocity component's positions in the data array, and the solver
+    holds that CSC's arrays as ``K``'s CSR, off whose rows it reads where
+    each second-component entry lies.  :meth:`assemble` scatters the element
     matrices of ``M(w)``, summed once per scalar pair, into a copy of the
     constant data and lifts the right-hand side by the fixed values through
     the element matrices of the triangles that hold them; only :meth:`solve`
@@ -460,8 +455,8 @@ class StepSolver:
         # shift of every solve's pressure
         self._gauge_vector = (pressure_volume_vector(ctx)
                               if constraints.gauge else None)
-        matrix, pos = _step_matrix(a_elements, b_elements, dofs, free,
-                                   self._gauge_vector, position)
+        matrix, self._first = _step_matrix(a_elements, b_elements, dofs, free,
+                                           self._gauge_vector, position)
         # the CSC of K^T is, array for array, K's CSR, which is held;
         # copied once the build's temporaries are freed, the held arrays
         # fill the heap holes those leave instead of pinning the heap top
@@ -471,16 +466,18 @@ class StepSolver:
         # both components of a mass-type pair take the same element values in
         # the same order, so each sum is formed once, at the first
         # component's position (one past the end off the pattern), and
-        # copied to the second's, each pair of positions held once; the held
-        # indices stay int64, which take and bincount use without a
-        # conversion
-        pos = pos.reshape(-1, 2)
-        self._first = pos[:, 0].copy()
-        second = np.full(self._constant.nnz + 1, -1, dtype=np.int32)
-        second[self._first] = pos[:, 1]
-        self._second_from = np.flatnonzero(second[:-1] >= 0)
-        self._second_to = second[self._second_from].astype(np.int64)
-        del pos, second
+        # copied to the second's, each pair of positions held once.  Both
+        # unknowns of a free node take places in turn and their rows hold
+        # the same columns, so (2a + 1, 2b + 1) lies one row length and one
+        # further on than (2a, 2b).  The held indices stay int64, which take
+        # and bincount use without a conversion
+        indptr = self._constant.indptr
+        stored = np.zeros(self._constant.nnz + 1, dtype=bool)
+        stored[self._first] = True
+        self._second_from = np.flatnonzero(stored[:-1])
+        row = np.searchsorted(indptr, self._second_from, side="right") - 1
+        self._second_to = self._second_from + (np.diff(indptr) + 1)[row]
+        del stored, row
         # the elements with a fixed unknown lift the right-hand side through
         # their constant blocks [A; B], (m, 15, 12), and their mass-type part
         touched = ~free[dofs[:, :12]].all(axis=1)

@@ -76,17 +76,17 @@ class ProblemSetup:
     the boundary velocity on Dirichlet edges; ``forcing(points, t)`` the body
     force (or ``None``).  ``tau`` and ``t_final`` must be positive and
     finite, with a finite ratio that gives at least one step, or
-    ``ValueError`` names them; so does a ``tau`` whose general steps' mass
-    weight ``1.5 rho / tau`` exceeds the range of the step factor's
-    ``FACTOR_DTYPE``.  The run's :class:`Constraints` table is built here
-    from the mesh's Dirichlet mask ``boundary_dirichlet``, so a bad boundary
-    fails early: every boundary edge is Dirichlet or stress-free, and an
-    all-stress-free boundary raises ``ValueError``.  The table carries the
-    zero-mean pressure gauge exactly when no boundary edge is stress-free;
-    ``gauge`` is set to that value, and a ``gauge`` given otherwise raises
-    ``ValueError``.  The analytic data is checked where it is read, by
-    :func:`~porousflow.fem.eval_function`: a value of the wrong shape or a
-    NaN or infinite one raises ``ValueError`` naming the data.
+    ``ValueError`` names them; so does a ``tau`` whose largest step mass
+    weight (``GENERAL``'s ``1.5 rho / tau``) exceeds the range of the step
+    factor's ``FACTOR_DTYPE``.  The run's :class:`Constraints` table is
+    built here from the mesh's Dirichlet mask ``boundary_dirichlet``, so a
+    bad boundary fails early: every boundary edge is Dirichlet or
+    stress-free, and an all-stress-free boundary raises ``ValueError``.  The
+    table carries the zero-mean pressure gauge exactly when no boundary edge
+    is stress-free; ``gauge`` is set to that value, and a ``gauge`` given
+    otherwise raises ``ValueError``.  The analytic data is checked where it
+    is read, by :func:`~porousflow.fem.eval_function`: a value of the wrong
+    shape or a NaN or infinite one raises ``ValueError`` naming the data.
     """
 
     ctx: FormContext
@@ -107,11 +107,12 @@ class ProblemSetup:
         if math.isinf(float(self.t_final) / float(self.tau)):
             raise ValueError(f"t_final = {self.t_final} over tau = "
                              f"{self.tau} overflows; no step count")
-        weight = 1.5 * self.ctx.params.rho / self.tau
+        scale = max(kind.mass for kind in (STARTUP, GENERAL))
+        weight = scale * self.ctx.params.rho / self.tau
         if weight > float(np.finfo(FACTOR_DTYPE).max):
-            raise ValueError(f"tau = {self.tau} gives the mass weight 1.5 rho "
-                             f"/ tau = {weight:.3g}, beyond the range of the "
-                             f"step factor's {np.dtype(FACTOR_DTYPE)}")
+            raise ValueError(f"tau = {self.tau} gives the mass weight {scale} "
+                             f"rho / tau = {weight:.3g}, beyond the range of "
+                             f"the step factor's {np.dtype(FACTOR_DTYPE)}")
         if self.n_steps < 1:
             raise ValueError("tau exceeds the final time; no steps to take")
         self.constraints = table = Constraints.build(self.ctx)

@@ -16,7 +16,8 @@ equal, the largest relative change of the velocity and of the pressure (max
 norm of the difference over that of the parent's field, maximized over the
 steps), and the clamped-feet totals.  Then it byte-compares every file
 these commands write, their standard output included, with the seconds on
-``simulate``'s ``finished`` line masked::
+``simulate``'s ``finished`` line masked, and last each side's count of
+code lines in ``src/porousflow/*.py`` (see :func:`code_lines`)::
 
     simulate two-layer --n 12 --t-final 1.0 --snapshot-every 2
     simulate sinusoidal --n 16 --t-final 2.0 --snapshot-every 1
@@ -29,7 +30,8 @@ Run it from anywhere::
 
 ``--rev`` names the parent; the default ``HEAD~1`` is the parent of a
 committed change, and ``HEAD`` compares uncommitted work with its base.
-The exit status is 0 when every step and every file is equal, else 1.
+The exit status is 0 when every step and every file is equal, else 1;
+the code-line counts do not enter it.
 
 ``--readme N`` times the two README runs instead, ``simulate two-layer --n
 120`` and ``simulate sinusoidal --n 300`` at their default final time, as
@@ -44,6 +46,7 @@ factorizations, its bitwise repeats and the steps fixed by their inputs
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import io
 import json
@@ -58,6 +61,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +168,32 @@ def compare_trees(parent: Path, child: Path) -> dict:
 def mask_seconds(text: bytes) -> bytes:
     """Standard output with the seconds on the ``finished`` line masked."""
     return FINISHED.sub(rb"\1*\2", text)
+
+
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that hold code: every line a token
+    other than a comment, an indentation or a line break lies on, a string
+    spanning lines counting each, less the docstrings of the module, its
+    classes and its functions."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+    return len(lines)
+
+
+def package_code_lines(src: Path) -> int:
+    """:func:`code_lines` summed over ``src/porousflow/*.py``."""
+    return sum(code_lines(path.read_text(encoding="utf-8"))
+               for path in (src / "porousflow").glob("*.py"))
 
 
 def format_summary(name: str, summary: dict) -> str:
@@ -390,6 +420,8 @@ def compare_runs(sides: dict, tmp: Path, rev: str) -> bool:
         print(f"{name}: {len(files) - len(differing)} of {len(files)} "
               f"files byte-identical"
               + "".join(f"\n  {f}: {s}" for f, s in differing.items()))
+    print("src/porousflow/*.py code lines: " + ", ".join(
+        f"{side} {package_code_lines(src):,}" for side, src in sides.items()))
     return ok
 
 

@@ -253,11 +253,6 @@ class ReferenceSystem:
         self.values = self.constraints.values(g, t)
         return self
 
-    def apply_gauge(self) -> "ReferenceSystem":
-        """A no-op: the table carries the zero-mean gauge exactly when the
-        boundary needs it."""
-        return self
-
     def full_rhs(self) -> np.ndarray:
         """The unconstrained right-hand side, a zero gauge row appended."""
         rhs = np.concatenate([self.rhs_v, self.rhs_p, [0.0]] if self.gauge

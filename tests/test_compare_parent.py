@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from compare_parent import (README_COUNTS, compare_steps, compare_trees,
-                            format_summary, mask_seconds, readme_summary,
-                            record_key, repeat_counts, runs_agree)
+from compare_parent import (README_COUNTS, code_lines, compare_steps,
+                            compare_trees, format_summary, mask_seconds,
+                            package_code_lines, readme_summary, record_key,
+                            repeat_counts, runs_agree)
 
 
 def steps(n, clamped=3):
@@ -131,3 +132,45 @@ def test_readme_summary_of_interleaved_pairs():
     assert set(summary["counts"]) == set(README_COUNTS)
     # steps 1 and 2 of the first repetitions are equal, steps 3 and 4 not
     assert summary["bitwise_equal_steps"] == 2
+
+
+SYNTHETIC_SOURCE = '''"""A module docstring
+over two lines."""
+
+import math   # a trailing comment keeps its line
+
+# a comment line
+
+
+class Shape:
+    """One line."""
+
+    sides = 3
+
+    def area(self):
+        """A method docstring,
+        on two lines."""
+        text = """a string
+        that is no docstring"""
+        return (math.pi
+                * len(text))
+
+
+async def wait():
+    \'\'\'Single-quoted.\'\'\'
+    "a string statement after the docstring counts"
+'''
+
+
+def test_code_lines_of_a_synthetic_source(tmp_path):
+    # import, class, sides, def area, the two lines of text, the two of
+    # the return, async def and the second string statement; the
+    # docstrings, comments and blank lines are left out
+    assert code_lines(SYNTHETIC_SOURCE) == 10
+    assert code_lines("") == 0
+    package = tmp_path / "porousflow"
+    package.mkdir()
+    (package / "a.py").write_text(SYNTHETIC_SOURCE)
+    (package / "b.py").write_text("x = 1\n\n# end\n")
+    (package / "notes.txt").write_text("y = 2\n")
+    assert package_code_lines(tmp_path) == 11

@@ -93,7 +93,8 @@ from porousflow.scheme import ProblemSetup, run
 from porousflow.verification import transport_identity_check
 from porousflow.vtkio import write_snapshot
 from diagnostic_forms import gradient_products
-from reference_solve import (_scatter_matrix, assemble_a0, assemble_b,
+from reference_solve import (_scatter_matrix, _vectorize_scalar_local,
+                             assemble_a0, assemble_b,
                              nested_dissection_reference)
 from snapshot_reference import snapshot_text_reference
 from test_characteristics import ab2, lg1
@@ -222,7 +223,7 @@ def a0_reference(ctx):
     s = np.einsum("tq,tqnd,tqmd->tnm", wxa, g, g)
     cross = np.einsum("tq,tqnd,tqmc->tncmd", wxa, g, g)
     nt = len(wxa)
-    local = ctx.params.mu * (vectorize_scalar_local_reference(s)
+    local = ctx.params.mu * (_vectorize_scalar_local(s)
                              + cross.reshape(nt, 12, 12))
     dofs = ctx.vspace.cell_dofs
     n = ctx.vspace.dof_count
@@ -240,22 +241,13 @@ def b_reference(ctx):
                            (ctx.pspace.dof_count, ctx.vspace.dof_count))
 
 
-def vectorize_scalar_local_reference(s_local):
-    """Expand scalar-node local matrices to both velocity components."""
-    nt, nl, _ = s_local.shape
-    out = np.zeros((nt, 2 * nl, 2 * nl))
-    out[:, 0::2, 0::2] = s_local
-    out[:, 1::2, 1::2] = s_local
-    return out
-
-
 def viscous_elements_reference(ctx):
     """The viscous element table as mu times the sum of the zero-filled
     component expansion of the trace and a reshaped copy of the gradient
     products."""
     cross = gradient_products(ctx)
     s = np.einsum("tncmc->tnm", cross)
-    return ctx.params.mu * (vectorize_scalar_local_reference(s)
+    return ctx.params.mu * (_vectorize_scalar_local(s)
                             + cross.reshape(-1, 12, 12))
 
 
@@ -627,8 +619,9 @@ def dissection_order_reference(k, position, pos=None):
 def mass_weighted_reference(k, pos, local):
     """``k`` with the element matrices ``local`` (nt, 36) of the mass-type
     weight scattered, both velocity components from one repeated table, at
-    the mass-type positions ``pos`` of :func:`porousflow.saddle._step_matrix`
-    in ``k.data``."""
+    the mass-type positions ``pos`` of both components in ``k.data``,
+    ``(nt, 6, 6, 2)`` flattened, as :func:`step_matrix_reference` gives
+    them."""
     data = np.bincount(pos, np.repeat(local.ravel(), 2),
                        minlength=k.nnz + 1)[:k.nnz]
     data += k.data
@@ -639,7 +632,7 @@ def assemble_repeat_reference(solver, pos, weight, rhs, values):
     """Constrained matrix and right-hand side for the mass-type weight
     ``weight`` (nt, nq), the unconstrained ``rhs`` and the values of the
     fixed unknowns, in the solver's numbering, with ``pos`` the mass-type
-    positions of :func:`porousflow.saddle._step_matrix`."""
+    positions of both components in its data array (:func:`mass_positions`)."""
     tables = solver.ctx.tables
     local = (tables.wxarea * weight) @ tables.p2_products   # (nt, 36)
     k = mass_weighted_reference(solver._constant, pos, local)
@@ -917,7 +910,7 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     position = nested_dissection(ctx, table.fixed, table.gauge)
     assert np.array_equal(position, nested_dissection_reference(
         ctx, table.fixed, table.gauge)[0])
-    k, pos = _step_matrix(*args, position)
+    k, first = _step_matrix(*args, position)
     k_ref, pos_ref = step_matrix_reference(args[0].transpose(0, 2, 1),
                                            *args[1:])
     k_ref, pos_ref = dissection_order_reference(k_ref, position, pos_ref)
@@ -925,7 +918,21 @@ def test_step_solver_build_is_bitwise_the_masked_unknown_form(layout, n):
     assert np.array_equal(k.indptr, k_ref.indptr)
     assert np.array_equal(k.indices, k_ref.indices)
     assert k.data.tobytes() == k_ref.data.tobytes()
-    assert np.array_equal(pos, pos_ref) and pos.dtype == pos_ref.dtype
+    first_ref, second_ref = pos_ref.reshape(-1, 2).T
+    assert_same_bytes(first, first_ref)
+    # the solver holds the first positions and the copy pairs: each stored
+    # first position, ascending, mapped to the reference's second position
+    solver = StepSolver(ctx, args[0], args[1], table)
+    assert_same_bytes(solver._first, first_ref)
+    stored = first_ref < k_ref.nnz
+    pairs_from, at = np.unique(first_ref[stored], return_index=True)
+    pairs_to = second_ref[stored][at]
+    assert np.array_equal(
+        pairs_to[np.searchsorted(pairs_from, first_ref[stored])],
+        second_ref[stored])
+    assert_same_bytes(solver._second_from, pairs_from)
+    assert_same_bytes(solver._second_to, pairs_to)
+    assert solver._constant.data.tobytes() == k.data.tobytes()
 
 
 def assert_element_tables_are_the_expanded_forms(ctx):
@@ -1343,15 +1350,18 @@ def step_matrix_args(ctx, table, a_elements, b_elements):
 
 
 def mass_positions(ctx, table, a_elements, b_elements):
-    """The mass-type positions that a step solver's build places."""
-    return _step_matrix(*step_matrix_args(ctx, table, a_elements,
-                                          b_elements),
-                        nested_dissection(ctx, table.fixed, table.gauge))[1]
+    """The mass-type positions of both velocity components in a step
+    solver's data array, ``(nt, 6, 6, 2)`` flattened, from the reference
+    build of the transposed matrix moved to the dissection order."""
+    k_ref, pos = step_matrix_reference(*step_matrix_args(
+        ctx, table, a_elements.transpose(0, 2, 1), b_elements))
+    return dissection_order_reference(
+        k_ref, nested_dissection(ctx, table.fixed, table.gauge), pos)[1]
 
 
 def built_solver(ctx):
     """The step solver of ``ctx`` under its tagged table, and the mass-type
-    positions its build placed."""
+    positions of both velocity components in its data array."""
     table = Constraints.build(ctx)
     a, b = viscous_elements(ctx), divergence_elements(ctx)
     return StepSolver(ctx, a, b, table), mass_positions(ctx, table, a, b)

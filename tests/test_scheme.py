@@ -589,8 +589,6 @@ def _step_system(setup, kind, t, theta, rhs):
                                 + assemble_c0(ctx) + c1, b, rhs,
                                 constraints=Constraints.build(ctx))
     reference.apply_dirichlet(setup.dirichlet, t)
-    if setup.gauge:
-        reference.apply_gauge()
     weight = m_scale + ctx.linear_drag + quadratic_drag_weight(
         ctx.tables.at_quad(theta), ctx)
     return reference, weight, setup.constraints.values(setup.dirichlet, t)
