@@ -38,8 +38,8 @@ SLOPE_BANDS = {"Er1": (1.7, 2.4), "Er2": (1.7, 2.6)}
 
 #: The keys a flag or a ``--config`` file can set, with their types; every
 #: other key that ``config.txt`` records is fixed by the case.
-SETTABLE = {"n": int, "tau": float, "t_final": float, "out_dir": str,
-            "snapshot_every": int}
+SETTABLE = {"n": int, "tau": float, "t_final": float, "snapshot_every": int,
+            "out_dir": str}
 
 
 @dataclass
@@ -325,11 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a bundled experiment case")
     p_sim.add_argument("case", choices=case_lib.case_names())
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--tau", type=float, default=None)
-    p_sim.add_argument("--t-final", type=float, default=None)
-    p_sim.add_argument("--snapshot-every", type=int, default=None)
-    p_sim.add_argument("--out-dir", default=None)
+    for key, cast in SETTABLE.items():
+        p_sim.add_argument("--" + key.replace("_", "-"), type=cast)
     p_sim.add_argument("--config", default=None,
                        help="flat key = value defaults file")
     p_sim.add_argument("--show-config", action="store_true",

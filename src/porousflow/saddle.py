@@ -287,8 +287,9 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
     each is one item, of 2 and 1 unknowns.  Each part keeps its triangles in
     the order of their centroids along x and along y (ties in index order),
     which gives its extents and its median, and each split partitions both
-    orders stably.  An item's group (leaf or separator) is recorded when it
-    is placed; one stable sort by group start then numbers the unknowns.
+    orders by one stable sort on (part, side).  An item's group (leaf or
+    separator) is recorded when it is placed; one stable sort by group start
+    then numbers the unknowns.
 
     Returns ``position``: unknown ``i`` takes place ``position[i]``.
     """
@@ -331,9 +332,7 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
         axis = np.argmax(extent, axis=1)
         rank = np.arange(len(tp)) - begin[tp]
         half = count // 2
-        for d, o in enumerate(orders):
-            along = axis[tp] == d
-            side[o[along]] = rank[along] >= half[tp[along]]
+        side[np.where(axis[tp] == 0, *orders)] = rank >= half[tp]
         used = np.zeros(2 * n_nodes, dtype=bool)   # left, then right
         o = orders[0]
         used[(cell_nodes[o] + n_nodes * side[o][:, None]).ravel()] = True
@@ -346,31 +345,23 @@ def nested_dissection(ctx: FormContext, fixed: np.ndarray, gauge: bool):
         separator = middle + sizes[1::2]
         group[live[sep]] = separator[part[sep]]
         # each part's left triangles, then its right ones, in the same order
-        for d, o in enumerate(orders):
-            right = side[o]
-            before = np.cumsum(right) - right
-            before -= before[begin][tp]
-            place = begin[tp] + np.where(right, half[tp] + before,
-                                         rank - before)
-            orders[d] = np.empty_like(o)
-            orders[d][place] = o
+        orders = [o[np.argsort(2 * tp + side[o], kind="stable")]
+                  for o in orders]
         count = np.column_stack([half, count - half]).ravel()
         start = np.column_stack([start, middle]).ravel()
         size = sizes
         live, part = live[~sep], child[~sep]
-    # groups tile the positions, so items sorted by group start and index
-    # take consecutive runs
-    order = np.argsort(group, kind="stable")
-    runs = weight[order]
-    item_pos = np.empty_like(group)
-    item_pos[order] = fixed.size + np.cumsum(runs) - runs
+    # groups tile the positions, so the items' unknowns, in item order and
+    # sorted by group start, take them in turn
+    unknowns = np.concatenate([np.column_stack([2 * velocity,
+                                                2 * velocity + 1]).ravel(),
+                               nv + np.arange(nq)])
     pos = np.empty(n, dtype=np.int64)
     pos[fixed] = np.arange(fixed.size)
     if gauge:
         pos[-1] = n - 1
-    pos[2 * velocity] = item_pos[:velocity.size]
-    pos[2 * velocity + 1] = item_pos[:velocity.size] + 1
-    pos[nv:nv + nq] = item_pos[velocity.size:]
+    ranked = unknowns[np.argsort(np.repeat(group, weight), kind="stable")]
+    pos[ranked] = np.arange(fixed.size, nv + nq)
     return pos
 
 

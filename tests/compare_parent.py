@@ -17,7 +17,8 @@ norm of the difference over that of the parent's field, maximized over the
 steps), and the clamped-feet totals.  Then it byte-compares every file
 these commands write, their standard output included, with the seconds on
 ``simulate``'s ``finished`` line masked, and last each side's count of
-code lines in ``src/porousflow/*.py`` (see :func:`code_lines`)::
+code lines in ``src/porousflow/*.py`` (see :func:`code_lines`), then each
+module whose count differs, as ``saddle.py 348 -> 337``::
 
     simulate two-layer --n 12 --t-final 1.0 --snapshot-every 2
     simulate sinusoidal --n 16 --t-final 2.0 --snapshot-every 1
@@ -190,10 +191,19 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def package_code_lines(src: Path) -> int:
-    """:func:`code_lines` summed over ``src/porousflow/*.py``."""
-    return sum(code_lines(path.read_text(encoding="utf-8"))
-               for path in (src / "porousflow").glob("*.py"))
+def module_code_lines(src: Path) -> dict[str, int]:
+    """:func:`code_lines` of each ``src/porousflow/*.py``, by file name."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in (src / "porousflow").glob("*.py")}
+
+
+def changed_modules(parent: dict, child: dict) -> list[str]:
+    """``"name parent -> child"`` for each module whose code lines differ
+    between two :func:`module_code_lines`, in name order; a module on one
+    side only counts 0 on the other."""
+    return [f"{name} {parent.get(name, 0)} -> {child.get(name, 0)}"
+            for name in sorted(parent | child)
+            if parent.get(name, 0) != child.get(name, 0)]
 
 
 def format_summary(name: str, summary: dict) -> str:
@@ -420,8 +430,11 @@ def compare_runs(sides: dict, tmp: Path, rev: str) -> bool:
         print(f"{name}: {len(files) - len(differing)} of {len(files)} "
               f"files byte-identical"
               + "".join(f"\n  {f}: {s}" for f, s in differing.items()))
+    lines = {side: module_code_lines(src) for side, src in sides.items()}
     print("src/porousflow/*.py code lines: " + ", ".join(
-        f"{side} {package_code_lines(src):,}" for side, src in sides.items()))
+        f"{side} {sum(counts.values()):,}" for side, counts in lines.items()))
+    for change in changed_modules(lines["parent"], lines["child"]):
+        print("  " + change)
     return ok
 
 

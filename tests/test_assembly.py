@@ -20,6 +20,7 @@ from porousflow.assembly import (
     pressure_volume_vector,
     quadratic_drag_weight,
 )
+from porousflow.cases import build_case_mesh, get_case
 from porousflow.characteristics import material_terms
 from porousflow.fem import AnalyticVectorField, interpolate
 from porousflow.mesh import generate_rect_mesh
@@ -299,6 +300,25 @@ def test_mass_phi_rhs_uniform_fixed_point(index, unit_mesh, params,
     rhs = assemble_mass_phi_rhs(bracket, ctx, r_scale)
     residual = m_scale * (mass_matrix(ctx) @ u.coefficients) - rhs
     assert np.abs(residual).max() < 1e-10
+
+
+def test_mass_phi_rhs_ignores_the_sign_of_zero_bracket_values(rng):
+    # the load's sums start from +0.0, so a bracket's zeros reach the
+    # right-hand side the same whatever their sign
+    case = get_case("two-layer")
+    ctx = make_context(build_case_mesh(case, 12), case.porosity, case.params)
+    bracket = rng.normal(size=(*ctx.tables.wxarea.shape, 2))
+    bracket[::2] = 0.0                        # whole triangles
+    bracket[rng.random(bracket.shape) < 0.3] = 0.0
+    bracket = bracket.reshape(ctx.tables.qpoints_flat.shape)
+    negative = np.where(bracket == 0.0, -0.0, bracket)
+    assert np.signbit(negative).sum() > np.signbit(bracket).sum()
+    scale = 1.5 * case.params.rho / 0.1
+    rhs = assemble_mass_phi_rhs(bracket, ctx, scale)
+    assert assemble_mass_phi_rhs(negative, ctx, scale).tobytes() == (
+        rhs.tobytes())
+    zeros = assemble_mass_phi_rhs(np.full(bracket.shape, -0.0), ctx, scale)
+    assert not np.signbit(zeros).any()
 
 
 def test_korn_estimate_positive_and_bounds(unit_ctx, params, rng):

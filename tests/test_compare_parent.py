@@ -2,10 +2,10 @@
 
 import numpy as np
 
-from compare_parent import (README_COUNTS, code_lines, compare_steps,
-                            compare_trees, format_summary, mask_seconds,
-                            package_code_lines, readme_summary, record_key,
-                            repeat_counts, runs_agree)
+from compare_parent import (README_COUNTS, changed_modules, code_lines,
+                            compare_steps, compare_trees, format_summary,
+                            mask_seconds, module_code_lines, readme_summary,
+                            record_key, repeat_counts, runs_agree)
 
 
 def steps(n, clamped=3):
@@ -173,4 +173,24 @@ def test_code_lines_of_a_synthetic_source(tmp_path):
     (package / "a.py").write_text(SYNTHETIC_SOURCE)
     (package / "b.py").write_text("x = 1\n\n# end\n")
     (package / "notes.txt").write_text("y = 2\n")
-    assert package_code_lines(tmp_path) == 11
+    assert module_code_lines(tmp_path) == {"a.py": 10, "b.py": 1}
+
+
+def synthetic_package(root, modules):
+    package = root / "porousflow"
+    package.mkdir(parents=True)
+    for name, source in modules.items():
+        (package / name).write_text(source)
+    return root
+
+
+def test_modules_whose_code_lines_differ(tmp_path):
+    parent = module_code_lines(synthetic_package(tmp_path / "parent", {
+        "a.py": SYNTHETIC_SOURCE, "b.py": "x = 1\n", "gone.py": "y = 2\n"}))
+    child = module_code_lines(synthetic_package(tmp_path / "child", {
+        "a.py": SYNTHETIC_SOURCE, "b.py": "x = 1\n# a comment\ny = x\n",
+        "new.py": "import os\n\nz = (1,\n     2)\n"}))
+    # a.py is unchanged; a module on one side only counts 0 on the other
+    assert changed_modules(parent, child) == [
+        "b.py 1 -> 2", "gone.py 1 -> 0", "new.py 0 -> 3"]
+    assert changed_modules(child, child) == []

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import re
 import subprocess
@@ -492,6 +494,34 @@ def test_nested_dissection_separates_and_solves(kind, n, seed):
                      options={"SymmetricMode": True}).solve(rhs)
     assert resid <= 1e-12
     assert np.abs(x - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+# fixed layouts beside the hypothesis test's, which draws n >= 4: unit
+# squares from n = 2 with every side tagging but the all stress-free one,
+# and the benchmark meshes
+DISSECTION_LAYOUTS = {
+    **{f"unit n={n}, stress-free {'+'.join(sides) or 'none'}":
+       (lambda n=n, sides=sides: generate_rect_mesh((0.0, 1.0), (0.0, 1.0),
+                                                    n, stress_free=sides))
+       for n in (2, 3, 5) for r in range(len(SIDES))
+       for sides in itertools.combinations(SIDES, r)},
+    "two-layer n=60": lambda: build_case_mesh(get_case("two-layer"), 60),
+    "mms N=32": lambda: generate_rect_mesh((0.0, math.pi), (0.0, math.pi),
+                                           32),
+    "sinusoidal n=40": lambda: build_case_mesh(get_case("sinusoidal"), 40),
+}
+
+
+@pytest.mark.parametrize("layout", DISSECTION_LAYOUTS)
+def test_nested_dissection_is_bitwise_the_reference(layout, params):
+    ctx = make_context(DISSECTION_LAYOUTS[layout](),
+                       builtin_porosity("constant", value=0.6), params)
+    table = Constraints.build(ctx)
+    position = nested_dissection(ctx, table.fixed, table.gauge)
+    reference, _ = nested_dissection_reference(ctx, table.fixed, table.gauge)
+    assert (position.dtype, position.shape) == (reference.dtype,
+                                                reference.shape)
+    assert position.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("kind", sorted(ORDERING_MESHES))
