@@ -18,7 +18,10 @@ no step evaluates it again.
 Feet that leave the domain are clamped to the first boundary intersection of
 the backtracking segment.  When that crossing is through a Dirichlet edge the
 prescribed boundary velocity replaces the interior field, otherwise the field
-is evaluated at the clamped point itself.
+is evaluated at the clamped point itself.  So every history field comes with
+its Dirichlet data, a function of the points, read at each foot that leaves
+through a Dirichlet edge; there is no fallback to the interior field there,
+and a missing data function fails at the first such exit.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from porousflow.porous import PorosityField
 
 
 def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
-                               advect, tau: float, g=None):
-    """(field/phi) at the upwind feet of many points; returns the values and
-    the number of clamped feet."""
+                               advect, tau: float, g):
+    """(field/phi) at the upwind feet of many points, with the Dirichlet
+    data ``g`` at the feet clamped on a Dirichlet edge; returns the values
+    and the number of clamped feet."""
     mesh = field.space.mesh
     # F-ordered, so that point location reads x and y as they are
     feet = np.subtract(points, tau * advect, order="F")
@@ -45,8 +49,7 @@ def _composed_average_velocity(points, field: FeField, porosity: PorosityField,
         feet[outside] = hit.points
         tri[outside] = mesh.boundary_edge_tri[hit.edges]
         bary[outside] = mesh.barycentric(tri[outside], hit.points)
-        if g is not None:
-            on_dirichlet = outside[mesh.boundary_dirichlet[hit.edges]]
+        on_dirichlet = outside[mesh.boundary_dirichlet[hit.edges]]
     vals = eval_field_many(field, tri, bary)
     if on_dirichlet.size:
         vals[on_dirichlet] = eval_function(g, feet[on_dirichlet], None, (2,),
@@ -59,8 +62,9 @@ def material_terms(history, porosity: PorosityField, tau: float, points,
     """Known part of a step's material-derivative bracket at many points.
 
     ``history`` holds one ``(field, m, c, g)`` entry per previous velocity:
-    its field, foot multiple, bracket coefficient and Dirichlet data (or
-    ``None``).  Returns ``phi(x) * sum c (field/phi o X1(w*, m tau))(x)``
+    its field, foot multiple, bracket coefficient and Dirichlet data.  Every
+    entry carries its data, read at each foot that leaves through a
+    Dirichlet edge.  Returns ``phi(x) * sum c (field/phi o X1(w*, m tau))(x)``
     and the total of clamped feet, where ``w* = theta/phi`` is evaluated at
     the points themselves from the linearization velocity's values there,
     ``theta_at`` (m, 2), and the porosity there, ``phi_at`` (m,).  The sum

@@ -507,16 +507,15 @@ class StepSolver:
         k = sparse.csr_matrix((data, const.indices, const.indptr),
                               shape=const.shape)
         n_fixed = self.constraints.fixed.size   # at places 0, 1, ...
-        if n_fixed:
-            lift = np.zeros(len(rhs))
-            lift[:n_fixed] = values
-            x = lift[self._lift_dofs[:, :12]]                     # (m, 12)
-            out = (self._lift_blocks @ x[:, :, None])[:, :, 0]    # (m, 15)
-            out[:, :12] += (local[self._lift_elems].reshape(-1, 6, 6)
-                            @ x.reshape(-1, 6, 2)).reshape(-1, 12)
-            rhs = rhs - np.bincount(self._lift_dofs.ravel(), out.ravel(),
-                                    minlength=len(rhs))
-            rhs[:n_fixed] = values
+        lift = np.zeros(len(rhs))
+        lift[:n_fixed] = values
+        x = lift[self._lift_dofs[:, :12]]                         # (m, 12)
+        out = (self._lift_blocks @ x[:, :, None])[:, :, 0]        # (m, 15)
+        out[:, :12] += (local[self._lift_elems].reshape(-1, 6, 6)
+                        @ x.reshape(-1, 6, 2)).reshape(-1, 12)
+        rhs = rhs - np.bincount(self._lift_dofs.ravel(), out.ravel(),
+                                minlength=len(rhs))
+        rhs[:n_fixed] = values
         return k, rhs
 
     def solve(self, weight: np.ndarray, load: np.ndarray, values: np.ndarray,

@@ -14,11 +14,14 @@ importing its own ``src``.  Each side makes the same runs:
 Per run it prints the steps whose velocity, pressure and record are bitwise
 equal, the largest relative change of the velocity and of the pressure (max
 norm of the difference over that of the parent's field, maximized over the
-steps), and the clamped-feet totals.  Then it byte-compares every file
-these commands write, their standard output included, with the seconds on
-``simulate``'s ``finished`` line masked, and last each side's count of
-code lines in ``src/porousflow/*.py`` (see :func:`code_lines`), then each
-module whose count differs, as ``saddle.py 348 -> 337``::
+steps), and the clamped-feet totals; below that line, each side's LU
+solves (the records' summed ``krylov_iterations``, one LU solve each) and
+factorizations (the steps whose record says ``factorized``), so a change to
+the solver's schedule shows its exact count change.  Then it byte-compares
+every file these commands write, their standard output included, with the
+seconds on ``simulate``'s ``finished`` line masked, and last each side's
+count of code lines in ``src/porousflow/*.py`` (see :func:`code_lines`),
+then each module whose count differs, as ``saddle.py 348 -> 337``::
 
     simulate two-layer --n 12 --t-final 1.0 --snapshot-every 2
     simulate sinusoidal --n 16 --t-final 2.0 --snapshot-every 1
@@ -204,6 +207,20 @@ def changed_modules(parent: dict, child: dict) -> list[str]:
     return [f"{name} {parent.get(name, 0)} -> {child.get(name, 0)}"
             for name in sorted(parent | child)
             if parent.get(name, 0) != child.get(name, 0)]
+
+
+def solver_counts(steps: list[dict]) -> tuple[int, int]:
+    """A run's LU solves, the summed ``krylov_iterations`` of its records,
+    and its factorizations, the records whose ``factorized`` is true."""
+    return (sum(s["record"]["krylov_iterations"] for s in steps),
+            sum(bool(s["record"]["factorized"]) for s in steps))
+
+
+def format_solver_counts(parent: list[dict], child: list[dict]) -> str:
+    (solves, factors), (solves_c, factors_c) = map(solver_counts,
+                                                   (parent, child))
+    return (f"  LU solves {solves} / {solves_c}, factorizations {factors} "
+            f"/ {factors_c}")
 
 
 def format_summary(name: str, summary: dict) -> str:
@@ -423,6 +440,8 @@ def compare_runs(sides: dict, tmp: Path, rev: str) -> bool:
         summary = compare_steps(steps["parent"][name], steps["child"][name])
         ok &= runs_agree(summary)
         print(format_summary(name, summary))
+        print(format_solver_counts(steps["parent"][name],
+                                   steps["child"][name]))
     for name in CLI_COMMANDS:
         files = compare_trees(tmp / "parent" / name, tmp / "child" / name)
         differing = {f: s for f, s in files.items() if s != "identical"}

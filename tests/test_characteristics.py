@@ -189,6 +189,42 @@ def test_eval_at_upwind_clamps_to_field_on_outflow():
     assert hit.points[0] == pytest.approx([1.0, 0.5], abs=1e-12)
 
 
+def test_missing_dirichlet_data_fails_at_a_dirichlet_exit():
+    # every history entry carries its Dirichlet data, read at each foot that
+    # leaves through a Dirichlet edge: a None entry fails there instead of
+    # reading the interior field, and is never read while its feet stay
+    # inside or leave through the stress-free outlet
+    mesh = generate_rect_mesh(
+        (0.0, 1.0), (0.0, 1.0), 4,
+        stress_free=("right",))
+    f = interpolate(velocity_space(mesh), lambda p: np.column_stack(
+        [p[:, 0] - 2.0, p[:, 1]]))
+    g = lambda pts: np.full((len(pts), 2), 9.0)
+    # unit porosity and tau = 0.2: feet at (0.3, 0.5), inside, and at
+    # (1.15, 0.5), clamped on the outlet
+    kept = np.array([[0.5, 0.5], [0.95, 0.5]])
+    w = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    val, clamped = lg1(f, UNIT_POROSITY, 0.2, kept, w, np.ones(2))
+    assert clamped == 1
+    assert np.array_equal(val, lg1(f, UNIT_POROSITY, 0.2, kept, w,
+                                   np.ones(2), g0=g)[0])
+    # the foot (-0.15, 0.5) leaves through the left (Dirichlet) edge
+    left = np.array([[0.05, 0.5]])
+    with pytest.raises(TypeError):
+        lg1(f, UNIT_POROSITY, 0.2, left, w[:1], np.ones(1))
+    # a general step: the tau foot (0.05, 0.5) stays inside and the data of
+    # its field is there, but the 2 tau foot (-0.05, 0.5) leaves through
+    # the left edge without the second field's data
+    x = np.array([[0.15, 0.5]])
+    with pytest.raises(TypeError):
+        ab2(f, f, UNIT_POROSITY, 0.1, x, w[:1], np.ones(1), g_prev=g)
+    val, clamped = ab2(f, f, UNIT_POROSITY, 0.1, x, w[:1], np.ones(1),
+                       g_prev2=g)
+    assert clamped == 1
+    assert np.array_equal(val, 4.0 * field_at(f, [[0.05, 0.5]])
+                          - np.full((1, 2), 9.0))
+
+
 def test_clamped_feet_are_evaluated_at_the_clamped_point():
     # both the porosity and the Dirichlet data are taken where the foot is
     # clamped on the boundary, not at the foot outside the domain

@@ -3,9 +3,11 @@
 import numpy as np
 
 from compare_parent import (README_COUNTS, changed_modules, code_lines,
-                            compare_steps, compare_trees, format_summary,
+                            compare_steps, compare_trees,
+                            format_solver_counts, format_summary,
                             mask_seconds, module_code_lines, readme_summary,
-                            record_key, repeat_counts, runs_agree)
+                            record_key, repeat_counts, runs_agree,
+                            solver_counts)
 
 
 def steps(n, clamped=3):
@@ -65,6 +67,20 @@ def test_runs_of_other_lengths_or_sizes_do_not_agree():
     child[0]["p"] = np.zeros(4)
     summary = compare_steps(parent, child)
     assert summary["rel_p"] == np.inf and summary["equal"] == 2
+
+
+def test_lu_solves_and_factorizations_summed_over_the_records():
+    parent = steps(4)
+    for s, iterations, factorized in zip(parent, (3, 0, 5, 2),
+                                         (True, False, True, False)):
+        s["record"].update(krylov_iterations=iterations,
+                           factorized=factorized)
+    child = copied(parent)
+    child[1]["record"].update(krylov_iterations=4, factorized=True)
+    assert solver_counts(parent) == (10, 2)
+    assert solver_counts(child) == (14, 3)
+    assert format_solver_counts(parent, child) == (
+        "  LU solves 10 / 14, factorizations 2 / 3")
 
 
 def test_trees_compared_file_by_file(tmp_path):

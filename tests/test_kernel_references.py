@@ -1397,6 +1397,25 @@ def test_assemble_is_bitwise_the_repeated_scatter(layout, n, seed):
         assert_same_bytes(r, r_ref)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_assemble_without_fixed_unknowns_is_bitwise_the_reference(seed):
+    # a table that fixes no unknown lifts nothing: the lift's gathers are
+    # empty and its sums zero, so the right-hand side comes back unchanged
+    ctx = step_context("uniform", [False, True, False, False], 5)
+    table = Constraints(np.empty(0, dtype=np.int64), np.empty((0, 2)), False)
+    a, b = viscous_elements(ctx), divergence_elements(ctx)
+    solver = StepSolver(ctx, a, b, table)
+    pos = mass_positions(ctx, table, a, b)
+    rng = np.random.default_rng(seed)
+    weight = signed_weights(rng, ctx.tables.wxarea.shape)
+    rhs = rng.normal(size=solver._constant.shape[0])
+    rhs[rng.random(rhs.size) < 0.2] = -0.0
+    r = solver.assemble(weight, rhs, np.empty(0))[1]
+    assert_same_bytes(r, assemble_repeat_reference(solver, pos, weight, rhs,
+                                                   np.empty(0))[1])
+    assert_same_bytes(r, rhs)
+
+
 @settings(max_examples=20, deadline=None, database=None)
 @given(layout=solver_meshes, n=st.integers(2, 10),
        seed=st.integers(0, 2 ** 32 - 1))
