@@ -232,7 +232,8 @@ class FeField:
 
 
 # t is read nowhere; it stays only because perfbench/workloads.py passes a
-# time, and goes with ROADMAP item 13
+# time.  Item 1's hook part or item 13 of ROADMAP unblocks it, and item 2
+# deletes it
 def zero_field(space: SpaceDescriptor, t: float | None = None) -> FeField:
     return FeField(space, np.zeros(space.dof_count))
 

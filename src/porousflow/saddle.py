@@ -49,6 +49,13 @@ no LU solve, so a start that already meets the stop returns after 0
 iterations.  A system of another kind, or one on which GMRES misses that
 stop within one restart cycle, is factorized afresh, so one factorization
 serves every general step.
+
+Besides its system, a solve depends on the solver's state alone, and that
+state is public: :attr:`StepSolver.factor`, the held :class:`Factor` (the
+LU, the key it was built under and the relative residual its solve
+reached), and :attr:`StepSolver.past`, the raw solutions of the last
+``GUESS_HISTORY`` solves in storage order.  The Krylov kernels
+:func:`_start` and :func:`_krylov` read only their arguments.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from __future__ import annotations
 import ctypes
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -371,9 +379,9 @@ def _factorize(k: sparse.csr_matrix):
     :func:`nested_dissection` order, by the module's ``splu``; raises
     :class:`SingularSystemError` when the factorization fails.
 
-    Applied transposed (``solve(..., trans="T")``), as
-    :meth:`StepSolver._krylov` applies it, that LU solves with ``k``,
-    through SuperLU's faster transposed triangular solves."""
+    Applied transposed (``solve(..., trans="T")``), as :func:`_krylov`
+    applies it, that LU solves with ``k``, through SuperLU's faster
+    transposed triangular solves."""
     # only the data is converted: the factor input shares k's index arrays,
     # which a copy would duplicate where a run's memory peaks
     single = sparse.csc_matrix((k.data.astype(FACTOR_DTYPE), k.indices,
@@ -384,6 +392,106 @@ def _factorize(k: sparse.csr_matrix):
                     options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SingularSystemError(str(exc)) from exc
+
+
+def _start(k, past, rhs):
+    """The start ``x0 = P c`` of :func:`_krylov` from the past solutions
+    ``past`` (rows), ``x0 = 0`` when there is none, with ``k`` the step
+    matrix's CSR: ``c`` is the least-squares solution of ``k P c = rhs``,
+    which needs no LU solve and copes with linearly dependent columns.
+    ``k P`` is formed by one product per held solution, each a contiguous
+    row, written into the columns of an F-ordered array: every row of ``k``
+    is summed in the order of the product with all columns at once,
+    without its copy of ``P``."""
+    kp = np.empty((len(rhs), len(past)), order="F")
+    for i, p in enumerate(past):
+        kp[:, i] = k @ p
+    return past.T @ np.linalg.lstsq(kp, rhs, rcond=None)[0]
+
+
+def _krylov(k, rhs, x0, lu, target, refine=False):
+    """GMRES right-preconditioned by ``lu`` within one restart cycle of
+    ``KRYLOV_MAX_ITERATIONS``, started from ``x0`` (:func:`_start`), down
+    to the residual norm ``target``.  A start that meets the target is
+    returned after 0 iterations.
+
+    Every product is taken with ``k``, the step matrix's CSR, and ``lu``,
+    the LU of ``k^T``, is applied transposed (``trans="T"``), which
+    solves with ``k`` through SuperLU's faster transposed triangular
+    solves (per call on a general step matrix of two-layer n=60,
+    interleaved: a CSR product 0.35 against a CSC's 0.41 ms, an LU solve
+    applied transposed 2.11 against 2.73 ms as built).
+    The preconditioned directions ``Z = LU^{-1} V`` are stored in
+    float64, so each iteration solves with the LU once, and the
+    least-squares residual of the Hessenberg system is the residual of
+    ``k x = rhs`` itself, whatever the precision of the LU.  The iterate
+    is formed once that residual reaches the target and is accepted when
+    its true residual does too.  With ``refine``, for a new LU, the best
+    iterate is also accepted once the true residual stops falling, by less
+    than ``REFINE_STALL`` from one iterate to the next.
+
+    Returns ``(x, iterations, residual norm)``, with ``x = None`` when
+    the target was missed.
+    """
+    m = KRYLOV_MAX_ITERATIONS
+    r = rhs - k @ x0
+    beta = float(np.linalg.norm(r))
+    if beta <= target:
+        return x0, 0, beta
+    v = np.empty((m + 1, len(rhs)))
+    z = np.empty((m, len(rhs)))
+    h = np.zeros((m + 1, m))
+    g = np.zeros(m + 1)   # rotated right-hand side of the least squares
+    rot = np.zeros((m, 2))
+    v[0] = r / beta
+    g[0] = beta
+    best = None   # with refine: (x, residual norm) of the best iterate
+    for j in range(m):
+        z[j] = lu.solve(v[j].astype(FACTOR_DTYPE), trans="T")
+        w = k @ z[j]
+        for _ in range(2):   # classical Gram-Schmidt, reorthogonalized
+            c = v[:j + 1] @ w
+            w -= c @ v[:j + 1]
+            h[:j + 1, j] += c
+        h[j + 1, j] = h_next = float(np.linalg.norm(w))
+        for i in range(j):   # earlier Givens rotations
+            cs, sn = rot[i]
+            h[i, j], h[i + 1, j] = (cs * h[i, j] + sn * h[i + 1, j],
+                                    cs * h[i + 1, j] - sn * h[i, j])
+        d = float(np.hypot(h[j, j], h[j + 1, j]))
+        if d == 0.0:
+            break
+        cs, sn = h[j, j] / d, h[j + 1, j] / d
+        rot[j] = cs, sn
+        h[j, j], h[j + 1, j] = d, 0.0
+        g[j], g[j + 1] = cs * g[j], -sn * g[j]
+        if abs(g[j + 1]) <= target:
+            y = solve_triangular(h[:j + 1, :j + 1], g[:j + 1])
+            x = x0 + y @ z[:j + 1]
+            r_norm = float(np.linalg.norm(rhs - k @ x))
+            if r_norm <= target:
+                return x, j + 1, r_norm
+            if refine:
+                if best is not None and r_norm > REFINE_STALL * best[1]:
+                    x, r_norm = min(best, (x, r_norm), key=lambda b: b[1])
+                    return x, j + 1, r_norm
+                best = x, r_norm
+        if h_next == 0.0:
+            break
+        v[j + 1] = w / h_next
+    return None, j + 1, None
+
+
+class Factor(NamedTuple):
+    """The factorization a :class:`StepSolver` holds: ``lu``, the
+    single-precision LU of the transposed step matrix (:func:`_factorize`),
+    ``key``, the key of the solve that built it, and ``residual``, the
+    relative residual that solve reached, which sets the stop of the later
+    solves with that key."""
+
+    lu: object
+    key: object
+    residual: float
 
 
 class StepSolver:
@@ -409,17 +517,23 @@ class StepSolver:
     crosses numberings, to place the load and to read the fields off the
     solution.
 
-    The held factorization is keyed by the ``key`` of the solve that built
-    it; start-up and general steps pass different keys because their mass
-    weights carry rho/tau and 3 rho/(2 tau).  The solver keeps the raw
-    solutions of its last ``GUESS_HISTORY`` solves, the factorizing ones
-    included, so a solve with the held key, which always follows the solve
-    that built the LU, has at least one.  Every solve runs GMRES in float64
-    on its own matrix, every product with its CSR, right-preconditioned by
-    the held single-precision LU of its transpose applied transposed and
-    started from the combination ``P c`` of those solutions ``P`` that
-    minimizes ``|rhs - K P c|`` (0 iterations when that start meets the
-    stop).  A solve with the held key stops at ``KRYLOV_RTOL`` or
+    Besides its system, a solve depends on two public values, the state of
+    the solver.  :attr:`factor` is the held :class:`Factor`, keyed by the
+    ``key`` of the solve that built it (start-up and general steps pass
+    different keys because their mass weights carry rho/tau and 3 rho/(2
+    tau)), or ``None``: before the first solve, after a failed refinement
+    and while a new matrix is factorized.  A solve that reuses the LU leaves
+    the same object; a factorizing one installs a new one.  :attr:`past`
+    holds the raw solutions of the last ``GUESS_HISTORY`` solves, the
+    factorizing ones included, so a solve with the held key, which always
+    follows the solve that built the LU, has at least one.
+
+    Every solve runs GMRES in float64 on its own matrix, every product with
+    its CSR, right-preconditioned by the held single-precision LU of its
+    transpose applied transposed and started from the combination ``P c``
+    of those solutions ``P`` that minimizes ``|rhs - K P c|``, formed once
+    per solve (0 iterations when that start meets the stop).  A solve with
+    the held key stops at ``KRYLOV_RTOL`` or
     ``DIRECT_RESIDUAL_MARGIN`` times the relative residual the solve that
     built the LU reached, whichever is larger, and never above
     ``RESIDUAL_BOUND``.  When GMRES misses that stop within one restart
@@ -476,14 +590,22 @@ class StepSolver:
         self._lift_dofs = position[dofs[touched]]
         self._lift_blocks = np.concatenate([a_elements[touched],
                                             b_elements[touched]], axis=1)
-        self._lu = None
-        self._key = None
-        self._factor_residual = 0.0    # reached by the solve that built the LU
-        # the raw solutions of the last solves, in turn, and the solve count;
-        # held in one block from the start, since a copy kept per step left
-        # two-layer n=60 about 1 MB higher in peak RSS
-        self._past = np.empty((GUESS_HISTORY, len(position)))
+        self.factor: Factor | None = None
+        # the ring of the raw solutions of the last solves, in turn, and the
+        # solve count; held in one block from the start, since a copy kept
+        # per step left two-layer n=60 about 1 MB higher in peak RSS
+        self._ring = np.empty((GUESS_HISTORY, len(position)))
         self._solves = 0
+
+    @property
+    def past(self) -> np.ndarray:
+        """The raw solutions of the last ``min(solves, GUESS_HISTORY)``
+        solves, taken before the fixed values and the gauge shift were
+        applied, in storage order (solve ``i`` at row ``i % GUESS_HISTORY``):
+        a read-only view of the ring."""
+        view = self._ring[:self._solves]
+        view.flags.writeable = False
+        return view
 
     def assemble(self, weight: np.ndarray, rhs: np.ndarray,
                  values: np.ndarray):
@@ -549,7 +671,7 @@ class StepSolver:
         rhs[position[:nv]] = load
         k, rhs = self.assemble(weight, rhs, values)
         x, resid, iterations, factorized = self._solve(k, rhs, key)
-        self._past[self._solves % GUESS_HISTORY] = x
+        self._ring[self._solves % GUESS_HISTORY] = x
         self._solves += 1
         x[:self.constraints.fixed.size] = values   # prescribed, exactly
         u, p = x[position[:nv]], x[position[nv:nv + nq]]
@@ -567,116 +689,31 @@ class StepSolver:
     def _solve(self, k, rhs, key):
         """``(x, residual, krylov_iterations, factorized)`` for the
         constrained system ``k x = rhs``: GMRES with the held LU when it
-        was built under ``key``, else with a new one."""
+        was built under ``key``, else with a new one, both started from
+        one :func:`_start`."""
         rhs_norm = max(float(np.linalg.norm(rhs)), 1e-30)
-        if self._lu is not None and self._key == key:
-            x, iterations, r_norm = self._krylov(k, rhs, rhs_norm)
+        x0 = _start(k, self.past, rhs)
+        if self.factor is not None and self.factor.key == key:
+            stop = min(RESIDUAL_BOUND, max(
+                KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self.factor.residual))
+            x, iterations, r_norm = _krylov(k, rhs, x0, self.factor.lu,
+                                            stop * rhs_norm)
             if x is not None:
                 return x, r_norm / rhs_norm, iterations, False
-        self._lu = None
-        self._lu = _factorize(k)
-        x, iterations, r_norm = self._krylov(k, rhs, rhs_norm, refine=True)
+        # the held LU is dropped before the new one is built, and no local
+        # keeps it, so two factors never coexist
+        self.factor = None
+        lu = _factorize(k)
+        x, iterations, r_norm = _krylov(k, rhs, x0, lu, KRYLOV_RTOL * rhs_norm,
+                                        refine=True)
         if x is None or not r_norm <= RESIDUAL_BOUND * rhs_norm:   # or NaN
-            self._lu = None
+            del lu   # not kept alive by the exception's frame
             reached = "no stop" if x is None \
                 else f"a relative residual of {r_norm / rhs_norm:.3e}"
             raise SingularSystemError(f"GMRES with a new LU reached {reached}"
                                       f" in {iterations} iterations")
-        self._key, self._factor_residual = key, r_norm / rhs_norm
-        return x, self._factor_residual, iterations, True
-
-    def _start(self, k, rhs):
-        """The start ``x0 = P c`` of :meth:`_krylov`, ``x0 = 0`` before the
-        first solve, with ``k`` the step matrix's CSR.  ``k P`` is formed
-        by one product per held solution, each a contiguous row of the ring,
-        written into the columns of an F-ordered array: every row of ``k``
-        is summed in the order of the product with all columns at once,
-        without its copy of ``P``."""
-        past = self._past[:self._solves]
-        kp = np.empty((len(rhs), len(past)), order="F")
-        for i, p in enumerate(past):
-            kp[:, i] = k @ p
-        return past.T @ np.linalg.lstsq(kp, rhs, rcond=None)[0]
-
-    def _krylov(self, k, rhs, rhs_norm, refine=False):
-        """GMRES right-preconditioned by the held LU within one restart
-        cycle of ``KRYLOV_MAX_ITERATIONS``, started from ``x0 = P c``: the
-        past solutions ``P`` (columns) combined by the least-squares ``c``
-        of ``k P c = rhs``, which needs no LU solve and copes with linearly
-        dependent columns (``x0 = 0`` before the first solve).  A start that
-        meets the stop is returned after 0 iterations.
-
-        Every product is taken with ``k``, the step matrix's CSR, and the
-        held LU of ``k^T`` is applied transposed (``trans="T"``), which
-        solves with ``k`` through SuperLU's faster transposed triangular
-        solves (per call on a general step matrix of two-layer n=60,
-        interleaved: a CSR product 0.35 against a CSC's 0.41 ms, an LU solve
-        applied transposed 2.11 against 2.73 ms as built).
-        The preconditioned directions ``Z = LU^{-1} V`` are stored in
-        float64, so each iteration solves with the LU once, and the
-        least-squares residual of the Hessenberg system is the residual of
-        ``k x = rhs`` itself, whatever the precision of the LU.  The iterate
-        is formed once that residual reaches the stop and is accepted when
-        its true residual does too.  The stop of a solve that reuses the LU
-        is given at :class:`StepSolver`; with ``refine``, for a new LU, it is
-        ``KRYLOV_RTOL``, and the best iterate is also accepted once the true
-        residual stops falling, by less than ``REFINE_STALL`` from one
-        iterate to the next.
-
-        Returns ``(x, iterations, residual norm)``, with ``x = None`` when
-        the stop was missed.
-        """
-        lu, m = self._lu, KRYLOV_MAX_ITERATIONS
-        stop = KRYLOV_RTOL if refine else min(RESIDUAL_BOUND, max(
-            KRYLOV_RTOL, DIRECT_RESIDUAL_MARGIN * self._factor_residual))
-        target = stop * rhs_norm
-        x0 = self._start(k, rhs)
-        r = rhs - k @ x0
-        beta = float(np.linalg.norm(r))
-        if beta <= target:
-            return x0, 0, beta
-        v = np.empty((m + 1, len(rhs)))
-        z = np.empty((m, len(rhs)))
-        h = np.zeros((m + 1, m))
-        g = np.zeros(m + 1)   # rotated right-hand side of the least squares
-        rot = np.zeros((m, 2))
-        v[0] = r / beta
-        g[0] = beta
-        best = None   # with refine: (x, residual norm) of the best iterate
-        for j in range(m):
-            z[j] = lu.solve(v[j].astype(FACTOR_DTYPE), trans="T")
-            w = k @ z[j]
-            for _ in range(2):   # classical Gram-Schmidt, reorthogonalized
-                c = v[:j + 1] @ w
-                w -= c @ v[:j + 1]
-                h[:j + 1, j] += c
-            h[j + 1, j] = h_next = float(np.linalg.norm(w))
-            for i in range(j):   # earlier Givens rotations
-                cs, sn = rot[i]
-                h[i, j], h[i + 1, j] = (cs * h[i, j] + sn * h[i + 1, j],
-                                        cs * h[i + 1, j] - sn * h[i, j])
-            d = float(np.hypot(h[j, j], h[j + 1, j]))
-            if d == 0.0:
-                break
-            cs, sn = h[j, j] / d, h[j + 1, j] / d
-            rot[j] = cs, sn
-            h[j, j], h[j + 1, j] = d, 0.0
-            g[j], g[j + 1] = cs * g[j], -sn * g[j]
-            if abs(g[j + 1]) <= target:
-                y = solve_triangular(h[:j + 1, :j + 1], g[:j + 1])
-                x = x0 + y @ z[:j + 1]
-                r_norm = float(np.linalg.norm(rhs - k @ x))
-                if r_norm <= target:
-                    return x, j + 1, r_norm
-                if refine:
-                    if best is not None and r_norm > REFINE_STALL * best[1]:
-                        x, r_norm = min(best, (x, r_norm), key=lambda b: b[1])
-                        return x, j + 1, r_norm
-                    best = x, r_norm
-            if h_next == 0.0:
-                break
-            v[j + 1] = w / h_next
-        return None, j + 1, None
+        self.factor = Factor(lu, key, r_norm / rhs_norm)
+        return x, self.factor.residual, iterations, True
 
 
 class SaddleSystem:
@@ -698,7 +735,8 @@ class SaddleSystem:
     # The run's table already holds every constraint, the gauge included,
     # and no boundary kind is left for apply_slip.  These two no-ops, and
     # this front, stay only as the targets that perfbench/tracer.py hooks,
-    # until ROADMAP item 1 re-points the hooks at the solver's own names.
+    # until item 1's hook part or item 13 of ROADMAP re-points the hooks at
+    # the solver's own names; item 2 then deletes them.
     def apply_slip(self) -> "SaddleSystem":
         return self
 

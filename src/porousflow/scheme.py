@@ -37,7 +37,8 @@ from porousflow.saddle import (FACTOR_DTYPE, Constraints, SaddleSystem,
 # assemble_c1, which no step calls since the drag is folded into the step
 # solver's weight; the entry points initial_step and general_step; and one
 # alias of the bracket per kind of step, looked up when the step is taken,
-# so that each hook fires once per step.  They go with ROADMAP item 13.
+# so that each hook fires once per step.  Item 1's hook part or item 13 of
+# ROADMAP unblocks them, and item 2 deletes them.
 from porousflow.assembly import assemble_c1  # noqa: F401
 lg1_material_terms = ab2_material_terms = material_terms
 

@@ -339,12 +339,13 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
     _drag_solve(solver, 1.0, rhs, "general")
-    solver._lu = held = identity_lu(solver)
+    solver.factor = solver.factor._replace(lu=identity_lu(solver))
+    held = solver.factor
     held_at_factorization = []
     splu = saddle.splu
 
     def recording_splu(*args, **kwargs):
-        held_at_factorization.append(solver._lu)
+        held_at_factorization.append(solver.factor)
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(saddle, "splu", recording_splu)
@@ -353,7 +354,8 @@ def test_step_solver_replaces_lu_that_misses_target(unit_ctx, params,
                                   rhs)
     assert rep["factorized"] and 1 <= rep["krylov_iterations"] <= 5
     assert held_at_factorization == [None]   # the old factor was dropped
-    assert solver._lu is not None and solver._lu is not held
+    assert solver.factor is not None and solver.factor is not held
+    assert solver.factor.lu is not held.lu
     assert rep["algebraic_residual"] <= 1e-12
     for got, want in ((u, u_ref), (p, p_ref)):
         assert np.abs(got.coefficients - want.coefficients).max() \
@@ -372,15 +374,79 @@ def test_step_solver_raises_when_refinement_fails(unit_ctx, params,
     monkeypatch.setattr(saddle, name, value)
     with pytest.raises(SingularSystemError, match="GMRES with a new LU"):
         _drag_solve(solver, 1.0, rhs, "general")
-    assert solver._lu is None
+    assert solver.factor is None
 
 
 def test_step_solver_holds_a_single_precision_factor(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
     _drag_solve(solver, 1.0, rhs, "general")
-    assert solver._lu.L.dtype == np.float32
-    assert solver._lu.U.dtype == np.float32
+    assert solver.factor.lu.L.dtype == np.float32
+    assert solver.factor.lu.U.dtype == np.float32
+
+
+def test_step_solver_state_is_its_factor_and_past(unit_ctx, params,
+                                                  monkeypatch):
+    # what a solve depends on besides its system: the held Factor, the same
+    # object while its LU is reused and a new one per factorization, and a
+    # read-only view of the ring of raw solutions in storage order, taken
+    # before the fixed values and the gauge shift were applied
+    rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
+    solver = _drag_solver(unit_ctx)
+    table = solver.constraints
+    raw, solve = [], solver._solve
+
+    def recording(*args):
+        out = solve(*args)
+        raw.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(solver, "_solve", recording)
+    assert solver.factor is None and len(solver.past) == 0
+    position = nested_dissection(unit_ctx, table.fixed, table.gauge)
+    nv, nq = unit_ctx.vspace.dof_count, unit_ctx.pspace.dof_count
+    free = np.ones(nv, dtype=bool)
+    free[table.fixed] = False
+    gauge = pressure_volume_vector(unit_ctx)
+    ring = np.empty((saddle.GUESS_HISTORY, len(position)))
+    held = None
+    for i, (drag, key) in enumerate([(1.0, "general"), (1.3, "general"),
+                                     (1.6, "general"), (1.3, "initial")]):
+        u, p, rep = _drag_solve(solver, drag, rhs, key)
+        factor = solver.factor
+        assert rep["factorized"] == (i in (0, 3))
+        if rep["factorized"]:   # a new Factor, also on a key change
+            assert isinstance(factor, saddle.Factor) and factor is not held
+            assert factor.key == key
+            assert factor.residual == rep["algebraic_residual"]
+        else:
+            assert factor is held
+        held = factor
+        ring[i % saddle.GUESS_HISTORY] = raw[i]
+        past = solver.past
+        assert len(past) == min(i + 1, saddle.GUESS_HISTORY)
+        assert np.array_equal(past, ring[:len(past)])
+        # the fields are the raw solution with its fixed values set and its
+        # pressure shifted, which the ring does not see
+        x = raw[i]
+        values = table.values(quad_velocity)
+        u_raw, p_raw = x[position[:nv]], x[position[nv:nv + nq]]
+        shift = (gauge @ p_raw) / float(unit_ctx.mesh.areas.sum())
+        assert not np.array_equal(u_raw[table.fixed], values) or shift != 0.0
+        assert np.array_equal(u.coefficients[free], u_raw[free])
+        assert np.array_equal(u.coefficients[table.fixed], values)
+        assert np.array_equal(p.coefficients, p_raw - shift)
+    # the fourth solve replaced row 0, the first solve's
+    assert np.array_equal(solver.past[0], raw[3])
+    assert not np.array_equal(raw[3], raw[0])
+    with pytest.raises(ValueError):
+        solver.past[0, 0] = 1.0
+    # a failed refinement leaves no factor and the ring as it was
+    monkeypatch.setattr(saddle, "KRYLOV_MAX_ITERATIONS", 1)
+    with pytest.raises(SingularSystemError):
+        _drag_solve(solver, 2.0, rhs, "other")
+    assert solver.factor is None
+    assert np.array_equal(solver.past, ring)
 
 
 class _CountingLU:
@@ -402,7 +468,8 @@ def test_step_solver_solves_with_lu_once_per_iteration(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
     _drag_solve(solver, 1.0, rhs, "general")
-    solver._lu = counting = _CountingLU(solver._lu)
+    counting = _CountingLU(solver.factor.lu)
+    solver.factor = solver.factor._replace(lu=counting)
     _, _, rep = _drag_solve(solver, 1.3, rhs, "general")
     assert not rep["factorized"] and rep["krylov_iterations"] > 0
     # the start, projected on past solutions, takes no LU solve; then one
@@ -417,7 +484,8 @@ def test_step_solver_repeated_system_needs_no_iteration(unit_ctx, params):
     rhs = assemble_load(stokes_forcing(params.mu), unit_ctx, None)
     solver = _drag_solver(unit_ctx)
     u0, p0, first = _drag_solve(solver, 1.3, rhs, "general")
-    solver._lu = counting = _CountingLU(solver._lu)
+    counting = _CountingLU(solver.factor.lu)
+    solver.factor = solver.factor._replace(lu=counting)
     u, p, rep = _drag_solve(solver, 1.3, rhs, "general")
     # the past solution already meets the stop
     assert first["factorized"] and not rep["factorized"]
@@ -578,7 +646,7 @@ def test_transposed_lu_solves_the_step_system(kind, monkeypatch):
     k, _ = solver.assemble(weight, np.zeros(inputs[0].shape[0]), values)
     v = rng.normal(size=k.shape[0])
     for trans in ("T", "N"):
-        z = solver._lu.solve(v.astype(np.float32), trans=trans)
+        z = solver.factor.lu.solve(v.astype(np.float32), trans=trans)
         assert z.dtype == np.float32
         assert np.linalg.norm(k @ z - v) <= 1e-4 * np.linalg.norm(v)
 
@@ -744,7 +812,7 @@ def test_step_pattern_depends_on_the_mesh_alone(kind, n, seed):
         solver = StepSolver(ctx, *perturbed, table)
         solver.solve(weight, load, values)
         patterns.append((solver._constant.indptr, solver._constant.indices,
-                         solver._lu.nnz))
+                         solver.factor.lu.nnz))
     (indptr, indices, fill), (indptr_p, indices_p, fill_p) = patterns
     assert np.array_equal(indptr, indptr_p)
     assert np.array_equal(indices, indices_p)

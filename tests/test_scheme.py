@@ -547,7 +547,7 @@ class _StaleLUSolver(StepSolver):
 
     def solve(self, *args, **kwargs):
         result = super().solve(*args, **kwargs)
-        self._lu = identity_lu(self)
+        self.factor = self.factor._replace(lu=identity_lu(self))
         return result
 
 
